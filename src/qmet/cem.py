@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateSpectrum, DomainBoundary, NonSmoothFamily, QmetError
+from .errors import NonSmoothFamily
 from .fisher import FisherReport, OutcomeDistribution, ProbabilityModel, classical_fisher
 from .linalg import (
     eig_hermitian,
     expm_unitary,
-    fix_phases,
     require_density,
     require_hermitian,
     require_nondegenerate,
@@ -68,14 +67,6 @@ class CemSolution:
     V_opt: np.ndarray
     psi_opt: np.ndarray
     phi: float
-
-
-def _check_domain(model: HamiltonianModel, theta: float, radius: float) -> None:
-    lo, hi = model.theta_domain
-    if theta - radius <= lo or theta + radius >= hi:
-        raise DomainBoundary(
-            f"stencil [{theta - radius}, {theta + radius}] leaves the open domain ({lo}, {hi})"
-        )
 
 
 def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
@@ -142,7 +133,7 @@ def generator_pair(
     phases=None,
 ) -> GeneratorPair:
     """Generators of the encoding unitary exp(-i t H) and of the diagonalizer."""
-    _check_domain(model, theta, numdiff.stencil_radius(theta, diff))
+    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
     g_diag = local_generator(diagonalizer_family(model, theta, phases=phases), theta, diff)
     return GeneratorPair(
@@ -250,53 +241,54 @@ def fisher_cem(
 
 
 def _fast_objective(model: HamiltonianModel, theta: float, t: float, step: float):
-    """CEM Fisher information as a cheap objective V, psi -> value.
+    """CEM Fisher information as a cheap batched objective (V, psi) -> value.
 
     One eigendecomposition per stencil node serves both the encoding unitary
     and the measured eigenbasis; a plain central difference replaces the full
-    reporting machinery.  Agrees with fisher_cem to the stencil's accuracy.
+    reporting machinery.  V is (..., d, d), psi is (..., d), and the value has
+    their broadcast leading shape.  Agrees with fisher_cem to the stencil's
+    accuracy.
     """
     nodes = (theta - step, theta + step, theta)
-    systems = []
-    for x in nodes:
-        E, W = np.linalg.eigh(require_hermitian(model.h_of(x)))
-        require_nondegenerate(E)
-        systems.append((np.exp(-1j * t * E), W))
+    E, W = np.linalg.eigh(require_hermitian(np.stack([model.h_of(x) for x in nodes])))
+    for ev in E:
+        require_nondegenerate(ev)
+    Wh = W.conj().swapaxes(-2, -1)
+    U = (W * np.exp(-1j * t * E)[:, None, :]) @ Wh  # encoding unitary at each node
 
-    def value(V: np.ndarray, psi: np.ndarray) -> float:
-        probs = []
-        for phases, W in systems:
-            w = V @ (W @ (phases * (W.conj().T @ psi)))
-            probs.append(np.abs(W.conj().T @ w) ** 2)
-        p_minus, p_plus, p0 = probs
-        dp = (p_plus - p_minus) / (2.0 * step)
-        mask = p0 > SUPPORT_EPS
-        return float(np.sum(dp[mask] ** 2 / p0[mask]))
+    def value(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        amps = Wh @ (V[..., None, :, :] @ (U @ psi[..., None, :, None]))
+        probs = np.abs(amps[..., 0]) ** 2  # (..., node, outcome)
+        dp = (probs[..., 1, :] - probs[..., 0, :]) / (2.0 * step)
+        p0 = probs[..., 2, :]
+        terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > SUPPORT_EPS)
+        return terms.sum(axis=-1)
 
     return value
 
 
-def _hermitian_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    """Map d^2 real parameters to a Hermitian matrix (diagonal first, then pairs)."""
-    A = np.zeros((d, d), dtype=complex)
-    A[np.diag_indices(d)] = x[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            A[i, j] = x[k] + 1j * x[k + 1]
-            A[j, i] = x[k] - 1j * x[k + 1]
-            k += 2
-    return A
+def _hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d*d) map from real parameters (diagonal first, then pairs) to Hermitian A.
+
+    A = (x @ basis).reshape(..., d, d) for x of shape (..., d^2).
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[range(d), range(d), range(d)] = 1.0
+    i, j = np.triu_indices(d, 1)
+    k = d + 2 * np.arange(i.size)
+    basis[k, i, j] = basis[k, j, i] = 1.0
+    basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
+    return basis.reshape(d * d, d * d)
 
 
 def _state_from_angles(x: np.ndarray, d: int) -> np.ndarray:
-    """Hyperspherical chart: d-1 mixing angles plus d-1 relative phases."""
-    amps = np.ones(d)
-    for i in range(d - 1):
-        amps[i] *= math.cos(x[i])
-        amps[i + 1:] *= math.sin(x[i])
+    """Hyperspherical chart: (..., 2d-2) = d-1 mixing angles plus d-1 relative phases."""
+    mix = x[..., :d - 1]
+    tails = np.cumprod(np.sin(mix), axis=-1)
+    amps = np.concatenate(
+        [np.cos(mix[..., :1]), tails[..., :-1] * np.cos(mix[..., 1:]), tails[..., -1:]], axis=-1)
     psi = amps.astype(complex)
-    psi[1:] *= np.exp(1j * x[d - 1:])
+    psi[..., 1:] *= np.exp(1j * x[..., d - 1:])
     return psi
 
 
@@ -314,23 +306,27 @@ def _angles_from_state(psi: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 14):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x))."""
+def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int = 14):
+    """Golden-section maximization of every row on its own [lo, hi]; returns (x, f(x)).
+
+    f maps an (..., R) array of abscissae to values of the same shape.  The two
+    interior nodes are evaluated in one (2, R) call, then each step evaluates
+    one new node per row; np.where picks each row's bracket.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
+    fc, fe = f(np.stack([c, e]))
     for _ in range(iters):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    return (c, fc) if fc >= fe else (e, fe)
+        left = fc >= fe  # keep [a, e] and probe a new c; otherwise keep [c, b], new e
+        a, b = np.where(left, a, c), np.where(left, e, b)
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = f(probe)
+        c, e = np.where(left, probe, e), np.where(left, c, probe)
+        fc, fe = np.where(left, fp, fe), np.where(left, fc, fp)
+    left = fc >= fe
+    return np.where(left, c, e), np.where(left, fc, fe)
 
 
 def optimize_cem(
@@ -345,75 +341,81 @@ def optimize_cem(
 
     Coordinate-wise golden-section line search with cyclic passes over the
     d^2 control parameters (V = V_seed exp(-iA)) and the 2d-2 preparation
-    parameters, multistarted.  One restart is seeded at the analytic optimum
-    (V_opt, psi_opt), whose Fisher information is also evaluated directly, so
-    the returned value never falls below it.  The remaining restarts start
-    from Haar-random controls and random pure preparations.  budget =
-    (restarts, line searches per restart); diff only sets the central-difference
-    step of the internal objective.
+    parameters, multistarted.  All restarts share the coordinate schedule,
+    the radius decay and the 14-step golden section, so they advance in
+    lockstep as one (R, d, d) batch: each golden step is one objective call
+    over the R rows, and each row's bracket and accept/reject is an np.where.
+    One restart is seeded at the analytic optimum (V_opt, psi_opt), whose
+    Fisher information is also evaluated directly, so the returned value
+    never falls below it.  The remaining restarts start from Haar-random
+    controls and random pure preparations, drawn up front from
+    default_rng(seed) in restart order: a Haar control, then a complex normal
+    preparation, per restart.  budget = (restarts, line searches per
+    restart); diff only sets the central-difference step of the internal
+    objective.
 
-    Returns (best Fisher information, best V, best psi).
+    Returns (best Fisher information, best V, best psi); ties between
+    restarts go to the earliest.
     """
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
     step = diff.base_step(theta) if diff is not None else 1e-5 * (1.0 + abs(theta))
-    _check_domain(model, theta, step)
+    numdiff.check_domain(theta, step, model.theta_domain)
     d = model.dim
     n_v = d * d
     n_p = 2 * d - 2
     rng = np.random.default_rng(seed)
     objective = _fast_objective(model, theta, t, step)
 
-    def fi_of(V: np.ndarray, psi: np.ndarray) -> float:
-        try:
-            return objective(V, psi)
-        except QmetError:
-            return -np.inf
-
     sol = g_bound(model, theta, t)
-    best_fi = fi_of(sol.V_opt, sol.psi_opt)
+    best_fi = float(objective(sol.V_opt, sol.psi_opt))
     best_v, best_psi = sol.V_opt, sol.psi_opt
 
-    def haar(dim: int) -> np.ndarray:
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    v_seeds, preps = [sol.V_opt], [sol.psi_opt]
+    for _ in range(restarts - 1):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        v_seeds.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        z = rng.normal(size=d) + 1j * rng.normal(size=d)
+        preps.append(z / np.linalg.norm(z))
+    v_seeds = np.stack(v_seeds)
+    x = np.stack([np.concatenate([np.zeros(n_v), _angles_from_state(p)]) for p in preps])
 
-    for restart in range(restarts):
-        if restart == 0:
-            v_seed = sol.V_opt
-            x = np.concatenate([np.zeros(n_v), _angles_from_state(sol.psi_opt)])
-        else:
-            v_seed = haar(d)
-            z = rng.normal(size=d) + 1j * rng.normal(size=d)
-            x = np.concatenate([np.zeros(n_v), _angles_from_state(z / np.linalg.norm(z))])
+    basis = _hermitian_basis(d)
 
-        def value_at(params: np.ndarray) -> float:
-            V = v_seed @ expm_unitary(_hermitian_from_params(params[:n_v], d), 1.0)
-            psi = _state_from_angles(params[n_v:], d)
-            return fi_of(V, psi)
+    def controls(params: np.ndarray, seeds: np.ndarray = v_seeds) -> np.ndarray:
+        A = (params[..., :n_v] @ basis).reshape(params.shape[:-1] + (d, d))
+        return seeds @ expm_unitary(A, 1.0)
 
-        current = value_at(x)
-        radius = 0.6
-        for it in range(iterations):
-            coord = it % (n_v + n_p)
-            if coord == 0 and it > 0:
-                radius = max(radius * 0.8, 1e-3)
+    current = objective(controls(x), _state_from_angles(x[:, n_v:], d))
+    radius = 0.6
+    for it in range(iterations):
+        coord = it % (n_v + n_p)
+        if coord == 0 and it > 0:
+            radius = max(radius * 0.8, 1e-3)
+        # Only one of V and psi moves along a coordinate; the other is fixed.
+        on_control = coord < n_v
+        V = None if on_control else controls(x)
+        psi = _state_from_angles(x[:, n_v:], d) if on_control else None
 
-            def along(val: float, c=coord) -> float:
-                y = x.copy()
-                y[c] = val
-                return value_at(y)
+        def along(vals: np.ndarray) -> np.ndarray:
+            y = np.broadcast_to(x, vals.shape + x.shape[1:]).copy()
+            y[..., coord] = vals
+            if on_control:
+                return objective(controls(y), psi)
+            return objective(V, _state_from_angles(y[..., n_v:], d))
 
-            xc, fc = _golden_max(along, x[coord] - radius, x[coord] + radius)
-            if fc > current:
-                x[coord] = xc
-                current = fc
-        if current > best_fi:
-            best_fi = current
-            best_v = v_seed @ expm_unitary(_hermitian_from_params(x[:n_v], d), 1.0)
-            best_psi = _state_from_angles(x[n_v:], d)
+        xc, fc = _golden_max_rows(along, x[:, coord] - radius, x[:, coord] + radius)
+        better = fc > current
+        x[better, coord] = xc[better]
+        current = np.where(better, fc, current)
+
+    r = int(np.argmax(current))  # first maximum: ties go to the earliest restart
+    if current[r] > best_fi:
+        best_fi = float(current[r])
+        best_v = controls(x[r], v_seeds[r])
+        best_psi = _state_from_angles(x[r, n_v:], d)
 
     return best_fi, best_v, require_state(best_psi)
 

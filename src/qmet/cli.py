@@ -156,6 +156,17 @@ _COMMAND_ALLOWED_MODELS = {
 }
 
 
+def _ini_number(section, key: str, kind, default):
+    """section[key] parsed by kind (int or float), default when absent; bad text is a ConfigError."""
+    if key not in section:
+        return default
+    try:
+        return kind(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key} must be {kind.__name__}, "
+                          f"got {section[key]!r}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.model = _COMMAND_DEFAULT_MODEL.get(args.command, cfg.model)
@@ -175,26 +186,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg.t_grid = _parse_grid(grid["t"])
         diff = parser["diff"] if parser.has_section("diff") else {}
         cfg.diff_method = diff.get("method", cfg.diff_method)
-        if "step" in diff:
-            cfg.diff_step = float(diff["step"])
-        if "levels" in diff:
-            cfg.diff_levels = int(diff["levels"])
+        cfg.diff_step = _ini_number(diff, "step", float, cfg.diff_step)
+        cfg.diff_levels = _ini_number(diff, "levels", int, cfg.diff_levels)
         ps = parser["phasesim"] if parser.has_section("phasesim") else {}
-        cfg.n = int(ps.get("n", cfg.n))
-        cfg.m = int(ps.get("m", cfg.m))
-        if "tau" in ps:
-            cfg.tau = float(ps["tau"])
+        cfg.n = _ini_number(ps, "n", int, cfg.n)
+        cfg.m = _ini_number(ps, "m", int, cfg.m)
+        cfg.tau = _ini_number(ps, "tau", float, cfg.tau)
         opt = parser["optimizer"] if parser.has_section("optimizer") else {}
-        cfg.restarts = int(opt.get("restarts", cfg.restarts))
-        cfg.iterations = int(opt.get("iterations", cfg.iterations))
+        cfg.restarts = _ini_number(opt, "restarts", int, cfg.restarts)
+        cfg.iterations = _ini_number(opt, "iterations", int, cfg.iterations)
         run = parser["run"] if parser.has_section("run") else {}
-        cfg.seed = int(run.get("seed", cfg.seed))
+        cfg.seed = _ini_number(run, "seed", int, cfg.seed)
         cfg.out = run.get("out", cfg.out)
         cfg.fmt = run.get("format", cfg.fmt)
         if parser.has_section("model"):
-            for key, value in parser["model"].items():
+            for key in parser["model"]:
                 if key != "name":
-                    cfg.model_params[key] = float(value)
+                    cfg.model_params[key] = _ini_number(parser["model"], key, float, None)
 
     if args.model is not None:
         cfg.model = args.model
@@ -228,6 +236,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"model {cfg.model!r} does not take parameter {key!r}")
     defaults.update(cfg.model_params)
     cfg.model_params = defaults
+    if cfg.restarts < 1 or cfg.iterations < 1:
+        raise ConfigError(f"optimizer restarts and iterations must be >= 1, "
+                          f"got {cfg.restarts} and {cfg.iterations}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
     if cfg.diff_method not in ("central-fd", "richardson-fd"):

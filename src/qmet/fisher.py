@@ -17,7 +17,6 @@ import numpy as np
 from . import numdiff
 from .errors import (
     DimensionMismatch,
-    DomainBoundary,
     NonNormalized,
     NotTraceless,
     RankChange,
@@ -105,14 +104,6 @@ class FisherReport:
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
-def _check_domain(theta: float, radius: float, domain: tuple[float, float]) -> None:
-    lo, hi = domain
-    if theta - radius <= lo or theta + radius >= hi:
-        raise DomainBoundary(
-            f"stencil [{theta - radius}, {theta + radius}] leaves the open domain ({lo}, {hi})"
-        )
-
-
 def _probs_vector(model: ProbabilityModel, n_outcomes: int):
     def p_of(x: float) -> np.ndarray:
         dist = model.at(x)
@@ -133,7 +124,7 @@ def classical_fisher(
     falls below the support threshold excluded from the sum.
     """
     radius = numdiff.stencil_radius(theta, diff)
-    _check_domain(theta, radius, model.theta_domain)
+    numdiff.check_domain(theta, radius, model.theta_domain)
     center = model.at(theta)
     p = center.probs
     dp, dp_err = numdiff.derivative(_probs_vector(model, p.shape[0]), theta, diff)
@@ -179,7 +170,7 @@ def _state_derivative(rho_of, theta: float, diff: DiffSpec,
     """
     rho = require_hermitian(rho_of(theta))
     radius = numdiff.stencil_radius(theta, diff)
-    _check_domain(theta, radius, theta_domain)
+    numdiff.check_domain(theta, radius, theta_domain)
     rank0 = _rank_profile(rho)
     for x in (theta - radius, theta + radius):
         if _rank_profile(require_hermitian(rho_of(x))) != rank0:

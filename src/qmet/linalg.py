@@ -23,9 +23,9 @@ OVERLAP_ALIGNED = "overlap-aligned"
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex matrix."""
+    """Coerce to a square complex matrix or a (..., d, d) stack of them."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     return A
 
@@ -33,20 +33,23 @@ def as_matrix(M) -> np.ndarray:
 def require_hermitian(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return M as an ndarray, raising NonHermitianInput if M != M^dag.
 
-    The tolerance is relative: max|M - M^dag| <= tol * (1 + max|M|).
+    The tolerance is relative, per matrix of a stack:
+    max|M - M^dag| <= tol * (1 + max|M|).
     """
     A = as_matrix(M)
-    scale = 1.0 + np.max(np.abs(A))
-    defect = np.max(np.abs(A - A.conj().T))
-    if defect > tol * scale:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}*(1+|M|)")
+    # ufunc reductions skip np.max's dispatch: this check guards every decomposition.
+    scale = 1.0 + np.maximum.reduce(np.abs(A), axis=(-2, -1))
+    defect = np.maximum.reduce(np.abs(A - A.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    if np.logical_or.reduce(defect > tol * scale, axis=None):
+        raise NonHermitianInput(
+            f"Hermiticity defect {np.max(defect):.3e} exceeds {tol:.1e}*(1+|M|)")
     return A
 
 
 def require_unitary(U, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Return U as an ndarray, raising if U U^dag deviates from the identity."""
     A = as_matrix(U)
-    defect = np.max(np.abs(A @ A.conj().T - np.eye(A.shape[0])))
+    defect = np.max(np.abs(A @ A.conj().swapaxes(-2, -1) - np.eye(A.shape[-1])))
     if defect > tol:
         raise DimensionMismatch(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return A
@@ -146,10 +149,10 @@ def require_nondegenerate(eigenvalues: np.ndarray, tol: float = DEGENERACY_TOL) 
 
 
 def expm_unitary(H, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, via eigendecomposition."""
+    """exp(-i t H) for Hermitian H or a (..., d, d) stack, via one eigendecomposition."""
     A = require_hermitian(H)
     ev, V = np.linalg.eigh(A)
-    return (V * np.exp(-1j * t * ev)) @ V.conj().T
+    return (V * np.exp(-1j * t * ev)[..., None, :]) @ V.conj().swapaxes(-2, -1)
 
 
 def spectral_gap(M) -> float:

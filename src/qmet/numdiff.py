@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainBoundary
+
 ANALYTIC = "analytic"
 CENTRAL = "central-fd"
 RICHARDSON = "richardson-fd"
@@ -76,6 +78,15 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
 def stencil_radius(x: float, spec: DiffSpec) -> float:
     """Largest offset from x that derivative() will evaluate."""
     return spec.base_step(x)
+
+
+def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:
+    """Raise DomainBoundary unless [x - radius, x + radius] lies inside the open domain."""
+    lo, hi = domain
+    if x - radius <= lo or x + radius >= hi:
+        raise DomainBoundary(
+            f"stencil [{x - radius}, {x + radius}] leaves the open domain ({lo}, {hi})"
+        )
 
 
 def central5(f, x: float, h: float):

@@ -1,11 +1,14 @@
 """Tests for controlled energy measurements, the bound, and its optimizers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qmet import cem
 from qmet.cem import (
+    _golden_max_rows,
     cem_outcome_model,
     check_condition,
     diagonalizer,
@@ -276,9 +279,156 @@ class TestOptimizeCem:
 
     def test_determinism(self):
         m = make_qubit_direction(1.0)
-        a, _, _ = optimize_cem(m, 0.9, 1.1, budget=(2, 60), seed=7)
-        b, _, _ = optimize_cem(m, 0.9, 1.1, budget=(2, 60), seed=7)
+        a, va, pa = optimize_cem(m, 0.9, 1.1, budget=(2, 60), seed=7)
+        b, vb, pb = optimize_cem(m, 0.9, 1.1, budget=(2, 60), seed=7)
         assert a == b
+        assert np.array_equal(va, vb)
+        assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("model", [make_qubit_direction(1.0), make_nv_spin1(**NV_PARAMS)],
+                             ids=lambda m: m.name)
+    def test_more_restarts_never_worse(self, model):
+        """Restart 0 runs identically in both batches, so extra rows can only add."""
+        one, _, _ = optimize_cem(model, 0.8, 1.7, budget=(1, 40), seed=11)
+        many, _, _ = optimize_cem(model, 0.8, 1.7, budget=(8, 40), seed=11)
+        assert many >= one
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["analytic-seed", "poor-seed"])
+    @pytest.mark.parametrize("model", [
+        make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
+    ], ids=lambda m: m.name)
+    def test_lockstep_matches_serial_reference(self, model, seeded, monkeypatch):
+        random_wins = 0
+        for theta, t, seed in [(0.7, 1.3, 3), (1.4, 0.6, 17)]:
+            sol = g_bound(model, theta, t)
+            if not seeded:  # identity control and |0>: the random restarts decide the result
+                eye = np.eye(model.dim, dtype=complex)
+                sol = dataclasses.replace(sol, V_opt=eye, psi_opt=eye[0])
+                monkeypatch.setattr(cem, "g_bound", lambda *args, s=sol: s)
+            fast, _, _ = optimize_cem(model, theta, t, budget=(3, 30), seed=seed)
+            per_restart = serial_optimize_cem(model, theta, t, (3, 30), seed, sol)
+            assert fast == pytest.approx(max(per_restart), rel=1e-9)
+            random_wins += int(np.argmax(per_restart) > 1)  # [seed value, restart 0, ...]
+        assert seeded or random_wins > 0
+
+
+# --- serial reference: one restart and one scalar golden section at a time ----------
+
+
+def scalar_golden_max(f, lo, hi, iters=14):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, e = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fe = f(c), f(e)
+    for _ in range(iters):
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + invphi * (b - a)
+            fe = f(e)
+    return (c, fc) if fc >= fe else (e, fe)
+
+
+def serial_optimize_cem(model, theta, t, budget, seed, sol):
+    """Restart-by-restart optimizer the lockstep batch replaced, seeded at sol.
+
+    Returns the direct value at the seed followed by each restart's final value.
+    """
+    restarts, iterations = budget
+    step = 1e-5 * (1.0 + abs(theta))
+    d = model.dim
+    n_v, n_p = d * d, 2 * d - 2
+    systems = []
+    for x in (theta - step, theta + step, theta):
+        E, W = np.linalg.eigh(model.h_of(x))
+        systems.append((np.exp(-1j * t * E), W))
+
+    def objective(V, psi):
+        p_minus, p_plus, p0 = [np.abs(W.conj().T @ (V @ (W @ (ph * (W.conj().T @ psi))))) ** 2
+                               for ph, W in systems]
+        dp = (p_plus - p_minus) / (2.0 * step)
+        mask = p0 > 1e-12
+        return float(np.sum(dp[mask] ** 2 / p0[mask]))
+
+    def hermitian(x):
+        A = np.diag(x[:d]).astype(complex)
+        i, j = np.triu_indices(d, 1)
+        A[i, j] = x[d::2] + 1j * x[d + 1::2]
+        A[j, i] = x[d::2] - 1j * x[d + 1::2]
+        return A
+
+    def state(x):
+        amps = np.ones(d)
+        for i in range(d - 1):
+            amps[i] *= math.cos(x[i])
+            amps[i + 1:] *= math.sin(x[i])
+        return amps * np.exp(1j * np.concatenate([[0.0], x[d - 1:]]))
+
+    def angles(psi):
+        v = psi * (psi[0].conjugate() / abs(psi[0])) if abs(psi[0]) > 1e-14 else psi
+        out, tail = np.zeros(n_p), 1.0
+        for i in range(d - 1):
+            out[i] = math.acos(min(max(abs(v[i]) / tail, 0.0), 1.0)) if tail > 1e-14 else 0.0
+            tail *= math.sin(out[i])
+        out[d - 1:] = np.angle(v[1:])
+        return out
+
+    rng = np.random.default_rng(seed)
+    values = [objective(sol.V_opt, sol.psi_opt)]
+    for restart in range(restarts):
+        if restart == 0:
+            v_seed, psi0 = sol.V_opt, sol.psi_opt
+        else:
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            q, r = np.linalg.qr(z)
+            v_seed = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            z = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi0 = z / np.linalg.norm(z)
+        x = np.concatenate([np.zeros(n_v), angles(psi0)])
+
+        def value_at(y):
+            return objective(v_seed @ expm_unitary(hermitian(y[:n_v]), 1.0), state(y[n_v:]))
+
+        current, radius = value_at(x), 0.6
+        for it in range(iterations):
+            coord = it % (n_v + n_p)
+            if coord == 0 and it > 0:
+                radius = max(radius * 0.8, 1e-3)
+
+            def along(val, c=coord):
+                y = x.copy()
+                y[c] = val
+                return value_at(y)
+
+            xc, fc = scalar_golden_max(along, x[coord] - radius, x[coord] + radius)
+            if fc > current:
+                x[coord], current = xc, fc
+        values.append(current)
+    return values
+
+
+class TestGoldenMaxRows:
+    def test_matches_scalar_golden_section_row_by_row(self):
+        rng = np.random.default_rng(21)
+        rows = 16
+        lo = rng.uniform(-2.0, 1.0, size=rows)
+        hi = lo + rng.uniform(0.1, 3.0, size=rows)
+        peak = rng.uniform(lo - 0.5, hi + 0.5)  # some maxima sit outside the bracket
+        scale = rng.uniform(0.1, 5.0, size=rows)
+        power = rng.choice([1.0, 1.5, 2.0], size=rows)
+
+        def f(v):
+            return -scale * np.abs(v - peak) ** power
+
+        xs, fs = _golden_max_rows(f, lo, hi)
+        for r in range(rows):
+            x_r, f_r = scalar_golden_max(
+                lambda v: float(-scale[r] * abs(v - peak[r]) ** power[r]), lo[r], hi[r])
+            assert xs[r] == pytest.approx(x_r, rel=1e-14, abs=1e-14)
+            assert fs[r] == pytest.approx(f_r, rel=1e-14, abs=1e-14)
 
 
 class TestMaxGapLemma:

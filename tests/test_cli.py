@@ -47,6 +47,15 @@ class TestConfigHandling:
         code, _ = run(tmp_path, "qfi", "--config", str(ini))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("restarts", ["0", "abc"])
+    def test_bad_optimizer_restarts_is_config_error(self, tmp_path, capsys, restarts):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[optimizer]\nrestarts = {restarts}\n")
+        code, _ = run(tmp_path, "optimize", "--config", str(ini),
+                      "--theta", "1.0:1.0:1", "--t", "1.0:1.0:1")
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

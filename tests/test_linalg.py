@@ -11,6 +11,7 @@ from qmet.linalg import (
     expm_unitary,
     operator_variance,
     partial_trace,
+    require_hermitian,
     require_nondegenerate,
     spectral_gap,
     tensor,
@@ -104,6 +105,21 @@ class TestExpmUnitary:
         H = random_hermitian(rng, 5)
         U = expm_unitary(H, 0.83)
         assert np.max(np.abs(U @ U.conj().T - np.eye(5))) <= 1e-10
+
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
+        U = expm_unitary(stack, 0.6)
+        assert U.shape == (2, 4, 3, 3)
+        for idx in np.ndindex(2, 4):
+            assert np.max(np.abs(U[idx] - expm_unitary(stack[idx], 0.6))) <= 1e-13
+
+    def test_stack_hermiticity_is_checked_per_matrix(self):
+        """A tiny non-Hermitian matrix is not excused by a large one beside it."""
+        small = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        with pytest.raises(NonHermitianInput):
+            require_hermitian(np.stack([1e9 * SZ, small]))
+        require_hermitian(np.stack([1e9 * SZ, SX]))
 
 
 class TestSpectralGap:
