@@ -208,16 +208,26 @@ def cem_outcome_model(
     rho = require_density(rho0)
 
     def at(x: float) -> OutcomeDistribution:
-        ev, W = np.linalg.eigh(require_hermitian(model.h_of(x)))
-        require_nondegenerate(ev)
-        u_t = expm_unitary(model.h_of(x), t)
-        rho_x = u_t @ rho @ u_t.conj().T
-        M = v @ rho_x @ v.conj().T
-        probs = np.einsum("ij,jk,ki->i", W.conj().T, M, W).real
-        return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])),
-                                   probs=np.clip(probs, 0.0, None))
+        ev, probs = _node(model, x, t, v, rho)
+        return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
     return ProbabilityModel(at=at, theta_domain=model.theta_domain)
+
+
+def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.ndarray):
+    """(ascending energies xi_j, level weights <xi_j|V U_t rho0 U_t^dag V^dag|xi_j>) at x.
+
+    One eigendecomposition of H(x) gives both the measured eigenbasis and the
+    encoding unitary U_t = exp(-i t H(x)).  V and rho0 must already be
+    validated.  Raises DegenerateSpectrum for (near-)degenerate H(x).
+    """
+    ev, W = np.linalg.eigh(require_hermitian(model.h_of(x)))
+    require_nondegenerate(ev)
+    Wh = W.conj().T
+    u_t = (W * np.exp(-1j * t * ev)[None, :]) @ Wh
+    M = V @ (u_t @ rho0 @ u_t.conj().T) @ V.conj().T
+    probs = np.einsum("ij,jk,ki->i", Wh, M, W).real
+    return ev, np.clip(probs, 0.0, None)
 
 
 def fisher_cem(

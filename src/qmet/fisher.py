@@ -30,6 +30,14 @@ SUPPORT_THRESHOLD = 1e-12
 RANK_THRESHOLD = 1e-10
 
 
+def _require_normalized(p: np.ndarray) -> None:
+    """Raise NonNormalized unless every distribution along the last axis sums to 1."""
+    total = p.sum(axis=-1)
+    bad = np.abs(total - 1.0) > 1e-10
+    if np.any(bad):
+        raise NonNormalized(f"probabilities sum to {total[bad].flat[0]!r}")
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Finite probability distribution over labeled measurement outcomes."""
@@ -43,8 +51,7 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", p)
         if len(self.outcomes) != p.shape[0]:
             raise DimensionMismatch("outcome labels and probabilities disagree in length")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise NonNormalized(f"probabilities sum to {p.sum()!r}")
+        _require_normalized(p)
 
     @property
     def support(self) -> np.ndarray:
@@ -104,14 +111,34 @@ class FisherReport:
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
-def _probs_vector(model: ProbabilityModel, n_outcomes: int):
-    def p_of(x: float) -> np.ndarray:
-        dist = model.at(x)
-        if dist.probs.shape[0] != n_outcomes:
-            raise DimensionMismatch("outcome count changed across evaluation points")
-        return dist.probs
+def fisher_rows(
+    p_of, theta: float, p: np.ndarray, diff: DiffSpec = DEFAULT_DIFF,
+    support_threshold: float = SUPPORT_THRESHOLD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical Fisher information of each row of a batch of distributions.
 
-    return p_of
+    p is the (T, K) batch at theta and p_of(x) returns the batch at any other
+    stencil node; every row must stay normalised over the same K outcomes.
+    Row r gets F_r = sum_{p_rx > support_threshold} (d p_rx / d theta)^2 / p_rx
+    and the first-order error bound sum 2 |d p_rx| dp_err / p_rx, where dp_err
+    is the derivative error of the whole batch (exact for T = 1,
+    conservative otherwise).  Returns (values, error estimates), each (T,).
+    The caller checks the stencil against the parameter domain.
+    """
+    def checked(x: float) -> np.ndarray:
+        q = np.asarray(p_of(x), dtype=float)
+        if q.shape != p.shape:
+            raise DimensionMismatch("outcome count changed across evaluation points")
+        _require_normalized(q)
+        return q
+
+    _require_normalized(p)
+    dp, dp_err = numdiff.derivative(checked, theta, diff)
+    support = p > support_threshold
+    safe = np.where(support, p, 1.0)
+    values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
+    errs = np.where(support, 2.0 * np.abs(dp) * dp_err / safe, 0.0).sum(axis=-1)
+    return np.maximum(values, 0.0), errs
 
 
 def classical_fisher(
@@ -123,16 +150,12 @@ def classical_fisher(
     derivative taken by the requested scheme and outcomes whose probability
     falls below the support threshold excluded from the sum.
     """
-    radius = numdiff.stencil_radius(theta, diff)
-    numdiff.check_domain(theta, radius, model.theta_domain)
+    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
     center = model.at(theta)
-    p = center.probs
-    dp, dp_err = numdiff.derivative(_probs_vector(model, p.shape[0]), theta, diff)
-    idx = center.support
-    value = float(np.sum(dp[idx] ** 2 / p[idx]))
-    err = float(np.sum(2.0 * np.abs(dp[idx]) * dp_err / p[idx]))
-    return FisherReport(value=max(value, 0.0), method=diff.method,
-                        step=diff.base_step(theta), error_estimate=err)
+    values, errs = fisher_rows(lambda x: model.at(x).probs[None, :], theta,
+                               center.probs[None, :], diff, center.support_threshold)
+    return FisherReport(value=float(values[0]), method=diff.method,
+                        step=diff.base_step(theta), error_estimate=float(errs[0]))
 
 
 def sld(rho, drho, support_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
@@ -142,6 +165,11 @@ def sld(rho, drho, support_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
     with p_k + p_l below the support threshold are set to zero (the operator is
     arbitrary outside the support of rho).
     """
+    return _sld_parts(rho, drho, support_threshold)[0]
+
+
+def _sld_parts(rho, drho, support_threshold: float = SUPPORT_THRESHOLD):
+    """(L, Dv, p_k + p_l, support mask) with Dv = drho in the eigenbasis of rho."""
     R = require_hermitian(rho)
     D = require_hermitian(drho)
     if R.shape != D.shape:
@@ -152,9 +180,10 @@ def sld(rho, drho, support_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
     p, V = np.linalg.eigh(R)
     Dv = V.conj().T @ D @ V
     denom = p[:, None] + p[None, :]
+    support = denom >= support_threshold
     with np.errstate(divide="ignore", invalid="ignore"):
-        Lv = np.where(denom < support_threshold, 0.0, 2.0 * Dv / denom)
-    return V @ Lv @ V.conj().T
+        Lv = np.where(support, 2.0 * Dv / denom, 0.0)
+    return V @ Lv @ V.conj().T, Dv, denom, support
 
 
 def _rank_profile(rho: np.ndarray) -> int:
@@ -182,12 +211,18 @@ def _state_derivative(rho_of, theta: float, diff: DiffSpec,
 
 def qfi(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF,
         theta_domain: tuple[float, float] = (-np.inf, np.inf)) -> FisherReport:
-    """SLD quantum Fisher information tr(rho L^2) of a state family."""
-    rho, drho, _ = _state_derivative(rho_of, theta, diff, theta_domain)
-    L = sld(rho, drho)
+    """SLD quantum Fisher information tr(rho L^2) of a state family.
+
+    In the eigenbasis of rho the value is sum 2 |D_kl|^2 / (p_k + p_l), so the
+    derivative error eps of drho propagates to first order as the error
+    estimate sum 4 |D_kl| eps / (p_k + p_l), both over the support pairs.
+    """
+    rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
+    L, Dv, denom, support = _sld_parts(rho, drho)
     value = float(np.trace(rho @ L @ L).real)
+    error = float(np.sum(4.0 * np.abs(Dv[support]) * err / denom[support]))
     return FisherReport(value=max(value, 0.0), method=diff.method,
-                        step=diff.base_step(theta))
+                        step=diff.base_step(theta), error_estimate=error)
 
 
 def qfi_pure(psi, dpsi) -> float:
@@ -225,25 +260,30 @@ def monotone_metric(
         F^(f) = sum_k d_kk^2 / p_k + sum_{l != k} |d_kl|^2 / (p_l f(p_k/p_l)).
 
     Requires a full-rank family; f='ari' reproduces the SLD quantum Fisher
-    information.
+    information.  With F^(f) = sum c_kl |d_kl|^2, the derivative error eps of
+    drho propagates to first order as the error estimate sum 2 c_kl |d_kl| eps.
     """
     if f not in _MONOTONE_F:
         raise UnknownMetricTag(f"f must be one of {sorted(_MONOTONE_F)}, got {f!r}")
     fn = _MONOTONE_F[f]
-    rho, drho, _ = _state_derivative(rho_of, theta, diff, theta_domain)
+    rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
     p, V = np.linalg.eigh(rho)
     if p.min() <= RANK_THRESHOLD:
         raise RankDeficient(f"smallest eigenvalue {p.min():.3e} <= {RANK_THRESHOLD:.1e}")
     Dv = V.conj().T @ drho @ V
     d = p.shape[0]
-    value = float(np.sum(np.diag(Dv).real ** 2 / p))
+    diag = np.diag(Dv).real
+    value = float(np.sum(diag ** 2 / p))
+    error = float(np.sum(2.0 * np.abs(diag) * err / p))
     for k in range(d):
         for l in range(d):
             if k == l:
                 continue
-            value += abs(Dv[k, l]) ** 2 / (p[l] * fn(p[k] / p[l]))
+            denom = p[l] * fn(p[k] / p[l])
+            value += abs(Dv[k, l]) ** 2 / denom
+            error += 2.0 * abs(Dv[k, l]) * err / denom
     return FisherReport(value=max(value, 0.0), method=diff.method,
-                        step=diff.base_step(theta))
+                        step=diff.base_step(theta), error_estimate=error)
 
 
 def povm_outcome_model(rho_of, povm: POVM,

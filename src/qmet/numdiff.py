@@ -57,12 +57,17 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
         raise ValueError(f"cannot differentiate numerically with method {spec.method!r}")
 
     steps = [h / 2.0**k for k in range(levels + 1)]
-    samples = [(f(x + hk), f(x - hk)) for hk in steps]
-    scale = max(_absmax(fp) + _absmax(fm) for fp, fm in samples)
+    # Each sample pair is reduced to its difference quotient at once, so a
+    # batched f never holds more than one pair.
+    scales, quotients = [], []
+    for hk in steps:
+        fp, fm = f(x + hk), f(x - hk)
+        scales.append(_absmax(fp) + _absmax(fm))
+        quotients.append((fp - fm) / (2.0 * hk))
     # Cancellation of nearly equal function values floors the achievable accuracy.
-    rounding_floor = np.finfo(float).eps * scale / steps[-1]
+    rounding_floor = np.finfo(float).eps * max(scales) / steps[-1]
 
-    rows = [[(fp - fm) / (2.0 * hk) for (fp, fm), hk in zip(samples, steps)]]
+    rows = [quotients]
     if spec.method == CENTRAL:
         d_coarse, d_fine = rows[0]
         return d_fine, max(_absmax(np.asarray(d_fine) - np.asarray(d_coarse)), rounding_floor)

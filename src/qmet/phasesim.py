@@ -18,19 +18,17 @@ formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from . import numdiff
+from .cem import _node
 from .errors import AliasingRisk, OracleTooLarge
-from .fisher import (
-    FisherReport,
-    OutcomeDistribution,
-    ProbabilityModel,
-    classical_fisher,
-)
+from .fisher import FisherReport, OutcomeDistribution, fisher_rows
 from .linalg import (
     expm_unitary,
     partial_trace,
@@ -45,6 +43,8 @@ from .numdiff import DEFAULT_DIFF, DiffSpec
 
 IDEAL = "ideal"
 REALISTIC = "realistic"
+# Tau rows times read-out bins per kernel chunk; bounds the (rows, d, 2^n) scratch arrays.
+ROW_BUDGET = 2**12
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,8 @@ def controllization_factors(U, m: int) -> ControllizationFactors:
 
 def energy_probs(model: HamiltonianModel, theta: float, t: float, V, rho0) -> OutcomeDistribution:
     """Pr_theta(j) = <xi_j|V rho_theta V^dag|xi_j> over ascending energy index j."""
-    v = require_unitary(V)
-    rho = require_density(rho0)
-    ev, W = np.linalg.eigh(require_hermitian(model.h_of(theta)))
-    require_nondegenerate(ev)
-    u_t = expm_unitary(model.h_of(theta), t)
-    M = v @ (u_t @ rho @ u_t.conj().T) @ v.conj().T
-    probs = np.einsum("ij,jk,ki->i", W.conj().T, M, W).real
-    return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])),
-                               probs=np.clip(probs, 0.0, None))
+    ev, probs = _node(model, theta, t, require_unitary(V), require_density(rho0))
+    return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
 
 def _spectrum(model: HamiltonianModel, theta: float) -> np.ndarray:
@@ -125,10 +118,13 @@ def _spectrum(model: HamiltonianModel, theta: float) -> np.ndarray:
     return ev
 
 
+def _default_tau(ev: np.ndarray) -> float:
+    return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
+
+
 def default_tau(model: HamiltonianModel, theta: float) -> float:
     """0.9 * 2 pi / (spectral range + 1e-6) at the working point."""
-    ev = _spectrum(model, theta)
-    return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
+    return _default_tau(_spectrum(model, theta))
 
 
 def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
@@ -144,20 +140,19 @@ def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
     return 2.0 * math.pi * (2**n - 1) / (2**n * rng)
 
 
-def _resolve_tau(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float) -> float:
-    return cfg.tau if cfg.tau is not None else default_tau(model, theta)
+def _aliases(tau, ev: np.ndarray):
+    """tau * spectral range >= 2 pi: the bins no longer tell the levels apart."""
+    return tau * float(ev[-1] - ev[0]) >= 2.0 * math.pi
 
 
-def _shifted_spectrum(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-                      tau: float) -> np.ndarray:
-    ev = _spectrum(model, theta)
-    span = float(ev[-1] - ev[0])
-    if tau * span >= 2.0 * math.pi:
-        raise AliasingRisk(
-            f"tau * spectral range = {tau * span:.6f} >= 2 pi; bins are not injective"
-        )
-    shift = -float(ev[0]) if cfg.energy_shift is None else float(cfg.energy_shift)
-    return ev + shift
+def _require_injective(tau: float, ev: np.ndarray) -> None:
+    if _aliases(tau, ev):
+        raise AliasingRisk(f"tau * spectral range = {tau * float(ev[-1] - ev[0]):.6f} "
+                           ">= 2 pi; bins are not injective")
+
+
+def _shift(cfg: PhaseSimConfig, ev: np.ndarray) -> float:
+    return -float(ev[0]) if cfg.energy_shift is None else float(cfg.energy_shift)
 
 
 def _kernel(alpha: np.ndarray, n: int) -> np.ndarray:
@@ -170,23 +165,76 @@ def _kernel(alpha: np.ndarray, n: int) -> np.ndarray:
     return np.where(singular, 1.0, (np.sin(N * half) / (N * safe)) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _twiddles(n: int) -> tuple[np.ndarray, ...]:
+    """Per level l, the read-only (3, 2^n / w) table [1; cos; -sin](2 pi w Q / 2^n), w = 2^(l-1).
+
+    Q runs over one period of the level-l factor.
+    """
+    N = 2**n
+    angle = 2.0 * math.pi * np.arange(N) / N
+    full = np.stack([np.ones(N), np.cos(angle), -np.sin(angle)])
+    tables = tuple(np.ascontiguousarray(full[:, :: 2**level]) for level in range(n))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
+                   mode: str) -> np.ndarray:
+    """(T, 2^n) read-out distributions at one node (energies ev, level weights p), one per tau.
+
+    Ideal mode sums p_j times each energy level's squared Dirichlet kernel.
+    Realistic mode takes the controllization factors from the node's own
+    spectrum: a e^{i phi} = tr(exp(-i (tau/m) H_shifted))/d = mean_j e^{-i tau xi_j/m}.
+    The level-l factor 1 + a^(w m) cos(w beta), w = 2^(l-1), has period 2^n/w
+    in Q; with beta = beta_0 + 2 pi Q/2^n it is the angle addition
+    1 + a^(w m) [cos(w beta_0) cos(2 pi w Q/2^n) - sin(w beta_0) sin(2 pi w Q/2^n)],
+    one small matrix product per level over one period.  The product over
+    levels is built from the top level down, doubling its period each level.
+    """
+    N = 2**cfg.n
+    phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
+    if mode == IDEAL:
+        alpha = phase[..., None] + 2.0 * math.pi * np.arange(N) / N
+        return np.matmul(p, _kernel(alpha, cfg.n))
+    z = np.exp(-1j * phase / cfg.m).mean(axis=1)
+    a = np.abs(z)
+    if np.any(a > 1.0 + 1e-12):
+        raise ValueError(f"damping factor a = {a.max()} exceeds 1")
+    phi = np.where(a >= 1e-14, np.angle(z), 0.0)
+    beta0 = phase + cfg.m * phi[:, None]
+    w = 2 ** np.arange(cfg.n)[:, None, None]
+    c = a[:, None] ** (w * cfg.m) * np.exp(1j * w * beta0)  # a^(wm) e^{i w beta_0}, (level, T, d)
+    coef = np.stack([np.ones(c.shape), c.real, c.imag], axis=-1).reshape(cfg.n, -1, 3)
+    tables, rows = _twiddles(cfg.n), beta0.size
+    prod = np.ones((rows, 1))
+    for level in reversed(range(cfg.n)):
+        factor = (coef[level] @ tables[level]).reshape(rows, 2, -1)
+        factor *= prod[:, None, :]
+        prod = factor.reshape(rows, -1)
+    probs = np.matmul(p, prod.reshape(beta0.shape + (N,)))
+    probs /= N
+    return np.clip(probs, 0.0, None, out=probs)
+
+
+def _distribution(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
+                  mode: str) -> OutcomeDistribution:
+    ev, p = _node(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
+    _require_injective(tau, ev)
+    probs = _readout_probs(cfg, ev, p, np.array([tau]), mode)[0]
+    return OutcomeDistribution(outcomes=tuple(range(2**cfg.n)), probs=probs)
+
+
 def ideal_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
                        theta: float) -> OutcomeDistribution:
-    """Read-out distribution over Q assuming exact controlled evolutions."""
-    tau = _resolve_tau(cfg, model, theta)
-    xi = _shifted_spectrum(cfg, model, theta, tau)
-    p = energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0).probs
-    Q = np.arange(2**cfg.n)
-    alpha = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n
-    probs = (p[:, None] * _kernel(alpha, cfg.n)).sum(axis=0)
-    return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=probs)
+    """Read-out distribution over Q assuming exact controlled evolutions.
 
-
-def _shifted_hamiltonian(cfg: PhaseSimConfig, model: HamiltonianModel,
-                         theta: float) -> np.ndarray:
-    ev = _spectrum(model, theta)
-    shift = -float(ev[0]) if cfg.energy_shift is None else float(cfg.energy_shift)
-    return model.h_of(theta) + shift * np.eye(model.dim)
+    Pr(Q) = sum_j p_j K_n(tau xi_j + 2 pi Q / 2^n) with K_n the squared
+    Dirichlet kernel.
+    """
+    return _distribution(cfg, model, theta, IDEAL)
 
 
 def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
@@ -195,39 +243,46 @@ def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
 
     Pr(Q) = 2^-n sum_j p_j prod_l [1 + a^(2^(l-1) m) cos(2^(l-1) beta_jQ)],
     beta_jQ = tau xi_j + 2 pi Q / 2^n + m phi, with (a, phi) taken from the
-    subdivision unitary exp(-i (tau/m) H_shifted) at the same parameter value.
+    subdivision unitary exp(-i (tau/m) H_shifted) at the same parameter value:
+    a e^{i phi} = mean_j e^{-i tau xi_j / m} over the node's eigenvalues.
     """
-    tau = _resolve_tau(cfg, model, theta)
-    xi = _shifted_spectrum(cfg, model, theta, tau)
-    p = energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0).probs
-    u_sub = expm_unitary(_shifted_hamiltonian(cfg, model, theta), tau / cfg.m)
-    factors = controllization_factors(u_sub, cfg.m)
-    Q = np.arange(2**cfg.n)
-    beta = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n + cfg.m * factors.phi
-    prod = np.ones((model.dim, 2**cfg.n))
-    for level in range(1, cfg.n + 1):
-        w = 2 ** (level - 1)
-        prod *= 1.0 + factors.a ** (w * cfg.m) * np.cos(w * beta)
-    probs = (p[:, None] * prod).sum(axis=0) / 2**cfg.n
-    return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=np.clip(probs, 0.0, None))
+    return _distribution(cfg, model, theta, REALISTIC)
 
 
-def readout_model(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-                  mode: str = IDEAL) -> ProbabilityModel:
-    """theta' -> read-out distribution, with tau frozen at the working point.
+def _node_cache(cfg: PhaseSimConfig, model: HamiltonianModel):
+    """x -> (energies, level weights) with one decomposition per distinct node."""
+    V = cfg.control(model.dim)
+    return functools.lru_cache(maxsize=None)(lambda x: _node(model, x, cfg.t, V, cfg.rho0))
 
-    The energy shift is re-derived from each node's own spectrum, so its
-    parameter dependence is part of the statistical model.
+
+def _readout_fisher(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
+                    taus: np.ndarray, diff: DiffSpec, mode: str, node):
+    """Read-out Fisher information and its error estimate at every tau in taus.
+
+    The parameter enters the level weights, the (shifted) eigenvalues inside
+    the kernel, and, in realistic mode, the controllization damping and phase.
+    A tau whose bins alias at any stencil node scores -inf.  The taus are
+    scored in chunks of at most ROW_BUDGET / 2^n rows; node(x) supplies each
+    node's decomposition.
     """
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
-    frozen = cfg.with_tau(_resolve_tau(cfg, model, theta))
-    dist = ideal_distribution if mode == IDEAL else realistic_distribution
+    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
+    chunk = max(ROW_BUDGET >> cfg.n, 1)
+    values, errs = [], []
+    for start in range(0, len(taus), chunk):
+        rows = taus[start:start + chunk]
+        aliased = np.zeros(rows.shape, dtype=bool)
 
-    def at(x: float) -> OutcomeDistribution:
-        return dist(frozen, model, x)
+        def probs_at(x: float) -> np.ndarray:
+            ev, p = node(x)
+            np.logical_or(aliased, _aliases(rows, ev), out=aliased)
+            return _readout_probs(cfg, ev, p, rows, mode)
 
-    return ProbabilityModel(at=at, theta_domain=model.theta_domain)
+        v, e = fisher_rows(probs_at, theta, probs_at(theta), diff)
+        values.append(np.where(aliased, -np.inf, v))
+        errs.append(e)
+    return np.concatenate(values), np.concatenate(errs)
 
 
 def fisher_phase_readout(
@@ -239,10 +294,18 @@ def fisher_phase_readout(
 ) -> FisherReport:
     """Fisher information of the phase-estimation read-out distribution.
 
-    The parameter enters the level weights, the (shifted) eigenvalues inside
-    the kernel, and, in realistic mode, the controllization damping and phase.
+    tau is frozen at the working point (cfg.tau, or default_tau there), while
+    the energy shift is re-derived from each node's own spectrum, so its
+    parameter dependence is part of the statistical model.
     """
-    return classical_fisher(readout_model(cfg, model, theta, mode), theta, diff)
+    node = _node_cache(cfg, model)
+    tau = cfg.tau if cfg.tau is not None else _default_tau(node(theta)[0])
+    values, errs = _readout_fisher(cfg, model, theta, np.array([tau]), diff, mode, node)
+    if values[0] == -np.inf:
+        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at a stencil "
+                           "node; bins are not injective")
+    return FisherReport(value=float(values[0]), method=diff.method,
+                        step=diff.base_step(theta), error_estimate=float(errs[0]))
 
 
 def tune_tau(
@@ -258,26 +321,19 @@ def tune_tau(
 
     Controllization damping favours small tau while bin resolution favours
     large tau, so the optimum is model-dependent; a coarse geometric scan is
-    refined once around the best candidate.
+    refined once around the best candidate.  A candidate whose bins alias at
+    any stencil node is never chosen.  Each scan is scored as one batch over
+    tau, with one decomposition per stencil node for the whole call.
     """
-    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(_spectrum(model, theta))) + 1e-6)
+    node = _node_cache(cfg, model)
+    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(node(theta)[0])) + 1e-6)
     taus = np.geomspace(hi / 300.0, hi, coarse)
-
-    def fi(tau: float) -> float:
-        try:
-            return fisher_phase_readout(cfg.with_tau(tau), model, theta, diff, mode).value
-        except AliasingRisk:
-            return -np.inf
-
-    values = [fi(tau) for tau in taus]
+    values, _ = _readout_fisher(cfg, model, theta, taus, diff, mode, node)
     best = int(np.argmax(values))
-    lo_r = taus[max(best - 1, 0)]
-    hi_r = taus[min(best + 1, len(taus) - 1)]
-    fine = np.linspace(lo_r, hi_r, refine)
-    fine_values = [fi(tau) for tau in fine]
+    fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], refine)
+    fine_values, _ = _readout_fisher(cfg, model, theta, fine, diff, mode, node)
     candidates = np.concatenate([taus, fine])
-    all_values = np.array(values + fine_values)
-    return float(candidates[int(np.argmax(all_values))])
+    return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
 
 
 # --- brute-force oracles -------------------------------------------------------------
@@ -294,9 +350,10 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     d = model.dim
     if cfg.n > 6 or d > 4:
         raise OracleTooLarge(f"oracle limited to n <= 6 and d <= 4, got n={cfg.n}, d={d}")
-    tau = _resolve_tau(cfg, model, theta)
-    _shifted_spectrum(cfg, model, theta, tau)  # aliasing guard
-    u_tau = expm_unitary(_shifted_hamiltonian(cfg, model, theta), tau)
+    ev = _spectrum(model, theta)
+    tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
+    _require_injective(tau, ev)
+    u_tau = expm_unitary(model.h_of(theta), tau) * np.exp(-1j * tau * _shift(cfg, ev))
     u_t = expm_unitary(model.h_of(theta), cfg.t)
     v = cfg.control(d)
     n_states = 2**cfg.n

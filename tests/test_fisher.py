@@ -9,6 +9,7 @@ from qmet.cem import local_generator
 from qmet.errors import (
     DimensionMismatch,
     DomainBoundary,
+    NonNormalized,
     NotTraceless,
     RankDeficient,
     UnknownMetricTag,
@@ -19,6 +20,7 @@ from qmet.fisher import (
     ProbabilityModel,
     classical_fisher,
     fisher_of_povm,
+    fisher_rows,
     monotone_metric,
     povm_outcome_model,
     qfi,
@@ -84,6 +86,34 @@ class TestClassicalFisher:
 
         report = classical_fisher(ProbabilityModel(at=at, theta_domain=(0, 1)), 0.4)
         assert report.value == pytest.approx(1.0 / (0.4 * 0.6), rel=1e-8)
+
+
+class TestFisherRows:
+    QS = np.array([0.2, 0.5, 0.7])
+
+    def rows(self, x):
+        """Bernoulli(q + x) for each q, one row per q."""
+        return np.stack([self.QS + x, 1.0 - self.QS - x], axis=-1)
+
+    def test_rows_match_classical_fisher(self):
+        values, errs = fisher_rows(self.rows, 0.0, self.rows(0.0))
+        for q, value, err in zip(self.QS, values, errs):
+            model = ProbabilityModel(at=lambda x, q=q: OutcomeDistribution(
+                outcomes=("0", "1"), probs=np.array([q + x, 1.0 - q - x])))
+            ref = classical_fisher(model, 0.0)
+            assert value == pytest.approx(ref.value, rel=1e-12)
+            assert err >= ref.error_estimate * (1.0 - 1e-12)  # batch-wide derivative error
+
+    def test_every_row_at_every_node_is_checked(self):
+        def one_row_drifts(x):
+            r = self.rows(x)
+            r[1, 0] += abs(x)  # only off the centre
+            return r
+
+        with pytest.raises(NonNormalized):
+            fisher_rows(one_row_drifts, 0.0, self.rows(0.0))
+        with pytest.raises(DimensionMismatch):
+            fisher_rows(lambda x: self.rows(x)[:2], 0.0, self.rows(0.0))
 
 
 class TestSld:
@@ -156,6 +186,17 @@ class TestQfi:
         rho_of = pure_family(lambda w: np.diag(w * levels).astype(complex), psi0, t=t)
         value = qfi(rho_of, 1.3).value
         assert value == pytest.approx(4 * t * t * a0**2 * a1**2, rel=1e-7)
+
+
+    def test_error_estimate_on_field_direction(self):
+        """The first-order bound is finite, positive and covers the closed-form deviation."""
+        model = make_qubit_direction(1.0)
+        ref = reference("direction_qfi")
+        for theta, t in ((0.6, 0.9), (1.4, 2.3), (2.5, 4.1)):
+            rho_of = pure_family(model.h_of, [1.0, 0.0], t=t)
+            report = qfi(rho_of, theta, theta_domain=model.theta_domain)
+            assert 0.0 < report.error_estimate < 1e-6
+            assert abs(report.value - ref(theta=theta, omega=1.0, t=t)) <= report.error_estimate
 
 
 class TestQfiPure:
@@ -242,6 +283,21 @@ class TestMonotoneMetric:
             ari = monotone_metric("ari", rho_of, q).value
             assert har >= log - 1e-8 * (1 + har)
             assert log >= ari - 1e-8 * (1 + log)
+
+    def test_error_estimate_on_field_direction(self):
+        """Finite and positive for every tag; the 'ari' weights are the SLD QFI's."""
+        model = make_qubit_direction(1.0)
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+
+        def rho_of(q):
+            u = expm_unitary(model.h_of(q), 1.3)
+            return u @ rho0 @ u.conj().T
+
+        for tag in ("ari", "har", "log"):
+            err = monotone_metric(tag, rho_of, 1.1).error_estimate
+            assert 0.0 < err < 1e-6
+        assert monotone_metric("ari", rho_of, 1.1).error_estimate == pytest.approx(
+            qfi(rho_of, 1.1).error_estimate, rel=1e-9)
 
     def test_rank_deficient_rejected(self):
         rho_of = pure_family(lambda q: q * SX, [1.0, 0.0])

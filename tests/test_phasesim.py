@@ -1,14 +1,23 @@
 """Tests for the phase-estimation read-out simulator and its oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qmet import phasesim
 from qmet.cem import fisher_cem, g_bound
 from qmet.errors import AliasingRisk, DegenerateSpectrum, OracleTooLarge
-from qmet.linalg import expm_unitary
-from qmet.models import HamiltonianModel, make_qubit_direction, make_qubit_xcomponent
+from qmet.fisher import OutcomeDistribution, ProbabilityModel, classical_fisher
+from qmet.linalg import expm_unitary, require_hermitian, require_nondegenerate
+from qmet.models import (
+    HamiltonianModel,
+    make_nv_spin1,
+    make_qubit_direction,
+    make_qubit_xcomponent,
+)
+from qmet.numdiff import DEFAULT_DIFF, DiffSpec
 from qmet.phasesim import (
     PhaseSimConfig,
     _kernel,
@@ -25,6 +34,7 @@ from qmet.phasesim import (
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def fixed_model(H):
@@ -343,3 +353,209 @@ class TestConfigValidation:
         model = make_qubit_direction(1.0)
         tau = aligned_tau(model, 1.0, 6)
         assert tau * 2.0 < 2 * math.pi  # spectral range is 2
+
+
+# --- serial reference: the expm-based read-out, one node and one tau at a time ---------
+
+
+def ref_spectrum(model, theta):
+    ev = np.linalg.eigvalsh(require_hermitian(model.h_of(theta)))
+    require_nondegenerate(ev)
+    return ev
+
+
+def ref_shift(cfg, ev):
+    return -float(ev[0]) if cfg.energy_shift is None else float(cfg.energy_shift)
+
+
+def ref_shifted_spectrum(cfg, model, theta, tau):
+    ev = ref_spectrum(model, theta)
+    if tau * float(ev[-1] - ev[0]) >= 2.0 * math.pi:
+        raise AliasingRisk("reference: bins are not injective")
+    return ev + ref_shift(cfg, ev)
+
+
+def ref_energy_probs(model, theta, t, V, rho0):
+    ev, W = np.linalg.eigh(require_hermitian(model.h_of(theta)))
+    require_nondegenerate(ev)
+    u_t = expm_unitary(model.h_of(theta), t)
+    M = V @ (u_t @ rho0 @ u_t.conj().T) @ V.conj().T
+    return np.clip(np.einsum("ij,jk,ki->i", W.conj().T, M, W).real, 0.0, None)
+
+
+def ref_tau(cfg, model, theta):
+    if cfg.tau is not None:
+        return cfg.tau
+    ev = ref_spectrum(model, theta)
+    return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
+
+
+def ref_ideal(cfg, model, theta):
+    tau = ref_tau(cfg, model, theta)
+    xi = ref_shifted_spectrum(cfg, model, theta, tau)
+    p = ref_energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    Q = np.arange(2**cfg.n)
+    alpha = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n
+    probs = (p[:, None] * _kernel(alpha, cfg.n)).sum(axis=0)
+    return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=probs)
+
+
+def ref_realistic(cfg, model, theta):
+    tau = ref_tau(cfg, model, theta)
+    xi = ref_shifted_spectrum(cfg, model, theta, tau)
+    p = ref_energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    shift = ref_shift(cfg, ref_spectrum(model, theta))
+    u_sub = expm_unitary(model.h_of(theta) + shift * np.eye(model.dim), tau / cfg.m)
+    factors = controllization_factors(u_sub, cfg.m)
+    Q = np.arange(2**cfg.n)
+    beta = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n + cfg.m * factors.phi
+    prod = np.ones((model.dim, 2**cfg.n))
+    for level in range(1, cfg.n + 1):
+        w = 2 ** (level - 1)
+        prod *= 1.0 + factors.a ** (w * cfg.m) * np.cos(w * beta)
+    probs = (p[:, None] * prod).sum(axis=0) / 2**cfg.n
+    return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=np.clip(probs, 0.0, None))
+
+
+def ref_fisher(cfg, model, theta, diff, mode):
+    frozen = cfg.with_tau(ref_tau(cfg, model, theta))
+    dist = ref_ideal if mode == "ideal" else ref_realistic
+    pm = ProbabilityModel(at=lambda x: dist(frozen, model, x), theta_domain=model.theta_domain)
+    return classical_fisher(pm, theta, diff)
+
+
+def ref_tune_tau(cfg, model, theta, mode, diff, coarse=32, refine=16):
+    """The serial scan: (candidate taus, their values, chosen tau)."""
+    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(ref_spectrum(model, theta))) + 1e-6)
+    taus = np.geomspace(hi / 300.0, hi, coarse)
+
+    def fi(tau):
+        try:
+            return ref_fisher(cfg.with_tau(tau), model, theta, diff, mode).value
+        except AliasingRisk:
+            return -np.inf
+
+    values = [fi(tau) for tau in taus]
+    best = int(np.argmax(values))
+    fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], refine)
+    candidates = np.concatenate([taus, fine])
+    all_values = np.array(values + [fi(tau) for tau in fine])
+    return candidates, all_values, float(candidates[int(np.argmax(all_values))])
+
+
+NV = (1.0, 1.44 * math.pi, 5e-5 * math.pi)
+CENTRAL = DiffSpec(method="central-fd")
+SCAN_TOL = 1e-7  # relative to max(|F|, 1)
+
+
+def steep_model(rate=2000.0):
+    """Field direction theta with magnitude exp(rate (theta - 1/2)): the range grows fast."""
+    def h_of(q):
+        return math.exp(rate * (q - 0.5)) * (math.cos(q) * SZ + math.sin(q) * SX)
+
+    return HamiltonianModel("steep", 2, {}, h_of)
+
+
+SCAN_CASES = {  # model factory, theta, t
+    "qubit-direction": (lambda: make_qubit_direction(1.0), 1.0, 1.0),
+    "nv-spin1": (lambda: make_nv_spin1(*NV), 0.7, 1.3),
+    "steep": (steep_model, 0.5, 0.4),
+}
+
+
+def scan_case(model_name, n, shift):
+    make, theta, t = SCAN_CASES[model_name]
+    model = make()
+    if model_name == "steep":  # too steep for g_bound's finite-difference generators
+        psi = np.array([0.6, 0.8j])
+        cfg = PhaseSimConfig(n=n, m=3, t=t, rho0=np.outer(psi, psi.conj()))
+    else:
+        cfg, _ = optimal_config(model, theta, t, n, 3)
+    return replace(cfg, energy_shift=shift), model, theta
+
+
+class TestBatchedReadoutMatchesSerial:
+    """The batched node layer and tau kernel against the serial expm-based read-out."""
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1"])
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    @pytest.mark.parametrize("shift", [None, 0.0])
+    def test_distributions(self, model_name, n, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        for tau in (0.3, 0.9 * default_tau(model, theta)):
+            tuned = cfg.with_tau(tau)
+            for fast, ref in ((ideal_distribution, ref_ideal),
+                              (realistic_distribution, ref_realistic)):
+                diff = np.abs(fast(tuned, model, theta).probs - ref(tuned, model, theta).probs)
+                assert diff.max() <= 1e-13
+
+    @pytest.mark.parametrize("model_name, n, mode, diff, shift", [
+        ("qubit-direction", 6, "ideal", DEFAULT_DIFF, None),
+        ("qubit-direction", 6, "realistic", CENTRAL, 0.0),
+        ("qubit-direction", 10, "ideal", CENTRAL, None),
+        ("qubit-direction", 10, "realistic", DEFAULT_DIFF, 0.0),
+        ("nv-spin1", 6, "ideal", CENTRAL, 0.0),
+        ("nv-spin1", 6, "realistic", DEFAULT_DIFF, None),
+        ("nv-spin1", 10, "ideal", DEFAULT_DIFF, 0.0),
+        ("nv-spin1", 10, "realistic", CENTRAL, None),
+        ("steep", 6, "ideal", DEFAULT_DIFF, None),
+        ("steep", 10, "realistic", CENTRAL, 0.0),
+    ])
+    def test_tau_scan(self, model_name, n, mode, diff, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        candidates, ref_values, ref_best = ref_tune_tau(cfg, model, theta, mode, diff)
+        values, _ = phasesim._readout_fisher(cfg, model, theta, candidates, diff, mode,
+                                             phasesim._node_cache(cfg, model))
+        aliased = np.isneginf(ref_values)
+        assert np.array_equal(np.isneginf(values), aliased)
+        if model_name == "steep":
+            assert aliased[:32].sum() >= 2 and aliased[31]  # the top candidates alias
+        finite = ~aliased
+        scale = np.maximum(np.abs(ref_values[finite]), 1.0)
+        assert np.all(np.abs(values[finite] - ref_values[finite]) <= SCAN_TOL * scale)
+
+        best = tune_tau(cfg, model, theta, mode=mode, diff=diff)
+        if best != ref_best:
+            a = ref_fisher(cfg.with_tau(best), model, theta, diff, mode).value
+            b = ref_fisher(cfg.with_tau(ref_best), model, theta, diff, mode).value
+            assert abs(a - b) <= SCAN_TOL * max(abs(b), 1.0)
+        report = fisher_phase_readout(cfg.with_tau(ref_best), model, theta, diff, mode)
+        ref = ref_fisher(cfg.with_tau(ref_best), model, theta, diff, mode)
+        assert abs(report.value - ref.value) <= SCAN_TOL * max(abs(ref.value), 1.0)
+        assert 0.0 < report.error_estimate < np.inf
+
+    def test_readout_raises_when_a_stencil_node_aliases(self):
+        cfg, model, theta = scan_case("steep", 6, None)
+        candidates, ref_values, _ = ref_tune_tau(cfg, model, theta, "realistic", DEFAULT_DIFF)
+        tau = candidates[int(np.flatnonzero(np.isneginf(ref_values))[0])]
+        with pytest.raises(AliasingRisk):
+            fisher_phase_readout(cfg.with_tau(tau), model, theta, mode="realistic")
+
+
+class TestDecompositionCounts:
+    """One eigendecomposition per stencil node, whatever the number of tau candidates."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        count = [0]
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                count[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        return count
+
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_tune_tau_and_readout(self, counter, mode):
+        model = make_nv_spin1(*NV)
+        cfg, _ = optimal_config(model, 0.7, 1.3, 10, 3)
+        counter[0] = 0
+        tune_tau(cfg, model, 0.7, mode=mode)
+        assert 1 <= counter[0] <= 8
+        counter[0] = 0
+        fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau, from the center node
+        assert 1 <= counter[0] <= 8
