@@ -44,13 +44,18 @@ SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Local generators of the encoding unitary and of the diagonalizer family."""
+    """Local generators of the encoding unitary and of the diagonalizer family.
+
+    method is "analytic" when both come from the model's dh_of, otherwise the
+    finite-difference method (a DiffSpec method) that differentiated them.
+    """
 
     g_dyn: np.ndarray
     g_diag: np.ndarray
     gaps: tuple[float, float]
     theta: float
     t: float
+    method: str
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,9 @@ class CemSolution:
 
     When ``condition_holds`` is false the bound is still returned but is only
     an upper bound; it is achievable whenever the extremal-eigenvector
-    moduli-matching condition is satisfied.
+    moduli-matching condition is satisfied.  ``gaps`` are
+    (sigma(g_dyn), sigma(g_diag)) and ``method`` says how the generators were
+    computed, as in GeneratorPair.
     """
 
     G_value: float
@@ -67,6 +74,22 @@ class CemSolution:
     V_opt: np.ndarray
     psi_opt: np.ndarray
     phi: float
+    gaps: tuple[float, float]
+    method: str
+
+
+def _eigenbasis(model: HamiltonianModel, theta: float, phases=None):
+    """(ascending energies E, eigenvector columns W) of H(theta) in the phase-fixed gauge.
+
+    Fixed per-column phases, when given, twist the gauge (used to probe gauge
+    robustness).  Raises DegenerateSpectrum for (near-)degenerate H(theta).
+    """
+    es = eig_hermitian(model.h_of(theta))
+    require_nondegenerate(es.eigenvalues)
+    E, W = es.eigenvalues[::-1], es.eigenvectors[:, ::-1]
+    if phases is not None:
+        W = W * np.exp(1j * np.asarray(phases))[None, :]
+    return E, W
 
 
 def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
@@ -75,9 +98,7 @@ def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     S H(theta) S^dag = diag(xi_0 <= ... <= xi_{d-1}); rows use the phase-fixed
     gauge.  Raises DegenerateSpectrum for (near-)degenerate Hamiltonians.
     """
-    es = eig_hermitian(model.h_of(theta))
-    require_nondegenerate(es.eigenvalues)
-    return es.eigenvectors[:, ::-1].conj().T
+    return _eigenbasis(model, theta)[1].conj().T
 
 
 def diagonalizer_family(model: HamiltonianModel, theta: float, phases=None):
@@ -89,11 +110,11 @@ def diagonalizer_family(model: HamiltonianModel, theta: float, phases=None):
     eigenvector of maximal overlap modulus and rephased so that the overlap
     with the anchor vector is real and positive.
     """
-    es0 = eig_hermitian(model.h_of(theta))
-    require_nondegenerate(es0.eigenvalues)
-    anchor = es0.eigenvectors[:, ::-1]  # columns, ascending energy
-    if phases is not None:
-        anchor = anchor * np.exp(1j * np.asarray(phases))[None, :]
+    return _transported_family(model, _eigenbasis(model, theta, phases)[1])
+
+
+def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
+    """theta' -> S(theta') with eigenvectors matched and rephased against the anchor columns."""
     d = anchor.shape[0]
 
     def s_of(x: float) -> np.ndarray:
@@ -128,21 +149,69 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
+def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float):
+    """(g_dyn, g_diag) from H = W diag(E) W^dag and dH/dtheta, E nondegenerate.
+
+    With D = W^dag dH W and w_jk = E_j - E_k, first-order perturbation theory
+    in the parallel-transport gauge of the columns W gives the diagonalizer
+    generator g_diag_jk = i D_jk / w_jk with a zero diagonal.  The derivative
+    of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
+    W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
+    whose diagonal is t D_jj.
+    """
+    D = W.conj().T @ dH @ W
+    D = (D + D.conj().T) / 2.0
+    w = E[:, None] - E[None, :]
+    g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
+    g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
+    return (g_dyn + g_dyn.conj().T) / 2.0, g_diag
+
+
+def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None,
+                phases=None):
+    """(E, W, g_dyn, g_diag, method), with (E, W) the _eigenbasis of H(theta)."""
+    # fd is the finite-difference spec of the oracle path; None selects the analytic one.
+    fd = DEFAULT_DIFF if diff is None and model.dh_of is None else diff
+    radius = 0.0 if fd is None else numdiff.stencil_radius(theta, fd)
+    numdiff.check_domain(theta, radius, model.theta_domain)
+    E, W = _eigenbasis(model, theta, phases)
+    if fd is None:
+        g_dyn, g_diag = _analytic_generators(E, W, require_hermitian(model.dh_of(theta)), t)
+        return E, W, g_dyn, g_diag, numdiff.ANALYTIC
+    g_dyn = local_generator(lambda x: model.u_of(x, t), theta, fd)
+    g_diag = local_generator(_transported_family(model, W), theta, fd)
+    return E, W, g_dyn, g_diag, fd.method
+
+
 def generator_pair(
-    model: HamiltonianModel, theta: float, t: float, diff: DiffSpec = DEFAULT_DIFF,
+    model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None = None,
     phases=None,
 ) -> GeneratorPair:
-    """Generators of the encoding unitary exp(-i t H) and of the diagonalizer."""
-    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
-    g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
-    g_diag = local_generator(diagonalizer_family(model, theta, phases=phases), theta, diff)
+    """Generators of the encoding unitary exp(-i t H) and of the diagonalizer.
+
+    By default both are analytic in the eigenbasis of H(theta), from the
+    model's dh_of: one eigendecomposition, and theta only has to lie inside
+    the open domain.  A finite-difference diff, or a model without dh_of
+    (Richardson then), differentiates both unitary families numerically
+    instead; that path is the cross-check oracle, needs its whole stencil
+    inside the domain, and is the only one that can raise NonSmoothFamily.
+    """
+    _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff, phases)
     return GeneratorPair(
         g_dyn=g_dyn,
         g_diag=g_diag,
         gaps=(spectral_gap(g_dyn), spectral_gap(g_diag)),
         theta=theta,
         t=t,
+        method=method,
     )
+
+
+def _moduli_match(es, support=None, tol: float = CONDITION_TOL) -> bool:
+    """check_condition on the eigensystem of g_diag."""
+    v_top, v_bot = es.eigenvectors[:, 0], es.eigenvectors[:, -1]
+    idx = range(v_top.shape[0]) if support is None else support
+    return all(abs(abs(v_top[j]) - abs(v_bot[j])) <= tol for j in idx)
 
 
 def check_condition(g_diag, support=None, tol: float = CONDITION_TOL) -> bool:
@@ -152,17 +221,14 @@ def check_condition(g_diag, support=None, tol: float = CONDITION_TOL) -> bool:
     index set (all components by default).  Components where both moduli
     vanish satisfy the condition trivially.
     """
-    es = eig_hermitian(require_hermitian(g_diag))
-    v_top, v_bot = es.eigenvectors[:, 0], es.eigenvectors[:, -1]
-    idx = range(v_top.shape[0]) if support is None else support
-    return all(abs(abs(v_top[j]) - abs(v_bot[j])) <= tol for j in idx)
+    return _moduli_match(eig_hermitian(g_diag), support, tol)
 
 
 def g_bound(
     model: HamiltonianModel,
     theta: float,
     t: float,
-    diff: DiffSpec = DEFAULT_DIFF,
+    diff: DiffSpec | None = None,
     phi: float = math.pi / 2.0,
 ) -> CemSolution:
     """Closed-form bound G = (sigma(g_dyn) + sigma(g_diag))^2 with its optimizers.
@@ -170,29 +236,34 @@ def g_bound(
     The optimal control is V = S^dag R1^dag R2 with R1, R2 the
     descending-ordered diagonalizers of g_diag and g_dyn; the optimal
     preparation is the balanced superposition of the extremal eigenvectors of
-    g_diag pulled back through S V U_t, with relative phase phi.
+    g_diag pulled back through S V U_t, with relative phase phi.  The
+    generators come from generator_pair's paths (diff as there); one
+    decomposition of H(theta) gives S and U_t, and one of each generator gives
+    its gap, R1 or R2 and the condition, so the analytic path costs three.
     """
-    pair = generator_pair(model, theta, t, diff)
-    sigma_dyn, sigma_diag = pair.gaps
-    g_value = (sigma_dyn + sigma_diag) ** 2
-
-    es_diag = eig_hermitian(pair.g_diag)  # descending, phase-fixed
-    es_dyn = eig_hermitian(pair.g_dyn)
+    E, W, g_dyn, g_diag, method = _generators(model, theta, t, diff)
+    es_diag = eig_hermitian(g_diag)  # descending, phase-fixed
+    es_dyn = eig_hermitian(g_dyn)
+    sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
+    sigma_diag = float(es_diag.eigenvalues[0] - es_diag.eigenvalues[-1])
     r1 = es_diag.eigenvectors.conj().T
     r2 = es_dyn.eigenvectors.conj().T
-    s = diagonalizer(model, theta)
+    s = W.conj().T
     v_opt = s.conj().T @ r1.conj().T @ r2
 
-    u_tilde = s @ v_opt @ model.u_of(theta, t)
+    u_t = (W * np.exp(-1j * t * E)[None, :]) @ s
+    u_tilde = s @ v_opt @ u_t
     v_top, v_bot = es_diag.eigenvectors[:, 0], es_diag.eigenvectors[:, -1]
     psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * phi) * v_bot) / math.sqrt(2.0))
 
     return CemSolution(
-        G_value=g_value,
-        condition_holds=check_condition(pair.g_diag),
+        G_value=(sigma_dyn + sigma_diag) ** 2,
+        condition_holds=_moduli_match(es_diag),
         V_opt=v_opt,
         psi_opt=psi_opt,
         phi=phi,
+        gaps=(sigma_dyn, sigma_diag),
+        method=method,
     )
 
 

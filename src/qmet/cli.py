@@ -7,7 +7,10 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 'selftest' executes the randomized property suites.
 
 A run is configured by an INI file (sections [model], [grid], [diff],
-[phasesim], [optimizer], [run]) plus command-line flags; flags win.  With a
+[phasesim], [optimizer], [run]) plus command-line flags; flags win.  [diff]
+sets only real finite differences: the 'qfi' column, the 'jc' classical
+Fisher information and the 'phase-sim' read-out Fisher information; the
+generators behind G and max_qfi are analytic from the model's dh_of.  With a
 fixed seed, repeated runs produce byte-identical CSV output; every file
 carries its config hash.  QMET_THREADS caps worker concurrency (0 = auto);
 records are always written in grid order.
@@ -365,8 +368,8 @@ def cmd_qfi(cfg: RunConfig) -> int:
         def rho_of(x):
             u = model.u_of(x, t)
             return u @ rho0 @ u.conj().T
-        value = qfi(rho_of, theta, diff).value
-        max_value = generator_pair(model, theta, t, diff).gaps[0] ** 2
+        value = qfi(rho_of, theta, diff, model.theta_domain).value
+        max_value = generator_pair(model, theta, t).gaps[0] ** 2
         ref, max_ref = _qfi_refs(cfg, theta, t)
         abs_err = abs(value - ref) if math.isfinite(ref) else math.nan
         max_abs_err = abs(max_value - max_ref) if math.isfinite(max_ref) else math.nan
@@ -380,12 +383,11 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 def cmd_gbound(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    diff = cfg.diff()
 
     def one(point):
         theta, t = point
-        sol = g_bound(model, theta, t, diff)
-        max_value = generator_pair(model, theta, t, diff).gaps[0] ** 2
+        sol = g_bound(model, theta, t)
+        max_value = sol.gaps[0] ** 2
         ref = _g_ref(cfg, theta, t)
         abs_err = abs(sol.G_value - ref) if math.isfinite(ref) else math.nan
         gamma = max_value / sol.G_value if sol.G_value > 0 else math.inf
@@ -403,7 +405,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        sol = g_bound(model, theta, t, cfg.diff())
+        sol = g_bound(model, theta, t)
         best, _, _ = optimize_cem(model, theta, t,
                                   budget=(cfg.restarts, cfg.iterations), seed=cfg.seed)
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
@@ -435,7 +437,7 @@ def cmd_phase_sim(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        sol = g_bound(model, theta, t, diff)
+        sol = g_bound(model, theta, t)
         tau = cfg.tau if cfg.tau is not None else default_tau(model, theta)
         sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=tau, t=t, V=sol.V_opt,
                              rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))

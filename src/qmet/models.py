@@ -105,15 +105,19 @@ def _ladder(n_max: int) -> np.ndarray:
     return a
 
 
+def _jc_hopping(n_max: int) -> np.ndarray:
+    """a^dag sigma_- + a sigma_+, atom factor first (|g>, |e>), field factor second."""
+    a = _ladder(n_max)
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+    return np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
+
+
 def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
     """Atom-field interaction Omega (a^dag sigma_- + a sigma_+) with Omega = kappa sqrt(omega).
 
     Atom factor first (|g>, |e>), field factor second.
     """
-    a = _ladder(n_max)
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    sp = sm.conj().T
-    return kappa * math.sqrt(omega) * (np.kron(sm, a.conj().T) + np.kron(sp, a))
+    return kappa * math.sqrt(omega) * _jc_hopping(n_max)
 
 
 def make_jaynes_cummings(omega: float, kappa: float, n_max: int = 8) -> HamiltonianModel:
@@ -129,15 +133,15 @@ def make_jaynes_cummings(omega: float, kappa: float, n_max: int = 8) -> Hamilton
     if n_max < 2:
         raise InvalidParameter(f"Fock truncation must be at least 2, got {n_max}")
     a = _ladder(n_max)
-    number = a.conj().T @ a
-    eye_f = np.eye(n_max + 1, dtype=complex)
-    eye_2 = np.eye(2, dtype=complex)
+    # The theta-independent operators, built once and scaled per call.
+    free = np.kron(np.eye(2, dtype=complex), a.conj().T @ a + 0.5 * np.eye(n_max + 1))
+    hopping = _jc_hopping(n_max)
 
     def h_of(w: float) -> np.ndarray:
-        return np.kron(eye_2, w * (number + 0.5 * eye_f)) + jc_coupling(w, kappa, n_max)
+        return w * free + kappa * math.sqrt(w) * hopping
 
     def dh_of(w: float) -> np.ndarray:
-        return np.kron(eye_2, number + 0.5 * eye_f) + jc_coupling(w, kappa, n_max) / (2.0 * w)
+        return free + kappa / (2.0 * math.sqrt(w)) * hopping
 
     return HamiltonianModel(
         name="jaynes-cummings",
@@ -171,14 +175,14 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     free phases and the coupling carry the frequency dependence; the atomic
     outcome probabilities depend on it only through the coupling.
     """
-    eye_f = np.eye(n_max + 1, dtype=complex)
+    hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
 
     def at(w: float) -> OutcomeDistribution:
         if w <= 0:
             raise InvalidParameter(f"frequency must be positive, got {w}")
         psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
         joint = np.kron(np.array([1.0, 0.0], dtype=complex), psi_f)  # atom in |g>
-        u_int = expm_unitary(jc_coupling(w, kappa, n_max), t)
+        u_int = expm_unitary(kappa * math.sqrt(w) * hopping, t)
         out = u_int @ joint
         p_ground = float(np.linalg.norm(out[: n_max + 1]) ** 2)
         p_excited = float(np.linalg.norm(out[n_max + 1:]) ** 2)

@@ -1,6 +1,7 @@
 """Tests for controlled energy measurements, the bound, and its optimizers."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,15 +21,18 @@ from qmet.cem import (
     max_gap_lemma_check,
     optimize_cem,
 )
+from qmet.cli import EXIT_OK, main
 from qmet.errors import DegenerateSpectrum, DomainBoundary
 from qmet.linalg import expm_unitary, spectral_gap
 from qmet.models import (
     HamiltonianModel,
+    make_jaynes_cummings,
     make_nv_spin1,
     make_qubit_direction,
     make_qubit_xcomponent,
     reference,
 )
+from qmet.numdiff import DiffSpec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -214,6 +218,107 @@ class TestGBound:
             twisted = generator_pair(m, 0.7, 1.2, phases=phases)
             assert twisted.gaps[1] == pytest.approx(base.gaps[1], abs=1e-9)
             assert twisted.gaps[0] == pytest.approx(base.gaps[0], abs=1e-9)
+
+
+RICHARDSON = DiffSpec()  # an explicit finite-difference spec selects the oracle path
+
+# model factory, theta grid, t grid: the acceptance grids plus a few d = 18 points.
+ORACLE_GRIDS = {
+    "qubit-direction": (lambda: make_qubit_direction(1.0),
+                        np.linspace(0.2, math.pi - 0.2, 20), np.linspace(0.1, 2 * math.pi, 20)),
+    "qubit-xcomponent": (lambda: make_qubit_xcomponent(1.0),
+                         np.linspace(0.3, 2.5, 15), np.linspace(0.3, 3.0, 15)),
+    "nv-spin1": (lambda: make_nv_spin1(**NV_PARAMS),
+                 np.linspace(0.05, 2.0, 10), np.linspace(0.3, 3.0, 10)),
+    "jaynes-cummings": (lambda: make_jaynes_cummings(1.0, 0.5, 8), (0.6, 1.0, 1.7), (0.7, 2.1)),
+}
+
+
+class TestAnalyticGenerators:
+    """The generators from dh_of against the Richardson oracle, in the same gauge."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_matches_richardson_oracle(self, name):
+        make, thetas, ts = ORACLE_GRIDS[name]
+        model = make()
+        for k, (theta, t) in enumerate(itertools.product(thetas, ts)):
+            theta, t = float(theta), float(t)
+            fast = generator_pair(model, theta, t)
+            oracle = generator_pair(model, theta, t, RICHARDSON)
+            assert (fast.method, oracle.method) == ("analytic", "richardson-fd")
+            for a, b in zip(fast.gaps, oracle.gaps):
+                assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+            assert np.max(np.abs(fast.g_dyn - oracle.g_dyn)) <= 1e-7
+            assert np.max(np.abs(fast.g_diag - oracle.g_diag)) <= 1e-7
+            sol = g_bound(model, theta, t)
+            assert sol.condition_holds == g_bound(model, theta, t, RICHARDSON).condition_holds
+            assert sol.G_value == pytest.approx(sum(fast.gaps) ** 2, rel=1e-12)
+            if k % 9 == 0:  # the optimizers reach G through the finite-difference Fisher
+                fi = fisher_cem(model, theta, t, sol.V_opt,
+                                np.outer(sol.psi_opt, sol.psi_opt.conj())).value
+                assert sol.condition_holds
+                assert fi == pytest.approx(sol.G_value, rel=1e-4)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_gauge_twist(self, name):
+        """A twist moves g_diag to the twisted gauge, as on the oracle, and keeps both gaps."""
+        model = ORACLE_GRIDS[name][0]()
+        rng = np.random.default_rng(31)
+        base = generator_pair(model, 0.9, 1.4)
+        for _ in range(3):
+            phases = rng.uniform(0, 2 * math.pi, size=model.dim)
+            twisted = generator_pair(model, 0.9, 1.4, phases=phases)
+            assert twisted.gaps == pytest.approx(base.gaps, rel=1e-12, abs=1e-12)
+            rot = np.exp(1j * phases)  # g_diag_jk -> exp(-i phi_j) g_diag_jk exp(i phi_k)
+            assert np.max(np.abs(twisted.g_diag - rot.conj()[:, None] * base.g_diag * rot)) <= 1e-12
+            oracle = generator_pair(model, 0.9, 1.4, RICHARDSON, phases=phases)
+            assert np.max(np.abs(twisted.g_diag - oracle.g_diag)) <= 1e-7
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_model_without_dh_of_falls_back_to_richardson(self, name):
+        model = ORACLE_GRIDS[name][0]()
+        bare = dataclasses.replace(model, dh_of=None)
+        pair = generator_pair(bare, 0.8, 1.1)
+        assert pair.method == "richardson-fd"
+        assert pair.gaps == generator_pair(model, 0.8, 1.1, RICHARDSON).gaps
+        for a, b in zip(pair.gaps, generator_pair(model, 0.8, 1.1).gaps):
+            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+        sol = g_bound(bare, 0.8, 1.1)
+        assert sol.method == "richardson-fd"
+        assert sol.G_value == pytest.approx(g_bound(model, 0.8, 1.1).G_value, rel=1e-8)
+
+    def test_analytic_path_needs_no_stencil_room(self):
+        """At theta = 1e-6 only the finite-difference stencil leaves (0, pi)."""
+        m = make_qubit_direction(1.0)
+        sol = g_bound(m, 1e-6, 1.0)
+        assert sol.method == "analytic"
+        assert sol.condition_holds
+        assert sol.G_value == pytest.approx(reference("direction_g")(omega=1.0, t=1.0), rel=1e-9)
+        with pytest.raises(DomainBoundary):
+            g_bound(m, 1e-6, 1.0, RICHARDSON)
+        with pytest.raises(DomainBoundary):
+            g_bound(m, 0.0, 1.0)  # the domain is open
+
+
+class TestGeneratorDecompositionCounts:
+    """The analytic generators cost one decomposition of H(theta) plus one per generator."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_g_bound_and_generator_pair(self, decompositions, name):
+        model = ORACLE_GRIDS[name][0]()
+        decompositions[0] = 0
+        g_bound(model, 0.7, 1.3)
+        assert 1 <= decompositions[0] <= 3
+        decompositions[0] = 0
+        generator_pair(model, 0.7, 1.3)
+        assert 1 <= decompositions[0] <= 3
+
+    def test_cli_gbound_point(self, decompositions, tmp_path):
+        decompositions[0] = 0
+        code = main(["gbound", "--model", "nv-spin1", "--theta", "0.3:1.5:3", "--t", "0.5:2.0:2",
+                     "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_OK
+        assert 6 <= decompositions[0] <= 3 * 6
 
 
 class TestFisherCem:

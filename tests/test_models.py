@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from qmet.errors import InvalidParameter, UnknownReference
-from qmet.linalg import eig_hermitian, require_hermitian
+from qmet.linalg import eig_hermitian, expm_unitary, require_hermitian
 from qmet.models import (
     SIGMA_X,
     SIGMA_Z,
     SPIN1_X,
     SPIN1_Y,
     jc_coupling,
+    jc_field_state,
+    jc_readout_model,
     make_jaynes_cummings,
     make_nv_spin1,
     make_qubit_direction,
@@ -136,6 +138,25 @@ class TestJaynesCummings:
     def test_derivative(self):
         m = make_jaynes_cummings(1.0, 0.5, 6)
         assert_analytic_derivative(m, [0.5, 1.0, 2.0])
+
+    def test_hamiltonian_matches_kronecker_definition(self):
+        """The prebuilt operators scaled per call give I_2 (x) w(N + 1/2) + jc_coupling."""
+        kappa, n_max = 0.5, 8
+        m = make_jaynes_cummings(1.0, kappa, n_max)
+        number = np.diag(np.arange(n_max + 1) + 0.5).astype(complex)
+        for w in (0.2, 1.0, 2.7):
+            H = np.kron(np.eye(2), w * number) + jc_coupling(w, kappa, n_max)
+            assert np.max(np.abs(m.h_of(w) - H)) <= 1e-14 * (1 + w)
+
+    def test_readout_model_matches_coupling_unitary_bitwise(self):
+        kappa, t, n_max = 0.5, 2.3, 8
+        a0, a1 = math.sqrt(0.3), math.sqrt(0.7)
+        pm = jc_readout_model(kappa, t, a0, a1, n_max)
+        for w in (0.4, 1.1, 1.9):
+            joint = np.kron([1.0, 0.0], jc_field_state(w, t, a0, a1, n_max))
+            out = expm_unitary(jc_coupling(w, kappa, n_max), t) @ joint
+            expected = [np.linalg.norm(out[:n_max + 1]) ** 2, np.linalg.norm(out[n_max + 1:]) ** 2]
+            assert np.array_equal(pm.at(w).probs, expected)
 
 
 class TestHermiticityEverywhere:
