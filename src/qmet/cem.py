@@ -23,7 +23,13 @@ import numpy as np
 
 from . import numdiff
 from .errors import NonSmoothFamily
-from .fisher import FisherReport, OutcomeDistribution, ProbabilityModel, classical_fisher
+from .fisher import (
+    SUPPORT_THRESHOLD,
+    FisherReport,
+    OutcomeDistribution,
+    ProbabilityModel,
+    classical_fisher,
+)
 from .linalg import (
     eig_hermitian,
     expm_unitary,
@@ -39,7 +45,6 @@ from .numdiff import DEFAULT_DIFF, DiffSpec
 
 GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
-SUPPORT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,7 @@ def _fast_objective(model: HamiltonianModel, theta: float, t: float, step: float
         probs = np.abs(amps[..., 0]) ** 2  # (..., node, outcome)
         dp = (probs[..., 1, :] - probs[..., 0, :]) / (2.0 * step)
         p0 = probs[..., 2, :]
-        terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > SUPPORT_EPS)
+        terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > SUPPORT_THRESHOLD)
         return terms.sum(axis=-1)
 
     return value

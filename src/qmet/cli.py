@@ -11,9 +11,8 @@ A run is configured by an INI file (sections [model], [grid], [diff],
 sets only real finite differences: the 'qfi' column, the 'jc' classical
 Fisher information and the 'phase-sim' read-out Fisher information; the
 generators behind G and max_qfi are analytic from the model's dh_of.  With a
-fixed seed, repeated runs produce byte-identical CSV output; every file
-carries its config hash.  QMET_THREADS caps worker concurrency (0 = auto);
-records are always written in grid order.
+fixed seed, repeated runs produce byte-identical output; every file
+carries its config hash.
 """
 
 from __future__ import annotations
@@ -23,11 +22,8 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -117,14 +113,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid
 
 
-_MODEL_PARAM_KEYS = {
-    "qubit-direction": ("omega",),
-    "qubit-xcomponent": ("omega",),
-    "nv-spin1": ("mu", "D", "E"),
-    "jaynes-cummings": ("omega", "kappa", "n_max", "alpha1_sq"),
-    "oscillator": ("mass", "omega"),
-}
-
 _MODEL_DEFAULTS = {
     "qubit-direction": {"omega": 1.0},
     "qubit-xcomponent": {"omega": 1.0},
@@ -147,8 +135,7 @@ def build_model(cfg: RunConfig) -> HamiltonianModel:
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-_COMMAND_DEFAULT_MODEL = {"jc": "jaynes-cummings", "oscillator": "oscillator"}
-
+# The first model of each command is its default.
 _COMMAND_ALLOWED_MODELS = {
     "jc": ("jaynes-cummings",),
     "oscillator": ("oscillator",),
@@ -172,7 +159,7 @@ def _ini_number(section, key: str, kind, default):
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.model = _COMMAND_DEFAULT_MODEL.get(args.command, cfg.model)
+    cfg.model = _COMMAND_ALLOWED_MODELS.get(args.command, (cfg.model,))[0]
     if args.config is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str  # model parameters like D and E are case-sensitive
@@ -226,19 +213,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         cfg.fmt = args.format
 
-    if cfg.model not in _MODEL_PARAM_KEYS:
+    if cfg.model not in _MODEL_DEFAULTS:
         raise ConfigError(f"unknown model {cfg.model!r}; choose from "
-                          f"{', '.join(sorted(_MODEL_PARAM_KEYS))}")
+                          f"{', '.join(sorted(_MODEL_DEFAULTS))}")
     allowed = _COMMAND_ALLOWED_MODELS.get(args.command)
     if allowed is not None and cfg.model not in allowed:
         raise ConfigError(f"command {args.command!r} supports models "
                           f"{', '.join(allowed)}, got {cfg.model!r}")
-    defaults = dict(_MODEL_DEFAULTS[cfg.model])
+    params = dict(_MODEL_DEFAULTS[cfg.model])
     for key in cfg.model_params:
-        if key not in _MODEL_PARAM_KEYS[cfg.model]:
+        if key not in params:
             raise ConfigError(f"model {cfg.model!r} does not take parameter {key!r}")
-    defaults.update(cfg.model_params)
-    cfg.model_params = defaults
+    params.update(cfg.model_params)
+    cfg.model_params = params
+    if cfg.model == "jaynes-cummings":
+        if not 0.0 <= params["alpha1_sq"] <= 1.0:
+            raise ConfigError(f"[model] alpha1_sq must be in [0, 1], got {params['alpha1_sq']}")
+        if not (float(params["n_max"]).is_integer() and params["n_max"] >= 2):
+            raise ConfigError(f"[model] n_max must be an integer >= 2, got {params['n_max']}")
     if cfg.restarts < 1 or cfg.iterations < 1:
         raise ConfigError(f"optimizer restarts and iterations must be >= 1, "
                           f"got {cfg.restarts} and {cfg.iterations}")
@@ -248,21 +240,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"diff method must be central-fd or richardson-fd, "
                           f"got {cfg.diff_method!r}")
     return cfg
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QMET_THREADS", "")
-    if raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"QMET_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError("QMET_THREADS must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 class SweepFailure(Exception):
@@ -275,7 +252,7 @@ class SweepFailure(Exception):
 
 
 def map_grid(fn, items):
-    """Evaluate fn over items, possibly concurrently, preserving order.
+    """Evaluate fn over items in order.
 
     Numerical errors are wrapped together with the offending grid point.
     """
@@ -285,11 +262,7 @@ def map_grid(fn, items):
         except QmetError as exc:
             raise SweepFailure(item, exc) from exc
 
-    workers = _worker_count()
-    if workers <= 1:
-        return [safe(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(safe, items))
+    return [safe(item) for item in items]
 
 
 def _fmt(value) -> str:
@@ -401,7 +374,6 @@ def cmd_gbound(cfg: RunConfig) -> int:
 
 def cmd_optimize(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    start = time.perf_counter()
 
     def one(point):
         theta, t = point
@@ -409,38 +381,30 @@ def cmd_optimize(cfg: RunConfig) -> int:
         best, _, _ = optimize_cem(model, theta, t,
                                   budget=(cfg.restarts, cfg.iterations), seed=cfg.seed)
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
-        return {"theta": theta, "t": t, "best_fi": best, "g": sol.G_value,
-                "rel_gap": gap, "condition": bool(sol.condition_holds)}
+        return (cfg.restarts, cfg.iterations, cfg.seed, theta, t, best, sol.G_value, gap,
+                sol.condition_holds)
 
     records = map_grid(one, _grid_points(cfg))
-    payload = {
-        "version": __version__,
-        "config_sha256": cfg.config_hash(),
-        "restarts": cfg.restarts,
-        "iterations": cfg.iterations,
-        "seed": cfg.seed,
-        "wall_time_s": time.perf_counter() - start,
-        "records": records,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_records(cfg, ("restarts", "iterations", "seed", "theta", "t", "best_fi", "g",
+                        "rel_gap", "condition"), records)
     return EXIT_OK
 
 
 def cmd_phase_sim(cfg: RunConfig) -> int:
     model = build_model(cfg)
     diff = cfg.diff()
+    try:  # PhaseSimConfig owns the bounds on n, m and tau
+        base = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=0.0,
+                              rho0=_ground_projector(model.dim))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     def one(point):
         theta, t = point
         sol = g_bound(model, theta, t)
         tau = cfg.tau if cfg.tau is not None else default_tau(model, theta)
-        sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=tau, t=t, V=sol.V_opt,
-                             rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+        sim = replace(base, tau=tau, t=t, V=sol.V_opt,
+                      rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
         fi_ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal").value
         fi_real = fisher_phase_readout(sim, model, theta, diff, mode="realistic").value
         return (cfg.n, cfg.m, tau, theta, t, fi_ideal, fi_real, sol.G_value,

@@ -18,9 +18,6 @@ HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
-PHASE_FIXED = "phase-fixed"
-OVERLAP_ALIGNED = "overlap-aligned"
-
 
 def as_matrix(M) -> np.ndarray:
     """Coerce to a square complex matrix or a (..., d, d) stack of them."""
@@ -79,13 +76,11 @@ def require_state(psi, tol: float = 1e-12) -> np.ndarray:
 class Eigensystem:
     """Spectral decomposition with non-increasing eigenvalues.
 
-    ``eigenvalues[k]`` belongs to column ``eigenvectors[:, k]``; the gauge tag
-    records how the per-eigenvector phase freedom was fixed.
+    ``eigenvalues[k]`` belongs to column ``eigenvectors[:, k]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    gauge: str
 
     @property
     def dim(self) -> int:
@@ -113,22 +108,17 @@ def fix_phases(V: np.ndarray) -> np.ndarray:
     return W
 
 
-def eig_hermitian(M, gauge: str = PHASE_FIXED) -> Eigensystem:
+def eig_hermitian(M) -> Eigensystem:
     """Eigendecompose a Hermitian matrix, eigenvalues sorted non-increasingly.
 
-    gauge='phase-fixed' makes each eigenvector's largest-modulus entry real
-    and nonnegative, giving a deterministic output for non-degenerate spectra.
-    gauge='overlap-aligned' leaves the phases untouched for callers that align
-    eigenvectors against an anchor decomposition themselves.
+    Each eigenvector's largest-modulus entry is made real and nonnegative
+    (phase-fixed gauge), giving a deterministic output for non-degenerate
+    spectra.
     """
     A = require_hermitian(M)
     ev, V = np.linalg.eigh(A)
     ev, V = ev[::-1], V[:, ::-1]
-    if gauge == PHASE_FIXED:
-        V = fix_phases(V)
-    elif gauge != OVERLAP_ALIGNED:
-        raise ValueError(f"unknown gauge tag {gauge!r}")
-    return Eigensystem(eigenvalues=ev, eigenvectors=V, gauge=gauge)
+    return Eigensystem(eigenvalues=ev, eigenvectors=fix_phases(V))
 
 
 def require_nondegenerate(eigenvalues: np.ndarray, tol: float = DEGENERACY_TOL) -> None:

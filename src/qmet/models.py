@@ -268,7 +268,10 @@ def _oscillator_fc(m: float, omega: float) -> float:
 
 
 def _oscillator_gamma(omega: float, t: float) -> float:
-    return 1.0 / (4.0 * math.sin(omega * t / 2.0) ** 2)
+    s2 = math.sin(omega * t / 2.0) ** 2
+    if s2 < 1e-30:
+        return math.inf
+    return 1.0 / (4.0 * s2)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,23 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--n", "20"), ("--m", "0"), ("--tau", "-1")])
+    def test_bad_phase_sim_input_is_config_error(self, tmp_path, capsys, flag, value):
+        code, _ = run(tmp_path, "phase-sim", "--theta", "1.0:1.0:1", "--t", "1.0:1.0:1",
+                      flag, value)
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["alpha1_sq = 1.5", "alpha1_sq = -0.2",
+                                      "n_max = 0", "n_max = 8.5"])
+    def test_bad_jc_parameter_is_config_error(self, tmp_path, capsys, line):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nname = jaynes-cummings\n{line}\n")
+        code, _ = run(tmp_path, "jc", "--config", str(ini),
+                      "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -79,18 +96,14 @@ class TestDeterminism:
         assert first == second
         assert first.startswith("# qmet ")
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ("qfi", "--model", "qubit-direction", "--theta", "0.4:2.6:4",
-                "--t", "0.5:2.5:3", "--seed", "1")
-        _, serial = run(tmp_path, *args)
-        monkeypatch.setenv("QMET_THREADS", "4")
-        _, threaded = run(tmp_path, *args)
-        assert serial == threaded
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMET_THREADS", "many")
-        code, _ = run(tmp_path, "qfi", "--theta", "0.5:1.5:2", "--t", "1:2:2")
-        assert code == EXIT_CONFIG
+    def test_identical_optimize_runs_identical_bytes(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[optimizer]\nrestarts = 1\niterations = 6\n")
+        args = ("optimize", "--config", str(ini), "--theta", "1.0:1.0:1",
+                "--t", "1.0:1.0:1", "--seed", "5", "--format", "json")
+        _, first = run(tmp_path, *args)
+        _, second = run(tmp_path, *args)
+        assert first == second
 
 
 class TestNumericalFailures:
@@ -141,16 +154,15 @@ class TestSweepOutputs:
     def test_optimize_report(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[optimizer]\nrestarts = 1\niterations = 30\n")
-        out = tmp_path / "report.json"
-        code = main(["optimize", "--config", str(ini), "--model", "qubit-direction",
-                     "--theta", "1.0:1.0:1", "--t", "1.0:1.0:1",
-                     "--seed", "5", "--out", str(out)])
+        code, text = run(tmp_path, "optimize", "--config", str(ini),
+                         "--model", "qubit-direction", "--theta", "1.0:1.0:1",
+                         "--t", "1.0:1.0:1", "--seed", "5")
         assert code == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["restarts"] == 1
-        assert "wall_time_s" in payload
-        rec = payload["records"][0]
-        assert rec["rel_gap"] <= 0.01  # seeded restart reaches the bound
+        header, rows = parse_csv(text)
+        assert header == ["restarts", "iterations", "seed", "theta", "t", "best_fi", "g",
+                          "rel_gap", "condition"]
+        assert rows[0]["restarts"] == "1"
+        assert float(rows[0]["rel_gap"]) <= 0.01  # seeded restart reaches the bound
 
     def test_jc_divergent_flag(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -186,9 +198,24 @@ class TestSweepOutputs:
             gamma = reference("oscillator_gamma")(omega=1.0, t=float(row["t"]))
             assert float(row["gamma"]) == pytest.approx(gamma, rel=1e-12)
 
-    def test_json_format(self, tmp_path):
-        code, text = run(tmp_path, "oscillator", "--t", "0.3:2.0:3", "--format", "json")
+    def test_oscillator_gamma_infinite_where_sine_vanishes(self, tmp_path):
+        code, text = run(tmp_path, "oscillator", "--t", "0:1:3")
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        assert rows[0]["gamma"] == "inf"
+        for row in rows:
+            assert row["gamma_gt1"] == row["small_sine_region"]
+
+    @pytest.mark.parametrize("argv", [("qfi",), ("gbound",), ("optimize",),
+                                      ("phase-sim", "--n", "4", "--m", "2"),
+                                      ("jc",), ("oscillator",)], ids=lambda argv: argv[0])
+    def test_json_format(self, tmp_path, argv):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[optimizer]\nrestarts = 1\niterations = 6\n")
+        code, text = run(tmp_path, *argv, "--config", str(ini), "--theta", "1.0:1.0:1",
+                         "--t", "0.3:2.0:3", "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(text)
-        assert payload["columns"][0] == "omega"
+        assert set(payload) == {"version", "config_sha256", "columns", "records"}
         assert len(payload["records"]) == 3
+        assert all(len(rec) == len(payload["columns"]) for rec in payload["records"])
