@@ -32,19 +32,24 @@ from .fisher import (
 )
 from .linalg import (
     eig_hermitian,
+    eigh_nondegenerate,
     expm_unitary,
+    fix_phases,
     require_density,
     require_hermitian,
-    require_nondegenerate,
     require_state,
     require_unitary,
     spectral_gap,
+    spectral_unitary,
 )
 from .models import HamiltonianModel
 from .numdiff import DEFAULT_DIFF, DiffSpec
 
 GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
+# Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
+PREPARATION_PHASE = math.pi / 2.0
+GOLDEN_STEPS = 14  # golden-section steps per line search of optimize_cem
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,6 @@ class CemSolution:
     condition_holds: bool
     V_opt: np.ndarray
     psi_opt: np.ndarray
-    phi: float
     gaps: tuple[float, float]
     method: str
 
@@ -89,9 +93,8 @@ def _eigenbasis(model: HamiltonianModel, theta: float, phases=None):
     Fixed per-column phases, when given, twist the gauge (used to probe gauge
     robustness).  Raises DegenerateSpectrum for (near-)degenerate H(theta).
     """
-    es = eig_hermitian(model.h_of(theta))
-    require_nondegenerate(es.eigenvalues)
-    E, W = es.eigenvalues[::-1], es.eigenvectors[:, ::-1]
+    E, W = eigh_nondegenerate(model.h_of(theta))
+    W = fix_phases(W)
     if phases is not None:
         W = W * np.exp(1j * np.asarray(phases))[None, :]
     return E, W
@@ -123,8 +126,7 @@ def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
     d = anchor.shape[0]
 
     def s_of(x: float) -> np.ndarray:
-        ev, V = np.linalg.eigh(require_hermitian(model.h_of(x)))
-        require_nondegenerate(ev)
+        _, V = eigh_nondegenerate(model.h_of(x))
         cols = np.empty_like(anchor)
         used = np.zeros(d, dtype=bool)
         for k in range(d):
@@ -177,7 +179,7 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
     """(E, W, g_dyn, g_diag, method), with (E, W) the _eigenbasis of H(theta)."""
     # fd is the finite-difference spec of the oracle path; None selects the analytic one.
     fd = DEFAULT_DIFF if diff is None and model.dh_of is None else diff
-    radius = 0.0 if fd is None else numdiff.stencil_radius(theta, fd)
+    radius = 0.0 if fd is None else fd.base_step(theta)
     numdiff.check_domain(theta, radius, model.theta_domain)
     E, W = _eigenbasis(model, theta, phases)
     if fd is None:
@@ -212,21 +214,20 @@ def generator_pair(
     )
 
 
-def _moduli_match(es, support=None, tol: float = CONDITION_TOL) -> bool:
+def _moduli_match(es) -> bool:
     """check_condition on the eigensystem of g_diag."""
     v_top, v_bot = es.eigenvectors[:, 0], es.eigenvectors[:, -1]
-    idx = range(v_top.shape[0]) if support is None else support
-    return all(abs(abs(v_top[j]) - abs(v_bot[j])) <= tol for j in idx)
+    return all(abs(abs(a) - abs(b)) <= CONDITION_TOL for a, b in zip(v_top, v_bot))
 
 
-def check_condition(g_diag, support=None, tol: float = CONDITION_TOL) -> bool:
+def check_condition(g_diag) -> bool:
     """Moduli-matching condition on the extremal eigenvectors of g_diag.
 
-    True iff |<j|v_max>| = |<j|v_min>| within tol for every j in the support
-    index set (all components by default).  Components where both moduli
-    vanish satisfy the condition trivially.
+    True iff |<j|v_max>| = |<j|v_min>| within CONDITION_TOL for every
+    component j.  Components where both moduli vanish satisfy the condition
+    trivially.
     """
-    return _moduli_match(eig_hermitian(g_diag), support, tol)
+    return _moduli_match(eig_hermitian(g_diag))
 
 
 def g_bound(
@@ -234,15 +235,14 @@ def g_bound(
     theta: float,
     t: float,
     diff: DiffSpec | None = None,
-    phi: float = math.pi / 2.0,
 ) -> CemSolution:
     """Closed-form bound G = (sigma(g_dyn) + sigma(g_diag))^2 with its optimizers.
 
     The optimal control is V = S^dag R1^dag R2 with R1, R2 the
     descending-ordered diagonalizers of g_diag and g_dyn; the optimal
     preparation is the balanced superposition of the extremal eigenvectors of
-    g_diag pulled back through S V U_t, with relative phase phi.  The
-    generators come from generator_pair's paths (diff as there); one
+    g_diag pulled back through S V U_t, with relative phase PREPARATION_PHASE.
+    The generators come from generator_pair's paths (diff as there); one
     decomposition of H(theta) gives S and U_t, and one of each generator gives
     its gap, R1 or R2 and the condition, so the analytic path costs three.
     """
@@ -256,17 +256,16 @@ def g_bound(
     s = W.conj().T
     v_opt = s.conj().T @ r1.conj().T @ r2
 
-    u_t = (W * np.exp(-1j * t * E)[None, :]) @ s
-    u_tilde = s @ v_opt @ u_t
+    u_tilde = s @ v_opt @ spectral_unitary(E, W, t)
     v_top, v_bot = es_diag.eigenvectors[:, 0], es_diag.eigenvectors[:, -1]
-    psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * phi) * v_bot) / math.sqrt(2.0))
+    psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * PREPARATION_PHASE) * v_bot)
+                                  / math.sqrt(2.0))
 
     return CemSolution(
         G_value=(sigma_dyn + sigma_diag) ** 2,
         condition_holds=_moduli_match(es_diag),
         V_opt=v_opt,
         psi_opt=psi_opt,
-        phi=phi,
         gaps=(sigma_dyn, sigma_diag),
         method=method,
     )
@@ -297,12 +296,10 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.n
     encoding unitary U_t = exp(-i t H(x)).  V and rho0 must already be
     validated.  Raises DegenerateSpectrum for (near-)degenerate H(x).
     """
-    ev, W = np.linalg.eigh(require_hermitian(model.h_of(x)))
-    require_nondegenerate(ev)
-    Wh = W.conj().T
-    u_t = (W * np.exp(-1j * t * ev)[None, :]) @ Wh
+    ev, W = eigh_nondegenerate(model.h_of(x))
+    u_t = spectral_unitary(ev, W, t)
     M = V @ (u_t @ rho0 @ u_t.conj().T) @ V.conj().T
-    probs = np.einsum("ij,jk,ki->i", Wh, M, W).real
+    probs = np.einsum("ij,jk,ki->i", W.conj().T, M, W).real
     return ev, np.clip(probs, 0.0, None)
 
 
@@ -336,11 +333,9 @@ def _fast_objective(model: HamiltonianModel, theta: float, t: float, step: float
     accuracy.
     """
     nodes = (theta - step, theta + step, theta)
-    E, W = np.linalg.eigh(require_hermitian(np.stack([model.h_of(x) for x in nodes])))
-    for ev in E:
-        require_nondegenerate(ev)
+    E, W = eigh_nondegenerate(np.stack([model.h_of(x) for x in nodes]))
     Wh = W.conj().swapaxes(-2, -1)
-    U = (W * np.exp(-1j * t * E)[:, None, :]) @ Wh  # encoding unitary at each node
+    U = spectral_unitary(E, W, t)  # encoding unitary at each node
 
     def value(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
         amps = Wh @ (V[..., None, :, :] @ (U @ psi[..., None, :, None]))
@@ -392,7 +387,7 @@ def _angles_from_state(psi: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int = 14):
+def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximization of every row on its own [lo, hi]; returns (x, f(x)).
 
     f maps an (..., R) array of abscissae to values of the same shape.  The two
@@ -404,7 +399,7 @@ def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int = 14):
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
     fc, fe = f(np.stack([c, e]))
-    for _ in range(iters):
+    for _ in range(GOLDEN_STEPS):
         left = fc >= fe  # keep [a, e] and probe a new c; otherwise keep [c, b], new e
         a, b = np.where(left, a, c), np.where(left, e, b)
         probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
@@ -421,7 +416,6 @@ def optimize_cem(
     t: float,
     budget: tuple[int, int] = (8, 400),
     seed: int = 0,
-    diff: DiffSpec | None = None,
 ):
     """Derivative-free maximization of the CEM Fisher information.
 
@@ -437,8 +431,8 @@ def optimize_cem(
     controls and random pure preparations, drawn up front from
     default_rng(seed) in restart order: a Haar control, then a complex normal
     preparation, per restart.  budget = (restarts, line searches per
-    restart); diff only sets the central-difference step of the internal
-    objective.
+    restart).  The internal objective takes a central difference with step
+    1e-5 (1 + |theta|).
 
     Returns (best Fisher information, best V, best psi); ties between
     restarts go to the earliest.
@@ -446,7 +440,7 @@ def optimize_cem(
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
-    step = diff.base_step(theta) if diff is not None else 1e-5 * (1.0 + abs(theta))
+    step = 1e-5 * (1.0 + abs(theta))
     numdiff.check_domain(theta, step, model.theta_domain)
     d = model.dim
     n_v = d * d

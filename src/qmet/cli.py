@@ -35,7 +35,6 @@ from .fisher import classical_fisher, qfi
 from .models import (
     HamiltonianModel,
     jc_readout_model,
-    make_jaynes_cummings,
     make_nv_spin1,
     make_qubit_direction,
     make_qubit_xcomponent,
@@ -117,7 +116,7 @@ _MODEL_DEFAULTS = {
     "qubit-direction": {"omega": 1.0},
     "qubit-xcomponent": {"omega": 1.0},
     "nv-spin1": {"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi},
-    "jaynes-cummings": {"omega": 1.0, "kappa": 0.5, "n_max": 8, "alpha1_sq": 0.5},
+    "jaynes-cummings": {"kappa": 0.5, "n_max": 8, "alpha1_sq": 0.5},
     "oscillator": {"mass": 1.0, "omega": 1.0},
 }
 
@@ -130,8 +129,6 @@ def build_model(cfg: RunConfig) -> HamiltonianModel:
         return make_qubit_xcomponent(p["omega"])
     if cfg.model == "nv-spin1":
         return make_nv_spin1(p["mu"], p["D"], p["E"])
-    if cfg.model == "jaynes-cummings":
-        return make_jaynes_cummings(p["omega"], p["kappa"], int(p["n_max"]))
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
@@ -231,6 +228,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"[model] alpha1_sq must be in [0, 1], got {params['alpha1_sq']}")
         if not (float(params["n_max"]).is_integer() and params["n_max"] >= 2):
             raise ConfigError(f"[model] n_max must be an integer >= 2, got {params['n_max']}")
+        if not params["kappa"] >= 0.0:
+            raise ConfigError(f"[model] kappa must be nonnegative, got {params['kappa']}")
+    if cfg.model == "oscillator":
+        for key in ("mass", "omega"):
+            if not params[key] > 0.0:
+                raise ConfigError(f"[model] {key} must be positive, got {params[key]}")
     if cfg.restarts < 1 or cfg.iterations < 1:
         raise ConfigError(f"optimizer restarts and iterations must be >= 1, "
                           f"got {cfg.restarts} and {cfg.iterations}")

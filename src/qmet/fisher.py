@@ -9,7 +9,7 @@ POVM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ class OutcomeDistribution:
 
     outcomes: tuple
     probs: np.ndarray
-    support_threshold: float = SUPPORT_THRESHOLD
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -55,8 +54,8 @@ class OutcomeDistribution:
 
     @property
     def support(self) -> np.ndarray:
-        """Indices of outcomes with probability above the support threshold."""
-        return np.flatnonzero(self.probs > self.support_threshold)
+        """Indices of outcomes with probability above SUPPORT_THRESHOLD."""
+        return np.flatnonzero(self.probs > SUPPORT_THRESHOLD)
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         if self.probs.shape != other.probs.shape:
@@ -92,19 +91,15 @@ class POVM:
         if np.max(np.abs(total - np.eye(d))) > 1e-9:
             raise DimensionMismatch("POVM elements do not sum to the identity")
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
 
 @dataclass(frozen=True)
 class FisherReport:
-    """A Fisher-information value together with how it was differentiated."""
+    """A Fisher-information value, how it was differentiated, and its error estimate."""
 
     value: float
     method: str
     step: float
-    error_estimate: float = field(default=0.0)
+    error_estimate: float
 
     def __post_init__(self):
         if self.value < 0:
@@ -113,13 +108,12 @@ class FisherReport:
 
 def fisher_rows(
     p_of, theta: float, p: np.ndarray, diff: DiffSpec = DEFAULT_DIFF,
-    support_threshold: float = SUPPORT_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical Fisher information of each row of a batch of distributions.
 
     p is the (T, K) batch at theta and p_of(x) returns the batch at any other
     stencil node; every row must stay normalised over the same K outcomes.
-    Row r gets F_r = sum_{p_rx > support_threshold} (d p_rx / d theta)^2 / p_rx
+    Row r gets F_r = sum_{p_rx > SUPPORT_THRESHOLD} (d p_rx / d theta)^2 / p_rx
     and the first-order error bound sum 2 |d p_rx| dp_err / p_rx, where dp_err
     is the derivative error of the whole batch (exact for T = 1,
     conservative otherwise).  Returns (values, error estimates), each (T,).
@@ -134,7 +128,7 @@ def fisher_rows(
 
     _require_normalized(p)
     dp, dp_err = numdiff.derivative(checked, theta, diff)
-    support = p > support_threshold
+    support = p > SUPPORT_THRESHOLD
     safe = np.where(support, p, 1.0)
     values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
     errs = np.where(support, 2.0 * np.abs(dp) * dp_err / safe, 0.0).sum(axis=-1)
@@ -150,25 +144,24 @@ def classical_fisher(
     derivative taken by the requested scheme and outcomes whose probability
     falls below the support threshold excluded from the sum.
     """
-    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
-    center = model.at(theta)
+    numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     values, errs = fisher_rows(lambda x: model.at(x).probs[None, :], theta,
-                               center.probs[None, :], diff, center.support_threshold)
+                               model.at(theta).probs[None, :], diff)
     return FisherReport(value=float(values[0]), method=diff.method,
                         step=diff.base_step(theta), error_estimate=float(errs[0]))
 
 
-def sld(rho, drho, support_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
+def sld(rho, drho) -> np.ndarray:
     """Symmetric logarithmic derivative L solving drho = (rho L + L rho)/2.
 
     In the eigenbasis of rho, L_kl = 2 (drho)_kl / (p_k + p_l); matrix elements
-    with p_k + p_l below the support threshold are set to zero (the operator is
+    with p_k + p_l below SUPPORT_THRESHOLD are set to zero (the operator is
     arbitrary outside the support of rho).
     """
-    return _sld_parts(rho, drho, support_threshold)[0]
+    return _sld_parts(rho, drho)[0]
 
 
-def _sld_parts(rho, drho, support_threshold: float = SUPPORT_THRESHOLD):
+def _sld_parts(rho, drho):
     """(L, Dv, p_k + p_l, support mask) with Dv = drho in the eigenbasis of rho."""
     R = require_hermitian(rho)
     D = require_hermitian(drho)
@@ -180,7 +173,7 @@ def _sld_parts(rho, drho, support_threshold: float = SUPPORT_THRESHOLD):
     p, V = np.linalg.eigh(R)
     Dv = V.conj().T @ D @ V
     denom = p[:, None] + p[None, :]
-    support = denom >= support_threshold
+    support = denom >= SUPPORT_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         Lv = np.where(support, 2.0 * Dv / denom, 0.0)
     return V @ Lv @ V.conj().T, Dv, denom, support
@@ -198,7 +191,7 @@ def _state_derivative(rho_of, theta: float, diff: DiffSpec,
     of the state does not change across the differentiation stencil.
     """
     rho = require_hermitian(rho_of(theta))
-    radius = numdiff.stencil_radius(theta, diff)
+    radius = diff.base_step(theta)
     numdiff.check_domain(theta, radius, theta_domain)
     rank0 = _rank_profile(rho)
     for x in (theta - radius, theta + radius):

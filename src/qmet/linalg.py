@@ -1,9 +1,10 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-Eigendecompositions are gauge-fixed and ordered non-increasingly
-(lambda_1 >= ... >= lambda_d) so that every downstream formula can rely on a
-single ordering convention.  All functions are pure and operate on plain
-complex ndarrays.
+eigh_nondegenerate, the one checked decomposition of a model Hamiltonian,
+returns ascending energies (ground state first).  eig_hermitian, for
+generators and other operators, returns a phase-fixed Eigensystem ordered
+non-increasingly (lambda_1 >= ... >= lambda_d).  All functions are pure and
+operate on plain complex ndarrays.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianInput
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
+STATE_NORM_TOL = 1e-12
 
 
 def as_matrix(M) -> np.ndarray:
@@ -27,48 +29,48 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def require_hermitian(M, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(M) -> np.ndarray:
     """Return M as an ndarray, raising NonHermitianInput if M != M^dag.
 
     The tolerance is relative, per matrix of a stack:
-    max|M - M^dag| <= tol * (1 + max|M|).
+    max|M - M^dag| <= HERMITICITY_TOL * (1 + max|M|).
     """
     A = as_matrix(M)
     # ufunc reductions skip np.max's dispatch: this check guards every decomposition.
     scale = 1.0 + np.maximum.reduce(np.abs(A), axis=(-2, -1))
     defect = np.maximum.reduce(np.abs(A - A.conj().swapaxes(-2, -1)), axis=(-2, -1))
-    if np.logical_or.reduce(defect > tol * scale, axis=None):
+    if np.logical_or.reduce(defect > HERMITICITY_TOL * scale, axis=None):
         raise NonHermitianInput(
-            f"Hermiticity defect {np.max(defect):.3e} exceeds {tol:.1e}*(1+|M|)")
+            f"Hermiticity defect {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}*(1+|M|)")
     return A
 
 
-def require_unitary(U, tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(U) -> np.ndarray:
     """Return U as an ndarray, raising if U U^dag deviates from the identity."""
     A = as_matrix(U)
     defect = np.max(np.abs(A @ A.conj().swapaxes(-2, -1) - np.eye(A.shape[-1])))
-    if defect > tol:
-        raise DimensionMismatch(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > UNITARITY_TOL:
+        raise DimensionMismatch(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}")
     return A
 
 
-def require_density(rho, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, positive, unit trace."""
-    A = require_hermitian(rho, tol)
+def require_density(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, positive, unit trace (within HERMITICITY_TOL)."""
+    A = require_hermitian(rho)
     ev = np.linalg.eigvalsh(A)
-    if ev.min() < -tol:
+    if ev.min() < -HERMITICITY_TOL:
         raise DimensionMismatch(f"density matrix has negative eigenvalue {ev.min():.3e}")
-    if abs(np.trace(A).real - 1.0) > tol:
+    if abs(np.trace(A).real - 1.0) > HERMITICITY_TOL:
         raise DimensionMismatch(f"density matrix trace {np.trace(A).real} != 1")
     return A
 
 
-def require_state(psi, tol: float = 1e-12) -> np.ndarray:
+def require_state(psi) -> np.ndarray:
     """Validate a pure-state amplitude vector (unit Euclidean norm)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise DimensionMismatch(f"state norm {nrm} != 1 within {tol:.1e}")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise DimensionMismatch(f"state norm {nrm} != 1 within {STATE_NORM_TOL:.1e}")
     return v
 
 
@@ -81,10 +83,6 @@ class Eigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """Sum of lambda_k |v_k><v_k|."""
@@ -121,28 +119,45 @@ def eig_hermitian(M) -> Eigensystem:
     return Eigensystem(eigenvalues=ev, eigenvectors=fix_phases(V))
 
 
-def require_nondegenerate(eigenvalues: np.ndarray, tol: float = DEGENERACY_TOL) -> None:
+def require_nondegenerate(eigenvalues: np.ndarray) -> None:
     """Raise DegenerateSpectrum if consecutive eigenvalues are too close.
 
-    Two eigenvalues count as degenerate when they differ by less than
-    tol * (1 + spectral gap).
+    eigenvalues is one spectrum or a (..., d) stack of them.  Two eigenvalues
+    of a spectrum count as degenerate when they differ by less than
+    DEGENERACY_TOL * (1 + its spectral gap); each spectrum of a stack has its
+    own gap.
     """
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    if ev.size < 2:
+    ev = np.sort(np.asarray(eigenvalues, dtype=float), axis=-1)
+    if ev.shape[-1] < 2:
         return
-    gap = ev[-1] - ev[0]
-    diffs = np.diff(ev)
-    if np.any(diffs < tol * (1.0 + gap)):
+    gap = ev[..., -1:] - ev[..., :1]
+    diffs = np.diff(ev, axis=-1)
+    if np.any(diffs < DEGENERACY_TOL * (1.0 + gap)):
         raise DegenerateSpectrum(
-            f"minimum eigenvalue spacing {diffs.min():.3e} below {tol:.1e}*(1+gap)"
-        )
+            f"minimum eigenvalue spacing {diffs.min():.3e} below {DEGENERACY_TOL:.1e}*(1+gap)")
+
+
+def eigh_nondegenerate(H) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues E, eigenvector columns W) of a non-degenerate Hermitian H.
+
+    H is one matrix or a (..., d, d) stack; one eigendecomposition covers the
+    stack.  Raises NonHermitianInput, or DegenerateSpectrum when any matrix
+    has (near-)equal eigenvalues.  The columns carry NumPy's gauge.
+    """
+    ev, W = np.linalg.eigh(require_hermitian(H))
+    require_nondegenerate(ev)
+    return ev, W
+
+
+def spectral_unitary(ev: np.ndarray, W: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) from H = W diag(ev) W^dag, for one matrix or a (..., d, d) stack."""
+    return (W * np.exp(-1j * t * ev)[..., None, :]) @ W.conj().swapaxes(-2, -1)
 
 
 def expm_unitary(H, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H or a (..., d, d) stack, via one eigendecomposition."""
-    A = require_hermitian(H)
-    ev, V = np.linalg.eigh(A)
-    return (V * np.exp(-1j * t * ev)[..., None, :]) @ V.conj().swapaxes(-2, -1)
+    ev, V = np.linalg.eigh(require_hermitian(H))
+    return spectral_unitary(ev, V, t)
 
 
 def spectral_gap(M) -> float:
@@ -166,9 +181,9 @@ def partial_trace(M, dims: tuple[int, int], keep: str) -> np.ndarray:
     if A.shape[0] != dA * dB:
         raise DimensionMismatch(f"matrix dim {A.shape[0]} != {dA}*{dB}")
     T = A.reshape(dA, dB, dA, dB)
-    if keep in ("first", "A", "a"):
+    if keep == "first":
         return np.einsum("ijkj->ik", T)
-    if keep in ("second", "B", "b"):
+    if keep == "second":
         return np.einsum("ijik->jk", T)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 

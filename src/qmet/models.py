@@ -37,11 +37,10 @@ SPIN1_Z = 2.0 * np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A named family theta -> H(theta) with parameters and optional analytic derivative."""
+    """A named family theta -> H(theta) with an optional analytic derivative."""
 
     name: str
     dim: int
-    params: dict
     h_of: Callable[[float], np.ndarray]
     dh_of: Optional[Callable[[float], np.ndarray]] = None
     theta_domain: tuple[float, float] = (-np.inf, np.inf)
@@ -58,7 +57,6 @@ def make_qubit_direction(omega: float) -> HamiltonianModel:
     return HamiltonianModel(
         name="qubit-direction",
         dim=2,
-        params={"omega": omega},
         h_of=lambda q: omega * (math.cos(q) * SIGMA_Z + math.sin(q) * SIGMA_X),
         dh_of=lambda q: omega * (-math.sin(q) * SIGMA_Z + math.cos(q) * SIGMA_X),
         theta_domain=(0.0, math.pi),
@@ -72,7 +70,6 @@ def make_qubit_xcomponent(omega: float) -> HamiltonianModel:
     return HamiltonianModel(
         name="qubit-xcomponent",
         dim=2,
-        params={"omega": omega},
         h_of=lambda q: -omega * SIGMA_Z + q * SIGMA_X,
         dh_of=lambda q: SIGMA_X.copy(),
         theta_domain=(-np.inf, np.inf),
@@ -90,7 +87,6 @@ def make_nv_spin1(mu: float, D: float, E: float) -> HamiltonianModel:
     return HamiltonianModel(
         name="nv-spin1",
         dim=3,
-        params={"mu": mu, "D": D, "E": E},
         h_of=lambda q: mu * q * SPIN1_Z + D * zz + E * xy,
         dh_of=lambda q: mu * SPIN1_Z,
         theta_domain=(0.0, np.inf),
@@ -146,7 +142,6 @@ def make_jaynes_cummings(omega: float, kappa: float, n_max: int = 8) -> Hamilton
     return HamiltonianModel(
         name="jaynes-cummings",
         dim=2 * (n_max + 1),
-        params={"omega": omega, "kappa": kappa, "n_max": n_max},
         h_of=h_of,
         dh_of=dh_of,
         theta_domain=(0.0, np.inf),

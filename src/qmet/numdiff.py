@@ -32,6 +32,7 @@ class DiffSpec:
     levels: int = 2
 
     def base_step(self, x: float) -> float:
+        """The base step at x, also the largest offset from x that derivative() evaluates."""
         return self.step if self.step is not None else 1e-4 * (1.0 + abs(x))
 
 
@@ -78,11 +79,6 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
     best = rows[-1][0]
     err = max(_absmax(np.asarray(best) - np.asarray(rows[-2][-1])), rounding_floor)
     return best, err
-
-
-def stencil_radius(x: float, spec: DiffSpec) -> float:
-    """Largest offset from x that derivative() will evaluate."""
-    return spec.base_step(x)
 
 
 def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:

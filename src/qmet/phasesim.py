@@ -30,12 +30,11 @@ from .cem import _node
 from .errors import AliasingRisk, OracleTooLarge
 from .fisher import FisherReport, OutcomeDistribution, fisher_rows
 from .linalg import (
-    expm_unitary,
+    eigh_nondegenerate,
     partial_trace,
     require_density,
-    require_hermitian,
-    require_nondegenerate,
     require_unitary,
+    spectral_unitary,
     tensor,
 )
 from .models import HamiltonianModel
@@ -45,6 +44,9 @@ IDEAL = "ideal"
 REALISTIC = "realistic"
 # Tau rows times read-out bins per kernel chunk; bounds the (rows, d, 2^n) scratch arrays.
 ROW_BUDGET = 2**12
+# tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
+TAU_COARSE = 32
+TAU_REFINE = 16
 
 
 @dataclass(frozen=True)
@@ -112,19 +114,13 @@ def energy_probs(model: HamiltonianModel, theta: float, t: float, V, rho0) -> Ou
     return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
 
-def _spectrum(model: HamiltonianModel, theta: float) -> np.ndarray:
-    ev = np.linalg.eigvalsh(require_hermitian(model.h_of(theta)))
-    require_nondegenerate(ev)
-    return ev
-
-
 def _default_tau(ev: np.ndarray) -> float:
     return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
 
 
 def default_tau(model: HamiltonianModel, theta: float) -> float:
     """0.9 * 2 pi / (spectral range + 1e-6) at the working point."""
-    return _default_tau(_spectrum(model, theta))
+    return _default_tau(eigh_nondegenerate(model.h_of(theta))[0])
 
 
 def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
@@ -133,7 +129,7 @@ def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
     tau * range = 2 pi (2^n - 1)/2^n, so every eigenvalue of a two-level
     spectrum sits exactly on a read-out bin while anti-aliasing still holds.
     """
-    ev = _spectrum(model, theta)
+    ev, _ = eigh_nondegenerate(model.h_of(theta))
     rng = float(ev[-1] - ev[0])
     if rng <= 0:
         raise AliasingRisk("spectrum has zero range; no informative read-out grid")
@@ -267,7 +263,7 @@ def _readout_fisher(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     """
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
-    numdiff.check_domain(theta, numdiff.stencil_radius(theta, diff), model.theta_domain)
+    numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     chunk = max(ROW_BUDGET >> cfg.n, 1)
     values, errs = [], []
     for start in range(0, len(taus), chunk):
@@ -314,23 +310,22 @@ def tune_tau(
     theta: float,
     mode: str = REALISTIC,
     diff: DiffSpec = DEFAULT_DIFF,
-    coarse: int = 32,
-    refine: int = 16,
 ) -> float:
     """Deterministic scan for the tau maximizing the read-out Fisher information.
 
     Controllization damping favours small tau while bin resolution favours
-    large tau, so the optimum is model-dependent; a coarse geometric scan is
-    refined once around the best candidate.  A candidate whose bins alias at
-    any stencil node is never chosen.  Each scan is scored as one batch over
-    tau, with one decomposition per stencil node for the whole call.
+    large tau, so the optimum is model-dependent; a coarse geometric scan of
+    TAU_COARSE candidates is refined once, by TAU_REFINE linear ones, around
+    the best candidate.  A candidate whose bins alias at any stencil node is
+    never chosen.  Each scan is scored as one batch over tau, with one
+    decomposition per stencil node for the whole call.
     """
     node = _node_cache(cfg, model)
     hi = 0.98 * 2.0 * math.pi / (float(np.ptp(node(theta)[0])) + 1e-6)
-    taus = np.geomspace(hi / 300.0, hi, coarse)
+    taus = np.geomspace(hi / 300.0, hi, TAU_COARSE)
     values, _ = _readout_fisher(cfg, model, theta, taus, diff, mode, node)
     best = int(np.argmax(values))
-    fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], refine)
+    fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], TAU_REFINE)
     fine_values, _ = _readout_fisher(cfg, model, theta, fine, diff, mode, node)
     candidates = np.concatenate([taus, fine])
     return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
@@ -345,16 +340,17 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
 
     Hadamards on n control qubits, controlled powers U_tau^(2^(l-1)) coupling
     qubit l, inverse Fourier transform, and a computational-basis read-out.
-    Limited to n <= 6 and system dimension <= 4.
+    Limited to n <= 6 and system dimension <= 4.  One decomposition of
+    H(theta) gives U_tau and U_t.
     """
     d = model.dim
     if cfg.n > 6 or d > 4:
         raise OracleTooLarge(f"oracle limited to n <= 6 and d <= 4, got n={cfg.n}, d={d}")
-    ev = _spectrum(model, theta)
+    ev, W = eigh_nondegenerate(model.h_of(theta))
     tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
     _require_injective(tau, ev)
-    u_tau = expm_unitary(model.h_of(theta), tau) * np.exp(-1j * tau * _shift(cfg, ev))
-    u_t = expm_unitary(model.h_of(theta), cfg.t)
+    u_tau = spectral_unitary(ev, W, tau) * np.exp(-1j * tau * _shift(cfg, ev))
+    u_t = spectral_unitary(ev, W, cfg.t)
     v = cfg.control(d)
     n_states = 2**cfg.n
 
@@ -387,14 +383,13 @@ def _controlled_swap(d: int) -> np.ndarray:
     return out
 
 
-def controllization_oracle(U, x1: int, y1: int, rho_sys, m: int,
-                           check: bool = True) -> np.ndarray:
+def controllization_oracle(U, x1: int, y1: int, rho_sys, m: int) -> np.ndarray:
     """Explicit m-step controllization of the control-system block |x1><y1| (x) rho.
 
     Each step sandwiches the uncontrolled U between controlled-SWAPs against
     a maximally mixed ancilla, traces the ancilla out, and resets it.  The
-    result equals a^(|x1-y1| m) e^{i (y1-x1) m phi} C_{U^m}[|x1><y1| (x) rho];
-    with check=True the closed form is verified to 1e-10.
+    result equals a^(|x1-y1| m) e^{i (y1-x1) m phi} C_{U^m}[|x1><y1| (x) rho],
+    which is verified to 1e-10 before the block is returned.
     """
     u = require_unitary(U)
     d = u.shape[0]
@@ -410,20 +405,19 @@ def controllization_oracle(U, x1: int, y1: int, rho_sys, m: int,
     ket[x1] = 1.0
     bra = np.zeros(2)
     bra[y1] = 1.0
-    block = tensor(np.outer(ket, bra), rho)
+    branch = np.outer(ket, bra)
+    block = tensor(branch, rho)
     for _ in range(m):
         full = w @ tensor(block, np.eye(d) / d) @ w.conj().T
         block = partial_trace(full, (2 * d, d), keep="first")
 
-    if check:
-        factors = controllization_factors(u, m)
-        u_m = np.linalg.matrix_power(u, m)
-        branch = np.outer(ket, bra)
-        left = u_m if x1 == 1 else np.eye(d)
-        right = u_m.conj().T if y1 == 1 else np.eye(d)
-        expected = (factors.a ** (abs(x1 - y1) * m)
-                    * np.exp(1j * (y1 - x1) * m * factors.phi)
-                    * tensor(branch, left @ rho @ right))
-        if np.max(np.abs(block - expected)) > 1e-10:
-            raise ArithmeticError("controllization closed form violated beyond 1e-10")
+    factors = controllization_factors(u, m)
+    u_m = np.linalg.matrix_power(u, m)
+    left = u_m if x1 == 1 else np.eye(d)
+    right = u_m.conj().T if y1 == 1 else np.eye(d)
+    expected = (factors.a ** (abs(x1 - y1) * m)
+                * np.exp(1j * (y1 - x1) * m * factors.phi)
+                * tensor(branch, left @ rho @ right))
+    if np.max(np.abs(block - expected)) > 1e-10:
+        raise ArithmeticError("controllization closed form violated beyond 1e-10")
     return block

@@ -46,7 +46,6 @@ def constant_basis_model(levels):
     return HamiltonianModel(
         name="diag",
         dim=levels.size,
-        params={},
         h_of=lambda q: np.diag(levels * (1.0 + q)).astype(complex),
         theta_domain=(-0.5, np.inf),
     )
@@ -58,7 +57,7 @@ class TestDiagonalizer:
         assert np.allclose(diagonalizer(m, 0.2), np.eye(3))
 
     def test_descending_diagonal_gives_permutation(self):
-        m = HamiltonianModel("diag", 3, {}, lambda q: np.diag([3.0, 1.0, 0.0]).astype(complex))
+        m = HamiltonianModel("diag", 3, lambda q: np.diag([3.0, 1.0, 0.0]).astype(complex))
         S = diagonalizer(m, 0.0)
         perm = np.fliplr(np.eye(3))
         assert np.allclose(S, perm)
@@ -88,12 +87,12 @@ class TestDiagonalizer:
             G0 = (z + z.conj().T) / 2 + 3 * np.diag(np.arange(d))  # split the spectrum
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             G1 = (z + z.conj().T) / 2
-            m = HamiltonianModel("rand", d, {}, lambda q, A=G0, B=G1: A + q * B)
+            m = HamiltonianModel("rand", d, lambda q, A=G0, B=G1: A + q * B)
             S = diagonalizer(m, float(rng.uniform(-0.1, 0.1)))
             assert np.max(np.abs(S @ S.conj().T - np.eye(d))) <= 1e-10
 
     def test_degenerate_spectrum_raises(self):
-        m = HamiltonianModel("deg", 2, {}, lambda q: np.zeros((2, 2), dtype=complex))
+        m = HamiltonianModel("deg", 2, lambda q: np.zeros((2, 2), dtype=complex))
         with pytest.raises(DegenerateSpectrum):
             diagonalizer(m, 0.0)
 
@@ -150,7 +149,7 @@ class TestCheckCondition:
     def test_support_restriction(self):
         g = np.diag([1.0, 2.0, 3.0]).astype(complex)
         g[0, 1] = g[1, 0] = 0.5
-        # extremal vectors live in disjoint blocks; restricting support can hide that
+        # extremal vectors live in disjoint blocks, so their moduli cannot match
         assert not check_condition(g)
 
 
@@ -378,7 +377,7 @@ class TestOptimizeCem:
         assert best >= 0.99 * sol.G_value
 
     def test_static_family_yields_zero(self):
-        m = HamiltonianModel("static", 2, {}, lambda q: np.diag([0.0, 1.0]).astype(complex))
+        m = HamiltonianModel("static", 2, lambda q: np.diag([0.0, 1.0]).astype(complex))
         best, _, _ = optimize_cem(m, 0.3, 1.0, budget=(2, 40), seed=3)
         assert best <= 1e-10
 

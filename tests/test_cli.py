@@ -73,6 +73,21 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,line", [
+        ("oscillator", "omega = 0"),
+        ("oscillator", "mass = -1"),
+        ("jc", "kappa = -1"),
+        ("jc", "omega = 3"),  # the frequency is the grid; no model key sets it
+    ])
+    def test_bad_measurement_model_parameter_is_config_error(self, tmp_path, capsys,
+                                                             command, line):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{line}\n")
+        code, _ = run(tmp_path, command, "--config", str(ini),
+                      "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
+        assert code == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

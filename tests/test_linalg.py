@@ -8,6 +8,7 @@ import pytest
 from qmet.errors import DegenerateSpectrum, DimensionMismatch, NonHermitianInput
 from qmet.linalg import (
     eig_hermitian,
+    eigh_nondegenerate,
     expm_unitary,
     operator_variance,
     partial_trace,
@@ -181,6 +182,11 @@ class TestTensorAndPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(6), (2, 2), "first")
 
+    @pytest.mark.parametrize("keep", ["A", "b", "third"])
+    def test_unknown_factor_name_rejected(self, keep):
+        with pytest.raises(ValueError):
+            partial_trace(np.eye(4), (2, 2), keep)
+
 
 class TestOperatorVariance:
     def test_eigenvector_has_zero_variance(self):
@@ -218,3 +224,36 @@ class TestDegeneracyGate:
 
     def test_well_separated_passes(self):
         require_nondegenerate(np.array([0.0, 1.0, 2.0]))
+
+
+class TestEighNondegenerate:
+    def test_ascending_and_reconstructs(self):
+        rng = np.random.default_rng(31)
+        H = random_hermitian(rng, 4)
+        ev, W = eigh_nondegenerate(H)
+        assert np.all(np.diff(ev) > 0)
+        assert np.allclose((W * ev) @ W.conj().T, H, atol=1e-12)
+
+    def test_non_hermitian_raises(self):
+        with pytest.raises(NonHermitianInput):
+            eigh_nondegenerate(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_stack_with_one_degenerate_matrix_raises(self, where):
+        stack = np.stack([np.diag([0.0, 1.0, 2.0]), np.diag([5.0, 6.0, 7.0]),
+                          np.diag([-1.0, 3.0, 4.0])]).astype(complex)
+        stack[where] = np.diag([1.0, 1.0 + 1e-12, 2.0])
+        with pytest.raises(DegenerateSpectrum):
+            eigh_nondegenerate(stack)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_gaps_are_per_matrix(self, d):
+        """Spacing 1e-3 passes against its own range, not a shared or another row's 1e7."""
+        narrow = np.diag(1e-3 * np.arange(d)).astype(complex)
+        wide = np.diag(1e7 * np.arange(d)).astype(complex)
+        for stack in (np.stack([narrow, wide]), np.stack([wide, narrow]),
+                      np.stack([wide, narrow, wide])):
+            ev, W = eigh_nondegenerate(stack)
+            assert ev.shape == stack.shape[:-1] and W.shape == stack.shape
+        with pytest.raises(DegenerateSpectrum):  # the same spacing is degenerate at range 1e7
+            eigh_nondegenerate(np.diag(np.concatenate([1e-3 * np.arange(d), [1e7]])))

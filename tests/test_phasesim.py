@@ -39,7 +39,7 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def fixed_model(H):
     H = np.asarray(H, dtype=complex)
-    return HamiltonianModel("fixed", H.shape[0], {}, lambda q: H)
+    return HamiltonianModel("fixed", H.shape[0], lambda q: H)
 
 
 def ground_projector(d):
@@ -453,7 +453,7 @@ def steep_model(rate=2000.0):
     def h_of(q):
         return math.exp(rate * (q - 0.5)) * (math.cos(q) * SZ + math.sin(q) * SX)
 
-    return HamiltonianModel("steep", 2, {}, h_of)
+    return HamiltonianModel("steep", 2, h_of)
 
 
 SCAN_CASES = {  # model factory, theta, t
@@ -545,3 +545,11 @@ class TestDecompositionCounts:
         decompositions[0] = 0
         fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau, from the center node
         assert 1 <= decompositions[0] <= 8
+
+    def test_circuit_oracle_decomposes_hamiltonian_once(self, decompositions):
+        """One decomposition of H(theta) gives tau, U_tau and U_t; the other is rho0's."""
+        model = make_nv_spin1(*NV)
+        cfg, _ = optimal_config(model, 0.7, 1.3, 6, 3)
+        decompositions[0] = 0
+        circuit_oracle(cfg, model, 0.7)
+        assert decompositions[0] <= 2
