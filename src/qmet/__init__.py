@@ -13,6 +13,7 @@ from .cem import (
     GeneratorPair,
     check_condition,
     diagonalizer,
+    encoded_qfi,
     fisher_cem,
     g_bound,
     generator_pair,

@@ -28,7 +28,9 @@ from .fisher import (
     FisherReport,
     OutcomeDistribution,
     ProbabilityModel,
+    _qfi_report,
     classical_fisher,
+    qfi,
 )
 from .linalg import (
     eig_hermitian,
@@ -277,7 +279,9 @@ def cem_outcome_model(
     """Outcome model Pr_theta(j) = <xi_j,theta| V rho_theta V^dag |xi_j,theta>.
 
     Outcomes are identified across parameter values by their spectral index j
-    (ascending energy order), never by the eigenvalue itself.
+    (ascending energy order), never by the eigenvalue itself.  With the
+    model's dh_of the outcome model also carries the analytic jet of
+    _outcome_jet.
     """
     v = require_unitary(V)
     rho = require_density(rho0)
@@ -286,7 +290,11 @@ def cem_outcome_model(
         ev, probs = _node(model, x, t, v, rho)
         return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
-    return ProbabilityModel(at=at, theta_domain=model.theta_domain)
+    def jet(x: float):
+        return _outcome_jet(model, x, t, v, rho)
+
+    return ProbabilityModel(at=at, theta_domain=model.theta_domain,
+                            jet=None if model.dh_of is None else jet)
 
 
 def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.ndarray):
@@ -303,21 +311,96 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.n
     return ev, np.clip(probs, 0.0, None)
 
 
+def _rounding_bound(E: np.ndarray, scale: float) -> float:
+    """First-order rounding bound eps (d + max|E| / min spacing) scale.
+
+    The eigenvectors of H = W diag(E) W^dag, and so every derivative built
+    from them, carry relative rounding errors of the order of the condition
+    number max|E| / min spacing (plus d from the matrix products); scale is
+    the size of the derivative.
+    """
+    spacing = float(np.min(np.diff(E)))
+    return np.finfo(float).eps * (E.shape[0] + float(np.max(np.abs(E))) / spacing) * scale
+
+
+def _outcome_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
+                 rho0: np.ndarray):
+    """(p, dp, dp_err) of the level weights at x from one decomposition of H(x).
+
+    With sigma = U_t rho0 U_t^dag, M = V sigma V^dag and the measured
+    eigenvectors xi_j = W e_j, the analytic generators give dxi = W (i g_diag)
+    and dsigma = -i [g_dyn, sigma], so
+    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  V and rho0 must
+    already be validated.
+    """
+    E, W, g_dyn, g_diag, _ = _generators(model, x, t, None)
+    u_t = spectral_unitary(E, W, t)
+    sigma = u_t @ rho0 @ u_t.conj().T
+    dsigma = -1j * (g_dyn @ sigma - sigma @ g_dyn)
+    B = W.conj().T @ V  # the control followed by the measured eigenbasis
+    Bh = B.conj().T
+    A = B @ sigma @ Bh  # W^dag M W
+    # <dxi_j|M|xi_j> = -i (g_diag A)_jj, so its doubled real part is 2 Im (g_diag A)_jj.
+    dp = (2.0 * np.einsum("jk,kj->j", g_diag, A).imag
+          + np.einsum("jk,kl,lj->j", B, dsigma, Bh).real)
+    scale = 2.0 * (np.linalg.norm(g_diag) + 2.0 * np.linalg.norm(g_dyn))
+    return np.clip(np.diagonal(A).real, 0.0, None), dp, _rounding_bound(E, scale)
+
+
 def fisher_cem(
     model: HamiltonianModel,
     theta: float,
     t: float,
     V,
     rho0,
-    diff: DiffSpec = DEFAULT_DIFF,
+    diff: DiffSpec | None = None,
 ) -> FisherReport:
     """Fisher information of a controlled energy measurement.
 
     The parameter moves both the state rho_theta and the measured eigenbasis,
     so this is a non-regular statistical model; the energy measurement V = I
-    yields a t-independent value.
+    yields a t-independent value.  diff is classical_fisher's: by default a
+    model with dh_of is differentiated analytically through _outcome_jet (two
+    decompositions: rho0's check and H(theta)); an explicit finite-difference
+    DiffSpec, or a model without dh_of (Richardson then), runs the stencil
+    over cem_outcome_model's distributions as the oracle.
     """
     return classical_fisher(cem_outcome_model(model, t, V, rho0), theta, diff)
+
+
+def encoded_qfi(
+    model: HamiltonianModel,
+    theta: float,
+    t: float,
+    rho0: np.ndarray,
+    diff: DiffSpec | None = None,
+) -> tuple[FisherReport, float]:
+    """(SLD quantum Fisher information of rho_theta = U_t rho0 U_t^dag, sigma(g_dyn)).
+
+    sigma(g_dyn)^2 is the quantum Fisher information of the best preparation.
+    By default one decomposition of H(theta) gives U_t and g_dyn, and the
+    state moves as drho = -i [g_dyn, rho] (method "analytic", step 0; theta
+    only has to lie inside the open domain).  An explicit finite-difference
+    diff, or a model without dh_of (Richardson then), runs fisher.qfi's
+    stencil over model.u_of instead; that path is the oracle and also checks
+    the rank of rho across the stencil.  g_dyn follows generator_pair's
+    default on both paths.  rho0 must be Hermitian with unit trace.
+    """
+    if diff is not None or model.dh_of is None:
+        def rho_of(x: float) -> np.ndarray:
+            u = model.u_of(x, t)
+            return u @ rho0 @ u.conj().T
+
+        report = qfi(rho_of, theta, DEFAULT_DIFF if diff is None else diff,
+                     model.theta_domain)
+        return report, spectral_gap(_generators(model, theta, t, None)[2])
+    E, W, g_dyn, _, _ = _generators(model, theta, t, None)
+    u_t = spectral_unitary(E, W, t)
+    rho = u_t @ rho0 @ u_t.conj().T
+    drho = -1j * (g_dyn @ rho - rho @ g_dyn)
+    drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
+    report = _qfi_report(rho, (drho + drho.conj().T) / 2.0, drho_err, numdiff.ANALYTIC, 0.0)
+    return report, spectral_gap(g_dyn)
 
 
 # --- independent derivative-free maximization ---------------------------------------

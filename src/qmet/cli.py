@@ -7,12 +7,14 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 'selftest' executes the randomized property suites.
 
 A run is configured by an INI file (sections [model], [grid], [diff],
-[phasesim], [optimizer], [run]) plus command-line flags; flags win.  [diff]
-sets only real finite differences: the 'qfi' column, the 'jc' classical
-Fisher information and the 'phase-sim' read-out Fisher information; the
-generators behind G and max_qfi are analytic from the model's dh_of.  With a
-fixed seed, repeated runs produce byte-identical output; every file
-carries its config hash.
+[phasesim], [optimizer], [run]) plus command-line flags; flags win.  The
+'qfi' column and the 'jc' classical Fisher information are analytic by
+default; a [diff] section (method defaults to richardson-fd) switches both
+to the finite-difference oracle.  The 'phase-sim' read-out Fisher
+information always takes finite differences, Richardson unless [diff] says
+otherwise.  The generators behind G and max_qfi are analytic from the
+model's dh_of.  With a fixed seed, repeated runs produce byte-identical
+output; every file carries its config hash.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import g_bound, generator_pair, optimize_cem
+from .cem import encoded_qfi, g_bound, optimize_cem
 from .errors import QmetError
-from .fisher import classical_fisher, qfi
+from .fisher import classical_fisher
 from .models import (
     HamiltonianModel,
     jc_readout_model,
@@ -40,7 +42,7 @@ from .models import (
     make_qubit_xcomponent,
     reference,
 )
-from .numdiff import DiffSpec
+from .numdiff import DEFAULT_DIFF, RICHARDSON, DiffSpec
 from .phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
 from .selftest import run_all
 
@@ -62,7 +64,7 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     theta_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.3, 2.8, 10))
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.3, 3.0, 10))
-    diff_method: str = "richardson-fd"
+    diff_method: Optional[str] = None  # None: analytic where a path exists
     diff_step: Optional[float] = None
     diff_levels: int = 2
     n: int = 6
@@ -74,7 +76,10 @@ class RunConfig:
     out: Optional[str] = None
     fmt: str = "csv"
 
-    def diff(self) -> DiffSpec:
+    def diff(self) -> Optional[DiffSpec]:
+        """The finite-difference oracle spec, None when no [diff] section was given."""
+        if self.diff_method is None:
+            return None
         return DiffSpec(method=self.diff_method, step=self.diff_step, levels=self.diff_levels)
 
     def canonical(self) -> str:
@@ -171,10 +176,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg.theta_grid = _parse_grid(grid["theta"])
         if "t" in grid:
             cfg.t_grid = _parse_grid(grid["t"])
-        diff = parser["diff"] if parser.has_section("diff") else {}
-        cfg.diff_method = diff.get("method", cfg.diff_method)
-        cfg.diff_step = _ini_number(diff, "step", float, cfg.diff_step)
-        cfg.diff_levels = _ini_number(diff, "levels", int, cfg.diff_levels)
+        if parser.has_section("diff"):  # any [diff] section selects the oracle path
+            diff = parser["diff"]
+            cfg.diff_method = diff.get("method", RICHARDSON)
+            cfg.diff_step = _ini_number(diff, "step", float, cfg.diff_step)
+            cfg.diff_levels = _ini_number(diff, "levels", int, cfg.diff_levels)
         ps = parser["phasesim"] if parser.has_section("phasesim") else {}
         cfg.n = _ini_number(ps, "n", int, cfg.n)
         cfg.m = _ini_number(ps, "m", int, cfg.m)
@@ -239,7 +245,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                           f"got {cfg.restarts} and {cfg.iterations}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
-    if cfg.diff_method not in ("central-fd", "richardson-fd"):
+    if cfg.diff_method not in (None, "central-fd", "richardson-fd"):
         raise ConfigError(f"diff method must be central-fd or richardson-fd, "
                           f"got {cfg.diff_method!r}")
     return cfg
@@ -341,18 +347,16 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        def rho_of(x):
-            u = model.u_of(x, t)
-            return u @ rho0 @ u.conj().T
-        value = qfi(rho_of, theta, diff, model.theta_domain).value
-        max_value = generator_pair(model, theta, t).gaps[0] ** 2
+        report, sigma_dyn = encoded_qfi(model, theta, t, rho0, diff)
+        value, max_value = report.value, sigma_dyn ** 2
         ref, max_ref = _qfi_refs(cfg, theta, t)
         abs_err = abs(value - ref) if math.isfinite(ref) else math.nan
         max_abs_err = abs(max_value - max_ref) if math.isfinite(max_ref) else math.nan
-        return (theta, t, value, ref, abs_err, max_value, max_ref, max_abs_err)
+        return (theta, t, value, report.error_estimate, ref, abs_err,
+                max_value, max_ref, max_abs_err)
 
     records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("theta", "t", "qfi", "qfi_ref", "abs_err",
+    write_records(cfg, ("theta", "t", "qfi", "qfi_err", "qfi_ref", "abs_err",
                         "max_qfi", "max_qfi_ref", "max_abs_err"), records)
     return EXIT_OK
 
@@ -395,7 +399,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 def cmd_phase_sim(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    diff = cfg.diff()
+    diff = cfg.diff() or DEFAULT_DIFF  # the read-out has no analytic path yet
     try:  # PhaseSimConfig owns the bounds on n, m and tau
         base = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=0.0,
                               rho0=_ground_projector(model.dim))
@@ -431,16 +435,16 @@ def cmd_jc(cfg: RunConfig) -> int:
         fq = reference("jc_qfi")(t=t, alpha1_sq=alpha1_sq)
         fc_ref = reference("jc_fc")(omega=omega, kappa=p["kappa"], t=t, alpha1_sq=alpha1_sq)
         pm = jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-        fc_sim = classical_fisher(pm, omega, diff).value
+        fc_sim = classical_fisher(pm, omega, diff)
         threshold = reference("jc_enhancement_threshold")(omega=omega, kappa=p["kappa"], t=t)
         divergent = fq == 0.0
-        gamma = math.inf if divergent else fc_sim / fq
+        gamma = math.inf if divergent else fc_sim.value / fq
         region = (1.0 - alpha1_sq) < threshold
-        return (omega, t, fq, fc_sim, fc_ref, gamma, (not divergent) and gamma > 1.0,
-                threshold, region, divergent)
+        return (omega, t, fq, fc_sim.value, fc_sim.error_estimate, fc_ref, gamma,
+                (not divergent) and gamma > 1.0, threshold, region, divergent)
 
     records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("omega", "t", "fq_ref", "fc_sim", "fc_ref", "gamma",
+    write_records(cfg, ("omega", "t", "fq_ref", "fc_sim", "fc_sim_err", "fc_ref", "gamma",
                         "gamma_gt1", "alpha0sq_threshold", "enhancement_region",
                         "gamma_divergent"), records)
     return EXIT_OK

@@ -10,7 +10,7 @@ POVM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,10 +65,16 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class ProbabilityModel:
-    """theta -> OutcomeDistribution with a fixed, parameter-independent sample space."""
+    """theta -> OutcomeDistribution with a fixed, parameter-independent sample space.
+
+    jet, when given, maps theta to (p, dp, dp_err): the probabilities, their
+    exact theta-derivative and a first-order rounding bound on each dp entry,
+    all from one evaluation at theta.  classical_fisher uses it by default.
+    """
 
     at: Callable[[float], OutcomeDistribution]
     theta_domain: tuple[float, float] = (-np.inf, np.inf)
+    jet: Optional[Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,18 @@ class FisherReport:
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
+def _fisher_sum(p: np.ndarray, dp, dp_err) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{p_x > SUPPORT_THRESHOLD} dp_x^2 / p_x over the last axis, with its error bound.
+
+    A derivative error dp_err moves each term by at most (2 |dp_x| + dp_err) dp_err / p_x.
+    """
+    support = p > SUPPORT_THRESHOLD
+    safe = np.where(support, p, 1.0)
+    values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
+    errs = np.where(support, (2.0 * np.abs(dp) + dp_err) * dp_err / safe, 0.0).sum(axis=-1)
+    return np.maximum(values, 0.0), errs
+
+
 def fisher_rows(
     p_of, theta: float, p: np.ndarray, diff: DiffSpec = DEFAULT_DIFF,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,10 +132,10 @@ def fisher_rows(
     p is the (T, K) batch at theta and p_of(x) returns the batch at any other
     stencil node; every row must stay normalised over the same K outcomes.
     Row r gets F_r = sum_{p_rx > SUPPORT_THRESHOLD} (d p_rx / d theta)^2 / p_rx
-    and the first-order error bound sum 2 |d p_rx| dp_err / p_rx, where dp_err
-    is the derivative error of the whole batch (exact for T = 1,
-    conservative otherwise).  Returns (values, error estimates), each (T,).
-    The caller checks the stencil against the parameter domain.
+    and the first-order error bound of _fisher_sum, with dp_err the
+    derivative error of the whole batch (exact for T = 1, conservative
+    otherwise).  Returns (values, error estimates), each (T,).  The caller
+    checks the stencil against the parameter domain.
     """
     def checked(x: float) -> np.ndarray:
         q = np.asarray(p_of(x), dtype=float)
@@ -128,27 +146,36 @@ def fisher_rows(
 
     _require_normalized(p)
     dp, dp_err = numdiff.derivative(checked, theta, diff)
-    support = p > SUPPORT_THRESHOLD
-    safe = np.where(support, p, 1.0)
-    values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
-    errs = np.where(support, 2.0 * np.abs(dp) * dp_err / safe, 0.0).sum(axis=-1)
-    return np.maximum(values, 0.0), errs
+    return _fisher_sum(p, dp, dp_err)
 
 
 def classical_fisher(
-    model: ProbabilityModel, theta: float, diff: DiffSpec = DEFAULT_DIFF
+    model: ProbabilityModel, theta: float, diff: DiffSpec | None = None
 ) -> FisherReport:
     """Classical Fisher information sum over the support of the distribution.
 
-    F(theta) = sum_{x in support} (d p_x / d theta)^2 / p_x, with the
-    derivative taken by the requested scheme and outcomes whose probability
-    falls below the support threshold excluded from the sum.
+    F(theta) = sum_{x in support} (d p_x / d theta)^2 / p_x, with outcomes
+    whose probability falls below the support threshold excluded from the
+    sum.  By default a model with a jet is differentiated exactly at theta
+    alone (method "analytic", step 0, theta only has to lie inside the open
+    domain); an explicit DiffSpec, or a model without a jet (Richardson
+    then), takes the finite-difference stencil instead, which is the oracle.
     """
-    numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
+    if diff is None and model.jet is not None:
+        numdiff.check_domain(theta, 0.0, model.theta_domain)
+        p, dp, dp_err = (np.asarray(a, dtype=float) for a in model.jet(theta))
+        _require_normalized(p)
+        if abs(dp.sum()) > 1e-10:
+            raise NonNormalized(f"probability derivatives sum to {dp.sum()!r}")
+        value, err = _fisher_sum(p, dp, dp_err)
+        return FisherReport(value=float(value), method=numdiff.ANALYTIC, step=0.0,
+                            error_estimate=float(err))
+    fd = DEFAULT_DIFF if diff is None else diff
+    numdiff.check_domain(theta, fd.base_step(theta), model.theta_domain)
     values, errs = fisher_rows(lambda x: model.at(x).probs[None, :], theta,
-                               model.at(theta).probs[None, :], diff)
-    return FisherReport(value=float(values[0]), method=diff.method,
-                        step=diff.base_step(theta), error_estimate=float(errs[0]))
+                               model.at(theta).probs[None, :], fd)
+    return FisherReport(value=float(values[0]), method=fd.method,
+                        step=fd.base_step(theta), error_estimate=float(errs[0]))
 
 
 def sld(rho, drho) -> np.ndarray:
@@ -206,16 +233,21 @@ def qfi(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF,
         theta_domain: tuple[float, float] = (-np.inf, np.inf)) -> FisherReport:
     """SLD quantum Fisher information tr(rho L^2) of a state family.
 
-    In the eigenbasis of rho the value is sum 2 |D_kl|^2 / (p_k + p_l), so the
-    derivative error eps of drho propagates to first order as the error
-    estimate sum 4 |D_kl| eps / (p_k + p_l), both over the support pairs.
+    In the eigenbasis of rho the value is sum 2 |D_kl|^2 / (p_k + p_l), so a
+    derivative error eps of drho moves it by at most the error estimate
+    sum (4 |D_kl| + 2 eps) eps / (p_k + p_l), both over the support pairs.
     """
     rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
+    return _qfi_report(rho, drho, err, diff.method, diff.base_step(theta))
+
+
+def _qfi_report(rho, drho, drho_err: float, method: str, step: float) -> FisherReport:
+    """qfi's value and first-order error estimate from rho, drho and the error of drho."""
     L, Dv, denom, support = _sld_parts(rho, drho)
     value = float(np.trace(rho @ L @ L).real)
-    error = float(np.sum(4.0 * np.abs(Dv[support]) * err / denom[support]))
-    return FisherReport(value=max(value, 0.0), method=diff.method,
-                        step=diff.base_step(theta), error_estimate=error)
+    error = float(np.sum((4.0 * np.abs(Dv[support]) + 2.0 * drho_err) * drho_err
+                         / denom[support]))
+    return FisherReport(value=max(value, 0.0), method=method, step=step, error_estimate=error)
 
 
 def qfi_pure(psi, dpsi) -> float:
@@ -254,7 +286,7 @@ def monotone_metric(
 
     Requires a full-rank family; f='ari' reproduces the SLD quantum Fisher
     information.  With F^(f) = sum c_kl |d_kl|^2, the derivative error eps of
-    drho propagates to first order as the error estimate sum 2 c_kl |d_kl| eps.
+    drho moves it by at most the error estimate sum c_kl (2 |d_kl| + eps) eps.
     """
     if f not in _MONOTONE_F:
         raise UnknownMetricTag(f"f must be one of {sorted(_MONOTONE_F)}, got {f!r}")
@@ -267,14 +299,14 @@ def monotone_metric(
     d = p.shape[0]
     diag = np.diag(Dv).real
     value = float(np.sum(diag ** 2 / p))
-    error = float(np.sum(2.0 * np.abs(diag) * err / p))
+    error = float(np.sum((2.0 * np.abs(diag) + err) * err / p))
     for k in range(d):
         for l in range(d):
             if k == l:
                 continue
             denom = p[l] * fn(p[k] / p[l])
             value += abs(Dv[k, l]) ** 2 / denom
-            error += 2.0 * abs(Dv[k, l]) * err / denom
+            error += (2.0 * abs(Dv[k, l]) + err) * err / denom
     return FisherReport(value=max(value, 0.0), method=diff.method,
                         step=diff.base_step(theta), error_estimate=error)
 

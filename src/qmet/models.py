@@ -14,6 +14,7 @@ expressions used as oracles for the numeric machinery:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameter, UnknownReference
 from .fisher import OutcomeDistribution, ProbabilityModel
-from .linalg import expm_unitary
+from .linalg import expm_unitary, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -101,11 +102,14 @@ def _ladder(n_max: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def _jc_hopping(n_max: int) -> np.ndarray:
-    """a^dag sigma_- + a sigma_+, atom factor first (|g>, |e>), field factor second."""
+    """Read-only a^dag sigma_- + a sigma_+, atom factor first (|g>, |e>), field factor second."""
     a = _ladder(n_max)
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    return np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
+    K = np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
+    K.flags.writeable = False
+    return K
 
 
 def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
@@ -116,14 +120,15 @@ def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
     return kappa * math.sqrt(omega) * _jc_hopping(n_max)
 
 
-def make_jaynes_cummings(omega: float, kappa: float, n_max: int = 8) -> HamiltonianModel:
+def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
     """Free field plus atom-field coupling on the truncated atom (x) field space.
 
-    H(omega') = I_2 (x) omega'(a^dag a + 1/2) + kappa sqrt(omega') (a^dag sigma_- + a sigma_+);
-    the estimated parameter omega' enters both the field frequency and the coupling.
+    H(omega) = I_2 (x) omega (a^dag a + 1/2) + kappa sqrt(omega) (a^dag sigma_- + a sigma_+);
+    the estimated frequency omega enters both the field energy and the
+    coupling.  The factory takes no frequency: omega is the point each
+    h_of/dh_of call is evaluated at (an earlier omega argument was only
+    range-checked and is gone).
     """
-    if omega <= 0:
-        raise InvalidParameter(f"omega must be positive, got {omega}")
     if kappa < 0:
         raise InvalidParameter(f"kappa must be nonnegative, got {kappa}")
     if n_max < 2:
@@ -160,6 +165,40 @@ def jc_field_state(omega: float, t: float, alpha0: complex, alpha1: complex,
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def _hopping_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lambda, V) with _jc_hopping(n_max) = V diag(lambda) V^dag.
+
+    The hopping does not depend on the frequency, so one decomposition per
+    truncation serves every read-out point.  Its spectrum is degenerate (the
+    zero level), which exp(-i s K) = V diag(exp(-i s lambda)) V^dag does not mind.
+    """
+    lam, V = np.linalg.eigh(require_hermitian(_jc_hopping(n_max)))
+    lam.flags.writeable = V.flags.writeable = False
+    return lam, V
+
+
+def _jc_output_jet(kappa: float, t: float, alpha0: complex, alpha1: complex, n_max: int,
+                   w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The joint output state of jc_readout_model at frequency w and its w-derivative.
+
+    The field amplitudes carry the free phases exp(-i w t (n + 1/2)), whose
+    derivative is -i t (n + 1/2) times the amplitude.  The coupling
+    exp(-i s K) with s = t kappa sqrt(w) is diagonal in the eigenbasis of K,
+    where d/dw multiplies each phase exp(-i s lambda) by -i (s / 2w) lambda.
+    """
+    if w <= 0:
+        raise InvalidParameter(f"frequency must be positive, got {w}")
+    lam, V = _hopping_eigensystem(n_max)
+    psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
+    dpsi_f = -1j * t * (np.arange(n_max + 1) + 0.5) * psi_f
+    to_eigen = V[: n_max + 1].conj().T  # the atom starts in |g>, the first block
+    c, dc = to_eigen @ psi_f, to_eigen @ dpsi_f
+    s = t * kappa * math.sqrt(w)
+    phase = np.exp(-1j * s * lam)
+    return V @ (phase * c), V @ (phase * (dc - 1j * (s / (2.0 * w)) * lam * c))
+
+
 def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
                      n_max: int = 8) -> ProbabilityModel:
     """Atom ground/excited read-out probabilities as a function of the field frequency.
@@ -168,7 +207,9 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     time t, coupled to an atom in its ground state through the truncated
     interaction for the same time t, and the atom is then measured.  Both the
     free phases and the coupling carry the frequency dependence; the atomic
-    outcome probabilities depend on it only through the coupling.
+    outcome probabilities depend on it only through the coupling.  The jet
+    differentiates the output state of _jc_output_jet exactly, with no
+    decomposition per point: dp = 2 Re <out|dout> on each atomic block.
     """
     hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
 
@@ -184,7 +225,16 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
         return OutcomeDistribution(outcomes=("ground", "excited"),
                                    probs=np.array([p_ground, p_excited]))
 
-    return ProbabilityModel(at=at, theta_domain=(0.0, np.inf))
+    def jet(w: float):
+        out, dout = _jc_output_jet(kappa, t, alpha0, alpha1, n_max, w)
+        atom = out.reshape(2, -1)  # rows: atom |g>, |e>
+        p = np.einsum("ij,ij->i", atom.conj(), atom).real
+        dp = 2.0 * np.einsum("ij,ij->i", atom.conj(), dout.reshape(2, -1)).real
+        # Each product of the jet rounds at the relative level d eps.
+        dp_err = 4.0 * out.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(dout))
+        return p, dp, dp_err
+
+    return ProbabilityModel(at=at, theta_domain=(0.0, np.inf), jet=jet)
 
 
 # --- closed-form reference functions ------------------------------------------------

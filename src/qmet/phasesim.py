@@ -18,9 +18,10 @@ formulas.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,8 +74,7 @@ class PhaseSimConfig:
             raise ValueError(f"control-qubit count n must be in [1, 12], got {self.n}")
         if self.m < 1:
             raise ValueError(f"subdivision count m must be >= 1, got {self.m}")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        _check_tau(self.tau)
         object.__setattr__(self, "rho0", require_density(self.rho0))
         if self.V is not None:
             object.__setattr__(self, "V", require_unitary(self.V))
@@ -83,7 +83,16 @@ class PhaseSimConfig:
         return np.eye(dim, dtype=complex) if self.V is None else self.V
 
     def with_tau(self, tau: float) -> "PhaseSimConfig":
-        return replace(self, tau=tau)
+        """This configuration at base time tau; only tau is checked again."""
+        _check_tau(tau)
+        new = copy.copy(self)  # skips __post_init__: the rest is already validated
+        object.__setattr__(new, "tau", tau)
+        return new
+
+
+def _check_tau(tau: Optional[float]) -> None:
+    if tau is not None and tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
 
 
 @dataclass(frozen=True)

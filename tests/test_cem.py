@@ -14,6 +14,7 @@ from qmet.cem import (
     check_condition,
     diagonalizer,
     diagonalizer_family,
+    encoded_qfi,
     fisher_cem,
     g_bound,
     generator_pair,
@@ -22,7 +23,7 @@ from qmet.cem import (
     optimize_cem,
 )
 from qmet.cli import EXIT_OK, main
-from qmet.errors import DegenerateSpectrum, DomainBoundary
+from qmet.errors import DegenerateSpectrum, DomainBoundary, NonHermitianInput
 from qmet.linalg import expm_unitary, spectral_gap
 from qmet.models import (
     HamiltonianModel,
@@ -229,7 +230,7 @@ ORACLE_GRIDS = {
                          np.linspace(0.3, 2.5, 15), np.linspace(0.3, 3.0, 15)),
     "nv-spin1": (lambda: make_nv_spin1(**NV_PARAMS),
                  np.linspace(0.05, 2.0, 10), np.linspace(0.3, 3.0, 10)),
-    "jaynes-cummings": (lambda: make_jaynes_cummings(1.0, 0.5, 8), (0.6, 1.0, 1.7), (0.7, 2.1)),
+    "jaynes-cummings": (lambda: make_jaynes_cummings(0.5, 8), (0.6, 1.0, 1.7), (0.7, 2.1)),
 }
 
 
@@ -320,6 +321,111 @@ class TestGeneratorDecompositionCounts:
         assert 6 <= decompositions[0] <= 3 * 6
 
 
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_analytic_report(fast, oracle):
+    """An analytic report agrees with its Richardson oracle and bounds its own rounding."""
+    scale = max(abs(oracle.value), 1.0)
+    assert (fast.method, fast.step, oracle.method) == ("analytic", 0.0, "richardson-fd")
+    assert abs(fast.value - oracle.value) <= 1e-8 * scale
+    assert 0.0 < fast.error_estimate <= 1e-9 * scale
+
+
+class TestAnalyticJets:
+    """fisher_cem and the qfi column from one decomposition, against the Richardson oracle."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_fisher_cem_matches_richardson_oracle(self, name):
+        make, thetas, ts = ORACLE_GRIDS[name]
+        model = make()
+        rng = np.random.default_rng(17)
+        for k, (theta, t) in enumerate(itertools.product(thetas, ts)):
+            theta, t = float(theta), float(t)
+            sol = g_bound(model, theta, t)
+            rho0 = np.outer(sol.psi_opt, sol.psi_opt.conj())
+            V = sol.V_opt if k % 2 == 0 else haar_unitary(rng, model.dim)
+            assert_analytic_report(fisher_cem(model, theta, t, V, rho0),
+                                   fisher_cem(model, theta, t, V, rho0, RICHARDSON))
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_encoded_qfi_matches_richardson_oracle(self, name):
+        make, thetas, ts = ORACLE_GRIDS[name]
+        model = make()
+        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+        rho0[0, 0] = 1.0  # the CLI's ground projector
+        for theta, t in itertools.product(thetas, ts):
+            theta, t = float(theta), float(t)
+            fast, sigma = encoded_qfi(model, theta, t, rho0)
+            oracle, oracle_sigma = encoded_qfi(model, theta, t, rho0, RICHARDSON)
+            assert_analytic_report(fast, oracle)
+            assert sigma == oracle_sigma == generator_pair(model, theta, t).gaps[0]
+            assert fast.value <= sigma**2 * (1.0 + 1e-12) + 1e-12
+
+    def test_encoded_qfi_matches_closed_form(self):
+        model = make_qubit_direction(1.0)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        ref = reference("direction_qfi")
+        for theta, t in itertools.product(np.linspace(0.2, math.pi - 0.2, 7),
+                                          np.linspace(0.1, 2 * math.pi, 7)):
+            report, _ = encoded_qfi(model, float(theta), float(t), rho0)
+            expected = ref(theta=float(theta), omega=1.0, t=float(t))
+            assert abs(report.value - expected) <= 1e-12 * max(expected, 1.0)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_path_selection(self, name):
+        """None with dh_of is analytic; an explicit spec or a model without dh_of is not."""
+        model = ORACLE_GRIDS[name][0]()
+        bare = dataclasses.replace(model, dh_of=None)
+        sol = g_bound(model, 0.8, 1.1)
+        rho0 = np.outer(sol.psi_opt, sol.psi_opt.conj())
+        central = DiffSpec(method="central-fd")
+        assert fisher_cem(model, 0.8, 1.1, sol.V_opt, rho0).method == "analytic"
+        assert fisher_cem(model, 0.8, 1.1, sol.V_opt, rho0, central).method == "central-fd"
+        assert fisher_cem(bare, 0.8, 1.1, sol.V_opt, rho0).method == "richardson-fd"
+        assert encoded_qfi(model, 0.8, 1.1, rho0)[0].method == "analytic"
+        assert encoded_qfi(model, 0.8, 1.1, rho0, central)[0].method == "central-fd"
+        assert encoded_qfi(bare, 0.8, 1.1, rho0)[0].method == "richardson-fd"
+
+    def test_analytic_path_keeps_the_checks(self):
+        m = make_qubit_direction(1.0)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        skew = dataclasses.replace(m, dh_of=lambda q: 1j * SX)
+        with pytest.raises(NonHermitianInput):
+            fisher_cem(skew, 0.8, 1.0, np.eye(2), rho0)
+        with pytest.raises(NonHermitianInput):
+            encoded_qfi(skew, 0.8, 1.0, rho0)
+        flat = HamiltonianModel("flat", 2, lambda q: np.eye(2, dtype=complex),
+                                dh_of=lambda q: SZ.copy())
+        with pytest.raises(DegenerateSpectrum):
+            fisher_cem(flat, 0.3, 1.0, np.eye(2), rho0)
+        with pytest.raises(DegenerateSpectrum):
+            encoded_qfi(flat, 0.3, 1.0, rho0)
+        with pytest.raises(DomainBoundary):
+            encoded_qfi(m, math.pi, 1.0, rho0)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_decomposition_counts(self, decompositions, name):
+        model = ORACLE_GRIDS[name][0]()
+        sol = g_bound(model, 0.7, 1.3)
+        rho0 = np.outer(sol.psi_opt, sol.psi_opt.conj())
+        decompositions[0] = 0
+        fisher_cem(model, 0.7, 1.3, sol.V_opt, rho0)
+        assert 1 <= decompositions[0] <= 2
+        decompositions[0] = 0
+        encoded_qfi(model, 0.7, 1.3, rho0)
+        assert 1 <= decompositions[0] <= 3
+
+    def test_cli_qfi_point(self, decompositions, tmp_path):
+        decompositions[0] = 0
+        code = main(["qfi", "--model", "nv-spin1", "--theta", "0.3:1.5:3", "--t", "0.5:2.0:2",
+                     "--out", str(tmp_path / "q.csv")])
+        assert code == EXIT_OK
+        assert 6 <= decompositions[0] <= 3 * 6
+
+
 class TestFisherCem:
     def test_energy_measurement_is_time_independent(self):
         m = make_qubit_direction(1.0)
@@ -350,9 +456,14 @@ class TestFisherCem:
         assert fi <= 1e-12
 
     def test_domain_boundary(self):
+        """Only the Richardson stencil needs room; the analytic path needs an interior theta."""
         m = make_qubit_direction(1.0)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(DomainBoundary):
-            fisher_cem(m, 1e-6, 1.0, np.eye(2), np.diag([1.0, 0.0]).astype(complex))
+            fisher_cem(m, 1e-6, 1.0, np.eye(2), rho0, RICHARDSON)
+        with pytest.raises(DomainBoundary):
+            fisher_cem(m, 0.0, 1.0, np.eye(2), rho0)  # the domain is open
+        assert fisher_cem(m, 1e-6, 1.0, np.eye(2), rho0).method == "analytic"
 
     def test_outcomes_indexed_by_spectral_order(self):
         m = make_qubit_direction(1.0)

@@ -3,10 +3,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qmet.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from qmet.models import reference
+from qmet.cem import generator_pair
+from qmet.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _fmt, main
+from qmet.fisher import classical_fisher, qfi
+from qmet.models import (
+    jc_readout_model,
+    make_nv_spin1,
+    make_qubit_direction,
+    reference,
+)
+from qmet.numdiff import DiffSpec
 
 
 def run(tmp_path, *argv):
@@ -123,8 +132,15 @@ class TestDeterminism:
 
 class TestNumericalFailures:
     def test_domain_boundary_is_exit_three(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "qfi", "--model", "qubit-direction",
+        """The Richardson stencil leaves (0, pi) at theta = 1e-6; the analytic path at 0."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        code, _ = run(tmp_path, "qfi", "--config", str(ini), "--model", "qubit-direction",
                       "--theta", "0.000001:1:3", "--t", "1:2:2")
+        assert code == EXIT_NUMERICAL
+        assert "grid point" in capsys.readouterr().err
+        code, _ = run(tmp_path, "qfi", "--model", "qubit-direction",
+                      "--theta", "0:1:3", "--t", "1:2:2")
         assert code == EXIT_NUMERICAL
         assert "grid point" in capsys.readouterr().err
 
@@ -135,11 +151,12 @@ class TestSweepOutputs:
                          "--theta", "0.5:2.5:3", "--t", "0.4:2.0:3")
         assert code == EXIT_OK
         header, rows = parse_csv(text)
-        assert header == ["theta", "t", "qfi", "qfi_ref", "abs_err",
+        assert header == ["theta", "t", "qfi", "qfi_err", "qfi_ref", "abs_err",
                           "max_qfi", "max_qfi_ref", "max_abs_err"]
         for row in rows:
             assert float(row["abs_err"]) < 1e-5
             assert float(row["max_abs_err"]) < 1e-5
+            assert 0.0 < float(row["qfi_err"]) <= 1e-9 * max(float(row["qfi"]), 1.0)
 
     def test_gbound_gamma_below_one(self, tmp_path):
         code, text = run(tmp_path, "gbound", "--model", "qubit-direction",
@@ -197,10 +214,14 @@ class TestSweepOutputs:
         code, text = run(tmp_path, "jc", "--model", "jaynes-cummings",
                          "--theta", "0.6:1.8:3", "--t", "0.5:2.5:3")
         assert code == EXIT_OK
-        _, rows = parse_csv(text)
+        header, rows = parse_csv(text)
+        assert header == ["omega", "t", "fq_ref", "fc_sim", "fc_sim_err", "fc_ref", "gamma",
+                          "gamma_gt1", "alpha0sq_threshold", "enhancement_region",
+                          "gamma_divergent"]
         for row in rows:
             assert float(row["fc_sim"]) == pytest.approx(float(row["fc_ref"]),
                                                          rel=1e-6, abs=1e-9)
+            assert 0.0 < float(row["fc_sim_err"]) <= 1e-9 * max(float(row["fc_sim"]), 1.0)
 
     def test_oscillator_region(self, tmp_path):
         code, text = run(tmp_path, "oscillator", "--t", "0.3:12.0:40")
@@ -234,3 +255,70 @@ class TestSweepOutputs:
         assert set(payload) == {"version", "config_sha256", "columns", "records"}
         assert len(payload["records"]) == 3
         assert all(len(rec) == len(payload["columns"]) for rec in payload["records"])
+
+
+class TestDiffOracleSwitch:
+    """A [diff] section puts qfi and jc back on the Richardson stencil, bit for bit."""
+
+    MODELS = {"qubit-direction": lambda: make_qubit_direction(1.0),
+              "nv-spin1": lambda: make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)}
+
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    def test_qfi_columns_are_the_richardson_values(self, tmp_path, model_name):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        grid = ("--theta", "0.4:2.1:3", "--t", "0.5:2.6:2")
+        code, text = run(tmp_path, "qfi", "--config", str(ini), "--model", model_name, *grid)
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        _, fast_rows = parse_csv(run(tmp_path, "qfi", "--model", model_name, *grid)[1])
+        model = self.MODELS[model_name]()
+        rho0 = np.diag([1.0] + [0.0] * (model.dim - 1)).astype(complex)
+        for row, fast in zip(rows, fast_rows):
+            theta, t = float(row["theta"]), float(row["t"])
+
+            def rho_of(x, t=t):
+                u = model.u_of(x, t)
+                return u @ rho0 @ u.conj().T
+
+            oracle = qfi(rho_of, theta, DiffSpec(), model.theta_domain)
+            assert row["qfi"] == _fmt(oracle.value)
+            assert row["qfi_err"] == _fmt(oracle.error_estimate)
+            assert row["max_qfi"] == _fmt(generator_pair(model, theta, t).gaps[0] ** 2)
+            assert fast["max_qfi"] == row["max_qfi"]
+            assert float(fast["qfi"]) == pytest.approx(oracle.value, rel=1e-8, abs=1e-8)
+            assert float(fast["qfi_err"]) < oracle.error_estimate
+
+    def test_jc_columns_are_the_richardson_values(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nlevels = 2\n")  # method defaults to richardson-fd
+        grid = ("--theta", "0.6:1.8:3", "--t", "0.5:2.5:2")
+        code, text = run(tmp_path, "jc", "--config", str(ini), *grid)
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        _, fast_rows = parse_csv(run(tmp_path, "jc", *grid)[1])
+        for row, fast in zip(rows, fast_rows):
+            omega, t = float(row["omega"]), float(row["t"])
+            pm = jc_readout_model(0.5, t, math.sqrt(0.5), math.sqrt(0.5), 8)
+            oracle = classical_fisher(pm, omega, DiffSpec())
+            assert row["fc_sim"] == _fmt(oracle.value)
+            assert row["fc_sim_err"] == _fmt(oracle.error_estimate)
+            assert float(fast["fc_sim"]) == pytest.approx(oracle.value, rel=1e-8, abs=1e-8)
+            assert float(fast["fc_sim_err"]) < oracle.error_estimate
+
+    def test_diff_section_enters_the_config_hash(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        grid = ("--theta", "1.0:1.0:1", "--t", "1.0:1.0:1")
+        oracle = run(tmp_path, "qfi", "--config", str(ini), *grid)[1].splitlines()[0]
+        fast = run(tmp_path, "qfi", *grid)[1].splitlines()[0]
+        assert oracle != fast
+
+
+class TestDecompositionCounts:
+    def test_jc_point(self, decompositions, tmp_path):
+        """The read-out jet decomposes the hopping at most once per run, never per point."""
+        decompositions[0] = 0
+        code, _ = run(tmp_path, "jc", "--theta", "0.6:1.8:3", "--t", "0.5:2.5:2")
+        assert code == EXIT_OK
+        assert decompositions[0] <= 1

@@ -30,7 +30,7 @@ from qmet.fisher import (
 )
 from qmet.linalg import expm_unitary, operator_variance
 from qmet.models import make_qubit_direction, reference
-from qmet.numdiff import derivative
+from qmet.numdiff import DiffSpec, derivative
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -86,6 +86,57 @@ class TestClassicalFisher:
 
         report = classical_fisher(ProbabilityModel(at=at, theta_domain=(0, 1)), 0.4)
         assert report.value == pytest.approx(1.0 / (0.4 * 0.6), rel=1e-8)
+
+
+def jet_model(p_of, dp_of, domain=(0.0, 1.0)):
+    """A model whose jet returns the given probabilities and derivatives at rounding 1e-15."""
+    def at(q):
+        return OutcomeDistribution(outcomes=tuple(range(len(p_of(q)))), probs=p_of(q))
+
+    return ProbabilityModel(at=at, theta_domain=domain,
+                            jet=lambda q: (p_of(q), dp_of(q), 1e-15))
+
+
+class TestClassicalFisherJet:
+    def bernoulli(self):
+        return jet_model(lambda q: np.array([q, 1.0 - q]), lambda q: np.array([1.0, -1.0]))
+
+    def test_jet_by_default_stencil_on_request(self):
+        model = self.bernoulli()
+        fast = classical_fisher(model, 0.3)
+        assert (fast.method, fast.step) == ("analytic", 0.0)
+        assert fast.value == pytest.approx(1.0 / (0.3 * 0.7), rel=1e-15)
+        assert 0.0 < fast.error_estimate <= 1e-13
+        oracle = classical_fisher(model, 0.3, DiffSpec())
+        assert oracle.method == "richardson-fd"
+        assert oracle.value == pytest.approx(fast.value, rel=1e-9)
+
+    def test_domain_check_has_radius_zero(self):
+        model = self.bernoulli()
+        assert classical_fisher(model, 1e-6).method == "analytic"
+        with pytest.raises(DomainBoundary):
+            classical_fisher(model, 0.0)
+        with pytest.raises(DomainBoundary):
+            classical_fisher(model, 1e-6, DiffSpec())
+
+    def test_normalization_of_p_and_dp(self):
+        with pytest.raises(NonNormalized):
+            classical_fisher(jet_model(lambda q: np.array([q, 0.9 - q]),
+                                       lambda q: np.array([1.0, -1.0])), 0.3)
+        with pytest.raises(NonNormalized):
+            classical_fisher(jet_model(lambda q: np.array([q, 1.0 - q]),
+                                       lambda q: np.array([1.0, -1.0 + 1e-9])), 0.3)
+
+    def test_support_exclusion(self):
+        model = jet_model(lambda q: np.array([q, 1.0 - q, 0.0]),
+                          lambda q: np.array([1.0, -1.0, 0.0]))
+        report = classical_fisher(model, 0.4)
+        assert report.value == pytest.approx(1.0 / (0.4 * 0.6), rel=1e-15)
+
+    def test_zero_information_has_nonzero_error(self):
+        model = jet_model(lambda q: np.array([0.3, 0.7]), lambda q: np.zeros(2))
+        report = classical_fisher(model, 0.5)
+        assert report.value == 0.0 and report.error_estimate > 0.0
 
 
 class TestFisherRows:

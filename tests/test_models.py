@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qmet import models
 from qmet.errors import InvalidParameter, UnknownReference
+from qmet.fisher import classical_fisher
 from qmet.linalg import eig_hermitian, expm_unitary, require_hermitian
 from qmet.models import (
     SIGMA_X,
@@ -22,7 +24,11 @@ from qmet.models import (
     reference,
     reference_names,
 )
-from qmet.numdiff import central5
+from qmet.numdiff import DiffSpec, central5
+
+# (omega, t, alpha1^2): both regions of the read-out, the excited preparation, long times.
+JC_POINTS = [(0.6, 0.7, 0.5), (1.0, 2.1, 0.5), (1.7, 0.7, 0.96),
+             (0.3, 5.0, 0.3), (1.4, 2.3, 1.0), (0.9, 7.5, 0.8)]
 
 
 def assert_analytic_derivative(model, thetas, rtol=1e-7):
@@ -109,7 +115,7 @@ class TestJaynesCummings:
     def test_coupling_matrix_elements(self):
         """<e,0|H_I|g,1> = Omega = kappa sqrt(omega); annihilation lowers |1> to |0>."""
         w, kappa, n_max = 1.3, 0.5, 8
-        H = make_jaynes_cummings(w, kappa, n_max).h_of(w)
+        H = make_jaynes_cummings(kappa, n_max).h_of(w)
         omega_rabi = kappa * math.sqrt(w)
         g1 = 1            # |g> (x) |1>
         e0 = n_max + 1    # |e> (x) |0>
@@ -126,23 +132,23 @@ class TestJaynesCummings:
         assert Hi[g0 + 1, n_max + 1] == pytest.approx(kappa * math.sqrt(w))
 
     def test_zero_coupling_is_block_diagonal(self):
-        m = make_jaynes_cummings(1.0, 0.0, 4)
+        m = make_jaynes_cummings(0.0, 4)
         H = m.h_of(1.0)
         assert np.allclose(H[:5, 5:], 0.0)
         assert np.allclose(H[5:, :5], 0.0)
 
     def test_truncation_guard(self):
         with pytest.raises(InvalidParameter):
-            make_jaynes_cummings(1.0, 0.5, 1)
+            make_jaynes_cummings(0.5, 1)
 
     def test_derivative(self):
-        m = make_jaynes_cummings(1.0, 0.5, 6)
+        m = make_jaynes_cummings(0.5, 6)
         assert_analytic_derivative(m, [0.5, 1.0, 2.0])
 
     def test_hamiltonian_matches_kronecker_definition(self):
         """The prebuilt operators scaled per call give I_2 (x) w(N + 1/2) + jc_coupling."""
         kappa, n_max = 0.5, 8
-        m = make_jaynes_cummings(1.0, kappa, n_max)
+        m = make_jaynes_cummings(kappa, n_max)
         number = np.diag(np.arange(n_max + 1) + 0.5).astype(complex)
         for w in (0.2, 1.0, 2.7):
             H = np.kron(np.eye(2), w * number) + jc_coupling(w, kappa, n_max)
@@ -159,6 +165,60 @@ class TestJaynesCummings:
             assert np.array_equal(pm.at(w).probs, expected)
 
 
+class TestJaynesCummingsJet:
+    """The read-out jet: one decomposition of the hopping per truncation, none per point."""
+
+    def test_matches_richardson_oracle_and_closed_form(self):
+        kappa = 0.5
+        for w, t, a1sq in JC_POINTS:
+            pm = jc_readout_model(kappa, t, math.sqrt(1 - a1sq), math.sqrt(a1sq), 8)
+            fast, oracle = classical_fisher(pm, w), classical_fisher(pm, w, DiffSpec())
+            scale = max(abs(oracle.value), 1.0)
+            assert (fast.method, fast.step, oracle.method) == ("analytic", 0.0, "richardson-fd")
+            assert abs(fast.value - oracle.value) <= 1e-8 * scale
+            assert 0.0 < fast.error_estimate <= 1e-9 * scale
+            ref = reference("jc_fc")(omega=w, kappa=kappa, t=t, alpha1_sq=a1sq)
+            assert abs(fast.value - ref) <= 1e-12 * (1.0 + ref)
+
+    def test_probabilities_match_at(self):
+        pm = jc_readout_model(0.5, 2.3, math.sqrt(0.3), math.sqrt(0.7), 8)
+        for w in (0.4, 1.1, 1.9):
+            p, _, _ = pm.jet(w)
+            assert np.max(np.abs(p - pm.at(w).probs)) <= 1e-14
+
+    def test_output_state_derivative(self):
+        """Both the free phases and the coupling enter d out / d w, checked against central5."""
+        kappa, n_max = 0.5, 8
+        a0, a1 = math.sqrt(0.4), math.sqrt(0.6)
+        for w, t in ((0.6, 0.7), (1.3, 2.9), (1.9, 6.0)):
+            def out_of(x, t=t):
+                joint = np.kron([1.0, 0.0], jc_field_state(x, t, a0, a1, n_max))
+                return expm_unitary(jc_coupling(x, kappa, n_max), t) @ joint
+
+            out, dout = models._jc_output_jet(kappa, t, a0, a1, n_max, w)
+            assert np.max(np.abs(out - out_of(w))) <= 1e-13
+            assert np.max(np.abs(dout - central5(out_of, w, 1e-3))) <= 1e-8 * (1.0 + t)
+
+    def test_invalid_frequency(self):
+        pm = jc_readout_model(0.5, 1.0, math.sqrt(0.5), math.sqrt(0.5), 8)
+        with pytest.raises(InvalidParameter):
+            pm.jet(0.0)
+        with pytest.raises(InvalidParameter):  # the field amplitudes must be normalized
+            jc_readout_model(0.5, 1.0, 0.5, 0.5, 8).jet(1.0)
+
+    def test_one_decomposition_per_truncation(self, decompositions):
+        models._hopping_eigensystem.cache_clear()
+        decompositions[0] = 0
+        for w, t, a1sq in JC_POINTS:
+            for n_max in (6, 8):
+                pm = jc_readout_model(0.5, t, math.sqrt(1 - a1sq), math.sqrt(a1sq), n_max)
+                classical_fisher(pm, w)
+        assert decompositions[0] == 2
+        decompositions[0] = 0
+        classical_fisher(jc_readout_model(0.5, 1.0, 0.0, 1.0, 8), 0.9, DiffSpec())
+        assert decompositions[0] == 7  # the oracle decomposes at every stencil node
+
+
 class TestHermiticityEverywhere:
     @pytest.mark.parametrize(
         "factory,domain",
@@ -166,7 +226,7 @@ class TestHermiticityEverywhere:
             (lambda: make_qubit_direction(1.1), (0.05, 3.0)),
             (lambda: make_qubit_xcomponent(0.9), (-3.0, 3.0)),
             (lambda: make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi), (0.01, 3.0)),
-            (lambda: make_jaynes_cummings(1.0, 0.5, 5), (0.1, 3.0)),
+            (lambda: make_jaynes_cummings(0.5, 5), (0.1, 3.0)),
         ],
     )
     def test_h_of_is_hermitian(self, factory, domain):

@@ -546,6 +546,18 @@ class TestDecompositionCounts:
         fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau, from the center node
         assert 1 <= decompositions[0] <= 8
 
+    def test_with_tau_checks_only_tau(self, decompositions):
+        """with_tau does not validate rho0 again, but still rejects a bad tau."""
+        model = make_nv_spin1(*NV)
+        cfg, _ = optimal_config(model, 0.7, 1.3, 6, 3)
+        decompositions[0] = 0
+        tuned = cfg.with_tau(0.25)
+        assert decompositions[0] == 0
+        assert (tuned.tau, cfg.tau) == (0.25, None)
+        assert tuned.rho0 is cfg.rho0 and tuned.V is cfg.V
+        with pytest.raises(ValueError):
+            cfg.with_tau(-1.0)
+
     def test_circuit_oracle_decomposes_hamiltonian_once(self, decompositions):
         """One decomposition of H(theta) gives tau, U_tau and U_t; the other is rho0's."""
         model = make_nv_spin1(*NV)
