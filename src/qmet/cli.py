@@ -1,20 +1,24 @@
 """Command-line front end: reproducible sweeps emitted as CSV/JSON.
 
-Subcommands mirror the library's capabilities: 'qfi' and 'gbound' sweep the
+Commands mirror the library's capabilities: 'qfi' and 'gbound' sweep the
 numeric Fisher quantities against their closed forms, 'optimize' cross-checks
 the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 'jc' and 'oscillator' evaluate the two measurement-model examples, and
 'selftest' executes the randomized property suites.
 
-A run is configured by an INI file (sections [model], [grid], [diff],
-[phasesim], [optimizer], [run]) plus command-line flags; flags win.  The
-'qfi' column and the 'jc' classical Fisher information are analytic by
-default; a [diff] section (method defaults to richardson-fd) switches both
-to the finite-difference oracle.  The 'phase-sim' read-out Fisher
-information always takes finite differences, Richardson unless [diff] says
-otherwise.  The generators behind G and max_qfi are analytic from the
-model's dh_of.  With a fixed seed, repeated runs produce byte-identical
-output; every file carries its config hash.
+One parser, built at import, takes the command and ten flags, in any order.
+A run is configured by defaults, then an INI file (sections [model], [grid],
+[diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
+before.  One settings table maps every INI key to its RunConfig field and,
+where a flag of the same name exists, to that flag; one probe-model table
+holds each probe's factory and closed forms.  The 'qfi' column and the 'jc'
+classical Fisher information are analytic by default; a [diff] section
+(method defaults to richardson-fd) switches both to the finite-difference
+oracle.  The 'phase-sim' read-out Fisher information always takes finite
+differences, Richardson unless [diff] says otherwise.  The generators behind
+G and max_qfi are analytic from the model's dh_of.  With a fixed seed,
+repeated runs produce byte-identical output; every file carries its config
+hash.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .cem import encoded_qfi, g_bound, optimize_cem
-from .errors import QmetError
+from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
     HamiltonianModel,
@@ -107,7 +112,10 @@ class RunConfig:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if not math.isfinite(stop - start):  # nan, inf, or a span that overflows
+            raise ConfigError(f"grid {text!r} needs a finite START, STOP and STOP - START")
+        grid = np.linspace(start, stop, int(count))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"grid spec must be START:STOP:N, got {text!r}") from exc
     if grid.size == 0:
@@ -126,95 +134,94 @@ _MODEL_DEFAULTS = {
 }
 
 
+# Each probe model's factory of its parameters, and its closed forms as functions
+# of (params, theta, t), NaN where none exists.  The lambdas look the factories
+# and `reference` up at call time, so a patched module attribute takes effect.
+_Probe = namedtuple("_Probe", "build qfi max_qfi g")
+_PROBES = {
+    "qubit-direction": _Probe(
+        build=lambda p: make_qubit_direction(p["omega"]),
+        qfi=lambda p, q, t: reference("direction_qfi")(theta=q, omega=p["omega"], t=t),
+        max_qfi=lambda p, q, t: reference("direction_max_qfi")(omega=p["omega"], t=t),
+        g=lambda p, q, t: reference("direction_g")(omega=p["omega"], t=t)),
+    "qubit-xcomponent": _Probe(
+        build=lambda p: make_qubit_xcomponent(p["omega"]),
+        qfi=lambda p, q, t: math.nan,
+        max_qfi=lambda p, q, t: reference("xcomponent_max_qfi")(theta=q, omega=p["omega"], t=t),
+        g=lambda p, q, t: reference("xcomponent_g")(theta=q, omega=p["omega"], t=t)),
+    "nv-spin1": _Probe(
+        build=lambda p: make_nv_spin1(p["mu"], p["D"], p["E"]),
+        qfi=lambda p, q, t: math.nan,
+        max_qfi=lambda p, q, t: reference("nv_max_qfi")(theta=q, mu=p["mu"], E=p["E"], t=t),
+        g=lambda p, q, t: reference("nv_g")(theta=q, mu=p["mu"], E=p["E"], t=t)),
+}
+
+
 def build_model(cfg: RunConfig) -> HamiltonianModel:
-    p = cfg.model_params
-    if cfg.model == "qubit-direction":
-        return make_qubit_direction(p["omega"])
-    if cfg.model == "qubit-xcomponent":
-        return make_qubit_xcomponent(p["omega"])
-    if cfg.model == "nv-spin1":
-        return make_nv_spin1(p["mu"], p["D"], p["E"])
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    """The probe model of cfg; a parameter its factory rejects is a ConfigError."""
+    try:
+        return _PROBES[cfg.model].build(cfg.model_params)
+    except InvalidParameter as exc:
+        raise ConfigError(f"[model] {exc}") from exc
 
 
 # The first model of each command is its default.
 _COMMAND_ALLOWED_MODELS = {
     "jc": ("jaynes-cummings",),
     "oscillator": ("oscillator",),
-    "qfi": ("qubit-direction", "qubit-xcomponent", "nv-spin1"),
-    "gbound": ("qubit-direction", "qubit-xcomponent", "nv-spin1"),
-    "optimize": ("qubit-direction", "qubit-xcomponent", "nv-spin1"),
-    "phase-sim": ("qubit-direction", "qubit-xcomponent", "nv-spin1"),
+    **dict.fromkeys(("qfi", "gbound", "optimize", "phase-sim"), tuple(_PROBES)),
 }
 
+# (INI section, key, RunConfig field, parser).  Where the CLI has a flag named
+# like the key, the flag overrides the INI value through the same parser.
+_SETTINGS = (
+    ("grid", "theta", "theta_grid", _parse_grid),
+    ("grid", "t", "t_grid", _parse_grid),
+    ("diff", "step", "diff_step", float),
+    ("diff", "levels", "diff_levels", int),
+    ("phasesim", "n", "n", int),
+    ("phasesim", "m", "m", int),
+    ("phasesim", "tau", "tau", float),
+    ("optimizer", "restarts", "restarts", int),
+    ("optimizer", "iterations", "iterations", int),
+    ("run", "seed", "seed", int),
+    ("run", "out", "out", str),
+    ("run", "format", "fmt", str),
+)
 
-def _ini_number(section, key: str, kind, default):
-    """section[key] parsed by kind (int or float), default when absent; bad text is a ConfigError."""
-    if key not in section:
-        return default
+
+def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse):
+    """ini[section][key] parsed; text the parser rejects is a ConfigError."""
+    text = ini[section][key]
     try:
-        return kind(section[key])
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} must be {kind.__name__}, "
-                          f"got {section[key]!r}") from exc
+        raise ConfigError(f"[{section}] {key} must be {parse.__name__}, got {text!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the INI file, then flags, each overriding the one before; then checks."""
     cfg = RunConfig(command=args.command)
     cfg.model = _COMMAND_ALLOWED_MODELS.get(args.command, (cfg.model,))[0]
-    if args.config is not None:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # model parameters like D and E are case-sensitive
-        read = parser.read(args.config)
-        if not read:
-            raise ConfigError(f"cannot read config file {args.config!r}")
-        sec = parser["model"] if parser.has_section("model") else {}
-        if "name" in sec:
-            cfg.model = sec["name"]
-        grid = parser["grid"] if parser.has_section("grid") else {}
-        if "theta" in grid:
-            cfg.theta_grid = _parse_grid(grid["theta"])
-        if "t" in grid:
-            cfg.t_grid = _parse_grid(grid["t"])
-        if parser.has_section("diff"):  # any [diff] section selects the oracle path
-            diff = parser["diff"]
-            cfg.diff_method = diff.get("method", RICHARDSON)
-            cfg.diff_step = _ini_number(diff, "step", float, cfg.diff_step)
-            cfg.diff_levels = _ini_number(diff, "levels", int, cfg.diff_levels)
-        ps = parser["phasesim"] if parser.has_section("phasesim") else {}
-        cfg.n = _ini_number(ps, "n", int, cfg.n)
-        cfg.m = _ini_number(ps, "m", int, cfg.m)
-        cfg.tau = _ini_number(ps, "tau", float, cfg.tau)
-        opt = parser["optimizer"] if parser.has_section("optimizer") else {}
-        cfg.restarts = _ini_number(opt, "restarts", int, cfg.restarts)
-        cfg.iterations = _ini_number(opt, "iterations", int, cfg.iterations)
-        run = parser["run"] if parser.has_section("run") else {}
-        cfg.seed = _ini_number(run, "seed", int, cfg.seed)
-        cfg.out = run.get("out", cfg.out)
-        cfg.fmt = run.get("format", cfg.fmt)
-        if parser.has_section("model"):
-            for key in parser["model"]:
-                if key != "name":
-                    cfg.model_params[key] = _ini_number(parser["model"], key, float, None)
+    ini = configparser.ConfigParser()
+    ini.optionxform = str  # model parameters like D and E are case-sensitive
+    if args.config is not None and not ini.read(args.config):
+        raise ConfigError(f"cannot read config file {args.config!r}")
+    if ini.has_section("model"):
+        cfg.model = ini["model"].get("name", cfg.model)
+        cfg.model_params = {key: _ini_value(ini, "model", key, float)
+                            for key in ini["model"] if key != "name"}
+    if ini.has_section("diff"):  # any [diff] section selects the oracle path
+        cfg.diff_method = ini["diff"].get("method", RICHARDSON)
+    for section, key, name, parse in _SETTINGS:
+        if ini.has_option(section, key):
+            setattr(cfg, name, _ini_value(ini, section, key, parse))
 
     if args.model is not None:
         cfg.model = args.model
-    if args.theta is not None:
-        cfg.theta_grid = _parse_grid(args.theta)
-    if args.t is not None:
-        cfg.t_grid = _parse_grid(args.t)
-    if args.n is not None:
-        cfg.n = args.n
-    if args.m is not None:
-        cfg.m = args.m
-    if args.tau is not None:
-        cfg.tau = args.tau
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
+    for _, key, name, parse in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, name, parse(getattr(args, key)))
 
     if cfg.model not in _MODEL_DEFAULTS:
         raise ConfigError(f"unknown model {cfg.model!r}; choose from "
@@ -245,9 +252,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                           f"got {cfg.restarts} and {cfg.iterations}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
-    if cfg.diff_method not in (None, "central-fd", "richardson-fd"):
-        raise ConfigError(f"diff method must be central-fd or richardson-fd, "
-                          f"got {cfg.diff_method!r}")
+    try:
+        cfg.diff()  # DiffSpec owns the valid [diff] settings
+    except ValueError as exc:
+        raise ConfigError(f"[diff] {exc}") from exc
     return cfg
 
 
@@ -315,33 +323,8 @@ def _ground_projector(dim: int) -> np.ndarray:
     return rho
 
 
-def _qfi_refs(cfg: RunConfig, theta: float, t: float):
-    p = cfg.model_params
-    if cfg.model == "qubit-direction":
-        return (reference("direction_qfi")(theta=theta, omega=p["omega"], t=t),
-                reference("direction_max_qfi")(omega=p["omega"], t=t))
-    if cfg.model == "qubit-xcomponent":
-        return (math.nan,
-                reference("xcomponent_max_qfi")(theta=theta, omega=p["omega"], t=t))
-    if cfg.model == "nv-spin1":
-        return (math.nan,
-                reference("nv_max_qfi")(theta=theta, mu=p["mu"], E=p["E"], t=t))
-    return (math.nan, math.nan)
-
-
-def _g_ref(cfg: RunConfig, theta: float, t: float) -> float:
-    p = cfg.model_params
-    if cfg.model == "qubit-direction":
-        return reference("direction_g")(omega=p["omega"], t=t)
-    if cfg.model == "qubit-xcomponent":
-        return reference("xcomponent_g")(theta=theta, omega=p["omega"], t=t)
-    if cfg.model == "nv-spin1":
-        return reference("nv_g")(theta=theta, mu=p["mu"], E=p["E"], t=t)
-    return math.nan
-
-
 def cmd_qfi(cfg: RunConfig) -> int:
-    model = build_model(cfg)
+    model, probe, p = build_model(cfg), _PROBES[cfg.model], cfg.model_params
     rho0 = _ground_projector(model.dim)
     diff = cfg.diff()
 
@@ -349,7 +332,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         theta, t = point
         report, sigma_dyn = encoded_qfi(model, theta, t, rho0, diff)
         value, max_value = report.value, sigma_dyn ** 2
-        ref, max_ref = _qfi_refs(cfg, theta, t)
+        ref, max_ref = probe.qfi(p, theta, t), probe.max_qfi(p, theta, t)
         abs_err = abs(value - ref) if math.isfinite(ref) else math.nan
         max_abs_err = abs(max_value - max_ref) if math.isfinite(max_ref) else math.nan
         return (theta, t, value, report.error_estimate, ref, abs_err,
@@ -362,13 +345,13 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 
 def cmd_gbound(cfg: RunConfig) -> int:
-    model = build_model(cfg)
+    model, probe = build_model(cfg), _PROBES[cfg.model]
 
     def one(point):
         theta, t = point
         sol = g_bound(model, theta, t)
         max_value = sol.gaps[0] ** 2
-        ref = _g_ref(cfg, theta, t)
+        ref = probe.g(cfg.model_params, theta, t)
         abs_err = abs(sol.G_value - ref) if math.isfinite(ref) else math.nan
         gamma = max_value / sol.G_value if sol.G_value > 0 else math.inf
         return (theta, t, sol.G_value, ref, abs_err, sol.condition_holds, max_value, gamma)
@@ -432,10 +415,10 @@ def cmd_jc(cfg: RunConfig) -> int:
 
     def one(point):
         omega, t = point
+        pm = jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
+        fc_sim = classical_fisher(pm, omega, diff)  # first: it checks omega in (0, inf)
         fq = reference("jc_qfi")(t=t, alpha1_sq=alpha1_sq)
         fc_ref = reference("jc_fc")(omega=omega, kappa=p["kappa"], t=t, alpha1_sq=alpha1_sq)
-        pm = jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-        fc_sim = classical_fisher(pm, omega, diff)
         threshold = reference("jc_enhancement_threshold")(omega=omega, kappa=p["kappa"], t=t)
         divergent = fq == 0.0
         gamma = math.inf if divergent else fc_sim.value / fq
@@ -487,36 +470,27 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmet",
-        description="Fisher-information sweeps for controlled energy measurements",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="INI config file")
-        cmd.add_argument("--model", default=None, help="model name")
-        cmd.add_argument("--theta", default=None, help="theta grid START:STOP:N")
-        cmd.add_argument("--t", default=None, help="time grid START:STOP:N")
-        cmd.add_argument("--n", type=int, default=None, help="control-qubit count")
-        cmd.add_argument("--m", type=int, default=None, help="controllization subdivisions")
-        cmd.add_argument("--tau", type=float, default=None, help="read-out base time")
-        cmd.add_argument("--seed", type=int, default=None, help="random seed")
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--format", default=None, choices=("csv", "json"))
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="qmet",
+    description="Fisher-information sweeps for controlled energy measurements",
+)
+_PARSER.add_argument("command", choices=tuple(_COMMANDS))
+_PARSER.add_argument("--config", help="INI config file")
+_PARSER.add_argument("--model", help="model name")
+_PARSER.add_argument("--theta", help="theta grid START:STOP:N")
+_PARSER.add_argument("--t", help="time grid START:STOP:N")
+_PARSER.add_argument("--n", type=int, help="control-qubit count")
+_PARSER.add_argument("--m", type=int, help="controllization subdivisions")
+_PARSER.add_argument("--tau", type=float, help="read-out base time")
+_PARSER.add_argument("--seed", type=int, help="random seed")
+_PARSER.add_argument("--out", help="output path (default stdout)")
+_PARSER.add_argument("--format", choices=("csv", "json"))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,7 @@ the last extrapolation correction.  Functions may return scalars or ndarrays
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,20 @@ class DiffSpec:
 
     step=None selects the default base step 1e-4 * (1 + |x|); levels is the
     number of Richardson extrapolation levels (ignored for 'central-fd').
+    A spec outside these settings raises ValueError when it is made.
     """
 
     method: str = RICHARDSON
     step: float | None = None
     levels: int = 2
+
+    def __post_init__(self):
+        if self.method not in (CENTRAL, RICHARDSON):
+            raise ValueError(f"method must be {CENTRAL} or {RICHARDSON}, got {self.method!r}")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and > 0, got {self.step!r}")
+        if isinstance(self.levels, bool) or not (isinstance(self.levels, int) and self.levels >= 1):
+            raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
 
     def base_step(self, x: float) -> float:
         """The base step at x, also the largest offset from x that derivative() evaluates."""
@@ -50,13 +60,7 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
     error by one step halving; 'richardson-fd' runs the full ladder.
     """
     h = spec.base_step(x)
-    if spec.method == CENTRAL:
-        levels = 1
-    elif spec.method == RICHARDSON:
-        levels = max(int(spec.levels), 1)
-    else:
-        raise ValueError(f"cannot differentiate numerically with method {spec.method!r}")
-
+    levels = 1 if spec.method == CENTRAL else spec.levels
     steps = [h / 2.0**k for k in range(levels + 1)]
     # Each sample pair is reduced to its difference quotient at once, so a
     # batched f never holds more than one pair.

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: config handling, determinism, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -97,6 +98,57 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["nan:1:2", "0.5:inf:2", "-1e308:1e308:3"])
+    def test_non_finite_grid_is_config_error(self, tmp_path, capsys, spec):
+        """Through --theta and [grid] t; the last grid has finite ends but an infinite span."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[grid]\nt = {spec}\n")
+        for argv in ((f"--theta={spec}", "--t", "1:1:1"), ("--config", str(ini))):
+            code, text = run(tmp_path, "gbound", *argv)
+            assert code == EXIT_CONFIG and text == ""
+            assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["step = 0", "step = -1e-3", "step = nan", "levels = 0",
+                                       "method = bogus", "method = analytic"])
+    def test_bad_diff_setting_is_config_error(self, tmp_path, capsys, lines):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[diff]\n{lines}\n")
+        code, _ = run(tmp_path, "qfi", "--config", str(ini),
+                      "--theta", "0.5:1.5:2", "--t", "1:2:2")
+        assert code == EXIT_CONFIG
+        assert "config error: [diff]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,line", [("qubit-direction", "omega = -1"),
+                                            ("nv-spin1", "mu = 0"), ("nv-spin1", "D = -1")])
+    def test_bad_probe_model_parameter_is_config_error(self, tmp_path, capsys, model, line):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nname = {model}\n{line}\n")
+        code, _ = run(tmp_path, "gbound", "--config", str(ini),
+                      "--theta", "0.5:1.5:2", "--t", "1:2:2")
+        assert code == EXIT_CONFIG
+        assert "config error: [model]" in capsys.readouterr().err
+
+    def test_flags_may_precede_the_command(self, tmp_path):
+        flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
+        code_after, after = run(tmp_path, "gbound", *flags)
+        code_before, before = run(tmp_path, *flags, "gbound")
+        assert code_after == code_before == EXIT_OK
+        assert after == before
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        for _ in range(2):
+            code, _ = run(tmp_path, "gbound", "--theta", "1:1:1", "--t", "1:1:1")
+            assert code == EXIT_OK
+        assert calls == []
+
     def test_config_file_with_flag_override(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -143,6 +195,14 @@ class TestNumericalFailures:
                       "--theta", "0:1:3", "--t", "1:2:2")
         assert code == EXIT_NUMERICAL
         assert "grid point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["0:1:2", "-1:-0.5:2"])
+    def test_jc_frequency_outside_domain_is_exit_three(self, tmp_path, capsys, theta):
+        """The read-out's (0, inf) frequency check runs before any closed form."""
+        code, _ = run(tmp_path, "jc", f"--theta={theta}", "--t", "1:1:1")
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "grid point" in err and "DomainBoundary" in err
 
 
 class TestSweepOutputs:

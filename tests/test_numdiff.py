@@ -41,6 +41,23 @@ class TestDerivative:
             derivative(math.sin, 0.0, DiffSpec(method="analytic"))
 
 
+class TestDiffSpecValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0}, {"step": -1e-3}, {"step": math.nan}, {"step": math.inf},
+        {"levels": 0}, {"levels": -4}, {"levels": 2.5}, {"levels": True},
+        {"method": "bogus"},
+    ], ids=repr)
+    def test_invalid_spec_rejected_when_made(self, kwargs):
+        with pytest.raises(ValueError):
+            DiffSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"step": 1e-3}, {"levels": 1},
+                                        {"method": CENTRAL, "levels": 5}], ids=repr)
+    def test_valid_spec_accepted(self, kwargs):
+        value, _ = derivative(math.sin, 0.7, DiffSpec(**kwargs))
+        assert value == pytest.approx(math.cos(0.7), abs=1e-5)
+
+
 class TestCentral5:
     def test_fourth_order_accuracy(self):
         value = central5(math.sin, 0.4, 1e-3)
