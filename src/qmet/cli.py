@@ -220,8 +220,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.model is not None:
         cfg.model = args.model
     for _, key, name, parse in _SETTINGS:
-        if getattr(args, key, None) is not None:
-            setattr(cfg, name, parse(getattr(args, key)))
+        if (value := getattr(args, key, None)) is not None:
+            setattr(cfg, name, parse(value))
 
     if cfg.model not in _MODEL_DEFAULTS:
         raise ConfigError(f"unknown model {cfg.model!r}; choose from "

@@ -38,7 +38,7 @@ class DiffSpec:
             raise ValueError(f"method must be {CENTRAL} or {RICHARDSON}, got {self.method!r}")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and > 0, got {self.step!r}")
-        if isinstance(self.levels, bool) or not (isinstance(self.levels, int) and self.levels >= 1):
+        if not isinstance(self.levels, int) or isinstance(self.levels, bool) or self.levels < 1:
             raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
 
     def base_step(self, x: float) -> float:
