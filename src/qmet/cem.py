@@ -159,10 +159,11 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
 
 
 def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float):
-    """(g_dyn, g_diag) from H = W diag(E) W^dag and dH/dtheta, E nondegenerate.
+    """(g_dyn, g_diag, D) from H = W diag(E) W^dag and dH/dtheta, E nondegenerate.
 
-    With D = W^dag dH W and w_jk = E_j - E_k, first-order perturbation theory
-    in the parallel-transport gauge of the columns W gives the diagonalizer
+    With D = W^dag dH W (whose diagonal holds the energy derivatives dE_j)
+    and w_jk = E_j - E_k, first-order perturbation theory in the
+    parallel-transport gauge of the columns W gives the diagonalizer
     generator g_diag_jk = i D_jk / w_jk with a zero diagonal.  The derivative
     of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
@@ -173,7 +174,7 @@ def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float)
     w = E[:, None] - E[None, :]
     g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
     g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
-    return (g_dyn + g_dyn.conj().T) / 2.0, g_diag
+    return (g_dyn + g_dyn.conj().T) / 2.0, g_diag, D
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None,
@@ -185,7 +186,7 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
     numdiff.check_domain(theta, radius, model.theta_domain)
     E, W = _eigenbasis(model, theta, phases)
     if fd is None:
-        g_dyn, g_diag = _analytic_generators(E, W, require_hermitian(model.dh_of(theta)), t)
+        g_dyn, g_diag, _ = _analytic_generators(E, W, require_hermitian(model.dh_of(theta)), t)
         return E, W, g_dyn, g_diag, numdiff.ANALYTIC
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, fd)
     g_diag = local_generator(_transported_family(model, W), theta, fd)
@@ -281,7 +282,7 @@ def cem_outcome_model(
     Outcomes are identified across parameter values by their spectral index j
     (ascending energy order), never by the eigenvalue itself.  With the
     model's dh_of the outcome model also carries the analytic jet of
-    _outcome_jet.
+    _level_jet.
     """
     v = require_unitary(V)
     rho = require_density(rho0)
@@ -291,7 +292,7 @@ def cem_outcome_model(
         return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
     def jet(x: float):
-        return _outcome_jet(model, x, t, v, rho)
+        return _level_jet(model, x, t, v, rho)[3:]
 
     return ProbabilityModel(at=at, theta_domain=model.theta_domain,
                             jet=None if model.dh_of is None else jet)
@@ -323,17 +324,24 @@ def _rounding_bound(E: np.ndarray, scale: float) -> float:
     return np.finfo(float).eps * (E.shape[0] + float(np.max(np.abs(E))) / spacing) * scale
 
 
-def _outcome_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
-                 rho0: np.ndarray):
-    """(p, dp, dp_err) of the level weights at x from one decomposition of H(x).
+def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
+               rho0: np.ndarray):
+    """(E, dE, dE_err, p, dp, dp_err) at x from one decomposition of H(x).
 
-    With sigma = U_t rho0 U_t^dag, M = V sigma V^dag and the measured
-    eigenvectors xi_j = W e_j, the analytic generators give dxi = W (i g_diag)
-    and dsigma = -i [g_dyn, sigma], so
-    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  V and rho0 must
-    already be validated.
+    E and dE are the ascending energies and their derivatives dE_j = D_jj, p
+    and dp the level weights and theirs, and dE_err, dp_err first-order
+    rounding bounds on each dE and dp entry.  With sigma = U_t rho0 U_t^dag,
+    M = V sigma V^dag and the measured eigenvectors xi_j = W e_j, the
+    analytic generators give dxi = W (i g_diag) and
+    dsigma = -i [g_dyn, sigma], so
+    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  Both are
+    gauge invariant, so W keeps NumPy's gauge.  V and rho0 must already be
+    validated; x only has to lie inside the open domain.
     """
-    E, W, g_dyn, g_diag, _ = _generators(model, x, t, None)
+    numdiff.check_domain(x, 0.0, model.theta_domain)
+    E, W = eigh_nondegenerate(model.h_of(x))
+    dH = require_hermitian(model.dh_of(x))
+    g_dyn, g_diag, D = _analytic_generators(E, W, dH, t)
     u_t = spectral_unitary(E, W, t)
     sigma = u_t @ rho0 @ u_t.conj().T
     dsigma = -1j * (g_dyn @ sigma - sigma @ g_dyn)
@@ -344,7 +352,10 @@ def _outcome_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
     dp = (2.0 * np.einsum("jk,kj->j", g_diag, A).imag
           + np.einsum("jk,kl,lj->j", B, dsigma, Bh).real)
     scale = 2.0 * (np.linalg.norm(g_diag) + 2.0 * np.linalg.norm(g_dyn))
-    return np.clip(np.diagonal(A).real, 0.0, None), dp, _rounding_bound(E, scale)
+    p = np.clip(np.diagonal(A).real, 0.0, None)
+    # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error dxi_j.
+    dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(dH))
+    return E, D.diagonal().real, dE_err, p, dp, _rounding_bound(E, scale)
 
 
 def fisher_cem(
@@ -360,7 +371,7 @@ def fisher_cem(
     The parameter moves both the state rho_theta and the measured eigenbasis,
     so this is a non-regular statistical model; the energy measurement V = I
     yields a t-independent value.  diff is classical_fisher's: by default a
-    model with dh_of is differentiated analytically through _outcome_jet (two
+    model with dh_of is differentiated analytically through _level_jet (two
     decompositions: rho0's check and H(theta)); an explicit finite-difference
     DiffSpec, or a model without dh_of (Richardson then), runs the stencil
     over cem_outcome_model's distributions as the oracle.

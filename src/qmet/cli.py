@@ -11,14 +11,13 @@ A run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
 before.  One settings table maps every INI key to its RunConfig field and,
 where a flag of the same name exists, to that flag; one probe-model table
-holds each probe's factory and closed forms.  The 'qfi' column and the 'jc'
-classical Fisher information are analytic by default; a [diff] section
-(method defaults to richardson-fd) switches both to the finite-difference
-oracle.  The 'phase-sim' read-out Fisher information always takes finite
-differences, Richardson unless [diff] says otherwise.  The generators behind
-G and max_qfi are analytic from the model's dh_of.  With a fixed seed,
-repeated runs produce byte-identical output; every file carries its config
-hash.
+holds each probe's factory and closed forms.  The 'qfi' column, the 'jc'
+classical Fisher information and the 'phase-sim' read-out Fisher
+information are analytic by default; a [diff] section (method defaults to
+richardson-fd) switches all three to the finite-difference oracle.  The
+generators behind G and max_qfi are analytic from the model's dh_of.  With
+a fixed seed, repeated runs produce byte-identical output; every file
+carries its config hash.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .models import (
     make_qubit_xcomponent,
     reference,
 )
-from .numdiff import DEFAULT_DIFF, RICHARDSON, DiffSpec
+from .numdiff import RICHARDSON, DiffSpec
 from .phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
 from .selftest import run_all
 
@@ -236,6 +235,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"model {cfg.model!r} does not take parameter {key!r}")
     params.update(cfg.model_params)
     cfg.model_params = params
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"[model] {key} must be finite, got {value}")
     if cfg.model == "jaynes-cummings":
         if not 0.0 <= params["alpha1_sq"] <= 1.0:
             raise ConfigError(f"[model] alpha1_sq must be in [0, 1], got {params['alpha1_sq']}")
@@ -382,7 +384,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 def cmd_phase_sim(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    diff = cfg.diff() or DEFAULT_DIFF  # the read-out has no analytic path yet
+    diff = cfg.diff()
     try:  # PhaseSimConfig owns the bounds on n, m and tau
         base = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=0.0,
                               rho0=_ground_projector(model.dim))
@@ -395,14 +397,16 @@ def cmd_phase_sim(cfg: RunConfig) -> int:
         tau = cfg.tau if cfg.tau is not None else default_tau(model, theta)
         sim = replace(base, tau=tau, t=t, V=sol.V_opt,
                       rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
-        fi_ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal").value
-        fi_real = fisher_phase_readout(sim, model, theta, diff, mode="realistic").value
-        return (cfg.n, cfg.m, tau, theta, t, fi_ideal, fi_real, sol.G_value,
-                fi_ideal / sol.G_value, fi_real / sol.G_value)
+        ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal")
+        real = fisher_phase_readout(sim, model, theta, diff, mode="realistic")
+        return (cfg.n, cfg.m, tau, theta, t, ideal.value, ideal.error_estimate, real.value,
+                real.error_estimate, sol.G_value, ideal.value / sol.G_value,
+                real.value / sol.G_value)
 
     records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("n", "m", "tau", "theta", "t", "fi_ideal", "fi_realistic",
-                        "g", "ratio_ideal", "ratio_realistic"), records)
+    write_records(cfg, ("n", "m", "tau", "theta", "t", "fi_ideal", "fi_ideal_err",
+                        "fi_realistic", "fi_realistic_err", "g", "ratio_ideal",
+                        "ratio_realistic"), records)
     return EXIT_OK
 
 

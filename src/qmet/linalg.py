@@ -93,17 +93,19 @@ class Eigensystem:
 def fix_phases(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-modulus entry real and nonnegative.
 
-    Ties on the modulus (within 1e-12 relative) are broken by the lowest index.
+    V is one matrix or a (..., d, d) stack.  Ties on the modulus (within
+    1e-12 relative) are broken by the lowest index; zero columns are left
+    alone.
     """
     W = np.array(V, dtype=complex, copy=True)
-    for k in range(W.shape[1]):
-        mags = np.abs(W[:, k])
-        top = mags.max()
-        j = int(np.argmax(mags > top * (1.0 - 1e-12)))
-        entry = W[j, k]
-        if abs(entry) > 0:
-            W[:, k] *= entry.conjugate() / abs(entry)
-    return W
+    mags = np.abs(W)
+    first = np.argmax(mags > mags.max(axis=-2, keepdims=True) * (1.0 - 1e-12), axis=-2)
+    # Column k's entry in row first[k], read through the transpose in column order.
+    entry = W.swapaxes(-1, -2)[first[..., None] == np.arange(W.shape[-1])].reshape(first.shape)
+    size = np.hypot(entry.real, entry.imag)  # bit for bit the modulus of a complex scalar
+    nonzero = size > 0
+    phase = entry.conj() / np.where(nonzero, size, 1.0)
+    return np.multiply(W, phase[..., None, :], out=W, where=nonzero[..., None, :])
 
 
 def eig_hermitian(M) -> Eigensystem:

@@ -86,9 +86,12 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
 
 
 def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:
-    """Raise DomainBoundary unless [x - radius, x + radius] lies inside the open domain."""
+    """Raise DomainBoundary unless [x - radius, x + radius] lies inside the open domain.
+
+    A NaN x or radius lies inside no domain.
+    """
     lo, hi = domain
-    if x - radius <= lo or x + radius >= hi:
+    if not (lo < x - radius and x + radius < hi):
         raise DomainBoundary(
             f"stencil [{x - radius}, {x + radius}] leaves the open domain ({lo}, {hi})"
         )

@@ -27,9 +27,15 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .cem import _node
+from .cem import _level_jet, _node
 from .errors import AliasingRisk, OracleTooLarge
-from .fisher import FisherReport, OutcomeDistribution, fisher_rows
+from .fisher import (
+    FisherReport,
+    OutcomeDistribution,
+    _fisher_sum,
+    _require_normalized,
+    fisher_rows,
+)
 from .linalg import (
     eigh_nondegenerate,
     partial_trace,
@@ -43,8 +49,9 @@ from .numdiff import DEFAULT_DIFF, DiffSpec
 
 IDEAL = "ideal"
 REALISTIC = "realistic"
-# Tau rows times read-out bins per kernel chunk; bounds the (rows, d, 2^n) scratch arrays.
-ROW_BUDGET = 2**12
+# Tau rows times read-out bins per chunk; bounds the (rows, d, 2^n) scratch arrays,
+# which the analytic path doubles (values and derivatives).
+ROW_BUDGET = 2**10
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
 TAU_REFINE = 16
@@ -160,16 +167,6 @@ def _shift(cfg: PhaseSimConfig, ev: np.ndarray) -> float:
     return -float(ev[0]) if cfg.energy_shift is None else float(cfg.energy_shift)
 
 
-def _kernel(alpha: np.ndarray, n: int) -> np.ndarray:
-    """Squared Dirichlet kernel (sin(2^n a/2) / (2^n sin(a/2)))^2 with its removable limit."""
-    N = 2**n
-    half = alpha / 2.0
-    s = np.sin(half)
-    singular = np.abs(s) < 1e-9
-    safe = np.where(singular, 1.0, s)
-    return np.where(singular, 1.0, (np.sin(N * half) / (N * safe)) ** 2)
-
-
 @functools.lru_cache(maxsize=None)
 def _twiddles(n: int) -> tuple[np.ndarray, ...]:
     """Per level l, the read-only (3, 2^n / w) table [1; cos; -sin](2 pi w Q / 2^n), w = 2^(l-1).
@@ -186,41 +183,114 @@ def _twiddles(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
-                   mode: str) -> np.ndarray:
+                   mode: str, jet=None):
     """(T, 2^n) read-out distributions at one node (energies ev, level weights p), one per tau.
 
-    Ideal mode sums p_j times each energy level's squared Dirichlet kernel.
-    Realistic mode takes the controllization factors from the node's own
-    spectrum: a e^{i phi} = tr(exp(-i (tau/m) H_shifted))/d = mean_j e^{-i tau xi_j/m}.
-    The level-l factor 1 + a^(w m) cos(w beta), w = 2^(l-1), has period 2^n/w
-    in Q; with beta = beta_0 + 2 pi Q/2^n it is the angle addition
+    Pr(Q) = 2^-n sum_j p_j prod_l [1 + a^(w m) cos(w beta_jQ)], w = 2^(l-1),
+    with beta_jQ = tau xi_j + 2 pi Q/2^n + m phi.  Realistic mode takes the
+    controllization factors from the node's own spectrum:
+    a e^{i phi} = tr(exp(-i (tau/m) H_shifted))/d = mean_j e^{-i tau xi_j/m}.
+    Ideal mode is the same product with a = 1 and phi = 0, which telescopes
+    to the squared Dirichlet kernel K_n(tau xi_j + 2 pi Q/2^n) of each level:
+    2^-n prod_l (1 + cos(w alpha)) = prod_l cos^2(w alpha/2)
+    = (sin(2^n alpha/2) / (2^n sin(alpha/2)))^2, without a division or a
+    removable singularity.  The level-l factor has period 2^n/w in Q; with
+    beta = beta_0 + 2 pi Q/2^n it is the angle addition
     1 + a^(w m) [cos(w beta_0) cos(2 pi w Q/2^n) - sin(w beta_0) sin(2 pi w Q/2^n)],
-    one small matrix product per level over one period.  The product over
-    levels is built from the top level down, doubling its period each level.
+    one small matrix product per level over one period, so no bin takes a
+    sine.  The product over levels is built from the top level down,
+    doubling its period each level.
+
+    jet = (dxi, dp), the theta-derivatives of the shifted energies and of the
+    level weights, also returns the exact derivative of every distribution,
+    (probs, dprobs), with dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product
+    rule runs alongside the product (see _level_coefficients for dc).
     """
-    N = 2**cfg.n
+    parts = list(_readout_chunks(cfg, ev, p, taus, mode, jet))
+    probs = np.concatenate([part[1] for part in parts])
+    return probs if jet is None else (probs, np.concatenate([part[2] for part in parts]))
+
+
+def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
+                    mode: str, jet=None):
+    """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs or None).
+
+    A chunk holds at most ROW_BUDGET / 2^n taus, which bounds the
+    (taus, d, 2^n) scratch arrays; the level coefficients of all taus are
+    built once.
+    """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
-    if mode == IDEAL:
-        alpha = phase[..., None] + 2.0 * math.pi * np.arange(N) / N
-        return np.matmul(p, _kernel(alpha, cfg.n))
-    z = np.exp(-1j * phase / cfg.m).mean(axis=1)
-    a = np.abs(z)
-    if np.any(a > 1.0 + 1e-12):
-        raise ValueError(f"damping factor a = {a.max()} exceeds 1")
-    phi = np.where(a >= 1e-14, np.angle(z), 0.0)
-    beta0 = phase + cfg.m * phi[:, None]
+    dphase = None if jet is None else taus[:, None] * jet[0][None, :]
+    coef = _level_coefficients(cfg, phase, dphase, mode)
+    chunk = max(ROW_BUDGET >> cfg.n, 1)
+    for start in range(0, len(taus), chunk):
+        sl = slice(start, start + chunk)
+        kernels, dkernels = _level_products(coef[:, :, sl])
+        probs = np.clip(np.matmul(p, kernels), 0.0, None)
+        if jet is None:
+            yield sl, probs, None
+            continue
+        dprobs = np.matmul(jet[1], kernels)
+        dprobs += np.matmul(p, dkernels)
+        yield sl, probs, dprobs
+
+
+def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: str):
+    """(n, kinds, T, d, 3) rows [1, Re c, Im c] of every level factor, c = a^(w m) e^{i w beta_0}.
+
+    One row per level, tau and energy level.  With dphase (tau dxi) a
+    second kind holds the derivative rows [0, Re dc, Im dc]: with
+    dz/z = mean_j (-i tau dxi_j/m) e^{-i tau xi_j/m} / z, da/a = Re(dz/z) and
+    dphi = Im(dz/z) (both 0 where a < 1e-14, as phi is), so
+    dc = c (w m da/a + i w (tau dxi + m dphi)); in ideal mode dc = c i w tau dxi.
+    """
     w = 2 ** np.arange(cfg.n)[:, None, None]
-    c = a[:, None] ** (w * cfg.m) * np.exp(1j * w * beta0)  # a^(wm) e^{i w beta_0}, (level, T, d)
-    coef = np.stack([np.ones(c.shape), c.real, c.imag], axis=-1).reshape(cfg.n, -1, 3)
-    tables, rows = _twiddles(cfg.n), beta0.size
-    prod = np.ones((rows, 1))
-    for level in reversed(range(cfg.n)):
-        factor = (coef[level] @ tables[level]).reshape(rows, 2, -1)
+    if mode == IDEAL:
+        c = np.exp(1j * w * phase)
+        dc = None if dphase is None else c * (1j * w * dphase)
+    else:
+        spins = np.exp(-1j * phase / cfg.m)
+        z = spins.mean(axis=1)
+        a = np.abs(z)
+        if np.any(a > 1.0 + 1e-12):
+            raise ValueError(f"damping factor a = {a.max()} exceeds 1")
+        live = a >= 1e-14
+        phi = np.where(live, np.angle(z), 0.0)
+        beta0 = phase + cfg.m * phi[:, None]
+        c = a[:, None] ** (w * cfg.m) * np.exp(1j * w * beta0)  # (level, T, d)
+        if dphase is not None:
+            dz = (spins * dphase).mean(axis=1) * (-1j / cfg.m)
+            dlog = np.divide(dz, z, out=np.zeros_like(z), where=live)  # da/a + i dphi
+            dc = c * (w * (cfg.m * dlog.real[:, None]
+                           + 1j * (dphase + cfg.m * dlog.imag[:, None])))
+    kinds = [np.stack([np.ones(c.shape), c.real, c.imag], axis=-1)]
+    if dphase is not None:
+        kinds.append(np.stack([np.zeros(c.shape), dc.real, dc.imag], axis=-1))
+    return np.stack(kinds, axis=1)
+
+
+def _level_products(coef: np.ndarray):
+    """(P / 2^n, dP / 2^n or None), each (T, d, 2^n), from _level_coefficients rows.
+
+    P is the product of the level factors over the bins; scaling by the
+    power of two 2^-n up front is exact.  A derivative kind runs the product
+    rule (P, dP) <- (f P, df P + f dP) alongside.
+    """
+    n, kinds, T, d, _ = coef.shape
+    tables, rows = _twiddles(n), T * d
+    coef = coef.reshape(n, kinds * rows, 3)
+    prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
+    for level in reversed(range(n)):
+        factor = (coef[level] @ tables[level]).reshape(kinds * rows, 2, -1)
+        if kinds == 2:  # the derivative rows follow the factor rows
+            factor, dfactor = factor[:rows], factor[rows:]
+            dfactor *= prod[:, None, :]
+            dfactor += factor * dprod[:, None, :]
+            dprod = dfactor.reshape(rows, -1)
         factor *= prod[:, None, :]
         prod = factor.reshape(rows, -1)
-    probs = np.matmul(p, prod.reshape(beta0.shape + (N,)))
-    probs /= N
-    return np.clip(probs, 0.0, None, out=probs)
+    shape = (T, d, 2**n)
+    return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
 
 
 def _distribution(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
@@ -262,16 +332,14 @@ def _node_cache(cfg: PhaseSimConfig, model: HamiltonianModel):
 
 def _readout_fisher(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                     taus: np.ndarray, diff: DiffSpec, mode: str, node):
-    """Read-out Fisher information and its error estimate at every tau in taus.
+    """Finite-difference read-out Fisher information and its error estimate at every tau.
 
-    The parameter enters the level weights, the (shifted) eigenvalues inside
-    the kernel, and, in realistic mode, the controllization damping and phase.
-    A tau whose bins alias at any stencil node scores -inf.  The taus are
-    scored in chunks of at most ROW_BUDGET / 2^n rows; node(x) supplies each
-    node's decomposition.
+    The oracle path.  The parameter enters the level weights, the (shifted)
+    eigenvalues inside the kernel, and, in realistic mode, the controllization
+    damping and phase.  A tau whose bins alias at any stencil node scores
+    -inf.  The taus are scored in chunks of at most ROW_BUDGET / 2^n rows;
+    node(x) supplies each node's decomposition.
     """
-    if mode not in (IDEAL, REALISTIC):
-        raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     chunk = max(ROW_BUDGET >> cfg.n, 1)
     values, errs = [], []
@@ -290,27 +358,85 @@ def _readout_fisher(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     return np.concatenate(values), np.concatenate(errs)
 
 
+def _readout_jet(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float, mode: str):
+    """(energies at theta, taus -> (values, error estimates)) from one decomposition of H(theta).
+
+    The analytic path: _level_jet gives the energies, the level weights and
+    their exact derivatives, and _readout_probs carries them through the
+    kernel, so every tau costs no further decomposition.  The shifted
+    energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
+    energy, and as dxi_j = dE_j under a fixed shift.  A tau whose bins alias
+    at theta scores -inf.  The error estimate propagates the rounding bounds
+    on dp and dxi: each level's kernel lies in [0, 1], and as a polynomial
+    of degree 2^n - 1 in unit-disc phase variables it moves by at most
+    (2^n - 1) tau max|delta xi| under an energy error delta xi (Bernstein's
+    inequality), so every dPr(Q) is off by at most
+    d dp_err + (2^n - 1) tau dxi_err.
+    """
+    E, dE, dE_err, p, dp, dp_err = _level_jet(model, theta, cfg.t, cfg.control(model.dim),
+                                               cfg.rho0)
+    if cfg.energy_shift is None:
+        dxi, dxi_err = dE - dE[0], 2.0 * dE_err
+    else:
+        dxi, dxi_err = dE, dE_err
+
+    def score(taus: np.ndarray):
+        values, errs = np.empty(taus.shape), np.empty(taus.shape)
+        for sl, probs, dprobs in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
+            _require_normalized(probs)
+            dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_err
+            values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None])
+        return np.where(_aliases(taus, E), -np.inf, values), errs
+
+    return E, score
+
+
+def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
+            diff: Optional[DiffSpec], mode: str):
+    """(energies at theta, taus -> (values, errors), method, step) of the chosen path.
+
+    diff=None with the model's dh_of selects the analytic jet; an explicit
+    DiffSpec, or a model without dh_of (Richardson then), the
+    finite-difference oracle.
+    """
+    if mode not in (IDEAL, REALISTIC):
+        raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
+    if diff is None and model.dh_of is not None:
+        E, score = _readout_jet(cfg, model, theta, mode)
+        return E, score, numdiff.ANALYTIC, 0.0
+    fd = DEFAULT_DIFF if diff is None else diff
+    node = _node_cache(cfg, model)
+    E = node(theta)[0]
+    return (E, lambda taus: _readout_fisher(cfg, model, theta, taus, fd, mode, node),
+            fd.method, fd.base_step(theta))
+
+
 def fisher_phase_readout(
     cfg: PhaseSimConfig,
     model: HamiltonianModel,
     theta: float,
-    diff: DiffSpec = DEFAULT_DIFF,
+    diff: Optional[DiffSpec] = None,
     mode: str = IDEAL,
 ) -> FisherReport:
     """Fisher information of the phase-estimation read-out distribution.
 
     tau is frozen at the working point (cfg.tau, or default_tau there), while
-    the energy shift is re-derived from each node's own spectrum, so its
-    parameter dependence is part of the statistical model.
+    the energy shift follows the spectrum (unless fixed), so its parameter
+    dependence is part of the statistical model.  By default a model with
+    dh_of is differentiated exactly at theta alone (method "analytic", step
+    0, one decomposition; AliasingRisk when tau aliases at theta).  An
+    explicit DiffSpec, or a model without dh_of (Richardson then), runs the
+    finite-difference stencil instead, the oracle, which raises AliasingRisk
+    when tau aliases at any stencil node.
     """
-    node = _node_cache(cfg, model)
-    tau = cfg.tau if cfg.tau is not None else _default_tau(node(theta)[0])
-    values, errs = _readout_fisher(cfg, model, theta, np.array([tau]), diff, mode, node)
+    E, score, method, step = _scorer(cfg, model, theta, diff, mode)
+    tau = cfg.tau if cfg.tau is not None else _default_tau(E)
+    values, errs = score(np.array([tau]))
     if values[0] == -np.inf:
-        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at a stencil "
-                           "node; bins are not injective")
-    return FisherReport(value=float(values[0]), method=diff.method,
-                        step=diff.base_step(theta), error_estimate=float(errs[0]))
+        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at theta or a "
+                           "stencil node; bins are not injective")
+    return FisherReport(value=float(values[0]), method=method, step=step,
+                        error_estimate=float(errs[0]))
 
 
 def tune_tau(
@@ -318,24 +444,26 @@ def tune_tau(
     model: HamiltonianModel,
     theta: float,
     mode: str = REALISTIC,
-    diff: DiffSpec = DEFAULT_DIFF,
+    diff: Optional[DiffSpec] = None,
 ) -> float:
     """Deterministic scan for the tau maximizing the read-out Fisher information.
 
     Controllization damping favours small tau while bin resolution favours
     large tau, so the optimum is model-dependent; a coarse geometric scan of
     TAU_COARSE candidates is refined once, by TAU_REFINE linear ones, around
-    the best candidate.  A candidate whose bins alias at any stencil node is
-    never chosen.  Each scan is scored as one batch over tau, with one
-    decomposition per stencil node for the whole call.
+    the best candidate.  Each scan is scored as one batch over tau, on
+    fisher_phase_readout's path: the analytic one costs one decomposition
+    for the whole call and never chooses a candidate that aliases at theta;
+    the finite-difference oracle costs one per stencil node and never
+    chooses one that aliases at any node.
     """
-    node = _node_cache(cfg, model)
-    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(node(theta)[0])) + 1e-6)
+    E, score, _, _ = _scorer(cfg, model, theta, diff, mode)
+    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
     taus = np.geomspace(hi / 300.0, hi, TAU_COARSE)
-    values, _ = _readout_fisher(cfg, model, theta, taus, diff, mode, node)
+    values, _ = score(taus)
     best = int(np.argmax(values))
     fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], TAU_REFINE)
-    fine_values, _ = _readout_fisher(cfg, model, theta, fine, diff, mode, node)
+    fine_values, _ = score(fine)
     candidates = np.concatenate([taus, fine])
     return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
 

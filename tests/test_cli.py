@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qmet.cem import generator_pair
+from qmet.cem import g_bound, generator_pair
 from qmet.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _fmt, main
 from qmet.fisher import classical_fisher, qfi
 from qmet.models import (
@@ -17,6 +17,7 @@ from qmet.models import (
     reference,
 )
 from qmet.numdiff import DiffSpec
+from qmet.phasesim import PhaseSimConfig, fisher_phase_readout
 
 
 def run(tmp_path, *argv):
@@ -128,6 +129,21 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error: [model]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,lines", [
+        ("gbound", "name = qubit-direction\nomega = nan"),
+        ("gbound", "name = nv-spin1\nE = inf"),
+        ("jc", "name = jaynes-cummings\nkappa = inf"),
+        ("oscillator", "name = oscillator\nmass = nan"),
+    ], ids=lambda v: v.split("\n")[-1] if "\n" in v else v)
+    def test_non_finite_model_parameter_is_config_error(self, tmp_path, capsys, command,
+                                                         lines):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{lines}\n")
+        code, text = run(tmp_path, command, "--config", str(ini),
+                         "--theta", "0.5:1.5:2", "--t", "1:2:2")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "must be finite" in capsys.readouterr().err
+
     def test_flags_may_precede_the_command(self, tmp_path):
         flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
         code_after, after = run(tmp_path, "gbound", *flags)
@@ -237,11 +253,15 @@ class TestSweepOutputs:
                          "--n", "4", "--m", "2")
         assert code == EXIT_OK
         header, rows = parse_csv(text)
-        assert header == ["n", "m", "tau", "theta", "t", "fi_ideal", "fi_realistic",
-                          "g", "ratio_ideal", "ratio_realistic"]
+        assert header == ["n", "m", "tau", "theta", "t", "fi_ideal", "fi_ideal_err",
+                          "fi_realistic", "fi_realistic_err", "g", "ratio_ideal",
+                          "ratio_realistic"]
         row = rows[0]
         assert 0 <= float(row["ratio_realistic"]) <= 1.001
         assert 0 <= float(row["ratio_ideal"]) <= 1.001
+        for mode in ("ideal", "realistic"):
+            value, err = float(row[f"fi_{mode}"]), float(row[f"fi_{mode}_err"])
+            assert 0.0 < err <= 1e-9 * max(value, 1.0)
 
     def test_optimize_report(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -318,7 +338,7 @@ class TestSweepOutputs:
 
 
 class TestDiffOracleSwitch:
-    """A [diff] section puts qfi and jc back on the Richardson stencil, bit for bit."""
+    """A [diff] section puts qfi, jc and phase-sim back on the Richardson stencil, bit for bit."""
 
     MODELS = {"qubit-direction": lambda: make_qubit_direction(1.0),
               "nv-spin1": lambda: make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)}
@@ -365,6 +385,30 @@ class TestDiffOracleSwitch:
             assert row["fc_sim_err"] == _fmt(oracle.error_estimate)
             assert float(fast["fc_sim"]) == pytest.approx(oracle.value, rel=1e-8, abs=1e-8)
             assert float(fast["fc_sim_err"]) < oracle.error_estimate
+
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    def test_phase_sim_columns_are_the_richardson_values(self, tmp_path, model_name):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        grid = ("--model", model_name, "--theta", "0.5:1.5:2", "--t", "0.8:2.0:2",
+                "--n", "6", "--m", "3")
+        code, text = run(tmp_path, "phase-sim", "--config", str(ini), *grid)
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        _, fast_rows = parse_csv(run(tmp_path, "phase-sim", *grid)[1])
+        model = self.MODELS[model_name]()
+        for row, fast in zip(rows, fast_rows):
+            theta, t, tau = float(row["theta"]), float(row["t"]), float(row["tau"])
+            sol = g_bound(model, theta, t)
+            cfg = PhaseSimConfig(n=6, m=3, tau=tau, t=t, V=sol.V_opt,
+                                 rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+            for mode in ("ideal", "realistic"):
+                oracle = fisher_phase_readout(cfg, model, theta, DiffSpec(), mode)
+                assert row[f"fi_{mode}"] == _fmt(oracle.value)
+                assert row[f"fi_{mode}_err"] == _fmt(oracle.error_estimate)
+                value = float(fast[f"fi_{mode}"])
+                assert value == pytest.approx(oracle.value, rel=1e-7, abs=1e-7)
+                assert 0.0 < float(fast[f"fi_{mode}_err"]) <= 1e-9 * max(value, 1.0)
 
     def test_diff_section_enters_the_config_hash(self, tmp_path):
         ini = tmp_path / "run.ini"

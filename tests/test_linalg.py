@@ -10,6 +10,7 @@ from qmet.linalg import (
     eig_hermitian,
     eigh_nondegenerate,
     expm_unitary,
+    fix_phases,
     operator_variance,
     partial_trace,
     require_hermitian,
@@ -257,3 +258,51 @@ class TestEighNondegenerate:
             assert ev.shape == stack.shape[:-1] and W.shape == stack.shape
         with pytest.raises(DegenerateSpectrum):  # the same spacing is degenerate at range 1e7
             eigh_nondegenerate(np.diag(np.concatenate([1e-3 * np.arange(d), [1e7]])))
+
+
+def loop_fix_phases(V):
+    """The column-by-column gauge fix, one matrix at a time (the reference for fix_phases)."""
+    W = np.array(V, dtype=complex, copy=True)
+    for k in range(W.shape[1]):
+        mags = np.abs(W[:, k])
+        top = mags.max()
+        j = int(np.argmax(mags > top * (1.0 - 1e-12)))
+        entry = W[j, k]
+        if abs(entry) > 0:
+            W[:, k] *= entry.conjugate() / abs(entry)
+    return W
+
+
+class TestFixPhases:
+    @staticmethod
+    def random_matrix(rng, shape):
+        V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        d = shape[-1]
+        V[..., int(rng.integers(d))] *= rng.integers(2)  # a zero column half of the time
+        V[..., 1, 0] = V[..., 0, 0] * np.exp(1j * rng.uniform(0, 2 * math.pi))  # modulus tie
+        return V
+
+    def test_matches_the_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            V = self.random_matrix(rng, (int(rng.integers(2, 7)),) * 2)
+            assert fix_phases(V).tobytes() == loop_fix_phases(V).tobytes()
+
+    @pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)])
+    def test_stack_matches_matrix_by_matrix(self, stack):
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 18):
+            V = self.random_matrix(rng, stack + (d, d))
+            expected = np.stack([loop_fix_phases(M) for M in V.reshape(-1, d, d)])
+            assert fix_phases(V).tobytes() == expected.reshape(V.shape).tobytes()
+
+    def test_gauge_and_ties(self):
+        V = np.array([[1j, 0.0, 0.0], [1.0, 0.0, 3.0], [0.5, 0.0, -4j]])
+        W = fix_phases(V)
+        assert np.array_equal(W[:, 0], [1.0, -1j, -0.5j])  # the tie goes to the lowest index
+        assert np.array_equal(W[:, 1], np.zeros(3))  # a zero column is left alone
+        assert np.array_equal(W[:, 2], [0.0, 3j, 4.0])
+        rng = np.random.default_rng(13)
+        W = fix_phases(rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6)))
+        top = np.take_along_axis(W, np.abs(W).argmax(axis=-2)[:, None, :], axis=-2)
+        assert np.all(np.abs(top.imag) <= 1e-15 * top.real)  # real up to rounding

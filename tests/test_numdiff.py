@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qmet.numdiff import CENTRAL, DiffSpec, central5, derivative
+from qmet.cem import g_bound
+from qmet.errors import DomainBoundary
+from qmet.fisher import classical_fisher, qfi
+from qmet.models import jc_readout_model, make_qubit_direction
+from qmet.numdiff import CENTRAL, DiffSpec, central5, check_domain, derivative
 
 
 class TestDerivative:
@@ -62,3 +66,27 @@ class TestCentral5:
     def test_fourth_order_accuracy(self):
         value = central5(math.sin, 0.4, 1e-3)
         assert value == pytest.approx(math.cos(0.4), abs=1e-12)
+
+
+class TestCheckDomain:
+    @pytest.mark.parametrize("x,radius", [(math.nan, 0.0), (1.0, math.nan), (math.nan, 1e-4)])
+    def test_nan_lies_in_no_domain(self, x, radius):
+        with pytest.raises(DomainBoundary):
+            check_domain(x, radius, (-math.inf, math.inf))
+
+    def test_open_domain(self):
+        check_domain(0.5, 0.1, (0.0, 1.0))
+        for x in (0.1, 0.9, math.inf):
+            with pytest.raises(DomainBoundary):
+                check_domain(x, 0.1, (0.0, 1.0))
+
+    def test_nan_point_raises_in_every_caller(self):
+        model = make_qubit_direction(1.0)
+        with pytest.raises(DomainBoundary):
+            g_bound(model, math.nan, 1.0)
+        with pytest.raises(DomainBoundary):
+            qfi(lambda x: np.diag([math.cos(x) ** 2, math.sin(x) ** 2]), math.nan)
+        pm = jc_readout_model(0.5, 1.0, math.sqrt(0.5), math.sqrt(0.5), 8)
+        for diff in (None, DiffSpec()):
+            with pytest.raises(DomainBoundary):
+                classical_fisher(pm, math.nan, diff)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmet import phasesim
-from qmet.cem import fisher_cem, g_bound
+from qmet.cem import _level_jet, _node, fisher_cem, g_bound
 from qmet.errors import AliasingRisk, DegenerateSpectrum, OracleTooLarge
 from qmet.fisher import OutcomeDistribution, ProbabilityModel, classical_fisher
 from qmet.linalg import expm_unitary, require_hermitian, require_nondegenerate
@@ -17,10 +17,9 @@ from qmet.models import (
     make_qubit_direction,
     make_qubit_xcomponent,
 )
-from qmet.numdiff import DEFAULT_DIFF, DiffSpec
+from qmet.numdiff import DEFAULT_DIFF, DiffSpec, central5
 from qmet.phasesim import (
     PhaseSimConfig,
-    _kernel,
     aligned_tau,
     circuit_oracle,
     controllization_factors,
@@ -149,7 +148,11 @@ class TestRealisticDistribution:
             prod = np.ones_like(alpha)
             for level in range(1, n + 1):
                 prod *= 1.0 + np.cos(2 ** (level - 1) * alpha)
-            assert np.allclose(prod / 2**n, _kernel(alpha, n), atol=1e-12)
+            assert np.allclose(prod / 2**n, ref_kernel(alpha, n), atol=1e-12)
+            cfg = PhaseSimConfig(n=n, m=1, t=1.0, rho0=np.eye(2) / 2)
+            coef = phasesim._level_coefficients(cfg, alpha[None, :], None, "ideal")
+            kernels, _ = phasesim._level_products(coef)  # bin Q = 0 holds K_n(alpha)
+            assert np.allclose(kernels[0, :, 0], ref_kernel(alpha, n), atol=1e-12)
 
     def test_normalization(self):
         model = make_qubit_direction(1.0)
@@ -390,13 +393,23 @@ def ref_tau(cfg, model, theta):
     return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
 
 
+def ref_kernel(alpha, n):
+    """The squared Dirichlet kernel straight from its definition, both sines on the full grid."""
+    N = 2**n
+    half = alpha / 2.0
+    s = np.sin(half)
+    singular = np.abs(s) < 1e-9
+    safe = np.where(singular, 1.0, s)
+    return np.where(singular, 1.0, (np.sin(N * half) / (N * safe)) ** 2)
+
+
 def ref_ideal(cfg, model, theta):
     tau = ref_tau(cfg, model, theta)
     xi = ref_shifted_spectrum(cfg, model, theta, tau)
     p = ref_energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
     Q = np.arange(2**cfg.n)
     alpha = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n
-    probs = (p[:, None] * _kernel(alpha, cfg.n)).sum(axis=0)
+    probs = (p[:, None] * ref_kernel(alpha, cfg.n)).sum(axis=0)
     return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=probs)
 
 
@@ -459,6 +472,7 @@ def steep_model(rate=2000.0):
 SCAN_CASES = {  # model factory, theta, t
     "qubit-direction": (lambda: make_qubit_direction(1.0), 1.0, 1.0),
     "nv-spin1": (lambda: make_nv_spin1(*NV), 0.7, 1.3),
+    "qubit-xcomponent": (lambda: make_qubit_xcomponent(1.0), 0.8, 1.1),  # its ground energy moves
     "steep": (steep_model, 0.5, 0.4),
 }
 
@@ -532,6 +546,116 @@ class TestBatchedReadoutMatchesSerial:
             fisher_phase_readout(cfg.with_tau(tau), model, theta, mode="realistic")
 
 
+def jet_inputs(cfg, model, theta):
+    """(energies, level weights, (dxi, dp)) at theta, the shift as the read-out applies it."""
+    E, dE, _, p, dp, _ = _level_jet(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp)
+
+
+def oracle_scores(cfg, model, theta, taus, mode):
+    """Richardson read-out Fisher values at every tau, through the library's stencil."""
+    return phasesim._readout_fisher(cfg, model, theta, taus, DEFAULT_DIFF, mode,
+                                    phasesim._node_cache(cfg, model))[0]
+
+
+class TestAnalyticReadout:
+    """The read-out jet at theta alone against the Richardson stencil and central5."""
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1", "qubit-xcomponent"])
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    @pytest.mark.parametrize("shift", [None, 0.0])
+    def test_scan_agrees_with_richardson(self, model_name, n, mode, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        E, score, method, step = phasesim._scorer(cfg, model, theta, None, mode)
+        assert (method, step) == ("analytic", 0.0)
+        hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
+        coarse = np.geomspace(hi / 300.0, hi, 32)
+        values, errs = score(coarse)
+        ref_values = oracle_scores(cfg, model, theta, coarse, mode)
+        fine = [np.linspace(coarse[max(b - 1, 0)], coarse[min(b + 1, 31)], 16)
+                for b in (int(np.argmax(values)), int(np.argmax(ref_values)))]
+        taus = np.concatenate([coarse] + fine)  # both paths' full candidate sets
+        values, errs = score(taus)
+        ref_values = oracle_scores(cfg, model, theta, taus, mode)
+        assert np.all(np.isfinite(values)) and np.all((0.0 < errs) & (errs < np.inf))
+        assert np.all(np.abs(values - ref_values) <= SCAN_TOL * np.maximum(np.abs(ref_values), 1.0))
+
+        best, ref_best = tune_tau(cfg, model, theta, mode), tune_tau(cfg, model, theta, mode,
+                                                                       DEFAULT_DIFF)
+        if best != ref_best:
+            a, b = (fisher_phase_readout(cfg.with_tau(x), model, theta, DEFAULT_DIFF, mode).value
+                    for x in (best, ref_best))
+            assert abs(a - b) <= SCAN_TOL * max(abs(b), 1.0)
+        report = fisher_phase_readout(cfg.with_tau(best), model, theta, mode=mode)
+        oracle = fisher_phase_readout(cfg.with_tau(best), model, theta, DEFAULT_DIFF, mode)
+        assert (report.method, report.step) == ("analytic", 0.0)
+        assert 0.0 < report.error_estimate < np.inf
+        assert abs(report.value - oracle.value) <= SCAN_TOL * max(abs(oracle.value), 1.0)
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1", "qubit-xcomponent"])
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("shift", [None, 0.0])
+    def test_bin_derivatives_match_central5(self, model_name, n, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        E, p, jet = jet_inputs(cfg, model, theta)
+        taus = np.array([0.05, 0.5, 0.95]) * 2.0 * math.pi / float(np.ptp(E))
+        V = cfg.control(model.dim)
+        for mode in ("ideal", "realistic"):
+            probs, dprobs = phasesim._readout_probs(cfg, E, p, taus, mode, jet)
+            assert np.array_equal(probs, phasesim._readout_probs(cfg, E, p, taus, mode))
+
+            def probs_at(x):
+                return phasesim._readout_probs(cfg, *_node(model, x, cfg.t, V, cfg.rho0),
+                                               taus, mode)
+
+            fd = central5(probs_at, theta, 3e-6)
+            assert np.abs(dprobs - fd).max() <= 1e-7 * np.abs(dprobs).max()
+
+    def test_explicit_diff_runs_the_stencil(self):
+        cfg, model, theta = scan_case("nv-spin1", 6, None)
+        tau = 0.5 * default_tau(model, theta)
+        for mode in ("ideal", "realistic"):
+            report = fisher_phase_readout(cfg.with_tau(tau), model, theta, CENTRAL, mode)
+            values, errs = phasesim._readout_fisher(cfg, model, theta, np.array([tau]), CENTRAL,
+                                                    mode, phasesim._node_cache(cfg, model))
+            assert (report.value, report.error_estimate) == (values[0], errs[0])
+            assert (report.method, report.step) == ("central-fd", CENTRAL.base_step(theta))
+
+    def test_aliasing_is_judged_at_theta(self):
+        """nv-spin1's range grows with theta: a tau that aliases just above theta only."""
+        cfg, model, theta = scan_case("nv-spin1", 6, None)
+        rng_at = [float(np.ptp(np.linalg.eigvalsh(model.h_of(x))))
+                  for x in (theta, theta + DEFAULT_DIFF.base_step(theta))]
+        assert rng_at[1] > rng_at[0]
+        tuned = cfg.with_tau(2.0 * math.pi / math.sqrt(rng_at[0] * rng_at[1]))
+        for mode in ("ideal", "realistic"):
+            assert fisher_phase_readout(tuned, model, theta, mode=mode).value > 0.0
+            with pytest.raises(AliasingRisk):
+                fisher_phase_readout(tuned, model, theta, DEFAULT_DIFF, mode)
+            with pytest.raises(AliasingRisk):
+                fisher_phase_readout(cfg.with_tau(2.0 * math.pi / rng_at[0]), model, theta,
+                                     mode=mode)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_kernel_derivative_vanishes_on_the_bins(self, n):
+        """At aligned_tau both levels sit on bins: K_n = 1 and K_n' = 0 there."""
+        model = make_qubit_direction(1.0)
+        tau = aligned_tau(model, 1.0, n)
+        cfg = PhaseSimConfig(n=n, m=1, tau=tau, t=1.0, rho0=np.eye(2) / 2)
+        phase = tau * np.array([[0.0, 2.0]])  # the shifted spectrum of the qubit
+        coef = phasesim._level_coefficients(cfg, phase, np.ones_like(phase), "ideal")
+        kernels, dkernels = phasesim._level_products(coef)  # dkernels = K_n' here
+        for level, on_bin in ((0, 0), (1, 1)):  # tau * 2 = 2 pi (2^n - 1) / 2^n
+            assert kernels[0, level, on_bin] == pytest.approx(1.0, abs=1e-12)
+            assert abs(dkernels[0, level, on_bin]) <= 1e-12 * 2**n
+        alpha = phase[0, :, None] + 2.0 * math.pi * np.arange(2**n) / 2**n
+        assert np.abs(kernels[0] - ref_kernel(alpha, n)).max() <= 1e-13
+        h = 1e-6
+        slope = (ref_kernel(alpha + h, n) - ref_kernel(alpha - h, n)) / (2 * h)
+        assert np.abs(dkernels[0] - slope).max() <= 1e-6 * 2**n
+
+
 class TestDecompositionCounts:
     """One eigendecomposition per stencil node, whatever the number of tau candidates."""
 
@@ -545,6 +669,21 @@ class TestDecompositionCounts:
         decompositions[0] = 0
         fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau, from the center node
         assert 1 <= decompositions[0] <= 8
+
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_analytic_path_decomposes_once(self, decompositions, mode):
+        """The read-out jet scores every tau candidate at theta alone."""
+        model = make_nv_spin1(*NV)
+        cfg, _ = optimal_config(model, 0.7, 1.3, 10, 3)
+        decompositions[0] = 0
+        tuned = cfg.with_tau(tune_tau(cfg, model, 0.7, mode=mode))
+        assert decompositions[0] == 1
+        decompositions[0] = 0
+        fisher_phase_readout(tuned, model, 0.7, mode=mode)
+        assert decompositions[0] == 1
+        decompositions[0] = 0
+        fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau from the same one
+        assert decompositions[0] == 1
 
     def test_with_tau_checks_only_tau(self, decompositions):
         """with_tau does not validate rho0 again, but still rejects a bad tau."""
