@@ -89,17 +89,13 @@ class CemSolution:
     method: str
 
 
-def _eigenbasis(model: HamiltonianModel, theta: float, phases=None):
+def _eigenbasis(model: HamiltonianModel, theta: float):
     """(ascending energies E, eigenvector columns W) of H(theta) in the phase-fixed gauge.
 
-    Fixed per-column phases, when given, twist the gauge (used to probe gauge
-    robustness).  Raises DegenerateSpectrum for (near-)degenerate H(theta).
+    Raises DegenerateSpectrum for (near-)degenerate H(theta).
     """
     E, W = eigh_nondegenerate(model.h_of(theta))
-    W = fix_phases(W)
-    if phases is not None:
-        W = W * np.exp(1j * np.asarray(phases))[None, :]
-    return E, W
+    return E, fix_phases(W)
 
 
 def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
@@ -111,16 +107,15 @@ def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     return _eigenbasis(model, theta)[1].conj().T
 
 
-def diagonalizer_family(model: HamiltonianModel, theta: float, phases=None):
+def diagonalizer_family(model: HamiltonianModel, theta: float):
     """theta' -> S(theta'), gauge-continuous around the anchor point theta.
 
     At the anchor the rows are phase-fixed eigenbra's in ascending energy
-    order (optionally twisted by fixed per-row phases, used to probe gauge
-    robustness).  At nearby theta' every eigenvector is matched to the anchor
+    order.  At nearby theta' every eigenvector is matched to the anchor
     eigenvector of maximal overlap modulus and rephased so that the overlap
     with the anchor vector is real and positive.
     """
-    return _transported_family(model, _eigenbasis(model, theta, phases)[1])
+    return _transported_family(model, _eigenbasis(model, theta)[1])
 
 
 def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
@@ -177,14 +172,13 @@ def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float)
     return (g_dyn + g_dyn.conj().T) / 2.0, g_diag, D
 
 
-def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None,
-                phases=None):
+def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
     """(E, W, g_dyn, g_diag, method), with (E, W) the _eigenbasis of H(theta)."""
     # fd is the finite-difference spec of the oracle path; None selects the analytic one.
     fd = DEFAULT_DIFF if diff is None and model.dh_of is None else diff
     radius = 0.0 if fd is None else fd.base_step(theta)
     numdiff.check_domain(theta, radius, model.theta_domain)
-    E, W = _eigenbasis(model, theta, phases)
+    E, W = _eigenbasis(model, theta)
     if fd is None:
         g_dyn, g_diag, _ = _analytic_generators(E, W, require_hermitian(model.dh_of(theta)), t)
         return E, W, g_dyn, g_diag, numdiff.ANALYTIC
@@ -195,7 +189,6 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
 
 def generator_pair(
     model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None = None,
-    phases=None,
 ) -> GeneratorPair:
     """Generators of the encoding unitary exp(-i t H) and of the diagonalizer.
 
@@ -206,7 +199,7 @@ def generator_pair(
     instead; that path is the cross-check oracle, needs its whole stencil
     inside the domain, and is the only one that can raise NonSmoothFamily.
     """
-    _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff, phases)
+    _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(
         g_dyn=g_dyn,
         g_diag=g_diag,

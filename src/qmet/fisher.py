@@ -124,19 +124,21 @@ def _fisher_sum(p: np.ndarray, dp, dp_err) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(values, 0.0), errs
 
 
-def fisher_rows(
-    p_of, theta: float, p: np.ndarray, diff: DiffSpec = DEFAULT_DIFF,
-) -> tuple[np.ndarray, np.ndarray]:
+def fisher_rows(p_of, theta: float,
+                diff: DiffSpec = DEFAULT_DIFF) -> tuple[np.ndarray, np.ndarray]:
     """Classical Fisher information of each row of a batch of distributions.
 
-    p is the (T, K) batch at theta and p_of(x) returns the batch at any other
-    stencil node; every row must stay normalised over the same K outcomes.
+    p_of(x) returns the (T, K) batch at x, theta or any other stencil node;
+    every row must stay normalised over the same K outcomes.
     Row r gets F_r = sum_{p_rx > SUPPORT_THRESHOLD} (d p_rx / d theta)^2 / p_rx
     and the first-order error bound of _fisher_sum, with dp_err the
     derivative error of the whole batch (exact for T = 1, conservative
     otherwise).  Returns (values, error estimates), each (T,).  The caller
     checks the stencil against the parameter domain.
     """
+    p = np.asarray(p_of(theta), dtype=float)
+    _require_normalized(p)
+
     def checked(x: float) -> np.ndarray:
         q = np.asarray(p_of(x), dtype=float)
         if q.shape != p.shape:
@@ -144,7 +146,6 @@ def fisher_rows(
         _require_normalized(q)
         return q
 
-    _require_normalized(p)
     dp, dp_err = numdiff.derivative(checked, theta, diff)
     return _fisher_sum(p, dp, dp_err)
 
@@ -172,8 +173,7 @@ def classical_fisher(
                             error_estimate=float(err))
     fd = DEFAULT_DIFF if diff is None else diff
     numdiff.check_domain(theta, fd.base_step(theta), model.theta_domain)
-    values, errs = fisher_rows(lambda x: model.at(x).probs[None, :], theta,
-                               model.at(theta).probs[None, :], fd)
+    values, errs = fisher_rows(lambda x: model.at(x).probs[None, :], theta, fd)
     return FisherReport(value=float(values[0]), method=fd.method,
                         step=fd.base_step(theta), error_estimate=float(errs[0]))
 

@@ -183,7 +183,7 @@ def _twiddles(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
-                   mode: str, jet=None):
+                   mode: str) -> np.ndarray:
     """(T, 2^n) read-out distributions at one node (energies ev, level weights p), one per tau.
 
     Pr(Q) = 2^-n sum_j p_j prod_l [1 + a^(w m) cos(w beta_jQ)], w = 2^(l-1),
@@ -200,15 +200,8 @@ def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.
     one small matrix product per level over one period, so no bin takes a
     sine.  The product over levels is built from the top level down,
     doubling its period each level.
-
-    jet = (dxi, dp), the theta-derivatives of the shifted energies and of the
-    level weights, also returns the exact derivative of every distribution,
-    (probs, dprobs), with dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product
-    rule runs alongside the product (see _level_coefficients for dc).
     """
-    parts = list(_readout_chunks(cfg, ev, p, taus, mode, jet))
-    probs = np.concatenate([part[1] for part in parts])
-    return probs if jet is None else (probs, np.concatenate([part[2] for part in parts]))
+    return np.concatenate([probs for _, probs, _ in _readout_chunks(cfg, ev, p, taus, mode)])
 
 
 def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
@@ -217,7 +210,10 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
 
     A chunk holds at most ROW_BUDGET / 2^n taus, which bounds the
     (taus, d, 2^n) scratch arrays; the level coefficients of all taus are
-    built once.
+    built once.  jet = (dxi, dp), the theta-derivatives of the shifted
+    energies and of the level weights, also yields the exact derivative of
+    every distribution, dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product
+    rule runs alongside the product (see _level_coefficients for dc).
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
@@ -324,91 +320,70 @@ def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
     return _distribution(cfg, model, theta, REALISTIC)
 
 
-def _node_cache(cfg: PhaseSimConfig, model: HamiltonianModel):
-    """x -> (energies, level weights) with one decomposition per distinct node."""
-    V = cfg.control(model.dim)
-    return functools.lru_cache(maxsize=None)(lambda x: _node(model, x, cfg.t, V, cfg.rho0))
-
-
-def _readout_fisher(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-                    taus: np.ndarray, diff: DiffSpec, mode: str, node):
-    """Finite-difference read-out Fisher information and its error estimate at every tau.
-
-    The oracle path.  The parameter enters the level weights, the (shifted)
-    eigenvalues inside the kernel, and, in realistic mode, the controllization
-    damping and phase.  A tau whose bins alias at any stencil node scores
-    -inf.  The taus are scored in chunks of at most ROW_BUDGET / 2^n rows;
-    node(x) supplies each node's decomposition.
-    """
-    numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
-    chunk = max(ROW_BUDGET >> cfg.n, 1)
-    values, errs = [], []
-    for start in range(0, len(taus), chunk):
-        rows = taus[start:start + chunk]
-        aliased = np.zeros(rows.shape, dtype=bool)
-
-        def probs_at(x: float) -> np.ndarray:
-            ev, p = node(x)
-            np.logical_or(aliased, _aliases(rows, ev), out=aliased)
-            return _readout_probs(cfg, ev, p, rows, mode)
-
-        v, e = fisher_rows(probs_at, theta, probs_at(theta), diff)
-        values.append(np.where(aliased, -np.inf, v))
-        errs.append(e)
-    return np.concatenate(values), np.concatenate(errs)
-
-
-def _readout_jet(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float, mode: str):
-    """(energies at theta, taus -> (values, error estimates)) from one decomposition of H(theta).
-
-    The analytic path: _level_jet gives the energies, the level weights and
-    their exact derivatives, and _readout_probs carries them through the
-    kernel, so every tau costs no further decomposition.  The shifted
-    energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
-    energy, and as dxi_j = dE_j under a fixed shift.  A tau whose bins alias
-    at theta scores -inf.  The error estimate propagates the rounding bounds
-    on dp and dxi: each level's kernel lies in [0, 1], and as a polynomial
-    of degree 2^n - 1 in unit-disc phase variables it moves by at most
-    (2^n - 1) tau max|delta xi| under an energy error delta xi (Bernstein's
-    inequality), so every dPr(Q) is off by at most
-    d dp_err + (2^n - 1) tau dxi_err.
-    """
-    E, dE, dE_err, p, dp, dp_err = _level_jet(model, theta, cfg.t, cfg.control(model.dim),
-                                               cfg.rho0)
-    if cfg.energy_shift is None:
-        dxi, dxi_err = dE - dE[0], 2.0 * dE_err
-    else:
-        dxi, dxi_err = dE, dE_err
-
-    def score(taus: np.ndarray):
-        values, errs = np.empty(taus.shape), np.empty(taus.shape)
-        for sl, probs, dprobs in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
-            _require_normalized(probs)
-            dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_err
-            values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None])
-        return np.where(_aliases(taus, E), -np.inf, values), errs
-
-    return E, score
-
-
 def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec], mode: str):
     """(energies at theta, taus -> (values, errors), method, step) of the chosen path.
 
-    diff=None with the model's dh_of selects the analytic jet; an explicit
-    DiffSpec, or a model without dh_of (Richardson then), the
-    finite-difference oracle.
+    diff=None with the model's dh_of selects the analytic path: _level_jet
+    gives the energies, the level weights and their exact derivatives from
+    one decomposition of H(theta), and _readout_chunks carries them through
+    the kernel, so a tau costs no further decomposition.  The shifted
+    energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
+    energy, and as dxi_j = dE_j under a fixed shift.  The error estimate
+    propagates the rounding bounds on dp and dxi: each level's kernel lies
+    in [0, 1], and as a polynomial of degree 2^n - 1 in unit-disc phase
+    variables it moves by at most (2^n - 1) tau max|delta xi| under an
+    energy error delta xi (Bernstein's inequality), so every dPr(Q) is off
+    by at most d dp_err + (2^n - 1) tau dxi_err.
+
+    An explicit DiffSpec, or a model without dh_of (Richardson then), runs
+    the finite-difference oracle: fisher_rows differentiates the read-out
+    (level weights, shifted energies and, in realistic mode, the
+    controllization factors) over the stencil, one decomposition per node.
+    A tau scores -inf where its bins alias: at theta on the analytic path,
+    at any stencil node on the oracle.
     """
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
+    V = cfg.control(model.dim)
     if diff is None and model.dh_of is not None:
-        E, score = _readout_jet(cfg, model, theta, mode)
-        return E, score, numdiff.ANALYTIC, 0.0
-    fd = DEFAULT_DIFF if diff is None else diff
-    node = _node_cache(cfg, model)
-    E = node(theta)[0]
-    return (E, lambda taus: _readout_fisher(cfg, model, theta, taus, fd, mode, node),
-            fd.method, fd.base_step(theta))
+        E, dE, dE_err, p, dp, dp_err = _level_jet(model, theta, cfg.t, V, cfg.rho0)
+        if cfg.energy_shift is None:
+            dxi, dxi_err = dE - dE[0], 2.0 * dE_err
+        else:
+            dxi, dxi_err = dE, dE_err
+        method, step = numdiff.ANALYTIC, 0.0
+
+        def unmasked(taus: np.ndarray):
+            values, errs = np.empty(taus.shape), np.empty(taus.shape)
+            for sl, probs, dprobs in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
+                _require_normalized(probs)
+                dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_err
+                values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None])
+            return values, errs, _aliases(taus, E)
+    else:
+        fd = DEFAULT_DIFF if diff is None else diff
+        method, step = fd.method, fd.base_step(theta)
+        numdiff.check_domain(theta, step, model.theta_domain)
+        node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.rho0))
+        E = node(theta)[0]
+
+        def unmasked(taus: np.ndarray):
+            aliased = np.zeros(taus.shape, dtype=bool)
+
+            def probs_at(x: float) -> np.ndarray:
+                ev, p = node(x)
+                np.logical_or(aliased, _aliases(taus, ev), out=aliased)
+                return _readout_probs(cfg, ev, p, taus, mode)
+
+            values, errs = fisher_rows(probs_at, theta, fd)
+            return values, errs, aliased
+
+    def score(taus: np.ndarray):
+        values, errs, aliased = unmasked(taus)
+        return np.where(aliased, -np.inf, values), errs
+
+    return E, score, method, step
 
 
 def fisher_phase_readout(

@@ -24,7 +24,7 @@ from qmet.cem import (
 )
 from qmet.cli import EXIT_OK, main
 from qmet.errors import DegenerateSpectrum, DomainBoundary, NonHermitianInput
-from qmet.linalg import expm_unitary, spectral_gap
+from qmet.linalg import expm_unitary, fix_phases, spectral_gap
 from qmet.models import (
     HamiltonianModel,
     make_jaynes_cummings,
@@ -39,6 +39,12 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 NV_PARAMS = {"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi}
+
+
+def twist_gauge(monkeypatch, phases):
+    """Multiply every column of the phase-fixed eigenbasis by a fixed phase exp(i phi_k)."""
+    rot = np.exp(1j * phases)
+    monkeypatch.setattr(cem, "fix_phases", lambda W: fix_phases(W) * rot)
 
 
 def constant_basis_model(levels):
@@ -208,14 +214,14 @@ class TestGBound:
         pair = generator_pair(make_qubit_direction(1.0), 1.1, 0.9)
         assert sol.G_value == pytest.approx((pair.gaps[0] + pair.gaps[1]) ** 2, abs=1e-10)
 
-    def test_gauge_robustness(self):
+    def test_gauge_robustness(self, monkeypatch):
         """theta-independent eigenvector phases leave both gaps (hence G) unchanged."""
         rng = np.random.default_rng(12)
         m = make_qubit_xcomponent(1.0)
         base = generator_pair(m, 0.7, 1.2)
         for _ in range(5):
-            phases = rng.uniform(0, 2 * math.pi, size=2)
-            twisted = generator_pair(m, 0.7, 1.2, phases=phases)
+            twist_gauge(monkeypatch, rng.uniform(0, 2 * math.pi, size=2))
+            twisted = generator_pair(m, 0.7, 1.2)
             assert twisted.gaps[1] == pytest.approx(base.gaps[1], abs=1e-9)
             assert twisted.gaps[0] == pytest.approx(base.gaps[0], abs=1e-9)
 
@@ -260,18 +266,19 @@ class TestAnalyticGenerators:
                 assert fi == pytest.approx(sol.G_value, rel=1e-4)
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
-    def test_gauge_twist(self, name):
+    def test_gauge_twist(self, name, monkeypatch):
         """A twist moves g_diag to the twisted gauge, as on the oracle, and keeps both gaps."""
         model = ORACLE_GRIDS[name][0]()
         rng = np.random.default_rng(31)
         base = generator_pair(model, 0.9, 1.4)
         for _ in range(3):
             phases = rng.uniform(0, 2 * math.pi, size=model.dim)
-            twisted = generator_pair(model, 0.9, 1.4, phases=phases)
+            twist_gauge(monkeypatch, phases)
+            twisted = generator_pair(model, 0.9, 1.4)
             assert twisted.gaps == pytest.approx(base.gaps, rel=1e-12, abs=1e-12)
             rot = np.exp(1j * phases)  # g_diag_jk -> exp(-i phi_j) g_diag_jk exp(i phi_k)
             assert np.max(np.abs(twisted.g_diag - rot.conj()[:, None] * base.g_diag * rot)) <= 1e-12
-            oracle = generator_pair(model, 0.9, 1.4, RICHARDSON, phases=phases)
+            oracle = generator_pair(model, 0.9, 1.4, RICHARDSON)
             assert np.max(np.abs(twisted.g_diag - oracle.g_diag)) <= 1e-7
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))

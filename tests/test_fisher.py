@@ -147,7 +147,7 @@ class TestFisherRows:
         return np.stack([self.QS + x, 1.0 - self.QS - x], axis=-1)
 
     def test_rows_match_classical_fisher(self):
-        values, errs = fisher_rows(self.rows, 0.0, self.rows(0.0))
+        values, errs = fisher_rows(self.rows, 0.0)
         for q, value, err in zip(self.QS, values, errs):
             model = ProbabilityModel(at=lambda x, q=q: OutcomeDistribution(
                 outcomes=("0", "1"), probs=np.array([q + x, 1.0 - q - x])))
@@ -161,10 +161,17 @@ class TestFisherRows:
             r[1, 0] += abs(x)  # only off the centre
             return r
 
+        def centre_drifts(x):
+            r = self.rows(x)
+            r[1, 0] += 0.1 if x == 0.0 else 0.0
+            return r
+
         with pytest.raises(NonNormalized):
-            fisher_rows(one_row_drifts, 0.0, self.rows(0.0))
-        with pytest.raises(DimensionMismatch):
-            fisher_rows(lambda x: self.rows(x)[:2], 0.0, self.rows(0.0))
+            fisher_rows(one_row_drifts, 0.0)
+        with pytest.raises(NonNormalized):
+            fisher_rows(centre_drifts, 0.0)
+        with pytest.raises(DimensionMismatch):  # a row goes missing off the centre
+            fisher_rows(lambda x: self.rows(x)[: 3 if x == 0.0 else 2], 0.0)
 
 
 class TestSld:

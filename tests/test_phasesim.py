@@ -518,8 +518,7 @@ class TestBatchedReadoutMatchesSerial:
     def test_tau_scan(self, model_name, n, mode, diff, shift):
         cfg, model, theta = scan_case(model_name, n, shift)
         candidates, ref_values, ref_best = ref_tune_tau(cfg, model, theta, mode, diff)
-        values, _ = phasesim._readout_fisher(cfg, model, theta, candidates, diff, mode,
-                                             phasesim._node_cache(cfg, model))
+        values, _ = phasesim._scorer(cfg, model, theta, diff, mode)[1](candidates)
         aliased = np.isneginf(ref_values)
         assert np.array_equal(np.isneginf(values), aliased)
         if model_name == "steep":
@@ -554,8 +553,7 @@ def jet_inputs(cfg, model, theta):
 
 def oracle_scores(cfg, model, theta, taus, mode):
     """Richardson read-out Fisher values at every tau, through the library's stencil."""
-    return phasesim._readout_fisher(cfg, model, theta, taus, DEFAULT_DIFF, mode,
-                                    phasesim._node_cache(cfg, model))[0]
+    return phasesim._scorer(cfg, model, theta, DEFAULT_DIFF, mode)[1](taus)[0]
 
 
 class TestAnalyticReadout:
@@ -602,7 +600,8 @@ class TestAnalyticReadout:
         taus = np.array([0.05, 0.5, 0.95]) * 2.0 * math.pi / float(np.ptp(E))
         V = cfg.control(model.dim)
         for mode in ("ideal", "realistic"):
-            probs, dprobs = phasesim._readout_probs(cfg, E, p, taus, mode, jet)
+            parts = list(phasesim._readout_chunks(cfg, E, p, taus, mode, jet))
+            probs, dprobs = (np.concatenate([part[k] for part in parts]) for k in (1, 2))
             assert np.array_equal(probs, phasesim._readout_probs(cfg, E, p, taus, mode))
 
             def probs_at(x):
@@ -617,8 +616,7 @@ class TestAnalyticReadout:
         tau = 0.5 * default_tau(model, theta)
         for mode in ("ideal", "realistic"):
             report = fisher_phase_readout(cfg.with_tau(tau), model, theta, CENTRAL, mode)
-            values, errs = phasesim._readout_fisher(cfg, model, theta, np.array([tau]), CENTRAL,
-                                                    mode, phasesim._node_cache(cfg, model))
+            values, errs = phasesim._scorer(cfg, model, theta, CENTRAL, mode)[1](np.array([tau]))
             assert (report.value, report.error_estimate) == (values[0], errs[0])
             assert (report.method, report.step) == ("central-fd", CENTRAL.base_step(theta))
 
@@ -656,19 +654,38 @@ class TestAnalyticReadout:
         assert np.abs(dkernels[0] - slope).max() <= 1e-6 * 2**n
 
 
+class TestBatchMatchesSingleTau:
+    """A batch score equals the single-tau reports bit for bit, however the taus are chunked."""
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 12])
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    @pytest.mark.parametrize("diff", [None, DEFAULT_DIFF], ids=["analytic", "richardson"])
+    def test_batch_equals_single_tau_reports(self, n, mode, diff):
+        cfg, model, theta = scan_case("nv-spin1", n, None)
+        hi = 0.98 * 2.0 * math.pi / float(np.ptp(np.linalg.eigvalsh(model.h_of(theta))))
+        taus = np.geomspace(hi / 300.0, hi, 20)
+        values, errs = phasesim._scorer(cfg, model, theta, diff, mode)[1](taus)
+        for tau, value, err in zip(taus, values, errs):
+            report = fisher_phase_readout(cfg.with_tau(float(tau)), model, theta, diff, mode)
+            assert report.value == value
+            if diff is None:  # a Richardson batch shares one derivative error bound
+                assert report.error_estimate == err
+
+
 class TestDecompositionCounts:
     """One eigendecomposition per stencil node, whatever the number of tau candidates."""
 
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_tune_tau_and_readout(self, decompositions, mode):
+        """The Richardson stencil has 7 nodes; the coarse and fine scans share them."""
         model = make_nv_spin1(*NV)
         cfg, _ = optimal_config(model, 0.7, 1.3, 10, 3)
         decompositions[0] = 0
-        tune_tau(cfg, model, 0.7, mode=mode)
-        assert 1 <= decompositions[0] <= 8
+        tune_tau(cfg, model, 0.7, mode=mode, diff=DiffSpec())
+        assert decompositions[0] == 7
         decompositions[0] = 0
-        fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau, from the center node
-        assert 1 <= decompositions[0] <= 8
+        fisher_phase_readout(cfg, model, 0.7, DiffSpec(), mode)  # default tau from the center
+        assert decompositions[0] == 7
 
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_analytic_path_decomposes_once(self, decompositions, mode):
