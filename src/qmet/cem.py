@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import NonSmoothFamily
+from .errors import InvalidParameter, NonSmoothFamily
 from .fisher import (
     SUPPORT_THRESHOLD,
     FisherReport,
@@ -65,8 +65,6 @@ class GeneratorPair:
     g_dyn: np.ndarray
     g_diag: np.ndarray
     gaps: tuple[float, float]
-    theta: float
-    t: float
     method: str
 
 
@@ -105,17 +103,6 @@ def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     gauge.  Raises DegenerateSpectrum for (near-)degenerate Hamiltonians.
     """
     return _eigenbasis(model, theta)[1].conj().T
-
-
-def diagonalizer_family(model: HamiltonianModel, theta: float):
-    """theta' -> S(theta'), gauge-continuous around the anchor point theta.
-
-    At the anchor the rows are phase-fixed eigenbra's in ascending energy
-    order.  At nearby theta' every eigenvector is matched to the anchor
-    eigenvector of maximal overlap modulus and rephased so that the overlap
-    with the anchor vector is real and positive.
-    """
-    return _transported_family(model, _eigenbasis(model, theta)[1])
 
 
 def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
@@ -172,19 +159,25 @@ def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float)
     return (g_dyn + g_dyn.conj().T) / 2.0, g_diag, D
 
 
+def _dh(model: HamiltonianModel, theta: float) -> np.ndarray:
+    """dH/dtheta from the model's dh_of, which every analytic (diff=None) path needs."""
+    if model.dh_of is None:
+        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
+                               "it, and an explicit DiffSpec selects the finite-difference oracle")
+    return require_hermitian(model.dh_of(theta))
+
+
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
     """(E, W, g_dyn, g_diag, method), with (E, W) the _eigenbasis of H(theta)."""
-    # fd is the finite-difference spec of the oracle path; None selects the analytic one.
-    fd = DEFAULT_DIFF if diff is None and model.dh_of is None else diff
-    radius = 0.0 if fd is None else fd.base_step(theta)
+    radius = 0.0 if diff is None else diff.base_step(theta)
     numdiff.check_domain(theta, radius, model.theta_domain)
     E, W = _eigenbasis(model, theta)
-    if fd is None:
-        g_dyn, g_diag, _ = _analytic_generators(E, W, require_hermitian(model.dh_of(theta)), t)
+    if diff is None:
+        g_dyn, g_diag, _ = _analytic_generators(E, W, _dh(model, theta), t)
         return E, W, g_dyn, g_diag, numdiff.ANALYTIC
-    g_dyn = local_generator(lambda x: model.u_of(x, t), theta, fd)
-    g_diag = local_generator(_transported_family(model, W), theta, fd)
-    return E, W, g_dyn, g_diag, fd.method
+    g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
+    g_diag = local_generator(_transported_family(model, W), theta, diff)
+    return E, W, g_dyn, g_diag, diff.method
 
 
 def generator_pair(
@@ -193,10 +186,10 @@ def generator_pair(
     """Generators of the encoding unitary exp(-i t H) and of the diagonalizer.
 
     By default both are analytic in the eigenbasis of H(theta), from the
-    model's dh_of: one eigendecomposition, and theta only has to lie inside
-    the open domain.  A finite-difference diff, or a model without dh_of
-    (Richardson then), differentiates both unitary families numerically
-    instead; that path is the cross-check oracle, needs its whole stencil
+    model's dh_of (InvalidParameter without it): one eigendecomposition, and
+    theta only has to lie inside the open domain.  An explicit DiffSpec
+    differentiates both unitary families numerically instead and never reads
+    dh_of; that path is the cross-check oracle, needs its whole stencil
     inside the domain, and is the only one that can raise NonSmoothFamily.
     """
     _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff)
@@ -204,8 +197,6 @@ def generator_pair(
         g_dyn=g_dyn,
         g_diag=g_diag,
         gaps=(spectral_gap(g_dyn), spectral_gap(g_diag)),
-        theta=theta,
-        t=t,
         method=method,
     )
 
@@ -273,9 +264,9 @@ def cem_outcome_model(
     """Outcome model Pr_theta(j) = <xi_j,theta| V rho_theta V^dag |xi_j,theta>.
 
     Outcomes are identified across parameter values by their spectral index j
-    (ascending energy order), never by the eigenvalue itself.  With the
-    model's dh_of the outcome model also carries the analytic jet of
-    _level_jet.
+    (ascending energy order), never by the eigenvalue itself.  The outcome
+    model also carries the analytic jet of _level_jet, which needs the
+    model's dh_of.
     """
     v = require_unitary(V)
     rho = require_density(rho0)
@@ -287,8 +278,7 @@ def cem_outcome_model(
     def jet(x: float):
         return _level_jet(model, x, t, v, rho)[3:]
 
-    return ProbabilityModel(at=at, theta_domain=model.theta_domain,
-                            jet=None if model.dh_of is None else jet)
+    return ProbabilityModel(at=at, theta_domain=model.theta_domain, jet=jet)
 
 
 def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.ndarray):
@@ -333,7 +323,7 @@ def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
     """
     numdiff.check_domain(x, 0.0, model.theta_domain)
     E, W = eigh_nondegenerate(model.h_of(x))
-    dH = require_hermitian(model.dh_of(x))
+    dH = _dh(model, x)
     g_dyn, g_diag, D = _analytic_generators(E, W, dH, t)
     u_t = spectral_unitary(E, W, t)
     sigma = u_t @ rho0 @ u_t.conj().T
@@ -363,11 +353,10 @@ def fisher_cem(
 
     The parameter moves both the state rho_theta and the measured eigenbasis,
     so this is a non-regular statistical model; the energy measurement V = I
-    yields a t-independent value.  diff is classical_fisher's: by default a
-    model with dh_of is differentiated analytically through _level_jet (two
-    decompositions: rho0's check and H(theta)); an explicit finite-difference
-    DiffSpec, or a model without dh_of (Richardson then), runs the stencil
-    over cem_outcome_model's distributions as the oracle.
+    yields a t-independent value.  diff is classical_fisher's: by default
+    the model's dh_of differentiates it analytically through _level_jet (two
+    decompositions: rho0's check and H(theta)); an explicit DiffSpec runs the
+    stencil over cem_outcome_model's distributions as the oracle.
     """
     return classical_fisher(cem_outcome_model(model, t, V, rho0), theta, diff)
 
@@ -384,19 +373,18 @@ def encoded_qfi(
     sigma(g_dyn)^2 is the quantum Fisher information of the best preparation.
     By default one decomposition of H(theta) gives U_t and g_dyn, and the
     state moves as drho = -i [g_dyn, rho] (method "analytic", step 0; theta
-    only has to lie inside the open domain).  An explicit finite-difference
-    diff, or a model without dh_of (Richardson then), runs fisher.qfi's
-    stencil over model.u_of instead; that path is the oracle and also checks
-    the rank of rho across the stencil.  g_dyn follows generator_pair's
-    default on both paths.  rho0 must be Hermitian with unit trace.
+    only has to lie inside the open domain).  An explicit DiffSpec runs
+    fisher.qfi's stencil over model.u_of instead; that path is the oracle and
+    also checks the rank of rho across the stencil.  g_dyn is analytic on
+    both paths, so both need the model's dh_of.  rho0 must be Hermitian with
+    unit trace.
     """
-    if diff is not None or model.dh_of is None:
+    if diff is not None:
         def rho_of(x: float) -> np.ndarray:
             u = model.u_of(x, t)
             return u @ rho0 @ u.conj().T
 
-        report = qfi(rho_of, theta, DEFAULT_DIFF if diff is None else diff,
-                     model.theta_domain)
+        report = qfi(rho_of, theta, diff, model.theta_domain)
         return report, spectral_gap(_generators(model, theta, t, None)[2])
     E, W, g_dyn, _, _ = _generators(model, theta, t, None)
     u_t = spectral_unitary(E, W, t)

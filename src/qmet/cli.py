@@ -15,9 +15,9 @@ holds each probe's factory and closed forms.  The 'qfi' column, the 'jc'
 classical Fisher information and the 'phase-sim' read-out Fisher
 information are analytic by default; a [diff] section (method defaults to
 richardson-fd) switches all three to the finite-difference oracle.  The
-generators behind G and max_qfi are analytic from the model's dh_of.  With
-a fixed seed, repeated runs produce byte-identical output; every file
-carries its config hash.
+generators behind G and max_qfi are always analytic.  With a fixed seed,
+repeated runs produce byte-identical output; every file carries its config
+hash.
 """
 
 from __future__ import annotations

@@ -38,7 +38,12 @@ SPIN1_Z = 2.0 * np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A named family theta -> H(theta) with an optional analytic derivative."""
+    """A named family theta -> H(theta) with its analytic derivative dh_of.
+
+    Every default (analytic) Fisher and generator path needs dh_of and
+    raises InvalidParameter without it; a model without dh_of runs only on
+    the finite-difference oracle, selected by an explicit DiffSpec.
+    """
 
     name: str
     dim: int

@@ -45,7 +45,7 @@ from .linalg import (
     tensor,
 )
 from .models import HamiltonianModel
-from .numdiff import DEFAULT_DIFF, DiffSpec
+from .numdiff import DiffSpec
 
 IDEAL = "ideal"
 REALISTIC = "realistic"
@@ -324,7 +324,7 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec], mode: str):
     """(energies at theta, taus -> (values, errors), method, step) of the chosen path.
 
-    diff=None with the model's dh_of selects the analytic path: _level_jet
+    diff=None selects the analytic path, which needs dh_of: _level_jet
     gives the energies, the level weights and their exact derivatives from
     one decomposition of H(theta), and _readout_chunks carries them through
     the kernel, so a tau costs no further decomposition.  The shifted
@@ -336,17 +336,17 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     energy error delta xi (Bernstein's inequality), so every dPr(Q) is off
     by at most d dp_err + (2^n - 1) tau dxi_err.
 
-    An explicit DiffSpec, or a model without dh_of (Richardson then), runs
-    the finite-difference oracle: fisher_rows differentiates the read-out
-    (level weights, shifted energies and, in realistic mode, the
-    controllization factors) over the stencil, one decomposition per node.
+    An explicit DiffSpec runs the finite-difference oracle, which never
+    reads dh_of: fisher_rows differentiates the read-out (level weights,
+    shifted energies and, in realistic mode, the controllization factors)
+    over the stencil, one decomposition per node.
     A tau scores -inf where its bins alias: at theta on the analytic path,
     at any stencil node on the oracle.
     """
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     V = cfg.control(model.dim)
-    if diff is None and model.dh_of is not None:
+    if diff is None:
         E, dE, dE_err, p, dp, dp_err = _level_jet(model, theta, cfg.t, V, cfg.rho0)
         if cfg.energy_shift is None:
             dxi, dxi_err = dE - dE[0], 2.0 * dE_err
@@ -362,8 +362,7 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                 values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None])
             return values, errs, _aliases(taus, E)
     else:
-        fd = DEFAULT_DIFF if diff is None else diff
-        method, step = fd.method, fd.base_step(theta)
+        method, step = diff.method, diff.base_step(theta)
         numdiff.check_domain(theta, step, model.theta_domain)
         node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.rho0))
         E = node(theta)[0]
@@ -376,7 +375,7 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                 np.logical_or(aliased, _aliases(taus, ev), out=aliased)
                 return _readout_probs(cfg, ev, p, taus, mode)
 
-            values, errs = fisher_rows(probs_at, theta, fd)
+            values, errs = fisher_rows(probs_at, theta, diff)
             return values, errs, aliased
 
     def score(taus: np.ndarray):
@@ -397,12 +396,11 @@ def fisher_phase_readout(
 
     tau is frozen at the working point (cfg.tau, or default_tau there), while
     the energy shift follows the spectrum (unless fixed), so its parameter
-    dependence is part of the statistical model.  By default a model with
-    dh_of is differentiated exactly at theta alone (method "analytic", step
+    dependence is part of the statistical model.  By default the model's
+    dh_of differentiates it exactly at theta alone (method "analytic", step
     0, one decomposition; AliasingRisk when tau aliases at theta).  An
-    explicit DiffSpec, or a model without dh_of (Richardson then), runs the
-    finite-difference stencil instead, the oracle, which raises AliasingRisk
-    when tau aliases at any stencil node.
+    explicit DiffSpec runs the finite-difference stencil instead, the
+    oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
     E, score, method, step = _scorer(cfg, model, theta, diff, mode)
     tau = cfg.tau if cfg.tau is not None else _default_tau(E)

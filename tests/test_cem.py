@@ -13,7 +13,6 @@ from qmet.cem import (
     cem_outcome_model,
     check_condition,
     diagonalizer,
-    diagonalizer_family,
     encoded_qfi,
     fisher_cem,
     g_bound,
@@ -23,7 +22,7 @@ from qmet.cem import (
     optimize_cem,
 )
 from qmet.cli import EXIT_OK, main
-from qmet.errors import DegenerateSpectrum, DomainBoundary, NonHermitianInput
+from qmet.errors import DegenerateSpectrum, DomainBoundary, InvalidParameter, NonHermitianInput
 from qmet.linalg import expm_unitary, fix_phases, spectral_gap
 from qmet.models import (
     HamiltonianModel,
@@ -34,6 +33,7 @@ from qmet.models import (
     reference,
 )
 from qmet.numdiff import DiffSpec
+from qmet.phasesim import PhaseSimConfig, fisher_phase_readout, tune_tau
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -54,6 +54,7 @@ def constant_basis_model(levels):
         name="diag",
         dim=levels.size,
         h_of=lambda q: np.diag(levels * (1.0 + q)).astype(complex),
+        dh_of=lambda q: np.diag(levels).astype(complex),
         theta_domain=(-0.5, np.inf),
     )
 
@@ -126,7 +127,7 @@ class TestLocalGenerator:
         """Off-diagonal purely imaginary with modulus w/(2 Om^2); the gap is w/Om^2."""
         w, theta = 1.0, 0.8
         m = make_qubit_xcomponent(w)
-        g = local_generator(diagonalizer_family(m, theta), theta)
+        g = generator_pair(m, theta, 1.0, DiffSpec()).g_diag
         om2 = w * w + theta * theta
         assert abs(g[0, 0]) <= 1e-9 and abs(g[1, 1]) <= 1e-9
         assert abs(abs(g[0, 1]) - w / (2 * om2)) <= 1e-7
@@ -136,7 +137,7 @@ class TestLocalGenerator:
     def test_field_direction_diagonalizer_generator_gap_is_one(self):
         m = make_qubit_direction(1.0)
         for theta in (0.5, math.pi / 2, 2.6):
-            g = local_generator(diagonalizer_family(m, theta), theta)
+            g = generator_pair(m, theta, 1.0, DiffSpec()).g_diag
             assert spectral_gap(g) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -282,17 +283,58 @@ class TestAnalyticGenerators:
             assert np.max(np.abs(twisted.g_diag - oracle.g_diag)) <= 1e-7
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
-    def test_model_without_dh_of_falls_back_to_richardson(self, name):
+    def test_model_without_dh_of_raises_on_the_analytic_path(self, name):
         model = ORACLE_GRIDS[name][0]()
         bare = dataclasses.replace(model, dh_of=None)
-        pair = generator_pair(bare, 0.8, 1.1)
-        assert pair.method == "richardson-fd"
-        assert pair.gaps == generator_pair(model, 0.8, 1.1, RICHARDSON).gaps
-        for a, b in zip(pair.gaps, generator_pair(model, 0.8, 1.1).gaps):
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
-        sol = g_bound(bare, 0.8, 1.1)
-        assert sol.method == "richardson-fd"
-        assert sol.G_value == pytest.approx(g_bound(model, 0.8, 1.1).G_value, rel=1e-8)
+        sol = g_bound(model, 0.8, 1.1)
+        rho0 = np.outer(sol.psi_opt, sol.psi_opt.conj())
+        calls = [
+            lambda: generator_pair(bare, 0.8, 1.1),
+            lambda: g_bound(bare, 0.8, 1.1),
+            lambda: fisher_cem(bare, 0.8, 1.1, sol.V_opt, rho0),
+            lambda: encoded_qfi(bare, 0.8, 1.1, rho0),
+            lambda: encoded_qfi(bare, 0.8, 1.1, rho0, RICHARDSON),  # g_dyn stays analytic
+            lambda: optimize_cem(bare, 0.8, 1.1, budget=(1, 1)),
+        ]
+        if model.dim <= 3:
+            cfg = PhaseSimConfig(n=6, m=3, t=1.1, V=sol.V_opt, rho0=rho0)
+            for mode in ("ideal", "realistic"):
+                calls.append(lambda mode=mode: fisher_phase_readout(cfg, bare, 0.8, mode=mode))
+                calls.append(lambda mode=mode: tune_tau(cfg, bare, 0.8, mode=mode))
+        for call in calls:
+            with pytest.raises(InvalidParameter, match="dh_of"):
+                call()
+
+    @pytest.mark.parametrize("diff", [RICHARDSON, DiffSpec(method="central-fd")],
+                             ids=["richardson", "central"])
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_oracle_path_never_reads_dh_of(self, name, diff):
+        """An explicit DiffSpec gives a model without dh_of the full model's results bit for bit."""
+        model = ORACLE_GRIDS[name][0]()
+        bare = dataclasses.replace(model, dh_of=None)
+        pair = generator_pair(bare, 0.8, 1.1, diff)
+        full = generator_pair(model, 0.8, 1.1, diff)
+        assert pair.method == diff.method and pair.gaps == full.gaps
+        assert np.array_equal(pair.g_dyn, full.g_dyn) and np.array_equal(pair.g_diag, full.g_diag)
+        sol = g_bound(bare, 0.8, 1.1, diff)
+        ref = g_bound(model, 0.8, 1.1, diff)
+        assert (sol.G_value, sol.condition_holds, sol.gaps, sol.method) == (
+            ref.G_value, ref.condition_holds, ref.gaps, ref.method)
+        assert np.array_equal(sol.V_opt, ref.V_opt) and np.array_equal(sol.psi_opt, ref.psi_opt)
+        if diff == RICHARDSON:  # central-fd is only O(h^2) accurate
+            for a, b in zip(pair.gaps, generator_pair(model, 0.8, 1.1).gaps):
+                assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+            assert sol.G_value == pytest.approx(g_bound(model, 0.8, 1.1).G_value, rel=1e-8)
+        rho0 = np.outer(ref.psi_opt, ref.psi_opt.conj())
+        assert (fisher_cem(bare, 0.8, 1.1, ref.V_opt, rho0, diff)
+                == fisher_cem(model, 0.8, 1.1, ref.V_opt, rho0, diff))
+        if model.dim <= 3:
+            cfg = PhaseSimConfig(n=6, m=3, t=1.1, V=ref.V_opt, rho0=rho0)
+            for mode in ("ideal", "realistic"):
+                assert (fisher_phase_readout(cfg, bare, 0.8, diff, mode)
+                        == fisher_phase_readout(cfg, model, 0.8, diff, mode))
+                assert (tune_tau(cfg, bare, 0.8, mode, diff)
+                        == tune_tau(cfg, model, 0.8, mode, diff))
 
     def test_analytic_path_needs_no_stencil_room(self):
         """At theta = 1e-6 only the finite-difference stencil leaves (0, pi)."""
@@ -383,7 +425,7 @@ class TestAnalyticJets:
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_path_selection(self, name):
-        """None with dh_of is analytic; an explicit spec or a model without dh_of is not."""
+        """None is analytic and needs dh_of; an explicit spec is the oracle, which does not."""
         model = ORACLE_GRIDS[name][0]()
         bare = dataclasses.replace(model, dh_of=None)
         sol = g_bound(model, 0.8, 1.1)
@@ -391,10 +433,13 @@ class TestAnalyticJets:
         central = DiffSpec(method="central-fd")
         assert fisher_cem(model, 0.8, 1.1, sol.V_opt, rho0).method == "analytic"
         assert fisher_cem(model, 0.8, 1.1, sol.V_opt, rho0, central).method == "central-fd"
-        assert fisher_cem(bare, 0.8, 1.1, sol.V_opt, rho0).method == "richardson-fd"
+        assert fisher_cem(bare, 0.8, 1.1, sol.V_opt, rho0, RICHARDSON).method == "richardson-fd"
+        with pytest.raises(InvalidParameter):
+            fisher_cem(bare, 0.8, 1.1, sol.V_opt, rho0)
         assert encoded_qfi(model, 0.8, 1.1, rho0)[0].method == "analytic"
         assert encoded_qfi(model, 0.8, 1.1, rho0, central)[0].method == "central-fd"
-        assert encoded_qfi(bare, 0.8, 1.1, rho0)[0].method == "richardson-fd"
+        with pytest.raises(InvalidParameter):
+            encoded_qfi(bare, 0.8, 1.1, rho0)
 
     def test_analytic_path_keeps_the_checks(self):
         m = make_qubit_direction(1.0)
@@ -459,8 +504,8 @@ class TestFisherCem:
     def test_commuting_static_case_is_zero(self):
         m = constant_basis_model([0.0, 1.0, 2.5])
         rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        fi = fisher_cem(m, 0.4, 1.0, np.eye(3), rho0).value
-        assert fi <= 1e-12
+        for diff in (None, RICHARDSON):
+            assert fisher_cem(m, 0.4, 1.0, np.eye(3), rho0, diff).value <= 1e-12
 
     def test_domain_boundary(self):
         """Only the Richardson stencil needs room; the analytic path needs an interior theta."""
@@ -495,7 +540,9 @@ class TestOptimizeCem:
         assert best >= 0.99 * sol.G_value
 
     def test_static_family_yields_zero(self):
-        m = HamiltonianModel("static", 2, lambda q: np.diag([0.0, 1.0]).astype(complex))
+        m = HamiltonianModel("static", 2, lambda q: np.diag([0.0, 1.0]).astype(complex),
+                             dh_of=lambda q: np.zeros((2, 2), dtype=complex))
+        assert g_bound(m, 0.3, 1.0).G_value == g_bound(m, 0.3, 1.0, RICHARDSON).G_value == 0.0
         best, _, _ = optimize_cem(m, 0.3, 1.0, budget=(2, 40), seed=3)
         assert best <= 1e-10
 

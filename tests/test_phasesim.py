@@ -38,7 +38,8 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def fixed_model(H):
     H = np.asarray(H, dtype=complex)
-    return HamiltonianModel("fixed", H.shape[0], lambda q: H)
+    return HamiltonianModel("fixed", H.shape[0], lambda q: H,
+                            dh_of=lambda q: np.zeros_like(H))
 
 
 def ground_projector(d):
@@ -236,8 +237,9 @@ class TestFisherPhaseReadout:
     def test_static_readout_has_zero_information(self):
         model = fixed_model(np.diag([0.0, 1.3]))
         cfg = PhaseSimConfig(n=4, m=1, t=1.0, rho0=np.diag([0.3, 0.7]).astype(complex))
-        assert fisher_phase_readout(cfg, model, 0.5, mode="ideal").value <= 1e-12
-        assert fisher_phase_readout(cfg, model, 0.5, mode="realistic").value <= 1e-12
+        for diff in (None, DEFAULT_DIFF):
+            for mode in ("ideal", "realistic"):
+                assert fisher_phase_readout(cfg, model, 0.5, diff, mode).value <= 1e-12
 
     def test_tuned_realistic_readout_near_bound(self):
         model = make_qubit_direction(1.0)
@@ -542,7 +544,7 @@ class TestBatchedReadoutMatchesSerial:
         candidates, ref_values, _ = ref_tune_tau(cfg, model, theta, "realistic", DEFAULT_DIFF)
         tau = candidates[int(np.flatnonzero(np.isneginf(ref_values))[0])]
         with pytest.raises(AliasingRisk):
-            fisher_phase_readout(cfg.with_tau(tau), model, theta, mode="realistic")
+            fisher_phase_readout(cfg.with_tau(tau), model, theta, DEFAULT_DIFF, "realistic")
 
 
 def jet_inputs(cfg, model, theta):
