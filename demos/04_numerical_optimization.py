@@ -1,10 +1,13 @@
 """Cross-checking the closed-form bound by derivative-free search.
 
 The optimizer climbs the controlled-energy-measurement Fisher information
-over the unitary control (d^2 parameters) and the pure preparation (2d-2
-parameters) with coordinate-wise golden-section passes and multistart.  One
-restart is seeded at the analytic optimum, the rest are random; on models
-satisfying the moduli condition the search lands on the closed form.
+with coordinate-wise golden-section passes over elementary rotation moves
+and multistart: the unitary control turns by one of the d^2 generators of
+the Hermitian basis at a time (a diagonal phase, or an X- or Y-type mix of
+two levels), and the pure preparation by one of 2d-2 (a phase on one
+component, or a real rotation between it and the first).  One restart is
+seeded at the analytic optimum, the rest are random; on models satisfying
+the moduli condition the search lands on the closed form.
 """
 
 from qmet import g_bound, make_qubit_direction, optimize_cem

@@ -35,7 +35,6 @@ from .fisher import (
 from .linalg import (
     eig_hermitian,
     eigh_nondegenerate,
-    expm_unitary,
     fix_phases,
     require_density,
     require_hermitian,
@@ -399,67 +398,51 @@ def encoded_qfi(
 
 
 def _fast_objective(model: HamiltonianModel, theta: float, t: float, step: float):
-    """CEM Fisher information as a cheap batched objective (V, psi) -> value.
+    """(Wh, U, fisher): the CEM Fisher information as a cheap batched kernel.
 
-    One eigendecomposition per stencil node serves both the encoding unitary
-    and the measured eigenbasis; a plain central difference replaces the full
-    reporting machinery.  V is (..., d, d), psi is (..., d), and the value has
-    their broadcast leading shape.  Agrees with fisher_cem to the stencil's
-    accuracy.
+    One eigendecomposition per stencil node (theta - step, theta + step,
+    theta) serves both the encoding unitary U and the measured eigenbasis
+    W, Wh = W^dag; both are (3, d, d).  A control V and a preparation psi
+    give the node amplitudes Wh V U psi, and fisher maps amplitudes of shape
+    (..., 3, d) to their Fisher information of shape (...): a plain central
+    difference instead of the full reporting machinery.  Agrees with
+    fisher_cem to the stencil's accuracy.
     """
     nodes = (theta - step, theta + step, theta)
     E, W = eigh_nondegenerate(np.stack([model.h_of(x) for x in nodes]))
-    Wh = W.conj().swapaxes(-2, -1)
-    U = spectral_unitary(E, W, t)  # encoding unitary at each node
 
-    def value(V: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        amps = Wh @ (V[..., None, :, :] @ (U @ psi[..., None, :, None]))
-        probs = np.abs(amps[..., 0]) ** 2  # (..., node, outcome)
+    def fisher(amps: np.ndarray) -> np.ndarray:
+        probs = np.abs(amps) ** 2  # (..., node, outcome)
         dp = (probs[..., 1, :] - probs[..., 0, :]) / (2.0 * step)
         p0 = probs[..., 2, :]
         terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > SUPPORT_THRESHOLD)
         return terms.sum(axis=-1)
 
-    return value
+    return W.conj().swapaxes(-2, -1), spectral_unitary(E, W, t), fisher
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d*d) map from real parameters (diagonal first, then pairs) to Hermitian A.
+def _move_terms(d: int) -> np.ndarray:
+    """(d^2 + 2d - 2, 3, d, d) terms (I - B^2, B^2, -i B) of optimize_cem's generators B.
 
-    A = (x @ basis).reshape(..., d, d) for x of shape (..., d^2).
+    The d^2 control generators come first: the diagonal phases |j><j|, then
+    per pair i < j an X-type |i><j| + |j><i| and a Y-type i|i><j| - i|j><i|.
+    The 2d-2 preparation generators follow: the Y-types of the pairs (0, j),
+    which are real rotations, then the phases |j><j|, for j = 1..d-1.  Every
+    B has B^3 = B, so exp(-i delta B) = (I - B^2) + cos(delta) B^2 - i sin(delta) B:
+    a phase on one component or a cos/sin mix of two.
     """
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[range(d), range(d), range(d)] = 1.0
+    n_v = d * d
+    B = np.zeros((n_v + 2 * d - 2, d, d), dtype=complex)
+    B[range(d), range(d), range(d)] = 1.0
     i, j = np.triu_indices(d, 1)
     k = d + 2 * np.arange(i.size)
-    basis[k, i, j] = basis[k, j, i] = 1.0
-    basis[k + 1, i, j], basis[k + 1, j, i] = 1j, -1j
-    return basis.reshape(d * d, d * d)
-
-
-def _state_from_angles(x: np.ndarray, d: int) -> np.ndarray:
-    """Hyperspherical chart: (..., 2d-2) = d-1 mixing angles plus d-1 relative phases."""
-    mix = x[..., :d - 1]
-    tails = np.cumprod(np.sin(mix), axis=-1)
-    amps = np.concatenate(
-        [np.cos(mix[..., :1]), tails[..., :-1] * np.cos(mix[..., 1:]), tails[..., -1:]], axis=-1)
-    psi = amps.astype(complex)
-    psi[..., 1:] *= np.exp(1j * x[..., d - 1:])
-    return psi
-
-
-def _angles_from_state(psi: np.ndarray) -> np.ndarray:
-    """Best-effort inverse of the hyperspherical chart (exact away from chart edges)."""
-    d = psi.shape[0]
-    v = psi * (psi[0].conjugate() / abs(psi[0])) if abs(psi[0]) > 1e-14 else psi.copy()
-    r = np.abs(v)
-    angles = np.zeros(2 * d - 2)
-    tail = 1.0
-    for i in range(d - 1):
-        angles[i] = math.acos(min(max(r[i] / tail, 0.0), 1.0)) if tail > 1e-14 else 0.0
-        tail *= math.sin(angles[i])
-    angles[d - 1:] = np.angle(v[1:])
-    return angles
+    B[k, i, j] = B[k, j, i] = 1.0
+    B[k + 1, i, j], B[k + 1, j, i] = 1j, -1j
+    j = np.arange(1, d)
+    B[n_v + j - 1, 0, j], B[n_v + j - 1, j, 0] = 1j, -1j
+    B[n_v + d - 2 + j, j, j] = 1.0
+    B2 = B @ B
+    return np.stack([np.eye(d) - B2, B2, -1j * B], axis=1)
 
 
 def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray):
@@ -494,19 +477,31 @@ def optimize_cem(
 ):
     """Derivative-free maximization of the CEM Fisher information.
 
-    Coordinate-wise golden-section line search with cyclic passes over the
-    d^2 control parameters (V = V_seed exp(-iA)) and the 2d-2 preparation
-    parameters, multistarted.  All restarts share the coordinate schedule,
-    the radius decay and the 14-step golden section, so they advance in
-    lockstep as one (R, d, d) batch: each golden step is one objective call
-    over the R rows, and each row's bracket and accept/reject is an np.where.
-    One restart is seeded at the analytic optimum (V_opt, psi_opt), whose
-    Fisher information is also evaluated directly, so the returned value
-    never falls below it.  The remaining restarts start from Haar-random
+    Coordinate-wise golden-section line searches in cyclic passes over
+    d^2 + 2d - 2 elementary rotation moves, multistarted.  A control move
+    takes V to V exp(-i delta B) for one generator B of the Hermitian basis
+    (a diagonal phase, or an X- or Y-type generator of a pair of levels); a
+    preparation move takes psi to exp(-i delta B) psi (a real rotation
+    between components 0 and j, or a phase on component j >= 1).  Each line
+    search runs over delta in [-radius, radius] around the current point,
+    with radius 0.6 shrinking by 0.8 per pass down to 1e-3, and a restart
+    takes its best probe only if that improves on its current value.
+    exp(-i delta B) is a phase on one component or a cos/sin mix of two (see
+    _move_terms), so the node amplitudes along a line are P + cos(delta) Q +
+    sin(delta) S with P, Q, S built once per line search, and no probe
+    decomposes anything: a call makes six eigendecompositions (three in
+    g_bound, one per stencil node), whatever the budget.
+
+    All restarts share the move schedule, the radius decay and the 14-step
+    golden section, so they advance in lockstep as one (R, d, d) batch: each
+    golden step is one kernel call over the R rows, and each row's bracket
+    and accept/reject is an np.where.  Restart 0 starts at the analytic
+    optimum (V_opt, psi_opt), so the returned value never falls below its
+    Fisher information.  The remaining restarts start from Haar-random
     controls and random pure preparations, drawn up front from
     default_rng(seed) in restart order: a Haar control, then a complex normal
     preparation, per restart.  budget = (restarts, line searches per
-    restart).  The internal objective takes a central difference with step
+    restart).  The kernel takes a central difference with step
     1e-5 (1 + |theta|).
 
     Returns (best Fisher information, best V, best psi); ties between
@@ -519,60 +514,52 @@ def optimize_cem(
     numdiff.check_domain(theta, step, model.theta_domain)
     d = model.dim
     n_v = d * d
-    n_p = 2 * d - 2
     rng = np.random.default_rng(seed)
-    objective = _fast_objective(model, theta, t, step)
+    Wh, U, fisher = _fast_objective(model, theta, t, step)
+    terms = _move_terms(d)
 
     sol = g_bound(model, theta, t)
-    best_fi = float(objective(sol.V_opt, sol.psi_opt))
-    best_v, best_psi = sol.V_opt, sol.psi_opt
-
-    v_seeds, preps = [sol.V_opt], [sol.psi_opt]
+    V, psi = [sol.V_opt], [sol.psi_opt]
     for _ in range(restarts - 1):
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         q, r = np.linalg.qr(z)
-        v_seeds.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        V.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
         z = rng.normal(size=d) + 1j * rng.normal(size=d)
-        preps.append(z / np.linalg.norm(z))
-    v_seeds = np.stack(v_seeds)
-    x = np.stack([np.concatenate([np.zeros(n_v), _angles_from_state(p)]) for p in preps])
+        psi.append(z / np.linalg.norm(z))
+    V, psi = np.stack(V), np.stack(psi)
 
-    basis = _hermitian_basis(d)
-
-    def controls(params: np.ndarray, seeds: np.ndarray = v_seeds) -> np.ndarray:
-        A = (params[..., :n_v] @ basis).reshape(params.shape[:-1] + (d, d))
-        return seeds @ expm_unitary(A, 1.0)
-
-    current = objective(controls(x), _state_from_angles(x[:, n_v:], d))
+    current = fisher((Wh @ V[:, None] @ U @ psi[:, None, :, None])[..., 0])
     radius = 0.6
     for it in range(iterations):
-        coord = it % (n_v + n_p)
+        coord = it % terms.shape[0]
         if coord == 0 and it > 0:
             radius = max(radius * 0.8, 1e-3)
-        # Only one of V and psi moves along a coordinate; the other is fixed.
+        T0, T1, T2 = terms[coord]  # exp(-i delta B) = T0 + cos(delta) T1 + sin(delta) T2
+        # Node amplitudes K exp(-i delta B) vec: only V or psi moves along a line.
         on_control = coord < n_v
-        V = None if on_control else controls(x)
-        psi = _state_from_angles(x[:, n_v:], d) if on_control else None
+        if on_control:
+            K, vec = Wh @ V[:, None], U @ psi[:, None, :, None]
+        else:
+            K, vec = Wh @ V[:, None] @ U, psi[:, None, :, None]
+        P, Q, S = [(K @ (T @ vec))[..., 0] for T in (T0, T1, T2)]
 
-        def along(vals: np.ndarray) -> np.ndarray:
-            y = np.broadcast_to(x, vals.shape + x.shape[1:]).copy()
-            y[..., coord] = vals
-            if on_control:
-                return objective(controls(y), psi)
-            return objective(V, _state_from_angles(y[..., n_v:], d))
+        def along(delta: np.ndarray) -> np.ndarray:
+            c, s = np.cos(delta)[..., None, None], np.sin(delta)[..., None, None]
+            return fisher(P + c * Q + s * S)
 
-        xc, fc = _golden_max_rows(along, x[:, coord] - radius, x[:, coord] + radius)
+        lim = np.full(restarts, radius)
+        delta, fc = _golden_max_rows(along, -lim, lim)
         better = fc > current
-        x[better, coord] = xc[better]
+        delta = np.where(better, delta, 0.0)[:, None, None]  # rejected rows turn by I
+        rot = T0 + np.cos(delta) * T1 + np.sin(delta) * T2
+        if on_control:
+            V = V @ rot
+        else:
+            psi = (rot @ psi[..., None])[..., 0]
         current = np.where(better, fc, current)
 
     r = int(np.argmax(current))  # first maximum: ties go to the earliest restart
-    if current[r] > best_fi:
-        best_fi = float(current[r])
-        best_v = controls(x[r], v_seeds[r])
-        best_psi = _state_from_angles(x[r, n_v:], d)
-
-    return best_fi, best_v, require_state(best_psi)
+    return float(current[r]), require_unitary(V[r]), require_state(psi[r])
 
 
 def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):

@@ -48,7 +48,6 @@ from .models import (
 )
 from .numdiff import RICHARDSON, DiffSpec
 from .phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -455,6 +454,8 @@ def cmd_oscillator(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
+    from .selftest import run_all  # only this command needs it: kept out of start-up
+
     results = run_all()
     all_ok = True
     for name, passed, detail in results:

@@ -88,13 +88,14 @@ def derivative(f, x: float, spec: DiffSpec = DEFAULT_DIFF):
 def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:
     """Raise DomainBoundary unless [x - radius, x + radius] lies inside the open domain.
 
-    A NaN x or radius lies inside no domain.
+    A NaN x or radius lies inside no domain.  With radius 0 (an analytic
+    path, which has no stencil) the message names the point alone.
     """
     lo, hi = domain
     if not (lo < x - radius and x + radius < hi):
-        raise DomainBoundary(
-            f"stencil [{x - radius}, {x + radius}] leaves the open domain ({lo}, {hi})"
-        )
+        where = (f"stencil [{x - radius}, {x + radius}] leaves" if radius
+                 else f"theta = {x} is outside")
+        raise DomainBoundary(f"{where} the open domain ({lo}, {hi})")
 
 
 def central5(f, x: float, h: float):

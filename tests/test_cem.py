@@ -562,6 +562,33 @@ class TestOptimizeCem:
         many, _, _ = optimize_cem(model, 0.8, 1.7, budget=(8, 40), seed=11)
         assert many >= one
 
+    @pytest.mark.parametrize("model", [
+        make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
+    ], ids=lambda m: m.name)
+    def test_reaches_the_bound_without_the_analytic_seed(self, model, monkeypatch):
+        """An independent cross-check: with the seed replaced by the identity control
+        and |0>, no restart starts at the closed-form optimum, yet the search lands on G."""
+        for theta, t, seed in [(0.7, 1.3, 3), (1.4, 0.6, 17)]:
+            sol = g_bound(model, theta, t)
+            eye = np.eye(model.dim, dtype=complex)
+            poor = dataclasses.replace(sol, V_opt=eye, psi_opt=eye[0])
+            monkeypatch.setattr(cem, "g_bound", lambda *args, s=poor: s)
+            best, v_star, psi_star = optimize_cem(model, theta, t, budget=(8, 400), seed=seed)
+            assert abs(best - sol.G_value) <= 1e-2 * sol.G_value
+            rho = np.outer(psi_star, psi_star.conj())
+            assert fisher_cem(model, theta, t, v_star, rho).value == pytest.approx(best, rel=1e-6)
+
+    def test_fixed_decompositions_whatever_the_budget(self, decompositions):
+        """Three in g_bound and one per stencil node; no line search decomposes anything."""
+        m = make_nv_spin1(**NV_PARAMS)
+        counts = []
+        for budget in [(1, 6), (2, 40), (8, 400)]:
+            decompositions[0] = 0
+            _, v_star, _ = optimize_cem(m, 0.8, 1.7, budget=budget, seed=5)
+            counts.append(decompositions[0])
+            assert np.max(np.abs(v_star @ v_star.conj().T - np.eye(m.dim))) <= 1e-10
+        assert counts == [6, 6, 6]
+
     @pytest.mark.parametrize("seeded", [True, False], ids=["analytic-seed", "poor-seed"])
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
@@ -602,14 +629,17 @@ def scalar_golden_max(f, lo, hi, iters=14):
 
 
 def serial_optimize_cem(model, theta, t, budget, seed, sol):
-    """Restart-by-restart optimizer the lockstep batch replaced, seeded at sol.
+    """Restart-by-restart reference of optimize_cem's rotation moves, seeded at sol.
 
-    Returns the direct value at the seed followed by each restart's final value.
+    Each probe builds exp(-i delta B) entry by entry as a phase on one
+    component or a cos/sin mix of two, applies it to the control (from the
+    right) or the preparation, and multiplies the amplitudes out at every
+    node.  Returns the direct value at the seed followed by each restart's
+    final value.
     """
     restarts, iterations = budget
     step = 1e-5 * (1.0 + abs(theta))
     d = model.dim
-    n_v, n_p = d * d, 2 * d - 2
     systems = []
     for x in (theta - step, theta + step, theta):
         E, W = np.linalg.eigh(model.h_of(x))
@@ -622,59 +652,52 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
         mask = p0 > 1e-12
         return float(np.sum(dp[mask] ** 2 / p0[mask]))
 
-    def hermitian(x):
-        A = np.diag(x[:d]).astype(complex)
-        i, j = np.triu_indices(d, 1)
-        A[i, j] = x[d::2] + 1j * x[d + 1::2]
-        A[j, i] = x[d::2] - 1j * x[d + 1::2]
-        return A
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    moves = ([("phase", j, j) for j in range(d)]
+             + [(kind, i, j) for i, j in pairs for kind in ("x", "y")]
+             + [("y", 0, j) for j in range(1, d)]
+             + [("phase", j, j) for j in range(1, d)])
+    n_v = d * d
 
-    def state(x):
-        amps = np.ones(d)
-        for i in range(d - 1):
-            amps[i] *= math.cos(x[i])
-            amps[i + 1:] *= math.sin(x[i])
-        return amps * np.exp(1j * np.concatenate([[0.0], x[d - 1:]]))
-
-    def angles(psi):
-        v = psi * (psi[0].conjugate() / abs(psi[0])) if abs(psi[0]) > 1e-14 else psi
-        out, tail = np.zeros(n_p), 1.0
-        for i in range(d - 1):
-            out[i] = math.acos(min(max(abs(v[i]) / tail, 0.0), 1.0)) if tail > 1e-14 else 0.0
-            tail *= math.sin(out[i])
-        out[d - 1:] = np.angle(v[1:])
-        return out
+    def rotation(kind, i, j, delta):
+        """exp(-i delta B) for |j><j|, |i><j| + |j><i| or i|i><j| - i|j><i|."""
+        R = np.eye(d, dtype=complex)
+        c, s = math.cos(delta), math.sin(delta)
+        if kind == "phase":
+            R[j, j] = complex(c, -s)
+        elif kind == "x":
+            R[i, i] = R[j, j] = c
+            R[i, j] = R[j, i] = -1j * s
+        else:
+            R[i, i] = R[j, j] = c
+            R[i, j], R[j, i] = s, -s
+        return R
 
     rng = np.random.default_rng(seed)
     values = [objective(sol.V_opt, sol.psi_opt)]
     for restart in range(restarts):
         if restart == 0:
-            v_seed, psi0 = sol.V_opt, sol.psi_opt
+            V, psi = sol.V_opt, sol.psi_opt
         else:
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             q, r = np.linalg.qr(z)
-            v_seed = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            V = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
             z = rng.normal(size=d) + 1j * rng.normal(size=d)
-            psi0 = z / np.linalg.norm(z)
-        x = np.concatenate([np.zeros(n_v), angles(psi0)])
+            psi = z / np.linalg.norm(z)
 
-        def value_at(y):
-            return objective(v_seed @ expm_unitary(hermitian(y[:n_v]), 1.0), state(y[n_v:]))
-
-        current, radius = value_at(x), 0.6
+        current, radius = objective(V, psi), 0.6
         for it in range(iterations):
-            coord = it % (n_v + n_p)
+            coord = it % len(moves)
             if coord == 0 and it > 0:
                 radius = max(radius * 0.8, 1e-3)
 
-            def along(val, c=coord):
-                y = x.copy()
-                y[c] = val
-                return value_at(y)
+            def moved(delta, c=coord, V=V, psi=psi):
+                R = rotation(*moves[c], delta)
+                return (V @ R, psi) if c < n_v else (V, R @ psi)
 
-            xc, fc = scalar_golden_max(along, x[coord] - radius, x[coord] + radius)
+            xc, fc = scalar_golden_max(lambda v: objective(*moved(v)), -radius, radius)
             if fc > current:
-                x[coord], current = xc, fc
+                (V, psi), current = moved(xc), fc
         values.append(current)
     return values
 

@@ -212,6 +212,20 @@ class TestNumericalFailures:
         assert code == EXIT_NUMERICAL
         assert "grid point" in capsys.readouterr().err
 
+    def test_domain_message_names_the_point_or_the_real_stencil(self, tmp_path, capsys):
+        """An analytic path has no stencil to name; the [diff] oracle names its own."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        grid = ("--theta", "0:1:3", "--t", "1:1:1")
+        point = f"theta = 0.0 is outside the open domain (0.0, {math.pi})"
+        for argv in [("gbound",), ("gbound", "--config", str(ini)), ("qfi",)]:
+            assert run(tmp_path, *argv, *grid)[0] == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert point in err and "stencil" not in err
+        assert run(tmp_path, "qfi", "--config", str(ini), *grid)[0] == EXIT_NUMERICAL
+        assert (f"stencil [-0.0001, 0.0001] leaves the open domain (0.0, {math.pi})"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("theta", ["0:1:2", "-1:-0.5:2"])
     def test_jc_frequency_outside_domain_is_exit_three(self, tmp_path, capsys, theta):
         """The read-out's (0, inf) frequency check runs before any closed form."""
