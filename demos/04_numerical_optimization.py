@@ -27,4 +27,4 @@ theta, t = 1.0, 1.0
 sol = g_bound(model, theta, t)
 best, _, _ = optimize_cem(model, theta, t, budget=(6, 300), seed=9)
 print(f"G = {sol.G_value:.6f}; multistart best = {best:.6f} "
-      f"(never exceeds the bound beyond stencil noise)")
+      f"(never exceeds the bound beyond rounding)")

@@ -17,6 +17,7 @@ preparation; an independent derivative-free optimizer cross-checks it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ CONDITION_TOL = 1e-8
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
 GOLDEN_STEPS = 14  # golden-section steps per line search of optimize_cem
+_Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag")  # what _jet returns
 
 
 @dataclass(frozen=True)
@@ -139,44 +141,44 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-def _analytic_generators(E: np.ndarray, W: np.ndarray, dH: np.ndarray, t: float):
-    """(g_dyn, g_diag, D) from H = W diag(E) W^dag and dH/dtheta, E nondegenerate.
+def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
+    """The analytic jet of H(theta): one domain check, one decomposition, one dh_of read.
 
-    With D = W^dag dH W (whose diagonal holds the energy derivatives dE_j)
-    and w_jk = E_j - E_k, first-order perturbation theory in the
-    parallel-transport gauge of the columns W gives the diagonalizer
-    generator g_diag_jk = i D_jk / w_jk with a zero diagonal.  The derivative
-    of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
+    Returns (E, W, U, dH, D, g_dyn, g_diag): the _eigenbasis of H(theta),
+    U = exp(-i t H), dH = dH/dtheta, D = W^dag dH W (whose diagonal holds the
+    energy derivatives dE_j) and the local generators.  With w_jk = E_j - E_k,
+    first-order perturbation theory in the parallel-transport gauge of the
+    columns W gives the diagonalizer generator g_diag_jk = i D_jk / w_jk with
+    a zero diagonal.  The derivative of exp(-i t H) (Wilcox 1967;
+    Daleckii-Krein) gives
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
-    whose diagonal is t D_jj.
+    whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
+    the model needs dh_of, as every analytic (diff=None) path does.
     """
+    numdiff.check_domain(theta, 0.0, model.theta_domain)
+    E, W = _eigenbasis(model, theta)
+    if model.dh_of is None:
+        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
+                               "it, and an explicit DiffSpec selects the finite-difference oracle")
+    dH = require_hermitian(model.dh_of(theta))
     D = W.conj().T @ dH @ W
     D = (D + D.conj().T) / 2.0
     w = E[:, None] - E[None, :]
     g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
     g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
-    return (g_dyn + g_dyn.conj().T) / 2.0, g_diag, D
-
-
-def _dh(model: HamiltonianModel, theta: float) -> np.ndarray:
-    """dH/dtheta from the model's dh_of, which every analytic (diff=None) path needs."""
-    if model.dh_of is None:
-        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
-                               "it, and an explicit DiffSpec selects the finite-difference oracle")
-    return require_hermitian(model.dh_of(theta))
+    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag)
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
-    """(E, W, g_dyn, g_diag, method), with (E, W) the _eigenbasis of H(theta)."""
-    radius = 0.0 if diff is None else diff.base_step(theta)
-    numdiff.check_domain(theta, radius, model.theta_domain)
-    E, W = _eigenbasis(model, theta)
+    """(W, U_t, g_dyn, g_diag, method), with W the _eigenbasis of H(theta) and U_t = exp(-i t H)."""
     if diff is None:
-        g_dyn, g_diag, _ = _analytic_generators(E, W, _dh(model, theta), t)
-        return E, W, g_dyn, g_diag, numdiff.ANALYTIC
+        jet = _jet(model, theta, t)
+        return jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC
+    numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
+    E, W = _eigenbasis(model, theta)
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
     g_diag = local_generator(_transported_family(model, W), theta, diff)
-    return E, W, g_dyn, g_diag, diff.method
+    return W, spectral_unitary(E, W, t), g_dyn, g_diag, diff.method
 
 
 def generator_pair(
@@ -232,17 +234,16 @@ def g_bound(
     decomposition of H(theta) gives S and U_t, and one of each generator gives
     its gap, R1 or R2 and the condition, so the analytic path costs three.
     """
-    E, W, g_dyn, g_diag, method = _generators(model, theta, t, diff)
+    W, u_t, g_dyn, g_diag, method = _generators(model, theta, t, diff)
     es_diag = eig_hermitian(g_diag)  # descending, phase-fixed
     es_dyn = eig_hermitian(g_dyn)
     sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
     sigma_diag = float(es_diag.eigenvalues[0] - es_diag.eigenvalues[-1])
     r1 = es_diag.eigenvectors.conj().T
     r2 = es_dyn.eigenvectors.conj().T
-    s = W.conj().T
-    v_opt = s.conj().T @ r1.conj().T @ r2
+    v_opt = W @ r1.conj().T @ r2  # S^dag R1^dag R2 with S = W^dag
 
-    u_tilde = s @ v_opt @ spectral_unitary(E, W, t)
+    u_tilde = W.conj().T @ v_opt @ u_t
     v_top, v_bot = es_diag.eigenvectors[:, 0], es_diag.eigenvectors[:, -1]
     psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * PREPARATION_PHASE) * v_bot)
                                   / math.sqrt(2.0))
@@ -308,7 +309,7 @@ def _rounding_bound(E: np.ndarray, scale: float) -> float:
 
 def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
                rho0: np.ndarray):
-    """(E, dE, dE_err, p, dp, dp_err) at x from one decomposition of H(x).
+    """(E, dE, dE_err, p, dp, dp_err) at x from the _jet of H(x).
 
     E and dE are the ascending energies and their derivatives dE_j = D_jj, p
     and dp the level weights and theirs, and dE_err, dp_err first-order
@@ -316,15 +317,10 @@ def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
     M = V sigma V^dag and the measured eigenvectors xi_j = W e_j, the
     analytic generators give dxi = W (i g_diag) and
     dsigma = -i [g_dyn, sigma], so
-    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  Both are
-    gauge invariant, so W keeps NumPy's gauge.  V and rho0 must already be
-    validated; x only has to lie inside the open domain.
+    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  V and rho0 must
+    already be validated; x only has to lie inside the open domain.
     """
-    numdiff.check_domain(x, 0.0, model.theta_domain)
-    E, W = eigh_nondegenerate(model.h_of(x))
-    dH = _dh(model, x)
-    g_dyn, g_diag, D = _analytic_generators(E, W, dH, t)
-    u_t = spectral_unitary(E, W, t)
+    E, W, u_t, dH, D, g_dyn, g_diag = _jet(model, x, t)
     sigma = u_t @ rho0 @ u_t.conj().T
     dsigma = -1j * (g_dyn @ sigma - sigma @ g_dyn)
     B = W.conj().T @ V  # the control followed by the measured eigenbasis
@@ -384,9 +380,8 @@ def encoded_qfi(
             return u @ rho0 @ u.conj().T
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
-        return report, spectral_gap(_generators(model, theta, t, None)[2])
-    E, W, g_dyn, _, _ = _generators(model, theta, t, None)
-    u_t = spectral_unitary(E, W, t)
+        return report, spectral_gap(_jet(model, theta, t).g_dyn)
+    E, _, u_t, _, _, g_dyn, _ = _jet(model, theta, t)
     rho = u_t @ rho0 @ u_t.conj().T
     drho = -1j * (g_dyn @ rho - rho @ g_dyn)
     drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
@@ -397,28 +392,32 @@ def encoded_qfi(
 # --- independent derivative-free maximization ---------------------------------------
 
 
-def _fast_objective(model: HamiltonianModel, theta: float, t: float, step: float):
+def _fast_objective(model: HamiltonianModel, theta: float, t: float):
     """(Wh, U, fisher): the CEM Fisher information as a cheap batched kernel.
 
-    One eigendecomposition per stencil node (theta - step, theta + step,
-    theta) serves both the encoding unitary U and the measured eigenbasis
-    W, Wh = W^dag; both are (3, d, d).  A control V and a preparation psi
-    give the node amplitudes Wh V U psi, and fisher maps amplitudes of shape
-    (..., 3, d) to their Fisher information of shape (...): a plain central
-    difference instead of the full reporting machinery.  Agrees with
-    fisher_cem to the stencil's accuracy.
+    From the _jet, Wh = (W^dag, -i g_diag W^dag, W^dag) and U = (U_t, U_t, -i g_dyn U_t)
+    are (3, d, d) stacks, so a control V and a preparation psi give the rows
+    Wh V U psi = (a, da_diag, da_dyn): the amplitudes a_j = <xi_j|V U_t|psi> and the
+    two terms of da/dtheta.  _pairs folds rows into (a^*, 2 da), real-linearly, and
+    fisher maps such pairs of shape (..., 2, d) to fisher_cem's value of shape (...),
+    sum_j dp_j^2 / p_j over the support with p_j = |a_j|^2 and dp_j = Re(a_j^* 2 da_j).
     """
-    nodes = (theta - step, theta + step, theta)
-    E, W = eigh_nondegenerate(np.stack([model.h_of(x) for x in nodes]))
+    _, W, u_t, _, _, g_dyn, g_diag = _jet(model, theta, t)
+    Wh = W.conj().T
 
-    def fisher(amps: np.ndarray) -> np.ndarray:
-        probs = np.abs(amps) ** 2  # (..., node, outcome)
-        dp = (probs[..., 1, :] - probs[..., 0, :]) / (2.0 * step)
-        p0 = probs[..., 2, :]
-        terms = np.divide(dp**2, p0, out=np.zeros_like(p0), where=p0 > SUPPORT_THRESHOLD)
+    def fisher(pairs: np.ndarray) -> np.ndarray:
+        a_conj = pairs[..., 0, :]
+        p = np.abs(a_conj) ** 2
+        dp = (a_conj * pairs[..., 1, :]).real
+        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > SUPPORT_THRESHOLD)
         return terms.sum(axis=-1)
 
-    return W.conj().swapaxes(-2, -1), spectral_unitary(E, W, t), fisher
+    return np.stack([Wh, -1j * g_diag @ Wh, Wh]), np.stack([u_t, u_t, -1j * g_dyn @ u_t]), fisher
+
+
+def _pairs(rows: np.ndarray) -> np.ndarray:
+    """Fold _fast_objective's rows (a, da_diag, da_dyn), shape (..., 3, d), into (a^*, 2 da)."""
+    return np.stack([rows[..., 0, :].conj(), 2.0 * (rows[..., 1, :] + rows[..., 2, :])], axis=-2)
 
 
 def _move_terms(d: int) -> np.ndarray:
@@ -487,10 +486,12 @@ def optimize_cem(
     with radius 0.6 shrinking by 0.8 per pass down to 1e-3, and a restart
     takes its best probe only if that improves on its current value.
     exp(-i delta B) is a phase on one component or a cos/sin mix of two (see
-    _move_terms), so the node amplitudes along a line are P + cos(delta) Q +
-    sin(delta) S with P, Q, S built once per line search, and no probe
-    decomposes anything: a call makes six eigendecompositions (three in
-    g_bound, one per stencil node), whatever the budget.
+    _move_terms), so the amplitudes and their derivatives along a line are
+    P + cos(delta) Q + sin(delta) S with P, Q, S built once per line search.
+    The objective is analytic (see _fast_objective) and no probe decomposes
+    anything: a call makes four eigendecompositions (three in g_bound, one
+    for the jet of H(theta)) whatever the budget, and theta only has to lie
+    inside the open domain.
 
     All restarts share the move schedule, the radius decay and the 14-step
     golden section, so they advance in lockstep as one (R, d, d) batch: each
@@ -500,9 +501,7 @@ def optimize_cem(
     Fisher information.  The remaining restarts start from Haar-random
     controls and random pure preparations, drawn up front from
     default_rng(seed) in restart order: a Haar control, then a complex normal
-    preparation, per restart.  budget = (restarts, line searches per
-    restart).  The kernel takes a central difference with step
-    1e-5 (1 + |theta|).
+    preparation, per restart.  budget = (restarts, line searches per restart).
 
     Returns (best Fisher information, best V, best psi); ties between
     restarts go to the earliest.
@@ -510,12 +509,9 @@ def optimize_cem(
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
-    step = 1e-5 * (1.0 + abs(theta))
-    numdiff.check_domain(theta, step, model.theta_domain)
     d = model.dim
-    n_v = d * d
     rng = np.random.default_rng(seed)
-    Wh, U, fisher = _fast_objective(model, theta, t, step)
+    Wh, U, fisher = _fast_objective(model, theta, t)
     terms = _move_terms(d)
 
     sol = g_bound(model, theta, t)
@@ -528,20 +524,20 @@ def optimize_cem(
         psi.append(z / np.linalg.norm(z))
     V, psi = np.stack(V), np.stack(psi)
 
-    current = fisher((Wh @ V[:, None] @ U @ psi[:, None, :, None])[..., 0])
+    current = fisher(_pairs((Wh @ V[:, None] @ U @ psi[:, None, :, None])[..., 0]))
     radius = 0.6
     for it in range(iterations):
         coord = it % terms.shape[0]
         if coord == 0 and it > 0:
             radius = max(radius * 0.8, 1e-3)
-        T0, T1, T2 = terms[coord]  # exp(-i delta B) = T0 + cos(delta) T1 + sin(delta) T2
-        # Node amplitudes K exp(-i delta B) vec: only V or psi moves along a line.
-        on_control = coord < n_v
+        T = terms[coord]  # exp(-i delta B) = T0 + cos(delta) T1 + sin(delta) T2
+        # Rows K exp(-i delta B) vec: only V or psi moves along a line.
+        on_control = coord < d * d
         if on_control:
             K, vec = Wh @ V[:, None], U @ psi[:, None, :, None]
         else:
             K, vec = Wh @ V[:, None] @ U, psi[:, None, :, None]
-        P, Q, S = [(K @ (T @ vec))[..., 0] for T in (T0, T1, T2)]
+        P, Q, S = _pairs((K @ (T[:, None, None] @ vec))[..., 0])
 
         def along(delta: np.ndarray) -> np.ndarray:
             c, s = np.cos(delta)[..., None, None], np.sin(delta)[..., None, None]
@@ -551,7 +547,7 @@ def optimize_cem(
         delta, fc = _golden_max_rows(along, -lim, lim)
         better = fc > current
         delta = np.where(better, delta, 0.0)[:, None, None]  # rejected rows turn by I
-        rot = T0 + np.cos(delta) * T1 + np.sin(delta) * T2
+        rot = T[0] + np.cos(delta) * T[1] + np.sin(delta) * T[2]
         if on_control:
             V = V @ rot
         else:

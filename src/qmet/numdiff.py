@@ -89,12 +89,13 @@ def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:
     """Raise DomainBoundary unless [x - radius, x + radius] lies inside the open domain.
 
     A NaN x or radius lies inside no domain.  With radius 0 (an analytic
-    path, which has no stencil) the message names the point alone.
+    path, which has no stencil) the message names the point alone, as a
+    parameter value, since the caller's parameter may be theta or a frequency.
     """
     lo, hi = domain
     if not (lo < x - radius and x + radius < hi):
         where = (f"stencil [{x - radius}, {x + radius}] leaves" if radius
-                 else f"theta = {x} is outside")
+                 else f"parameter value {x} is outside")
         raise DomainBoundary(f"{where} the open domain ({lo}, {hi})")
 
 

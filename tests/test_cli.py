@@ -217,11 +217,15 @@ class TestNumericalFailures:
         ini = tmp_path / "run.ini"
         ini.write_text("[diff]\nmethod = richardson-fd\n")
         grid = ("--theta", "0:1:3", "--t", "1:1:1")
-        point = f"theta = 0.0 is outside the open domain (0.0, {math.pi})"
-        for argv in [("gbound",), ("gbound", "--config", str(ini)), ("qfi",)]:
+        point = f"parameter value 0.0 is outside the open domain (0.0, {math.pi})"
+        for argv in [("gbound",), ("gbound", "--config", str(ini)), ("qfi",), ("optimize",)]:
             assert run(tmp_path, *argv, *grid)[0] == EXIT_NUMERICAL
             err = capsys.readouterr().err
             assert point in err and "stencil" not in err
+        assert run(tmp_path, "jc", "--theta", "0:1:2", "--t", "1:1:1")[0] == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "parameter value 0.0 is outside the open domain (0.0, inf)" in err
+        assert "theta" not in err and "stencil" not in err
         assert run(tmp_path, "qfi", "--config", str(ini), *grid)[0] == EXIT_NUMERICAL
         assert (f"stencil [-0.0001, 0.0001] leaves the open domain (0.0, {math.pi})"
                 in capsys.readouterr().err)
