@@ -80,7 +80,6 @@ from .phasesim import (
     controllization_factors,
     controllization_oracle,
     default_tau,
-    energy_probs,
     fisher_phase_readout,
     ideal_distribution,
     realistic_distribution,

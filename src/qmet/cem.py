@@ -234,7 +234,10 @@ def g_bound(
     decomposition of H(theta) gives S and U_t, and one of each generator gives
     its gap, R1 or R2 and the condition, so the analytic path costs three.
     """
-    W, u_t, g_dyn, g_diag, method = _generators(model, theta, t, diff)
+    return _solution(*_generators(model, theta, t, diff))
+
+
+def _solution(W, u_t, g_dyn, g_diag, method: str) -> CemSolution:  # g_bound of _generators
     es_diag = eig_hermitian(g_diag)  # descending, phase-fixed
     es_dyn = eig_hermitian(g_dyn)
     sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
@@ -276,7 +279,7 @@ def cem_outcome_model(
         return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
     def jet(x: float):
-        return _level_jet(model, x, t, v, rho)[3:]
+        return _level_jet(_jet(model, x, t), v, rho)[3:]
 
     return ProbabilityModel(at=at, theta_domain=model.theta_domain, jet=jet)
 
@@ -307,9 +310,8 @@ def _rounding_bound(E: np.ndarray, scale: float) -> float:
     return np.finfo(float).eps * (E.shape[0] + float(np.max(np.abs(E))) / spacing) * scale
 
 
-def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
-               rho0: np.ndarray):
-    """(E, dE, dE_err, p, dp, dp_err) at x from the _jet of H(x).
+def _level_jet(jet: _Jet, V: np.ndarray, rho0: np.ndarray):
+    """(E, dE, dE_err, p, dp, dp_err) at the point of a _jet of H.
 
     E and dE are the ascending energies and their derivatives dE_j = D_jj, p
     and dp the level weights and theirs, and dE_err, dp_err first-order
@@ -318,9 +320,9 @@ def _level_jet(model: HamiltonianModel, x: float, t: float, V: np.ndarray,
     analytic generators give dxi = W (i g_diag) and
     dsigma = -i [g_dyn, sigma], so
     dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  V and rho0 must
-    already be validated; x only has to lie inside the open domain.
+    already be validated; the jet holds the one decomposition of H this needs.
     """
-    E, W, u_t, dH, D, g_dyn, g_diag = _jet(model, x, t)
+    E, W, u_t, dH, D, g_dyn, g_diag = jet
     sigma = u_t @ rho0 @ u_t.conj().T
     dsigma = -1j * (g_dyn @ sigma - sigma @ g_dyn)
     B = W.conj().T @ V  # the control followed by the measured eigenbasis
@@ -392,17 +394,17 @@ def encoded_qfi(
 # --- independent derivative-free maximization ---------------------------------------
 
 
-def _fast_objective(model: HamiltonianModel, theta: float, t: float):
+def _fast_objective(jet: _Jet):
     """(Wh, U, fisher): the CEM Fisher information as a cheap batched kernel.
 
-    From the _jet, Wh = (W^dag, -i g_diag W^dag, W^dag) and U = (U_t, U_t, -i g_dyn U_t)
+    From a _jet, Wh = (W^dag, -i g_diag W^dag, W^dag) and U = (U_t, U_t, -i g_dyn U_t)
     are (3, d, d) stacks, so a control V and a preparation psi give the rows
     Wh V U psi = (a, da_diag, da_dyn): the amplitudes a_j = <xi_j|V U_t|psi> and the
     two terms of da/dtheta.  _pairs folds rows into (a^*, 2 da), real-linearly, and
     fisher maps such pairs of shape (..., 2, d) to fisher_cem's value of shape (...),
     sum_j dp_j^2 / p_j over the support with p_j = |a_j|^2 and dp_j = Re(a_j^* 2 da_j).
     """
-    _, W, u_t, _, _, g_dyn, g_diag = _jet(model, theta, t)
+    _, W, u_t, _, _, g_dyn, g_diag = jet
     Wh = W.conj().T
 
     def fisher(pairs: np.ndarray) -> np.ndarray:
@@ -489,9 +491,9 @@ def optimize_cem(
     _move_terms), so the amplitudes and their derivatives along a line are
     P + cos(delta) Q + sin(delta) S with P, Q, S built once per line search.
     The objective is analytic (see _fast_objective) and no probe decomposes
-    anything: a call makes four eigendecompositions (three in g_bound, one
-    for the jet of H(theta)) whatever the budget, and theta only has to lie
-    inside the open domain.
+    anything: one _jet of H(theta) feeds the objective and the seed's _solution,
+    so a call makes three eigendecompositions (the jet, g_diag and g_dyn)
+    whatever the budget, and theta only has to lie inside the open domain.
 
     All restarts share the move schedule, the radius decay and the 14-step
     golden section, so they advance in lockstep as one (R, d, d) batch: each
@@ -511,10 +513,11 @@ def optimize_cem(
         raise ValueError("budget entries must be positive")
     d = model.dim
     rng = np.random.default_rng(seed)
-    Wh, U, fisher = _fast_objective(model, theta, t)
+    jet = _jet(model, theta, t)
+    Wh, U, fisher = _fast_objective(jet)
     terms = _move_terms(d)
 
-    sol = g_bound(model, theta, t)
+    sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC)
     V, psi = [sol.V_opt], [sol.psi_opt]
     for _ in range(restarts - 1):
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

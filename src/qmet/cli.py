@@ -240,17 +240,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.model == "jaynes-cummings":
         if not 0.0 <= params["alpha1_sq"] <= 1.0:
             raise ConfigError(f"[model] alpha1_sq must be in [0, 1], got {params['alpha1_sq']}")
-        if not (float(params["n_max"]).is_integer() and params["n_max"] >= 2):
-            raise ConfigError(f"[model] n_max must be an integer >= 2, got {params['n_max']}")
-        if not params["kappa"] >= 0.0:
-            raise ConfigError(f"[model] kappa must be nonnegative, got {params['kappa']}")
+        if not float(params["n_max"]).is_integer():  # its range is jc_readout_model's
+            raise ConfigError(f"[model] n_max must be an integer, got {params['n_max']}")
     if cfg.model == "oscillator":
         for key in ("mass", "omega"):
             if not params[key] > 0.0:
                 raise ConfigError(f"[model] {key} must be positive, got {params[key]}")
-    if cfg.restarts < 1 or cfg.iterations < 1:
-        raise ConfigError(f"optimizer restarts and iterations must be >= 1, "
-                          f"got {cfg.restarts} and {cfg.iterations}")
+    if cfg.restarts < 1 or cfg.iterations < 1 or cfg.seed < 0:
+        raise ConfigError(f"optimizer restarts and iterations must be >= 1 and its seed >= 0, "
+                          f"got {cfg.restarts}, {cfg.iterations} and {cfg.seed}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
     try:
@@ -291,7 +289,7 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_records(cfg: RunConfig, columns, records) -> str:
+def write_records(cfg: RunConfig, columns, records) -> None:
     """Render records deterministically and write them to cfg.out or stdout."""
     if cfg.fmt == "json":
         payload = {
@@ -311,7 +309,6 @@ def write_records(cfg: RunConfig, columns, records) -> str:
     else:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    return text
 
 
 def _grid_points(cfg: RunConfig):
@@ -412,14 +409,17 @@ def cmd_phase_sim(cfg: RunConfig) -> int:
 def cmd_jc(cfg: RunConfig) -> int:
     p = cfg.model_params
     alpha1_sq = p["alpha1_sq"]
-    alpha0 = math.sqrt(1.0 - alpha1_sq)
-    alpha1 = math.sqrt(alpha1_sq)
+    alpha0, alpha1 = math.sqrt(1.0 - alpha1_sq), math.sqrt(alpha1_sq)
     diff = cfg.diff()
+    try:  # one read-out model per t; jc_readout_model owns the ranges of kappa and n_max
+        readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
+                   for t in cfg.t_grid.tolist()}
+    except InvalidParameter as exc:
+        raise ConfigError(f"[model] {exc}") from exc
 
     def one(point):
         omega, t = point
-        pm = jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-        fc_sim = classical_fisher(pm, omega, diff)  # first: it checks omega in (0, inf)
+        fc_sim = classical_fisher(readout[t], omega, diff)  # first: it checks omega in (0, inf)
         fq = reference("jc_qfi")(t=t, alpha1_sq=alpha1_sq)
         fc_ref = reference("jc_fc")(omega=omega, kappa=p["kappa"], t=t, alpha1_sq=alpha1_sq)
         threshold = reference("jc_enhancement_threshold")(omega=omega, kappa=p["kappa"], t=t)

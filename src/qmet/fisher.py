@@ -52,11 +52,6 @@ class OutcomeDistribution:
             raise DimensionMismatch("outcome labels and probabilities disagree in length")
         _require_normalized(p)
 
-    @property
-    def support(self) -> np.ndarray:
-        """Indices of outcomes with probability above SUPPORT_THRESHOLD."""
-        return np.flatnonzero(self.probs > SUPPORT_THRESHOLD)
-
     def total_variation(self, other: "OutcomeDistribution") -> float:
         if self.probs.shape != other.probs.shape:
             raise DimensionMismatch("distributions have different outcome counts")

@@ -125,6 +125,11 @@ def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
     return kappa * math.sqrt(omega) * _jc_hopping(n_max)
 
 
+def _check_jc(kappa: float, n_max: int) -> None:  # both Jaynes-Cummings factories
+    if not (kappa >= 0.0 and n_max >= 2):
+        raise InvalidParameter(f"kappa must be >= 0 and n_max >= 2, got {kappa} and {n_max}")
+
+
 def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
     """Free field plus atom-field coupling on the truncated atom (x) field space.
 
@@ -134,10 +139,7 @@ def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
     h_of/dh_of call is evaluated at (an earlier omega argument was only
     range-checked and is gone).
     """
-    if kappa < 0:
-        raise InvalidParameter(f"kappa must be nonnegative, got {kappa}")
-    if n_max < 2:
-        raise InvalidParameter(f"Fock truncation must be at least 2, got {n_max}")
+    _check_jc(kappa, n_max)
     a = _ladder(n_max)
     # The theta-independent operators, built once and scaled per call.
     free = np.kron(np.eye(2, dtype=complex), a.conj().T @ a + 0.5 * np.eye(n_max + 1))
@@ -216,6 +218,7 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     differentiates the output state of _jc_output_jet exactly, with no
     decomposition per point: dp = 2 Re <out|dout> on each atomic block.
     """
+    _check_jc(kappa, n_max)
     hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
 
     def at(w: float) -> OutcomeDistribution:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .cem import _level_jet, _node
+from .cem import _jet, _level_jet, _node
 from .errors import AliasingRisk, OracleTooLarge
 from .fisher import (
     FisherReport,
@@ -124,12 +124,6 @@ def controllization_factors(U, m: int) -> ControllizationFactors:
     return ControllizationFactors(a=float(a), phi=phi, eps_m=z**m - 1.0)
 
 
-def energy_probs(model: HamiltonianModel, theta: float, t: float, V, rho0) -> OutcomeDistribution:
-    """Pr_theta(j) = <xi_j|V rho_theta V^dag|xi_j> over ascending energy index j."""
-    ev, probs = _node(model, theta, t, require_unitary(V), require_density(rho0))
-    return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
-
-
 def _default_tau(ev: np.ndarray) -> float:
     return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
 
@@ -157,10 +151,13 @@ def _aliases(tau, ev: np.ndarray):
     return tau * float(ev[-1] - ev[0]) >= 2.0 * math.pi
 
 
-def _require_injective(tau: float, ev: np.ndarray) -> None:
+def _frozen_tau(cfg: PhaseSimConfig, ev: np.ndarray) -> float:
+    """cfg.tau, or default_tau of the energies ev; AliasingRisk where its bins alias."""
+    tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
     if _aliases(tau, ev):
         raise AliasingRisk(f"tau * spectral range = {tau * float(ev[-1] - ev[0]):.6f} "
                            ">= 2 pi; bins are not injective")
+    return tau
 
 
 def _shift(cfg: PhaseSimConfig, ev: np.ndarray) -> float:
@@ -292,9 +289,7 @@ def _level_products(coef: np.ndarray):
 def _distribution(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                   mode: str) -> OutcomeDistribution:
     ev, p = _node(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
-    tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
-    _require_injective(tau, ev)
-    probs = _readout_probs(cfg, ev, p, np.array([tau]), mode)[0]
+    probs = _readout_probs(cfg, ev, p, np.array([_frozen_tau(cfg, ev)]), mode)[0]
     return OutcomeDistribution(outcomes=tuple(range(2**cfg.n)), probs=probs)
 
 
@@ -347,7 +342,7 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     V = cfg.control(model.dim)
     if diff is None:
-        E, dE, dE_err, p, dp, dp_err = _level_jet(model, theta, cfg.t, V, cfg.rho0)
+        E, dE, dE_err, p, dp, dp_err = _level_jet(_jet(model, theta, cfg.t), V, cfg.rho0)
         if cfg.energy_shift is None:
             dxi, dxi_err = dE - dE[0], 2.0 * dE_err
         else:
@@ -457,8 +452,7 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     if cfg.n > 6 or d > 4:
         raise OracleTooLarge(f"oracle limited to n <= 6 and d <= 4, got n={cfg.n}, d={d}")
     ev, W = eigh_nondegenerate(model.h_of(theta))
-    tau = cfg.tau if cfg.tau is not None else _default_tau(ev)
-    _require_injective(tau, ev)
+    tau = _frozen_tau(cfg, ev)
     u_tau = spectral_unitary(ev, W, tau) * np.exp(-1j * tau * _shift(cfg, ev))
     u_t = spectral_unitary(ev, W, cfg.t)
     v = cfg.control(d)

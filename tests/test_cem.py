@@ -533,6 +533,11 @@ class TestOptimizeCem:
         assert best <= sol.G_value + 1e-3
         assert np.max(np.abs(v_star @ v_star.conj().T - np.eye(2))) <= 1e-9
 
+    @pytest.mark.parametrize("budget", [(0, 10), (1, 0)])
+    def test_rejects_an_empty_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            optimize_cem(make_qubit_direction(1.0), 1.0, 1.0, budget=budget)
+
     def test_seeded_restart_guarantee_with_minimal_budget(self):
         m = make_qubit_direction(1.0)
         sol = g_bound(m, 1.2, 0.9)
@@ -572,8 +577,10 @@ class TestOptimizeCem:
             sol = g_bound(model, theta, t)
             eye = np.eye(model.dim, dtype=complex)
             poor = dataclasses.replace(sol, V_opt=eye, psi_opt=eye[0])
-            monkeypatch.setattr(cem, "g_bound", lambda *args, s=poor: s)
-            best, v_star, psi_star = optimize_cem(model, theta, t, budget=(8, 400), seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(cem, "_solution", lambda *args, s=poor: s)
+                best, v_star, psi_star = optimize_cem(model, theta, t, budget=(8, 400),
+                                                      seed=seed)
             assert abs(best - sol.G_value) <= 1e-2 * sol.G_value
             rho = np.outer(psi_star, psi_star.conj())
             # fisher_cem builds its level weights from a density matrix, which rounds a
@@ -582,7 +589,7 @@ class TestOptimizeCem:
             assert fisher_cem(model, theta, t, v_star, rho).value == pytest.approx(best, rel=1e-10)
 
     def test_fixed_decompositions_whatever_the_budget(self, decompositions):
-        """Three in g_bound and one for the jet; no line search decomposes anything."""
+        """One for the jet and one per generator; no line search decomposes anything."""
         m = make_nv_spin1(**NV_PARAMS)
         counts = []
         for budget in [(1, 6), (2, 40), (8, 400)]:
@@ -590,7 +597,7 @@ class TestOptimizeCem:
             _, v_star, _ = optimize_cem(m, 0.8, 1.7, budget=budget, seed=5)
             counts.append(decompositions[0])
             assert np.max(np.abs(v_star @ v_star.conj().T - np.eye(m.dim))) <= 1e-10
-        assert counts == [4, 4, 4]
+        assert counts == [3, 3, 3]
 
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
@@ -599,7 +606,7 @@ class TestOptimizeCem:
         """The analytic kernel scores Haar-random pairs as fisher_cem does."""
         rng = np.random.default_rng(29)
         for theta, t in [(0.7, 1.3), (1.4, 0.6), (2.2, 2.9)]:
-            Wh, U, fisher = cem._fast_objective(model, theta, t)
+            Wh, U, fisher = cem._fast_objective(cem._jet(model, theta, t))
             for _ in range(4):
                 V = haar_unitary(rng, model.dim)
                 psi = haar_unitary(rng, model.dim)[:, 0]
@@ -642,8 +649,10 @@ class TestOptimizeCem:
             if not seeded:  # identity control and |0>: the random restarts decide the result
                 eye = np.eye(model.dim, dtype=complex)
                 sol = dataclasses.replace(sol, V_opt=eye, psi_opt=eye[0])
-                monkeypatch.setattr(cem, "g_bound", lambda *args, s=sol: s)
-            fast, _, _ = optimize_cem(model, theta, t, budget=(3, 30), seed=seed)
+            with monkeypatch.context() as patch:
+                if not seeded:
+                    patch.setattr(cem, "_solution", lambda *args, s=sol: s)
+                fast, _, _ = optimize_cem(model, theta, t, budget=(3, 30), seed=seed)
             per_restart = serial_optimize_cem(model, theta, t, (3, 30), seed, sol)
             assert fast == pytest.approx(max(per_restart), rel=1e-9)
             random_wins += int(np.argmax(per_restart) > 1)  # [seed value, restart 0, ...]

@@ -144,6 +144,40 @@ class TestConfigHandling:
         assert (code, text) == (EXIT_CONFIG, "")
         assert "must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        """Through --seed and [run] seed; numpy's default_rng takes no negative seed."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nseed = -1\n")
+        grid = ("--theta", "1:1:1", "--t", "1:1:1")
+        for argv in (("--seed", "-1"), ("--config", str(ini))):
+            code, text = run(tmp_path, "optimize", *grid, *argv)
+            assert (code, text) == (EXIT_CONFIG, "")
+            assert "seed >= 0, got 8, 400 and -1" in capsys.readouterr().err
+
+    def test_unknown_format_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nformat = xml\n")
+        code, text = run(tmp_path, "gbound", "--config", str(ini), "--theta", "1:1:1",
+                         "--t", "1:1:1")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
+
+    def test_jc_rejects_a_probe_model(self, tmp_path, capsys):
+        code, text = run(tmp_path, "jc", "--model", "qubit-direction",
+                         "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "command 'jc' supports models jaynes-cummings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["kappa = -0.5", "n_max = 1"])
+    def test_jc_range_comes_from_the_read_out_model(self, tmp_path, capsys, line):
+        """jc_readout_model owns kappa >= 0 and n_max >= 2; nothing is written."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{line}\n")
+        code, text = run(tmp_path, "jc", "--config", str(ini),
+                         "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "config error: [model] kappa must be >= 0 and n_max >= 2" in capsys.readouterr().err
+
     def test_flags_may_precede_the_command(self, tmp_path):
         flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
         code_after, after = run(tmp_path, "gbound", *flags)
@@ -437,7 +471,30 @@ class TestDiffOracleSwitch:
         assert oracle != fast
 
 
+class TestSelftest:
+    @pytest.mark.parametrize("results,code", [
+        ([("alpha", True, "ok"), ("beta", True, "ok")], EXIT_OK),
+        ([("alpha", True, "ok"), ("beta", False, "off by 1")], EXIT_NUMERICAL),
+    ], ids=["all-pass", "one-fails"])
+    def test_exit_code_follows_the_suites(self, monkeypatch, capsys, results, code):
+        monkeypatch.setattr("qmet.selftest.run_all", lambda: results)
+        assert main(["selftest"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                         for name, ok, detail in results]
+
+
 class TestDecompositionCounts:
+    def test_optimize_point(self, decompositions, tmp_path):
+        """g_bound's three for the g column, and optimize_cem's three from its one jet."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[optimizer]\nrestarts = 2\niterations = 20\n")
+        decompositions[0] = 0
+        code, _ = run(tmp_path, "optimize", "--config", str(ini), "--model", "nv-spin1",
+                      "--theta", "0.8:0.8:1", "--t", "1.7:1.7:1")
+        assert code == EXIT_OK
+        assert decompositions[0] == 6
+
     def test_jc_point(self, decompositions, tmp_path):
         """The read-out jet decomposes the hopping at most once per run, never per point."""
         decompositions[0] = 0

@@ -141,6 +141,19 @@ class TestJaynesCummings:
         with pytest.raises(InvalidParameter):
             make_jaynes_cummings(0.5, 1)
 
+    @pytest.mark.parametrize("kappa,n_max", [(-0.5, 8), (math.nan, 8), (0.5, 1), (0.5, 0)])
+    def test_both_factories_reject_the_same_parameters(self, kappa, n_max):
+        """kappa >= 0 and n_max >= 2 hold for the read-out model as for the Hamiltonian."""
+        with pytest.raises(InvalidParameter):
+            make_jaynes_cummings(kappa, n_max)
+        with pytest.raises(InvalidParameter):
+            jc_readout_model(kappa, 1.0, math.sqrt(0.5), math.sqrt(0.5), n_max)
+
+    def test_both_factories_accept_the_range_edges(self):
+        assert make_jaynes_cummings(0.0, 2).dim == 6
+        pm = jc_readout_model(0.0, 1.0, math.sqrt(0.5), math.sqrt(0.5), 2)
+        assert pm.at(1.0).probs.tolist() == [1.0, 0.0]  # no coupling: the atom stays in |g>
+
     def test_derivative(self):
         m = make_jaynes_cummings(0.5, 6)
         assert_analytic_derivative(m, [0.5, 1.0, 2.0])

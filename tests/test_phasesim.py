@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmet import phasesim
-from qmet.cem import _level_jet, _node, fisher_cem, g_bound
+from qmet.cem import _jet, _level_jet, _node, cem_outcome_model, fisher_cem, g_bound
 from qmet.errors import AliasingRisk, DegenerateSpectrum, OracleTooLarge
 from qmet.fisher import OutcomeDistribution, ProbabilityModel, classical_fisher
 from qmet.linalg import expm_unitary, require_hermitian, require_nondegenerate
@@ -25,7 +25,6 @@ from qmet.phasesim import (
     controllization_factors,
     controllization_oracle,
     default_tau,
-    energy_probs,
     fisher_phase_readout,
     ideal_distribution,
     realistic_distribution,
@@ -57,7 +56,7 @@ def optimal_config(model, theta, t, n, m, tau=None):
 class TestEnergyProbs:
     def test_ground_state_point_mass(self):
         m = fixed_model(np.diag([-1.0, 1.0]))
-        dist = energy_probs(m, 0.3, 2.0, np.eye(2), ground_projector(2))
+        dist = cem_outcome_model(m, 2.0, np.eye(2), ground_projector(2)).at(0.3)
         assert np.allclose(dist.probs, [1.0, 0.0])
 
     def test_maximally_mixed_is_uniform_for_any_control(self):
@@ -65,12 +64,12 @@ class TestEnergyProbs:
         m = make_qubit_direction(1.0)
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         V, _ = np.linalg.qr(z)
-        dist = energy_probs(m, 1.0, 1.3, V, np.eye(2) / 2)
+        dist = cem_outcome_model(m, 1.3, V, np.eye(2) / 2).at(1.0)
         assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-12)
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrum):
-            energy_probs(fixed_model(np.eye(2)), 0.0, 1.0, np.eye(2), np.eye(2) / 2)
+            cem_outcome_model(fixed_model(np.eye(2)), 1.0, np.eye(2), np.eye(2) / 2).at(0.0)
 
 
 class TestIdealDistribution:
@@ -108,7 +107,7 @@ class TestIdealDistribution:
         model = make_qubit_direction(1.0)
         theta, t = 1.0, 1.0
         cfg0, _ = optimal_config(model, theta, t, 4, 1)
-        p_energy = energy_probs(model, theta, t, cfg0.control(2), cfg0.rho0).probs
+        p_energy = cem_outcome_model(model, t, cfg0.control(2), cfg0.rho0).at(theta).probs
         tau = default_tau(model, theta)
         xi = np.array([0.0, 2.0])  # shifted spectrum of the qubit
         tvs = []
@@ -248,6 +247,15 @@ class TestFisherPhaseReadout:
         tau = tune_tau(cfg, model, theta, mode="realistic")
         value = fisher_phase_readout(cfg.with_tau(tau), model, theta, mode="realistic").value
         assert value >= 0.8 * sol.G_value
+
+    @pytest.mark.parametrize("diff", [None, DEFAULT_DIFF], ids=["analytic", "oracle"])
+    def test_unknown_mode_is_rejected(self, diff):
+        model = make_qubit_direction(1.0)
+        cfg, _ = optimal_config(model, 1.0, 1.0, 4, 1)
+        with pytest.raises(ValueError, match="mode"):
+            fisher_phase_readout(cfg, model, 1.0, diff, mode="bogus")
+        with pytest.raises(ValueError, match="mode"):
+            tune_tau(cfg, model, 1.0, mode="bogus", diff=diff)
 
     def test_realistic_gap_to_ideal_shrinks_with_m(self):
         model = make_qubit_direction(1.0)
@@ -549,7 +557,8 @@ class TestBatchedReadoutMatchesSerial:
 
 def jet_inputs(cfg, model, theta):
     """(energies, level weights, (dxi, dp)) at theta, the shift as the read-out applies it."""
-    E, dE, _, p, dp, _ = _level_jet(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    E, dE, _, p, dp, _ = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
+                                    cfg.rho0)
     return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp)
 
 
