@@ -1,8 +1,8 @@
 """Cross-checking the closed-form bound by derivative-free search.
 
 The optimizer climbs the controlled-energy-measurement Fisher information
-with coordinate-wise golden-section passes over elementary rotation moves
-and multistart: the unitary control turns by one of the d^2 generators of
+with coordinate-wise passes of staged grid line searches over elementary
+rotation moves and multistart: the unitary control turns by one of the d^2 generators of
 the Hermitian basis at a time (a diagonal phase, or an X- or Y-type mix of
 two levels), and the pure preparation by one of 2d-2 (a phase on one
 component, or a real rotation between it and the first).  One restart is

@@ -51,7 +51,12 @@ GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
-GOLDEN_STEPS = 14  # golden-section steps per line search of optimize_cem
+# optimize_cem's line search: GRID_STAGES calls on GRID_NODES even nodes per row.  Each
+# stage spans two spacings of the last, so the final spacing is at most 2 radius / 1024,
+# finer than the final bracket 2 radius phi^-14 ~ 2 radius / 843 of a 14-step golden section.
+GRID_NODES = 17
+GRID_STAGES = 3
+_GRID = np.linspace(0.0, 1.0, GRID_NODES)[:, None]  # node fractions of a stage's bracket
 _Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag")  # what _jet returns
 
 
@@ -289,8 +294,10 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.n
 
     One eigendecomposition of H(x) gives both the measured eigenbasis and the
     encoding unitary U_t = exp(-i t H(x)).  V and rho0 must already be
-    validated.  Raises DegenerateSpectrum for (near-)degenerate H(x).
+    validated.  Raises DomainBoundary unless x lies inside the open domain and
+    DegenerateSpectrum for (near-)degenerate H(x).
     """
+    numdiff.check_domain(x, 0.0, model.theta_domain)
     ev, W = eigh_nondegenerate(model.h_of(x))
     u_t = spectral_unitary(ev, W, t)
     M = V @ (u_t @ rho0 @ u_t.conj().T) @ V.conj().T
@@ -446,27 +453,29 @@ def _move_terms(d: int) -> np.ndarray:
     return np.stack([np.eye(d) - B2, B2, -1j * B], axis=1)
 
 
-def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section maximization of every row on its own [lo, hi]; returns (x, f(x)).
+def _grid_max_rows(f, lo: np.ndarray, hi: np.ndarray):
+    """Staged grid maximization of every row on its own [lo, hi]; returns (x, f(x)).
 
-    f maps an (..., R) array of abscissae to values of the same shape.  The two
-    interior nodes are evaluated in one (2, R) call, then each step evaluates
-    one new node per row; np.where picks each row's bracket.
+    f maps a (GRID_NODES, R) array of abscissae to values of the same shape.  Each
+    stage evaluates GRID_NODES evenly spaced nodes per row in one call; the next
+    stage spans one spacing either side of the best node so far, clipped to
+    [lo, hi].  The result is the best node evaluated, so it never falls below an
+    earlier stage's best, and the midpoint lo + (hi - lo) / 2 is a first-stage
+    node (exactly 0 for a bracket [-r, r]).
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    rows = np.arange(lo.shape[0])
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(np.stack([c, e]))
-    for _ in range(GOLDEN_STEPS):
-        left = fc >= fe  # keep [a, e] and probe a new c; otherwise keep [c, b], new e
-        a, b = np.where(left, a, c), np.where(left, e, b)
-        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fp = f(probe)
-        c, e = np.where(left, probe, e), np.where(left, c, probe)
-        fc, fe = np.where(left, fp, fe), np.where(left, fc, fp)
-    left = fc >= fe
-    return np.where(left, c, e), np.where(left, fc, fe)
+    best_x, best_f = lo, np.full(lo.shape, -np.inf)
+    for _ in range(GRID_STAGES):
+        x = a + (b - a) * _GRID
+        fx = f(x)
+        k = np.argmax(fx, axis=0)  # first maximum: ties go to the lowest node
+        xk, fk = x[k, rows], fx[k, rows]
+        up = fk > best_f
+        best_x, best_f = np.where(up, xk, best_x), np.where(up, fk, best_f)
+        step = (b - a) / (GRID_NODES - 1)
+        a, b = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
+    return best_x, best_f
 
 
 def optimize_cem(
@@ -478,12 +487,12 @@ def optimize_cem(
 ):
     """Derivative-free maximization of the CEM Fisher information.
 
-    Coordinate-wise golden-section line searches in cyclic passes over
-    d^2 + 2d - 2 elementary rotation moves, multistarted.  A control move
-    takes V to V exp(-i delta B) for one generator B of the Hermitian basis
-    (a diagonal phase, or an X- or Y-type generator of a pair of levels); a
-    preparation move takes psi to exp(-i delta B) psi (a real rotation
-    between components 0 and j, or a phase on component j >= 1).  Each line
+    Coordinate-wise grid line searches in cyclic passes over d^2 + 2d - 2
+    elementary rotation moves, multistarted.  A control move takes V to
+    V exp(-i delta B) for one generator B of the Hermitian basis (a diagonal
+    phase, or an X- or Y-type generator of a pair of levels); a preparation
+    move takes psi to exp(-i delta B) psi (a real rotation between
+    components 0 and j, or a phase on component j >= 1).  Each line
     search runs over delta in [-radius, radius] around the current point,
     with radius 0.6 shrinking by 0.8 per pass down to 1e-3, and a restart
     takes its best probe only if that improves on its current value.
@@ -495,15 +504,16 @@ def optimize_cem(
     so a call makes three eigendecompositions (the jet, g_diag and g_dyn)
     whatever the budget, and theta only has to lie inside the open domain.
 
-    All restarts share the move schedule, the radius decay and the 14-step
-    golden section, so they advance in lockstep as one (R, d, d) batch: each
-    golden step is one kernel call over the R rows, and each row's bracket
-    and accept/reject is an np.where.  Restart 0 starts at the analytic
-    optimum (V_opt, psi_opt), so the returned value never falls below its
-    Fisher information.  The remaining restarts start from Haar-random
-    controls and random pure preparations, drawn up front from
-    default_rng(seed) in restart order: a Haar control, then a complex normal
-    preparation, per restart.  budget = (restarts, line searches per restart).
+    All restarts share the move schedule, the radius decay and the line
+    search (_grid_max_rows, with delta = 0 among its first nodes), so they
+    advance in lockstep as one (R, d, d) batch: a line search is GRID_STAGES
+    kernel calls over all R rows, and each row's accept/reject is an np.where.
+    Restart 0 starts at the analytic optimum (V_opt, psi_opt), so the
+    returned value never falls below its Fisher information.  The remaining
+    restarts start from Haar-random controls and random pure preparations,
+    drawn up front from default_rng(seed) in restart order: a Haar control,
+    then a complex normal preparation, per restart.
+    budget = (restarts, line searches per restart).
 
     Returns (best Fisher information, best V, best psi); ties between
     restarts go to the earliest.
@@ -547,7 +557,7 @@ def optimize_cem(
             return fisher(P + c * Q + s * S)
 
         lim = np.full(restarts, radius)
-        delta, fc = _golden_max_rows(along, -lim, lim)
+        delta, fc = _grid_max_rows(along, -lim, lim)
         better = fc > current
         delta = np.where(better, delta, 0.0)[:, None, None]  # rejected rows turn by I
         rot = T[0] + np.cos(delta) * T[1] + np.sin(delta) * T[2]

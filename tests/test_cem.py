@@ -9,7 +9,7 @@ import pytest
 
 from qmet import cem
 from qmet.cem import (
-    _golden_max_rows,
+    _grid_max_rows,
     cem_outcome_model,
     check_condition,
     diagonalizer,
@@ -599,6 +599,29 @@ class TestOptimizeCem:
             assert np.max(np.abs(v_star @ v_star.conj().T - np.eye(m.dim))) <= 1e-10
         assert counts == [3, 3, 3]
 
+    def test_grid_stages_per_line_search(self, monkeypatch):
+        """One objective call scores the starts, then GRID_STAGES per line search."""
+        m = make_nv_spin1(**NV_PARAMS)
+        calls = []
+        fast_objective = cem._fast_objective
+
+        def counted(jet):
+            Wh, U, fisher = fast_objective(jet)
+
+            def fisher_counted(pairs):
+                calls.append(pairs.shape)
+                return fisher(pairs)
+
+            return Wh, U, fisher_counted
+
+        monkeypatch.setattr(cem, "_fast_objective", counted)
+        for restarts, iterations in [(1, 6), (2, 40), (8, 400)]:
+            calls.clear()
+            optimize_cem(m, 0.8, 1.7, budget=(restarts, iterations), seed=5)
+            assert len(calls) == 1 + iterations * cem.GRID_STAGES
+            assert calls[0] == (restarts, 2, m.dim)
+            assert set(calls[1:]) == {(cem.GRID_NODES, restarts, 2, m.dim)}
+
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
     ], ids=lambda m: m.name)
@@ -659,24 +682,23 @@ class TestOptimizeCem:
         assert seeded or random_wins > 0
 
 
-# --- serial reference: one restart and one scalar golden section at a time ----------
+# --- serial reference: one restart and one scalar grid line search at a time --------
 
 
-def scalar_golden_max(f, lo, hi, iters=14):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def scalar_grid_max(f, lo, hi):
+    """One row of _grid_max_rows, node by node: the first best node of all stages."""
+    nodes = cem.GRID_NODES
     a, b = lo, hi
-    c, e = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    for _ in range(iters):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    return (c, fc) if fc >= fe else (e, fe)
+    best_x, best_f = lo, -math.inf
+    for _ in range(cem.GRID_STAGES):
+        for k in range(nodes):
+            x = a + (b - a) * (k / (nodes - 1))
+            fx = f(x)
+            if fx > best_f:
+                best_x, best_f = x, fx
+        step = (b - a) / (nodes - 1)
+        a, b = max(lo, best_x - step), min(hi, best_x + step)
+    return best_x, best_f
 
 
 def serial_optimize_cem(model, theta, t, budget, seed, sol):
@@ -737,15 +759,15 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
                 R = rotation(*moves[c], delta)
                 return (V @ R, psi) if c < n_v else (V, R @ psi)
 
-            xc, fc = scalar_golden_max(lambda v: objective(*moved(v)), -radius, radius)
+            xc, fc = scalar_grid_max(lambda v: objective(*moved(v)), -radius, radius)
             if fc > current:
                 (V, psi), current = moved(xc), fc
         values.append(current)
     return values
 
 
-class TestGoldenMaxRows:
-    def test_matches_scalar_golden_section_row_by_row(self):
+class TestGridMaxRows:
+    def test_matches_scalar_grid_row_by_row(self):
         rng = np.random.default_rng(21)
         rows = 16
         lo = rng.uniform(-2.0, 1.0, size=rows)
@@ -757,12 +779,66 @@ class TestGoldenMaxRows:
         def f(v):
             return -scale * np.abs(v - peak) ** power
 
-        xs, fs = _golden_max_rows(f, lo, hi)
+        xs, fs = _grid_max_rows(f, lo, hi)
         for r in range(rows):
-            x_r, f_r = scalar_golden_max(
+            x_r, f_r = scalar_grid_max(
                 lambda v: float(-scale[r] * abs(v - peak[r]) ** power[r]), lo[r], hi[r])
             assert xs[r] == pytest.approx(x_r, rel=1e-14, abs=1e-14)
             assert fs[r] == pytest.approx(f_r, rel=1e-14, abs=1e-14)
+
+    def test_bimodal_line_returns_the_global_maximum(self):
+        """A golden section on [-1, 1] keeps [-1, 0.236] after its first step and so
+        climbs the broad local hill at -0.6; the first grid stage sees both hills."""
+        centre = np.array([0.7, -0.7, 0.55])  # the narrow, higher hill; its mirror image
+
+        def f(v):
+            return (np.exp(-((v + np.sign(centre) * 0.6) / 0.3) ** 2)
+                    + 2.0 * np.exp(-((v - centre) / 0.1) ** 2))
+
+        lim = np.ones(centre.size)
+        xs, fs = _grid_max_rows(f, -lim, lim)
+        assert np.all(np.abs(xs - centre) <= 2.0 / 1024)  # the last spacing
+        assert np.all(fs >= 1.999)  # the local hill peaks at 1
+        assert np.array_equal(fs, f(xs))
+
+    def test_returns_the_best_node_it_evaluated(self):
+        """An objective that drifts down from call to call: the first stage holds the best."""
+        rng = np.random.default_rng(8)
+        peak = rng.uniform(-1.0, 1.0, size=12)
+        seen = []
+
+        def f(v):
+            value = -(v - peak) ** 2 - 0.01 * len(seen)
+            seen.append((v, value))
+            return value
+
+        xs, fs = _grid_max_rows(f, -np.ones(peak.size), np.ones(peak.size))
+        assert len(seen) == cem.GRID_STAGES
+        assert all(v.shape == (cem.GRID_NODES, peak.size) for v, _ in seen)
+        nodes = np.concatenate([v for v, _ in seen])
+        values = np.concatenate([value for _, value in seen])
+        best = np.argmax(values, axis=0)
+        rows = np.arange(peak.size)
+        assert np.array_equal(xs, nodes[best, rows])
+        assert np.array_equal(fs, values[best, rows])
+        assert np.all(best < cem.GRID_NODES)  # every best node is a first-stage node
+
+    def test_stays_in_the_bracket_and_never_below_the_centre(self):
+        rng = np.random.default_rng(5)
+        rows = 64
+        radius = rng.uniform(1e-3, 0.6, size=rows)
+        peak = rng.uniform(-2.0, 2.0, size=rows) * radius  # half of them outside
+        spike = rng.uniform(size=rows) < 0.25  # a spike at 0, narrower than any spacing
+
+        def f(v):
+            hill = 0.9 * np.exp(-((v - peak) / radius) ** 2)
+            return np.where(spike, np.maximum(hill, np.exp(-(v / 1e-12) ** 2)), hill)
+
+        xs, fs = _grid_max_rows(f, -radius, radius)
+        assert np.all((-radius <= xs) & (xs <= radius))
+        assert np.array_equal(fs, f(xs))
+        assert np.all(fs >= f(np.zeros(rows)))
+        assert np.all(xs[spike] == 0.0)
 
 
 class TestMaxGapLemma:

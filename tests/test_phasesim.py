@@ -8,7 +8,7 @@ import pytest
 
 from qmet import phasesim
 from qmet.cem import _jet, _level_jet, _node, cem_outcome_model, fisher_cem, g_bound
-from qmet.errors import AliasingRisk, DegenerateSpectrum, OracleTooLarge
+from qmet.errors import AliasingRisk, DegenerateSpectrum, DomainBoundary, OracleTooLarge
 from qmet.fisher import OutcomeDistribution, ProbabilityModel, classical_fisher
 from qmet.linalg import expm_unitary, require_hermitian, require_nondegenerate
 from qmet.models import (
@@ -71,8 +71,23 @@ class TestEnergyProbs:
         with pytest.raises(DegenerateSpectrum):
             cem_outcome_model(fixed_model(np.eye(2)), 1.0, np.eye(2), np.eye(2) / 2).at(0.0)
 
+    def test_outside_the_domain_raises(self):
+        """As fisher_cem does: qubit-direction's domain is (0, pi)."""
+        levels = cem_outcome_model(make_qubit_direction(1.0), 1.0, np.eye(2), ground_projector(2))
+        for x in (-1.0, 0.0, math.pi, math.nan):
+            with pytest.raises(DomainBoundary, match=f"parameter value {x} is outside"):
+                levels.at(x)
+
 
 class TestIdealDistribution:
+    def test_outside_the_domain_raises(self):
+        model = make_qubit_direction(1.0)
+        cfg = PhaseSimConfig(n=3, m=1, t=1.0, rho0=ground_projector(2))
+        for distribution in (ideal_distribution, realistic_distribution):
+            with pytest.raises(DomainBoundary, match=r"parameter value -1.0 is outside"):
+                distribution(cfg, model, -1.0)
+            assert distribution(cfg, model, 1.0).probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_grid_aligned_energy_gives_point_mass(self):
         """With tau*xi a multiple of the grid spacing the kernel picks a single bin."""
         n, c = 3, 2.0
@@ -403,24 +418,39 @@ def ref_tau(cfg, model, theta):
     return 0.9 * 2.0 * math.pi / (float(ev[-1] - ev[0]) + 1e-6)
 
 
+PI_LONG = 4 * np.arctan(np.longdouble(1))
+
+
+def ref_alpha(phase, n):
+    """phase + 2 pi Q / 2^n over the bins Q, in long double from the float64 phase.
+
+    Rounding alpha in float64 would move the kernel by up to 2^n eps |alpha|
+    (7.5e-14 at n = 10), as much as the library error the tests bound.
+    """
+    Q = np.arange(2**n)
+    return np.asarray(phase, dtype=np.longdouble)[..., None] + 2 * PI_LONG * Q / 2**n
+
+
 def ref_kernel(alpha, n):
-    """The squared Dirichlet kernel straight from its definition, both sines on the full grid."""
+    """The squared Dirichlet kernel straight from its definition, both sines on the full grid.
+
+    Evaluated in long double; alpha may be float64 or long double.
+    """
     N = 2**n
-    half = alpha / 2.0
+    half = np.asarray(alpha, dtype=np.longdouble) / 2
     s = np.sin(half)
     singular = np.abs(s) < 1e-9
-    safe = np.where(singular, 1.0, s)
-    return np.where(singular, 1.0, (np.sin(N * half) / (N * safe)) ** 2)
+    safe = np.where(singular, 1, s)
+    return np.where(singular, 1, (np.sin(N * half) / (N * safe)) ** 2)
 
 
 def ref_ideal(cfg, model, theta):
     tau = ref_tau(cfg, model, theta)
     xi = ref_shifted_spectrum(cfg, model, theta, tau)
     p = ref_energy_probs(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
-    Q = np.arange(2**cfg.n)
-    alpha = tau * xi[:, None] + 2.0 * math.pi * Q[None, :] / 2**cfg.n
-    probs = (p[:, None] * ref_kernel(alpha, cfg.n)).sum(axis=0)
-    return OutcomeDistribution(outcomes=tuple(Q.tolist()), probs=probs)
+    kernel = ref_kernel(ref_alpha(tau * xi, cfg.n), cfg.n)
+    probs = (p[:, None] * kernel).sum(axis=0).astype(float)
+    return OutcomeDistribution(outcomes=tuple(range(2**cfg.n)), probs=probs)
 
 
 def ref_realistic(cfg, model, theta):
@@ -658,7 +688,7 @@ class TestAnalyticReadout:
         for level, on_bin in ((0, 0), (1, 1)):  # tau * 2 = 2 pi (2^n - 1) / 2^n
             assert kernels[0, level, on_bin] == pytest.approx(1.0, abs=1e-12)
             assert abs(dkernels[0, level, on_bin]) <= 1e-12 * 2**n
-        alpha = phase[0, :, None] + 2.0 * math.pi * np.arange(2**n) / 2**n
+        alpha = ref_alpha(phase[0], n)
         assert np.abs(kernels[0] - ref_kernel(alpha, n)).max() <= 1e-13
         h = 1e-6
         slope = (ref_kernel(alpha + h, n) - ref_kernel(alpha - h, n)) / (2 * h)
