@@ -146,12 +146,13 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
+def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = False) -> _Jet:
     """The analytic jet of H(theta): one domain check, one decomposition, one dh_of read.
 
-    Returns (E, W, U, dH, D, g_dyn, g_diag): the _eigenbasis of H(theta),
-    U = exp(-i t H), dH = dH/dtheta, D = W^dag dH W (whose diagonal holds the
-    energy derivatives dE_j) and the local generators.  With w_jk = E_j - E_k,
+    Returns (E, W, U, dH, D, g_dyn, g_diag): the ascending energies and
+    eigenvector columns W of H(theta), U = exp(-i t H), dH = dH/dtheta,
+    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j) and
+    the local generators.  With w_jk = E_j - E_k,
     first-order perturbation theory in the parallel-transport gauge of the
     columns W gives the diagonalizer generator g_diag_jk = i D_jk / w_jk with
     a zero diagonal.  The derivative of exp(-i t H) (Wilcox 1967;
@@ -159,9 +160,15 @@ def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
     the model needs dh_of, as every analytic (diff=None) path does.
+
+    W comes straight from eigh_nondegenerate, in an arbitrary gauge, which
+    the read-out scorer and fisher_cem's jet never see.  phase_fixed=True
+    takes the phase-fixed _eigenbasis for the gauge-dependent consumers
+    (g_bound and generator_pair, optimize_cem's seed) and for encoded_qfi,
+    whose sigma(g_dyn) equals generator_pair's gap bit for bit.
     """
     numdiff.check_domain(theta, 0.0, model.theta_domain)
-    E, W = _eigenbasis(model, theta)
+    E, W = _eigenbasis(model, theta) if phase_fixed else eigh_nondegenerate(model.h_of(theta))
     if model.dh_of is None:
         raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
                                "it, and an explicit DiffSpec selects the finite-difference oracle")
@@ -177,7 +184,7 @@ def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
     """(W, U_t, g_dyn, g_diag, method), with W the _eigenbasis of H(theta) and U_t = exp(-i t H)."""
     if diff is None:
-        jet = _jet(model, theta, t)
+        jet = _jet(model, theta, t, phase_fixed=True)
         return jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     E, W = _eigenbasis(model, theta)
@@ -389,8 +396,8 @@ def encoded_qfi(
             return u @ rho0 @ u.conj().T
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
-        return report, spectral_gap(_jet(model, theta, t).g_dyn)
-    E, _, u_t, _, _, g_dyn, _ = _jet(model, theta, t)
+        return report, spectral_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
+    E, _, u_t, _, _, g_dyn, _ = _jet(model, theta, t, phase_fixed=True)
     rho = u_t @ rho0 @ u_t.conj().T
     drho = -1j * (g_dyn @ rho - rho @ g_dyn)
     drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
@@ -523,7 +530,7 @@ def optimize_cem(
         raise ValueError("budget entries must be positive")
     d = model.dim
     rng = np.random.default_rng(seed)
-    jet = _jet(model, theta, t)
+    jet = _jet(model, theta, t, phase_fixed=True)
     Wh, U, fisher = _fast_objective(jet)
     terms = _move_terms(d)
 

@@ -97,8 +97,3 @@ def check_domain(x: float, radius: float, domain: tuple[float, float]) -> None:
         where = (f"stencil [{x - radius}, {x + radius}] leaves" if radius
                  else f"parameter value {x} is outside")
         raise DomainBoundary(f"{where} the open domain ({lo}, {hi})")
-
-
-def central5(f, x: float, h: float):
-    """Five-point central difference (O(h^4)); used to validate analytic derivatives."""
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)

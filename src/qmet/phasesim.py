@@ -49,9 +49,10 @@ from .numdiff import DiffSpec
 
 IDEAL = "ideal"
 REALISTIC = "realistic"
-# Tau rows times read-out bins per chunk; bounds the (rows, d, 2^n) scratch arrays,
-# which the analytic path doubles (values and derivatives).
-ROW_BUDGET = 2**10
+# Bytes of a read-out chunk's largest scratch array, the (kinds, taus, d, 2^n) float64
+# level factors of _level_products; kinds is 2 on the analytic path (values and derivatives).
+# 192 KiB holds 4 taus at n = 10 and d = 3; larger chunks save little and raise peak memory.
+SCRATCH_BYTES = 192 * 1024
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
 TAU_REFINE = 16
@@ -205,17 +206,21 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
                     mode: str, jet=None):
     """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs or None).
 
-    A chunk holds at most ROW_BUDGET / 2^n taus, which bounds the
-    (taus, d, 2^n) scratch arrays; the level coefficients of all taus are
-    built once.  jet = (dxi, dp), the theta-derivatives of the shifted
-    energies and of the level weights, also yields the exact derivative of
-    every distribution, dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product
-    rule runs alongside the product (see _level_coefficients for dc).
+    A chunk holds as many taus as keep its largest scratch array, the
+    (kinds, taus, d, 2^n) level factors, within SCRATCH_BYTES (at least one
+    tau), so a whole n <= 6 scan at d <= 3 is one chunk; the level
+    coefficients of all taus are built once.  Each tau's values are the
+    same bit for bit however the taus are chunked.  jet = (dxi, dp), the
+    theta-derivatives of the shifted energies and of the level weights,
+    also yields the exact derivative of every distribution,
+    dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product rule runs alongside
+    the product (see _level_coefficients for dc).
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
     coef = _level_coefficients(cfg, phase, dphase, mode)
-    chunk = max(ROW_BUDGET >> cfg.n, 1)
+    _, kinds, _, d, _ = coef.shape
+    chunk = max(SCRATCH_BYTES // (kinds * d * 2**cfg.n * coef.itemsize), 1)
     for start in range(0, len(taus), chunk):
         sl = slice(start, start + chunk)
         kernels, dkernels = _level_products(coef[:, :, sl])
@@ -267,7 +272,9 @@ def _level_products(coef: np.ndarray):
 
     P is the product of the level factors over the bins; scaling by the
     power of two 2^-n up front is exact.  A derivative kind runs the product
-    rule (P, dP) <- (f P, df P + f dP) alongside.
+    rule (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last
+    level, (kinds, T, d, 2^n) float64, are the largest scratch array, which
+    _readout_chunks bounds by SCRATCH_BYTES.
     """
     n, kinds, T, d, _ = coef.shape
     tables, rows = _twiddles(n), T * d
@@ -321,8 +328,10 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
 
     diff=None selects the analytic path, which needs dh_of: _level_jet
     gives the energies, the level weights and their exact derivatives from
-    one decomposition of H(theta), and _readout_chunks carries them through
-    the kernel, so a tau costs no further decomposition.  The shifted
+    one decomposition of H(theta) (a _jet in the raw gauge: nothing here
+    depends on eigenvector phases), and _readout_chunks carries them
+    through the kernel, so a tau costs no further decomposition and a scan
+    of taus costs a few full-width kernel passes.  The shifted
     energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
     energy, and as dxi_j = dE_j under a fixed shift.  The error estimate
     propagates the rounding bounds on dp and dxi: each level's kernel lies

@@ -23,6 +23,7 @@ from qmet.cem import (
 )
 from qmet.cli import EXIT_OK, main
 from qmet.errors import DegenerateSpectrum, DomainBoundary, InvalidParameter, NonHermitianInput
+from qmet.fisher import SUPPORT_THRESHOLD
 from qmet.linalg import expm_unitary, fix_phases, spectral_gap
 from qmet.models import (
     HamiltonianModel,
@@ -45,6 +46,18 @@ def twist_gauge(monkeypatch, phases):
     """Multiply every column of the phase-fixed eigenbasis by a fixed phase exp(i phi_k)."""
     rot = np.exp(1j * phases)
     monkeypatch.setattr(cem, "fix_phases", lambda W: fix_phases(W) * rot)
+
+
+def twist_raw_eigenbasis(monkeypatch, phases):
+    """Multiply every column of the decomposition cem reads by a fixed phase exp(i phi_k)."""
+    rot = np.exp(1j * phases)
+    decompose = cem.eigh_nondegenerate
+
+    def twisted(H):
+        E, W = decompose(H)
+        return E, W * rot
+
+    monkeypatch.setattr(cem, "eigh_nondegenerate", twisted)
 
 
 def constant_basis_model(levels):
@@ -223,6 +236,7 @@ class TestGBound:
         for _ in range(5):
             twist_gauge(monkeypatch, rng.uniform(0, 2 * math.pi, size=2))
             twisted = generator_pair(m, 0.7, 1.2)
+            assert not np.allclose(twisted.g_diag, base.g_diag)  # the twist reaches g_diag
             assert twisted.gaps[1] == pytest.approx(base.gaps[1], abs=1e-9)
             assert twisted.gaps[0] == pytest.approx(base.gaps[0], abs=1e-9)
 
@@ -281,6 +295,44 @@ class TestAnalyticGenerators:
             assert np.max(np.abs(twisted.g_diag - rot.conj()[:, None] * base.g_diag * rot)) <= 1e-12
             oracle = generator_pair(model, 0.9, 1.4, RICHARDSON)
             assert np.max(np.abs(twisted.g_diag - oracle.g_diag)) <= 1e-7
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_raw_gauge_twist_leaves_gauge_invariant_results(self, name, monkeypatch):
+        """Only the generators, encoded_qfi and optimize_cem phase-fix the jet; a twist of
+        the raw eigenbasis reaches every other jet and changes none of its results beyond
+        rounding.  At jc's default tau (d = 18) the read-out is rounding-limited well
+        above 1e-12, so there each report is held to its own error estimate."""
+        model = ORACLE_GRIDS[name][0]()
+        theta, t = 0.9, 1.4
+        rng = np.random.default_rng(43)
+        sol = g_bound(model, theta, t)
+        rho0 = np.outer(sol.psi_opt, sol.psi_opt.conj())
+        V = haar_unitary(rng, model.dim)
+        cfg = PhaseSimConfig(n=6, m=3, t=t, V=sol.V_opt, rho0=rho0)
+
+        def results():
+            """(values held to 1e-12 relative, read-out reports at the default tau)."""
+            out = []
+            for mode in ("ideal", "realistic"):
+                tau = tune_tau(cfg, model, theta, mode=mode)
+                out += [tau, fisher_phase_readout(cfg.with_tau(tau), model, theta, mode=mode).value]
+            qfi_report, sigma = encoded_qfi(model, theta, t, rho0)
+            out += [fisher_cem(model, theta, t, sol.V_opt, rho0).value,
+                    fisher_cem(model, theta, t, V, rho0).value, qfi_report.value, sigma]
+            return out, [fisher_phase_readout(cfg, model, theta, mode=mode)
+                         for mode in ("ideal", "realistic")]
+
+        (base, base_default), W = results(), cem._jet(model, theta, t).W
+        for _ in range(3):
+            phases = rng.uniform(0, 2 * math.pi, size=model.dim)
+            with monkeypatch.context() as patch:
+                twist_raw_eigenbasis(patch, phases)
+                assert np.array_equal(cem._jet(model, theta, t).W, W * np.exp(1j * phases))
+                values, default = results()
+            assert values == pytest.approx(base, rel=1e-12, abs=0.0)
+            for report, ref in zip(default, base_default):
+                tol = 1e-12 * ref.value if model.dim <= 3 else ref.error_estimate
+                assert abs(report.value - ref.value) <= tol
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_model_without_dh_of_raises_on_the_analytic_path(self, name):
@@ -677,6 +729,9 @@ class TestOptimizeCem:
                     patch.setattr(cem, "_solution", lambda *args, s=sol: s)
                 fast, _, _ = optimize_cem(model, theta, t, budget=(3, 30), seed=seed)
             per_restart = serial_optimize_cem(model, theta, t, (3, 30), seed, sol)
+            rho = np.outer(sol.psi_opt, sol.psi_opt.conj())  # the reference scores as fisher_cem
+            assert per_restart[0] == pytest.approx(
+                fisher_cem(model, theta, t, sol.V_opt, rho).value, rel=1e-12, abs=1e-12)
             assert fast == pytest.approx(max(per_restart), rel=1e-9)
             random_wins += int(np.argmax(per_restart) > 1)  # [seed value, restart 0, ...]
         assert seeded or random_wins > 0
@@ -706,15 +761,29 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
 
     Each probe builds exp(-i delta B) entry by entry as a phase on one
     component or a cos/sin mix of two, applies it to the control (from the
-    right) or the preparation, and scores the pair through the public
-    fisher_cem.  Returns the direct value at the seed followed by each
-    restart's final value.
+    right) or the preparation, and scores the pair with fisher_cem's density
+    route, built once from the public diagonalizer, u_of and generator_pair.
+    Returns the direct value at the seed followed by each restart's final
+    value.
     """
     restarts, iterations = budget
     d = model.dim
+    S = diagonalizer(model, theta)  # rows: the measured eigenbras, in generator_pair's gauge
+    U = model.u_of(theta, t)
+    pair = generator_pair(model, theta, t)
 
     def objective(V, psi):
-        return fisher_cem(model, theta, t, V, np.outer(psi, psi.conj())).value
+        """sum_j dp_j^2 / p_j with p_j = (B sigma B^dag)_jj, B = S V and sigma = U psi psi^dag U^dag;
+        dp_j = 2 Im (g_diag B sigma B^dag)_jj + (B dsigma B^dag)_jj, dsigma = -i [g_dyn, sigma]."""
+        phi = U @ psi
+        sigma = np.outer(phi, phi.conj())
+        dsigma = -1j * (pair.g_dyn @ sigma - sigma @ pair.g_dyn)
+        B = S @ V
+        A = B @ sigma @ B.conj().T
+        p = A.diagonal().real
+        dp = 2.0 * (pair.g_diag @ A).diagonal().imag + (B @ dsigma @ B.conj().T).diagonal().real
+        support = p > SUPPORT_THRESHOLD
+        return float(np.sum(dp[support] ** 2 / p[support]))
 
     pairs = list(zip(*np.triu_indices(d, 1)))
     moves = ([("phase", j, j) for j in range(d)]

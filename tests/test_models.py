@@ -24,7 +24,9 @@ from qmet.models import (
     reference,
     reference_names,
 )
-from qmet.numdiff import DiffSpec, central5
+from qmet.numdiff import DiffSpec
+
+from stencils import central5
 
 # (omega, t, alpha1^2): both regions of the read-out, the excited preparation, long times.
 JC_POINTS = [(0.6, 0.7, 0.5), (1.0, 2.1, 0.5), (1.7, 0.7, 0.96),

@@ -9,7 +9,9 @@ from qmet.cem import g_bound
 from qmet.errors import DomainBoundary
 from qmet.fisher import classical_fisher, qfi
 from qmet.models import jc_readout_model, make_qubit_direction
-from qmet.numdiff import CENTRAL, DiffSpec, central5, check_domain, derivative
+from qmet.numdiff import CENTRAL, DiffSpec, check_domain, derivative
+
+from stencils import central5
 
 
 class TestDerivative:

@@ -17,7 +17,7 @@ from qmet.models import (
     make_qubit_direction,
     make_qubit_xcomponent,
 )
-from qmet.numdiff import DEFAULT_DIFF, DiffSpec, central5
+from qmet.numdiff import DEFAULT_DIFF, DiffSpec
 from qmet.phasesim import (
     PhaseSimConfig,
     aligned_tau,
@@ -30,6 +30,8 @@ from qmet.phasesim import (
     realistic_distribution,
     tune_tau,
 )
+
+from stencils import central5
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -711,6 +713,41 @@ class TestBatchMatchesSingleTau:
             assert report.value == value
             if diff is None:  # a Richardson batch shares one derivative error bound
                 assert report.error_estimate == err
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1"])
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_scan_runs_in_full_chunks_within_the_scratch_bound(self, model_name, n, mode,
+                                                               monkeypatch):
+        """A tune_tau-sized scan of 48 taus equals each tau scored alone, bit for bit; every
+        kernel pass keeps its level factors within SCRATCH_BYTES, and every pass but the
+        last is full: one tau more would cross the bound."""
+        cfg, model, theta = scan_case(model_name, n, None)
+        passes = []  # (taus, bytes of the level factors) per kernel pass
+        level_products = phasesim._level_products
+
+        def bounded(coef):
+            kernels, dkernels = level_products(coef)
+            scratch = kernels.nbytes * coef.shape[1]  # one (T, d, 2^n) array per kind
+            assert scratch <= phasesim.SCRATCH_BYTES
+            passes.append((coef.shape[2], scratch))
+            return kernels, dkernels
+
+        monkeypatch.setattr(phasesim, "_level_products", bounded)
+        E, score, _, _ = phasesim._scorer(cfg, model, theta, None, mode)
+        hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
+        taus = np.geomspace(hi / 300.0, hi, phasesim.TAU_COARSE + phasesim.TAU_REFINE)
+        values, errs = score(taus)
+        scan = passes[:]
+        assert sum(count for count, _ in scan) == taus.size
+        for count, scratch in scan[:-1]:
+            assert scratch // count * (count + 1) > phasesim.SCRATCH_BYTES
+        if n == 6:
+            assert len(scan) == 1
+        for k in range(taus.size):
+            value, err = score(taus[k:k + 1])
+            assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
+                                                         errs[k:k + 1].tobytes())
 
 
 class TestDecompositionCounts:
