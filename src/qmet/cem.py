@@ -51,12 +51,12 @@ GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
-# optimize_cem's line search: GRID_STAGES calls on GRID_NODES even nodes per row.  Each
-# stage spans two spacings of the last, so the final spacing is at most 2 radius / 1024,
-# finer than the final bracket 2 radius phi^-14 ~ 2 radius / 843 of a 14-step golden section.
+# optimize_cem's line search: GRID_STAGES calls on GRID_NODES even nodes per row, each stage
+# over two spacings of the last: the final spacing, at most 2 radius / 1024, is finer than
+# a 14-step golden section's final bracket 2 radius phi^-14 ~ 2 radius / 843.
 GRID_NODES = 17
 GRID_STAGES = 3
-_GRID = np.linspace(0.0, 1.0, GRID_NODES)[:, None]  # node fractions of a stage's bracket
+_GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
 _Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag")  # what _jet returns
 
 
@@ -408,43 +408,48 @@ def encoded_qfi(
 # --- independent derivative-free maximization ---------------------------------------
 
 
-def _fast_objective(jet: _Jet):
-    """(Wh, U, fisher): the CEM Fisher information as a cheap batched kernel.
+def _fisher(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """fisher_cem's (R, N) values from real coefficients (R, 4d, n) and node weights ([R,] n, N).
 
-    From a _jet, Wh = (W^dag, -i g_diag W^dag, W^dag) and U = (U_t, U_t, -i g_dyn U_t)
-    are (3, d, d) stacks, so a control V and a preparation psi give the rows
-    Wh V U psi = (a, da_diag, da_dyn): the amplitudes a_j = <xi_j|V U_t|psi> and the
-    two terms of da/dtheta.  _pairs folds rows into (a^*, 2 da), real-linearly, and
-    fisher maps such pairs of shape (..., 2, d) to fisher_cem's value of shape (...),
-    sum_j dp_j^2 / p_j over the support with p_j = |a_j|^2 and dp_j = Re(a_j^* 2 da_j).
+    coef's row blocks [Re a; Im a; Re 2da; Im 2da] (amplitudes a_j = <xi_j|V U_t|psi>)
+    give p_j = |a_j|^2 and dp_j = Re(a_j^* 2 da_j) as slices; sums over p_j > SUPPORT_THRESHOLD.
     """
-    _, W, u_t, _, _, g_dyn, g_diag = jet
-    Wh = W.conj().T
-
-    def fisher(pairs: np.ndarray) -> np.ndarray:
-        a_conj = pairs[..., 0, :]
-        p = np.abs(a_conj) ** 2
-        dp = (a_conj * pairs[..., 1, :]).real
-        terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > SUPPORT_THRESHOLD)
-        return terms.sum(axis=-1)
-
-    return np.stack([Wh, -1j * g_diag @ Wh, Wh]), np.stack([u_t, u_t, -1j * g_dyn @ u_t]), fisher
+    z = (coef @ table).reshape(len(coef), 2, 2, -1, table.shape[-1])  # (R, a/2da, re/im, d, N)
+    pd = z[:, :1] * z
+    p, dp = pd[:, 0, 0] + pd[:, 0, 1], pd[:, 1, 0] + pd[:, 1, 1]
+    terms = np.divide(dp * dp, p, out=np.zeros(p.shape), where=p > SUPPORT_THRESHOLD)
+    return np.add.reduce(terms, axis=1)
 
 
-def _pairs(rows: np.ndarray) -> np.ndarray:
-    """Fold _fast_objective's rows (a, da_diag, da_dyn), shape (..., 3, d), into (a^*, 2 da)."""
-    return np.stack([rows[..., 0, :].conj(), 2.0 * (rows[..., 1, :] + rows[..., 2, :])], axis=-2)
+def _line(K, y, psi, Yt, T=None, control: bool = True) -> np.ndarray:
+    """_fisher's coef at the rows' point (T None) or along the move of T = _move_terms(d)[c].
+
+    Z = [z0_k; z1_k] is y, or the rows (T_k y_m)^T of a control move or (Y_m T_k psi)^T of a
+    preparation move, and column k gets a = K0 z0_k and 2 da = K1 z0_k + K0 z1_k.
+    """
+    R, d = psi.shape
+    if T is None:
+        Z = y
+    elif control:
+        Z = (y @ T.reshape(d, 3 * d)).reshape(R, 6, d)
+    else:
+        Z = (psi @ T.reshape(d, 3 * d)).reshape(R, 3, d) @ Yt
+        Z = Z.reshape(R, 3, 2, d).swapaxes(1, 2).reshape(R, 6, d)
+    out, n = K @ Z.swapaxes(1, 2), Z.shape[1] // 2
+    a, da = out[:, :d, :n], out[:, d:, :n] + out[:, :d, n:]
+    return np.concatenate((a.real, a.imag, da.real, da.imag), axis=1)
 
 
 def _move_terms(d: int) -> np.ndarray:
-    """(d^2 + 2d - 2, 3, d, d) terms (I - B^2, B^2, -i B) of optimize_cem's generators B.
+    """(d^2 + 2d - 2, d, 3, d) terms T = (I - B^2, B^2, -i B) of optimize_cem's generators B.
 
-    The d^2 control generators come first: the diagonal phases |j><j|, then
-    per pair i < j an X-type |i><j| + |j><i| and a Y-type i|i><j| - i|j><i|.
-    The 2d-2 preparation generators follow: the Y-types of the pairs (0, j),
-    which are real rotations, then the phases |j><j|, for j = 1..d-1.  Every
-    B has B^3 = B, so exp(-i delta B) = (I - B^2) + cos(delta) B^2 - i sin(delta) B:
-    a phase on one component or a cos/sin mix of two.
+    Entry [c, j, k, i] is T_k's (i, j) entry, so z^T terms[c].reshape(d, 3 d) is
+    [(T_0 z)^T, (T_1 z)^T, (T_2 z)^T].  The d^2 control generators come first: the
+    diagonal phases |j><j|, then per pair i < j an X-type |i><j| + |j><i| and a Y-type
+    i|i><j| - i|j><i|.  The 2d-2 preparation generators follow: the Y-types of the pairs
+    (0, j), which are real rotations, then the phases |j><j|, for j = 1..d-1.  Every B has
+    B^3 = B, so exp(-i delta B) = T_0 + cos(delta) T_1 + sin(delta) T_2: a phase on one
+    component or a cos/sin mix of two.
     """
     n_v = d * d
     B = np.zeros((n_v + 2 * d - 2, d, d), dtype=complex)
@@ -457,31 +462,31 @@ def _move_terms(d: int) -> np.ndarray:
     B[n_v + j - 1, 0, j], B[n_v + j - 1, j, 0] = 1j, -1j
     B[n_v + d - 2 + j, j, j] = 1.0
     B2 = B @ B
-    return np.stack([np.eye(d) - B2, B2, -1j * B], axis=1)
+    return np.stack([np.eye(d) - B2, B2, -1j * B], axis=1).transpose(0, 3, 1, 2).copy()
 
 
-def _grid_max_rows(f, lo: np.ndarray, hi: np.ndarray):
-    """Staged grid maximization of every row on its own [lo, hi]; returns (x, f(x)).
+def _grid_max_rows(f, lo: float, hi: float):
+    """Staged grid maximization of every row over [lo, hi]; returns (x, f(x)), each (R,).
 
-    f maps a (GRID_NODES, R) array of abscissae to values of the same shape.  Each
-    stage evaluates GRID_NODES evenly spaced nodes per row in one call; the next
-    stage spans one spacing either side of the best node so far, clipped to
-    [lo, hi].  The result is the best node evaluated, so it never falls below an
-    earlier stage's best, and the midpoint lo + (hi - lo) / 2 is a first-stage
-    node (exactly 0 for a bracket [-r, r]).
+    Each stage calls f once on GRID_NODES even nodes per row for (R, GRID_NODES) values:
+    first the (GRID_NODES,) nodes of [lo, hi] that all rows share, then each row's
+    nodes across one spacing either side of its best node so far, clipped to [lo, hi].
+    The result is the best node evaluated (the first maximum of a stage, strictly better
+    across stages); the midpoint of [lo, hi] is a first-stage node (0 for [-r, r]).
     """
-    rows = np.arange(lo.shape[0])
-    a, b = lo, hi
-    best_x, best_f = lo, np.full(lo.shape, -np.inf)
-    for _ in range(GRID_STAGES):
-        x = a + (b - a) * _GRID
-        fx = f(x)
-        k = np.argmax(fx, axis=0)  # first maximum: ties go to the lowest node
-        xk, fk = x[k, rows], fx[k, rows]
-        up = fk > best_f
-        best_x, best_f = np.where(up, xk, best_x), np.where(up, fk, best_f)
+    x = lo + (hi - lo) * _GRID
+    fx = f(x)
+    k, rows = fx.argmax(axis=1), np.arange(len(fx))  # first maximum: ties go to the lowest node
+    best_x, best_f, a, b = x[k], fx[rows, k], lo, hi
+    for _ in range(GRID_STAGES - 1):
         step = (b - a) / (GRID_NODES - 1)
         a, b = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
+        x = a[:, None] + (b - a)[:, None] * _GRID
+        fx = f(x)
+        k = fx.argmax(axis=1)
+        xk, fk = x[rows, k], fx[rows, k]
+        up = fk > best_f
+        best_x, best_f = np.where(up, xk, best_x), np.where(up, fk, best_f)
     return best_x, best_f
 
 
@@ -495,87 +500,84 @@ def optimize_cem(
     """Derivative-free maximization of the CEM Fisher information.
 
     Coordinate-wise grid line searches in cyclic passes over d^2 + 2d - 2
-    elementary rotation moves, multistarted.  A control move takes V to
-    V exp(-i delta B) for one generator B of the Hermitian basis (a diagonal
-    phase, or an X- or Y-type generator of a pair of levels); a preparation
-    move takes psi to exp(-i delta B) psi (a real rotation between
-    components 0 and j, or a phase on component j >= 1).  Each line
-    search runs over delta in [-radius, radius] around the current point,
-    with radius 0.6 shrinking by 0.8 per pass down to 1e-3, and a restart
-    takes its best probe only if that improves on its current value.
-    exp(-i delta B) is a phase on one component or a cos/sin mix of two (see
-    _move_terms), so the amplitudes and their derivatives along a line are
-    P + cos(delta) Q + sin(delta) S with P, Q, S built once per line search.
-    The objective is analytic (see _fast_objective) and no probe decomposes
-    anything: one _jet of H(theta) feeds the objective and the seed's _solution,
-    so a call makes three eigendecompositions (the jet, g_diag and g_dyn)
-    whatever the budget, and theta only has to lie inside the open domain.
+    elementary rotation moves, multistarted: V -> V exp(-i delta B) for a
+    generator B of the Hermitian basis (a diagonal phase, or an X- or Y-type
+    generator of a pair of levels), or psi -> exp(-i delta B) psi (a real
+    rotation between components 0 and j, or a phase on component j >= 1), with
+    delta in [-radius, radius], radius 0.6 shrinking by 0.8 per pass down to
+    1e-3.  A restart takes its best probe only if that improves on its value.
+    One phase-fixed _jet feeds the objective and the seed's _solution: three
+    eigendecompositions (the jet, g_diag, g_dyn) whatever the budget, and theta
+    only has to lie inside the open domain.
 
-    All restarts share the move schedule, the radius decay and the line
-    search (_grid_max_rows, with delta = 0 among its first nodes), so they
-    advance in lockstep as one (R, d, d) batch: a line search is GRID_STAGES
-    kernel calls over all R rows, and each row's accept/reject is an np.where.
-    Restart 0 starts at the analytic optimum (V_opt, psi_opt), so the
-    returned value never falls below its Fisher information.  The remaining
-    restarts start from Haar-random controls and random pure preparations,
-    drawn up front from default_rng(seed) in restart order: a Haar control,
-    then a complex normal preparation, per restart.
-    budget = (restarts, line searches per restart).
-
-    Returns (best Fisher information, best V, best psi); ties between
-    restarts go to the earliest.
+    Each restart carries K = [W^dag V; -2i g_diag W^dag V] and
+    y = [U_t psi; -2i g_dyn U_t psi]: the amplitudes a = W^dag V U_t psi are
+    K0 y0, their derivative is 2 da = K1 y0 + K0 y1, and an accepted move
+    updates K by exp(-i delta B), or psi and y.  Along a line a is linear in
+    (1, cos delta, sin delta) (see _move_terms): _line builds its coefficients,
+    and each _grid_max_rows stage is one _fisher call over all R rows (delta = 0
+    is a first-stage node).  Restart 0 starts at the analytic optimum, so the
+    result never falls below its Fisher information; the others start from a
+    Haar control and a complex normal preparation each, drawn up front from
+    default_rng(seed) in restart order.  budget = (restarts, line searches per
+    restart).  Returns (best Fisher information, best V, best psi); ties
+    between restarts go to the earliest.
     """
+    return _optimize(model, theta, t, budget, seed)[1]
+
+
+def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
+    """(g_bound's CemSolution, optimize_cem's result) from one phase-fixed jet."""
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
-    d = model.dim
-    rng = np.random.default_rng(seed)
+    d, rng = model.dim, np.random.default_rng(seed)
     jet = _jet(model, theta, t, phase_fixed=True)
-    Wh, U, fisher = _fast_objective(jet)
-    terms = _move_terms(d)
-
     sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC)
+    terms, Wh = _move_terms(d), jet.W.conj().T
+    Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T  # y = (psi @ Yt) as (2, d)
+
     V, psi = [sol.V_opt], [sol.psi_opt]
     for _ in range(restarts - 1):
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(z)
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         V.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
         z = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi.append(z / np.linalg.norm(z))
-    V, psi = np.stack(V), np.stack(psi)
+    K, psi = np.concatenate((Wh, -2j * jet.g_diag @ Wh)) @ np.stack(V), np.stack(psi)
+    y = (psi @ Yt).reshape(restarts, 2, d)
 
-    current = fisher(_pairs((Wh @ V[:, None] @ U @ psi[:, None, :, None])[..., 0]))
-    radius = 0.6
+    current = _fisher(_line(K, y, psi, Yt), np.ones((1, 1)))[:, 0]
+    first = {}  # radius -> [1; cos; sin] of the first stage's nodes, which all rows share
+    radius, table = 0.6, np.ones((restarts, 3, GRID_NODES))  # later stages refill cos, sin
     for it in range(iterations):
         coord = it % terms.shape[0]
         if coord == 0 and it > 0:
             radius = max(radius * 0.8, 1e-3)
-        T = terms[coord]  # exp(-i delta B) = T0 + cos(delta) T1 + sin(delta) T2
-        # Rows K exp(-i delta B) vec: only V or psi moves along a line.
-        on_control = coord < d * d
-        if on_control:
-            K, vec = Wh @ V[:, None], U @ psi[:, None, :, None]
-        else:
-            K, vec = Wh @ V[:, None] @ U, psi[:, None, :, None]
-        P, Q, S = _pairs((K @ (T[:, None, None] @ vec))[..., 0])
+        T, on_control = terms[coord], coord < d * d
+        coef = _line(K, y, psi, Yt, T, on_control)
 
-        def along(delta: np.ndarray) -> np.ndarray:
-            c, s = np.cos(delta)[..., None, None], np.sin(delta)[..., None, None]
-            return fisher(P + c * Q + s * S)
+        def along(x: np.ndarray) -> np.ndarray:
+            if x.ndim == 2:
+                np.cos(x, out=table[:, 1])
+                np.sin(x, out=table[:, 2])
+                return _fisher(coef, table)
+            if radius not in first:
+                first[radius] = np.stack((np.ones_like(x), np.cos(x), np.sin(x)))
+            return _fisher(coef, first[radius])
 
-        lim = np.full(restarts, radius)
-        delta, fc = _grid_max_rows(along, -lim, lim)
+        delta, fc = _grid_max_rows(along, -radius, radius)
         better = fc > current
         delta = np.where(better, delta, 0.0)[:, None, None]  # rejected rows turn by I
-        rot = T[0] + np.cos(delta) * T[1] + np.sin(delta) * T[2]
+        rot_t = T[:, 0] + np.cos(delta) * T[:, 1] + np.sin(delta) * T[:, 2]  # exp(-i delta B)^T
         if on_control:
-            V = V @ rot
+            K = K @ rot_t.swapaxes(1, 2)
         else:
-            psi = (rot @ psi[..., None])[..., 0]
+            psi = (psi[:, None, :] @ rot_t)[:, 0]
+            y = (psi @ Yt).reshape(restarts, 2, d)
         current = np.where(better, fc, current)
 
     r = int(np.argmax(current))  # first maximum: ties go to the earliest restart
-    return float(current[r]), require_unitary(V[r]), require_state(psi[r])
+    return sol, (float(current[r]), require_unitary(jet.W @ K[r, :d]), require_state(psi[r]))
 
 
 def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):

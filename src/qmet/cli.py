@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import encoded_qfi, g_bound, optimize_cem
+from .cem import _optimize, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
@@ -365,9 +365,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        sol = g_bound(model, theta, t)
-        best, _, _ = optimize_cem(model, theta, t,
-                                  budget=(cfg.restarts, cfg.iterations), seed=cfg.seed)
+        sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed)
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
         return (cfg.restarts, cfg.iterations, cfg.seed, theta, t, best, sol.G_value, gap,
                 sol.condition_holds)

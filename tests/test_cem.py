@@ -652,27 +652,23 @@ class TestOptimizeCem:
         assert counts == [3, 3, 3]
 
     def test_grid_stages_per_line_search(self, monkeypatch):
-        """One objective call scores the starts, then GRID_STAGES per line search."""
+        """One kernel call scores the starts, then GRID_STAGES per line search."""
         m = make_nv_spin1(**NV_PARAMS)
         calls = []
-        fast_objective = cem._fast_objective
+        fisher = cem._fisher
 
-        def counted(jet):
-            Wh, U, fisher = fast_objective(jet)
+        def counted(coef, table):
+            values = fisher(coef, table)
+            calls.append(values.shape)
+            return values
 
-            def fisher_counted(pairs):
-                calls.append(pairs.shape)
-                return fisher(pairs)
-
-            return Wh, U, fisher_counted
-
-        monkeypatch.setattr(cem, "_fast_objective", counted)
+        monkeypatch.setattr(cem, "_fisher", counted)
         for restarts, iterations in [(1, 6), (2, 40), (8, 400)]:
             calls.clear()
             optimize_cem(m, 0.8, 1.7, budget=(restarts, iterations), seed=5)
             assert len(calls) == 1 + iterations * cem.GRID_STAGES
-            assert calls[0] == (restarts, 2, m.dim)
-            assert set(calls[1:]) == {(cem.GRID_NODES, restarts, 2, m.dim)}
+            assert calls[0] == (restarts, 1)
+            assert set(calls[1:]) == {(restarts, cem.GRID_NODES)}
 
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
@@ -681,14 +677,49 @@ class TestOptimizeCem:
         """The analytic kernel scores Haar-random pairs as fisher_cem does."""
         rng = np.random.default_rng(29)
         for theta, t in [(0.7, 1.3), (1.4, 0.6), (2.2, 2.9)]:
-            Wh, U, fisher = cem._fast_objective(cem._jet(model, theta, t))
             for _ in range(4):
                 V = haar_unitary(rng, model.dim)
                 psi = haar_unitary(rng, model.dim)[:, 0]
-                value = fisher(cem._pairs((Wh @ V @ U @ psi[:, None])[..., 0]))
+                value = kernel_values(model, theta, t, V[None], psi[None])[0]
                 rho = np.outer(psi, psi.conj())
                 assert value == pytest.approx(fisher_cem(model, theta, t, V, rho).value,
                                               rel=1e-12)
+
+    def test_kernel_scores_zero_amplitudes_and_line_nodes(self):
+        """V = I and basis states put some weights at zero, below SUPPORT_THRESHOLD: the
+        kernel skips them as fisher_cem does, at the starts and along one control and one
+        preparation line, node by node against the explicitly rotated V or psi."""
+        model = make_nv_spin1(**NV_PARAMS)  # its m = 0 level decouples from m = +-1
+        theta, t, radius = 0.9, 1.7, 0.6
+        d = model.dim
+        eye = np.eye(d, dtype=complex)
+        V, psi = np.stack([eye] * d), eye.copy()
+        starts = kernel_values(model, theta, t, V, psi)
+        weights = np.abs(cem._jet(model, theta, t).W.conj().T @ model.u_of(theta, t)) ** 2
+        assert np.sum(weights <= SUPPORT_THRESHOLD) >= d  # each basis state misses a level
+        for j in range(d):
+            rho = np.outer(psi[j], psi[j].conj())
+            assert starts[j] == pytest.approx(fisher_cem(model, theta, t, eye, rho).value,
+                                              rel=1e-12, abs=1e-12)
+
+        K, y, Yt = carried_rows(model, theta, t, V, psi)
+        terms, moves = cem._move_terms(d), rotation_moves(d)
+        nodes = -radius + (radius + radius) * cem._GRID
+        table = np.stack([np.ones_like(nodes), np.cos(nodes), np.sin(nodes)])
+        checked = 0
+        for coord in [d + 1, d * d]:  # the Y-type control move of levels (0, 1); psi's (0, 1)
+            coef = cem._line(K, y, psi, Yt, terms[coord], coord < d * d)
+            values = cem._fisher(coef, table)
+            assert values.shape == (d, cem.GRID_NODES)
+            for j in range(d):
+                for k, x in enumerate(nodes):
+                    R = rotation(d, *moves[coord], x)
+                    V_x, psi_x = (R, psi[j]) if coord < d * d else (eye, R @ psi[j])
+                    rho = np.outer(psi_x, psi_x.conj())
+                    assert values[j, k] == pytest.approx(
+                        fisher_cem(model, theta, t, V_x, rho).value, rel=1e-12, abs=1e-12)
+                    checked += values[j, k] > 0.0
+        assert checked > 0
 
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
@@ -737,7 +768,47 @@ class TestOptimizeCem:
         assert seeded or random_wins > 0
 
 
+def carried_rows(model, theta, t, V, psi):
+    """(K, y, Yt) of the pairs (V[r], psi[r]): K = [W^dag V; -2i g_diag W^dag V] and
+    y = [U_t psi; -2i g_dyn U_t psi] as rows, y = (psi @ Yt) reshaped to (R, 2, d)."""
+    jet = cem._jet(model, theta, t, phase_fixed=True)
+    Wh = jet.W.conj().T
+    Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T
+    K = np.concatenate((Wh, -2j * jet.g_diag @ Wh)) @ V
+    return K, (psi @ Yt).reshape(len(psi), 2, model.dim), Yt
+
+
+def kernel_values(model, theta, t, V, psi):
+    """optimize_cem's kernel value at each of the pairs (V[r], psi[r])."""
+    K, y, Yt = carried_rows(model, theta, t, V, psi)
+    return cem._fisher(cem._line(K, y, psi, Yt), np.ones((1, 1)))[:, 0]
+
+
 # --- serial reference: one restart and one scalar grid line search at a time --------
+
+
+def rotation_moves(d):
+    """optimize_cem's moves as (kind, i, j): the d^2 control moves, then the 2d - 2 preparation moves."""
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    return ([("phase", j, j) for j in range(d)]
+            + [(kind, i, j) for i, j in pairs for kind in ("x", "y")]
+            + [("y", 0, j) for j in range(1, d)]
+            + [("phase", j, j) for j in range(1, d)])
+
+
+def rotation(d, kind, i, j, delta):
+    """exp(-i delta B) for |j><j|, |i><j| + |j><i| or i|i><j| - i|j><i|, entry by entry."""
+    R = np.eye(d, dtype=complex)
+    c, s = math.cos(delta), math.sin(delta)
+    if kind == "phase":
+        R[j, j] = complex(c, -s)
+    elif kind == "x":
+        R[i, i] = R[j, j] = c
+        R[i, j] = R[j, i] = -1j * s
+    else:
+        R[i, i] = R[j, j] = c
+        R[i, j], R[j, i] = s, -s
+    return R
 
 
 def scalar_grid_max(f, lo, hi):
@@ -785,26 +856,8 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
         support = p > SUPPORT_THRESHOLD
         return float(np.sum(dp[support] ** 2 / p[support]))
 
-    pairs = list(zip(*np.triu_indices(d, 1)))
-    moves = ([("phase", j, j) for j in range(d)]
-             + [(kind, i, j) for i, j in pairs for kind in ("x", "y")]
-             + [("y", 0, j) for j in range(1, d)]
-             + [("phase", j, j) for j in range(1, d)])
+    moves = rotation_moves(d)
     n_v = d * d
-
-    def rotation(kind, i, j, delta):
-        """exp(-i delta B) for |j><j|, |i><j| + |j><i| or i|i><j| - i|j><i|."""
-        R = np.eye(d, dtype=complex)
-        c, s = math.cos(delta), math.sin(delta)
-        if kind == "phase":
-            R[j, j] = complex(c, -s)
-        elif kind == "x":
-            R[i, i] = R[j, j] = c
-            R[i, j] = R[j, i] = -1j * s
-        else:
-            R[i, i] = R[j, j] = c
-            R[i, j], R[j, i] = s, -s
-        return R
 
     rng = np.random.default_rng(seed)
     values = [objective(sol.V_opt, sol.psi_opt)]
@@ -825,7 +878,7 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
                 radius = max(radius * 0.8, 1e-3)
 
             def moved(delta, c=coord, V=V, psi=psi):
-                R = rotation(*moves[c], delta)
+                R = rotation(d, *moves[c], delta)
                 return (V @ R, psi) if c < n_v else (V, R @ psi)
 
             xc, fc = scalar_grid_max(lambda v: objective(*moved(v)), -radius, radius)
@@ -837,43 +890,44 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
 
 class TestGridMaxRows:
     def test_matches_scalar_grid_row_by_row(self):
+        """Rows share a bracket, so each random bracket is one call over its own rows."""
         rng = np.random.default_rng(21)
-        rows = 16
-        lo = rng.uniform(-2.0, 1.0, size=rows)
-        hi = lo + rng.uniform(0.1, 3.0, size=rows)
-        peak = rng.uniform(lo - 0.5, hi + 0.5)  # some maxima sit outside the bracket
-        scale = rng.uniform(0.1, 5.0, size=rows)
-        power = rng.choice([1.0, 1.5, 2.0], size=rows)
+        brackets, rows = 16, 4
+        for lo, width in zip(rng.uniform(-2.0, 1.0, size=brackets),
+                             rng.uniform(0.1, 3.0, size=brackets)):
+            hi = lo + width
+            peak = rng.uniform(lo - 0.5, hi + 0.5, size=rows)  # some maxima sit outside
+            scale = rng.uniform(0.1, 5.0, size=rows)
+            power = rng.choice([1.0, 1.5, 2.0], size=rows)
 
-        def f(v):
-            return -scale * np.abs(v - peak) ** power
+            def f(v):
+                return -scale[:, None] * np.abs(v - peak[:, None]) ** power[:, None]
 
-        xs, fs = _grid_max_rows(f, lo, hi)
-        for r in range(rows):
-            x_r, f_r = scalar_grid_max(
-                lambda v: float(-scale[r] * abs(v - peak[r]) ** power[r]), lo[r], hi[r])
-            assert xs[r] == pytest.approx(x_r, rel=1e-14, abs=1e-14)
-            assert fs[r] == pytest.approx(f_r, rel=1e-14, abs=1e-14)
+            xs, fs = _grid_max_rows(f, lo, hi)
+            for r in range(rows):
+                x_r, f_r = scalar_grid_max(
+                    lambda v: float(-scale[r] * abs(v - peak[r]) ** power[r]), lo, hi)
+                assert xs[r] == pytest.approx(x_r, rel=1e-14, abs=1e-14)
+                assert fs[r] == pytest.approx(f_r, rel=1e-14, abs=1e-14)
 
     def test_bimodal_line_returns_the_global_maximum(self):
         """A golden section on [-1, 1] keeps [-1, 0.236] after its first step and so
         climbs the broad local hill at -0.6; the first grid stage sees both hills."""
-        centre = np.array([0.7, -0.7, 0.55])  # the narrow, higher hill; its mirror image
+        centre = np.array([0.7, -0.7, 0.55])[:, None]  # the narrow, higher hill; its mirror
 
         def f(v):
             return (np.exp(-((v + np.sign(centre) * 0.6) / 0.3) ** 2)
                     + 2.0 * np.exp(-((v - centre) / 0.1) ** 2))
 
-        lim = np.ones(centre.size)
-        xs, fs = _grid_max_rows(f, -lim, lim)
-        assert np.all(np.abs(xs - centre) <= 2.0 / 1024)  # the last spacing
+        xs, fs = _grid_max_rows(f, -1.0, 1.0)
+        assert np.all(np.abs(xs - centre[:, 0]) <= 2.0 / 1024)  # the last spacing
         assert np.all(fs >= 1.999)  # the local hill peaks at 1
-        assert np.array_equal(fs, f(xs))
+        assert np.array_equal(fs, f(xs[:, None])[:, 0])
 
     def test_returns_the_best_node_it_evaluated(self):
         """An objective that drifts down from call to call: the first stage holds the best."""
         rng = np.random.default_rng(8)
-        peak = rng.uniform(-1.0, 1.0, size=12)
+        peak = rng.uniform(-1.0, 1.0, size=12)[:, None]
         seen = []
 
         def f(v):
@@ -881,32 +935,38 @@ class TestGridMaxRows:
             seen.append((v, value))
             return value
 
-        xs, fs = _grid_max_rows(f, -np.ones(peak.size), np.ones(peak.size))
+        xs, fs = _grid_max_rows(f, -1.0, 1.0)
         assert len(seen) == cem.GRID_STAGES
-        assert all(v.shape == (cem.GRID_NODES, peak.size) for v, _ in seen)
-        nodes = np.concatenate([v for v, _ in seen])
-        values = np.concatenate([value for _, value in seen])
-        best = np.argmax(values, axis=0)
+        assert seen[0][0].shape == (cem.GRID_NODES,)  # the first stage's nodes are shared
+        assert all(v.shape == (peak.size, cem.GRID_NODES) for v, _ in seen[1:])
+        assert all(value.shape == (peak.size, cem.GRID_NODES) for _, value in seen)
+        nodes = np.concatenate([np.broadcast_to(v, value.shape) for v, value in seen], axis=1)
+        values = np.concatenate([value for _, value in seen], axis=1)
+        best = np.argmax(values, axis=1)
         rows = np.arange(peak.size)
-        assert np.array_equal(xs, nodes[best, rows])
-        assert np.array_equal(fs, values[best, rows])
+        assert np.array_equal(xs, nodes[rows, best])
+        assert np.array_equal(fs, values[rows, best])
         assert np.all(best < cem.GRID_NODES)  # every best node is a first-stage node
 
     def test_stays_in_the_bracket_and_never_below_the_centre(self):
+        """Each random radius is its own bracket, so each row is one call."""
         rng = np.random.default_rng(5)
         rows = 64
         radius = rng.uniform(1e-3, 0.6, size=rows)
         peak = rng.uniform(-2.0, 2.0, size=rows) * radius  # half of them outside
         spike = rng.uniform(size=rows) < 0.25  # a spike at 0, narrower than any spacing
 
-        def f(v):
-            hill = 0.9 * np.exp(-((v - peak) / radius) ** 2)
-            return np.where(spike, np.maximum(hill, np.exp(-(v / 1e-12) ** 2)), hill)
+        def f(v, r):
+            hill = 0.9 * np.exp(-((v - peak[r]) / radius[r]) ** 2)
+            return np.maximum(hill, np.exp(-(v / 1e-12) ** 2)) if spike[r] else hill
 
-        xs, fs = _grid_max_rows(f, -radius, radius)
+        xs, fs = np.array([
+            np.concatenate(_grid_max_rows(lambda v, r=r: np.atleast_2d(f(v, r)),
+                                          -radius[r], radius[r]))
+            for r in range(rows)]).T
         assert np.all((-radius <= xs) & (xs <= radius))
-        assert np.array_equal(fs, f(xs))
-        assert np.all(fs >= f(np.zeros(rows)))
+        assert np.array_equal(fs, [f(x, r) for r, x in enumerate(xs)])
+        assert np.all(fs >= [f(0.0, r) for r in range(rows)])
         assert np.all(xs[spike] == 0.0)
 
 

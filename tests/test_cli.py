@@ -486,14 +486,14 @@ class TestSelftest:
 
 class TestDecompositionCounts:
     def test_optimize_point(self, decompositions, tmp_path):
-        """g_bound's three for the g column, and optimize_cem's three from its one jet."""
+        """Three: one jet and one solution feed both the g column and the search."""
         ini = tmp_path / "run.ini"
         ini.write_text("[optimizer]\nrestarts = 2\niterations = 20\n")
         decompositions[0] = 0
         code, _ = run(tmp_path, "optimize", "--config", str(ini), "--model", "nv-spin1",
                       "--theta", "0.8:0.8:1", "--t", "1.7:1.7:1")
         assert code == EXIT_OK
-        assert decompositions[0] == 6
+        assert decompositions[0] == 3
 
     def test_jc_point(self, decompositions, tmp_path):
         """The read-out jet decomposes the hopping at most once per run, never per point."""
