@@ -57,7 +57,7 @@ PREPARATION_PHASE = math.pi / 2.0
 GRID_NODES = 17
 GRID_STAGES = 3
 _GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
-_Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag")  # what _jet returns
+_Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag t")  # what _jet returns
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,13 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
 def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = False) -> _Jet:
     """The analytic jet of H(theta): one domain check, one decomposition, one dh_of read.
 
-    Returns (E, W, U, dH, D, g_dyn, g_diag): the ascending energies and
+    Returns (E, W, U, dH, D, g_dyn, g_diag, t): the ascending energies and
     eigenvector columns W of H(theta), U = exp(-i t H), dH = dH/dtheta,
-    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j) and
-    the local generators.  With w_jk = E_j - E_k,
-    first-order perturbation theory in the parallel-transport gauge of the
-    columns W gives the diagonalizer generator g_diag_jk = i D_jk / w_jk with
-    a zero diagonal.  The derivative of exp(-i t H) (Wilcox 1967;
-    Daleckii-Krein) gives
+    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j), the
+    local generators and t.  With w_jk = E_j - E_k, first-order perturbation
+    theory in the parallel-transport gauge of the columns W gives the
+    diagonalizer generator g_diag_jk = i D_jk / w_jk with a zero diagonal.  The
+    derivative of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
     the model needs dh_of, as every analytic (diff=None) path does.
@@ -178,7 +177,7 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
     w = E[:, None] - E[None, :]
     g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
     g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
-    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag)
+    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag, t)
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
@@ -284,72 +283,72 @@ def cem_outcome_model(
     model's dh_of.
     """
     v = require_unitary(V)
-    rho = require_density(rho0)
+    _, factor = require_density(rho0)
 
     def at(x: float) -> OutcomeDistribution:
-        ev, probs = _node(model, x, t, v, rho)
+        ev, probs = _node(model, x, t, v, factor)
         return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
     def jet(x: float):
-        return _level_jet(_jet(model, x, t), v, rho)[3:]
+        return _level_jet(_jet(model, x, t), v, factor)[3:]
 
     return ProbabilityModel(at=at, theta_domain=model.theta_domain, jet=jet)
 
 
-def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, rho0: np.ndarray):
-    """(ascending energies xi_j, level weights <xi_j|V U_t rho0 U_t^dag V^dag|xi_j>) at x.
+def _level_weights(W, V, u_t, F, g_dyn=None, g_diag=None):
+    """(p, dp or None) from the amplitude rows A = W^dag V U_t F, with F F^dag = rho0.
+
+    p_j = sum_k |A_jk|^2 needs no clip and keeps a small weight's relative
+    accuracy.  With the generators, d(W^dag) = -i g_diag W^dag and dU_t = -i g_dyn U_t
+    give dA = -i (g_diag A + W^dag V g_dyn U_t F) and dp_j = 2 Re sum_k conj(A_jk) dA_jk.
+    """
+    B, C = W.conj().T @ V, u_t @ F  # the control followed by the measured eigenbasis
+    A = B @ C
+    p = np.sum(A.real**2 + A.imag**2, axis=1)
+    if g_dyn is None:
+        return p, None
+    X = g_diag @ A + B @ (g_dyn @ C)  # i dA; Re(conj(A) dA) = Im(conj(A) X)
+    return p, 2.0 * np.sum(A.real * X.imag - A.imag * X.real, axis=1)
+
+
+def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, F: np.ndarray):
+    """(ascending energies xi_j, _level_weights p_j) at x, _level_jet's p bit for bit.
 
     One eigendecomposition of H(x) gives both the measured eigenbasis and the
-    encoding unitary U_t = exp(-i t H(x)).  V and rho0 must already be
-    validated.  Raises DomainBoundary unless x lies inside the open domain and
-    DegenerateSpectrum for (near-)degenerate H(x).
+    encoding unitary U_t = exp(-i t H(x)); dh_of is never read.  V and F must
+    already be validated.  Raises DomainBoundary unless x lies inside the open
+    domain and DegenerateSpectrum for (near-)degenerate H(x).
     """
     numdiff.check_domain(x, 0.0, model.theta_domain)
     ev, W = eigh_nondegenerate(model.h_of(x))
-    u_t = spectral_unitary(ev, W, t)
-    M = V @ (u_t @ rho0 @ u_t.conj().T) @ V.conj().T
-    probs = np.einsum("ij,jk,ki->i", W.conj().T, M, W).real
-    return ev, np.clip(probs, 0.0, None)
+    return ev, _level_weights(W, V, spectral_unitary(ev, W, t), F)[0]
 
 
 def _rounding_bound(E: np.ndarray, scale: float) -> float:
-    """First-order rounding bound eps (d + max|E| / min spacing) scale.
-
-    The eigenvectors of H = W diag(E) W^dag, and so every derivative built
-    from them, carry relative rounding errors of the order of the condition
-    number max|E| / min spacing (plus d from the matrix products); scale is
-    the size of the derivative.
-    """
+    """eps (d + max|E| / min spacing) scale: the first-order rounding of a quantity of size
+    scale built from the eigenvectors of H = W diag(E) W^dag, whose relative error is of the
+    order of the condition number max|E| / min spacing (plus d from the matrix products)."""
     spacing = float(np.min(np.diff(E)))
     return np.finfo(float).eps * (E.shape[0] + float(np.max(np.abs(E))) / spacing) * scale
 
 
-def _level_jet(jet: _Jet, V: np.ndarray, rho0: np.ndarray):
-    """(E, dE, dE_err, p, dp, dp_err) at the point of a _jet of H.
+def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
+    """(E, dE, dE_err, p, dp, dp_err, p_err) at the point of a _jet of H.
 
-    E and dE are the ascending energies and their derivatives dE_j = D_jj, p
-    and dp the level weights and theirs, and dE_err, dp_err first-order
-    rounding bounds on each dE and dp entry.  With sigma = U_t rho0 U_t^dag,
-    M = V sigma V^dag and the measured eigenvectors xi_j = W e_j, the
-    analytic generators give dxi = W (i g_diag) and
-    dsigma = -i [g_dyn, sigma], so
-    dp_j = 2 Re <dxi_j|M|xi_j> + <xi_j|V dsigma V^dag|xi_j>.  V and rho0 must
-    already be validated; the jet holds the one decomposition of H this needs.
+    E, dE = D_jj: the ascending energies and their derivatives; p, dp: the
+    _level_weights and theirs; *_err: first-order rounding bounds on each entry.
+    Rounding moves A_jk by at most e |F_k| (column norms, sum_k |F_k|^2 = 1),
+    e = 3 eps (d + max|E| / min spacing) + eps t max|E|, as W enters A three times
+    and each phase t E_j carries its eigenvalue's error.  So p_err_j = e (2 sqrt(p_j)
+    + e) by Cauchy-Schwarz, and dp_err = 6 e G, as dA moves by at most 2 e G |F_k|,
+    G = |g_diag| + |g_dyn|.  V and F must already be validated.
     """
-    E, W, u_t, dH, D, g_dyn, g_diag = jet
-    sigma = u_t @ rho0 @ u_t.conj().T
-    dsigma = -1j * (g_dyn @ sigma - sigma @ g_dyn)
-    B = W.conj().T @ V  # the control followed by the measured eigenbasis
-    Bh = B.conj().T
-    A = B @ sigma @ Bh  # W^dag M W
-    # <dxi_j|M|xi_j> = -i (g_diag A)_jj, so its doubled real part is 2 Im (g_diag A)_jj.
-    dp = (2.0 * np.einsum("jk,kj->j", g_diag, A).imag
-          + np.einsum("jk,kl,lj->j", B, dsigma, Bh).real)
-    scale = 2.0 * (np.linalg.norm(g_diag) + 2.0 * np.linalg.norm(g_dyn))
-    p = np.clip(np.diagonal(A).real, 0.0, None)
+    E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
+    e = _rounding_bound(E, 3.0) + np.finfo(float).eps * abs(jet.t) * float(np.max(np.abs(E)))
     # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error dxi_j.
-    dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(dH))
-    return E, D.diagonal().real, dE_err, p, dp, _rounding_bound(E, scale)
+    dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(jet.dH))
+    dp_err = 6.0 * e * (np.linalg.norm(jet.g_diag) + np.linalg.norm(jet.g_dyn))
+    return E, jet.D.diagonal().real, dE_err, p, dp, dp_err, e * (2.0 * np.sqrt(p) + e)
 
 
 def fisher_cem(
@@ -362,12 +361,13 @@ def fisher_cem(
 ) -> FisherReport:
     """Fisher information of a controlled energy measurement.
 
-    The parameter moves both the state rho_theta and the measured eigenbasis,
-    so this is a non-regular statistical model; the energy measurement V = I
-    yields a t-independent value.  diff is classical_fisher's: by default
-    the model's dh_of differentiates it analytically through _level_jet (two
-    decompositions: rho0's check and H(theta)); an explicit DiffSpec runs the
-    stencil over cem_outcome_model's distributions as the oracle.
+    The parameter moves both the state rho_theta and the measured eigenbasis, so
+    this is a non-regular statistical model; the energy measurement V = I yields a
+    t-independent value.  diff is classical_fisher's: by default the model's dh_of
+    differentiates it analytically through _level_jet (two decompositions: rho0's
+    check, which also factors it, and H(theta)), with an error estimate covering
+    the rounding of the weights and of their derivatives; an explicit DiffSpec
+    runs the stencil over the distributions as the oracle.
     """
     return classical_fisher(cem_outcome_model(model, t, V, rho0), theta, diff)
 
@@ -397,7 +397,7 @@ def encoded_qfi(
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
         return report, spectral_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
-    E, _, u_t, _, _, g_dyn, _ = _jet(model, theta, t, phase_fixed=True)
+    E, _, u_t, _, _, g_dyn, _, _ = _jet(model, theta, t, phase_fixed=True)
     rho = u_t @ rho0 @ u_t.conj().T
     drho = -1j * (g_dyn @ rho - rho @ g_dyn)
     drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
@@ -510,13 +510,11 @@ def optimize_cem(
     eigendecompositions (the jet, g_diag, g_dyn) whatever the budget, and theta
     only has to lie inside the open domain.
 
-    Each restart carries K = [W^dag V; -2i g_diag W^dag V] and
-    y = [U_t psi; -2i g_dyn U_t psi]: the amplitudes a = W^dag V U_t psi are
-    K0 y0, their derivative is 2 da = K1 y0 + K0 y1, and an accepted move
-    updates K by exp(-i delta B), or psi and y.  Along a line a is linear in
-    (1, cos delta, sin delta) (see _move_terms): _line builds its coefficients,
-    and each _grid_max_rows stage is one _fisher call over all R rows (delta = 0
-    is a first-stage node).  Restart 0 starts at the analytic optimum, so the
+    Each restart carries K = [W^dag V; -2i g_diag W^dag V] and y = [U_t psi;
+    -2i g_dyn U_t psi], so a = W^dag V U_t psi = K0 y0 and 2 da = K1 y0 + K0 y1;
+    an accepted move updates K, or psi and y.  Along a line a is linear in
+    (1, cos delta, sin delta) (_move_terms, _line), and each _grid_max_rows stage
+    is one _fisher call over all R rows.  Restart 0 starts at the analytic optimum, so the
     result never falls below its Fisher information; the others start from a
     Haar control and a complex normal preparation each, drawn up front from
     default_rng(seed) in restart order.  budget = (restarts, line searches per

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import _optimize, encoded_qfi, g_bound
+from .cem import _jet, _optimize, _solution, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
@@ -46,8 +46,8 @@ from .models import (
     make_qubit_xcomponent,
     reference,
 )
-from .numdiff import RICHARDSON, DiffSpec
-from .phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
+from .numdiff import ANALYTIC, RICHARDSON, DiffSpec
+from .phasesim import PhaseSimConfig, _default_tau, fisher_phase_readout
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -387,8 +387,9 @@ def cmd_phase_sim(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        sol = g_bound(model, theta, t)
-        tau = cfg.tau if cfg.tau is not None else default_tau(model, theta)
+        jet = _jet(model, theta, t, phase_fixed=True)  # g_bound's, whose E gives default_tau
+        sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, ANALYTIC)
+        tau = cfg.tau if cfg.tau is not None else _default_tau(jet.E)
         sim = replace(base, tau=tau, t=t, V=sol.V_opt,
                       rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
         ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal")

@@ -62,14 +62,14 @@ class OutcomeDistribution:
 class ProbabilityModel:
     """theta -> OutcomeDistribution with a fixed, parameter-independent sample space.
 
-    jet, when given, maps theta to (p, dp, dp_err): the probabilities, their
-    exact theta-derivative and a first-order rounding bound on each dp entry,
-    all from one evaluation at theta.  classical_fisher uses it by default.
+    jet, when given, maps theta to (p, dp, dp_err[, p_err]): the probabilities,
+    their exact theta-derivative and first-order rounding bounds on each dp and
+    p entry (p_err 0 if left out), all from one evaluation at theta.
     """
 
     at: Callable[[float], OutcomeDistribution]
     theta_domain: tuple[float, float] = (-np.inf, np.inf)
-    jet: Optional[Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+    jet: Optional[Callable[[float], tuple]] = None
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,17 @@ class FisherReport:
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
-def _fisher_sum(p: np.ndarray, dp, dp_err) -> tuple[np.ndarray, np.ndarray]:
+def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.ndarray]:
     """sum_{p_x > SUPPORT_THRESHOLD} dp_x^2 / p_x over the last axis, with its error bound.
 
-    A derivative error dp_err moves each term by at most (2 |dp_x| + dp_err) dp_err / p_x.
+    A derivative error dp_err moves each term by at most (2 |dp_x| + dp_err) dp_err / p_x,
+    and a probability error p_err by dp_x^2 p_err / p_x^2 to first order.
     """
     support = p > SUPPORT_THRESHOLD
     safe = np.where(support, p, 1.0)
     values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
-    errs = np.where(support, (2.0 * np.abs(dp) + dp_err) * dp_err / safe, 0.0).sum(axis=-1)
+    errs = np.where(support, ((2.0 * np.abs(dp) + dp_err) * dp_err + dp**2 * p_err / safe)
+                    / safe, 0.0).sum(axis=-1)
     return np.maximum(values, 0.0), errs
 
 
@@ -159,11 +161,11 @@ def classical_fisher(
     """
     if diff is None and model.jet is not None:
         numdiff.check_domain(theta, 0.0, model.theta_domain)
-        p, dp, dp_err = (np.asarray(a, dtype=float) for a in model.jet(theta))
+        p, dp, *errs = (np.asarray(a, dtype=float) for a in model.jet(theta))
         _require_normalized(p)
         if abs(dp.sum()) > 1e-10:
             raise NonNormalized(f"probability derivatives sum to {dp.sum()!r}")
-        value, err = _fisher_sum(p, dp, dp_err)
+        value, err = _fisher_sum(p, dp, *errs)
         return FisherReport(value=float(value), method=numdiff.ANALYTIC, step=0.0,
                             error_estimate=float(err))
     fd = DEFAULT_DIFF if diff is None else diff

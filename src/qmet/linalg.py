@@ -54,15 +54,18 @@ def require_unitary(U) -> np.ndarray:
     return A
 
 
-def require_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, positive, unit trace (within HERMITICITY_TOL)."""
+def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, F): one eigh validates rho (Hermitian, positive, unit trace within
+    HERMITICITY_TOL) and gives F = v sqrt(lambda) over the eigenvalues above d eps,
+    so F F^dag = rho up to rounding and a pure state keeps one column."""
     A = require_hermitian(rho)
-    ev = np.linalg.eigvalsh(A)
+    ev, v = np.linalg.eigh(A)
     if ev.min() < -HERMITICITY_TOL:
         raise DimensionMismatch(f"density matrix has negative eigenvalue {ev.min():.3e}")
     if abs(np.trace(A).real - 1.0) > HERMITICITY_TOL:
         raise DimensionMismatch(f"density matrix trace {np.trace(A).real} != 1")
-    return A
+    keep = ev > A.shape[0] * np.finfo(float).eps
+    return A, v[:, keep] * np.sqrt(ev[keep])
 
 
 def require_state(psi) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,11 +62,11 @@ TAU_REFINE = 16
 class PhaseSimConfig:
     """Read-out configuration.
 
-    n control qubits, m controllization subdivisions, base time tau (None
-    selects 0.9 * 2 pi / (spectral range + 1e-6) at the working point),
-    energy_shift added to all eigenvalues (None shifts the node's own
-    spectrum to start at zero), control V (None = identity), preparation
-    rho0, and encoding time t.
+    n control qubits, m controllization subdivisions, base time tau (None selects
+    0.9 * 2 pi / (spectral range + 1e-6) at the working point), energy_shift added
+    to all eigenvalues (None shifts the node's own spectrum to start at zero),
+    control V (None = identity), preparation rho0, and encoding time t.  factor,
+    derived and never passed, is require_density's F with F F^dag = rho0.
     """
 
     n: int
@@ -76,6 +76,7 @@ class PhaseSimConfig:
     tau: Optional[float] = None
     energy_shift: Optional[float] = None
     V: Optional[np.ndarray] = None
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.n <= 12):
@@ -83,7 +84,8 @@ class PhaseSimConfig:
         if self.m < 1:
             raise ValueError(f"subdivision count m must be >= 1, got {self.m}")
         _check_tau(self.tau)
-        object.__setattr__(self, "rho0", require_density(self.rho0))
+        for name, value in zip(("rho0", "factor"), require_density(self.rho0)):
+            object.__setattr__(self, name, value)
         if self.V is not None:
             object.__setattr__(self, "V", require_unitary(self.V))
 
@@ -192,29 +194,25 @@ def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.
     to the squared Dirichlet kernel K_n(tau xi_j + 2 pi Q/2^n) of each level:
     2^-n prod_l (1 + cos(w alpha)) = prod_l cos^2(w alpha/2)
     = (sin(2^n alpha/2) / (2^n sin(alpha/2)))^2, without a division or a
-    removable singularity.  The level-l factor has period 2^n/w in Q; with
-    beta = beta_0 + 2 pi Q/2^n it is the angle addition
-    1 + a^(w m) [cos(w beta_0) cos(2 pi w Q/2^n) - sin(w beta_0) sin(2 pi w Q/2^n)],
-    one small matrix product per level over one period, so no bin takes a
-    sine.  The product over levels is built from the top level down,
-    doubling its period each level.
+    removable singularity.  With beta = beta_0 + 2 pi Q/2^n the level-l factor is
+    1 + a^(w m) [cos(w beta_0) cos(2 pi w Q/2^n) - sin(w beta_0) sin(2 pi w Q/2^n)]:
+    one small matrix product per level over its period 2^n/w, so no bin takes a sine,
+    and the product runs from the top level down, doubling its period each level.
     """
-    return np.concatenate([probs for _, probs, _ in _readout_chunks(cfg, ev, p, taus, mode)])
+    return np.concatenate([chunk[1] for chunk in _readout_chunks(cfg, ev, p, taus, mode)])
 
 
 def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
                     mode: str, jet=None):
-    """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs or None).
+    """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs, probs_err).
 
-    A chunk holds as many taus as keep its largest scratch array, the
-    (kinds, taus, d, 2^n) level factors, within SCRATCH_BYTES (at least one
-    tau), so a whole n <= 6 scan at d <= 3 is one chunk; the level
-    coefficients of all taus are built once.  Each tau's values are the
-    same bit for bit however the taus are chunked.  jet = (dxi, dp), the
-    theta-derivatives of the shifted energies and of the level weights,
-    also yields the exact derivative of every distribution,
-    dPr = 2^-n sum_j (dp_j P_j + p_j dP_j): the product rule runs alongside
-    the product (see _level_coefficients for dc).
+    A chunk holds as many taus (at least one) as keep its level factors within
+    SCRATCH_BYTES; the level coefficients of all taus are built once, and each tau's
+    values are the same bit for bit however the taus are chunked.  jet = (dxi, dp,
+    p_err), the derivatives of the shifted energies and level weights and the
+    weights' rounding bounds, also yields the exact dPr = 2^-n sum_j (dp_j P_j +
+    p_j dP_j), with the product rule alongside the product (see _level_coefficients
+    for dc), and the bound 2^-n sum_j p_err_j P_j on Pr; both are None without it.
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
@@ -226,11 +224,11 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
         kernels, dkernels = _level_products(coef[:, :, sl])
         probs = np.clip(np.matmul(p, kernels), 0.0, None)
         if jet is None:
-            yield sl, probs, None
+            yield sl, probs, None, None
             continue
         dprobs = np.matmul(jet[1], kernels)
         dprobs += np.matmul(p, dkernels)
-        yield sl, probs, dprobs
+        yield sl, probs, dprobs, np.matmul(jet[2], kernels)
 
 
 def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: str):
@@ -295,7 +293,7 @@ def _level_products(coef: np.ndarray):
 
 def _distribution(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                   mode: str) -> OutcomeDistribution:
-    ev, p = _node(model, theta, cfg.t, cfg.control(model.dim), cfg.rho0)
+    ev, p = _node(model, theta, cfg.t, cfg.control(model.dim), cfg.factor)
     probs = _readout_probs(cfg, ev, p, np.array([_frozen_tau(cfg, ev)]), mode)[0]
     return OutcomeDistribution(outcomes=tuple(range(2**cfg.n)), probs=probs)
 
@@ -326,49 +324,45 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec], mode: str):
     """(energies at theta, taus -> (values, errors), method, step) of the chosen path.
 
-    diff=None selects the analytic path, which needs dh_of: _level_jet
-    gives the energies, the level weights and their exact derivatives from
-    one decomposition of H(theta) (a _jet in the raw gauge: nothing here
-    depends on eigenvector phases), and _readout_chunks carries them
-    through the kernel, so a tau costs no further decomposition and a scan
-    of taus costs a few full-width kernel passes.  The shifted
-    energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
-    energy, and as dxi_j = dE_j under a fixed shift.  The error estimate
-    propagates the rounding bounds on dp and dxi: each level's kernel lies
-    in [0, 1], and as a polynomial of degree 2^n - 1 in unit-disc phase
-    variables it moves by at most (2^n - 1) tau max|delta xi| under an
-    energy error delta xi (Bernstein's inequality), so every dPr(Q) is off
-    by at most d dp_err + (2^n - 1) tau dxi_err.
+    diff=None selects the analytic path, which needs dh_of: _level_jet gives the
+    energies, the level weights and their exact derivatives from one decomposition
+    of H(theta) (a _jet in the raw gauge: nothing here depends on eigenvector
+    phases), and _readout_chunks carries them through the kernel, so a scan of taus
+    costs a few kernel passes and no further decomposition.  The shifted energies
+    move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
+    dxi_j = dE_j under a fixed shift.  The error estimate propagates the rounding
+    bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
+    polynomial of degree 2^n - 1 in unit-disc phase variables its theta-derivative
+    is at most (2^n - 1) tau |dxi_j| and its move under an energy error delta xi at
+    most (2^n - 1) tau |delta xi| (Bernstein's inequality), so every dPr(Q) is off
+    by at most d dp_err + (2^n - 1) tau (dxi_err + sum_j p_err_j |dxi_j|).
 
-    An explicit DiffSpec runs the finite-difference oracle, which never
-    reads dh_of: fisher_rows differentiates the read-out (level weights,
-    shifted energies and, in realistic mode, the controllization factors)
-    over the stencil, one decomposition per node.
-    A tau scores -inf where its bins alias: at theta on the analytic path,
-    at any stencil node on the oracle.
+    An explicit DiffSpec runs the finite-difference oracle, which never reads
+    dh_of: fisher_rows differentiates the read-out (level weights, shifted energies
+    and, in realistic mode, the controllization factors) over the stencil, one
+    decomposition per node.  A tau scores -inf where its bins alias: at theta on
+    the analytic path, at any stencil node on the oracle.
     """
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     V = cfg.control(model.dim)
     if diff is None:
-        E, dE, dE_err, p, dp, dp_err = _level_jet(_jet(model, theta, cfg.t), V, cfg.rho0)
-        if cfg.energy_shift is None:
-            dxi, dxi_err = dE - dE[0], 2.0 * dE_err
-        else:
-            dxi, dxi_err = dE, dE_err
+        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(_jet(model, theta, cfg.t), V, cfg.factor)
+        dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if cfg.energy_shift is None else (dE, dE_err)
+        jet, dxi_bound = (dxi, dp, p_err), dxi_err + p_err @ np.abs(dxi)
         method, step = numdiff.ANALYTIC, 0.0
 
         def unmasked(taus: np.ndarray):
             values, errs = np.empty(taus.shape), np.empty(taus.shape)
-            for sl, probs, dprobs in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
+            for sl, probs, dprobs, probs_err in _readout_chunks(cfg, E, p, taus, mode, jet):
                 _require_normalized(probs)
-                dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_err
-                values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None])
+                dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
+                values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None], probs_err)
             return values, errs, _aliases(taus, E)
     else:
         method, step = diff.method, diff.base_step(theta)
         numdiff.check_domain(theta, step, model.theta_domain)
-        node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.rho0))
+        node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.factor))
         E = node(theta)[0]
 
         def unmasked(taus: np.ndarray):

@@ -24,7 +24,7 @@ from qmet.cem import (
 from qmet.cli import EXIT_OK, main
 from qmet.errors import DegenerateSpectrum, DomainBoundary, InvalidParameter, NonHermitianInput
 from qmet.fisher import SUPPORT_THRESHOLD
-from qmet.linalg import expm_unitary, fix_phases, spectral_gap
+from qmet.linalg import expm_unitary, fix_phases, require_density, spectral_gap
 from qmet.models import (
     HamiltonianModel,
     make_jaynes_cummings,
@@ -576,6 +576,40 @@ class TestFisherCem:
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestLevelWeights:
+    """_node and _level_jet build the weights from one amplitude helper on rho0's factor."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_node_and_jet_weights_are_bitwise_equal(self, name):
+        model = ORACLE_GRIDS[name][0]()
+        rng = np.random.default_rng(5)
+        V = haar_unitary(rng, model.dim)
+        psi = haar_unitary(rng, model.dim)[:, 0]
+        _, factor = require_density(np.outer(psi, psi.conj()))
+        assert factor.shape == (model.dim, 1)  # a pure state keeps one column
+        for x, t in [(0.8, 1.1), (1.3, 2.2)]:
+            ev, p = cem._node(model, x, t, V, factor)
+            E, _, _, p_jet, _, _, _ = cem._level_jet(cem._jet(model, x, t), V, factor)
+            assert np.array_equal(ev, E) and np.array_equal(p, p_jet)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_rank_two_preparation_matches_the_density_formula(self, name):
+        model = ORACLE_GRIDS[name][0]()
+        rng = np.random.default_rng(6)
+        V, basis = haar_unitary(rng, model.dim), haar_unitary(rng, model.dim)
+        rho0 = 0.7 * np.outer(basis[:, 0], basis[:, 0].conj())
+        rho0 += 0.3 * np.outer(basis[:, 1], basis[:, 1].conj())
+        _, factor = require_density(rho0)
+        assert factor.shape == (model.dim, 2)
+        x, t = 0.9, 1.4
+        _, p = cem._node(model, x, t, V, factor)
+        S, u = diagonalizer(model, x), model.u_of(x, t)
+        density = np.diagonal(S @ V @ u @ rho0 @ u.conj().T @ V.conj().T @ S.conj().T).real
+        assert np.max(np.abs(p - density)) <= 1e-15
+        assert fisher_cem(model, x, t, V, rho0).value == pytest.approx(
+            fisher_cem(model, x, t, V, rho0, RICHARDSON).value, rel=1e-7)
+
+
 class TestOptimizeCem:
     def test_reaches_closed_form_on_field_direction(self):
         m = make_qubit_direction(1.0)
@@ -635,10 +669,9 @@ class TestOptimizeCem:
                                                       seed=seed)
             assert abs(best - sol.G_value) <= 1e-2 * sol.G_value
             rho = np.outer(psi_star, psi_star.conj())
-            # fisher_cem builds its level weights from a density matrix, which rounds a
-            # small weight to about 1e-16 absolute; at nv-spin1 (1.4, 0.6) a weight of
-            # 2e-6 puts fisher_cem 2.4e-11 off, while the optimizer's value is exact.
-            assert fisher_cem(model, theta, t, v_star, rho).value == pytest.approx(best, rel=1e-10)
+            # fisher_cem and the optimizer both build the weights from amplitudes, so a
+            # small weight keeps its relative accuracy on either side.
+            assert fisher_cem(model, theta, t, v_star, rho).value == pytest.approx(best, rel=1e-12)
 
     def test_fixed_decompositions_whatever_the_budget(self, decompositions):
         """One for the jet and one per generator; no line search decomposes anything."""

@@ -495,6 +495,18 @@ class TestDecompositionCounts:
         assert code == EXIT_OK
         assert decompositions[0] == 3
 
+    def test_phase_sim_point(self, decompositions, tmp_path):
+        """Six per point: the jet and two generators, rho0's factor and one per read-out
+        mode; the jet's energies give the default tau.  The base config adds one per run."""
+        counts = []
+        for points in (1, 2):
+            decompositions[0] = 0
+            code, _ = run(tmp_path, "phase-sim", "--model", "nv-spin1", "--theta",
+                          f"0.8:1.2:{points}", "--t", "1.7:1.7:1", "--n", "6", "--m", "3")
+            assert code == EXIT_OK
+            counts.append(decompositions[0])
+        assert counts == [1 + 6, 1 + 2 * 6]
+
     def test_jc_point(self, decompositions, tmp_path):
         """The read-out jet decomposes the hopping at most once per run, never per point."""
         decompositions[0] = 0

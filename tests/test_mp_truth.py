@@ -1,0 +1,143 @@
+"""Fisher values of controlled energy measurements against a 50-digit mpmath truth.
+
+The truth takes the library's own float inputs at theta: H(theta') =
+H(theta) + (theta' - theta) dH(theta) from the model's h_of and dh_of, the
+control V and the pure preparation psi, whose rounded projector
+rho0 = psi psi^dag the library validates and factors.  Energies and level
+weights come from mp.eighe and their theta-derivatives from mp.diff, so
+values and first derivatives at theta are exact to 50 digits.  Each case
+puts a small weight p_0 on the ground level, down to just above
+SUPPORT_THRESHOLD.
+"""
+
+import functools
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from qmet.cem import diagonalizer, fisher_cem
+from qmet.fisher import SUPPORT_THRESHOLD
+from qmet.models import make_nv_spin1, make_qubit_direction
+from qmet.phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
+
+DPS = 50
+EPS = np.finfo(float).eps
+THETA, T = 1.4, 0.6
+MODELS = {
+    "nv-spin1": lambda: make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi),
+    "qubit-direction": lambda: make_qubit_direction(1.0),
+}
+P0S = (1e-4, 1e-6, 1e-8, 1e-11)
+
+
+def weight_case(model, p0):
+    """(V, psi): a Haar control from default_rng(4) and psi with weights (p0, 0.36, rest).
+
+    A qubit gets (p0, 1 - p0).  The amplitudes take random phases, so the
+    Fisher information does not vanish; the truth recomputes the weights
+    from psi exactly, so the float construction only has to land near them.
+    """
+    rng = np.random.default_rng(4)
+    d = model.dim
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    V = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    target = np.array([p0, 0.36, 0.64 - p0] if d == 3 else [p0, 1.0 - p0])
+    a = np.sqrt(target) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d))
+    psi = model.u_of(THETA, T).conj().T @ V.conj().T @ diagonalizer(model, THETA).conj().T @ a
+    return V, psi / np.linalg.norm(psi)
+
+
+def mp_matrix(a):
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def truth_node(model, V, psi):
+    """theta' -> (ascending energies E_j, level weights p_j = |<xi_j|V U_t psi>|^2) at DPS digits."""
+    H0, dH = mp_matrix(model.h_of(THETA)), mp_matrix(model.dh_of(THETA))
+    Vm, psim = mp_matrix(V), mp_matrix(psi).T
+
+    @functools.cache
+    def node(x):
+        E, Q = mp.eighe(H0 + (x - THETA) * dH)
+        U = Q * mp.diag([mp.expj(-T * e) for e in E]) * Q.H
+        amps = Q.H * (Vm * (U * psim))
+        return list(E), [abs(amps[j]) ** 2 for j in range(len(E))]
+
+    return node
+
+
+def fisher_truth(probs_of, count: int):
+    """sum over probabilities above SUPPORT_THRESHOLD of dp^2 / p, dp by mp.diff at THETA."""
+    theta = mp.mpf(THETA)
+    total = mp.mpf(0)
+    for k in range(count):
+        p = probs_of(theta)[k]
+        if p > SUPPORT_THRESHOLD:
+            total += mp.diff(lambda x, k=k: probs_of(x)[k], theta) ** 2 / p
+    return float(total)
+
+
+def readout_probs(node, tau: float, n: int, m: int, mode: str):
+    """theta' -> the 2^n read-out probabilities from the 50-digit level weights.
+
+    Pr(Q) = 2^-n sum_j p_j prod_l [1 + a^(w m) cos(w beta_jQ)], w = 2^(l-1),
+    beta_jQ = tau xi_j + 2 pi Q / 2^n + m phi, with xi_j = E_j - E_0 and
+    a e^{i phi} = mean_j exp(-i tau xi_j / m) (a = 1, phi = 0 when ideal).
+    """
+    N = 2**n
+
+    @functools.cache
+    def probs(x):
+        E, p = node(x)
+        xi = [e - E[0] for e in E]
+        a, phi = mp.mpf(1), mp.mpf(0)
+        if mode == "realistic":
+            z = mp.fsum(mp.expj(-tau * v / m) for v in xi) / len(xi)
+            a, phi = abs(z), mp.arg(z)
+        damping = [a ** (2**l * m) for l in range(n)]
+        out = []
+        for Q in range(N):
+            total = mp.mpf(0)
+            for pj, v in zip(p, xi):
+                z, product = mp.expj(tau * v + 2 * mp.pi * Q / N + m * phi), mp.mpf(1)
+                for c in damping:  # z = exp(i w beta_jQ), squared from level to level
+                    product *= 1 + c * z.real
+                    z *= z
+                total += pj * product
+            out.append(total / N)
+        return out
+
+    return probs
+
+
+@pytest.mark.parametrize("p0", P0S)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_fisher_cem_within_its_estimate_of_the_truth(name, p0):
+    """The level weights carry a relative error of order eps / sqrt(p_j), not eps / p_j."""
+    model = MODELS[name]()
+    V, psi = weight_case(model, p0)
+    with mp.workdps(DPS):
+        node = truth_node(model, V, psi)
+        assert abs(float(node(mp.mpf(THETA))[1][0]) / p0 - 1.0) <= 1e-3
+        truth = fisher_truth(lambda x: node(x)[1], model.dim)
+    report = fisher_cem(model, THETA, T, V, np.outer(psi, psi.conj()))
+    error = abs(report.value - truth)
+    assert error <= report.error_estimate
+    assert error <= 16.0 * EPS * (1.0 + 1.0 / math.sqrt(p0)) * truth
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("p0", P0S)
+@pytest.mark.parametrize("name", list(MODELS))
+def test_readout_within_its_estimate_of_the_truth(name, p0, mode):
+    model = MODELS[name]()
+    V, psi = weight_case(model, p0)
+    cfg = PhaseSimConfig(n=6, m=3, tau=default_tau(model, THETA), t=T, V=V,
+                         rho0=np.outer(psi, psi.conj()))
+    with mp.workdps(DPS):
+        probs = readout_probs(truth_node(model, V, psi), cfg.tau, cfg.n, cfg.m, mode)
+        truth = fisher_truth(probs, 2**cfg.n)
+    report = fisher_phase_readout(cfg, model, THETA, mode=mode)
+    assert abs(report.value - truth) <= report.error_estimate

@@ -588,10 +588,10 @@ class TestBatchedReadoutMatchesSerial:
 
 
 def jet_inputs(cfg, model, theta):
-    """(energies, level weights, (dxi, dp)) at theta, the shift as the read-out applies it."""
-    E, dE, _, p, dp, _ = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
-                                    cfg.rho0)
-    return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp)
+    """(energies, level weights, (dxi, dp, p_err)) at theta, the shift as the read-out applies it."""
+    E, dE, _, p, dp, _, p_err = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
+                                           cfg.factor)
+    return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp, p_err)
 
 
 def oracle_scores(cfg, model, theta, taus, mode):
@@ -648,7 +648,7 @@ class TestAnalyticReadout:
             assert np.array_equal(probs, phasesim._readout_probs(cfg, E, p, taus, mode))
 
             def probs_at(x):
-                return phasesim._readout_probs(cfg, *_node(model, x, cfg.t, V, cfg.rho0),
+                return phasesim._readout_probs(cfg, *_node(model, x, cfg.t, V, cfg.factor),
                                                taus, mode)
 
             fd = central5(probs_at, theta, 3e-6)
