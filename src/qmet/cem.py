@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import InvalidParameter, NonSmoothFamily
+from .errors import DimensionMismatch, InvalidParameter, NonSmoothFamily
 from .fisher import (
     SUPPORT_THRESHOLD,
     FisherReport,
@@ -93,22 +93,32 @@ class CemSolution:
     method: str
 
 
-def _eigenbasis(model: HamiltonianModel, theta: float):
-    """(ascending energies E, eigenvector columns W) of H(theta) in the phase-fixed gauge.
+def _spectrum(model: HamiltonianModel, x: float, phase_fixed: bool = False):
+    """(ascending energies E, eigenvector columns W) of H(x), the one decomposition of H.
 
-    Raises DegenerateSpectrum for (near-)degenerate H(theta).
+    Raises DomainBoundary unless x lies inside the open domain and DegenerateSpectrum for
+    (near-)degenerate H(x).  W is in NumPy's gauge, or phase-fixed with phase_fixed=True.
     """
-    E, W = eigh_nondegenerate(model.h_of(theta))
-    return E, fix_phases(W)
+    numdiff.check_domain(x, 0.0, model.theta_domain)
+    E, W = eigh_nondegenerate(model.h_of(x))
+    return E, fix_phases(W) if phase_fixed else W
+
+
+def _require_dim(dim: int, **operands) -> None:
+    """DimensionMismatch unless every named operand is a (dim, dim) matrix, as H(theta) is."""
+    for name, A in operands.items():
+        if np.shape(A) != (dim, dim):
+            raise DimensionMismatch(f"{name} has shape {np.shape(A)}; the model's dimension "
+                                    f"is {dim}")
 
 
 def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     """Unitary S whose rows are the energy eigenbra's, ground state first.
 
     S H(theta) S^dag = diag(xi_0 <= ... <= xi_{d-1}); rows use the phase-fixed
-    gauge.  Raises DegenerateSpectrum for (near-)degenerate Hamiltonians.
+    gauge.  Raises DomainBoundary and DegenerateSpectrum as _spectrum does.
     """
-    return _eigenbasis(model, theta)[1].conj().T
+    return _spectrum(model, theta, phase_fixed=True)[1].conj().T
 
 
 def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
@@ -116,7 +126,7 @@ def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
     d = anchor.shape[0]
 
     def s_of(x: float) -> np.ndarray:
-        _, V = eigh_nondegenerate(model.h_of(x))
+        _, V = _spectrum(model, x)
         cols = np.empty_like(anchor)
         used = np.zeros(d, dtype=bool)
         for k in range(d):
@@ -147,7 +157,7 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
 
 
 def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = False) -> _Jet:
-    """The analytic jet of H(theta): one domain check, one decomposition, one dh_of read.
+    """The analytic jet of H(theta): one checked _spectrum, one dh_of read.
 
     Returns (E, W, U, dH, D, g_dyn, g_diag, t): the ascending energies and
     eigenvector columns W of H(theta), U = exp(-i t H), dH = dH/dtheta,
@@ -160,14 +170,13 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
     the model needs dh_of, as every analytic (diff=None) path does.
 
-    W comes straight from eigh_nondegenerate, in an arbitrary gauge, which
-    the read-out scorer and fisher_cem's jet never see.  phase_fixed=True
-    takes the phase-fixed _eigenbasis for the gauge-dependent consumers
-    (g_bound and generator_pair, optimize_cem's seed) and for encoded_qfi,
-    whose sigma(g_dyn) equals generator_pair's gap bit for bit.
+    W comes from _spectrum in NumPy's arbitrary gauge, which the read-out
+    scorer and fisher_cem's jet never see.  phase_fixed=True takes the
+    phase-fixed gauge for the gauge-dependent consumers (g_bound and
+    generator_pair, optimize_cem's seed) and for encoded_qfi, whose
+    sigma(g_dyn) equals generator_pair's gap bit for bit.
     """
-    numdiff.check_domain(theta, 0.0, model.theta_domain)
-    E, W = _eigenbasis(model, theta) if phase_fixed else eigh_nondegenerate(model.h_of(theta))
+    E, W = _spectrum(model, theta, phase_fixed)
     if model.dh_of is None:
         raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
                                "it, and an explicit DiffSpec selects the finite-difference oracle")
@@ -181,12 +190,12 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
-    """(W, U_t, g_dyn, g_diag, method), with W the _eigenbasis of H(theta) and U_t = exp(-i t H)."""
+    """(W, U_t, g_dyn, g_diag, method): W phase-fixed eigenvectors of H, U_t = exp(-i t H)."""
     if diff is None:
         jet = _jet(model, theta, t, phase_fixed=True)
         return jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
-    E, W = _eigenbasis(model, theta)
+    E, W = _spectrum(model, theta, phase_fixed=True)
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
     g_diag = local_generator(_transported_family(model, W), theta, diff)
     return W, spectral_unitary(E, W, t), g_dyn, g_diag, diff.method
@@ -280,10 +289,11 @@ def cem_outcome_model(
     Outcomes are identified across parameter values by their spectral index j
     (ascending energy order), never by the eigenvalue itself.  The outcome
     model also carries the analytic jet of _level_jet, which needs the
-    model's dh_of.
+    model's dh_of.  V and rho0 must have the model's dimension (DimensionMismatch).
     """
     v = require_unitary(V)
-    _, factor = require_density(rho0)
+    rho, factor = require_density(rho0)
+    _require_dim(model.dim, V=v, rho0=rho)
 
     def at(x: float) -> OutcomeDistribution:
         ev, probs = _node(model, x, t, v, factor)
@@ -317,10 +327,9 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, F: np.ndar
     One eigendecomposition of H(x) gives both the measured eigenbasis and the
     encoding unitary U_t = exp(-i t H(x)); dh_of is never read.  V and F must
     already be validated.  Raises DomainBoundary unless x lies inside the open
-    domain and DegenerateSpectrum for (near-)degenerate H(x).
+    domain and DegenerateSpectrum for (near-)degenerate H(x), as _spectrum does.
     """
-    numdiff.check_domain(x, 0.0, model.theta_domain)
-    ev, W = eigh_nondegenerate(model.h_of(x))
+    ev, W = _spectrum(model, x)
     return ev, _level_weights(W, V, spectral_unitary(ev, W, t), F)[0]
 
 
@@ -388,8 +397,9 @@ def encoded_qfi(
     fisher.qfi's stencil over model.u_of instead; that path is the oracle and
     also checks the rank of rho across the stencil.  g_dyn is analytic on
     both paths, so both need the model's dh_of.  rho0 must be Hermitian with
-    unit trace.
+    unit trace and the model's dimension (DimensionMismatch otherwise).
     """
+    _require_dim(model.dim, rho0=rho0)
     if diff is not None:
         def rho_of(x: float) -> np.ndarray:
             u = model.u_of(x, t)

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ from .models import (
     reference,
 )
 from .numdiff import ANALYTIC, RICHARDSON, DiffSpec
-from .phasesim import PhaseSimConfig, _default_tau, fisher_phase_readout
+from .phasesim import PhaseSimConfig, _check_bounds, _frozen_tau, fisher_phase_readout
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -315,15 +315,10 @@ def _grid_points(cfg: RunConfig):
     return [(float(q), float(t)) for q in cfg.theta_grid for t in cfg.t_grid]
 
 
-def _ground_projector(dim: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def cmd_qfi(cfg: RunConfig) -> int:
     model, probe, p = build_model(cfg), _PROBES[cfg.model], cfg.model_params
-    rho0 = _ground_projector(model.dim)
+    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+    rho0[0, 0] = 1.0  # the projector on the first basis state
     diff = cfg.diff()
 
     def one(point):
@@ -379,19 +374,18 @@ def cmd_optimize(cfg: RunConfig) -> int:
 def cmd_phase_sim(cfg: RunConfig) -> int:
     model = build_model(cfg)
     diff = cfg.diff()
-    try:  # PhaseSimConfig owns the bounds on n, m and tau
-        base = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=0.0,
-                              rho0=_ground_projector(model.dim))
+    try:  # PhaseSimConfig's bounds on n, m and tau
+        _check_bounds(cfg.n, cfg.m, cfg.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     def one(point):
         theta, t = point
-        jet = _jet(model, theta, t, phase_fixed=True)  # g_bound's, whose E gives default_tau
+        jet = _jet(model, theta, t, phase_fixed=True)  # g_bound's, whose E gives the tau
         sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, ANALYTIC)
-        tau = cfg.tau if cfg.tau is not None else _default_tau(jet.E)
-        sim = replace(base, tau=tau, t=t, V=sol.V_opt,
-                      rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+        sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=t, V=sol.V_opt,
+                             rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+        tau = _frozen_tau(sim, jet.E)
         ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal")
         real = fisher_phase_readout(sim, model, theta, diff, mode="realistic")
         return (cfg.n, cfg.m, tau, theta, t, ideal.value, ideal.error_estimate, real.value,

@@ -27,6 +27,10 @@ from .linalg import require_hermitian, require_state
 from .numdiff import DEFAULT_DIFF, DiffSpec
 
 SUPPORT_THRESHOLD = 1e-12
+# An outcome at or below SUPPORT_THRESHOLD counts when the bound on its term is at most this
+# fraction of the term: above the Richardson path's rounding floor (about 2e-5 of the term
+# at a jc point with p = 3.4e-13), far below the ratio near 1 of a term made by rounding.
+SUB_THRESHOLD_RATIO = 1e-4
 RANK_THRESHOLD = 1e-10
 
 
@@ -107,17 +111,30 @@ class FisherReport:
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
-def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{p_x > SUPPORT_THRESHOLD} dp_x^2 / p_x over the last axis, with its error bound.
+def _term_bound(p: np.ndarray, dp, dp_err, p_err):
+    """First-order bound on each term dp_x^2 / p_x: a derivative error dp_err moves it by
+    at most (2 |dp_x| + dp_err) dp_err / p_x, and a probability error p_err by
+    dp_x^2 p_err / p_x^2."""
+    return ((2.0 * np.abs(dp) + dp_err) * dp_err + dp**2 * p_err / p) / p
 
-    A derivative error dp_err moves each term by at most (2 |dp_x| + dp_err) dp_err / p_x,
-    and a probability error p_err by dp_x^2 p_err / p_x^2 to first order.
+
+def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """sum over the support of dp_x^2 / p_x along the last axis, with its _term_bound sum.
+
+    The support is p_x > SUPPORT_THRESHOLD, plus every 0 < p_x <= SUPPORT_THRESHOLD
+    whose bound is at most SUB_THRESHOLD_RATIO of its term: such an outcome is rare,
+    but its term can still be large and exact.
     """
     support = p > SUPPORT_THRESHOLD
+    if not support.all():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            low = np.where(p > 0.0, p, np.nan)
+            terms = dp**2 / low
+            support |= np.isfinite(terms) & (
+                _term_bound(low, dp, dp_err, p_err) <= SUB_THRESHOLD_RATIO * terms)
     safe = np.where(support, p, 1.0)
     values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
-    errs = np.where(support, ((2.0 * np.abs(dp) + dp_err) * dp_err + dp**2 * p_err / safe)
-                    / safe, 0.0).sum(axis=-1)
+    errs = np.where(support, _term_bound(safe, dp, dp_err, p_err), 0.0).sum(axis=-1)
     return np.maximum(values, 0.0), errs
 
 

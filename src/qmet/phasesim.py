@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .cem import _jet, _level_jet, _node
+from .cem import _jet, _level_jet, _node, _require_dim, _spectrum
 from .errors import AliasingRisk, OracleTooLarge
 from .fisher import (
     FisherReport,
@@ -37,7 +37,6 @@ from .fisher import (
     fisher_rows,
 )
 from .linalg import (
-    eigh_nondegenerate,
     partial_trace,
     require_density,
     require_unitary,
@@ -79,28 +78,33 @@ class PhaseSimConfig:
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (1 <= self.n <= 12):
-            raise ValueError(f"control-qubit count n must be in [1, 12], got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"subdivision count m must be >= 1, got {self.m}")
-        _check_tau(self.tau)
+        _check_bounds(self.n, self.m, self.tau)
         for name, value in zip(("rho0", "factor"), require_density(self.rho0)):
             object.__setattr__(self, name, value)
         if self.V is not None:
             object.__setattr__(self, "V", require_unitary(self.V))
 
     def control(self, dim: int) -> np.ndarray:
-        return np.eye(dim, dtype=complex) if self.V is None else self.V
+        """V (identity if None) for a model of dimension dim; DimensionMismatch unless V and
+        rho0 have that dimension."""
+        V = np.eye(dim, dtype=complex) if self.V is None else self.V
+        _require_dim(dim, V=V, rho0=self.rho0)
+        return V
 
     def with_tau(self, tau: float) -> "PhaseSimConfig":
         """This configuration at base time tau; only tau is checked again."""
-        _check_tau(tau)
+        _check_bounds(self.n, self.m, tau)
         new = copy.copy(self)  # skips __post_init__: the rest is already validated
         object.__setattr__(new, "tau", tau)
         return new
 
 
-def _check_tau(tau: Optional[float]) -> None:
+def _check_bounds(n: int, m: int, tau: Optional[float]) -> None:
+    """ValueError unless 1 <= n <= 12, m >= 1 and tau is None or positive."""
+    if not (1 <= n <= 12):
+        raise ValueError(f"control-qubit count n must be in [1, 12], got {n}")
+    if m < 1:
+        raise ValueError(f"subdivision count m must be >= 1, got {m}")
     if tau is not None and tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
 
@@ -132,8 +136,8 @@ def _default_tau(ev: np.ndarray) -> float:
 
 
 def default_tau(model: HamiltonianModel, theta: float) -> float:
-    """0.9 * 2 pi / (spectral range + 1e-6) at the working point."""
-    return _default_tau(eigh_nondegenerate(model.h_of(theta))[0])
+    """0.9 * 2 pi / (spectral range + 1e-6) at the working point (DomainBoundary outside)."""
+    return _default_tau(_spectrum(model, theta)[0])
 
 
 def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
@@ -142,7 +146,7 @@ def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
     tau * range = 2 pi (2^n - 1)/2^n, so every eigenvalue of a two-level
     spectrum sits exactly on a read-out bin while anti-aliasing still holds.
     """
-    ev, _ = eigh_nondegenerate(model.h_of(theta))
+    ev, _ = _spectrum(model, theta)
     rng = float(ev[-1] - ev[0])
     if rng <= 0:
         raise AliasingRisk("spectrum has zero range; no informative read-out grid")
@@ -401,11 +405,11 @@ def fisher_phase_readout(
     oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
     E, score, method, step = _scorer(cfg, model, theta, diff, mode)
-    tau = cfg.tau if cfg.tau is not None else _default_tau(E)
+    tau = _frozen_tau(cfg, E)
     values, errs = score(np.array([tau]))
     if values[0] == -np.inf:
-        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at theta or a "
-                           "stencil node; bins are not injective")
+        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at a stencil "
+                           "node; bins are not injective")
     return FisherReport(value=float(values[0]), method=method, step=step,
                         error_estimate=float(errs[0]))
 
@@ -449,16 +453,16 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     Hadamards on n control qubits, controlled powers U_tau^(2^(l-1)) coupling
     qubit l, inverse Fourier transform, and a computational-basis read-out.
     Limited to n <= 6 and system dimension <= 4.  One decomposition of
-    H(theta) gives U_tau and U_t.
+    H(theta) gives U_tau and U_t; theta must lie inside the open domain.
     """
     d = model.dim
     if cfg.n > 6 or d > 4:
         raise OracleTooLarge(f"oracle limited to n <= 6 and d <= 4, got n={cfg.n}, d={d}")
-    ev, W = eigh_nondegenerate(model.h_of(theta))
+    v = cfg.control(d)
+    ev, W = _spectrum(model, theta)
     tau = _frozen_tau(cfg, ev)
     u_tau = spectral_unitary(ev, W, tau) * np.exp(-1j * tau * _shift(cfg, ev))
     u_t = spectral_unitary(ev, W, cfg.t)
-    v = cfg.control(d)
     n_states = 2**cfg.n
 
     # Mixed preparations enter as ensembles over eigenvectors.

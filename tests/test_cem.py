@@ -22,7 +22,13 @@ from qmet.cem import (
     optimize_cem,
 )
 from qmet.cli import EXIT_OK, main
-from qmet.errors import DegenerateSpectrum, DomainBoundary, InvalidParameter, NonHermitianInput
+from qmet.errors import (
+    DegenerateSpectrum,
+    DomainBoundary,
+    InvalidParameter,
+    NonHermitianInput,
+    NonSmoothFamily,
+)
 from qmet.fisher import SUPPORT_THRESHOLD
 from qmet.linalg import expm_unitary, fix_phases, require_density, spectral_gap
 from qmet.models import (
@@ -119,6 +125,11 @@ class TestDiagonalizer:
 
 
 class TestLocalGenerator:
+    def test_non_unitary_family_is_not_smooth(self):
+        """U(q) = diag(1, 1 + q) gives i dU U^dag = diag(0, i (1 + q)), far from Hermitian."""
+        with pytest.raises(NonSmoothFamily, match="Hermiticity defect"):
+            local_generator(lambda q: np.diag([1.0, 1.0 + q]).astype(complex), 0.3)
+
     def test_shift_family_recovers_generator(self):
         rng = np.random.default_rng(10)
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -1004,6 +1015,12 @@ class TestGridMaxRows:
 
 
 class TestMaxGapLemma:
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="equal dimension"):
+            max_gap_lemma_check(SZ, np.eye(3))
+        with pytest.raises(ValueError, match="trials must be positive"):
+            max_gap_lemma_check(SZ, SZ, trials=0)
+
     def test_zero_second_matrix(self):
         M1 = np.diag([2.0, -1.0]).astype(complex)
         numeric, analytic = max_gap_lemma_check(M1, np.zeros((2, 2)), trials=10)

@@ -44,6 +44,11 @@ class TestConfigHandling:
         code, _ = run(tmp_path, "qfi", "--theta", "0.5:1.5:0", "--t", "1:2:2")
         assert code == EXIT_CONFIG
 
+    def test_grid_over_1e5_points_is_config_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "qfi", "--theta", "0.5:1.5:100001", "--t", "1:2:1")
+        assert code == EXIT_CONFIG
+        assert "exceeds 1e5 points" in capsys.readouterr().err
+
     def test_malformed_grid_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "qfi", "--theta", "0.5,1.5,3", "--t", "1:2:2")
         assert code == EXIT_CONFIG
@@ -230,6 +235,18 @@ class TestDeterminism:
         _, first = run(tmp_path, *args)
         _, second = run(tmp_path, *args)
         assert first == second
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys, fmt):
+        """Without --out the records go to stdout, byte for byte as --out writes them."""
+        args = ["gbound", "--theta", "0.4:2.6:3", "--t", "0.5:2.5:2", "--format", fmt]
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        code, _ = run(tmp_path, *args)
+        assert code == EXIT_OK
+        assert printed.encode("utf-8") == (tmp_path / "out.txt").read_bytes()
+        assert capsys.readouterr().out == ""
 
 
 class TestNumericalFailures:
@@ -497,7 +514,7 @@ class TestDecompositionCounts:
 
     def test_phase_sim_point(self, decompositions, tmp_path):
         """Six per point: the jet and two generators, rho0's factor and one per read-out
-        mode; the jet's energies give the default tau.  The base config adds one per run."""
+        mode; the jet's energies give the default tau.  None per run."""
         counts = []
         for points in (1, 2):
             decompositions[0] = 0
@@ -505,7 +522,7 @@ class TestDecompositionCounts:
                           f"0.8:1.2:{points}", "--t", "1.7:1.7:1", "--n", "6", "--m", "3")
             assert code == EXIT_OK
             counts.append(decompositions[0])
-        assert counts == [1 + 6, 1 + 2 * 6]
+        assert counts == [6, 12]
 
     def test_jc_point(self, decompositions, tmp_path):
         """The read-out jet decomposes the hopping at most once per run, never per point."""

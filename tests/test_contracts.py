@@ -1,0 +1,160 @@
+"""Package-wide contracts: one decomposition site for H(theta), one domain rule, one
+dimension rule for the operands that meet a model."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qmet
+from qmet.cem import (
+    cem_outcome_model,
+    diagonalizer,
+    encoded_qfi,
+    fisher_cem,
+    g_bound,
+    generator_pair,
+    optimize_cem,
+)
+from qmet.errors import DimensionMismatch, DomainBoundary
+from qmet.models import make_nv_spin1, make_qubit_direction
+from qmet.numdiff import DiffSpec
+from qmet.phasesim import (
+    PhaseSimConfig,
+    aligned_tau,
+    circuit_oracle,
+    default_tau,
+    fisher_phase_readout,
+    ideal_distribution,
+    realistic_distribution,
+    tune_tau,
+)
+
+NV_PARAMS = (1.0, 1.44 * math.pi, 5e-5 * math.pi)
+
+
+def h_of_callers():
+    """{(module file, enclosing qualname)} of every `.h_of(...)` call in src/qmet."""
+    found = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_scope
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "h_of":
+                found.add((self.module, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    for path in sorted(Path(qmet.__file__).parent.glob("*.py")):
+        Visitor(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():
+    """Every decomposition of a model Hamiltonian goes through cem._spectrum, which also
+    checks the domain; HamiltonianModel.u_of keeps its own expm route as the
+    finite-difference oracle's independent path."""
+    assert h_of_callers() == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
+
+
+def ground_projector(d):
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def entry_points(model, theta):
+    """{name: call} of every public entry point that takes (model, theta)."""
+    d, t = model.dim, 1.1
+    rho0, V = ground_projector(d), np.eye(d)
+    cfg = PhaseSimConfig(n=4, m=2, t=t, rho0=rho0)
+    return {
+        "g_bound": lambda: g_bound(model, theta, t),
+        "generator_pair": lambda: generator_pair(model, theta, t),
+        "encoded_qfi": lambda: encoded_qfi(model, theta, t, rho0),
+        "fisher_cem": lambda: fisher_cem(model, theta, t, V, rho0),
+        "optimize_cem": lambda: optimize_cem(model, theta, t, budget=(1, 1)),
+        "diagonalizer": lambda: diagonalizer(model, theta),
+        "default_tau": lambda: default_tau(model, theta),
+        "aligned_tau": lambda: aligned_tau(model, theta, 4),
+        "tune_tau": lambda: tune_tau(cfg, model, theta),
+        "fisher_phase_readout": lambda: fisher_phase_readout(cfg, model, theta),
+        "ideal_distribution": lambda: ideal_distribution(cfg, model, theta),
+        "realistic_distribution": lambda: realistic_distribution(cfg, model, theta),
+        "circuit_oracle": lambda: circuit_oracle(cfg, model, theta),
+    }
+
+
+ENTRY_POINTS = list(entry_points(make_qubit_direction(1.0), 0.8))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("factory,theta", [
+    (lambda: make_qubit_direction(1.0), 0.0),
+    (lambda: make_qubit_direction(1.0), math.pi),
+    (lambda: make_nv_spin1(*NV_PARAMS), 0.0),
+], ids=["qubit-direction-0", "qubit-direction-pi", "nv-spin1-0"])
+def test_every_entry_point_rejects_the_domain_edge(factory, theta, entry):
+    model = factory()
+    with pytest.raises(DomainBoundary):
+        entry_points(model, theta)[entry]()
+    entry_points(model, 0.8)[entry]()  # the same call runs just inside the domain
+
+
+class TestDimensionMismatch:
+    """A control or preparation of the wrong dimension is a typed error where it meets the
+    model, before any matrix product can fail."""
+
+    theta, t = 0.8, 1.1
+
+    def calls(self, V, rho0):
+        model, theta, t = make_nv_spin1(*NV_PARAMS), self.theta, self.t
+        cfg = PhaseSimConfig(n=4, m=2, t=t, rho0=rho0, V=V)
+        calls = [
+            lambda: cem_outcome_model(model, t, V, rho0),
+            lambda: fisher_cem(model, theta, t, V, rho0),
+            lambda: fisher_cem(model, theta, t, V, rho0, DiffSpec()),
+            lambda: ideal_distribution(cfg, model, theta),
+            lambda: realistic_distribution(cfg, model, theta),
+            lambda: circuit_oracle(cfg, model, theta),
+            lambda: cfg.control(model.dim),
+        ]
+        for diff in (None, DiffSpec()):
+            for mode in ("ideal", "realistic"):
+                calls.append(lambda d=diff, m=mode: fisher_phase_readout(cfg, model, theta, d, m))
+                calls.append(lambda d=diff, m=mode: tune_tau(cfg, model, theta, m, d))
+        return calls
+
+    @pytest.mark.parametrize("case", ["rho0", "V", "both"])
+    def test_control_or_preparation(self, case):
+        small, full = ground_projector(2), ground_projector(3)
+        V = np.eye(2) if case != "rho0" else np.eye(3)
+        rho0 = small if case != "V" else full
+        for call in self.calls(V, rho0):
+            with pytest.raises(DimensionMismatch, match="dimension is 3"):
+                call()
+
+    def test_identity_control_takes_the_model_dimension(self):
+        cfg = PhaseSimConfig(n=4, m=2, t=1.0, rho0=ground_projector(2))
+        with pytest.raises(DimensionMismatch):
+            ideal_distribution(cfg, make_nv_spin1(*NV_PARAMS), self.theta)
+        assert np.array_equal(cfg.control(2), np.eye(2))
+
+    @pytest.mark.parametrize("diff", [None, DiffSpec()])
+    def test_encoded_qfi(self, diff):
+        model = make_nv_spin1(*NV_PARAMS)
+        for rho0 in (ground_projector(2), np.ones(3) / 3.0, np.zeros((3, 4))):
+            with pytest.raises(DimensionMismatch):
+                encoded_qfi(model, self.theta, self.t, rho0, diff)
+        report, _ = encoded_qfi(model, self.theta, self.t, ground_projector(3), diff)
+        assert report.value >= 0.0

@@ -11,6 +11,7 @@ from qmet.errors import (
     DomainBoundary,
     NonNormalized,
     NotTraceless,
+    RankChange,
     RankDeficient,
     UnknownMetricTag,
 )
@@ -18,6 +19,7 @@ from qmet.fisher import (
     POVM,
     OutcomeDistribution,
     ProbabilityModel,
+    _fisher_sum,
     classical_fisher,
     fisher_of_povm,
     fisher_rows,
@@ -133,6 +135,25 @@ class TestClassicalFisherJet:
         report = classical_fisher(model, 0.4)
         assert report.value == pytest.approx(1.0 / (0.4 * 0.6), rel=1e-15)
 
+    def test_sub_threshold_outcome_counts_only_where_its_term_is_pinned_down(self):
+        """An outcome at or below SUPPORT_THRESHOLD counts when _fisher_sum's bound on its
+        term is at most SUB_THRESHOLD_RATIO of it; p = 0, a loose bound and a term that
+        overflows are left out, without a floating-point warning."""
+        p = np.array([0.5, 1e-14, 1e-14, 0.0, 1e-320])
+        dp = np.array([0.1, 1e-7, 1e-12, 1e-7, 1.0])
+        # Terms 0.02, 1 (bound 2e-8), 1e-10 (bound 2e-13 > SUB_THRESHOLD_RATIO 1e-10), p = 0,
+        # and inf.
+        value, err = _fisher_sum(p, dp, 1e-15)
+        assert value == pytest.approx(0.02 + 1.0, rel=1e-15)
+        assert err == pytest.approx((0.2 + 1e-15) * 1e-15 / 0.5 + (2e-7 + 1e-15) * 1e-15 / 1e-14,
+                                    rel=1e-12)
+        # A probability error of 1e-17 puts the second term's bound at 1e-3 of it.
+        value, _ = _fisher_sum(p, dp, 1e-15, p_err=1e-17)
+        assert value == pytest.approx(0.02, rel=1e-15)
+        # Above the threshold nothing changes: a term with a loose bound still counts.
+        value, _ = _fisher_sum(np.array([1e-11]), np.array([1e-12]), 1e-12)
+        assert value == pytest.approx(1e-13, rel=1e-15)
+
     def test_zero_information_has_nonzero_error(self):
         model = jet_model(lambda q: np.array([0.3, 0.7]), lambda q: np.zeros(2))
         report = classical_fisher(model, 0.5)
@@ -212,7 +233,24 @@ class TestSld:
             sld(np.eye(2) / 2, np.zeros((3, 3)))
 
 
+class TestOutcomeDistribution:
+    def test_labels_and_probabilities_must_agree_in_length(self):
+        with pytest.raises(DimensionMismatch, match="length"):
+            OutcomeDistribution(outcomes=(0, 1, 2), probs=np.array([0.5, 0.5]))
+
+    def test_total_variation_needs_equal_outcome_counts(self):
+        a = OutcomeDistribution(outcomes=(0, 1), probs=np.array([0.5, 0.5]))
+        b = OutcomeDistribution(outcomes=(0, 1, 2), probs=np.full(3, 1.0 / 3.0))
+        with pytest.raises(DimensionMismatch, match="outcome counts"):
+            a.total_variation(b)
+
+
 class TestQfi:
+    def test_rank_change_across_the_stencil(self):
+        """rho = diag(1 - q^2, q^2) has rank 1 at q = 0 and rank 2 at its stencil nodes."""
+        with pytest.raises(RankChange, match="rank changes"):
+            qfi(lambda q: np.diag([1.0 - q * q, q * q]).astype(complex), 0.0)
+
     def test_static_family(self):
         rho = np.diag([0.2, 0.8]).astype(complex)
         assert qfi(lambda q: rho, 0.7).value <= 1e-16
@@ -369,6 +407,10 @@ class TestMonotoneMetric:
 
 
 class TestPovm:
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+            POVM(elements=(np.eye(2), np.eye(3)))
+
     def test_sum_to_identity_enforced(self):
         with pytest.raises(DimensionMismatch):
             POVM(elements=(np.eye(2) / 2, np.eye(2) / 3))

@@ -12,9 +12,13 @@ from qmet.linalg import (
     expm_unitary,
     fix_phases,
     operator_variance,
+    as_matrix,
     partial_trace,
+    require_density,
     require_hermitian,
     require_nondegenerate,
+    require_state,
+    require_unitary,
     spectral_gap,
     tensor,
 )
@@ -26,6 +30,31 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def random_hermitian(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (z + z.conj().T) / 2
+
+
+class TestValidators:
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 3)])
+    def test_as_matrix_rejects_a_non_square_input(self, shape):
+        with pytest.raises(DimensionMismatch, match="square"):
+            as_matrix(np.zeros(shape))
+
+    def test_require_unitary(self):
+        assert np.array_equal(require_unitary(SX), SX)
+        with pytest.raises(DimensionMismatch, match="unitarity defect"):
+            require_unitary(np.diag([1.0, 1.0 + 1e-9]))
+
+    def test_require_density_negative_eigenvalue(self):
+        with pytest.raises(DimensionMismatch, match="negative eigenvalue"):
+            require_density(np.diag([1.2, -0.2]))  # unit trace
+
+    def test_require_density_trace(self):
+        with pytest.raises(DimensionMismatch, match="trace"):
+            require_density(np.diag([0.5, 0.6]))
+
+    def test_require_state(self):
+        assert np.array_equal(require_state([[0.6], [0.8j]]), np.array([0.6, 0.8j]))
+        with pytest.raises(DimensionMismatch, match="state norm"):
+            require_state([1.0, 1e-5])  # norm 1 + 5e-11
 
 
 class TestEigHermitian:

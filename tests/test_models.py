@@ -7,7 +7,7 @@ import pytest
 
 from qmet import models
 from qmet.errors import InvalidParameter, UnknownReference
-from qmet.fisher import classical_fisher
+from qmet.fisher import SUPPORT_THRESHOLD, classical_fisher
 from qmet.linalg import eig_hermitian, expm_unitary, require_hermitian
 from qmet.models import (
     SIGMA_X,
@@ -63,6 +63,11 @@ class TestQubitDirection:
 
 
 class TestQubitXComponent:
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_nonpositive_omega_rejected(self, omega):
+        with pytest.raises(InvalidParameter, match="omega must be positive"):
+            make_qubit_xcomponent(omega)
+
     def test_zero_theta(self):
         m = make_qubit_xcomponent(1.0)
         assert np.allclose(m.h_of(0.0), -SIGMA_Z)
@@ -195,6 +200,18 @@ class TestJaynesCummingsJet:
             ref = reference("jc_fc")(omega=w, kappa=kappa, t=t, alpha1_sq=a1sq)
             assert abs(fast.value - ref) <= 1e-12 * (1.0 + ref)
 
+    def test_outcome_under_the_support_threshold_counts_where_its_term_is_exact(self):
+        """p_excited = 3.4e-13 < SUPPORT_THRESHOLD but dp^2/p = 1.89: the term is counted
+        on both paths, as its bound there is far below the term."""
+        w, t, kappa, a1sq = 1.6148906575928343, 4.9443384799801402, 0.5, 0.5
+        pm = jc_readout_model(kappa, t, math.sqrt(1 - a1sq), math.sqrt(a1sq), 8)
+        assert 0.0 < pm.jet(w)[0][1] <= SUPPORT_THRESHOLD
+        ref = reference("jc_fc")(omega=w, kappa=kappa, t=t, alpha1_sq=a1sq)
+        for diff in (None, DiffSpec()):
+            report = classical_fisher(pm, w, diff)
+            assert abs(report.value - ref) <= 1e-6 * (1.0 + abs(ref))
+            assert abs(report.value - ref) <= report.error_estimate
+
     def test_probabilities_match_at(self):
         pm = jc_readout_model(0.5, 2.3, math.sqrt(0.3), math.sqrt(0.7), 8)
         for w in (0.4, 1.1, 1.9):
@@ -218,6 +235,8 @@ class TestJaynesCummingsJet:
         pm = jc_readout_model(0.5, 1.0, math.sqrt(0.5), math.sqrt(0.5), 8)
         with pytest.raises(InvalidParameter):
             pm.jet(0.0)
+        with pytest.raises(InvalidParameter, match="frequency must be positive"):
+            pm.at(0.0)
         with pytest.raises(InvalidParameter):  # the field amplitudes must be normalized
             jc_readout_model(0.5, 1.0, 0.5, 0.5, 8).jet(1.0)
 

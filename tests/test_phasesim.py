@@ -199,6 +199,10 @@ class TestRealisticDistribution:
 
 
 class TestControllizationFactors:
+    def test_damping_above_one_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            phasesim.ControllizationFactors(a=1.1, phi=0.0, eps_m=0.0)
+
     def test_identity(self):
         f = controllization_factors(np.eye(3), 5)
         assert f.a == pytest.approx(1.0)
@@ -365,6 +369,11 @@ class TestControllizationOracle:
         with pytest.raises(OracleTooLarge):
             controllization_oracle(np.eye(7), 0, 1, np.eye(7) / 7, m=1)
 
+    @pytest.mark.parametrize("x1,y1", [(2, 0), (0, 2)])
+    def test_control_index_must_be_a_qubit_state(self, x1, y1):
+        with pytest.raises(ValueError, match="control indices"):
+            controllization_oracle(np.eye(2), x1, y1, np.eye(2) / 2, m=1)
+
 
 class TestConfigValidation:
     def test_bad_qubit_count(self):
@@ -383,6 +392,10 @@ class TestConfigValidation:
         model = make_qubit_direction(1.0)
         tau = aligned_tau(model, 1.0, 6)
         assert tau * 2.0 < 2 * math.pi  # spectral range is 2
+
+    def test_aligned_tau_needs_two_levels(self):
+        with pytest.raises(AliasingRisk, match="zero range"):
+            aligned_tau(fixed_model([[0.7]]), 1.0, 6)
 
 
 # --- serial reference: the expm-based read-out, one node and one tau at a time ---------
