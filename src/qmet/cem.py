@@ -96,11 +96,16 @@ class CemSolution:
 def _spectrum(model: HamiltonianModel, x: float, phase_fixed: bool = False):
     """(ascending energies E, eigenvector columns W) of H(x), the one decomposition of H.
 
-    Raises DomainBoundary unless x lies inside the open domain and DegenerateSpectrum for
-    (near-)degenerate H(x).  W is in NumPy's gauge, or phase-fixed with phase_fixed=True.
+    Raises DomainBoundary unless x lies inside the open domain, NonHermitianInput for a
+    non-Hermitian H(x) or one with a NaN or infinite entry, DegenerateSpectrum for
+    (near-)degenerate H(x) and InvalidParameter when its spectral range overflows the
+    float range.  W is in NumPy's gauge, or phase-fixed with phase_fixed=True.
     """
     numdiff.check_domain(x, 0.0, model.theta_domain)
     E, W = eigh_nondegenerate(model.h_of(x))
+    if not math.isfinite(float(E[-1]) - float(E[0])):  # Python floats overflow silently
+        raise InvalidParameter(f"spectral range of H({x}) overflows: energies {E[0]:.6g} "
+                               f"to {E[-1]:.6g}; rescale the model's parameters")
     return E, fix_phases(W) if phase_fixed else W
 
 
@@ -396,8 +401,9 @@ def encoded_qfi(
     only has to lie inside the open domain).  An explicit DiffSpec runs
     fisher.qfi's stencil over model.u_of instead; that path is the oracle and
     also checks the rank of rho across the stencil.  g_dyn is analytic on
-    both paths, so both need the model's dh_of.  rho0 must be Hermitian with
-    unit trace and the model's dimension (DimensionMismatch otherwise).
+    both paths, so both need the model's dh_of.  rho0 must be a density matrix
+    of the model's dimension (DimensionMismatch otherwise, with require_density's
+    messages); rho has rho0's spectrum, so the SLD's decomposition of rho checks it.
     """
     _require_dim(model.dim, rho0=rho0)
     if diff is not None:
@@ -534,14 +540,19 @@ def optimize_cem(
     return _optimize(model, theta, t, budget, seed)[1]
 
 
+def _optimum(model: HamiltonianModel, theta: float, t: float):
+    """(phase-fixed _jet, g_bound's analytic CemSolution built from it) at (theta, t)."""
+    jet = _jet(model, theta, t, phase_fixed=True)
+    return jet, _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC)
+
+
 def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
     """(g_bound's CemSolution, optimize_cem's result) from one phase-fixed jet."""
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
     d, rng = model.dim, np.random.default_rng(seed)
-    jet = _jet(model, theta, t, phase_fixed=True)
-    sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC)
+    jet, sol = _optimum(model, theta, t)
     terms, Wh = _move_terms(d), jet.W.conj().T
     Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T  # y = (psi @ Yt) as (2, d)
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import _jet, _optimize, _solution, encoded_qfi, g_bound
+from .cem import _optimize, _optimum, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
@@ -46,8 +46,8 @@ from .models import (
     make_qubit_xcomponent,
     reference,
 )
-from .numdiff import ANALYTIC, RICHARDSON, DiffSpec
-from .phasesim import PhaseSimConfig, _check_bounds, _frozen_tau, fisher_phase_readout
+from .numdiff import RICHARDSON, DiffSpec
+from .phasesim import IDEAL, REALISTIC, PhaseSimConfig, _check_bounds, _readouts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -381,13 +381,10 @@ def cmd_phase_sim(cfg: RunConfig) -> int:
 
     def one(point):
         theta, t = point
-        jet = _jet(model, theta, t, phase_fixed=True)  # g_bound's, whose E gives the tau
-        sol = _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, ANALYTIC)
+        jet, sol = _optimum(model, theta, t)  # g_bound's; the read-out reuses its jet
         sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=t, V=sol.V_opt,
                              rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
-        tau = _frozen_tau(sim, jet.E)
-        ideal = fisher_phase_readout(sim, model, theta, diff, mode="ideal")
-        real = fisher_phase_readout(sim, model, theta, diff, mode="realistic")
+        tau, (ideal, real) = _readouts(sim, model, theta, diff, (IDEAL, REALISTIC), jet)
         return (cfg.n, cfg.m, tau, theta, t, ideal.value, ideal.error_estimate, real.value,
                 real.error_estimate, sol.G_value, ideal.value / sol.G_value,
                 real.value / sol.G_value)

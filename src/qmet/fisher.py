@@ -23,7 +23,7 @@ from .errors import (
     RankDeficient,
     UnknownMetricTag,
 )
-from .linalg import require_hermitian, require_state
+from .linalg import _require_density_spectrum, require_hermitian, require_state
 from .numdiff import DEFAULT_DIFF, DiffSpec
 
 SUPPORT_THRESHOLD = 1e-12
@@ -203,7 +203,8 @@ def sld(rho, drho) -> np.ndarray:
 
 
 def _sld_parts(rho, drho):
-    """(L, Dv, p_k + p_l, support mask) with Dv = drho in the eigenbasis of rho."""
+    """(L, Dv, p, p_k + p_l, support mask): Dv = drho in the eigenbasis of rho, p its
+    ascending eigenvalues."""
     R = require_hermitian(rho)
     D = require_hermitian(drho)
     if R.shape != D.shape:
@@ -217,7 +218,7 @@ def _sld_parts(rho, drho):
     support = denom >= SUPPORT_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         Lv = np.where(support, 2.0 * Dv / denom, 0.0)
-    return V @ Lv @ V.conj().T, Dv, denom, support
+    return V @ Lv @ V.conj().T, Dv, p, denom, support
 
 
 def _rank_profile(rho: np.ndarray) -> int:
@@ -231,9 +232,9 @@ def _state_derivative(rho_of, theta: float, diff: DiffSpec,
     Returns (rho, drho, drho_err) after verifying that the rank classification
     of the state does not change across the differentiation stencil.
     """
-    rho = require_hermitian(rho_of(theta))
     radius = diff.base_step(theta)
     numdiff.check_domain(theta, radius, theta_domain)
+    rho = require_hermitian(rho_of(theta))
     rank0 = _rank_profile(rho)
     for x in (theta - radius, theta + radius):
         if _rank_profile(require_hermitian(rho_of(x))) != rank0:
@@ -250,14 +251,20 @@ def qfi(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF,
     In the eigenbasis of rho the value is sum 2 |D_kl|^2 / (p_k + p_l), so a
     derivative error eps of drho moves it by at most the error estimate
     sum (4 |D_kl| + 2 eps) eps / (p_k + p_l), both over the support pairs.
+    rho at theta must be a density matrix (DimensionMismatch otherwise).
     """
     rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
     return _qfi_report(rho, drho, err, diff.method, diff.base_step(theta))
 
 
 def _qfi_report(rho, drho, drho_err: float, method: str, step: float) -> FisherReport:
-    """qfi's value and first-order error estimate from rho, drho and the error of drho."""
-    L, Dv, denom, support = _sld_parts(rho, drho)
+    """qfi's value and first-order error estimate from rho, drho and the error of drho.
+
+    DimensionMismatch, as from require_density, unless rho is a density matrix; the
+    eigenvalues of the SLD's own decomposition of rho decide it.
+    """
+    L, Dv, p, denom, support = _sld_parts(rho, drho)
+    _require_density_spectrum(p, float(p.sum()))
     value = float(np.trace(rho @ L @ L).real)
     error = float(np.sum((4.0 * np.abs(Dv[support]) + 2.0 * drho_err) * drho_err
                          / denom[support]))

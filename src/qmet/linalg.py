@@ -33,13 +33,16 @@ def require_hermitian(M) -> np.ndarray:
     """Return M as an ndarray, raising NonHermitianInput if M != M^dag.
 
     The tolerance is relative, per matrix of a stack:
-    max|M - M^dag| <= HERMITICITY_TOL * (1 + max|M|).
+    max|M - M^dag| < HERMITICITY_TOL * (1 + max|M|), which a matrix with a NaN or
+    infinite entry fails: its defect is NaN, or infinite as its scale is.
     """
     A = as_matrix(M)
     # ufunc reductions skip np.max's dispatch: this check guards every decomposition.
     scale = 1.0 + np.maximum.reduce(np.abs(A), axis=(-2, -1))
     defect = np.maximum.reduce(np.abs(A - A.conj().swapaxes(-2, -1)), axis=(-2, -1))
-    if np.logical_or.reduce(defect > HERMITICITY_TOL * scale, axis=None):
+    if not np.logical_and.reduce(defect < HERMITICITY_TOL * scale, axis=None):
+        if not np.isfinite(A).all():
+            raise NonHermitianInput("matrix has a NaN or infinite entry")
         raise NonHermitianInput(
             f"Hermiticity defect {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}*(1+|M|)")
     return A
@@ -60,12 +63,18 @@ def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
     so F F^dag = rho up to rounding and a pure state keeps one column."""
     A = require_hermitian(rho)
     ev, v = np.linalg.eigh(A)
-    if ev.min() < -HERMITICITY_TOL:
-        raise DimensionMismatch(f"density matrix has negative eigenvalue {ev.min():.3e}")
-    if abs(np.trace(A).real - 1.0) > HERMITICITY_TOL:
-        raise DimensionMismatch(f"density matrix trace {np.trace(A).real} != 1")
+    _require_density_spectrum(ev, np.trace(A).real)
     keep = ev > A.shape[0] * np.finfo(float).eps
     return A, v[:, keep] * np.sqrt(ev[keep])
+
+
+def _require_density_spectrum(ev: np.ndarray, trace: float) -> None:
+    """DimensionMismatch unless a Hermitian matrix with ascending eigenvalues ev and this
+    trace is a density matrix: ev[0] >= -HERMITICITY_TOL and trace 1 within it."""
+    if ev[0] < -HERMITICITY_TOL:
+        raise DimensionMismatch(f"density matrix has negative eigenvalue {ev[0]:.3e}")
+    if abs(trace - 1.0) > HERMITICITY_TOL:
+        raise DimensionMismatch(f"density matrix trace {trace} != 1")
 
 
 def require_state(psi) -> np.ndarray:
@@ -130,16 +139,17 @@ def require_nondegenerate(eigenvalues: np.ndarray) -> None:
     eigenvalues is one spectrum or a (..., d) stack of them.  Two eigenvalues
     of a spectrum count as degenerate when they differ by less than
     DEGENERACY_TOL * (1 + its spectral gap); each spectrum of a stack has its
-    own gap.
+    own gap.  The test runs on halved eigenvalues, which decides it exactly as the
+    full ones would and keeps a gap beyond the float range from overflowing.
     """
-    ev = np.sort(np.asarray(eigenvalues, dtype=float), axis=-1)
-    if ev.shape[-1] < 2:
+    half = np.sort(np.asarray(eigenvalues, dtype=float), axis=-1)
+    half *= 0.5  # sort made a copy
+    if half.shape[-1] < 2:
         return
-    gap = ev[..., -1:] - ev[..., :1]
-    diffs = np.diff(ev, axis=-1)
-    if np.any(diffs < DEGENERACY_TOL * (1.0 + gap)):
-        raise DegenerateSpectrum(
-            f"minimum eigenvalue spacing {diffs.min():.3e} below {DEGENERACY_TOL:.1e}*(1+gap)")
+    diffs = np.diff(half, axis=-1)
+    if np.any(diffs < DEGENERACY_TOL * (0.5 + (half[..., -1:] - half[..., :1]))):
+        raise DegenerateSpectrum(f"minimum eigenvalue spacing {2.0 * diffs.min():.3e} below "
+                                 f"{DEGENERACY_TOL:.1e}*(1+gap)")
 
 
 def eigh_nondegenerate(H) -> tuple[np.ndarray, np.ndarray]:

@@ -99,6 +99,12 @@ def make_nv_spin1(mu: float, D: float, E: float) -> HamiltonianModel:
     )
 
 
+# Largest Fock truncation of the Jaynes-Cummings models: d = 2 (n_max + 1) = 1002 rows,
+# 16 MiB per complex matrix and about a second per dense eigh on one core; a larger value
+# is rejected before anything is allocated.
+JC_N_MAX = 500
+
+
 def _ladder(n_max: int) -> np.ndarray:
     """Annihilation operator truncated at Fock level n_max."""
     a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -126,8 +132,9 @@ def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
 
 
 def _check_jc(kappa: float, n_max: int) -> None:  # both Jaynes-Cummings factories
-    if not (kappa >= 0.0 and n_max >= 2):
-        raise InvalidParameter(f"kappa must be >= 0 and n_max >= 2, got {kappa} and {n_max}")
+    if not (kappa >= 0.0 and 2 <= n_max <= JC_N_MAX):
+        raise InvalidParameter(f"kappa must be >= 0 and n_max >= 2 and <= {JC_N_MAX}, got "
+                               f"{kappa} and {n_max}")
 
 
 def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:

@@ -99,7 +99,7 @@ class PhaseSimConfig:
         return new
 
 
-def _check_bounds(n: int, m: int, tau: Optional[float]) -> None:
+def _check_bounds(n: int, m: int = 1, tau: Optional[float] = None) -> None:
     """ValueError unless 1 <= n <= 12, m >= 1 and tau is None or positive."""
     if not (1 <= n <= 12):
         raise ValueError(f"control-qubit count n must be in [1, 12], got {n}")
@@ -145,7 +145,9 @@ def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
 
     tau * range = 2 pi (2^n - 1)/2^n, so every eigenvalue of a two-level
     spectrum sits exactly on a read-out bin while anti-aliasing still holds.
+    n is checked as PhaseSimConfig checks it (ValueError unless 1 <= n <= 12).
     """
+    _check_bounds(n)
     ev, _ = _spectrum(model, theta)
     rng = float(ev[-1] - ev[0])
     if rng <= 0:
@@ -248,7 +250,7 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     if mode == IDEAL:
         c = np.exp(1j * w * phase)
         dc = None if dphase is None else c * (1j * w * dphase)
-    else:
+    elif mode == REALISTIC:
         spins = np.exp(-1j * phase / cfg.m)
         z = spins.mean(axis=1)
         a = np.abs(z)
@@ -263,6 +265,8 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
             dlog = np.divide(dz, z, out=np.zeros_like(z), where=live)  # da/a + i dphi
             dc = c * (w * (cfg.m * dlog.real[:, None]
                            + 1j * (dphase + cfg.m * dlog.imag[:, None])))
+    else:
+        raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     kinds = [np.stack([np.ones(c.shape), c.real, c.imag], axis=-1)]
     if dphase is not None:
         kinds.append(np.stack([np.zeros(c.shape), dc.real, dc.imag], axis=-1))
@@ -325,14 +329,14 @@ def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
 
 
 def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-            diff: Optional[DiffSpec], mode: str):
-    """(energies at theta, taus -> (values, errors), method, step) of the chosen path.
+            diff: Optional[DiffSpec], jet=None):
+    """(energies at theta, (taus, mode) -> (values, errors), method, step) of the chosen path.
 
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
     energies, the level weights and their exact derivatives from one decomposition
-    of H(theta) (a _jet in the raw gauge: nothing here depends on eigenvector
-    phases), and _readout_chunks carries them through the kernel, so a scan of taus
-    costs a few kernel passes and no further decomposition.  The shifted energies
+    of H(theta) (jet, a _jet at (theta, cfg.t) in any gauge, else a raw-gauge one),
+    and _readout_chunks carries them through the kernel, so a scan of taus in either
+    mode costs a few kernel passes and no further decomposition.  The shifted energies
     move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
     dxi_j = dE_j under a fixed shift.  The error estimate propagates the rounding
     bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
@@ -341,35 +345,33 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     most (2^n - 1) tau |delta xi| (Bernstein's inequality), so every dPr(Q) is off
     by at most d dp_err + (2^n - 1) tau (dxi_err + sum_j p_err_j |dxi_j|).
 
-    An explicit DiffSpec runs the finite-difference oracle, which never reads
-    dh_of: fisher_rows differentiates the read-out (level weights, shifted energies
-    and, in realistic mode, the controllization factors) over the stencil, one
-    decomposition per node.  A tau scores -inf where its bins alias: at theta on
-    the analytic path, at any stencil node on the oracle.
+    An explicit DiffSpec runs the finite-difference oracle, which reads neither dh_of nor
+    jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
+    mode, the controllization factors) over the stencil, one decomposition per node for all
+    scans and modes.  A tau scores -inf where it aliases: at theta, or at any oracle node.
     """
-    if mode not in (IDEAL, REALISTIC):
-        raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     V = cfg.control(model.dim)
     if diff is None:
-        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(_jet(model, theta, cfg.t), V, cfg.factor)
+        jet = _jet(model, theta, cfg.t) if jet is None else jet
+        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(jet, V, cfg.factor)
         dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if cfg.energy_shift is None else (dE, dE_err)
-        jet, dxi_bound = (dxi, dp, p_err), dxi_err + p_err @ np.abs(dxi)
+        level_jet, dxi_bound = (dxi, dp, p_err), dxi_err + p_err @ np.abs(dxi)
         method, step = numdiff.ANALYTIC, 0.0
 
-        def unmasked(taus: np.ndarray):
+        def score(taus: np.ndarray, mode: str):
             values, errs = np.empty(taus.shape), np.empty(taus.shape)
-            for sl, probs, dprobs, probs_err in _readout_chunks(cfg, E, p, taus, mode, jet):
+            for sl, probs, dprobs, probs_err in _readout_chunks(cfg, E, p, taus, mode, level_jet):
                 _require_normalized(probs)
                 dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
                 values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None], probs_err)
-            return values, errs, _aliases(taus, E)
+            return np.where(_aliases(taus, E), -np.inf, values), errs
     else:
         method, step = diff.method, diff.base_step(theta)
         numdiff.check_domain(theta, step, model.theta_domain)
         node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.factor))
         E = node(theta)[0]
 
-        def unmasked(taus: np.ndarray):
+        def score(taus: np.ndarray, mode: str):
             aliased = np.zeros(taus.shape, dtype=bool)
 
             def probs_at(x: float) -> np.ndarray:
@@ -378,13 +380,23 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                 return _readout_probs(cfg, ev, p, taus, mode)
 
             values, errs = fisher_rows(probs_at, theta, diff)
-            return values, errs, aliased
-
-    def score(taus: np.ndarray):
-        values, errs, aliased = unmasked(taus)
-        return np.where(aliased, -np.inf, values), errs
+            return np.where(aliased, -np.inf, values), errs
 
     return E, score, method, step
+
+
+def _readouts(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
+              diff: Optional[DiffSpec], modes, jet=None) -> tuple[float, list[FisherReport]]:
+    """(tau, a FisherReport per mode): _frozen_tau's tau, each mode scored at it by one
+    _scorer (jet as there); AliasingRisk where tau aliases at theta or a stencil node."""
+    E, score, method, step = _scorer(cfg, model, theta, diff, jet)
+    tau = _frozen_tau(cfg, E)
+    scores = [score(np.array([tau]), mode) for mode in modes]
+    if any(values[0] == -np.inf for values, _ in scores):
+        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at a stencil "
+                           "node; bins are not injective")
+    return tau, [FisherReport(value=float(values[0]), method=method, step=step,
+                              error_estimate=float(errs[0])) for values, errs in scores]
 
 
 def fisher_phase_readout(
@@ -404,14 +416,7 @@ def fisher_phase_readout(
     explicit DiffSpec runs the finite-difference stencil instead, the
     oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
-    E, score, method, step = _scorer(cfg, model, theta, diff, mode)
-    tau = _frozen_tau(cfg, E)
-    values, errs = score(np.array([tau]))
-    if values[0] == -np.inf:
-        raise AliasingRisk(f"tau = {tau} gives tau * spectral range >= 2 pi at a stencil "
-                           "node; bins are not injective")
-    return FisherReport(value=float(values[0]), method=method, step=step,
-                        error_estimate=float(errs[0]))
+    return _readouts(cfg, model, theta, diff, (mode,))[1][0]
 
 
 def tune_tau(
@@ -432,13 +437,13 @@ def tune_tau(
     the finite-difference oracle costs one per stencil node and never
     chooses one that aliases at any node.
     """
-    E, score, _, _ = _scorer(cfg, model, theta, diff, mode)
+    E, score, _, _ = _scorer(cfg, model, theta, diff)
     hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
     taus = np.geomspace(hi / 300.0, hi, TAU_COARSE)
-    values, _ = score(taus)
+    values, _ = score(taus, mode)
     best = int(np.argmax(values))
     fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], TAU_REFINE)
-    fine_values, _ = score(fine)
+    fine_values, _ = score(fine, mode)
     candidates = np.concatenate([taus, fine])
     return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
 

@@ -186,6 +186,13 @@ class TestCheckCondition:
 
 
 class TestGBound:
+    @pytest.mark.parametrize("diff", [None, DiffSpec()], ids=["analytic", "oracle"])
+    def test_overflowing_spectral_range_is_invalid(self, diff):
+        """omega = 1e308 puts the energies at -+1e308: their range is no float, so _spectrum
+        raises instead of returning G = nan."""
+        with pytest.raises(InvalidParameter, match="spectral range of H"):
+            g_bound(make_qubit_direction(1e308), 1.0, 1.0, diff)
+
     def test_field_direction_closed_form(self):
         m = make_qubit_direction(1.0)
         ref = reference("direction_g")

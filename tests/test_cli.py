@@ -183,6 +183,15 @@ class TestConfigHandling:
         assert (code, text) == (EXIT_CONFIG, "")
         assert "config error: [model] kappa must be >= 0 and n_max >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", ["1e9", "501"])
+    def test_jc_truncation_has_an_upper_bound(self, tmp_path, capsys, n_max):
+        """n_max above JC_N_MAX is rejected before any Fock matrix is allocated."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nn_max = {n_max}\n")
+        code, text = run(tmp_path, "jc", "--config", str(ini), "--theta", "1:1:1", "--t", "1:1:1")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert "n_max >= 2 and <= 500" in capsys.readouterr().err
+
     def test_flags_may_precede_the_command(self, tmp_path):
         flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
         code_after, after = run(tmp_path, "gbound", *flags)
@@ -288,6 +297,38 @@ class TestNumericalFailures:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "grid point" in err and "DomainBoundary" in err
+
+
+    @pytest.mark.parametrize("command, model, key, theta", [
+        ("gbound", "qubit-direction", "omega", "1"),
+        ("optimize", "qubit-direction", "omega", "1"),
+        ("phase-sim", "qubit-direction", "omega", "1"),
+        ("qfi", "qubit-direction", "omega", "1"),
+        ("gbound", "nv-spin1", "mu", "0.6"),
+    ])
+    def test_overflowing_spectral_range_is_exit_three(self, tmp_path, capsys, command, model,
+                                                      key, theta):
+        """A spectral range beyond the float range is a typed error at its point, raised
+        without a NumPy overflow warning (tier-1 turns warnings into errors)."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{key} = 1e308\n")
+        code, text = run(tmp_path, command, "--config", str(ini), "--model", model,
+                         "--theta", f"{theta}:{theta}:1", "--t", "1:1:1")
+        assert (code, text) == (EXIT_NUMERICAL, "")
+        assert (f"at grid point ({float(theta)}, 1.0): InvalidParameter: spectral range of "
+                f"H({float(theta)}) overflows" in capsys.readouterr().err)
+
+    def test_infinite_hamiltonian_entry_is_exit_three(self, tmp_path, capsys):
+        """nv-spin1's own arithmetic overflows H(1) to inf at mu = 1e308 (NumPy's warnings for
+        that are switched off here); the Hermiticity check rejects it before eigh."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nmu = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, text = run(tmp_path, "gbound", "--config", str(ini), "--model", "nv-spin1",
+                             "--theta", "1:1:1", "--t", "1:1:1")
+        assert (code, text) == (EXIT_NUMERICAL, "")
+        assert ("at grid point (1.0, 1.0): NonHermitianInput: matrix has a NaN or infinite "
+                "entry" in capsys.readouterr().err)
 
 
 class TestSweepOutputs:
@@ -513,8 +554,8 @@ class TestDecompositionCounts:
         assert decompositions[0] == 3
 
     def test_phase_sim_point(self, decompositions, tmp_path):
-        """Six per point: the jet and two generators, rho0's factor and one per read-out
-        mode; the jet's energies give the default tau.  None per run."""
+        """Four per point: the jet and two generators, and rho0's factor; both read-out
+        modes and the default tau read that jet.  None per run."""
         counts = []
         for points in (1, 2):
             decompositions[0] = 0
@@ -522,7 +563,7 @@ class TestDecompositionCounts:
                           f"0.8:1.2:{points}", "--t", "1.7:1.7:1", "--n", "6", "--m", "3")
             assert code == EXIT_OK
             counts.append(decompositions[0])
-        assert counts == [6, 12]
+        assert counts == [4, 8]
 
     def test_jc_point(self, decompositions, tmp_path):
         """The read-out jet decomposes the hopping at most once per run, never per point."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmet
+from qmet import cem, cli, phasesim
 from qmet.cem import (
     cem_outcome_model,
     diagonalizer,
@@ -65,6 +66,37 @@ def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():
     checks the domain; HamiltonianModel.u_of keeps its own expm route as the
     finite-difference oracle's independent path."""
     assert h_of_callers() == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
+
+
+@pytest.mark.parametrize("argv, per_point", [
+    (("gbound",), 1),
+    (("qfi",), 1),
+    (("optimize", "--config", "optimizer.ini"), 1),
+    (("phase-sim",), 1),
+    (("phase-sim", "--config", "diff.ini"), 8),  # the jet and the read-out's 7 Richardson nodes
+], ids=["gbound", "qfi", "optimize", "phase-sim", "phase-sim-diff"])
+def test_cli_points_take_one_spectrum_each(argv, per_point, tmp_path, monkeypatch):
+    """Every CLI probe command decomposes H(theta) once per point, and never per run: one
+    jet feeds every column, both read-out modes and the tau."""
+    (tmp_path / "optimizer.ini").write_text("[optimizer]\nrestarts = 2\niterations = 20\n")
+    (tmp_path / "diff.ini").write_text("[diff]\n")
+    monkeypatch.chdir(tmp_path)
+    calls = [0]
+    spectrum = cem._spectrum
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cem, "_spectrum", counted)
+    monkeypatch.setattr(phasesim, "_spectrum", counted)
+    counts = []
+    for points in (1, 2):
+        calls[0] = 0
+        assert cli.main([*argv, "--model", "nv-spin1", "--theta", f"0.8:1.2:{points}",
+                         "--t", "1.7:1.7:1", "--n", "6", "--out", "out.csv"]) == cli.EXIT_OK
+        counts.append(calls[0])
+    assert counts == [per_point, 2 * per_point]
 
 
 def ground_projector(d):
@@ -158,3 +190,12 @@ class TestDimensionMismatch:
                 encoded_qfi(model, self.theta, self.t, rho0, diff)
         report, _ = encoded_qfi(model, self.theta, self.t, ground_projector(3), diff)
         assert report.value >= 0.0
+
+    @pytest.mark.parametrize("diff", [None, DiffSpec()])
+    def test_encoded_qfi_needs_a_density_matrix(self, diff):
+        """require_density's messages, from the decomposition of rho that the SLD makes."""
+        model, P = make_qubit_direction(1.0), ground_projector(2)
+        with pytest.raises(DimensionMismatch, match="density matrix trace 2.0 != 1"):
+            encoded_qfi(model, self.theta, self.t, 2.0 * P, diff)
+        with pytest.raises(DimensionMismatch, match="negative eigenvalue -5.000e-01"):
+            encoded_qfi(model, self.theta, self.t, np.diag([1.5, -0.5]).astype(complex), diff)

@@ -51,6 +51,23 @@ class TestValidators:
         with pytest.raises(DimensionMismatch, match="trace"):
             require_density(np.diag([0.5, 0.6]))
 
+    @pytest.mark.parametrize("entry", [(0, 0, math.nan), (0, 1, math.inf), (1, 0, -math.inf)])
+    def test_require_hermitian_rejects_a_non_finite_entry(self, entry):
+        """A NaN defect fails the strict test, and so does an infinite one."""
+        j, k, value = entry
+        A = np.eye(2, dtype=complex)
+        A[j, k] = value
+        with pytest.raises(NonHermitianInput, match="NaN or infinite entry"):
+            require_hermitian(A)
+        with pytest.raises(NonHermitianInput, match="NaN or infinite entry"):
+            require_hermitian(np.stack([np.eye(2), A]))
+
+    def test_require_hermitian_rejects_a_mirrored_infinite_entry(self):
+        """inf - inf makes the defect NaN; NumPy's warning for that is switched off here."""
+        A = np.array([[0.0, math.inf], [math.inf, 1.0]], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(NonHermitianInput):
+            require_hermitian(A)
+
     def test_require_state(self):
         assert np.array_equal(require_state([[0.6], [0.8j]]), np.array([0.6, 0.8j]))
         with pytest.raises(DimensionMismatch, match="state norm"):
@@ -254,6 +271,12 @@ class TestDegeneracyGate:
 
     def test_well_separated_passes(self):
         require_nondegenerate(np.array([0.0, 1.0, 2.0]))
+
+    def test_a_range_beyond_the_float_range_does_not_overflow(self):
+        """Halved eigenvalues decide the test; no overflow warning (an error in tier-1)."""
+        require_nondegenerate(np.array([-1e308, 0.0, 1e308]))
+        with pytest.raises(DegenerateSpectrum):
+            require_nondegenerate(np.array([-1e308, 1e308 - 1e299, 1e308]))
 
 
 class TestEighNondegenerate:

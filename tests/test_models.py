@@ -156,6 +156,14 @@ class TestJaynesCummings:
         with pytest.raises(InvalidParameter):
             jc_readout_model(kappa, 1.0, math.sqrt(0.5), math.sqrt(0.5), n_max)
 
+    @pytest.mark.parametrize("n_max", [10**9, models.JC_N_MAX + 1])
+    def test_both_factories_bound_the_truncation(self, n_max):
+        """Rejected before _ladder allocates its (n_max + 1)^2 matrix."""
+        with pytest.raises(InvalidParameter, match="n_max"):
+            make_jaynes_cummings(0.5, n_max)
+        with pytest.raises(InvalidParameter, match="n_max"):
+            jc_readout_model(0.5, 1.0, math.sqrt(0.5), math.sqrt(0.5), n_max)
+
     def test_both_factories_accept_the_range_edges(self):
         assert make_jaynes_cummings(0.0, 2).dim == 6
         pm = jc_readout_model(0.0, 1.0, math.sqrt(0.5), math.sqrt(0.5), 2)

@@ -393,6 +393,11 @@ class TestConfigValidation:
         tau = aligned_tau(model, 1.0, 6)
         assert tau * 2.0 < 2 * math.pi  # spectral range is 2
 
+    @pytest.mark.parametrize("n", [0, -1, 13])
+    def test_aligned_tau_checks_n_as_the_config_does(self, n):
+        with pytest.raises(ValueError, match="control-qubit count"):
+            aligned_tau(make_qubit_direction(1.0), 0.8, n)
+
     def test_aligned_tau_needs_two_levels(self):
         with pytest.raises(AliasingRisk, match="zero range"):
             aligned_tau(fixed_model([[0.7]]), 1.0, 6)
@@ -573,7 +578,7 @@ class TestBatchedReadoutMatchesSerial:
     def test_tau_scan(self, model_name, n, mode, diff, shift):
         cfg, model, theta = scan_case(model_name, n, shift)
         candidates, ref_values, ref_best = ref_tune_tau(cfg, model, theta, mode, diff)
-        values, _ = phasesim._scorer(cfg, model, theta, diff, mode)[1](candidates)
+        values, _ = phasesim._scorer(cfg, model, theta, diff)[1](candidates, mode)
         aliased = np.isneginf(ref_values)
         assert np.array_equal(np.isneginf(values), aliased)
         if model_name == "steep":
@@ -609,7 +614,7 @@ def jet_inputs(cfg, model, theta):
 
 def oracle_scores(cfg, model, theta, taus, mode):
     """Richardson read-out Fisher values at every tau, through the library's stencil."""
-    return phasesim._scorer(cfg, model, theta, DEFAULT_DIFF, mode)[1](taus)[0]
+    return phasesim._scorer(cfg, model, theta, DEFAULT_DIFF)[1](taus, mode)[0]
 
 
 class TestAnalyticReadout:
@@ -621,16 +626,16 @@ class TestAnalyticReadout:
     @pytest.mark.parametrize("shift", [None, 0.0])
     def test_scan_agrees_with_richardson(self, model_name, n, mode, shift):
         cfg, model, theta = scan_case(model_name, n, shift)
-        E, score, method, step = phasesim._scorer(cfg, model, theta, None, mode)
+        E, score, method, step = phasesim._scorer(cfg, model, theta, None)
         assert (method, step) == ("analytic", 0.0)
         hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
         coarse = np.geomspace(hi / 300.0, hi, 32)
-        values, errs = score(coarse)
+        values, errs = score(coarse, mode)
         ref_values = oracle_scores(cfg, model, theta, coarse, mode)
         fine = [np.linspace(coarse[max(b - 1, 0)], coarse[min(b + 1, 31)], 16)
                 for b in (int(np.argmax(values)), int(np.argmax(ref_values)))]
         taus = np.concatenate([coarse] + fine)  # both paths' full candidate sets
-        values, errs = score(taus)
+        values, errs = score(taus, mode)
         ref_values = oracle_scores(cfg, model, theta, taus, mode)
         assert np.all(np.isfinite(values)) and np.all((0.0 < errs) & (errs < np.inf))
         assert np.all(np.abs(values - ref_values) <= SCAN_TOL * np.maximum(np.abs(ref_values), 1.0))
@@ -672,7 +677,7 @@ class TestAnalyticReadout:
         tau = 0.5 * default_tau(model, theta)
         for mode in ("ideal", "realistic"):
             report = fisher_phase_readout(cfg.with_tau(tau), model, theta, CENTRAL, mode)
-            values, errs = phasesim._scorer(cfg, model, theta, CENTRAL, mode)[1](np.array([tau]))
+            values, errs = phasesim._scorer(cfg, model, theta, CENTRAL)[1](np.array([tau]), mode)
             assert (report.value, report.error_estimate) == (values[0], errs[0])
             assert (report.method, report.step) == ("central-fd", CENTRAL.base_step(theta))
 
@@ -720,7 +725,7 @@ class TestBatchMatchesSingleTau:
         cfg, model, theta = scan_case("nv-spin1", n, None)
         hi = 0.98 * 2.0 * math.pi / float(np.ptp(np.linalg.eigvalsh(model.h_of(theta))))
         taus = np.geomspace(hi / 300.0, hi, 20)
-        values, errs = phasesim._scorer(cfg, model, theta, diff, mode)[1](taus)
+        values, errs = phasesim._scorer(cfg, model, theta, diff)[1](taus, mode)
         for tau, value, err in zip(taus, values, errs):
             report = fisher_phase_readout(cfg.with_tau(float(tau)), model, theta, diff, mode)
             assert report.value == value
@@ -747,10 +752,10 @@ class TestBatchMatchesSingleTau:
             return kernels, dkernels
 
         monkeypatch.setattr(phasesim, "_level_products", bounded)
-        E, score, _, _ = phasesim._scorer(cfg, model, theta, None, mode)
+        E, score, _, _ = phasesim._scorer(cfg, model, theta, None)
         hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
         taus = np.geomspace(hi / 300.0, hi, phasesim.TAU_COARSE + phasesim.TAU_REFINE)
-        values, errs = score(taus)
+        values, errs = score(taus, mode)
         scan = passes[:]
         assert sum(count for count, _ in scan) == taus.size
         for count, scratch in scan[:-1]:
@@ -758,7 +763,7 @@ class TestBatchMatchesSingleTau:
         if n == 6:
             assert len(scan) == 1
         for k in range(taus.size):
-            value, err = score(taus[k:k + 1])
+            value, err = score(taus[k:k + 1], mode)
             assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
                                                          errs[k:k + 1].tobytes())
 
