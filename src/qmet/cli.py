@@ -6,18 +6,21 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 'jc' and 'oscillator' evaluate the two measurement-model examples, and
 'selftest' executes the randomized property suites.
 
-One parser, built at import, takes the command and ten flags, in any order.
-A run is configured by defaults, then an INI file (sections [model], [grid],
+One parser, built at import, takes the command and ten flags, in any order.  A
+run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
 before.  One settings table maps every INI key to its RunConfig field and,
 where a flag of the same name exists, to that flag; one probe-model table
-holds each probe's factory and closed forms.  The 'qfi' column, the 'jc'
-classical Fisher information and the 'phase-sim' read-out Fisher
-information are analytic by default; a [diff] section (method defaults to
-richardson-fd) switches all three to the finite-difference oracle.  The
-generators behind G and max_qfi are always analytic.  With a fixed seed,
-repeated runs produce byte-identical output; every file carries its config
-hash.
+holds each probe's factory and closed forms.  One sweep table gives each
+command its row builder, columns and models, and one loop runs every sweep: a
+point's numerical failure, a Python float overflow included, or a non-finite
+value in a column not declared as possibly non-finite, is exit 3 naming that
+point.  The 'qfi' column, the 'jc' classical Fisher information and the
+'phase-sim' read-out Fisher information are analytic by default; a [diff]
+section (method defaults to richardson-fd) switches all three to the
+finite-difference oracle.  The generators behind G and max_qfi are always
+analytic.  With a fixed seed, repeated runs produce byte-identical output;
+every file carries its config hash.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -39,7 +43,6 @@ from .cem import _optimize, _optimum, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
-    HamiltonianModel,
     jc_readout_model,
     make_nv_spin1,
     make_qubit_direction,
@@ -155,21 +158,6 @@ _PROBES = {
 }
 
 
-def build_model(cfg: RunConfig) -> HamiltonianModel:
-    """The probe model of cfg; a parameter its factory rejects is a ConfigError."""
-    try:
-        return _PROBES[cfg.model].build(cfg.model_params)
-    except InvalidParameter as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-
-
-# The first model of each command is its default.
-_COMMAND_ALLOWED_MODELS = {
-    "jc": ("jaynes-cummings",),
-    "oscillator": ("oscillator",),
-    **dict.fromkeys(("qfi", "gbound", "optimize", "phase-sim"), tuple(_PROBES)),
-}
-
 # (INI section, key, RunConfig field, parser).  Where the CLI has a flag named
 # like the key, the flag overrides the INI value through the same parser.
 _SETTINGS = (
@@ -199,8 +187,8 @@ def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse):
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the INI file, then flags, each overriding the one before; then checks."""
-    cfg = RunConfig(command=args.command)
-    cfg.model = _COMMAND_ALLOWED_MODELS.get(args.command, (cfg.model,))[0]
+    cfg, sweep = RunConfig(command=args.command), _SWEEPS.get(args.command)
+    cfg.model = sweep.models[0] if sweep is not None else cfg.model
     ini = configparser.ConfigParser()
     ini.optionxform = str  # model parameters like D and E are case-sensitive
     if args.config is not None and not ini.read(args.config):
@@ -224,10 +212,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.model not in _MODEL_DEFAULTS:
         raise ConfigError(f"unknown model {cfg.model!r}; choose from "
                           f"{', '.join(sorted(_MODEL_DEFAULTS))}")
-    allowed = _COMMAND_ALLOWED_MODELS.get(args.command)
-    if allowed is not None and cfg.model not in allowed:
+    if sweep is not None and cfg.model not in sweep.models:
         raise ConfigError(f"command {args.command!r} supports models "
-                          f"{', '.join(allowed)}, got {cfg.model!r}")
+                          f"{', '.join(sweep.models)}, got {cfg.model!r}")
     params = dict(_MODEL_DEFAULTS[cfg.model])
     for key in cfg.model_params:
         if key not in params:
@@ -256,29 +243,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[diff] {exc}") from exc
     return cfg
-
-
-class SweepFailure(Exception):
-    """A grid point failed numerically; carries the point for diagnostics."""
-
-    def __init__(self, item, cause: QmetError):
-        super().__init__(f"at grid point {item}: {type(cause).__name__}: {cause}")
-        self.item = item
-        self.cause = cause
-
-
-def map_grid(fn, items):
-    """Evaluate fn over items in order.
-
-    Numerical errors are wrapped together with the offending grid point.
-    """
-    def safe(item):
-        try:
-            return fn(item)
-        except QmetError as exc:
-            raise SweepFailure(item, exc) from exc
-
-    return [safe(item) for item in items]
 
 
 def _fmt(value) -> str:
@@ -311,17 +275,14 @@ def write_records(cfg: RunConfig, columns, records) -> None:
             fh.write(text)
 
 
-def _grid_points(cfg: RunConfig):
-    return [(float(q), float(t)) for q in cfg.theta_grid for t in cfg.t_grid]
-
-
-def cmd_qfi(cfg: RunConfig) -> int:
-    model, probe, p = build_model(cfg), _PROBES[cfg.model], cfg.model_params
+def _qfi_row(cfg: RunConfig):
+    probe, p = _PROBES[cfg.model], cfg.model_params
+    model = probe.build(p)
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[0, 0] = 1.0  # the projector on the first basis state
     diff = cfg.diff()
 
-    def one(point):
+    def row(point):
         theta, t = point
         report, sigma_dyn = encoded_qfi(model, theta, t, rho0, diff)
         value, max_value = report.value, sigma_dyn ** 2
@@ -331,16 +292,14 @@ def cmd_qfi(cfg: RunConfig) -> int:
         return (theta, t, value, report.error_estimate, ref, abs_err,
                 max_value, max_ref, max_abs_err)
 
-    records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("theta", "t", "qfi", "qfi_err", "qfi_ref", "abs_err",
-                        "max_qfi", "max_qfi_ref", "max_abs_err"), records)
-    return EXIT_OK
+    return row
 
 
-def cmd_gbound(cfg: RunConfig) -> int:
-    model, probe = build_model(cfg), _PROBES[cfg.model]
+def _gbound_row(cfg: RunConfig):
+    probe = _PROBES[cfg.model]
+    model = probe.build(cfg.model_params)
 
-    def one(point):
+    def row(point):
         theta, t = point
         sol = g_bound(model, theta, t)
         max_value = sol.gaps[0] ** 2
@@ -349,65 +308,54 @@ def cmd_gbound(cfg: RunConfig) -> int:
         gamma = max_value / sol.G_value if sol.G_value > 0 else math.inf
         return (theta, t, sol.G_value, ref, abs_err, sol.condition_holds, max_value, gamma)
 
-    records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("theta", "t", "g", "g_ref", "abs_err",
-                        "condition", "max_qfi", "gamma"), records)
-    return EXIT_OK
+    return row
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    model = build_model(cfg)
+def _optimize_row(cfg: RunConfig):
+    model = _PROBES[cfg.model].build(cfg.model_params)
 
-    def one(point):
+    def row(point):
         theta, t = point
         sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed)
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
         return (cfg.restarts, cfg.iterations, cfg.seed, theta, t, best, sol.G_value, gap,
                 sol.condition_holds)
 
-    records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("restarts", "iterations", "seed", "theta", "t", "best_fi", "g",
-                        "rel_gap", "condition"), records)
-    return EXIT_OK
+    return row
 
 
-def cmd_phase_sim(cfg: RunConfig) -> int:
-    model = build_model(cfg)
+def _phase_sim_row(cfg: RunConfig):
+    model = _PROBES[cfg.model].build(cfg.model_params)
     diff = cfg.diff()
     try:  # PhaseSimConfig's bounds on n, m and tau
         _check_bounds(cfg.n, cfg.m, cfg.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def one(point):
+    def row(point):
         theta, t = point
         jet, sol = _optimum(model, theta, t)  # g_bound's; the read-out reuses its jet
         sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=t, V=sol.V_opt,
                              rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
         tau, (ideal, real) = _readouts(sim, model, theta, diff, (IDEAL, REALISTIC), jet)
+        G = sol.G_value
+        ratios = (ideal.value / G, real.value / G) if G > 0 else (math.nan, math.nan)
         return (cfg.n, cfg.m, tau, theta, t, ideal.value, ideal.error_estimate, real.value,
-                real.error_estimate, sol.G_value, ideal.value / sol.G_value,
-                real.value / sol.G_value)
+                real.error_estimate, G, *ratios)
 
-    records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("n", "m", "tau", "theta", "t", "fi_ideal", "fi_ideal_err",
-                        "fi_realistic", "fi_realistic_err", "g", "ratio_ideal",
-                        "ratio_realistic"), records)
-    return EXIT_OK
+    return row
 
 
-def cmd_jc(cfg: RunConfig) -> int:
+def _jc_row(cfg: RunConfig):
     p = cfg.model_params
     alpha1_sq = p["alpha1_sq"]
     alpha0, alpha1 = math.sqrt(1.0 - alpha1_sq), math.sqrt(alpha1_sq)
     diff = cfg.diff()
-    try:  # one read-out model per t; jc_readout_model owns the ranges of kappa and n_max
-        readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-                   for t in cfg.t_grid.tolist()}
-    except InvalidParameter as exc:
-        raise ConfigError(f"[model] {exc}") from exc
+    # One read-out model per t; jc_readout_model owns the ranges of kappa and n_max.
+    readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
+               for t in cfg.t_grid.tolist()}
 
-    def one(point):
+    def row(point):
         omega, t = point
         fc_sim = classical_fisher(readout[t], omega, diff)  # first: it checks omega in (0, inf)
         fq = reference("jc_qfi")(t=t, alpha1_sq=alpha1_sq)
@@ -419,27 +367,69 @@ def cmd_jc(cfg: RunConfig) -> int:
         return (omega, t, fq, fc_sim.value, fc_sim.error_estimate, fc_ref, gamma,
                 (not divergent) and gamma > 1.0, threshold, region, divergent)
 
-    records = map_grid(one, _grid_points(cfg))
-    write_records(cfg, ("omega", "t", "fq_ref", "fc_sim", "fc_sim_err", "fc_ref", "gamma",
-                        "gamma_gt1", "alpha0sq_threshold", "enhancement_region",
-                        "gamma_divergent"), records)
-    return EXIT_OK
+    return row
 
 
-def cmd_oscillator(cfg: RunConfig) -> int:
-    p = cfg.model_params
-    mass, omega = p["mass"], p["omega"]
+def _oscillator_row(cfg: RunConfig):
+    mass, omega = cfg.model_params["mass"], cfg.model_params["omega"]
 
-    def one(t):
+    def row(t):
         fq = reference("oscillator_qfi")(m=mass, omega=omega, t=t)
         fc = reference("oscillator_fc")(m=mass, omega=omega)
         gamma = reference("oscillator_gamma")(omega=omega, t=t)
         small_sine = abs(math.sin(omega * t / 2.0)) < 0.5
         return (omega, t, fq, fc, gamma, gamma > 1.0, small_sine)
 
-    records = map_grid(one, [float(t) for t in cfg.t_grid])
-    write_records(cfg, ("omega", "t", "fq_ref", "fc_ref", "gamma",
-                        "gamma_gt1", "small_sine_region"), records)
+    return row
+
+
+# One entry per sweep command: its row builder, which does the once-per-run set-up and
+# returns row(point); its columns; those of them that may hold a non-finite value; and
+# the models it accepts, the first being its default.
+_Sweep = namedtuple("_Sweep", "build columns nonfinite models", defaults=(tuple(_PROBES),))
+_SWEEPS = {
+    "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "
+                  "max_abs_err", "qfi_ref abs_err"),
+    "gbound": _Sweep(_gbound_row, "theta t g g_ref abs_err condition max_qfi gamma", "gamma"),
+    "optimize": _Sweep(_optimize_row, "restarts iterations seed theta t best_fi g rel_gap "
+                       "condition", "rel_gap"),
+    "phase-sim": _Sweep(_phase_sim_row, "n m tau theta t fi_ideal fi_ideal_err fi_realistic "
+                        "fi_realistic_err g ratio_ideal ratio_realistic",
+                        "ratio_ideal ratio_realistic"),
+    "jc": _Sweep(_jc_row, "omega t fq_ref fc_sim fc_sim_err fc_ref gamma gamma_gt1 "
+                 "alpha0sq_threshold enhancement_region gamma_divergent",
+                 "gamma alpha0sq_threshold", ("jaynes-cummings",)),
+    "oscillator": _Sweep(_oscillator_row, "omega t fq_ref fc_ref gamma gamma_gt1 "
+                         "small_sine_region", "gamma", ("oscillator",)),
+}
+
+
+def _sweep(cfg: RunConfig, sweep: _Sweep) -> int:
+    """Rows at every grid point in order, written once.  A parameter the builder rejects
+    is a [model] ConfigError.  The first row that raises a QmetError or ArithmeticError,
+    or holds a non-finite value outside sweep.nonfinite, is exit 3 naming its point.
+    NumPy's floating-point warnings are off meanwhile; that finiteness rule replaces them."""
+    try:
+        row = sweep.build(cfg)
+    except InvalidParameter as exc:
+        raise ConfigError(f"[model] {exc}") from exc
+    columns, nonfinite = sweep.columns.split(), sweep.nonfinite.split()
+    # The oscillator's closed forms take t alone; every other model sweeps theta x t.
+    points = (cfg.t_grid.tolist() if cfg.model == "oscillator"
+              else itertools.product(cfg.theta_grid.tolist(), cfg.t_grid.tolist()))
+    records = []
+    with np.errstate(all="ignore"):
+        for point in points:
+            try:
+                records.append(row(point))
+                for name, value in zip(columns, records[-1]):
+                    if not (math.isfinite(value) or name in nonfinite):
+                        raise ArithmeticError(f"non-finite {name} = {value}")
+            except (QmetError, ArithmeticError) as exc:
+                print(f"numerical failure at grid point {point}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                return EXIT_NUMERICAL
+    write_records(cfg, columns, records)
     return EXIT_OK
 
 
@@ -454,22 +444,11 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
-_COMMANDS = {
-    "qfi": cmd_qfi,
-    "gbound": cmd_gbound,
-    "optimize": cmd_optimize,
-    "phase-sim": cmd_phase_sim,
-    "jc": cmd_jc,
-    "oscillator": cmd_oscillator,
-    "selftest": cmd_selftest,
-}
-
-
 _PARSER = argparse.ArgumentParser(
     prog="qmet",
     description="Fisher-information sweeps for controlled energy measurements",
 )
-_PARSER.add_argument("command", choices=tuple(_COMMANDS))
+_PARSER.add_argument("command", choices=(*_SWEEPS, "selftest"))
 _PARSER.add_argument("--config", help="INI config file")
 _PARSER.add_argument("--model", help="model name")
 _PARSER.add_argument("--theta", help="theta grid START:STOP:N")
@@ -485,13 +464,11 @@ _PARSER.add_argument("--format", choices=("csv", "json"))
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](resolve_config(args))
+        cfg = resolve_config(args)
+        return _sweep(cfg, _SWEEPS[cfg.command]) if cfg.command in _SWEEPS else cmd_selftest(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SweepFailure as exc:
-        print(f"numerical failure {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except QmetError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

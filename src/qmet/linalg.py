@@ -96,11 +96,6 @@ class Eigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of lambda_k |v_k><v_k|."""
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
 
 def fix_phases(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-modulus entry real and nonnegative.

@@ -26,7 +26,6 @@ from .fisher import OutcomeDistribution, ProbabilityModel
 from .linalg import expm_unitary, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Spin-1 matrices with the normalization used by the NV closed forms below
@@ -121,14 +120,6 @@ def _jc_hopping(n_max: int) -> np.ndarray:
     K = np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
     K.flags.writeable = False
     return K
-
-
-def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
-    """Atom-field interaction Omega (a^dag sigma_- + a sigma_+) with Omega = kappa sqrt(omega).
-
-    Atom factor first (|g>, |e>), field factor second.
-    """
-    return kappa * math.sqrt(omega) * _jc_hopping(n_max)
 
 
 def _check_jc(kappa: float, n_max: int) -> None:  # both Jaynes-Cummings factories
@@ -307,6 +298,8 @@ def _jc_qfi(t: float, alpha1_sq: float) -> float:
 def _jc_fc(omega: float, kappa: float, t: float, alpha1_sq: float) -> float:
     Om = kappa * math.sqrt(omega)
     s2 = math.sin(Om * t) ** 2
+    if alpha1_sq == 1.0:  # the factor (1 - s2) / (1 - s2) is 1, also where s2 rounds to 1
+        return (Om * t / omega) ** 2
     return (Om * t / omega) ** 2 * alpha1_sq * (1.0 - s2) / (1.0 - alpha1_sq * s2)
 
 

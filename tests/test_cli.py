@@ -318,6 +318,39 @@ class TestNumericalFailures:
         assert (f"at grid point ({float(theta)}, 1.0): InvalidParameter: spectral range of "
                 f"H({float(theta)}) overflows" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, key, value, point, cause", [
+        ("gbound", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
+        ("qfi", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
+        ("optimize", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
+        ("phase-sim", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
+        ("phase-sim", "omega", "1e150", "(1.0, 1.0)",
+         "ArithmeticError: non-finite fi_ideal_err = inf"),
+        ("oscillator", "omega", "1e150", "1.0", "OverflowError"),
+        ("oscillator", "omega", "1e-150", "1.0", "ZeroDivisionError"),
+    ])
+    def test_overflow_is_exit_three(self, tmp_path, capsys, command, key, value, point, cause):
+        """A value that leaves the float range, by a Python float raising or by a NumPy
+        result that is inf or NaN in a column not declared non-finite, is exit 3 at its
+        point; no NumPy warning escapes (tier-1 turns warnings into errors)."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{key} = {value}\n[optimizer]\nrestarts = 1\niterations = 4\n")
+        code, text = run(tmp_path, command, "--config", str(ini),
+                         "--theta", "1:1:1", "--t", "1:1:1")
+        assert (code, text) == (EXIT_NUMERICAL, "")
+        assert f"numerical failure at grid point {point}: {cause}" in capsys.readouterr().err
+
+    def test_failure_mid_grid_names_the_first_failing_point(self, tmp_path, capsys):
+        """The first two rows succeed; (3.5, 1.0) and every later point leave (0, pi).  The
+        first failing point in grid order is named, and nothing is written."""
+        code, text = run(tmp_path, "gbound", "--model", "qubit-direction",
+                         "--theta", "2.5:4.5:3", "--t", "1:2:2")
+        assert code == EXIT_NUMERICAL
+        assert not (tmp_path / "out.txt").exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure at grid point (3.5, 1.0): DomainBoundary: parameter "
+                       f"value 3.5 is outside the open domain (0.0, {math.pi})\n")
+
     def test_infinite_hamiltonian_entry_is_exit_three(self, tmp_path, capsys):
         """nv-spin1's own arithmetic overflows H(1) to inf at mu = 1e308 (NumPy's warnings for
         that are switched off here); the Hermiticity check rejects it before eigh."""
@@ -373,6 +406,18 @@ class TestSweepOutputs:
             value, err = float(row[f"fi_{mode}"]), float(row[f"fi_{mode}_err"])
             assert 0.0 < err <= 1e-9 * max(value, 1.0)
 
+    def test_phase_sim_ratios_are_nan_where_g_vanishes(self, tmp_path):
+        """nv-spin1 with E = 0 has a theta-independent eigenbasis, so G = 0 at t = 0."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nE = 0\n")
+        code, text = run(tmp_path, "phase-sim", "--config", str(ini), "--model", "nv-spin1",
+                         "--theta", "0.7:0.7:1", "--t", "0:0:1")
+        assert code == EXIT_OK
+        _, (row,) = parse_csv(text)
+        assert row["g"] == "0"
+        assert (row["ratio_ideal"], row["ratio_realistic"]) == ("nan", "nan")
+        assert math.isfinite(float(row["fi_ideal"])) and math.isfinite(float(row["fi_realistic"]))
+
     def test_optimize_report(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[optimizer]\nrestarts = 1\niterations = 30\n")
@@ -399,6 +444,20 @@ class TestSweepOutputs:
             omega, t = float(row["omega"]), float(row["t"])
             expected = (0.5 * math.sqrt(omega) * t / omega) ** 2
             assert float(row["fc_sim"]) == pytest.approx(expected, rel=1e-6)
+
+    def test_jc_excited_preparation_at_a_full_sine(self, tmp_path):
+        """At alpha1_sq = 1 the read-out factor is 1 for every t, also where sin^2(Omega t)
+        rounds to 1, so fc_ref is (Omega t / omega)^2."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nkappa = 1\nalpha1_sq = 1\n")
+        t = math.pi / 2.0
+        code, text = run(tmp_path, "jc", "--config", str(ini), "--theta", "1:1:1",
+                         "--t", f"{t!r}:{t!r}:1")
+        assert code == EXIT_OK
+        _, (row,) = parse_csv(text)
+        assert math.sin(t) ** 2 == 1.0
+        assert row["fc_ref"] == _fmt(t ** 2)
+        assert (row["fq_ref"], row["gamma"], row["gamma_divergent"]) == ("0", "inf", "1")
 
     def test_jc_simulation_tracks_closed_form(self, tmp_path):
         code, text = run(tmp_path, "jc", "--model", "jaynes-cummings",

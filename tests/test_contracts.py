@@ -68,6 +68,27 @@ def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():
     assert h_of_callers() == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
 
 
+def cli_handlers_naming(error):
+    """{top-level function of cli.py} with an `except` clause that names error."""
+    found = set()
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for func in tree.body:
+        for node in ast.walk(func):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                    isinstance(name, ast.Name) and name.id == error
+                    for name in ast.walk(node.type)):
+                found.add(func.name)
+    return found
+
+
+def test_the_cli_has_one_sweep_loop():
+    """Only the sweep driver turns a point's failure into exit 3 and a builder's rejected
+    parameter into a config error; main catches what escapes a command.  A command that
+    grew its own loop or failure path would need a handler of its own."""
+    assert cli_handlers_naming("QmetError") == {"_sweep", "main"}
+    assert cli_handlers_naming("InvalidParameter") == {"_sweep"}
+
+
 @pytest.mark.parametrize("argv, per_point", [
     (("gbound",), 1),
     (("qfi",), 1),

@@ -109,7 +109,8 @@ class TestEigHermitian:
             d = int(rng.integers(2, 6))
             M = random_hermitian(rng, d)
             es = eig_hermitian(M)
-            assert np.max(np.abs(es.reconstruct() - M)) <= 1e-9
+            V = es.eigenvectors  # sum of lambda_k |v_k><v_k|
+            assert np.max(np.abs((V * es.eigenvalues) @ V.conj().T - M)) <= 1e-9
             assert np.all(np.diff(es.eigenvalues) <= 1e-12)
             # pairwise orthonormality
             gram = es.eigenvectors.conj().T @ es.eigenvectors

@@ -14,7 +14,6 @@ from qmet.models import (
     SIGMA_Z,
     SPIN1_X,
     SPIN1_Y,
-    jc_coupling,
     jc_field_state,
     jc_readout_model,
     make_jaynes_cummings,
@@ -27,6 +26,15 @@ from qmet.models import (
 from qmet.numdiff import DiffSpec
 
 from stencils import central5
+
+
+def jc_coupling(omega: float, kappa: float, n_max: int) -> np.ndarray:
+    """Atom-field interaction Omega (a^dag sigma_- + a sigma_+) with Omega = kappa sqrt(omega).
+
+    Atom factor first (|g>, |e>), field factor second.
+    """
+    return kappa * math.sqrt(omega) * models._jc_hopping(n_max)
+
 
 # (omega, t, alpha1^2): both regions of the read-out, the excited preparation, long times.
 JC_POINTS = [(0.6, 0.7, 0.5), (1.0, 2.1, 0.5), (1.7, 0.7, 0.96),
@@ -295,6 +303,17 @@ class TestReferences:
             gamma = reference("oscillator_gamma")(omega=1.0, t=wt)
             assert fc / fq == pytest.approx(gamma, rel=1e-12)
             assert (gamma > 1.0) == (abs(math.sin(wt / 2)) < 0.5)
+
+    def test_jc_fc_at_the_excited_preparation(self):
+        """At alpha1_sq = 1 the factor alpha (1 - s^2) / (1 - alpha s^2) is 1 for every t,
+        so F_C is (Omega t / omega)^2, also where s^2 = sin^2(Omega t) rounds to 1."""
+        for omega, kappa, t in ((1.0, 1.0, math.pi / 2), (4.0, 0.5, math.pi / 2), (0.7, 1.3, 2.1)):
+            Om = kappa * math.sqrt(omega)
+            fc = reference("jc_fc")(omega=omega, kappa=kappa, t=t, alpha1_sq=1.0)
+            assert fc == (Om * t / omega) ** 2
+        assert math.sin(math.pi / 2) ** 2 == 1.0  # the first two points had 0 / 0
+        below = reference("jc_fc")(omega=0.7, kappa=1.3, t=2.1, alpha1_sq=1.0 - 1e-12)
+        assert below == pytest.approx(fc, rel=1e-9)
 
     def test_unknown_reference(self):
         with pytest.raises(UnknownReference):
