@@ -30,6 +30,7 @@ from .fisher import (
     OutcomeDistribution,
     ProbabilityModel,
     _qfi_report,
+    _sld_parts,
     classical_fisher,
     qfi,
 )
@@ -417,7 +418,8 @@ def encoded_qfi(
     rho = u_t @ rho0 @ u_t.conj().T
     drho = -1j * (g_dyn @ rho - rho @ g_dyn)
     drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
-    report = _qfi_report(rho, (drho + drho.conj().T) / 2.0, drho_err, numdiff.ANALYTIC, 0.0)
+    p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
+    report = _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0)
     return report, spectral_gap(g_dyn)
 
 

@@ -9,6 +9,7 @@ POVM.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -199,12 +200,13 @@ def sld(rho, drho) -> np.ndarray:
     with p_k + p_l below SUPPORT_THRESHOLD are set to zero (the operator is
     arbitrary outside the support of rho).
     """
-    return _sld_parts(rho, drho)[0]
+    p, V, Dv = _sld_parts(rho, drho)
+    return V @ (_sld_weights(p) * Dv) @ V.conj().T
 
 
 def _sld_parts(rho, drho):
-    """(L, Dv, p, p_k + p_l, support mask): Dv = drho in the eigenbasis of rho, p its
-    ascending eigenvalues."""
+    """(p, V, Dv): the ascending eigenvalues p and eigenvectors V of rho, and Dv = drho in
+    that eigenbasis; rho and drho must be Hermitian of one shape and drho traceless."""
     R = require_hermitian(rho)
     D = require_hermitian(drho)
     if R.shape != D.shape:
@@ -213,35 +215,37 @@ def _sld_parts(rho, drho):
     if abs(tr) > 1e-9:
         raise NotTraceless(f"tr(drho) = {tr}")
     p, V = np.linalg.eigh(R)
-    Dv = V.conj().T @ D @ V
+    return p, V, V.conj().T @ D @ V
+
+
+def _sld_weights(p: np.ndarray) -> np.ndarray:
+    """c_kl = 2 / (p_k + p_l) on the support pairs, p_k + p_l >= SUPPORT_THRESHOLD, else 0."""
     denom = p[:, None] + p[None, :]
-    support = denom >= SUPPORT_THRESHOLD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Lv = np.where(support, 2.0 * Dv / denom, 0.0)
-    return V @ Lv @ V.conj().T, Dv, p, denom, support
+    return np.divide(2.0, denom, out=np.zeros_like(denom), where=denom >= SUPPORT_THRESHOLD)
 
 
-def _rank_profile(rho: np.ndarray) -> int:
-    return int(np.sum(np.linalg.eigvalsh(rho) > RANK_THRESHOLD))
+def _weighted_sum(c: np.ndarray, Dv, drho_err: float) -> tuple[float, float]:
+    """(sum c_kl |Dv_kl|^2, sum c_kl (2 |Dv_kl| + eps) eps): a metric with weights c >= 0
+    and the first-order bound on how far a derivative error eps of each Dv entry moves it."""
+    a = np.abs(Dv)
+    return float(np.sum(c * a * a)), float(np.sum(c * (2.0 * a + drho_err) * drho_err))
 
 
 def _state_derivative(rho_of, theta: float, diff: DiffSpec,
                       theta_domain: tuple[float, float]):
-    """Central machinery shared by qfi and monotone_metric.
-
-    Returns (rho, drho, drho_err) after verifying that the rank classification
-    of the state does not change across the differentiation stencil.
-    """
+    """(p, V, Dv, drho_err): _sld_parts of rho and its symmetrised derivative at theta, after
+    checking that the state has the same rank at theta +- radius, the stencil's outer nodes;
+    each node is evaluated once."""
     radius = diff.base_step(theta)
     numdiff.check_domain(theta, radius, theta_domain)
-    rho = require_hermitian(rho_of(theta))
-    rank0 = _rank_profile(rho)
+    node = functools.cache(lambda x: np.asarray(rho_of(x), dtype=complex))
+    drho, err = numdiff.derivative(node, theta, diff)
+    p, V, Dv = _sld_parts(node(theta), (drho + drho.conj().T) / 2.0)
+    rank = np.sum(p > RANK_THRESHOLD)
     for x in (theta - radius, theta + radius):
-        if _rank_profile(require_hermitian(rho_of(x))) != rank0:
+        if np.sum(np.linalg.eigvalsh(require_hermitian(node(x))) > RANK_THRESHOLD) != rank:
             raise RankChange(f"state rank changes between theta and {x}")
-    drho, err = numdiff.derivative(lambda x: np.asarray(rho_of(x), dtype=complex), theta, diff)
-    drho = (drho + drho.conj().T) / 2.0
-    return rho, drho, err
+    return p, V, Dv, err
 
 
 def qfi(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF,
@@ -253,22 +257,17 @@ def qfi(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF,
     sum (4 |D_kl| + 2 eps) eps / (p_k + p_l), both over the support pairs.
     rho at theta must be a density matrix (DimensionMismatch otherwise).
     """
-    rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
-    return _qfi_report(rho, drho, err, diff.method, diff.base_step(theta))
+    p, _, Dv, err = _state_derivative(rho_of, theta, diff, theta_domain)
+    return _qfi_report(p, Dv, err, diff.method, diff.base_step(theta))
 
 
-def _qfi_report(rho, drho, drho_err: float, method: str, step: float) -> FisherReport:
-    """qfi's value and first-order error estimate from rho, drho and the error of drho.
-
-    DimensionMismatch, as from require_density, unless rho is a density matrix; the
-    eigenvalues of the SLD's own decomposition of rho decide it.
-    """
-    L, Dv, p, denom, support = _sld_parts(rho, drho)
+def _qfi_report(p, Dv, drho_err: float, method: str, step: float) -> FisherReport:
+    """qfi's value and error estimate, the _weighted_sum of the SLD weights, from rho's
+    eigenvalues p, drho in rho's eigenbasis (Dv) and the error of drho.  DimensionMismatch,
+    as from require_density, unless p is a density spectrum."""
     _require_density_spectrum(p, float(p.sum()))
-    value = float(np.trace(rho @ L @ L).real)
-    error = float(np.sum((4.0 * np.abs(Dv[support]) + 2.0 * drho_err) * drho_err
-                         / denom[support]))
-    return FisherReport(value=max(value, 0.0), method=method, step=step, error_estimate=error)
+    value, error = _weighted_sum(_sld_weights(p), Dv, drho_err)
+    return FisherReport(value=value, method=method, step=step, error_estimate=error)
 
 
 def qfi_pure(psi, dpsi) -> float:
@@ -286,11 +285,13 @@ def qfi_pure(psi, dpsi) -> float:
     return max(value, 0.0)
 
 
+# Each operator-monotone f, elementwise; f(1) = 1 for all three.
 _MONOTONE_F = {
     "ari": lambda x: (1.0 + x) / 2.0,
     "har": lambda x: 2.0 * x / (1.0 + x),
     # (x-1)/log x with the removable singularity at x = 1 filled in.
-    "log": lambda x: 1.0 if abs(x - 1.0) < 1e-12 else (x - 1.0) / np.log(x),
+    "log": lambda x: np.divide(x - 1.0, np.log(x), out=np.ones_like(x),
+                               where=np.abs(x - 1.0) >= 1e-12),
 }
 
 
@@ -303,32 +304,21 @@ def monotone_metric(
     Uses the eigenbasis closed form: with rho = sum_k p_k |k><k| and
     d = drho expressed in that basis,
 
-        F^(f) = sum_k d_kk^2 / p_k + sum_{l != k} |d_kl|^2 / (p_l f(p_k/p_l)).
+        F^(f) = sum_kl c_kl |d_kl|^2,  c_kl = 1 / (p_l f(p_k/p_l)),
 
-    Requires a full-rank family; f='ari' reproduces the SLD quantum Fisher
-    information.  With F^(f) = sum c_kl |d_kl|^2, the derivative error eps of
-    drho moves it by at most the error estimate sum c_kl (2 |d_kl| + eps) eps.
+    whose diagonal terms are d_kk^2 / p_k as f(1) = 1.  Requires a full-rank
+    family; f='ari' reproduces the SLD quantum Fisher information.  The
+    derivative error eps of drho moves it by at most the error estimate
+    sum c_kl (2 |d_kl| + eps) eps.
     """
     if f not in _MONOTONE_F:
         raise UnknownMetricTag(f"f must be one of {sorted(_MONOTONE_F)}, got {f!r}")
-    fn = _MONOTONE_F[f]
-    rho, drho, err = _state_derivative(rho_of, theta, diff, theta_domain)
-    p, V = np.linalg.eigh(rho)
+    p, _, Dv, err = _state_derivative(rho_of, theta, diff, theta_domain)
     if p.min() <= RANK_THRESHOLD:
         raise RankDeficient(f"smallest eigenvalue {p.min():.3e} <= {RANK_THRESHOLD:.1e}")
-    Dv = V.conj().T @ drho @ V
-    d = p.shape[0]
-    diag = np.diag(Dv).real
-    value = float(np.sum(diag ** 2 / p))
-    error = float(np.sum((2.0 * np.abs(diag) + err) * err / p))
-    for k in range(d):
-        for l in range(d):
-            if k == l:
-                continue
-            denom = p[l] * fn(p[k] / p[l])
-            value += abs(Dv[k, l]) ** 2 / denom
-            error += (2.0 * abs(Dv[k, l]) + err) * err / denom
-    return FisherReport(value=max(value, 0.0), method=diff.method,
+    c = 1.0 / (p[None, :] * _MONOTONE_F[f](p[:, None] / p[None, :]))
+    value, error = _weighted_sum(c, Dv, err)
+    return FisherReport(value=value, method=diff.method,
                         step=diff.base_step(theta), error_estimate=error)
 
 
@@ -358,7 +348,6 @@ def sld_povm(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> POVM:
     This is the measurement whose Fisher information saturates the quantum
     Fisher information at the true parameter value.
     """
-    rho, drho, _ = _state_derivative(rho_of, theta, diff, (-np.inf, np.inf))
-    L = sld(rho, drho)
-    _, V = np.linalg.eigh(L)
-    return POVM(elements=tuple(np.outer(V[:, k], V[:, k].conj()) for k in range(V.shape[1])))
+    p, V, Dv, _ = _state_derivative(rho_of, theta, diff, (-np.inf, np.inf))
+    _, W = np.linalg.eigh(_sld_weights(p) * Dv)  # the SLD's eigenvectors in rho's eigenbasis
+    return POVM(elements=tuple(np.outer(v, v.conj()) for v in (V @ W).T))

@@ -134,8 +134,7 @@ def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
     H(omega) = I_2 (x) omega (a^dag a + 1/2) + kappa sqrt(omega) (a^dag sigma_- + a sigma_+);
     the estimated frequency omega enters both the field energy and the
     coupling.  The factory takes no frequency: omega is the point each
-    h_of/dh_of call is evaluated at (an earlier omega argument was only
-    range-checked and is gone).
+    h_of/dh_of call is evaluated at.
     """
     _check_jc(kappa, n_max)
     a = _ladder(n_max)
@@ -246,24 +245,31 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
 # --- closed-form reference functions ------------------------------------------------
 
 
+def _angle(x: float) -> float:
+    """x if finite, else OverflowError, where math.sin, cos or tan raise a ValueError."""
+    if not math.isfinite(x):
+        raise OverflowError(f"trigonometric argument {x} is not finite")
+    return x
+
+
 def _direction_qfi(theta: float, omega: float, t: float) -> float:
-    wt = omega * t
-    return 4.0 * math.sin(wt) ** 2 - math.sin(2.0 * wt) ** 2 * math.sin(theta) ** 2
+    wt = _angle(omega * t)
+    return 4.0 * math.sin(wt) ** 2 - math.sin(_angle(2.0 * wt)) ** 2 * math.sin(theta) ** 2
 
 
 def _direction_max_qfi(omega: float, t: float) -> float:
-    return 4.0 * math.sin(omega * t) ** 2
+    return 4.0 * math.sin(_angle(omega * t)) ** 2
 
 
 def _direction_g(omega: float, t: float) -> float:
-    return (2.0 * abs(math.sin(omega * t)) + 1.0) ** 2
+    return (2.0 * abs(math.sin(_angle(omega * t))) + 1.0) ** 2
 
 
 def _xcomponent_max_qfi(theta: float, omega: float, t: float) -> float:
     om2 = omega * omega + theta * theta
     return 2.0 / om2**2 * (
         2.0 * om2 * t * t * theta * theta
-        - omega * omega * math.cos(2.0 * math.sqrt(om2) * t)
+        - omega * omega * math.cos(_angle(2.0 * math.sqrt(om2) * t))
         + omega * omega
     )
 
@@ -282,7 +288,7 @@ def _nv_max_qfi(theta: float, mu: float, E: float, t: float) -> float:
     return 8.0 * mu * mu * (
         2.0 * theta * theta * mu * mu * t * t * chi * chi
         + E * E
-        - E * E * math.cos(4.0 * chi * t)
+        - E * E * math.cos(_angle(4.0 * chi * t))
     ) / chi**4
 
 
@@ -297,7 +303,7 @@ def _jc_qfi(t: float, alpha1_sq: float) -> float:
 
 def _jc_fc(omega: float, kappa: float, t: float, alpha1_sq: float) -> float:
     Om = kappa * math.sqrt(omega)
-    s2 = math.sin(Om * t) ** 2
+    s2 = math.sin(_angle(Om * t)) ** 2
     if alpha1_sq == 1.0:  # the factor (1 - s2) / (1 - s2) is 1, also where s2 rounds to 1
         return (Om * t / omega) ** 2
     return (Om * t / omega) ** 2 * alpha1_sq * (1.0 - s2) / (1.0 - alpha1_sq * s2)
@@ -306,14 +312,14 @@ def _jc_fc(omega: float, kappa: float, t: float, alpha1_sq: float) -> float:
 def _jc_enhancement_threshold(omega: float, kappa: float, t: float) -> float:
     """Largest |alpha0|^2 for which the atomic read-out beats the best regular measurement."""
     Om = kappa * math.sqrt(omega)
-    t2 = math.tan(Om * t) ** 2
+    t2 = math.tan(_angle(Om * t)) ** 2
     if t2 < 1e-30:
         return math.inf
     return (math.sqrt(1.0 + (Om / omega) ** 2 * t2) - 1.0) / (2.0 * t2)
 
 
 def _oscillator_qfi(m: float, omega: float, t: float) -> float:
-    return 8.0 * m / omega**3 * math.sin(omega * t / 2.0) ** 2
+    return 8.0 * m / omega**3 * math.sin(_angle(omega * t / 2.0)) ** 2
 
 
 def _oscillator_fc(m: float, omega: float) -> float:
@@ -321,7 +327,7 @@ def _oscillator_fc(m: float, omega: float) -> float:
 
 
 def _oscillator_gamma(omega: float, t: float) -> float:
-    s2 = math.sin(omega * t / 2.0) ** 2
+    s2 = math.sin(_angle(omega * t / 2.0)) ** 2
     if s2 < 1e-30:
         return math.inf
     return 1.0 / (4.0 * s2)

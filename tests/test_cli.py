@@ -339,6 +339,25 @@ class TestNumericalFailures:
         assert (code, text) == (EXIT_NUMERICAL, "")
         assert f"numerical failure at grid point {point}: {cause}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, model, key, value, t, point", [
+        ("gbound", "qubit-xcomponent", "omega", "1e155", "1", "(1.0, 1.0)"),
+        ("qfi", "qubit-xcomponent", "omega", "1e155", "1", "(1.0, 1.0)"),
+        ("gbound", "nv-spin1", "E", "1e155", "1", "(1.0, 1.0)"),
+        ("qfi", "nv-spin1", "E", "1e155", "1", "(1.0, 1.0)"),
+        ("oscillator", "oscillator", "omega", "1e100", "1e300", "1e+300"),
+    ])
+    def test_closed_form_overflow_is_exit_three(self, tmp_path, capsys, command, model, key,
+                                                value, t, point):
+        """A closed form whose sine or cosine argument overflows to inf raises OverflowError,
+        not math's ValueError, so the point is exit 3."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nname = {model}\n{key} = {value}\n")
+        code, text = run(tmp_path, command, "--config", str(ini),
+                         "--theta", "1:1:1", f"--t={t}:{t}:1")
+        assert (code, text) == (EXIT_NUMERICAL, "")
+        assert (f"numerical failure at grid point {point}: OverflowError: trigonometric "
+                "argument inf is not finite" in capsys.readouterr().err)
+
     def test_failure_mid_grid_names_the_first_failing_point(self, tmp_path, capsys):
         """The first two rows succeed; (3.5, 1.0) and every later point leave (0, pi).  The
         first failing point in grid order is named, and nothing is written."""

@@ -20,6 +20,8 @@ from qmet.cem import (
     optimize_cem,
 )
 from qmet.errors import DimensionMismatch, DomainBoundary
+from qmet.fisher import monotone_metric, qfi, sld_povm
+from qmet.linalg import expm_unitary
 from qmet.models import make_nv_spin1, make_qubit_direction
 from qmet.numdiff import DiffSpec
 from qmet.phasesim import (
@@ -118,6 +120,36 @@ def test_cli_points_take_one_spectrum_each(argv, per_point, tmp_path, monkeypatc
                          "--t", "1.7:1.7:1", "--n", "6", "--out", "out.csv"]) == cli.EXIT_OK
         counts.append(calls[0])
     assert counts == [per_point, 2 * per_point]
+
+
+@pytest.mark.parametrize("name, count", [
+    ("qfi", 10),  # 7 stencil nodes, the rank at the 2 outer ones, 1 eigenbasis of rho
+    ("monotone_metric", 10),
+    ("sld_povm", 13),  # and the SLD's eigenbasis and the POVM's 2 positivity checks
+    ("encoded_qfi-diff", 12),  # qfi's 10, the jet and the gap of g_dyn
+    ("encoded_qfi", 3),  # the jet, rho's eigenbasis and the gap
+])
+def test_the_quantum_fisher_family_decomposes_rho_once(name, count, decompositions):
+    """One decomposition of rho(theta) feeds the value, its error estimate, the SLD and the
+    rank at theta, and every state node is evaluated once, the rank check's too.  The
+    family is a full-rank rho0 under exp(-i 1.3 H(theta)) of qubit-direction, and each
+    rho_of call decomposes H(theta) once."""
+    model, rho0 = make_qubit_direction(1.0), np.diag([0.8, 0.2]).astype(complex)
+
+    def rho_of(x):
+        u = expm_unitary(model.h_of(x), 1.3)
+        return u @ rho0 @ u.conj().T
+
+    call = {
+        "qfi": lambda: qfi(rho_of, 1.1),
+        "monotone_metric": lambda: monotone_metric("log", rho_of, 1.1),
+        "sld_povm": lambda: sld_povm(rho_of, 1.1),
+        "encoded_qfi-diff": lambda: encoded_qfi(model, 1.1, 1.3, rho0, DiffSpec()),
+        "encoded_qfi": lambda: encoded_qfi(model, 1.1, 1.3, rho0),
+    }[name]
+    decompositions[0] = 0
+    call()
+    assert decompositions[0] == count
 
 
 def ground_projector(d):

@@ -395,9 +395,12 @@ class TestMonotoneMetric:
         assert monotone_metric("ari", rho_of, 1.1).error_estimate == pytest.approx(
             qfi(rho_of, 1.1).error_estimate, rel=1e-9)
 
-    def test_rank_deficient_rejected(self):
-        rho_of = pure_family(lambda q: q * SX, [1.0, 0.0])
-        with pytest.raises(RankDeficient):
+    @pytest.mark.parametrize("rho_of, error", [
+        (pure_family(lambda q: q * SX, [1.0, 0.0]), RankDeficient),
+        (lambda q: np.diag([0.5, q]).astype(complex), NotTraceless),  # tr(drho) = 1
+    ], ids=["rank-deficient", "trace-moves"])
+    def test_invalid_family_rejected(self, rho_of, error):
+        with pytest.raises(error):
             monotone_metric("ari", rho_of, 0.4)
 
     def test_unknown_tag(self):

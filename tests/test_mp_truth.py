@@ -1,4 +1,5 @@
-"""Fisher values of controlled energy measurements against a 50-digit mpmath truth.
+"""Fisher values of controlled energy measurements, and the quantum Fisher information
+they are compared with, against a 50-digit mpmath truth.
 
 The truth takes the library's own float inputs at theta: H(theta') =
 H(theta) + (theta' - theta) dH(theta) from the model's h_of and dh_of, the
@@ -7,7 +8,8 @@ rho0 = psi psi^dag the library validates and factors.  Energies and level
 weights come from mp.eighe and their theta-derivatives from mp.diff, so
 values and first derivatives at theta are exact to 50 digits.  Each case
 puts a small weight p_0 on the ground level, down to just above
-SUPPORT_THRESHOLD.
+SUPPORT_THRESHOLD.  encoded_qfi's truth evolves rho0 by mp.expm of the same
+linearised H(theta') and differentiates rho(theta') entrywise by mp.diff.
 """
 
 import functools
@@ -17,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qmet.cem import diagonalizer, fisher_cem
+from qmet.cem import diagonalizer, encoded_qfi, fisher_cem
 from qmet.fisher import SUPPORT_THRESHOLD
 from qmet.models import make_nv_spin1, make_qubit_direction
 from qmet.phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
@@ -140,4 +142,49 @@ def test_readout_within_its_estimate_of_the_truth(name, p0, mode):
         probs = readout_probs(truth_node(model, V, psi), cfg.tau, cfg.n, cfg.m, mode)
         truth = fisher_truth(probs, 2**cfg.n)
     report = fisher_phase_readout(cfg, model, THETA, mode=mode)
+    assert abs(report.value - truth) <= report.error_estimate
+
+
+def preparation(d: int, kind: str) -> np.ndarray:
+    """A pure rho0 = psi psi^dag or a full-rank rho0 with weights 0.5, 0.3[, 0.2], in a
+    random basis from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    weights = np.array([1.0, 0.0, 0.0] if kind == "pure" else [0.5, 0.3, 0.2])[:d]
+    weights /= weights.sum()
+    return (basis * weights) @ basis.conj().T
+
+
+def qfi_truth(model, rho0) -> float:
+    """sum over p_k + p_l >= SUPPORT_THRESHOLD of 2 |D_kl|^2 / (p_k + p_l), with p and the
+    eigenbasis of rho(THETA) from mp.eighe and D = drho / dtheta in that basis."""
+    H0, dH, R0 = mp_matrix(model.h_of(THETA)), mp_matrix(model.dh_of(THETA)), mp_matrix(rho0)
+
+    @functools.cache
+    def rho(x):
+        U = mp.expm(mp.mpc(0, -T) * (H0 + (x - THETA) * dH))
+        return U * R0 * U.H
+
+    d, theta = model.dim, mp.mpf(THETA)
+    D = mp.matrix(d, d)
+    for k in range(d):
+        for l in range(d):
+            D[k, l] = mp.diff(lambda x, k=k, l=l: rho(x)[k, l], theta)
+    p, Q = mp.eighe(rho(theta))
+    Dv = Q.H * D * Q
+    return float(mp.fsum(2 * abs(Dv[k, l]) ** 2 / (p[k] + p[l])
+                         for k in range(d) for l in range(d)
+                         if p[k] + p[l] >= SUPPORT_THRESHOLD))
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_encoded_qfi_within_its_estimate_of_the_truth(name, kind):
+    """The analytic path only: the Richardson path's estimate is not yet a bound."""
+    model = MODELS[name]()
+    rho0 = preparation(model.dim, kind)
+    with mp.workdps(DPS):
+        truth = qfi_truth(model, rho0)
+    report, _ = encoded_qfi(model, THETA, T, rho0)
+    assert report.method == "analytic"
     assert abs(report.value - truth) <= report.error_estimate
