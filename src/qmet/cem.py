@@ -59,6 +59,7 @@ GRID_NODES = 17
 GRID_STAGES = 3
 _GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
 _Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag t")  # what _jet returns
+_Half = namedtuple("_Half", "E W dH D w g_diag")  # what _theta_half returns
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,28 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
+def _theta_half(model: HamiltonianModel, theta: float, phase_fixed: bool = False) -> _Half:
+    """_jet's theta half, everything of it that does not depend on t: one checked _spectrum
+    and one dh_of read, which raise as _jet does.  Returns (E, W, dH, D, w, g_diag)."""
+    E, W = _spectrum(model, theta, phase_fixed)
+    if model.dh_of is None:
+        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
+                               "it, and an explicit DiffSpec selects the finite-difference oracle")
+    dH = require_hermitian(model.dh_of(theta))
+    D = W.conj().T @ dH @ W
+    D = (D + D.conj().T) / 2.0
+    w = E[:, None] - E[None, :]
+    g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
+    return _Half(E, W, dH, D, w, g_diag)
+
+
+def _t_half(half: _Half, t: float) -> _Jet:
+    """The _jet at (theta, t) from the _theta_half at theta: U_t and g_dyn, no decomposition."""
+    E, W, dH, D, w, g_diag = half
+    g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
+    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag, t)
+
+
 def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = False) -> _Jet:
     """The analytic jet of H(theta): one checked _spectrum, one dh_of read.
 
@@ -174,7 +197,9 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
     derivative of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
-    the model needs dh_of, as every analytic (diff=None) path does.
+    the model needs dh_of, as every analytic (diff=None) path does.  The jet is
+    _t_half of _theta_half, so a caller that sweeps t at one theta can keep the
+    theta half, with its decomposition, across the sweep.
 
     W comes from _spectrum in NumPy's arbitrary gauge, which the read-out
     scorer and fisher_cem's jet never see.  phase_fixed=True takes the
@@ -182,17 +207,7 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
     generator_pair, optimize_cem's seed) and for encoded_qfi, whose
     sigma(g_dyn) equals generator_pair's gap bit for bit.
     """
-    E, W = _spectrum(model, theta, phase_fixed)
-    if model.dh_of is None:
-        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
-                               "it, and an explicit DiffSpec selects the finite-difference oracle")
-    dH = require_hermitian(model.dh_of(theta))
-    D = W.conj().T @ dH @ W
-    D = (D + D.conj().T) / 2.0
-    w = E[:, None] - E[None, :]
-    g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
-    g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
-    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag, t)
+    return _t_half(_theta_half(model, theta, phase_fixed), t)
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
@@ -228,10 +243,11 @@ def generator_pair(
     )
 
 
-def _moduli_match(es) -> bool:
-    """check_condition on the eigensystem of g_diag."""
+def _diag_system(g_diag):
+    """(g_diag's eig_hermitian eigensystem, check_condition's verdict on it)."""
+    es = eig_hermitian(g_diag)
     v_top, v_bot = es.eigenvectors[:, 0], es.eigenvectors[:, -1]
-    return all(abs(abs(a) - abs(b)) <= CONDITION_TOL for a, b in zip(v_top, v_bot))
+    return es, all(abs(abs(a) - abs(b)) <= CONDITION_TOL for a, b in zip(v_top, v_bot))
 
 
 def check_condition(g_diag) -> bool:
@@ -241,7 +257,7 @@ def check_condition(g_diag) -> bool:
     component j.  Components where both moduli vanish satisfy the condition
     trivially.
     """
-    return _moduli_match(eig_hermitian(g_diag))
+    return _diag_system(g_diag)[1]
 
 
 def g_bound(
@@ -260,12 +276,18 @@ def g_bound(
     decomposition of H(theta) gives S and U_t, and one of each generator gives
     its gap, R1 or R2 and the condition, so the analytic path costs three.
     """
-    return _solution(*_generators(model, theta, t, diff))
+    W, u_t, g_dyn, g_diag, method = _generators(model, theta, t, diff)
+    return _solution(W, u_t, g_dyn, _diag_system(g_diag), method)
 
 
-def _solution(W, u_t, g_dyn, g_diag, method: str) -> CemSolution:  # g_bound of _generators
-    es_diag = eig_hermitian(g_diag)  # descending, phase-fixed
-    es_dyn = eig_hermitian(g_dyn)
+def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
+    """g_bound's CemSolution from _generators' output, with g_diag as its _diag_system.
+
+    InvalidParameter when G overflows the float range, where Python's ** raises an
+    untyped OverflowError.
+    """
+    es_diag, condition = diag
+    es_dyn = eig_hermitian(g_dyn)  # descending, phase-fixed, as es_diag
     sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
     sigma_diag = float(es_diag.eigenvalues[0] - es_diag.eigenvalues[-1])
     r1 = es_diag.eigenvectors.conj().T
@@ -277,9 +299,15 @@ def _solution(W, u_t, g_dyn, g_diag, method: str) -> CemSolution:  # g_bound of 
     psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * PREPARATION_PHASE) * v_bot)
                                   / math.sqrt(2.0))
 
+    try:
+        G = (sigma_dyn + sigma_diag) ** 2
+    except OverflowError:
+        raise InvalidParameter(f"G = (sigma(g_dyn) + sigma(g_diag))^2 overflows: gaps "
+                               f"{sigma_dyn:.6g} and {sigma_diag:.6g}; rescale the model's "
+                               "parameters") from None
     return CemSolution(
-        G_value=(sigma_dyn + sigma_diag) ** 2,
-        condition_holds=_moduli_match(es_diag),
+        G_value=G,
+        condition_holds=condition,
         V_opt=v_opt,
         psi_opt=psi_opt,
         gaps=(sigma_dyn, sigma_diag),
@@ -414,13 +442,18 @@ def encoded_qfi(
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
         return report, spectral_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
-    E, _, u_t, _, _, g_dyn, _, _ = _jet(model, theta, t, phase_fixed=True)
-    rho = u_t @ rho0 @ u_t.conj().T
-    drho = -1j * (g_dyn @ rho - rho @ g_dyn)
-    drho_err = _rounding_bound(E, 4.0 * np.linalg.norm(g_dyn))
+    return _encoded_qfi(_jet(model, theta, t, phase_fixed=True), rho0)
+
+
+def _encoded_qfi(jet: _Jet, rho0: np.ndarray) -> tuple[FisherReport, float]:
+    """encoded_qfi's analytic (report, sigma(g_dyn)) from a phase-fixed _jet at (theta, t);
+    rho0 must have the jet's dimension."""
+    rho = jet.U @ rho0 @ jet.U.conj().T
+    drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
+    drho_err = _rounding_bound(jet.E, 4.0 * np.linalg.norm(jet.g_dyn))
     p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
     report = _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0)
-    return report, spectral_gap(g_dyn)
+    return report, spectral_gap(jet.g_dyn)
 
 
 # --- independent derivative-free maximization ---------------------------------------
@@ -542,19 +575,33 @@ def optimize_cem(
     return _optimize(model, theta, t, budget, seed)[1]
 
 
-def _optimum(model: HamiltonianModel, theta: float, t: float):
-    """(phase-fixed _jet, g_bound's analytic CemSolution built from it) at (theta, t)."""
-    jet = _jet(model, theta, t, phase_fixed=True)
-    return jet, _solution(jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC)
+def _optimum_half(model: HamiltonianModel, theta: float):
+    """(phase-fixed _theta_half, _diag_system of its g_diag): the part of _optimum at theta
+    that does not depend on t."""
+    half = _theta_half(model, theta, phase_fixed=True)
+    return half, _diag_system(half.g_diag)
 
 
-def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
-    """(g_bound's CemSolution, optimize_cem's result) from one phase-fixed jet."""
+def _optimum(model: HamiltonianModel, theta: float, t: float, theta_half=None):
+    """(phase-fixed _jet, g_bound's analytic CemSolution built from it) at (theta, t).
+
+    theta_half is _optimum_half(model, theta), computed here when None; a caller that
+    sweeps t at one theta passes the one it keeps, and gets the same values bit for bit.
+    """
+    half, diag = _optimum_half(model, theta) if theta_half is None else theta_half
+    jet = _t_half(half, t)
+    return jet, _solution(jet.W, jet.U, jet.g_dyn, diag, numdiff.ANALYTIC)
+
+
+def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int,
+              theta_half=None):
+    """(g_bound's CemSolution, optimize_cem's result) from one phase-fixed jet (theta_half
+    as in _optimum)."""
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
     d, rng = model.dim, np.random.default_rng(seed)
-    jet, sol = _optimum(model, theta, t)
+    jet, sol = _optimum(model, theta, t, theta_half)
     terms, Wh = _move_terms(d), jet.W.conj().T
     Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T  # y = (psi @ Yt) as (2, d)
 

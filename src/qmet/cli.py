@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import itertools
 import json
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import _optimize, _optimum, encoded_qfi, g_bound
+from .cem import _encoded_qfi, _optimize, _optimum, _optimum_half, _t_half, _theta_half, encoded_qfi
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
@@ -281,10 +282,12 @@ def _qfi_row(cfg: RunConfig):
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[0, 0] = 1.0  # the projector on the first basis state
     diff = cfg.diff()
+    half = functools.lru_cache(maxsize=1)(lambda theta: _theta_half(model, theta, phase_fixed=True))
 
     def row(point):
         theta, t = point
-        report, sigma_dyn = encoded_qfi(model, theta, t, rho0, diff)
+        report, sigma_dyn = (_encoded_qfi(_t_half(half(theta), t), rho0) if diff is None
+                             else encoded_qfi(model, theta, t, rho0, diff))
         value, max_value = report.value, sigma_dyn ** 2
         ref, max_ref = probe.qfi(p, theta, t), probe.max_qfi(p, theta, t)
         abs_err = abs(value - ref) if math.isfinite(ref) else math.nan
@@ -298,10 +301,11 @@ def _qfi_row(cfg: RunConfig):
 def _gbound_row(cfg: RunConfig):
     probe = _PROBES[cfg.model]
     model = probe.build(cfg.model_params)
+    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        sol = g_bound(model, theta, t)
+        sol = _optimum(model, theta, t, half(theta))[1]  # g_bound's analytic solution
         max_value = sol.gaps[0] ** 2
         ref = probe.g(cfg.model_params, theta, t)
         abs_err = abs(sol.G_value - ref) if math.isfinite(ref) else math.nan
@@ -313,10 +317,12 @@ def _gbound_row(cfg: RunConfig):
 
 def _optimize_row(cfg: RunConfig):
     model = _PROBES[cfg.model].build(cfg.model_params)
+    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed)
+        sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed,
+                                      half(theta))
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
         return (cfg.restarts, cfg.iterations, cfg.seed, theta, t, best, sol.G_value, gap,
                 sol.condition_holds)
@@ -331,10 +337,11 @@ def _phase_sim_row(cfg: RunConfig):
         _check_bounds(cfg.n, cfg.m, cfg.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        jet, sol = _optimum(model, theta, t)  # g_bound's; the read-out reuses its jet
+        jet, sol = _optimum(model, theta, t, half(theta))  # g_bound's; the read-out reuses its jet
         sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=t, V=sol.V_opt,
                              rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
         tau, (ideal, real) = _readouts(sim, model, theta, diff, (IDEAL, REALISTIC), jet)
@@ -385,7 +392,10 @@ def _oscillator_row(cfg: RunConfig):
 
 # One entry per sweep command: its row builder, which does the once-per-run set-up and
 # returns row(point); its columns; those of them that may hold a non-finite value; and
-# the models it accepts, the first being its default.
+# the models it accepts, the first being its default.  The grid is theta-major, so the
+# probe commands keep the theta half of their jet (cem._theta_half, or _optimum_half
+# where G is needed) in a one-entry memo: each theta row computes it at its first t, and
+# a call that raises stores nothing.
 _Sweep = namedtuple("_Sweep", "build columns nonfinite models", defaults=(tuple(_PROBES),))
 _SWEEPS = {
     "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "

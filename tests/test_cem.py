@@ -193,6 +193,22 @@ class TestGBound:
         with pytest.raises(InvalidParameter, match="spectral range of H"):
             g_bound(make_qubit_direction(1e308), 1.0, 1.0, diff)
 
+    @pytest.mark.parametrize("entry", [
+        lambda model: g_bound(model, 1.0, 1.0),
+        lambda model: optimize_cem(model, 1.0, 1.0, (1, 4)),
+    ], ids=["g_bound", "optimize_cem"])
+    def test_overflowing_bound_is_invalid(self, entry):
+        """At omega = 1e200 the spectral range and both gaps are finite, but their squared sum
+        leaves the float range: a typed error, not Python's untyped OverflowError."""
+        with pytest.raises(InvalidParameter, match=r"^G = \(sigma\(g_dyn\) \+ sigma\(g_diag\)\)"
+                                                   r"\^2 overflows: gaps 3\.15229e\+184 and 1;"):
+            entry(make_qubit_direction(1e200))
+
+    def test_finite_bound_is_the_plain_square(self):
+        """Where G is finite it is (sigma_dyn + sigma_diag) ** 2 as before, near the edge too."""
+        sol = g_bound(make_qubit_direction(1e150), 1.0, 1.0)
+        assert sol.G_value == (sol.gaps[0] + sol.gaps[1]) ** 2 == 3.719684333589026e+266
+
     def test_field_direction_closed_form(self):
         m = make_qubit_direction(1.0)
         ref = reference("direction_g")

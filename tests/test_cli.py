@@ -19,6 +19,10 @@ from qmet.models import (
 from qmet.numdiff import DiffSpec
 from qmet.phasesim import PhaseSimConfig, fisher_phase_readout
 
+# cem._solution's typed error for a G beyond the float range.
+G_OVERFLOWS = "InvalidParameter: G = (sigma(g_dyn) + sigma(g_diag))^2 overflows"
+PROBE_COMMANDS = ("gbound", "qfi", "optimize", "phase-sim")
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
@@ -319,10 +323,10 @@ class TestNumericalFailures:
                 f"H({float(theta)}) overflows" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, key, value, point, cause", [
-        ("gbound", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
-        ("qfi", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
-        ("optimize", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
-        ("phase-sim", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),
+        ("gbound", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
+        ("qfi", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),  # the CLI's sigma_dyn ** 2
+        ("optimize", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
+        ("phase-sim", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("phase-sim", "omega", "1e150", "(1.0, 1.0)",
          "ArithmeticError: non-finite fi_ideal_err = inf"),
         ("oscillator", "omega", "1e150", "1.0", "OverflowError"),
@@ -358,10 +362,13 @@ class TestNumericalFailures:
         assert (f"numerical failure at grid point {point}: OverflowError: trigonometric "
                 "argument inf is not finite" in capsys.readouterr().err)
 
-    def test_failure_mid_grid_names_the_first_failing_point(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", PROBE_COMMANDS)
+    def test_failure_mid_grid_names_the_first_failing_point(self, tmp_path, capsys, command):
         """The first two rows succeed; (3.5, 1.0) and every later point leave (0, pi).  The
         first failing point in grid order is named, and nothing is written."""
-        code, text = run(tmp_path, "gbound", "--model", "qubit-direction",
+        ini = tmp_path / "run.ini"
+        ini.write_text("[optimizer]\nrestarts = 2\niterations = 20\n")
+        code, text = run(tmp_path, command, "--config", str(ini), "--model", "qubit-direction",
                          "--theta", "2.5:4.5:3", "--t", "1:2:2")
         assert code == EXIT_NUMERICAL
         assert not (tmp_path / "out.txt").exists()
@@ -369,6 +376,21 @@ class TestNumericalFailures:
         assert out == ""
         assert err == ("numerical failure at grid point (3.5, 1.0): DomainBoundary: parameter "
                        f"value 3.5 is outside the open domain (0.0, {math.pi})\n")
+
+    @pytest.mark.parametrize("command", PROBE_COMMANDS)
+    def test_degenerate_point_mid_grid_is_exit_three(self, tmp_path, capsys, command):
+        """nv-spin1 at E = 0 has its S_z = 0 and S_z = -1 levels cross at theta = 2 D / mu,
+        the middle theta here.  Its first t names the point; nothing is written."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nE = 0\n[optimizer]\nrestarts = 2\niterations = 20\n")
+        code, text = run(tmp_path, command, "--config", str(ini), "--model", "nv-spin1",
+                         "--theta", "8.047786842338604:10.047786842338604:3", "--t", "1:2:2")
+        assert (code, text) == (EXIT_NUMERICAL, "")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure at grid point (9.047786842338605, 1.0): "
+                       "DegenerateSpectrum: minimum eigenvalue spacing 0.000e+00 below "
+                       "1.0e-08*(1+gap)\n")
 
     def test_infinite_hamiltonian_entry_is_exit_three(self, tmp_path, capsys):
         """nv-spin1's own arithmetic overflows H(1) to inf at mu = 1e308 (NumPy's warnings for

@@ -91,16 +91,10 @@ def test_the_cli_has_one_sweep_loop():
     assert cli_handlers_naming("InvalidParameter") == {"_sweep"}
 
 
-@pytest.mark.parametrize("argv, per_point", [
-    (("gbound",), 1),
-    (("qfi",), 1),
-    (("optimize", "--config", "optimizer.ini"), 1),
-    (("phase-sim",), 1),
-    (("phase-sim", "--config", "diff.ini"), 8),  # the jet and the read-out's 7 Richardson nodes
-], ids=["gbound", "qfi", "optimize", "phase-sim", "phase-sim-diff"])
-def test_cli_points_take_one_spectrum_each(argv, per_point, tmp_path, monkeypatch):
-    """Every CLI probe command decomposes H(theta) once per point, and never per run: one
-    jet feeds every column, both read-out modes and the tau."""
+@pytest.fixture
+def spectrum_calls(tmp_path, monkeypatch):
+    """One-element list counting cem._spectrum calls, run from a directory that holds the
+    INI files optimizer.ini (a small optimizer budget) and diff.ini (a [diff] section)."""
     (tmp_path / "optimizer.ini").write_text("[optimizer]\nrestarts = 2\niterations = 20\n")
     (tmp_path / "diff.ini").write_text("[diff]\n")
     monkeypatch.chdir(tmp_path)
@@ -113,13 +107,58 @@ def test_cli_points_take_one_spectrum_each(argv, per_point, tmp_path, monkeypatc
 
     monkeypatch.setattr(cem, "_spectrum", counted)
     monkeypatch.setattr(phasesim, "_spectrum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, per_point", [
+    (("gbound",), 1),
+    (("qfi",), 1),
+    (("optimize", "--config", "optimizer.ini"), 1),
+    (("phase-sim",), 1),
+    (("phase-sim", "--config", "diff.ini"), 8),  # the jet and the read-out's 7 Richardson nodes
+], ids=["gbound", "qfi", "optimize", "phase-sim", "phase-sim-diff"])
+def test_cli_points_take_one_spectrum_each(argv, per_point, spectrum_calls):
+    """Every CLI probe command decomposes H(theta) once per point, and never per run: one
+    jet feeds every column, both read-out modes and the tau."""
     counts = []
     for points in (1, 2):
-        calls[0] = 0
+        spectrum_calls[0] = 0
         assert cli.main([*argv, "--model", "nv-spin1", "--theta", f"0.8:1.2:{points}",
                          "--t", "1.7:1.7:1", "--n", "6", "--out", "out.csv"]) == cli.EXIT_OK
-        counts.append(calls[0])
+        counts.append(spectrum_calls[0])
     assert counts == [per_point, 2 * per_point]
+
+
+@pytest.mark.parametrize("argv, per_grid", [
+    (("gbound",), 15),  # per theta H(theta) and g_diag, per point g_dyn: 3 * 2 + 9
+    (("qfi",), 21),  # per theta H(theta), per point rho's eigenbasis and g_dyn's gap: 3 + 18
+    (("optimize", "--config", "optimizer.ini"), 15),  # as gbound
+    (("phase-sim",), 24),  # as gbound, and rho0's factor per point: 3 * 2 + 18
+], ids=["gbound", "qfi", "optimize", "phase-sim"])
+def test_cli_theta_rows_take_one_spectrum_each(argv, per_grid, spectrum_calls, decompositions):
+    """The grid is theta-major, and each analytic probe command keeps the theta half of its
+    jet (H(theta)'s decomposition, and g_diag's eigensystem where G is needed) across the
+    theta row: n_theta _spectrum calls for n_theta x 3 points, and per_grid decompositions
+    on 3 x 3, where one per point would take 27 (36 for phase-sim)."""
+    counts = []
+    for n_theta in (1, 2, 3):
+        spectrum_calls[0] = decompositions[0] = 0
+        assert cli.main([*argv, "--model", "nv-spin1", "--theta", f"0.8:1.2:{n_theta}",
+                         "--t", "1.1:1.7:3", "--n", "6", "--out", "out.csv"]) == cli.EXIT_OK
+        counts.append(spectrum_calls[0])
+    assert (counts, decompositions[0]) == ([1, 2, 3], per_grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: g_bound(model, 0.8, 1.7),
+    lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(3)),  # H, rho, g_dyn's gap
+    lambda model: optimize_cem(model, 0.8, 1.7, (2, 20)),
+], ids=["g_bound", "encoded_qfi", "optimize_cem"])
+def test_one_point_library_calls_take_three_decompositions(call, decompositions):
+    """A one-point call builds its theta half and its t half once each: H(theta), then
+    g_diag and g_dyn (or rho and g_dyn for encoded_qfi)."""
+    call(make_nv_spin1(*NV_PARAMS))
+    assert decompositions[0] == 3
 
 
 @pytest.mark.parametrize("name, count", [
