@@ -58,6 +58,7 @@ PREPARATION_PHASE = math.pi / 2.0
 GRID_NODES = 17
 GRID_STAGES = 3
 _GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
+_EPS = np.finfo(float).eps
 _Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag t")  # what _jet returns
 _Half = namedtuple("_Half", "E W dH D w g_diag")  # what _theta_half returns
 
@@ -281,11 +282,8 @@ def g_bound(
 
 
 def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
-    """g_bound's CemSolution from _generators' output, with g_diag as its _diag_system.
-
-    InvalidParameter when G overflows the float range, where Python's ** raises an
-    untyped OverflowError.
-    """
+    """g_bound's CemSolution from _generators' output, with g_diag as its _diag_system;
+    InvalidParameter, from _square, when G overflows."""
     es_diag, condition = diag
     es_dyn = eig_hermitian(g_dyn)  # descending, phase-fixed, as es_diag
     sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
@@ -299,20 +297,35 @@ def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
     psi_opt = u_tilde.conj().T @ ((v_top + np.exp(1j * PREPARATION_PHASE) * v_bot)
                                   / math.sqrt(2.0))
 
-    try:
-        G = (sigma_dyn + sigma_diag) ** 2
-    except OverflowError:
-        raise InvalidParameter(f"G = (sigma(g_dyn) + sigma(g_diag))^2 overflows: gaps "
-                               f"{sigma_dyn:.6g} and {sigma_diag:.6g}; rescale the model's "
-                               "parameters") from None
     return CemSolution(
-        G_value=G,
+        G_value=_square(sigma_dyn + sigma_diag, "G = (sigma(g_dyn) + sigma(g_diag))^2",
+                        f"gaps {sigma_dyn:.6g} and {sigma_diag:.6g}"),
         condition_holds=condition,
         V_opt=v_opt,
         psi_opt=psi_opt,
         gaps=(sigma_dyn, sigma_diag),
         method=method,
     )
+
+
+def _square(x: float, name: str, detail: str) -> float:
+    """x ** 2; InvalidParameter naming name (and what x is made of) where it is not finite,
+    as where it overflows the float range and Python's ** raises an untyped OverflowError."""
+    try:
+        square = x**2
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise InvalidParameter(f"{name} overflows: {detail}; rescale the model's parameters")
+    return square
+
+
+def _dyn_gap(g_dyn) -> float:
+    """sigma(g_dyn); InvalidParameter where sigma(g_dyn)^2, the best preparation's QFI,
+    overflows."""
+    sigma = spectral_gap(g_dyn)
+    _square(sigma, "sigma(g_dyn)^2", f"sigma(g_dyn) = {sigma:.6g}")
+    return sigma
 
 
 def cem_outcome_model(
@@ -370,9 +383,16 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, F: np.ndar
 def _rounding_bound(E: np.ndarray, scale: float) -> float:
     """eps (d + max|E| / min spacing) scale: the first-order rounding of a quantity of size
     scale built from the eigenvectors of H = W diag(E) W^dag, whose relative error is of the
-    order of the condition number max|E| / min spacing (plus d from the matrix products)."""
-    spacing = float(np.min(np.diff(E)))
-    return np.finfo(float).eps * (E.shape[0] + float(np.max(np.abs(E))) / spacing) * scale
+    order of the condition number max|E| / min spacing (plus d from the matrix products).
+    E ascends, as _spectrum returns it, so its ends hold max|E|."""
+    spacing = float((E[1:] - E[:-1]).min())
+    return _EPS * (E.shape[0] + float(max(abs(E[0]), abs(E[-1]))) / spacing) * scale
+
+
+def _phase_bound(jet: _Jet) -> float:
+    """eps |t| max|E|: the rounding of U_t = W exp(-i t E) W^dag through its phases t E_j,
+    each of which carries its eigenvalue's error; it outgrows _rounding_bound at large t E."""
+    return _EPS * abs(jet.t) * float(max(abs(jet.E[0]), abs(jet.E[-1])))
 
 
 def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
@@ -387,7 +407,7 @@ def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
     G = |g_diag| + |g_dyn|.  V and F must already be validated.
     """
     E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
-    e = _rounding_bound(E, 3.0) + np.finfo(float).eps * abs(jet.t) * float(np.max(np.abs(E)))
+    e = _rounding_bound(E, 3.0) + _phase_bound(jet)
     # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error dxi_j.
     dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(jet.dH))
     dp_err = 6.0 * e * (np.linalg.norm(jet.g_diag) + np.linalg.norm(jet.g_dyn))
@@ -441,19 +461,25 @@ def encoded_qfi(
             return u @ rho0 @ u.conj().T
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
-        return report, spectral_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
+        return report, _dyn_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
     return _encoded_qfi(_jet(model, theta, t, phase_fixed=True), rho0)
 
 
 def _encoded_qfi(jet: _Jet, rho0: np.ndarray) -> tuple[FisherReport, float]:
     """encoded_qfi's analytic (report, sigma(g_dyn)) from a phase-fixed _jet at (theta, t);
-    rho0 must have the jet's dimension."""
+    rho0 must have the jet's dimension.  rho rounds by 2 e (e as in _level_jet), moving
+    drho = -i [g_dyn, rho] by 4 e |g_dyn|; g_dyn itself rounds by _rounding_bound(4 |t| |dH|)
+    however small it is (D's eigenvectors and the sinc and phase factors of its entries,
+    each at most |t| |D_jk|), moving drho by twice that.
+    """
+    sigma = _dyn_gap(jet.g_dyn)  # before _sld_parts' trace check, which overflow would fail
     rho = jet.U @ rho0 @ jet.U.conj().T
     drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
-    drho_err = _rounding_bound(jet.E, 4.0 * np.linalg.norm(jet.g_dyn))
+    scale = 4.0 * np.linalg.norm(jet.g_dyn)
+    drho_err = (_rounding_bound(jet.E, scale + 8.0 * abs(jet.t) * np.linalg.norm(jet.dH))
+                + _phase_bound(jet) * scale)
     p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
-    report = _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0)
-    return report, spectral_gap(jet.g_dyn)
+    return _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0), sigma
 
 
 # --- independent derivative-free maximization ---------------------------------------

@@ -139,6 +139,14 @@ def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.nd
     return np.maximum(values, 0.0), errs
 
 
+def _fisher_values(p: np.ndarray, dp) -> Optional[np.ndarray]:
+    """_fisher_sum's values bit for bit, without its bounds, where every p_x exceeds
+    SUPPORT_THRESHOLD; None otherwise, as only then does its support rule read the bounds."""
+    if not (p > SUPPORT_THRESHOLD).all():
+        return None
+    return (dp**2 / p).sum(axis=-1)
+
+
 def fisher_rows(p_of, theta: float,
                 diff: DiffSpec = DEFAULT_DIFF) -> tuple[np.ndarray, np.ndarray]:
     """Classical Fisher information of each row of a batch of distributions.

@@ -33,6 +33,7 @@ from .fisher import (
     FisherReport,
     OutcomeDistribution,
     _fisher_sum,
+    _fisher_values,
     _require_normalized,
     fisher_rows,
 )
@@ -210,15 +211,16 @@ def _readout_probs(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.
 
 def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np.ndarray,
                     mode: str, jet=None):
-    """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs, probs_err).
+    """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs, kernels).
 
     A chunk holds as many taus (at least one) as keep its level factors within
     SCRATCH_BYTES; the level coefficients of all taus are built once, and each tau's
-    values are the same bit for bit however the taus are chunked.  jet = (dxi, dp,
-    p_err), the derivatives of the shifted energies and level weights and the
-    weights' rounding bounds, also yields the exact dPr = 2^-n sum_j (dp_j P_j +
-    p_j dP_j), with the product rule alongside the product (see _level_coefficients
-    for dc), and the bound 2^-n sum_j p_err_j P_j on Pr; both are None without it.
+    values are the same bit for bit however the taus are chunked.  kernels are the
+    (T, d, 2^n) level kernels P_j / 2^n, so p_err @ kernels bounds Pr for weight
+    errors p_err.  jet = (dxi, dp), the derivatives of the shifted energies and
+    level weights, also yields the exact dPr = 2^-n sum_j (dp_j P_j + p_j dP_j),
+    with the product rule alongside the product (see _level_coefficients for dc);
+    dprobs is None without it.
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
@@ -230,11 +232,11 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
         kernels, dkernels = _level_products(coef[:, :, sl])
         probs = np.clip(np.matmul(p, kernels), 0.0, None)
         if jet is None:
-            yield sl, probs, None, None
+            yield sl, probs, None, kernels
             continue
         dprobs = np.matmul(jet[1], kernels)
         dprobs += np.matmul(p, dkernels)
-        yield sl, probs, dprobs, np.matmul(jet[2], kernels)
+        yield sl, probs, dprobs, kernels
 
 
 def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: str):
@@ -330,7 +332,7 @@ def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
 
 def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec], jet=None):
-    """(energies at theta, (taus, mode) -> (values, errors), method, step) of the chosen path.
+    """(energies at theta, (taus, mode, errors=True) -> (values, errors), method, step).
 
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
     energies, the level weights and their exact derivatives from one decomposition
@@ -343,35 +345,43 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     polynomial of degree 2^n - 1 in unit-disc phase variables its theta-derivative
     is at most (2^n - 1) tau |dxi_j| and its move under an energy error delta xi at
     most (2^n - 1) tau |delta xi| (Bernstein's inequality), so every dPr(Q) is off
-    by at most d dp_err + (2^n - 1) tau (dxi_err + sum_j p_err_j |dxi_j|).
+    by at most d dp_err + (2^n - 1) tau (dxi_err + sum_j p_err_j |dxi_j|).  A scan with
+    errors=False reads values only: a chunk whose bins all exceed SUPPORT_THRESHOLD
+    skips the bounds, which only _fisher_sum's support rule would read, and errors
+    comes back None.
 
     An explicit DiffSpec runs the finite-difference oracle, which reads neither dh_of nor
     jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
     mode, the controllization factors) over the stencil, one decomposition per node for all
-    scans and modes.  A tau scores -inf where it aliases: at theta, or at any oracle node.
+    scans and modes, and always returns its errors.  A tau scores -inf where it aliases: at
+    theta, or at any oracle node.
     """
     V = cfg.control(model.dim)
     if diff is None:
         jet = _jet(model, theta, cfg.t) if jet is None else jet
         E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(jet, V, cfg.factor)
         dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if cfg.energy_shift is None else (dE, dE_err)
-        level_jet, dxi_bound = (dxi, dp, p_err), dxi_err + p_err @ np.abs(dxi)
+        dxi_bound = dxi_err + p_err @ np.abs(dxi)
         method, step = numdiff.ANALYTIC, 0.0
 
-        def score(taus: np.ndarray, mode: str):
+        def score(taus: np.ndarray, mode: str, errors: bool = True):
             values, errs = np.empty(taus.shape), np.empty(taus.shape)
-            for sl, probs, dprobs, probs_err in _readout_chunks(cfg, E, p, taus, mode, level_jet):
+            for sl, probs, dprobs, kernels in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
                 _require_normalized(probs)
-                dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
-                values[sl], errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None], probs_err)
-            return np.where(_aliases(taus, E), -np.inf, values), errs
+                chunk = None if errors else _fisher_values(probs, dprobs)
+                if chunk is None:
+                    dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
+                    chunk, errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None],
+                                                  p_err @ kernels)
+                values[sl] = chunk
+            return np.where(_aliases(taus, E), -np.inf, values), errs if errors else None
     else:
         method, step = diff.method, diff.base_step(theta)
         numdiff.check_domain(theta, step, model.theta_domain)
         node = functools.cache(lambda x: _node(model, x, cfg.t, V, cfg.factor))
         E = node(theta)[0]
 
-        def score(taus: np.ndarray, mode: str):
+        def score(taus: np.ndarray, mode: str, errors: bool = True):
             aliased = np.zeros(taus.shape, dtype=bool)
 
             def probs_at(x: float) -> np.ndarray:
@@ -432,18 +442,24 @@ def tune_tau(
     large tau, so the optimum is model-dependent; a coarse geometric scan of
     TAU_COARSE candidates is refined once, by TAU_REFINE linear ones, around
     the best candidate.  Each scan is scored as one batch over tau, on
-    fisher_phase_readout's path: the analytic one costs one decomposition
-    for the whole call and never chooses a candidate that aliases at theta;
-    the finite-difference oracle costs one per stencil node and never
-    chooses one that aliases at any node.
+    fisher_phase_readout's path, and reads values only: the analytic one costs
+    one decomposition for the whole call and never chooses a candidate that
+    aliases at theta; the finite-difference oracle costs one per stencil node
+    and never chooses one that aliases at any node.  The fine scan's two ends
+    are coarse candidates; an analytic value does not depend on its batch, so
+    that path scores only the TAU_REFINE - 2 interior taus, while the oracle,
+    whose batch shares one derivative error bound, scores all of them.  Ties go
+    to the earlier candidate.
     """
     E, score, _, _ = _scorer(cfg, model, theta, diff)
     hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
     taus = np.geomspace(hi / 300.0, hi, TAU_COARSE)
-    values, _ = score(taus, mode)
+    values, _ = score(taus, mode, errors=False)
     best = int(np.argmax(values))
     fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)], TAU_REFINE)
-    fine_values, _ = score(fine, mode)
+    if diff is None:
+        fine = fine[1:-1]
+    fine_values, _ = score(fine, mode, errors=False)
     candidates = np.concatenate([taus, fine])
     return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ class TestGBound:
         with pytest.raises(InvalidParameter, match=r"^G = \(sigma\(g_dyn\) \+ sigma\(g_diag\)\)"
                                                    r"\^2 overflows: gaps 3\.15229e\+184 and 1;"):
             entry(make_qubit_direction(1e200))
+
+    @pytest.mark.parametrize("omega, sigma", [(1e200, "3.15229e+184"), (1e307, "1.71207e+291")])
+    @pytest.mark.parametrize("diff", [None, DiffSpec()], ids=["analytic", "oracle"])
+    def test_overflowing_max_qfi_is_invalid(self, omega, sigma, diff):
+        """encoded_qfi's sigma(g_dyn)^2 leaves the float range: a typed error naming it, on
+        the analytic path before the trace check that the overflowing drho would fail."""
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidParameter, match=rf"^sigma\(g_dyn\)\^2 overflows: "
+                                                   rf"sigma\(g_dyn\) = {re.escape(sigma)};"):
+            encoded_qfi(make_qubit_direction(omega), 1.0, 1.0, rho0, diff)
 
     def test_finite_bound_is_the_plain_square(self):
         """Where G is finite it is (sigma_dyn + sigma_diag) ** 2 as before, near the edge too."""

@@ -21,6 +21,7 @@ from qmet.phasesim import PhaseSimConfig, fisher_phase_readout
 
 # cem._solution's typed error for a G beyond the float range.
 G_OVERFLOWS = "InvalidParameter: G = (sigma(g_dyn) + sigma(g_diag))^2 overflows"
+MAX_QFI_OVERFLOWS = "InvalidParameter: sigma(g_dyn)^2 overflows"
 PROBE_COMMANDS = ("gbound", "qfi", "optimize", "phase-sim")
 
 
@@ -324,7 +325,8 @@ class TestNumericalFailures:
 
     @pytest.mark.parametrize("command, key, value, point, cause", [
         ("gbound", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
-        ("qfi", "omega", "1e200", "(1.0, 1.0)", "OverflowError"),  # the CLI's sigma_dyn ** 2
+        ("qfi", "omega", "1e200", "(1.0, 1.0)", MAX_QFI_OVERFLOWS),
+        ("qfi", "omega", "1e307", "(1.0, 1.0)", MAX_QFI_OVERFLOWS),  # before the trace check
         ("optimize", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("phase-sim", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("phase-sim", "omega", "1e150", "(1.0, 1.0)",

@@ -191,6 +191,35 @@ def test_the_quantum_fisher_family_decomposes_rho_once(name, count, decompositio
     assert decompositions[0] == count
 
 
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("n", [6, 10])
+def test_analytic_tune_tau_scores_each_candidate_once_values_only(mode, n, monkeypatch):
+    """The coarse scan's 32 taus and the fine scan's 14 interior ones, each scored once:
+    the fine scan's ends are coarse candidates.  Where every bin exceeds
+    SUPPORT_THRESHOLD, no scan reaches _fisher_sum or builds an error bound."""
+    scored, sums = [], [0]
+    chunks, fisher_sum = phasesim._readout_chunks, phasesim._fisher_sum
+
+    def recorded_chunks(cfg, ev, p, taus, *args):
+        scored.extend(taus.tolist())
+        return chunks(cfg, ev, p, taus, *args)
+
+    def counted_sum(*args):
+        sums[0] += 1
+        return fisher_sum(*args)
+
+    monkeypatch.setattr(phasesim, "_readout_chunks", recorded_chunks)
+    monkeypatch.setattr(phasesim, "_fisher_sum", counted_sum)
+    model = make_nv_spin1(*NV_PARAMS)
+    sol = g_bound(model, 0.7, 1.3)
+    cfg = PhaseSimConfig(n=n, m=3, t=1.3, V=sol.V_opt,
+                         rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+    tune_tau(cfg, model, 0.7, mode)
+    assert len(scored) == phasesim.TAU_COARSE + phasesim.TAU_REFINE - 2 == 46
+    assert len(set(scored)) == len(scored)
+    assert sums[0] == 0
+
+
 def ground_projector(d):
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0

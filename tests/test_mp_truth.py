@@ -155,17 +155,17 @@ def preparation(d: int, kind: str) -> np.ndarray:
     return (basis * weights) @ basis.conj().T
 
 
-def qfi_truth(model, rho0) -> float:
+def qfi_truth(model, rho0, at=THETA, t=T) -> float:
     """sum over p_k + p_l >= SUPPORT_THRESHOLD of 2 |D_kl|^2 / (p_k + p_l), with p and the
-    eigenbasis of rho(THETA) from mp.eighe and D = drho / dtheta in that basis."""
-    H0, dH, R0 = mp_matrix(model.h_of(THETA)), mp_matrix(model.dh_of(THETA)), mp_matrix(rho0)
+    eigenbasis of rho(at) from mp.eighe and D = drho / dtheta in that basis."""
+    H0, dH, R0 = mp_matrix(model.h_of(at)), mp_matrix(model.dh_of(at)), mp_matrix(rho0)
 
     @functools.cache
     def rho(x):
-        U = mp.expm(mp.mpc(0, -T) * (H0 + (x - THETA) * dH))
+        U = mp.expm(mp.mpc(0, -t) * (H0 + (x - at) * dH))
         return U * R0 * U.H
 
-    d, theta = model.dim, mp.mpf(THETA)
+    d, theta = model.dim, mp.mpf(at)
     D = mp.matrix(d, d)
     for k in range(d):
         for l in range(d):
@@ -187,4 +187,20 @@ def test_encoded_qfi_within_its_estimate_of_the_truth(name, kind):
         truth = qfi_truth(model, rho0)
     report, _ = encoded_qfi(model, THETA, T, rho0)
     assert report.method == "analytic"
+    assert abs(report.value - truth) <= report.error_estimate
+
+
+@pytest.mark.parametrize("omega, theta, t", [
+    (1e6, 2.8, 1.75),
+    (1e10, 2.8, 1.75),
+    (1e3, 1.4, 0.6),  # sinc(t w / 2 pi) near a zero: g_dyn small against t |dH|
+])
+def test_encoded_qfi_estimate_covers_large_phases(omega, theta, t):
+    """At large omega t the phases t E_j of U_t carry errors of eps t max|E|, and g_dyn
+    rounds relative to t |dH| rather than to itself; the estimate covers both.  The
+    truth runs at 60 digits, as t E reaches 1.75e10."""
+    model, rho0 = make_qubit_direction(omega), np.diag([1.0, 0.0]).astype(complex)
+    with mp.workdps(60):
+        truth = qfi_truth(model, rho0, theta, t)
+    report, _ = encoded_qfi(model, theta, t, rho0)
     assert abs(report.value - truth) <= report.error_estimate

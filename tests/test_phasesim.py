@@ -606,10 +606,10 @@ class TestBatchedReadoutMatchesSerial:
 
 
 def jet_inputs(cfg, model, theta):
-    """(energies, level weights, (dxi, dp, p_err)) at theta, the shift as the read-out applies it."""
-    E, dE, _, p, dp, _, p_err = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
-                                           cfg.factor)
-    return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp, p_err)
+    """(energies, level weights, (dxi, dp)) at theta, the shift as the read-out applies it."""
+    E, dE, _, p, dp, _, _ = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
+                                       cfg.factor)
+    return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp)
 
 
 def oracle_scores(cfg, model, theta, taus, mode):
@@ -766,6 +766,58 @@ class TestBatchMatchesSingleTau:
             value, err = score(taus[k:k + 1], mode)
             assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
                                                          errs[k:k + 1].tobytes())
+
+
+def full_scan_tau(cfg, model, theta, mode):
+    """tune_tau as a full scan: all 48 candidates scored with their error estimates, the
+    fine scan's two ends again, and the first best taken."""
+    E, score, _, _ = phasesim._scorer(cfg, model, theta, None)
+    hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
+    taus = np.geomspace(hi / 300.0, hi, phasesim.TAU_COARSE)
+    values, errs = score(taus, mode)
+    best = int(np.argmax(values))
+    fine = np.linspace(taus[max(best - 1, 0)], taus[min(best + 1, len(taus) - 1)],
+                       phasesim.TAU_REFINE)
+    fine_values, fine_errs = score(fine, mode)
+    assert np.all(np.isfinite(np.concatenate([errs, fine_errs])))
+    for scan, scan_values in ((taus, values), (fine, fine_values)):  # values-only, bit for bit
+        assert score(scan, mode, errors=False)[0].tobytes() == scan_values.tobytes()
+    candidates = np.concatenate([taus, fine])
+    return float(candidates[int(np.argmax(np.concatenate([values, fine_values])))])
+
+
+class TestValueOnlyScans:
+    """tune_tau's values-only scans of 46 taus pick the full scan's tau, bit for bit."""
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1"])
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    @pytest.mark.parametrize("shift", [None, 0.0])
+    def test_tune_tau_is_the_full_scan_argmax(self, model_name, n, mode, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        assert tune_tau(cfg, model, theta, mode) == full_scan_tau(cfg, model, theta, mode)
+
+    def test_zero_bins_take_the_full_support_rule(self, monkeypatch):
+        """A qubit whose range puts tune_tau's top candidate on aligned_tau at n = 5: in
+        ideal mode both levels sit on bins, so every other bin is exactly 0, and the
+        chunk that holds it runs _fisher_sum's support rule with its bounds."""
+        n, rng = 5, 31e-6 / (0.98 * 32 - 31)  # 0.98 * 2 pi / (rng + 1e-6) = aligned_tau
+        model, psi = make_qubit_direction(rng / 2.0), np.array([0.6, 0.8j])
+        cfg = PhaseSimConfig(n=n, m=3, t=1.0, rho0=np.outer(psi, psi.conj()))
+        top = 0.98 * 2.0 * math.pi / (float(np.ptp(np.linalg.eigvalsh(model.h_of(1.0)))) + 1e-6)
+        assert top == pytest.approx(aligned_tau(model, 1.0, n), rel=1e-9)
+        probs = ideal_distribution(cfg.with_tau(top), model, 1.0).probs
+        assert np.sum(probs == 0.0) == 2**n - 2
+        expected = full_scan_tau(cfg, model, 1.0, "ideal")
+        sums, fisher_sum = [0], phasesim._fisher_sum
+
+        def counted_sum(*args):
+            sums[0] += 1
+            return fisher_sum(*args)
+
+        monkeypatch.setattr(phasesim, "_fisher_sum", counted_sum)
+        assert tune_tau(cfg, model, 1.0, "ideal") == expected
+        assert sums[0] >= 1
 
 
 class TestDecompositionCounts:
