@@ -16,7 +16,9 @@ preparation; an independent derivative-free optimizer cross-checks it.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -96,20 +98,49 @@ class CemSolution:
     method: str
 
 
-def _spectrum(model: HamiltonianModel, x: float, phase_fixed: bool = False):
-    """(ascending energies E, eigenvector columns W) of H(x), the one decomposition of H.
+def _spectrum(model: HamiltonianModel, x: float):
+    """(ascending energies E, phase-fixed eigenvector columns W) of H(x), the one
+    decomposition of H and the one eigenbasis gauge of every consumer.
 
     Raises DomainBoundary unless x lies inside the open domain, NonHermitianInput for a
     non-Hermitian H(x) or one with a NaN or infinite entry, DegenerateSpectrum for
     (near-)degenerate H(x) and InvalidParameter when its spectral range overflows the
-    float range.  W is in NumPy's gauge, or phase-fixed with phase_fixed=True.
+    float range.  h_of runs with NumPy's floating-point warnings off: an entry that
+    overflows is the typed NonHermitianInput, not a warning.
     """
     numdiff.check_domain(x, 0.0, model.theta_domain)
-    E, W = eigh_nondegenerate(model.h_of(x))
+    with np.errstate(all="ignore"):
+        E, W = eigh_nondegenerate(model.h_of(x))
     if not math.isfinite(float(E[-1]) - float(E[0])):  # Python floats overflow silently
         raise InvalidParameter(f"spectral range of H({x}) overflows: energies {E[0]:.6g} "
                                f"to {E[-1]:.6g}; rescale the model's parameters")
-    return E, fix_phases(W) if phase_fixed else W
+    return E, fix_phases(W)
+
+
+def _memo(fn):
+    """fn(model, theta) with a one-entry memo: a call at the model object and theta of the
+    last call that returned gives that call's result again.  A call that raises stores
+    nothing, and the entry goes with its model.  fn's arrays must be read-only;
+    cache_clear() empties the memo."""
+    last = []  # [weak reference to the model, theta, result]
+
+    def memoized(model: HamiltonianModel, theta: float):
+        if last and last[0]() is model and last[1] == theta:
+            return last[2]
+        result = fn(model, theta)
+        ref = weakref.ref(model, lambda dead: last and last[0] is dead and last.clear())
+        last[:] = ref, theta, result
+        return result
+
+    memoized.cache_clear = last.clear
+    return functools.wraps(fn)(memoized)
+
+
+def _read_only(*arrays):
+    """arrays, each made read-only in place: the caller's own, never a model's."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _require_dim(dim: int, **operands) -> None:
@@ -123,10 +154,10 @@ def _require_dim(dim: int, **operands) -> None:
 def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     """Unitary S whose rows are the energy eigenbra's, ground state first.
 
-    S H(theta) S^dag = diag(xi_0 <= ... <= xi_{d-1}); rows use the phase-fixed
+    S H(theta) S^dag = diag(xi_0 <= ... <= xi_{d-1}); rows use _spectrum's phase-fixed
     gauge.  Raises DomainBoundary and DegenerateSpectrum as _spectrum does.
     """
-    return _spectrum(model, theta, phase_fixed=True)[1].conj().T
+    return _spectrum(model, theta)[1].conj().T
 
 
 def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
@@ -164,19 +195,23 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-def _theta_half(model: HamiltonianModel, theta: float, phase_fixed: bool = False) -> _Half:
+@_memo
+def _theta_half(model: HamiltonianModel, theta: float) -> _Half:
     """_jet's theta half, everything of it that does not depend on t: one checked _spectrum
-    and one dh_of read, which raise as _jet does.  Returns (E, W, dH, D, w, g_diag)."""
-    E, W = _spectrum(model, theta, phase_fixed)
+    and one dh_of read, which raise as _jet does.  Returns read-only (E, W, dH, D, w, g_diag),
+    kept in a one-entry memo, so repeated calls at one working point decompose H once;
+    dh_of and its Hermiticity check run with NumPy's floating-point warnings off."""
+    E, W = _spectrum(model, theta)
     if model.dh_of is None:
         raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
                                "it, and an explicit DiffSpec selects the finite-difference oracle")
-    dH = require_hermitian(model.dh_of(theta))
+    with np.errstate(all="ignore"):
+        dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
     D = W.conj().T @ dH @ W
     D = (D + D.conj().T) / 2.0
     w = E[:, None] - E[None, :]
     g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
-    return _Half(E, W, dH, D, w, g_diag)
+    return _Half(*_read_only(E, W, dH, D, w, g_diag))
 
 
 def _t_half(half: _Half, t: float) -> _Jet:
@@ -186,7 +221,7 @@ def _t_half(half: _Half, t: float) -> _Jet:
     return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag, t)
 
 
-def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = False) -> _Jet:
+def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
     """The analytic jet of H(theta): one checked _spectrum, one dh_of read.
 
     Returns (E, W, U, dH, D, g_dyn, g_diag, t): the ascending energies and
@@ -199,25 +234,23 @@ def _jet(model: HamiltonianModel, theta: float, t: float, phase_fixed: bool = Fa
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
     the model needs dh_of, as every analytic (diff=None) path does.  The jet is
-    _t_half of _theta_half, so a caller that sweeps t at one theta can keep the
-    theta half, with its decomposition, across the sweep.
+    _t_half of the memoized _theta_half, so every analytic call at one (model, theta),
+    whatever its t, shares one decomposition of H(theta).
 
-    W comes from _spectrum in NumPy's arbitrary gauge, which the read-out
-    scorer and fisher_cem's jet never see.  phase_fixed=True takes the
-    phase-fixed gauge for the gauge-dependent consumers (g_bound and
-    generator_pair, optimize_cem's seed) and for encoded_qfi, whose
-    sigma(g_dyn) equals generator_pair's gap bit for bit.
+    W is _spectrum's phase-fixed gauge, the one gauge of every consumer: the
+    gauge-dependent ones (g_bound, generator_pair, optimize_cem's seed) and the
+    gauge-invariant ones (the read-out scorer, fisher_cem, encoded_qfi) alike.
     """
-    return _t_half(_theta_half(model, theta, phase_fixed), t)
+    return _t_half(_theta_half(model, theta), t)
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
     """(W, U_t, g_dyn, g_diag, method): W phase-fixed eigenvectors of H, U_t = exp(-i t H)."""
     if diff is None:
-        jet = _jet(model, theta, t, phase_fixed=True)
+        jet = _jet(model, theta, t)
         return jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
-    E, W = _spectrum(model, theta, phase_fixed=True)
+    E, W = _spectrum(model, theta)
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
     g_diag = local_generator(_transported_family(model, W), theta, diff)
     return W, spectral_unitary(E, W, t), g_dyn, g_diag, diff.method
@@ -238,7 +271,7 @@ def generator_pair(
     _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(
         g_dyn=g_dyn,
-        g_diag=g_diag,
+        g_diag=g_diag.copy(),  # the analytic g_diag is the memoized theta half's
         gaps=(spectral_gap(g_dyn), spectral_gap(g_diag)),
         method=method,
     )
@@ -275,8 +308,11 @@ def g_bound(
     g_diag pulled back through S V U_t, with relative phase PREPARATION_PHASE.
     The generators come from generator_pair's paths (diff as there); one
     decomposition of H(theta) gives S and U_t, and one of each generator gives
-    its gap, R1 or R2 and the condition, so the analytic path costs three.
+    its gap, R1 or R2 and the condition, so the analytic path costs three, and calls
+    at one (model, theta) share the first two (_optimum).
     """
+    if diff is None:
+        return _optimum(model, theta, t)[1]
     W, u_t, g_dyn, g_diag, method = _generators(model, theta, t, diff)
     return _solution(W, u_t, g_dyn, _diag_system(g_diag), method)
 
@@ -428,7 +464,8 @@ def fisher_cem(
     this is a non-regular statistical model; the energy measurement V = I yields a
     t-independent value.  diff is classical_fisher's: by default the model's dh_of
     differentiates it analytically through _level_jet (two decompositions: rho0's
-    check, which also factors it, and H(theta)), with an error estimate covering
+    check, which also factors it, and H(theta), shared with every analytic call at
+    theta through the memoized _theta_half), with an error estimate covering
     the rounding of the weights and of their derivatives; an explicit DiffSpec
     runs the stencil over the distributions as the oracle.
     """
@@ -453,25 +490,20 @@ def encoded_qfi(
     both paths, so both need the model's dh_of.  rho0 must be a density matrix
     of the model's dimension (DimensionMismatch otherwise, with require_density's
     messages); rho has rho0's spectrum, so the SLD's decomposition of rho checks it.
+    The analytic estimate: rho rounds by 2 e (e as in _level_jet), moving
+    drho = -i [g_dyn, rho] by 4 e |g_dyn|; g_dyn itself rounds by _rounding_bound(4 |t| |dH|)
+    however small it is (D's eigenvectors and the sinc and phase factors of its entries,
+    each at most |t| |D_jk|), moving drho by twice that.
     """
     _require_dim(model.dim, rho0=rho0)
-    if diff is not None:
+    if diff is not None:  # the stencil first: its DomainBoundary names the stencil
         def rho_of(x: float) -> np.ndarray:
             u = model.u_of(x, t)
             return u @ rho0 @ u.conj().T
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
-        return report, _dyn_gap(_jet(model, theta, t, phase_fixed=True).g_dyn)
-    return _encoded_qfi(_jet(model, theta, t, phase_fixed=True), rho0)
-
-
-def _encoded_qfi(jet: _Jet, rho0: np.ndarray) -> tuple[FisherReport, float]:
-    """encoded_qfi's analytic (report, sigma(g_dyn)) from a phase-fixed _jet at (theta, t);
-    rho0 must have the jet's dimension.  rho rounds by 2 e (e as in _level_jet), moving
-    drho = -i [g_dyn, rho] by 4 e |g_dyn|; g_dyn itself rounds by _rounding_bound(4 |t| |dH|)
-    however small it is (D's eigenvectors and the sinc and phase factors of its entries,
-    each at most |t| |D_jk|), moving drho by twice that.
-    """
+        return report, _dyn_gap(_jet(model, theta, t).g_dyn)
+    jet = _jet(model, theta, t)
     sigma = _dyn_gap(jet.g_dyn)  # before _sld_parts' trace check, which overflow would fail
     rho = jet.U @ rho0 @ jet.U.conj().T
     drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
@@ -583,7 +615,7 @@ def optimize_cem(
     rotation between components 0 and j, or a phase on component j >= 1), with
     delta in [-radius, radius], radius 0.6 shrinking by 0.8 per pass down to
     1e-3.  A restart takes its best probe only if that improves on its value.
-    One phase-fixed _jet feeds the objective and the seed's _solution: three
+    One _optimum feeds the objective and the seed's _solution: three
     eigendecompositions (the jet, g_diag, g_dyn) whatever the budget, and theta
     only has to lie inside the open domain.
 
@@ -601,33 +633,31 @@ def optimize_cem(
     return _optimize(model, theta, t, budget, seed)[1]
 
 
+@_memo
 def _optimum_half(model: HamiltonianModel, theta: float):
-    """(phase-fixed _theta_half, _diag_system of its g_diag): the part of _optimum at theta
-    that does not depend on t."""
-    half = _theta_half(model, theta, phase_fixed=True)
-    return half, _diag_system(half.g_diag)
+    """(_theta_half, _diag_system of its g_diag): the part of _optimum at theta that does
+    not depend on t, read-only and in a one-entry memo as _theta_half is."""
+    half = _theta_half(model, theta)
+    diag = _diag_system(half.g_diag)
+    _read_only(diag[0].eigenvalues, diag[0].eigenvectors)
+    return half, diag
 
 
-def _optimum(model: HamiltonianModel, theta: float, t: float, theta_half=None):
-    """(phase-fixed _jet, g_bound's analytic CemSolution built from it) at (theta, t).
-
-    theta_half is _optimum_half(model, theta), computed here when None; a caller that
-    sweeps t at one theta passes the one it keeps, and gets the same values bit for bit.
-    """
-    half, diag = _optimum_half(model, theta) if theta_half is None else theta_half
+def _optimum(model: HamiltonianModel, theta: float, t: float):
+    """(_jet, g_bound's analytic CemSolution built from it) at (theta, t); calls at one
+    (model, theta) share _optimum_half's decompositions of H(theta) and g_diag."""
+    half, diag = _optimum_half(model, theta)
     jet = _t_half(half, t)
     return jet, _solution(jet.W, jet.U, jet.g_dyn, diag, numdiff.ANALYTIC)
 
 
-def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int,
-              theta_half=None):
-    """(g_bound's CemSolution, optimize_cem's result) from one phase-fixed jet (theta_half
-    as in _optimum)."""
+def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
+    """(g_bound's CemSolution, optimize_cem's result) from one _optimum."""
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
     d, rng = model.dim, np.random.default_rng(seed)
-    jet, sol = _optimum(model, theta, t, theta_half)
+    jet, sol = _optimum(model, theta, t)
     terms, Wh = _move_terms(d), jet.W.conj().T
     Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T  # y = (psi @ Yt) as (2, d)
 

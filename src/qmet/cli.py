@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import hashlib
 import itertools
 import json
@@ -40,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cem import _encoded_qfi, _optimize, _optimum, _optimum_half, _t_half, _theta_half, encoded_qfi
+from .cem import _optimize, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
@@ -282,12 +281,10 @@ def _qfi_row(cfg: RunConfig):
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[0, 0] = 1.0  # the projector on the first basis state
     diff = cfg.diff()
-    half = functools.lru_cache(maxsize=1)(lambda theta: _theta_half(model, theta, phase_fixed=True))
 
     def row(point):
         theta, t = point
-        report, sigma_dyn = (_encoded_qfi(_t_half(half(theta), t), rho0) if diff is None
-                             else encoded_qfi(model, theta, t, rho0, diff))
+        report, sigma_dyn = encoded_qfi(model, theta, t, rho0, diff)
         value, max_value = report.value, sigma_dyn ** 2
         ref, max_ref = probe.qfi(p, theta, t), probe.max_qfi(p, theta, t)
         abs_err = abs(value - ref) if math.isfinite(ref) else math.nan
@@ -301,11 +298,10 @@ def _qfi_row(cfg: RunConfig):
 def _gbound_row(cfg: RunConfig):
     probe = _PROBES[cfg.model]
     model = probe.build(cfg.model_params)
-    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        sol = _optimum(model, theta, t, half(theta))[1]  # g_bound's analytic solution
+        sol = g_bound(model, theta, t)
         max_value = sol.gaps[0] ** 2
         ref = probe.g(cfg.model_params, theta, t)
         abs_err = abs(sol.G_value - ref) if math.isfinite(ref) else math.nan
@@ -317,12 +313,10 @@ def _gbound_row(cfg: RunConfig):
 
 def _optimize_row(cfg: RunConfig):
     model = _PROBES[cfg.model].build(cfg.model_params)
-    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed,
-                                      half(theta))
+        sol, (best, _, _) = _optimize(model, theta, t, (cfg.restarts, cfg.iterations), cfg.seed)
         gap = abs(best - sol.G_value) / sol.G_value if sol.G_value > 0 else math.nan
         return (cfg.restarts, cfg.iterations, cfg.seed, theta, t, best, sol.G_value, gap,
                 sol.condition_holds)
@@ -337,14 +331,13 @@ def _phase_sim_row(cfg: RunConfig):
         _check_bounds(cfg.n, cfg.m, cfg.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    half = functools.lru_cache(maxsize=1)(lambda theta: _optimum_half(model, theta))
 
     def row(point):
         theta, t = point
-        jet, sol = _optimum(model, theta, t, half(theta))  # g_bound's; the read-out reuses its jet
+        sol = g_bound(model, theta, t)
         sim = PhaseSimConfig(n=cfg.n, m=cfg.m, tau=cfg.tau, t=t, V=sol.V_opt,
                              rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
-        tau, (ideal, real) = _readouts(sim, model, theta, diff, (IDEAL, REALISTIC), jet)
+        tau, (ideal, real) = _readouts(sim, model, theta, diff, (IDEAL, REALISTIC))
         G = sol.G_value
         ratios = (ideal.value / G, real.value / G) if G > 0 else (math.nan, math.nan)
         return (cfg.n, cfg.m, tau, theta, t, ideal.value, ideal.error_estimate, real.value,
@@ -393,9 +386,8 @@ def _oscillator_row(cfg: RunConfig):
 # One entry per sweep command: its row builder, which does the once-per-run set-up and
 # returns row(point); its columns; those of them that may hold a non-finite value; and
 # the models it accepts, the first being its default.  The grid is theta-major, so the
-# probe commands keep the theta half of their jet (cem._theta_half, or _optimum_half
-# where G is needed) in a one-entry memo: each theta row computes it at its first t, and
-# a call that raises stores nothing.
+# probe commands decompose H(theta) (and g_diag, where G is needed) once per theta row,
+# at its first t: the library keeps that theta half in a one-entry memo (cem._memo).
 _Sweep = namedtuple("_Sweep", "build columns nonfinite models", defaults=(tuple(_PROBES),))
 _SWEEPS = {
     "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "

@@ -135,7 +135,8 @@ def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.nd
                 _term_bound(low, dp, dp_err, p_err) <= SUB_THRESHOLD_RATIO * terms)
     safe = np.where(support, p, 1.0)
     values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
-    errs = np.where(support, _term_bound(safe, dp, dp_err, p_err), 0.0).sum(axis=-1)
+    with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+        errs = np.where(support, _term_bound(safe, dp, dp_err, p_err), 0.0).sum(axis=-1)
     return np.maximum(values, 0.0), errs
 
 
@@ -234,9 +235,12 @@ def _sld_weights(p: np.ndarray) -> np.ndarray:
 
 def _weighted_sum(c: np.ndarray, Dv, drho_err: float) -> tuple[float, float]:
     """(sum c_kl |Dv_kl|^2, sum c_kl (2 |Dv_kl| + eps) eps): a metric with weights c >= 0
-    and the first-order bound on how far a derivative error eps of each Dv entry moves it."""
+    and the first-order bound on how far a derivative error eps of each Dv entry moves it,
+    inf where the bound leaves the float range."""
     a = np.abs(Dv)
-    return float(np.sum(c * a * a)), float(np.sum(c * (2.0 * a + drho_err) * drho_err))
+    value = float(np.sum(c * a * a))
+    with np.errstate(over="ignore"):
+        return value, float(np.sum(c * (2.0 * a + drho_err) * drho_err))
 
 
 def _state_derivative(rho_of, theta: float, diff: DiffSpec,

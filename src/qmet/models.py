@@ -41,7 +41,9 @@ class HamiltonianModel:
 
     Every default (analytic) Fisher and generator path needs dh_of and
     raises InvalidParameter without it; a model without dh_of runs only on
-    the finite-difference oracle, selected by an explicit DiffSpec.
+    the finite-difference oracle, selected by an explicit DiffSpec.  h_of and
+    dh_of must be pure functions of theta: cem keeps what it derives from them
+    at the last (model, theta) and hands it to the next call there.
     """
 
     name: str

@@ -213,9 +213,12 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
                     mode: str, jet=None):
     """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs, kernels).
 
-    A chunk holds as many taus (at least one) as keep its level factors within
-    SCRATCH_BYTES; the level coefficients of all taus are built once, and each tau's
-    values are the same bit for bit however the taus are chunked.  kernels are the
+    The level coefficients of all taus are built once, and so are the top levels of
+    the product: every level whose factors for all taus fit SCRATCH_BYTES, as a level's
+    factors have half the bins of the level below.  A chunk holds as many taus (at
+    least one) as keep the bottom levels' factors within SCRATCH_BYTES and runs only
+    those, from its taus' rows of the top levels.  Each tau's operations are the same
+    however the taus are chunked, so are its values, bit for bit.  kernels are the
     (T, d, 2^n) level kernels P_j / 2^n, so p_err @ kernels bounds Pr for weight
     errors p_err.  jet = (dxi, dp), the derivatives of the shifted energies and
     level weights, also yields the exact dPr = 2^-n sum_j (dp_j P_j + p_j dP_j),
@@ -225,11 +228,15 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
     coef = _level_coefficients(cfg, phase, dphase, mode)
-    _, kinds, _, d, _ = coef.shape
-    chunk = max(SCRATCH_BYTES // (kinds * d * 2**cfg.n * coef.itemsize), 1)
-    for start in range(0, len(taus), chunk):
+    n, kinds, T, d, _ = coef.shape
+    per_bin = kinds * d * coef.itemsize  # bytes of one tau's factors per bin
+    top = min(n, max((SCRATCH_BYTES // (per_bin * T)).bit_length() - 1, 0))  # 2^top bins fit
+    carry = _level_products(coef, n - top) if top else None
+    chunk = max(SCRATCH_BYTES // (per_bin * 2**n), 1)
+    for start in range(0, T, chunk):
         sl = slice(start, start + chunk)
-        kernels, dkernels = _level_products(coef[:, :, sl])
+        rows = None if carry is None else tuple(None if a is None else a[sl] for a in carry)
+        kernels, dkernels = _level_products(coef[:, :, sl], 0, rows)
         probs = np.clip(np.matmul(p, kernels), 0.0, None)
         if jet is None:
             yield sl, probs, None, kernels
@@ -275,20 +282,26 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     return np.stack(kinds, axis=1)
 
 
-def _level_products(coef: np.ndarray):
-    """(P / 2^n, dP / 2^n or None), each (T, d, 2^n), from _level_coefficients rows.
+def _level_products(coef: np.ndarray, stop: int = 0, carry=None):
+    """(P / 2^n, dP / 2^n or None), each (T, d, 2^(n - stop)), from _level_coefficients rows.
 
-    P is the product of the level factors over the bins; scaling by the
-    power of two 2^-n up front is exact.  A derivative kind runs the product
-    rule (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last
-    level, (kinds, T, d, 2^n) float64, are the largest scratch array, which
+    P is the product of the factors of levels n - 1 down to stop over their bins;
+    scaling by the power of two 2^-n up front is exact.  carry is what this function
+    returned for the same rows at a higher stop, whose levels it continues from
+    (None starts at the top).  A derivative kind runs the product rule
+    (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last level,
+    (kinds, T, d, 2^(n - stop)) float64, are the largest scratch array, which
     _readout_chunks bounds by SCRATCH_BYTES.
     """
     n, kinds, T, d, _ = coef.shape
     tables, rows = _twiddles(n), T * d
     coef = coef.reshape(n, kinds * rows, 3)
-    prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
-    for level in reversed(range(n)):
+    if carry is None:
+        prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
+    else:
+        prod = carry[0].reshape(rows, -1)
+        dprod = None if carry[1] is None else carry[1].reshape(rows, -1)
+    for level in reversed(range(stop, n + 1 - prod.shape[1].bit_length())):
         factor = (coef[level] @ tables[level]).reshape(kinds * rows, 2, -1)
         if kinds == 2:  # the derivative rows follow the factor rows
             factor, dfactor = factor[:rows], factor[rows:]
@@ -297,7 +310,7 @@ def _level_products(coef: np.ndarray):
             dprod = dfactor.reshape(rows, -1)
         factor *= prod[:, None, :]
         prod = factor.reshape(rows, -1)
-    shape = (T, d, 2**n)
+    shape = (T, d, prod.shape[1])
     return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
 
 
@@ -331,14 +344,15 @@ def realistic_distribution(cfg: PhaseSimConfig, model: HamiltonianModel,
 
 
 def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-            diff: Optional[DiffSpec], jet=None):
+            diff: Optional[DiffSpec]):
     """(energies at theta, (taus, mode, errors=True) -> (values, errors), method, step).
 
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
-    energies, the level weights and their exact derivatives from one decomposition
-    of H(theta) (jet, a _jet at (theta, cfg.t) in any gauge, else a raw-gauge one),
-    and _readout_chunks carries them through the kernel, so a scan of taus in either
-    mode costs a few kernel passes and no further decomposition.  The shifted energies
+    energies, the level weights and their exact derivatives from the _jet at
+    (theta, cfg.t), whose decomposition of H(theta) is cem's memoized theta half,
+    shared with g_bound and every analytic call at (model, theta); _readout_chunks
+    carries them through the kernel, so a scan of taus in either mode costs a few
+    kernel passes and no decomposition once the point has one.  The shifted energies
     move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
     dxi_j = dE_j under a fixed shift.  The error estimate propagates the rounding
     bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
@@ -351,17 +365,18 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     comes back None.
 
     An explicit DiffSpec runs the finite-difference oracle, which reads neither dh_of nor
-    jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
+    the jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
     mode, the controllization factors) over the stencil, one decomposition per node for all
     scans and modes, and always returns its errors.  A tau scores -inf where it aliases: at
     theta, or at any oracle node.
     """
     V = cfg.control(model.dim)
     if diff is None:
-        jet = _jet(model, theta, cfg.t) if jet is None else jet
-        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(jet, V, cfg.factor)
+        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(_jet(model, theta, cfg.t), V,
+                                                         cfg.factor)
         dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if cfg.energy_shift is None else (dE, dE_err)
-        dxi_bound = dxi_err + p_err @ np.abs(dxi)
+        with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+            dxi_bound = dxi_err + p_err @ np.abs(dxi)
         method, step = numdiff.ANALYTIC, 0.0
 
         def score(taus: np.ndarray, mode: str, errors: bool = True):
@@ -370,7 +385,8 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
                 _require_normalized(probs)
                 chunk = None if errors else _fisher_values(probs, dprobs)
                 if chunk is None:
-                    dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
+                    with np.errstate(over="ignore"):
+                        dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
                     chunk, errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None],
                                                   p_err @ kernels)
                 values[sl] = chunk
@@ -396,10 +412,10 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
 
 
 def _readouts(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
-              diff: Optional[DiffSpec], modes, jet=None) -> tuple[float, list[FisherReport]]:
+              diff: Optional[DiffSpec], modes) -> tuple[float, list[FisherReport]]:
     """(tau, a FisherReport per mode): _frozen_tau's tau, each mode scored at it by one
-    _scorer (jet as there); AliasingRisk where tau aliases at theta or a stencil node."""
-    E, score, method, step = _scorer(cfg, model, theta, diff, jet)
+    _scorer; AliasingRisk where tau aliases at theta or a stencil node."""
+    E, score, method, step = _scorer(cfg, model, theta, diff)
     tau = _frozen_tau(cfg, E)
     scores = [score(np.array([tau]), mode) for mode in modes]
     if any(values[0] == -np.inf for values, _ in scores):
@@ -422,7 +438,8 @@ def fisher_phase_readout(
     the energy shift follows the spectrum (unless fixed), so its parameter
     dependence is part of the statistical model.  By default the model's
     dh_of differentiates it exactly at theta alone (method "analytic", step
-    0, one decomposition; AliasingRisk when tau aliases at theta).  An
+    0, one decomposition, shared by the analytic calls at one (model, theta);
+    AliasingRisk when tau aliases at theta).  An
     explicit DiffSpec runs the finite-difference stencil instead, the
     oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
@@ -443,7 +460,8 @@ def tune_tau(
     TAU_COARSE candidates is refined once, by TAU_REFINE linear ones, around
     the best candidate.  Each scan is scored as one batch over tau, on
     fisher_phase_readout's path, and reads values only: the analytic one costs
-    one decomposition for the whole call and never chooses a candidate that
+    one decomposition for the whole call, none after g_bound or another analytic
+    call at (model, theta), and never chooses a candidate that
     aliases at theta; the finite-difference oracle costs one per stencil node
     and never chooses one that aliases at any node.  The fine scan's two ends
     are coarse candidates; an analytic value does not depend on its batch, so

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from memos import drop_memos
 
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """One-element list counting the matrices numpy.linalg.eigh/eigvalsh decompose."""
+    """One-element list counting the matrices numpy.linalg.eigh/eigvalsh decompose, from
+    cold theta-half memos."""
+    drop_memos()
     count = [0]
 
     def counted(fn):

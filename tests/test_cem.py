@@ -43,6 +43,8 @@ from qmet.models import (
 from qmet.numdiff import DiffSpec
 from qmet.phasesim import PhaseSimConfig, fisher_phase_readout, tune_tau
 
+from memos import drop_memos
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -50,21 +52,11 @@ NV_PARAMS = {"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi}
 
 
 def twist_gauge(monkeypatch, phases):
-    """Multiply every column of the phase-fixed eigenbasis by a fixed phase exp(i phi_k)."""
+    """Multiply every column of the one eigenbasis gauge by a fixed phase exp(i phi_k), and
+    drop the memoized theta halves, which hold the untwisted basis."""
     rot = np.exp(1j * phases)
     monkeypatch.setattr(cem, "fix_phases", lambda W: fix_phases(W) * rot)
-
-
-def twist_raw_eigenbasis(monkeypatch, phases):
-    """Multiply every column of the decomposition cem reads by a fixed phase exp(i phi_k)."""
-    rot = np.exp(1j * phases)
-    decompose = cem.eigh_nondegenerate
-
-    def twisted(H):
-        E, W = decompose(H)
-        return E, W * rot
-
-    monkeypatch.setattr(cem, "eigh_nondegenerate", twisted)
+    drop_memos()
 
 
 def constant_basis_model(levels):
@@ -215,6 +207,36 @@ class TestGBound:
                                                    rf"sigma\(g_dyn\) = {re.escape(sigma)};"):
             encoded_qfi(make_qubit_direction(omega), 1.0, 1.0, rho0, diff)
 
+    @pytest.mark.parametrize("omega, qfi, readouts", [
+        (1e100, 7.605114157717552e+167, (1.0691011635590236e+168, 2.4156817781866997e+165)),
+        (1e150, 2.6338096009830337e+266, (3.7025202391557137e+266, 8.366009672387865e+263)),
+    ])
+    def test_overflowing_estimate_is_inf_without_a_warning(self, omega, qfi, readouts):
+        """An analytic error estimate beyond the float range is inf, with no NumPy warning
+        (tier-1 turns warnings into errors), and the values are those computed with the
+        warnings ignored."""
+        model, rho0 = make_qubit_direction(omega), np.diag([1.0, 0.0]).astype(complex)
+        report, _ = encoded_qfi(model, 1.0, 1.0, rho0)
+        assert (report.value, report.error_estimate) == (pytest.approx(qfi, rel=1e-12), math.inf)
+        sol = g_bound(model, 1.0, 1.0)
+        cfg = PhaseSimConfig(n=6, m=3, t=1.0, V=sol.V_opt,
+                             rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+        for mode, value in zip(("ideal", "realistic"), readouts):
+            report = fisher_phase_readout(cfg, model, 1.0, mode=mode)
+            assert (report.value, report.error_estimate) == (pytest.approx(value, rel=1e-12),
+                                                             math.inf)
+
+    @pytest.mark.parametrize("model", [
+        make_nv_spin1(1e308, NV_PARAMS["D"], NV_PARAMS["E"]),  # H(1) overflows to inf
+        HamiltonianModel("big-dh", 2, lambda q: SZ + q * SX, lambda q: 1e308 * (2.0 * SX),
+                         (-2.0, 2.0)),  # dH overflows to inf
+    ], ids=["h_of", "dh_of"])
+    def test_overflowing_model_is_typed_without_a_warning(self, model):
+        """A model whose own arithmetic overflows is NonHermitianInput, with no NumPy
+        warning: h_of, dh_of and their Hermiticity checks run with the warnings off."""
+        with pytest.raises(NonHermitianInput, match="NaN or infinite entry"):
+            g_bound(model, 1.0, 1.0)
+
     def test_finite_bound_is_the_plain_square(self):
         """Where G is finite it is (sigma_dyn + sigma_diag) ** 2 as before, near the edge too."""
         sol = g_bound(make_qubit_direction(1e150), 1.0, 1.0)
@@ -343,10 +365,10 @@ class TestAnalyticGenerators:
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_raw_gauge_twist_leaves_gauge_invariant_results(self, name, monkeypatch):
-        """Only the generators, encoded_qfi and optimize_cem phase-fix the jet; a twist of
-        the raw eigenbasis reaches every other jet and changes none of its results beyond
-        rounding.  At jc's default tau (d = 18) the read-out is rounding-limited well
-        above 1e-12, so there each report is held to its own error estimate."""
+        """Every consumer reads the one eigenbasis gauge; a twist of it reaches every jet
+        and changes none of the gauge-invariant results beyond rounding.  At jc's default
+        tau (d = 18) the read-out is rounding-limited well above 1e-12, so there each
+        report is held to its own error estimate."""
         model = ORACLE_GRIDS[name][0]()
         theta, t = 0.9, 1.4
         rng = np.random.default_rng(43)
@@ -371,7 +393,7 @@ class TestAnalyticGenerators:
         for _ in range(3):
             phases = rng.uniform(0, 2 * math.pi, size=model.dim)
             with monkeypatch.context() as patch:
-                twist_raw_eigenbasis(patch, phases)
+                twist_gauge(patch, phases)
                 assert np.array_equal(cem._jet(model, theta, t).W, W * np.exp(1j * phases))
                 values, default = results()
             assert values == pytest.approx(base, rel=1e-12, abs=0.0)
@@ -719,15 +741,19 @@ class TestOptimizeCem:
             assert fisher_cem(model, theta, t, v_star, rho).value == pytest.approx(best, rel=1e-12)
 
     def test_fixed_decompositions_whatever_the_budget(self, decompositions):
-        """One for the jet and one per generator; no line search decomposes anything."""
+        """One for the jet and one per generator; no line search decomposes anything.  A
+        warm call at the same (model, theta) decomposes g_dyn alone."""
         m = make_nv_spin1(**NV_PARAMS)
         counts = []
         for budget in [(1, 6), (2, 40), (8, 400)]:
+            drop_memos()
             decompositions[0] = 0
             _, v_star, _ = optimize_cem(m, 0.8, 1.7, budget=budget, seed=5)
             counts.append(decompositions[0])
             assert np.max(np.abs(v_star @ v_star.conj().T - np.eye(m.dim))) <= 1e-10
-        assert counts == [3, 3, 3]
+        decompositions[0] = 0
+        optimize_cem(m, 0.8, 2.3, budget=(1, 6))
+        assert (counts, decompositions[0]) == ([3, 3, 3], 1)
 
     def test_grid_stages_per_line_search(self, monkeypatch):
         """One kernel call scores the starts, then GRID_STAGES per line search."""
@@ -849,7 +875,7 @@ class TestOptimizeCem:
 def carried_rows(model, theta, t, V, psi):
     """(K, y, Yt) of the pairs (V[r], psi[r]): K = [W^dag V; -2i g_diag W^dag V] and
     y = [U_t psi; -2i g_dyn U_t psi] as rows, y = (psi @ Yt) reshaped to (R, 2, d)."""
-    jet = cem._jet(model, theta, t, phase_fixed=True)
+    jet = cem._jet(model, theta, t)
     Wh = jet.W.conj().T
     Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T
     K = np.concatenate((Wh, -2j * jet.g_diag @ Wh)) @ V

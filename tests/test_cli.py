@@ -327,6 +327,8 @@ class TestNumericalFailures:
         ("gbound", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("qfi", "omega", "1e200", "(1.0, 1.0)", MAX_QFI_OVERFLOWS),
         ("qfi", "omega", "1e307", "(1.0, 1.0)", MAX_QFI_OVERFLOWS),  # before the trace check
+        ("qfi", "omega", "1e100", "(1.0, 1.0)", "ArithmeticError: non-finite qfi_err = inf"),
+        ("qfi", "omega", "1e150", "(1.0, 1.0)", "ArithmeticError: non-finite qfi_err = inf"),
         ("optimize", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("phase-sim", "omega", "1e200", "(1.0, 1.0)", G_OVERFLOWS),
         ("phase-sim", "omega", "1e150", "(1.0, 1.0)",
@@ -395,13 +397,12 @@ class TestNumericalFailures:
                        "1.0e-08*(1+gap)\n")
 
     def test_infinite_hamiltonian_entry_is_exit_three(self, tmp_path, capsys):
-        """nv-spin1's own arithmetic overflows H(1) to inf at mu = 1e308 (NumPy's warnings for
-        that are switched off here); the Hermiticity check rejects it before eigh."""
+        """nv-spin1's own arithmetic overflows H(1) to inf at mu = 1e308; the Hermiticity
+        check rejects it before eigh, and no NumPy warning escapes."""
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nmu = 1e308\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, text = run(tmp_path, "gbound", "--config", str(ini), "--model", "nv-spin1",
-                             "--theta", "1:1:1", "--t", "1:1:1")
+        code, text = run(tmp_path, "gbound", "--config", str(ini), "--model", "nv-spin1",
+                         "--theta", "1:1:1", "--t", "1:1:1")
         assert (code, text) == (EXIT_NUMERICAL, "")
         assert ("at grid point (1.0, 1.0): NonHermitianInput: matrix has a NaN or infinite "
                 "entry" in capsys.readouterr().err)

@@ -134,12 +134,16 @@ def test_cli_points_take_one_spectrum_each(argv, per_point, spectrum_calls):
     (("qfi",), 21),  # per theta H(theta), per point rho's eigenbasis and g_dyn's gap: 3 + 18
     (("optimize", "--config", "optimizer.ini"), 15),  # as gbound
     (("phase-sim",), 24),  # as gbound, and rho0's factor per point: 3 * 2 + 18
-], ids=["gbound", "qfi", "optimize", "phase-sim"])
+    # per theta H(theta); per point the expm oracle's 7 stencil nodes, the rank at its 2 outer
+    # ones, rho's eigenbasis and g_dyn's gap: 3 + 9 * 11
+    (("qfi", "--config", "diff.ini"), 102),
+], ids=["gbound", "qfi", "optimize", "phase-sim", "qfi-diff"])
 def test_cli_theta_rows_take_one_spectrum_each(argv, per_grid, spectrum_calls, decompositions):
-    """The grid is theta-major, and each analytic probe command keeps the theta half of its
-    jet (H(theta)'s decomposition, and g_diag's eigensystem where G is needed) across the
-    theta row: n_theta _spectrum calls for n_theta x 3 points, and per_grid decompositions
-    on 3 x 3, where one per point would take 27 (36 for phase-sim)."""
+    """The grid is theta-major, and cem's memo keeps the theta half of each point's jet
+    (H(theta)'s decomposition, and g_diag's eigensystem where G is needed) across the theta
+    row, also for qfi's g_dyn under [diff]: n_theta _spectrum calls for n_theta x 3 points,
+    and per_grid decompositions on 3 x 3, where one per point would take 27 (36 for
+    phase-sim, 108 for qfi under [diff])."""
     counts = []
     for n_theta in (1, 2, 3):
         spectrum_calls[0] = decompositions[0] = 0
@@ -149,16 +153,63 @@ def test_cli_theta_rows_take_one_spectrum_each(argv, per_grid, spectrum_calls, d
     assert (counts, decompositions[0]) == ([1, 2, 3], per_grid)
 
 
-@pytest.mark.parametrize("call", [
-    lambda model: g_bound(model, 0.8, 1.7),
-    lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(3)),  # H, rho, g_dyn's gap
-    lambda model: optimize_cem(model, 0.8, 1.7, (2, 20)),
+def test_cli_qfi_diff_stencil_error_names_its_point(spectrum_calls, capsys):
+    """Under [diff] qfi's stencil runs before its memoized jet, so a stencil that leaves the
+    domain mid-grid is the error named, at its point, after two theta rows' spectra."""
+    assert cli.main(["qfi", "--config", "diff.ini", "--model", "qubit-direction", "--theta",
+                     "3.14:3.1415:3", "--t", "1:2:3", "--out", "out.csv"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure at grid point (3.1415, 1.0): DomainBoundary: stencil "
+        f"[3.14108585, 3.1419141500000003] leaves the open domain (0.0, {math.pi})\n")
+    assert spectrum_calls[0] == 2
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_qubit_direction(1.0),
+    lambda: make_nv_spin1(*NV_PARAMS),
+], ids=["qubit-direction", "nv-spin1"])
+def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, decompositions):
+    """g_bound, tune_tau and both fisher_phase_readout modes at one (model, theta, t), as
+    perfbench's readout point runs them, share one _spectrum: 4 eighs (H(theta), g_diag,
+    g_dyn and rho0's check) where each call decomposing H(theta) would take 7."""
+    model = factory()
+    sol = g_bound(model, 0.8, 1.7)
+    cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=sol.V_opt,
+                         rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+    tuned = cfg.with_tau(tune_tau(cfg, model, 0.8, mode="realistic"))
+    for mode in ("ideal", "realistic"):
+        fisher_phase_readout(tuned, model, 0.8, mode=mode)
+    assert (spectrum_calls[0], decompositions[0]) == (1, 4)
+
+
+def test_the_cli_keeps_no_cache_of_its_own():
+    """The theta-half memo lives in cem, where library callers share it: cli.py neither
+    imports functools nor names one of its caches."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "functools" not in imported
+    assert not named & {"lru_cache", "cache", "cached_property"}
+
+
+@pytest.mark.parametrize("call, warm", [
+    (lambda model: g_bound(model, 0.8, 1.7), 1),
+    (lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(3)), 2),  # H, rho, g_dyn's gap
+    (lambda model: optimize_cem(model, 0.8, 1.7, (2, 20)), 1),
 ], ids=["g_bound", "encoded_qfi", "optimize_cem"])
-def test_one_point_library_calls_take_three_decompositions(call, decompositions):
+def test_one_point_library_calls_take_three_decompositions(call, warm, decompositions):
     """A one-point call builds its theta half and its t half once each: H(theta), then
-    g_diag and g_dyn (or rho and g_dyn for encoded_qfi)."""
-    call(make_nv_spin1(*NV_PARAMS))
+    g_diag and g_dyn (or rho and g_dyn for encoded_qfi).  Called again at the same
+    (model, theta), it finds its theta half in cem's memo and makes only the rest."""
+    model = make_nv_spin1(*NV_PARAMS)
+    call(model)
     assert decompositions[0] == 3
+    decompositions[0] = 0
+    call(model)
+    assert decompositions[0] == warm
 
 
 @pytest.mark.parametrize("name, count", [

@@ -31,6 +31,7 @@ from qmet.phasesim import (
     tune_tau,
 )
 
+from memos import drop_memos
 from stencils import central5
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -737,18 +738,20 @@ class TestBatchMatchesSingleTau:
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_scan_runs_in_full_chunks_within_the_scratch_bound(self, model_name, n, mode,
                                                                monkeypatch):
-        """A tune_tau-sized scan of 48 taus equals each tau scored alone, bit for bit; every
-        kernel pass keeps its level factors within SCRATCH_BYTES, and every pass but the
+        """A tune_tau-sized scan of 48 taus equals each tau scored alone, bit for bit.  Its
+        top levels run once for all taus: as many as keep their level factors within
+        SCRATCH_BYTES, and one level more would cross the bound unless all are on top.
+        Each chunk pass then runs the rest within SCRATCH_BYTES, and every pass but the
         last is full: one tau more would cross the bound."""
         cfg, model, theta = scan_case(model_name, n, None)
-        passes = []  # (taus, bytes of the level factors) per kernel pass
+        passes = []  # (taus, bytes of the last level's factors, stop, from the top) per call
         level_products = phasesim._level_products
 
-        def bounded(coef):
-            kernels, dkernels = level_products(coef)
-            scratch = kernels.nbytes * coef.shape[1]  # one (T, d, 2^n) array per kind
+        def bounded(coef, stop=0, carry=None):
+            kernels, dkernels = level_products(coef, stop, carry)
+            scratch = kernels.nbytes * coef.shape[1]  # one (T, d, 2^(n - stop)) array per kind
             assert scratch <= phasesim.SCRATCH_BYTES
-            passes.append((coef.shape[2], scratch))
+            passes.append((coef.shape[2], scratch, stop, carry is None))
             return kernels, dkernels
 
         monkeypatch.setattr(phasesim, "_level_products", bounded)
@@ -756,12 +759,15 @@ class TestBatchMatchesSingleTau:
         hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
         taus = np.geomspace(hi / 300.0, hi, phasesim.TAU_COARSE + phasesim.TAU_REFINE)
         values, errs = score(taus, mode)
-        scan = passes[:]
-        assert sum(count for count, _ in scan) == taus.size
-        for count, scratch in scan[:-1]:
+        (count, scratch, stop, from_top), *scan = passes
+        assert (count, from_top) == (taus.size, True)
+        assert stop == 0 or 2 * scratch > phasesim.SCRATCH_BYTES
+        assert all((stop, from_top) == (0, False) for _, _, stop, from_top in scan)
+        assert sum(count for count, *_ in scan) == taus.size
+        for count, scratch, *_ in scan[:-1]:
             assert scratch // count * (count + 1) > phasesim.SCRATCH_BYTES
         if n == 6:
-            assert len(scan) == 1
+            assert stop == 0 and len(scan) == 1
         for k in range(taus.size):
             value, err = score(taus[k:k + 1], mode)
             assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
@@ -837,18 +843,21 @@ class TestDecompositionCounts:
 
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_analytic_path_decomposes_once(self, decompositions, mode):
-        """The read-out jet scores every tau candidate at theta alone."""
+        """The read-out jet scores every tau candidate at theta alone: from a cold memo
+        each call decomposes H(theta) once, and a warm call at (model, theta) not at all."""
         model = make_nv_spin1(*NV)
         cfg, _ = optimal_config(model, 0.7, 1.3, 10, 3)
-        decompositions[0] = 0
         tuned = cfg.with_tau(tune_tau(cfg, model, 0.7, mode=mode))
-        assert decompositions[0] == 1
-        decompositions[0] = 0
-        fisher_phase_readout(tuned, model, 0.7, mode=mode)
-        assert decompositions[0] == 1
-        decompositions[0] = 0
-        fisher_phase_readout(cfg, model, 0.7, mode=mode)  # default tau from the same one
-        assert decompositions[0] == 1
+        counts = []
+        for call in (lambda: tune_tau(cfg, model, 0.7, mode=mode),
+                     lambda: fisher_phase_readout(tuned, model, 0.7, mode=mode),
+                     lambda: fisher_phase_readout(cfg, model, 0.7, mode=mode)):  # default tau
+            drop_memos()
+            for _ in range(2):  # cold, then warm
+                decompositions[0] = 0
+                call()
+                counts.append(decompositions[0])
+        assert counts == [1, 0, 1, 0, 1, 0]
 
     def test_with_tau_checks_only_tau(self, decompositions):
         """with_tau does not validate rho0 again, but still rejects a bad tau."""

@@ -1,14 +1,17 @@
-"""A theta half kept across a theta row gives the one-point values bit for bit.
+"""The theta half of H(theta) lives in cem's one-entry memo, and a warm memo changes nothing.
 
-The CLI probe commands decompose H(theta) and g_diag once per theta row
-(cem._theta_half, cem._optimum_half) and build each point's t half from it.
-Every value must equal the one-point library call at that point: g_bound,
-the analytic encoded_qfi and cem._optimum.  At CLI level, each row of a 3 x 3
-run must equal the 1 x 1 run at its point, byte for byte.
+Every analytic call at one (model, theta) shares one decomposition of H(theta)
+(cem._theta_half) and, where G is needed, one of g_diag (cem._optimum_half).
+A warm call must equal the cold one bit for bit: g_bound, generator_pair, the
+analytic encoded_qfi and cem._optimum.  The memo holds read-only arrays, no
+returned array aliases it, a call that raises stores nothing, and another model
+object misses it.  At CLI level, each row of a 3 x 3 run must equal the 1 x 1
+run at its point, byte for byte.
 """
 
 import io
 import math
+import weakref
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -17,9 +20,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from memos import drop_memos  # noqa: E402
 from qmet import cem, cli  # noqa: E402
-from qmet.cem import encoded_qfi, g_bound  # noqa: E402
-from qmet.models import make_nv_spin1, make_qubit_direction, make_qubit_xcomponent  # noqa: E402
+from qmet.cem import encoded_qfi, g_bound, generator_pair  # noqa: E402
+from qmet.errors import DomainBoundary, InvalidParameter  # noqa: E402
+from qmet.models import (  # noqa: E402
+    SIGMA_X,
+    HamiltonianModel,
+    make_nv_spin1,
+    make_qubit_direction,
+    make_qubit_xcomponent,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 # Each probe model with a theta range well inside its domain and away from degeneracy.
@@ -44,22 +55,109 @@ def assert_same_solution(a, b):
     assert np.array_equal(a.V_opt, b.V_opt) and np.array_equal(a.psi_opt, b.psi_opt)
 
 
+def ground_projector(d):
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[0, 0] = 1.0
+    return rho0
+
+
 @SETTINGS
 @given(rows())
 def test_a_kept_theta_half_gives_the_one_point_values(row):
+    """Across a theta row, each call with the memo warm equals it cold, bit for bit."""
     model, theta, ts = row
-    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    kept = cem._optimum_half(model, theta)
+    rho0 = ground_projector(model.dim)
+
+    def values(t):
+        jet, sol = cem._optimum(model, theta, t)
+        return jet, sol, g_bound(model, theta, t), generator_pair(model, theta, t), \
+            encoded_qfi(model, theta, t, rho0)
+
+    cem._optimum_half(model, theta)
     for t in ts:
-        jet, sol = cem._optimum(model, theta, t, kept)
-        one_jet, one_sol = cem._optimum(model, theta, t)
-        assert all(np.array_equal(a, b) for a, b in zip(jet, one_jet))
-        assert_same_solution(sol, one_sol)
-        assert_same_solution(sol, g_bound(model, theta, t))
-        report, sigma_dyn = cem._encoded_qfi(cem._t_half(kept[0], t), rho0)
-        one_report, one_sigma = encoded_qfi(model, theta, t, rho0)
-        assert (report, sigma_dyn) == (one_report, one_sigma)
+        warm = values(t)
+        drop_memos()
+        cold = values(t)
+        assert all(np.array_equal(a, b) for a, b in zip(warm[0], cold[0]))
+        for sol in (warm[1], warm[2], cold[2]):
+            assert_same_solution(sol, cold[1])
+        assert warm[3].gaps == cold[3].gaps
+        assert np.array_equal(warm[3].g_dyn, cold[3].g_dyn)
+        assert np.array_equal(warm[3].g_diag, cold[3].g_diag)
+        assert warm[4] == cold[4]
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """One-element list counting cem._spectrum calls, from cold memos."""
+    drop_memos()
+    calls = [0]
+    spectrum = cem._spectrum
+
+    def counted(*args):
+        calls[0] += 1
+        return spectrum(*args)
+
+    monkeypatch.setattr(cem, "_spectrum", counted)
+    return calls
+
+
+def test_returned_arrays_do_not_alias_the_memo():
+    """The memo's arrays are read-only; overwriting every array g_bound and generator_pair
+    return leaves the next (warm) call unchanged."""
+    model = make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)
+    drop_memos()
+    sol, pair = g_bound(model, 0.8, 1.7), generator_pair(model, 0.8, 1.7)
+    kept = [a.copy() for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag)]
+    half, (es, _) = cem._optimum_half(model, 0.8)
+    assert not any(a.flags.writeable for a in (*half, es.eigenvalues, es.eigenvectors))
+    for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag):
+        a[...] = 7.0
+    sol, pair = g_bound(model, 0.8, 1.7), generator_pair(model, 0.8, 1.7)
+    for a, b in zip((sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag), kept):
+        assert np.array_equal(a, b)
+
+
+def test_model_owned_arrays_keep_their_flags():
+    """A constant dh_of array enters the memo through a read-only view of it."""
+    dh = SIGMA_X.copy()
+    model = HamiltonianModel("x", 2, lambda q: q * SIGMA_X + np.diag([1.0, -1.0]),
+                             dh_of=lambda q: dh)
+    half = cem._theta_half(model, 0.3)
+    assert np.array_equal(half.dH, dh) and not half.dH.flags.writeable
+    assert dh.flags.writeable
+
+
+def test_a_raising_call_stores_nothing(spectra):
+    """A call at the domain edge, or one without dh_of, raises and leaves the memo as it was."""
+    model = make_qubit_direction(1.0)
+    g_bound(model, 0.8, 1.7)
+    with pytest.raises(DomainBoundary):
+        g_bound(model, 0.0, 1.7)
+    g_bound(model, 0.8, 0.4)  # still warm at 0.8
+    assert spectra[0] == 2
+    drop_memos()
+    with pytest.raises(DomainBoundary):
+        g_bound(model, 0.0, 1.7)
+    g_bound(model, 0.8, 1.7)  # cold: the raising call stored nothing
+    assert spectra[0] == 4
+    bare = HamiltonianModel("bare", 2, model.h_of, theta_domain=model.theta_domain)
+    for _ in range(2):  # its spectrum succeeds, its missing dh_of raises after it
+        with pytest.raises(InvalidParameter, match="dh_of"):
+            g_bound(bare, 0.8, 1.7)
+    assert spectra[0] == 6
+
+
+def test_another_model_object_misses_the_memo(spectra):
+    """The memo is keyed by the model object: an equal model at the same theta decomposes
+    again, and the memo does not keep a model alive."""
+    first, second = make_qubit_direction(1.0), make_qubit_direction(1.0)
+    for model in (first, second, second):
+        g_bound(model, 0.8, 1.7)
+    assert spectra[0] == 2
+    gone = weakref.ref(second)
+    del model, second
+    assert gone() is None
 
 
 def csv_rows(argv):
