@@ -62,7 +62,6 @@ GRID_STAGES = 3
 _GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
 _EPS = np.finfo(float).eps
 _Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag t")  # what _jet returns
-_Half = namedtuple("_Half", "E W dH D w g_diag")  # what _theta_half returns
 
 
 @dataclass(frozen=True)
@@ -115,25 +114,6 @@ def _spectrum(model: HamiltonianModel, x: float):
         raise InvalidParameter(f"spectral range of H({x}) overflows: energies {E[0]:.6g} "
                                f"to {E[-1]:.6g}; rescale the model's parameters")
     return E, fix_phases(W)
-
-
-def _memo(fn):
-    """fn(model, theta) with a one-entry memo: a call at the model object and theta of the
-    last call that returned gives that call's result again.  A call that raises stores
-    nothing, and the entry goes with its model.  fn's arrays must be read-only;
-    cache_clear() empties the memo."""
-    last = []  # [weak reference to the model, theta, result]
-
-    def memoized(model: HamiltonianModel, theta: float):
-        if last and last[0]() is model and last[1] == theta:
-            return last[2]
-        result = fn(model, theta)
-        ref = weakref.ref(model, lambda dead: last and last[0] is dead and last.clear())
-        last[:] = ref, theta, result
-        return result
-
-    memoized.cache_clear = last.clear
-    return functools.wraps(fn)(memoized)
 
 
 def _read_only(*arrays):
@@ -195,30 +175,56 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-@_memo
-def _theta_half(model: HamiltonianModel, theta: float) -> _Half:
-    """_jet's theta half, everything of it that does not depend on t: one checked _spectrum
-    and one dh_of read, which raise as _jet does.  Returns read-only (E, W, dH, D, w, g_diag),
-    kept in a one-entry memo, so repeated calls at one working point decompose H once;
-    dh_of and its Hermiticity check run with NumPy's floating-point warnings off."""
-    E, W = _spectrum(model, theta)
-    if model.dh_of is None:
-        raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path needs "
-                               "it, and an explicit DiffSpec selects the finite-difference oracle")
-    with np.errstate(all="ignore"):
-        dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
-    D = W.conj().T @ dH @ W
-    D = (D + D.conj().T) / 2.0
-    w = E[:, None] - E[None, :]
-    g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
-    return _Half(*_read_only(E, W, dH, D, w, g_diag))
+class _Point:
+    """Everything cem derives from H at one working point (model, theta), read-only: E, W,
+    dH, D, w and g_diag from one checked _spectrum and one dh_of read, which raise as _jet
+    does; diag, g_diag's _diag_system, on first use; jet(t), the _jet at t, kept for the
+    last t asked.  dh_of and its Hermiticity check run with NumPy's floating-point warnings
+    off."""
+
+    def __init__(self, model: HamiltonianModel, theta: float):
+        E, W = _spectrum(model, theta)
+        if model.dh_of is None:
+            raise InvalidParameter(f"model {model.name!r} has no dh_of; the analytic path "
+                                   "needs it, and an explicit DiffSpec selects the "
+                                   "finite-difference oracle")
+        with np.errstate(all="ignore"):
+            dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
+        D = W.conj().T @ dH @ W
+        D = (D + D.conj().T) / 2.0
+        w = E[:, None] - E[None, :]
+        g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
+        self.E, self.W, self.dH, self.D, self.w, self.g_diag = _read_only(E, W, dH, D, w, g_diag)
+        self._jet = None
+
+    @functools.cached_property
+    def diag(self):
+        es, condition = _diag_system(self.g_diag)
+        _read_only(es.eigenvalues, es.eigenvectors)
+        return es, condition
+
+    def jet(self, t: float) -> _Jet:
+        if self._jet is None or self._jet.t != t:
+            E, W, D, w = self.E, self.W, self.D, self.w
+            g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) \
+                @ W.conj().T
+            U, g_dyn = _read_only(spectral_unitary(E, W, t), (g_dyn + g_dyn.conj().T) / 2.0)
+            self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t)
+        return self._jet
 
 
-def _t_half(half: _Half, t: float) -> _Jet:
-    """The _jet at (theta, t) from the _theta_half at theta: U_t and g_dyn, no decomposition."""
-    E, W, dH, D, w, g_diag = half
-    g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) @ W.conj().T
-    return _Jet(E, W, spectral_unitary(E, W, t), dH, D, (g_dyn + g_dyn.conj().T) / 2.0, g_diag, t)
+_kept = []  # [weak reference to the model, theta, _Point]: the last point _point built
+
+
+def _point(model: HamiltonianModel, theta: float) -> _Point:
+    """The _Point at (model, theta), kept: a call at the model object and theta of the last
+    point built gets it again.  A raising construction keeps nothing new, and the kept point
+    goes with its model (a replaced weak reference dies first, so it never calls back)."""
+    if _kept and _kept[0]() is model and _kept[1] == theta:
+        return _kept[2]
+    point = _Point(model, theta)
+    _kept[:] = weakref.ref(model, lambda _: _kept.clear()), theta, point
+    return point
 
 
 def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
@@ -234,14 +240,15 @@ def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
     W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
     whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
     the model needs dh_of, as every analytic (diff=None) path does.  The jet is
-    _t_half of the memoized _theta_half, so every analytic call at one (model, theta),
-    whatever its t, shares one decomposition of H(theta).
+    read from the kept _point, so every analytic call at one (model, theta),
+    whatever its t, shares one decomposition of H(theta), and calls at one t one U_t
+    and g_dyn; its arrays are read-only.
 
     W is _spectrum's phase-fixed gauge, the one gauge of every consumer: the
     gauge-dependent ones (g_bound, generator_pair, optimize_cem's seed) and the
     gauge-invariant ones (the read-out scorer, fisher_cem, encoded_qfi) alike.
     """
-    return _t_half(_theta_half(model, theta), t)
+    return _point(model, theta).jet(t)
 
 
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
@@ -270,8 +277,8 @@ def generator_pair(
     """
     _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(
-        g_dyn=g_dyn,
-        g_diag=g_diag.copy(),  # the analytic g_diag is the memoized theta half's
+        g_dyn=g_dyn.copy(),  # the analytic pair is the kept point's
+        g_diag=g_diag.copy(),
         gaps=(spectral_gap(g_dyn), spectral_gap(g_diag)),
         method=method,
     )
@@ -465,7 +472,7 @@ def fisher_cem(
     t-independent value.  diff is classical_fisher's: by default the model's dh_of
     differentiates it analytically through _level_jet (two decompositions: rho0's
     check, which also factors it, and H(theta), shared with every analytic call at
-    theta through the memoized _theta_half), with an error estimate covering
+    theta through the kept _point), with an error estimate covering
     the rounding of the weights and of their derivatives; an explicit DiffSpec
     runs the stencil over the distributions as the oracle.
     """
@@ -633,22 +640,12 @@ def optimize_cem(
     return _optimize(model, theta, t, budget, seed)[1]
 
 
-@_memo
-def _optimum_half(model: HamiltonianModel, theta: float):
-    """(_theta_half, _diag_system of its g_diag): the part of _optimum at theta that does
-    not depend on t, read-only and in a one-entry memo as _theta_half is."""
-    half = _theta_half(model, theta)
-    diag = _diag_system(half.g_diag)
-    _read_only(diag[0].eigenvalues, diag[0].eigenvectors)
-    return half, diag
-
-
 def _optimum(model: HamiltonianModel, theta: float, t: float):
     """(_jet, g_bound's analytic CemSolution built from it) at (theta, t); calls at one
-    (model, theta) share _optimum_half's decompositions of H(theta) and g_diag."""
-    half, diag = _optimum_half(model, theta)
-    jet = _t_half(half, t)
-    return jet, _solution(jet.W, jet.U, jet.g_dyn, diag, numdiff.ANALYTIC)
+    (model, theta) share the kept _point's decompositions of H(theta) and g_diag."""
+    point = _point(model, theta)
+    jet = point.jet(t)
+    return jet, _solution(jet.W, jet.U, jet.g_dyn, point.diag, numdiff.ANALYTIC)
 
 
 def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):

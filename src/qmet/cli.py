@@ -387,7 +387,7 @@ def _oscillator_row(cfg: RunConfig):
 # returns row(point); its columns; those of them that may hold a non-finite value; and
 # the models it accepts, the first being its default.  The grid is theta-major, so the
 # probe commands decompose H(theta) (and g_diag, where G is needed) once per theta row,
-# at its first t: the library keeps that theta half in a one-entry memo (cem._memo).
+# at its first t: the library keeps that working point (cem._point).
 _Sweep = namedtuple("_Sweep", "build columns nonfinite models", defaults=(tuple(_PROBES),))
 _SWEEPS = {
     "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "

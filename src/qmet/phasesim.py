@@ -349,8 +349,9 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
 
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
     energies, the level weights and their exact derivatives from the _jet at
-    (theta, cfg.t), whose decomposition of H(theta) is cem's memoized theta half,
-    shared with g_bound and every analytic call at (model, theta); _readout_chunks
+    (theta, cfg.t), read from cem's kept _point: its decomposition of H(theta) is
+    shared with every analytic call at (model, theta), and its U_t and g_dyn with
+    g_bound's and every other call at cfg.t there; _readout_chunks
     carries them through the kernel, so a scan of taus in either mode costs a few
     kernel passes and no decomposition once the point has one.  The shifted energies
     move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
@@ -438,8 +439,9 @@ def fisher_phase_readout(
     the energy shift follows the spectrum (unless fixed), so its parameter
     dependence is part of the statistical model.  By default the model's
     dh_of differentiates it exactly at theta alone (method "analytic", step
-    0, one decomposition, shared by the analytic calls at one (model, theta);
-    AliasingRisk when tau aliases at theta).  An
+    0, from cem's kept point: one decomposition for every analytic call at one
+    (model, theta), one U_t for those at one t too; AliasingRisk when tau
+    aliases at theta).  An
     explicit DiffSpec runs the finite-difference stencil instead, the
     oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
@@ -461,7 +463,7 @@ def tune_tau(
     the best candidate.  Each scan is scored as one batch over tau, on
     fisher_phase_readout's path, and reads values only: the analytic one costs
     one decomposition for the whole call, none after g_bound or another analytic
-    call at (model, theta), and never chooses a candidate that
+    call at (model, theta), whose point cem keeps, and never chooses a candidate that
     aliases at theta; the finite-difference oracle costs one per stencil node
     and never chooses one that aliases at any node.  The fine scan's two ends
     are coarse candidates; an analytic value does not depend on its batch, so

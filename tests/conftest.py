@@ -8,7 +8,7 @@ from memos import drop_memos
 @pytest.fixture
 def decompositions(monkeypatch):
     """One-element list counting the matrices numpy.linalg.eigh/eigvalsh decompose, from
-    cold theta-half memos."""
+    no kept working point in cem."""
     drop_memos()
     count = [0]
 

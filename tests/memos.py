@@ -1,9 +1,8 @@
-"""The one-entry theta-half memos of qmet.cem, emptied where a test counts decompositions."""
+"""The kept working point of qmet.cem, dropped where a test counts decompositions."""
 
 from qmet import cem
 
 
 def drop_memos():
-    """Empty cem's theta-half memos: the next analytic call decomposes H(theta) again."""
-    cem._theta_half.cache_clear()
-    cem._optimum_half.cache_clear()
+    """Drop cem's kept point: the next analytic call decomposes H(theta) again."""
+    cem._kept.clear()

@@ -53,7 +53,7 @@ NV_PARAMS = {"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi}
 
 def twist_gauge(monkeypatch, phases):
     """Multiply every column of the one eigenbasis gauge by a fixed phase exp(i phi_k), and
-    drop the memoized theta halves, which hold the untwisted basis."""
+    drop cem's kept point, which holds the untwisted basis."""
     rot = np.exp(1j * phases)
     monkeypatch.setattr(cem, "fix_phases", lambda W: fix_phases(W) * rot)
     drop_memos()

@@ -139,7 +139,7 @@ def test_cli_points_take_one_spectrum_each(argv, per_point, spectrum_calls):
     (("qfi", "--config", "diff.ini"), 102),
 ], ids=["gbound", "qfi", "optimize", "phase-sim", "qfi-diff"])
 def test_cli_theta_rows_take_one_spectrum_each(argv, per_grid, spectrum_calls, decompositions):
-    """The grid is theta-major, and cem's memo keeps the theta half of each point's jet
+    """The grid is theta-major, and cem's kept point holds the theta half of each point's jet
     (H(theta)'s decomposition, and g_diag's eigensystem where G is needed) across the theta
     row, also for qfi's g_dyn under [diff]: n_theta _spectrum calls for n_theta x 3 points,
     and per_grid decompositions on 3 x 3, where one per point would take 27 (36 for
@@ -154,7 +154,7 @@ def test_cli_theta_rows_take_one_spectrum_each(argv, per_grid, spectrum_calls, d
 
 
 def test_cli_qfi_diff_stencil_error_names_its_point(spectrum_calls, capsys):
-    """Under [diff] qfi's stencil runs before its memoized jet, so a stencil that leaves the
+    """Under [diff] qfi's stencil runs before its kept jet, so a stencil that leaves the
     domain mid-grid is the error named, at its point, after two theta rows' spectra."""
     assert cli.main(["qfi", "--config", "diff.ini", "--model", "qubit-direction", "--theta",
                      "3.14:3.1415:3", "--t", "1:2:3", "--out", "out.csv"]) == cli.EXIT_NUMERICAL
@@ -168,10 +168,20 @@ def test_cli_qfi_diff_stencil_error_names_its_point(spectrum_calls, capsys):
     lambda: make_qubit_direction(1.0),
     lambda: make_nv_spin1(*NV_PARAMS),
 ], ids=["qubit-direction", "nv-spin1"])
-def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, decompositions):
+def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, decompositions,
+                                                     monkeypatch):
     """g_bound, tune_tau and both fisher_phase_readout modes at one (model, theta, t), as
     perfbench's readout point runs them, share one _spectrum: 4 eighs (H(theta), g_diag,
-    g_dyn and rho0's check) where each call decomposing H(theta) would take 7."""
+    g_dyn and rho0's check) where each call decomposing H(theta) would take 7, and one
+    U_t (cem.spectral_unitary) where each call building its own jet would take 4."""
+    unitaries = [0]
+    spectral_unitary = cem.spectral_unitary
+
+    def counted(*args):
+        unitaries[0] += 1
+        return spectral_unitary(*args)
+
+    monkeypatch.setattr(cem, "spectral_unitary", counted)
     model = factory()
     sol = g_bound(model, 0.8, 1.7)
     cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=sol.V_opt,
@@ -179,11 +189,11 @@ def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, de
     tuned = cfg.with_tau(tune_tau(cfg, model, 0.8, mode="realistic"))
     for mode in ("ideal", "realistic"):
         fisher_phase_readout(tuned, model, 0.8, mode=mode)
-    assert (spectrum_calls[0], decompositions[0]) == (1, 4)
+    assert (spectrum_calls[0], decompositions[0], unitaries[0]) == (1, 4, 1)
 
 
 def test_the_cli_keeps_no_cache_of_its_own():
-    """The theta-half memo lives in cem, where library callers share it: cli.py neither
+    """The kept working point lives in cem, where library callers share it: cli.py neither
     imports functools nor names one of its caches."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
@@ -203,7 +213,7 @@ def test_the_cli_keeps_no_cache_of_its_own():
 def test_one_point_library_calls_take_three_decompositions(call, warm, decompositions):
     """A one-point call builds its theta half and its t half once each: H(theta), then
     g_diag and g_dyn (or rho and g_dyn for encoded_qfi).  Called again at the same
-    (model, theta), it finds its theta half in cem's memo and makes only the rest."""
+    (model, theta), it finds its theta half in cem's kept point and makes only the rest."""
     model = make_nv_spin1(*NV_PARAMS)
     call(model)
     assert decompositions[0] == 3

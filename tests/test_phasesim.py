@@ -843,7 +843,7 @@ class TestDecompositionCounts:
 
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_analytic_path_decomposes_once(self, decompositions, mode):
-        """The read-out jet scores every tau candidate at theta alone: from a cold memo
+        """The read-out jet scores every tau candidate at theta alone: from no kept point
         each call decomposes H(theta) once, and a warm call at (model, theta) not at all."""
         model = make_nv_spin1(*NV)
         cfg, _ = optimal_config(model, 0.7, 1.3, 10, 3)

@@ -1,11 +1,11 @@
-"""The theta half of H(theta) lives in cem's one-entry memo, and a warm memo changes nothing.
+"""cem keeps its last working point (model, theta), and a kept point changes nothing.
 
 Every analytic call at one (model, theta) shares one decomposition of H(theta)
-(cem._theta_half) and, where G is needed, one of g_diag (cem._optimum_half).
-A warm call must equal the cold one bit for bit: g_bound, generator_pair, the
-analytic encoded_qfi and cem._optimum.  The memo holds read-only arrays, no
-returned array aliases it, a call that raises stores nothing, and another model
-object misses it.  At CLI level, each row of a 3 x 3 run must equal the 1 x 1
+and, where G is needed, one of g_diag (cem._point and its diag).  A warm call
+must equal the cold one bit for bit: g_bound, generator_pair, the analytic
+encoded_qfi and cem._optimum.  The kept point holds read-only arrays, no
+returned array aliases it, a call that raises keeps nothing new, and another
+model object misses it.  At CLI level, each row of a 3 x 3 run must equal the 1 x 1
 run at its point, byte for byte.
 """
 
@@ -64,7 +64,7 @@ def ground_projector(d):
 @SETTINGS
 @given(rows())
 def test_a_kept_theta_half_gives_the_one_point_values(row):
-    """Across a theta row, each call with the memo warm equals it cold, bit for bit."""
+    """Across a theta row, each call with the point kept equals it cold, bit for bit."""
     model, theta, ts = row
     rho0 = ground_projector(model.dim)
 
@@ -73,7 +73,7 @@ def test_a_kept_theta_half_gives_the_one_point_values(row):
         return jet, sol, g_bound(model, theta, t), generator_pair(model, theta, t), \
             encoded_qfi(model, theta, t, rho0)
 
-    cem._optimum_half(model, theta)
+    cem._point(model, theta).diag
     for t in ts:
         warm = values(t)
         drop_memos()
@@ -89,7 +89,7 @@ def test_a_kept_theta_half_gives_the_one_point_values(row):
 
 @pytest.fixture
 def spectra(monkeypatch):
-    """One-element list counting cem._spectrum calls, from cold memos."""
+    """One-element list counting cem._spectrum calls, from no kept point."""
     drop_memos()
     calls = [0]
     spectrum = cem._spectrum
@@ -103,13 +103,15 @@ def spectra(monkeypatch):
 
 
 def test_returned_arrays_do_not_alias_the_memo():
-    """The memo's arrays are read-only; overwriting every array g_bound and generator_pair
-    return leaves the next (warm) call unchanged."""
+    """The kept point's arrays are read-only; overwriting every array g_bound and
+    generator_pair return leaves the next (warm) call unchanged."""
     model = make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)
     drop_memos()
     sol, pair = g_bound(model, 0.8, 1.7), generator_pair(model, 0.8, 1.7)
     kept = [a.copy() for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag)]
-    half, (es, _) = cem._optimum_half(model, 0.8)
+    point = cem._point(model, 0.8)
+    (es, _), jet = point.diag, point.jet(1.7)
+    half = (point.E, point.W, point.dH, point.D, point.w, point.g_diag, jet.U, jet.g_dyn)
     assert not any(a.flags.writeable for a in (*half, es.eigenvalues, es.eigenvectors))
     for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag):
         a[...] = 7.0
@@ -119,17 +121,18 @@ def test_returned_arrays_do_not_alias_the_memo():
 
 
 def test_model_owned_arrays_keep_their_flags():
-    """A constant dh_of array enters the memo through a read-only view of it."""
+    """A constant dh_of array enters the kept point through a read-only view of it."""
     dh = SIGMA_X.copy()
     model = HamiltonianModel("x", 2, lambda q: q * SIGMA_X + np.diag([1.0, -1.0]),
                              dh_of=lambda q: dh)
-    half = cem._theta_half(model, 0.3)
-    assert np.array_equal(half.dH, dh) and not half.dH.flags.writeable
+    point = cem._point(model, 0.3)
+    assert np.array_equal(point.dH, dh) and not point.dH.flags.writeable
     assert dh.flags.writeable
 
 
 def test_a_raising_call_stores_nothing(spectra):
-    """A call at the domain edge, or one without dh_of, raises and leaves the memo as it was."""
+    """A call at the domain edge, or one without dh_of, raises and leaves the kept point as
+    it was."""
     model = make_qubit_direction(1.0)
     g_bound(model, 0.8, 1.7)
     with pytest.raises(DomainBoundary):
@@ -149,15 +152,15 @@ def test_a_raising_call_stores_nothing(spectra):
 
 
 def test_another_model_object_misses_the_memo(spectra):
-    """The memo is keyed by the model object: an equal model at the same theta decomposes
-    again, and the memo does not keep a model alive."""
+    """The kept point is keyed by the model object: an equal model at the same theta
+    decomposes again, the point does not keep its model alive, and it goes with it."""
     first, second = make_qubit_direction(1.0), make_qubit_direction(1.0)
     for model in (first, second, second):
         g_bound(model, 0.8, 1.7)
     assert spectra[0] == 2
-    gone = weakref.ref(second)
+    gone, point = weakref.ref(second), weakref.ref(cem._point(second, 0.8))
     del model, second
-    assert gone() is None
+    assert gone() is None and point() is None and not cem._kept
 
 
 def csv_rows(argv):
