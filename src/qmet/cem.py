@@ -119,7 +119,7 @@ def _spectrum(model: HamiltonianModel, x: float):
 def _read_only(*arrays):
     """arrays, each made read-only in place: the caller's own, never a model's."""
     for a in arrays:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return arrays
 
 

@@ -255,8 +255,8 @@ def _angle(x: float) -> float:
 
 
 def _direction_qfi(theta: float, omega: float, t: float) -> float:
-    wt = _angle(omega * t)
-    return 4.0 * math.sin(wt) ** 2 - math.sin(_angle(2.0 * wt)) ** 2 * math.sin(theta) ** 2
+    s2 = math.sin(_angle(omega * t)) ** 2  # 4 s^2 - sin^2(2 omega t) sin^2(theta), uncancelled
+    return 4.0 * s2 * (math.cos(theta) ** 2 + s2 * math.sin(theta) ** 2)
 
 
 def _direction_max_qfi(omega: float, t: float) -> float:
@@ -271,8 +271,7 @@ def _xcomponent_max_qfi(theta: float, omega: float, t: float) -> float:
     om2 = omega * omega + theta * theta
     return 2.0 / om2**2 * (
         2.0 * om2 * t * t * theta * theta
-        - omega * omega * math.cos(_angle(2.0 * math.sqrt(om2) * t))
-        + omega * omega
+        + 2.0 * omega * omega * math.sin(_angle(math.sqrt(om2) * t)) ** 2
     )
 
 
@@ -289,8 +288,7 @@ def _nv_max_qfi(theta: float, mu: float, E: float, t: float) -> float:
     chi = _nv_chi(theta, mu, E)
     return 8.0 * mu * mu * (
         2.0 * theta * theta * mu * mu * t * t * chi * chi
-        + E * E
-        - E * E * math.cos(_angle(4.0 * chi * t))
+        + 2.0 * E * E * math.sin(_angle(2.0 * chi * t)) ** 2
     ) / chi**4
 
 
@@ -317,7 +315,8 @@ def _jc_enhancement_threshold(omega: float, kappa: float, t: float) -> float:
     t2 = math.tan(_angle(Om * t)) ** 2
     if t2 < 1e-30:
         return math.inf
-    return (math.sqrt(1.0 + (Om / omega) ** 2 * t2) - 1.0) / (2.0 * t2)
+    x = (Om / omega) ** 2 * t2  # sqrt(1 + x) - 1 = x / (sqrt(1 + x) + 1), which keeps small x
+    return (x / (math.sqrt(1.0 + x) + 1.0) if x < math.inf else x) / (2.0 * t2)
 
 
 def _oscillator_qfi(m: float, omega: float, t: float) -> float:
@@ -371,9 +370,9 @@ _REFERENCES = {
         ClosedFormReference("jc_enhancement_threshold", _jc_enhancement_threshold,
                             "bosonic-mode frequency, read-out enhancement region"),
         ClosedFormReference("oscillator_qfi", _oscillator_qfi,
-                            "oscillator in uniform field, best regular measurement"),
+                            "oscillator in field g coupling as m g x, best regular measurement"),
         ClosedFormReference("oscillator_fc", _oscillator_fc,
-                            "oscillator in uniform field, energy measurement"),
+                            "oscillator in field g coupling as m g x, energy measurement"),
         ClosedFormReference("oscillator_gamma", _oscillator_gamma,
                             "oscillator in uniform field, energy-measurement advantage"),
     )

@@ -315,6 +315,12 @@ class TestReferences:
         below = reference("jc_fc")(omega=0.7, kappa=1.3, t=2.1, alpha1_sq=1.0 - 1e-12)
         assert below == pytest.approx(fc, rel=1e-9)
 
+    def test_jc_threshold_where_its_argument_overflows(self):
+        """x = (Omega / omega)^2 tan^2(Omega t) overflows near a pole of tan at tiny omega;
+        x / (sqrt(1 + x) + 1) would be inf / inf there, and the threshold stays inf."""
+        t = math.pi / 2 / 1e-150  # Omega = 1e-150, (Omega / omega)^2 = 1e300
+        assert reference("jc_enhancement_threshold")(omega=1e-300, kappa=1.0, t=t) == math.inf
+
     def test_unknown_reference(self):
         with pytest.raises(UnknownReference):
             reference("no-such-formula")

@@ -9,7 +9,9 @@ weights come from mp.eighe and their theta-derivatives from mp.diff, so
 values and first derivatives at theta are exact to 50 digits.  Each case
 puts a small weight p_0 on the ground level, down to just above
 SUPPORT_THRESHOLD.  encoded_qfi's truth evolves rho0 by mp.expm of the same
-linearised H(theta') and differentiates rho(theta') entrywise by mp.diff.
+linearised H(theta') and differentiates rho(theta') entrywise by mp.diff.  The
+closed-form references are checked against their textbook forms at 60 digits,
+at points where those forms cancel in floating point.
 """
 
 import functools
@@ -21,7 +23,7 @@ import pytest
 
 from qmet.cem import diagonalizer, encoded_qfi, fisher_cem
 from qmet.fisher import SUPPORT_THRESHOLD
-from qmet.models import make_nv_spin1, make_qubit_direction
+from qmet.models import make_nv_spin1, make_qubit_direction, reference
 from qmet.phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
 
 DPS = 50
@@ -204,3 +206,40 @@ def test_encoded_qfi_estimate_covers_large_phases(omega, theta, t):
         truth = qfi_truth(model, rho0, theta, t)
     report, _ = encoded_qfi(model, theta, t, rho0)
     assert abs(report.value - truth) <= report.error_estimate
+
+
+def nv_max_qfi(theta, mu, E, t):
+    chi = mp.sqrt(theta**2 * mu**2 + 4 * E**2)
+    return 8 * mu**2 * (2 * theta**2 * mu**2 * t**2 * chi**2 + E**2 - E**2 * mp.cos(4 * chi * t)) \
+        / chi**4
+
+
+def xcomponent_max_qfi(theta, omega, t):
+    om2 = omega**2 + theta**2
+    return 2 / om2**2 * (2 * om2 * t**2 * theta**2 + omega**2
+                         - omega**2 * mp.cos(2 * mp.sqrt(om2) * t))
+
+
+def direction_qfi(theta, omega, t):
+    return 4 * mp.sin(omega * t) ** 2 - mp.sin(2 * omega * t) ** 2 * mp.sin(theta) ** 2
+
+
+def jc_enhancement_threshold(omega, kappa, t):
+    t2 = mp.tan(kappa * mp.sqrt(omega) * t) ** 2
+    return (mp.sqrt(1 + kappa**2 / omega * t2) - 1) / (2 * t2)
+
+
+@pytest.mark.parametrize("name, truth, params", [
+    ("nv_max_qfi", nv_max_qfi, dict(theta=0.257, mu=0.0012, E=5e-5 * math.pi, t=0.0178)),
+    ("xcomponent_max_qfi", xcomponent_max_qfi, dict(theta=0.118, omega=0.0243, t=0.0133)),
+    ("direction_qfi", direction_qfi, dict(theta=math.pi / 2 - 1e-3, omega=1.0, t=0.01)),
+    ("jc_enhancement_threshold", jc_enhancement_threshold, dict(omega=100.0, kappa=0.5, t=0.002)),
+], ids=["nv", "xcomponent", "direction", "jc-threshold"])
+def test_closed_forms_keep_their_digits_where_the_textbook_form_cancels(name, truth, params):
+    """E^2 - E^2 cos(4 chi t), omega^2 - omega^2 cos(2 sqrt(om2) t), 4 s^2 - sin^2(2 omega t)
+    sin^2(theta) and sqrt(1 + x) - 1 cancel at these points (relative errors 8.6e-8, 8.0e-13,
+    1.2e-12 and 6.3e-10 in floating point); each reference stays within a few roundings."""
+    with mp.workdps(60):
+        exact = truth(**{k: mp.mpf(v) for k, v in params.items()})
+        value = reference(name)(**params)
+        assert abs((value - exact) / exact) <= 4 * EPS

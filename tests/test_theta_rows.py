@@ -73,7 +73,7 @@ def test_a_kept_theta_half_gives_the_one_point_values(row):
         return jet, sol, g_bound(model, theta, t), generator_pair(model, theta, t), \
             encoded_qfi(model, theta, t, rho0)
 
-    cem._point(model, theta).diag
+    cem._point(model, theta).diag  # warm: H(theta) and g_diag decomposed before the row
     for t in ts:
         warm = values(t)
         drop_memos()
@@ -111,8 +111,8 @@ def test_returned_arrays_do_not_alias_the_memo():
     kept = [a.copy() for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag)]
     point = cem._point(model, 0.8)
     (es, _), jet = point.diag, point.jet(1.7)
-    half = (point.E, point.W, point.dH, point.D, point.w, point.g_diag, jet.U, jet.g_dyn)
-    assert not any(a.flags.writeable for a in (*half, es.eigenvalues, es.eigenvectors))
+    arrays = (point.E, point.W, point.dH, point.D, point.w, point.g_diag, jet.U, jet.g_dyn)
+    assert not any(a.flags.writeable for a in (*arrays, es.eigenvalues, es.eigenvectors))
     for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag):
         a[...] = 7.0
     sol, pair = g_bound(model, 0.8, 1.7), generator_pair(model, 0.8, 1.7)
