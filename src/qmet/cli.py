@@ -9,10 +9,12 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 One parser, built at import, takes the command and ten flags, in any order.  A
 run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
-before.  One settings table maps every INI key to its RunConfig field and,
-where a flag of the same name exists, to that flag; one probe-model table
-holds each probe's factory and closed forms.  One sweep table gives each
-command its row builder, columns and models, and one loop runs every sweep: a
+before.  One settings table declares every INI key, its RunConfig field and
+its parser; the eight flags besides --config and --model are built from its
+rows, so a flag value and an INI value are parsed and rejected alike.  One
+probe-model table holds each probe's factory and closed forms.  One sweep
+table gives each command its row builder, which also checks its model's
+parameters, its columns and models, and one loop runs every sweep: a
 point's numerical failure, a Python float overflow included, or a non-finite
 value in a column not declared as possibly non-finite, is exit 3 naming that
 point.  The 'qfi' column, the 'jc' classical Fisher information and the
@@ -158,31 +160,31 @@ _PROBES = {
 }
 
 
-# (INI section, key, RunConfig field, parser).  Where the CLI has a flag named
-# like the key, the flag overrides the INI value through the same parser.
+# (INI section, key, RunConfig field, parser, flag help).  Each row is its setting's only
+# declaration: a row with help is also the flag --<key>, parsed by the same parser; the
+# rows without help are set in the INI file only.
 _SETTINGS = (
-    ("grid", "theta", "theta_grid", _parse_grid),
-    ("grid", "t", "t_grid", _parse_grid),
-    ("diff", "step", "diff_step", float),
-    ("diff", "levels", "diff_levels", int),
-    ("phasesim", "n", "n", int),
-    ("phasesim", "m", "m", int),
-    ("phasesim", "tau", "tau", float),
-    ("optimizer", "restarts", "restarts", int),
-    ("optimizer", "iterations", "iterations", int),
-    ("run", "seed", "seed", int),
-    ("run", "out", "out", str),
-    ("run", "format", "fmt", str),
+    ("grid", "theta", "theta_grid", _parse_grid, "theta grid START:STOP:N"),
+    ("grid", "t", "t_grid", _parse_grid, "time grid START:STOP:N"),
+    ("diff", "step", "diff_step", float, None),
+    ("diff", "levels", "diff_levels", int, None),
+    ("phasesim", "n", "n", int, "control-qubit count"),
+    ("phasesim", "m", "m", int, "controllization subdivisions"),
+    ("phasesim", "tau", "tau", float, "read-out base time"),
+    ("optimizer", "restarts", "restarts", int, None),
+    ("optimizer", "iterations", "iterations", int, None),
+    ("run", "seed", "seed", int, "random seed"),
+    ("run", "out", "out", str, "output path (default stdout)"),
+    ("run", "format", "fmt", str, "csv or json (default csv)"),
 )
 
 
-def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse):
-    """ini[section][key] parsed; text the parser rejects is a ConfigError."""
-    text = ini[section][key]
+def _parsed(text: str, parse, where: str):
+    """text parsed; text the parser rejects is a ConfigError naming where it was given."""
     try:
         return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be {parse.__name__}, got {text!r}") from exc
+        raise ConfigError(f"{where} must be {parse.__name__}, got {text!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -195,19 +197,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"cannot read config file {args.config!r}")
     if ini.has_section("model"):
         cfg.model = ini["model"].get("name", cfg.model)
-        cfg.model_params = {key: _ini_value(ini, "model", key, float)
-                            for key in ini["model"] if key != "name"}
+        cfg.model_params = {key: _parsed(text, float, f"[model] {key}")
+                            for key, text in ini["model"].items() if key != "name"}
     if ini.has_section("diff"):  # any [diff] section selects the oracle path
         cfg.diff_method = ini["diff"].get("method", RICHARDSON)
-    for section, key, name, parse in _SETTINGS:
+    for section, key, name, parse, _ in _SETTINGS:
         if ini.has_option(section, key):
-            setattr(cfg, name, _ini_value(ini, section, key, parse))
+            setattr(cfg, name, _parsed(ini[section][key], parse, f"[{section}] {key}"))
 
     if args.model is not None:
         cfg.model = args.model
-    for _, key, name, parse in _SETTINGS:
-        if (value := getattr(args, key, None)) is not None:
-            setattr(cfg, name, parse(value))
+    for _, key, name, parse, _ in _SETTINGS:
+        if (text := getattr(args, key, None)) is not None:
+            setattr(cfg, name, _parsed(text, parse, f"--{key}"))
 
     if cfg.model not in _MODEL_DEFAULTS:
         raise ConfigError(f"unknown model {cfg.model!r}; choose from "
@@ -224,15 +226,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, value in params.items():
         if not math.isfinite(value):
             raise ConfigError(f"[model] {key} must be finite, got {value}")
-    if cfg.model == "jaynes-cummings":
-        if not 0.0 <= params["alpha1_sq"] <= 1.0:
-            raise ConfigError(f"[model] alpha1_sq must be in [0, 1], got {params['alpha1_sq']}")
-        if not float(params["n_max"]).is_integer():  # its range is jc_readout_model's
-            raise ConfigError(f"[model] n_max must be an integer, got {params['n_max']}")
-    if cfg.model == "oscillator":
-        for key in ("mass", "omega"):
-            if not params[key] > 0.0:
-                raise ConfigError(f"[model] {key} must be positive, got {params[key]}")
     if cfg.restarts < 1 or cfg.iterations < 1 or cfg.seed < 0:
         raise ConfigError(f"optimizer restarts and iterations must be >= 1 and its seed >= 0, "
                           f"got {cfg.restarts}, {cfg.iterations} and {cfg.seed}")
@@ -349,6 +342,10 @@ def _phase_sim_row(cfg: RunConfig):
 def _jc_row(cfg: RunConfig):
     p = cfg.model_params
     alpha1_sq = p["alpha1_sq"]
+    if not 0.0 <= alpha1_sq <= 1.0:
+        raise InvalidParameter(f"alpha1_sq must be in [0, 1], got {alpha1_sq}")
+    if not float(p["n_max"]).is_integer():  # its range is jc_readout_model's
+        raise InvalidParameter(f"n_max must be an integer, got {p['n_max']}")
     alpha0, alpha1 = math.sqrt(1.0 - alpha1_sq), math.sqrt(alpha1_sq)
     diff = cfg.diff()
     # One read-out model per t; jc_readout_model owns the ranges of kappa and n_max.
@@ -372,6 +369,9 @@ def _jc_row(cfg: RunConfig):
 
 def _oscillator_row(cfg: RunConfig):
     mass, omega = cfg.model_params["mass"], cfg.model_params["omega"]
+    for key, value in (("mass", mass), ("omega", omega)):
+        if not value > 0.0:
+            raise InvalidParameter(f"{key} must be positive, got {value}")
 
     def row(t):
         fq = reference("oscillator_qfi")(m=mass, omega=omega, t=t)
@@ -453,14 +453,9 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("command", choices=(*_SWEEPS, "selftest"))
 _PARSER.add_argument("--config", help="INI config file")
 _PARSER.add_argument("--model", help="model name")
-_PARSER.add_argument("--theta", help="theta grid START:STOP:N")
-_PARSER.add_argument("--t", help="time grid START:STOP:N")
-_PARSER.add_argument("--n", type=int, help="control-qubit count")
-_PARSER.add_argument("--m", type=int, help="controllization subdivisions")
-_PARSER.add_argument("--tau", type=float, help="read-out base time")
-_PARSER.add_argument("--seed", type=int, help="random seed")
-_PARSER.add_argument("--out", help="output path (default stdout)")
-_PARSER.add_argument("--format", choices=("csv", "json"))
+for _, key, _, _, help_text in _SETTINGS:
+    if help_text is not None:
+        _PARSER.add_argument(f"--{key}", help=help_text)
 
 
 def main(argv=None) -> int:

@@ -84,6 +84,27 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "x", "--n must be int, got 'x'"),
+        ("--tau", "abc", "--tau must be float, got 'abc'"),
+        ("--seed", "1.5", "--seed must be int, got '1.5'"),
+        ("--format", "xml", "format must be csv or json, got 'xml'"),
+    ])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag, value, message):
+        """A flag value goes through its setting's parser, as the INI value does, so main
+        returns exit 2 with a config error instead of the parser exiting."""
+        code, text = run(tmp_path, "phase-sim", "--theta", "1:1:1", "--t", "1:1:1", flag, value)
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_bad_ini_value_names_its_section(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[phasesim]\nn = x\n")
+        code, text = run(tmp_path, "phase-sim", "--config", str(ini), "--theta", "1:1:1",
+                         "--t", "1:1:1")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == "config error: [phasesim] n must be int, got 'x'\n"
+
     @pytest.mark.parametrize("line", ["alpha1_sq = 1.5", "alpha1_sq = -0.2",
                                       "n_max = 0", "n_max = 8.5"])
     def test_bad_jc_parameter_is_config_error(self, tmp_path, capsys, line):

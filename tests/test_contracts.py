@@ -1,8 +1,10 @@
 """Package-wide contracts: one decomposition site for H(theta), one domain rule, one
-dimension rule for the operands that meet a model."""
+dimension rule for the operands that meet a model, imports from the standard library and
+numpy only, and one declaration per CLI setting."""
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,29 @@ def test_the_cli_keeps_no_cache_of_its_own():
     named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "functools" not in imported
     assert not named & {"lru_cache", "cache", "cached_property"}
+
+
+def test_qmet_imports_only_the_standard_library_and_numpy():
+    """Every absolute import in src/qmet names a standard-library module or numpy;
+    relative imports stay inside the package."""
+    found = set()
+    for path in sorted(Path(qmet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found
+    assert found - set(sys.stdlib_module_names) == {"numpy"}
+
+
+def test_every_setting_flag_comes_from_the_settings_table():
+    """The parser's options are --config, --model and one flag per _SETTINGS row with help,
+    so a flag cannot be declared outside the table."""
+    options = {option for action in cli._PARSER._actions for option in action.option_strings}
+    flags = {f"--{key}" for _, key, _, _, help_text in cli._SETTINGS if help_text is not None}
+    assert options - {"-h", "--help"} == {"--config", "--model"} | flags
+    assert len(flags) == 8
 
 
 @pytest.mark.parametrize("call, warm", [
