@@ -33,6 +33,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -231,6 +232,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                           f"got {cfg.restarts}, {cfg.iterations} and {cfg.seed}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
+    if cfg.out is not None:  # checked here, as the sweep writes only after its last point
+        folder, name = os.path.split(cfg.out)
+        if not os.path.isdir(folder or "."):
+            raise ConfigError(f"output path {cfg.out!r}: no directory {folder!r}")
+        if not name or os.path.isdir(cfg.out):
+            raise ConfigError(f"output path {cfg.out!r} names a directory, not a file")
     try:
         cfg.diff()  # DiffSpec owns the valid [diff] settings
     except ValueError as exc:

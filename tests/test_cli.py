@@ -193,6 +193,20 @@ class TestConfigHandling:
         assert (code, text) == (EXIT_CONFIG, "")
         assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
 
+    def test_out_in_a_missing_directory_is_config_error(self, tmp_path, capsys):
+        """Rejected before the sweep runs, and nothing is created."""
+        out = tmp_path / "no" / "such" / "x.csv"
+        code = main(["gbound", "--theta", "1:1:1", "--t", "1:1:1", "--out", str(out)])
+        assert code == EXIT_CONFIG and not (tmp_path / "no").exists()
+        assert capsys.readouterr().err == (
+            f"config error: output path {str(out)!r}: no directory {str(out.parent)!r}\n")
+
+    def test_out_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        code = main(["gbound", "--theta", "1:1:1", "--t", "1:1:1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            f"config error: output path {str(tmp_path)!r} names a directory, not a file\n")
+
     def test_jc_rejects_a_probe_model(self, tmp_path, capsys):
         code, text = run(tmp_path, "jc", "--model", "qubit-direction",
                          "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
