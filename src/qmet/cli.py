@@ -407,7 +407,7 @@ _SWEEPS = {
                         "ratio_ideal ratio_realistic"),
     "jc": _Sweep(_jc_row, "omega t fq_ref fc_sim fc_sim_err fc_ref gamma gamma_gt1 "
                  "alpha0sq_threshold enhancement_region gamma_divergent",
-                 "gamma alpha0sq_threshold", ("jaynes-cummings",)),
+                 "gamma", ("jaynes-cummings",)),
     "oscillator": _Sweep(_oscillator_row, "omega t fq_ref fc_ref gamma gamma_gt1 "
                          "small_sine_region", "gamma", ("oscillator",)),
 }

@@ -302,21 +302,20 @@ def _jc_qfi(t: float, alpha1_sq: float) -> float:
 
 
 def _jc_fc(omega: float, kappa: float, t: float, alpha1_sq: float) -> float:
+    """(Omega t / omega)^2 alpha c^2 / (c^2 + (1 - alpha) s^2), with c, s = cos, sin(Omega t):
+    alpha (1 - s^2) / (1 - alpha s^2) without its cancellation where s^2 is near 1."""
     Om = kappa * math.sqrt(omega)
-    s2 = math.sin(_angle(Om * t)) ** 2
-    if alpha1_sq == 1.0:  # the factor (1 - s2) / (1 - s2) is 1, also where s2 rounds to 1
-        return (Om * t / omega) ** 2
-    return (Om * t / omega) ** 2 * alpha1_sq * (1.0 - s2) / (1.0 - alpha1_sq * s2)
+    c2, s2 = math.cos(_angle(Om * t)) ** 2, math.sin(Om * t) ** 2
+    return (Om * t / omega) ** 2 * (alpha1_sq * c2 / (c2 + (1.0 - alpha1_sq) * s2))
 
 
 def _jc_enhancement_threshold(omega: float, kappa: float, t: float) -> float:
-    """Largest |alpha0|^2 for which the atomic read-out beats the best regular measurement."""
+    """Largest |alpha0|^2 for which the atomic read-out beats the best regular measurement:
+    (sqrt(1 + r^2 tan^2) - 1) / (2 tan^2) with r = Omega / omega, in the form
+    r^2 |c| / (2 (hypot(c, r s) + |c|)) that is finite where tan(Omega t) is 0 or large."""
     Om = kappa * math.sqrt(omega)
-    t2 = math.tan(_angle(Om * t)) ** 2
-    if t2 < 1e-30:
-        return math.inf
-    x = (Om / omega) ** 2 * t2  # sqrt(1 + x) - 1 = x / (sqrt(1 + x) + 1), which keeps small x
-    return (x / (math.sqrt(1.0 + x) + 1.0) if x < math.inf else x) / (2.0 * t2)
+    r, c = Om / omega, abs(math.cos(_angle(Om * t)))
+    return r ** 2 * c / (2.0 * (math.hypot(c, r * math.sin(Om * t)) + c))
 
 
 def _oscillator_qfi(m: float, omega: float, t: float) -> float:

@@ -316,10 +316,15 @@ class TestReferences:
         assert below == pytest.approx(fc, rel=1e-9)
 
     def test_jc_threshold_where_its_argument_overflows(self):
-        """x = (Omega / omega)^2 tan^2(Omega t) overflows near a pole of tan at tiny omega;
-        x / (sqrt(1 + x) + 1) would be inf / inf there, and the threshold stays inf."""
+        """x = (Omega / omega)^2 tan^2(Omega t) overflows near a pole of tan at tiny omega, but
+        the threshold there is finite: r |cos(Omega t)| / 2 with r = Omega / omega, its limit
+        as r |sin| >> |cos|, which the form without tan gives exactly."""
         t = math.pi / 2 / 1e-150  # Omega = 1e-150, (Omega / omega)^2 = 1e300
-        assert reference("jc_enhancement_threshold")(omega=1e-300, kappa=1.0, t=t) == math.inf
+        Om = math.sqrt(1e-300)
+        limit = Om / 1e-300 * abs(math.cos(Om * t)) / 2.0
+        assert (Om / 1e-300) ** 2 * math.tan(Om * t) ** 2 == math.inf
+        assert limit == pytest.approx(3.06e133, rel=1e-3)
+        assert reference("jc_enhancement_threshold")(omega=1e-300, kappa=1.0, t=t) == limit
 
     def test_unknown_reference(self):
         with pytest.raises(UnknownReference):

@@ -10,8 +10,8 @@ values and first derivatives at theta are exact to 50 digits.  Each case
 puts a small weight p_0 on the ground level, down to just above
 SUPPORT_THRESHOLD.  encoded_qfi's truth evolves rho0 by mp.expm of the same
 linearised H(theta') and differentiates rho(theta') entrywise by mp.diff.  The
-closed-form references are checked against their textbook forms at 60 digits,
-at points where those forms cancel in floating point.
+closed-form references are checked against a 60-digit truth at points where
+their textbook forms cancel in floating point or reach a limit.
 """
 
 import functools
@@ -225,8 +225,18 @@ def direction_qfi(theta, omega, t):
 
 
 def jc_enhancement_threshold(omega, kappa, t):
-    t2 = mp.tan(kappa * mp.sqrt(omega) * t) ** 2
-    return (mp.sqrt(1 + kappa**2 / omega * t2) - 1) / (2 * t2)
+    """(sqrt(1 + r^2 tan^2) - 1) / (2 tan^2), r = Omega / omega, written without tan, so that
+    it also holds where tan(Omega t) is 0."""
+    Om = kappa * mp.sqrt(omega)
+    r, c, s = Om / omega, abs(mp.cos(Om * t)), mp.sin(Om * t)
+    return r**2 * c / (2 * (mp.sqrt(c**2 + r**2 * s**2) + c))
+
+
+def jc_fc(omega, kappa, t, alpha1_sq):
+    """(Omega t / omega)^2 alpha (1 - s^2) / (1 - alpha s^2), written with c^2 for 1 - s^2."""
+    Om = kappa * mp.sqrt(omega)
+    c2, s2 = mp.cos(Om * t) ** 2, mp.sin(Om * t) ** 2
+    return (Om * t / omega) ** 2 * alpha1_sq * c2 / (c2 + (1 - alpha1_sq) * s2)
 
 
 @pytest.mark.parametrize("name, truth, params", [
@@ -234,12 +244,21 @@ def jc_enhancement_threshold(omega, kappa, t):
     ("xcomponent_max_qfi", xcomponent_max_qfi, dict(theta=0.118, omega=0.0243, t=0.0133)),
     ("direction_qfi", direction_qfi, dict(theta=math.pi / 2 - 1e-3, omega=1.0, t=0.01)),
     ("jc_enhancement_threshold", jc_enhancement_threshold, dict(omega=100.0, kappa=0.5, t=0.002)),
-], ids=["nv", "xcomponent", "direction", "jc-threshold"])
+    ("jc_enhancement_threshold", jc_enhancement_threshold,
+     dict(omega=1.0, kappa=0.5, t=2 * math.pi)),
+    ("jc_enhancement_threshold", jc_enhancement_threshold, dict(omega=1.0, kappa=0.0, t=1.0)),
+    ("jc_fc", jc_fc, dict(omega=1.0, kappa=0.5, t=math.pi, alpha1_sq=0.5)),
+    ("jc_fc", jc_fc, dict(omega=1.0, kappa=0.5, t=3.0, alpha1_sq=0.5)),
+], ids=["nv", "xcomponent", "direction", "jc-threshold", "jc-threshold-tan-zero",
+        "jc-threshold-kappa-zero", "jc-fc-cos-zero", "jc-fc"])
 def test_closed_forms_keep_their_digits_where_the_textbook_form_cancels(name, truth, params):
     """E^2 - E^2 cos(4 chi t), omega^2 - omega^2 cos(2 sqrt(om2) t), 4 s^2 - sin^2(2 omega t)
-    sin^2(theta) and sqrt(1 + x) - 1 cancel at these points (relative errors 8.6e-8, 8.0e-13,
-    1.2e-12 and 6.3e-10 in floating point); each reference stays within a few roundings."""
+    sin^2(theta) and sqrt(1 + x) - 1 cancel at the first four points (relative errors 8.6e-8,
+    8.0e-13, 1.2e-12 and 6.3e-10 in floating point); each reference stays within a few
+    roundings.  The jc threshold's limit where tan(Omega t) is 0 (Omega t = pi, and
+    kappa = 0) is finite, not the inf of a tan^2 cut-off, and jc_fc keeps its digits where
+    1 - s^2 cancels (Omega t = pi / 2 rounds s^2 to 1; relative error 4.2e-15 at t = 3)."""
     with mp.workdps(60):
         exact = truth(**{k: mp.mpf(v) for k, v in params.items()})
         value = reference(name)(**params)
-        assert abs((value - exact) / exact) <= 4 * EPS
+        assert abs(value - exact) <= 4 * EPS * abs(exact)
