@@ -9,16 +9,14 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 One parser, built at import, takes the command and ten flags, in any order.  A
 run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
-before.  One settings table declares every INI key, its RunConfig field and
-its parser; the eight flags besides --config and --model are built from its
-rows, so a flag value and an INI value are parsed and rejected alike.  One
-probe-model table holds each probe's factory and closed forms.  One sweep
-table gives each command its row builder, which also checks its model's
-parameters, its columns and models, and one loop runs every sweep: a
-point's numerical failure, a Python float overflow included, or a non-finite
-value in a column not declared as possibly non-finite, is exit 3 naming that
-point.  The 'qfi' column, the 'jc' classical Fisher information and the
-'phase-sim' read-out Fisher information are analytic by default; a [diff]
+before.  One settings table declares each INI key with its RunConfig field, its
+parser and, for eight keys, the flag; one probe-model table holds each probe's
+factory and closed forms.  One sweep table gives each command its row builder,
+which checks its model's parameters, its columns and models, and one loop runs
+every sweep: a point's numerical failure, a Python float overflow included, or
+a non-finite value in a column not declared as possibly non-finite, is exit 3
+naming that point.  The 'qfi' column, the 'jc' classical Fisher information and
+the 'phase-sim' read-out Fisher information are analytic by default; a [diff]
 section (method defaults to richardson-fd) switches all three to the
 finite-difference oracle.  The generators behind G and max_qfi are always
 analytic.  With a fixed seed, repeated runs produce byte-identical output;
@@ -161,9 +159,8 @@ _PROBES = {
 }
 
 
-# (INI section, key, RunConfig field, parser, flag help).  Each row is its setting's only
-# declaration: a row with help is also the flag --<key>, parsed by the same parser; the
-# rows without help are set in the INI file only.
+# (INI section, key, RunConfig field, parser, flag help): each setting's one declaration.
+# A row with help is also the flag --<key>, read by the same parser; the rest are INI-only.
 _SETTINGS = (
     ("grid", "theta", "theta_grid", _parse_grid, "theta grid START:STOP:N"),
     ("grid", "t", "t_grid", _parse_grid, "time grid START:STOP:N"),

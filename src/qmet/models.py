@@ -310,9 +310,8 @@ def _jc_fc(omega: float, kappa: float, t: float, alpha1_sq: float) -> float:
 
 
 def _jc_enhancement_threshold(omega: float, kappa: float, t: float) -> float:
-    """Largest |alpha0|^2 for which the atomic read-out beats the best regular measurement:
-    (sqrt(1 + r^2 tan^2) - 1) / (2 tan^2) with r = Omega / omega, in the form
-    r^2 |c| / (2 (hypot(c, r s) + |c|)) that is finite where tan(Omega t) is 0 or large."""
+    """Largest |alpha0|^2 for which the atomic read-out beats the best regular measurement,
+    (sqrt(1 + r^2 tan^2) - 1) / (2 tan^2) with r = Omega / omega, written without tan."""
     Om = kappa * math.sqrt(omega)
     r, c = Om / omega, abs(math.cos(_angle(Om * t)))
     return r ** 2 * c / (2.0 * (math.hypot(c, r * math.sin(Om * t)) + c))
