@@ -179,7 +179,8 @@ class _Point:
     """Everything cem derives from H at one working point (model, theta), read-only: E, W,
     dH, D, w and g_diag from one checked _spectrum and one dh_of read, which raise as _jet
     does; diag, g_diag's _diag_system, on first use; jet(t), the _jet at t, kept for the
-    last t asked.  dh_of and its Hermiticity check run with NumPy's floating-point warnings
+    last t asked; levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F)
+    asked.  dh_of and its Hermiticity check run with NumPy's floating-point warnings
     off."""
 
     def __init__(self, model: HamiltonianModel, theta: float):
@@ -195,7 +196,7 @@ class _Point:
         w = E[:, None] - E[None, :]
         g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
         self.E, self.W, self.dH, self.D, self.w, self.g_diag = _read_only(E, W, dH, D, w, g_diag)
-        self._jet = None
+        self._jet = self._levels = None
 
     @functools.cached_property
     def diag(self):
@@ -211,6 +212,16 @@ class _Point:
             U, g_dyn = _read_only(spectral_unitary(E, W, t), (g_dyn + g_dyn.conj().T) / 2.0)
             self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t)
         return self._jet
+
+    def levels(self, t: float, V: np.ndarray, F: np.ndarray):
+        """(_level_jet of jet(t) at the validated V and F, read-only; a dict in which its
+        consumers keep what they derive from it).  The entry is keyed on t and the contents
+        and shapes of V and F, never on their identity: a caller may change its array in
+        place."""
+        key = (t, V.shape, V.tobytes(), F.shape, F.tobytes())
+        if self._levels is None or self._levels[0] != key:
+            self._levels = key, _read_only(*_level_jet(self.jet(t), V, F)), {}
+        return self._levels[1:]
 
 
 _kept = []  # [weak reference to the model, theta, _Point]: the last point _point built
@@ -390,7 +401,7 @@ def cem_outcome_model(
         return OutcomeDistribution(outcomes=tuple(range(ev.shape[0])), probs=probs)
 
     def jet(x: float):
-        return _level_jet(_jet(model, x, t), v, factor)[3:]
+        return _point(model, x).levels(t, v, factor)[0][3:]
 
     return ProbabilityModel(at=at, theta_domain=model.theta_domain, jet=jet)
 
@@ -447,7 +458,9 @@ def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
     e = 3 eps (d + max|E| / min spacing) + eps t max|E|, as W enters A three times
     and each phase t E_j carries its eigenvalue's error.  So p_err_j = e (2 sqrt(p_j)
     + e) by Cauchy-Schwarz, and dp_err = 6 e G, as dA moves by at most 2 e G |F_k|,
-    G = |g_diag| + |g_dyn|.  V and F must already be validated.
+    G = |g_diag| + |g_dyn|.  V and F must already be validated.  Its callers read it
+    through the kept _Point.levels, so the calls at one (model, theta, t, V, F), as
+    tune_tau's and both read-outs' at a working point, build it once.
     """
     E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
     e = _rounding_bound(E, 3.0) + _phase_bound(jet)
@@ -470,9 +483,9 @@ def fisher_cem(
     The parameter moves both the state rho_theta and the measured eigenbasis, so
     this is a non-regular statistical model; the energy measurement V = I yields a
     t-independent value.  diff is classical_fisher's: by default the model's dh_of
-    differentiates it analytically through _level_jet (two decompositions: rho0's
-    check, which also factors it, and H(theta), shared with every analytic call at
-    theta through the kept _point), with an error estimate covering
+    differentiates it analytically through the kept _point's level jet (two
+    decompositions: rho0's check, which also factors it, and H(theta), shared with
+    every analytic call at theta), with an error estimate covering
     the rounding of the weights and of their derivatives; an explicit DiffSpec
     runs the stencil over the distributions as the oracle.
     """

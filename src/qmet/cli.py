@@ -12,7 +12,7 @@ run is configured by defaults, then an INI file (sections [model], [grid],
 before.  One settings table declares each INI key with its RunConfig field, its
 parser and, for eight keys, the flag; one probe-model table holds each probe's
 factory and closed forms.  One sweep table gives each command its row builder,
-which checks its model's parameters, its columns and models, and one loop runs
+which checks its model's parameters, its columns, models and points; one loop runs
 every sweep: a point's numerical failure, a Python float overflow included, or
 a non-finite value in a column not declared as possibly non-finite, is exit 3
 naming that point.  The 'qfi' column, the 'jc' classical Fisher information and
@@ -387,12 +387,18 @@ def _oscillator_row(cfg: RunConfig):
     return row
 
 
+def _theta_t(cfg: RunConfig):
+    return itertools.product(cfg.theta_grid.tolist(), cfg.t_grid.tolist())
+
+
 # One entry per sweep command: its row builder, which does the once-per-run set-up and
-# returns row(point); its columns; those of them that may hold a non-finite value; and
-# the models it accepts, the first being its default.  The grid is theta-major, so the
-# probe commands decompose H(theta) (and g_diag, where G is needed) once per theta row,
-# at its first t: the library keeps that working point (cem._point).
-_Sweep = namedtuple("_Sweep", "build columns nonfinite models", defaults=(tuple(_PROBES),))
+# returns row(point); its columns; those of them that may hold a non-finite value; the
+# models it accepts, the first being its default; and its grid points.  The default grid
+# is theta-major, so the probe commands decompose H(theta) (and g_diag, where G is
+# needed) once per theta row, at its first t: the library keeps that working point
+# (cem._point).  The oscillator's closed forms take t alone.
+_Sweep = namedtuple("_Sweep", "build columns nonfinite models points",
+                    defaults=(tuple(_PROBES), _theta_t))
 _SWEEPS = {
     "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "
                   "max_abs_err", "qfi_ref abs_err"),
@@ -406,7 +412,8 @@ _SWEEPS = {
                  "alpha0sq_threshold enhancement_region gamma_divergent",
                  "gamma", ("jaynes-cummings",)),
     "oscillator": _Sweep(_oscillator_row, "omega t fq_ref fc_ref gamma gamma_gt1 "
-                         "small_sine_region", "gamma", ("oscillator",)),
+                         "small_sine_region", "gamma", ("oscillator",),
+                         lambda cfg: cfg.t_grid.tolist()),
 }
 
 
@@ -420,12 +427,9 @@ def _sweep(cfg: RunConfig, sweep: _Sweep) -> int:
     except InvalidParameter as exc:
         raise ConfigError(f"[model] {exc}") from exc
     columns, nonfinite = sweep.columns.split(), sweep.nonfinite.split()
-    # The oscillator's closed forms take t alone; every other model sweeps theta x t.
-    points = (cfg.t_grid.tolist() if cfg.model == "oscillator"
-              else itertools.product(cfg.theta_grid.tolist(), cfg.t_grid.tolist()))
     records = []
     with np.errstate(all="ignore"):
-        for point in points:
+        for point in sweep.points(cfg):
             try:
                 records.append(row(point))
                 for name, value in zip(columns, records[-1]):

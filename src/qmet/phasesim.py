@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import numdiff
-from .cem import _jet, _level_jet, _node, _require_dim, _spectrum
+from .cem import _node, _point, _read_only, _require_dim, _spectrum
 from .errors import AliasingRisk, OracleTooLarge
 from .fisher import (
     FisherReport,
@@ -51,7 +51,8 @@ IDEAL = "ideal"
 REALISTIC = "realistic"
 # Bytes of a read-out chunk's largest scratch array, the (kinds, taus, d, 2^n) float64
 # level factors of _level_products; kinds is 2 on the analytic path (values and derivatives).
-# 192 KiB holds 4 taus at n = 10 and d = 3; larger chunks save little and raise peak memory.
+# 192 KiB holds 4 taus at n = 10 and d = 3.  768 KiB ran 3-7% slower over 600 mixed
+# read-out points (best of 5, one 2-CPU host): larger chunks fall out of cache.
 SCRATCH_BYTES = 192 * 1024
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
@@ -276,10 +277,15 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
                            + 1j * (dphase + cfg.m * dlog.imag[:, None])))
     else:
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
-    kinds = [np.stack([np.ones(c.shape), c.real, c.imag], axis=-1)]
+    coef = np.empty((cfg.n, 1 if dphase is None else 2, *phase.shape, 3))
+    coef[:, 0, ..., 0] = 1.0
+    coef[:, 0, ..., 1] = c.real
+    coef[:, 0, ..., 2] = c.imag
     if dphase is not None:
-        kinds.append(np.stack([np.zeros(c.shape), dc.real, dc.imag], axis=-1))
-    return np.stack(kinds, axis=1)
+        coef[:, 1, ..., 0] = 0.0
+        coef[:, 1, ..., 1] = dc.real
+        coef[:, 1, ..., 2] = dc.imag
+    return coef
 
 
 def _level_products(coef: np.ndarray, stop: int = 0, carry=None):
@@ -350,12 +356,14 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
     energies, the level weights and their exact derivatives from the _jet at
     (theta, cfg.t), read from cem's kept _point: its decomposition of H(theta) is
-    shared with every analytic call at (model, theta), and its U_t and g_dyn with
-    g_bound's and every other call at cfg.t there; _readout_chunks
+    shared with every analytic call at (model, theta), its U_t and g_dyn with
+    g_bound's and every other call at cfg.t there, and its level jet (levels) with
+    every analytic read-out at the same cfg.t, V and rho0; _readout_chunks
     carries them through the kernel, so a scan of taus in either mode costs a few
     kernel passes and no decomposition once the point has one.  The shifted energies
     move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
-    dxi_j = dE_j under a fixed shift.  The error estimate propagates the rounding
+    dxi_j = dE_j under a fixed shift; dxi and its bound are kept beside the level jet,
+    one pair per shift rule.  The error estimate propagates the rounding
     bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
     polynomial of degree 2^n - 1 in unit-disc phase variables its theta-derivative
     is at most (2^n - 1) tau |dxi_j| and its move under an energy error delta xi at
@@ -373,11 +381,14 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     """
     V = cfg.control(model.dim)
     if diff is None:
-        E, dE, dE_err, p, dp, dp_err, p_err = _level_jet(_jet(model, theta, cfg.t), V,
-                                                         cfg.factor)
-        dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if cfg.energy_shift is None else (dE, dE_err)
-        with np.errstate(over="ignore"):  # a bound beyond the float range is inf
-            dxi_bound = dxi_err + p_err @ np.abs(dxi)
+        levels, kept = _point(model, theta).levels(cfg.t, V, cfg.factor)
+        E, dE, dE_err, p, dp, dp_err, p_err = levels
+        follows = cfg.energy_shift is None  # the shift follows the ground energy
+        if follows not in kept:
+            dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if follows else (dE, dE_err)
+            with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+                kept[follows] = _read_only(dxi, dxi_err + p_err @ np.abs(dxi))
+        dxi, dxi_bound = kept[follows]
         method, step = numdiff.ANALYTIC, 0.0
 
         def score(taus: np.ndarray, mode: str, errors: bool = True):
@@ -440,8 +451,9 @@ def fisher_phase_readout(
     dependence is part of the statistical model.  By default the model's
     dh_of differentiates it exactly at theta alone (method "analytic", step
     0, from cem's kept point: one decomposition for every analytic call at one
-    (model, theta), one U_t for those at one t too; AliasingRisk when tau
-    aliases at theta).  An
+    (model, theta), one U_t for those at one t too, and one level jet for those at
+    one (t, V, rho0), as after tune_tau on cfg; AliasingRisk when tau aliases at
+    theta).  An
     explicit DiffSpec runs the finite-difference stencil instead, the
     oracle, which raises AliasingRisk when tau aliases at any stencil node.
     """
@@ -463,7 +475,8 @@ def tune_tau(
     the best candidate.  Each scan is scored as one batch over tau, on
     fisher_phase_readout's path, and reads values only: the analytic one costs
     one decomposition for the whole call, none after g_bound or another analytic
-    call at (model, theta), whose point cem keeps, and never chooses a candidate that
+    call at (model, theta), whose point cem keeps, and builds one level jet, which
+    the read-outs at its (t, V, rho0) then share; it never chooses a candidate that
     aliases at theta; the finite-difference oracle costs one per stencil node
     and never chooses one that aliases at any node.  The fine scan's two ends
     are coarse candidates; an analytic value does not depend on its batch, so

@@ -4,5 +4,6 @@ from qmet import cem
 
 
 def drop_memos():
-    """Drop cem's kept point: the next analytic call decomposes H(theta) again."""
+    """Drop cem's kept point, and with it the jet and level jet it keeps: the next analytic
+    call decomposes H(theta) again."""
     cem._kept.clear()

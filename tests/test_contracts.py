@@ -174,16 +174,19 @@ def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, de
                                                      monkeypatch):
     """g_bound, tune_tau and both fisher_phase_readout modes at one (model, theta, t), as
     perfbench's readout point runs them, share one _spectrum: 4 eighs (H(theta), g_diag,
-    g_dyn and rho0's check) where each call decomposing H(theta) would take 7, and one
-    U_t (cem.spectral_unitary) where each call building its own jet would take 4."""
-    unitaries = [0]
-    spectral_unitary = cem.spectral_unitary
+    g_dyn and rho0's check) where each call decomposing H(theta) would take 7, one U_t
+    (cem.spectral_unitary) where each call building its own jet would take 4, and one
+    level jet (cem._level_weights) where each read-out call building its own would take 3."""
+    unitaries, weights = [0], [0]
 
-    def counted(*args):
-        unitaries[0] += 1
-        return spectral_unitary(*args)
+    def counted(fn, count):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(cem, "spectral_unitary", counted)
+    monkeypatch.setattr(cem, "spectral_unitary", counted(cem.spectral_unitary, unitaries))
+    monkeypatch.setattr(cem, "_level_weights", counted(cem._level_weights, weights))
     model = factory()
     sol = g_bound(model, 0.8, 1.7)
     cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=sol.V_opt,
@@ -191,7 +194,18 @@ def test_one_readout_working_point_decomposes_h_once(factory, spectrum_calls, de
     tuned = cfg.with_tau(tune_tau(cfg, model, 0.8, mode="realistic"))
     for mode in ("ideal", "realistic"):
         fisher_phase_readout(tuned, model, 0.8, mode=mode)
-    assert (spectrum_calls[0], decompositions[0], unitaries[0]) == (1, 4, 1)
+    assert (spectrum_calls[0], decompositions[0], unitaries[0], weights[0]) == (1, 4, 1, 1)
+
+
+def test_the_sweep_loop_names_no_model():
+    """Each command's point axes are declared in its _SWEEPS row, so cli._sweep holds no
+    model name: a new t-only command would not edit the loop."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (sweep,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    strings = {node.value for node in ast.walk(sweep)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & set(cli._MODEL_DEFAULTS)
 
 
 def test_the_cli_keeps_no_cache_of_its_own():

@@ -1,12 +1,13 @@
 """cem keeps its last working point (model, theta), and a kept point changes nothing.
 
 Every analytic call at one (model, theta) shares one decomposition of H(theta)
-and, where G is needed, one of g_diag (cem._point and its diag).  A warm call
-must equal the cold one bit for bit: g_bound, generator_pair, the analytic
-encoded_qfi and cem._optimum.  The kept point holds read-only arrays, no
-returned array aliases it, a call that raises keeps nothing new, and another
-model object misses it.  At CLI level, each row of a 3 x 3 run must equal the 1 x 1
-run at its point, byte for byte.
+and, where G is needed, one of g_diag (cem._point and its diag); the read-out calls
+at one (t, V, rho0) there share one level jet (its levels).  A warm call must equal
+the cold one bit for bit: g_bound, generator_pair, the analytic encoded_qfi,
+cem._optimum, tune_tau and fisher_phase_readout.  The kept point holds read-only
+arrays, no returned array aliases it, a call that raises keeps nothing new, and
+another model object misses it.  At CLI level, each row of a 3 x 3 run must equal
+the 1 x 1 run at its point, byte for byte.
 """
 
 import io
@@ -24,6 +25,7 @@ from memos import drop_memos  # noqa: E402
 from qmet import cem, cli  # noqa: E402
 from qmet.cem import encoded_qfi, g_bound, generator_pair  # noqa: E402
 from qmet.errors import DomainBoundary, InvalidParameter  # noqa: E402
+from qmet.phasesim import PhaseSimConfig, fisher_phase_readout, tune_tau  # noqa: E402
 from qmet.models import (  # noqa: E402
     SIGMA_X,
     HamiltonianModel,
@@ -161,6 +163,136 @@ def test_another_model_object_misses_the_memo(spectra):
     gone, point = weakref.ref(second), weakref.ref(cem._point(second, 0.8))
     del model, second
     assert gone() is None and point() is None and not cem._kept
+
+
+def optimum_config(model, theta, t):
+    """The read-out configuration at g_bound's optimum, as perfbench's readout point and the
+    CLI's phase-sim row build it."""
+    sol = g_bound(model, theta, t)
+    return PhaseSimConfig(n=6, m=3, t=t, V=sol.V_opt,
+                          rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()))
+
+
+def readout(cfg, model, theta):
+    """(tune_tau's tau, both modes' FisherReports at it)."""
+    tuned = cfg.with_tau(tune_tau(cfg, model, theta, mode="realistic"))
+    return tuned.tau, [fisher_phase_readout(tuned, model, theta, mode=mode)
+                       for mode in ("ideal", "realistic")]
+
+
+def cold_readout(cfg, model, theta):
+    """readout with every call from no kept point."""
+    drop_memos()
+    tuned = cfg.with_tau(tune_tau(cfg, model, theta, mode="realistic"))
+    reports = []
+    for mode in ("ideal", "realistic"):
+        drop_memos()
+        reports.append(fisher_phase_readout(tuned, model, theta, mode=mode))
+    return tuned.tau, reports
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(rows(), st.sampled_from([None, 0.25]))
+def test_a_kept_level_jet_gives_the_one_call_values(row, energy_shift):
+    """tune_tau and both read-out modes at one working point, with the level jet kept from
+    the first, equal the calls made cold, bit for bit; so does a read-out whose shift rule
+    differs from the one kept alongside the level jet."""
+    model, theta, ts = row
+    for t in ts:
+        cfg = optimum_config(model, theta, t)
+        warm = readout(cfg, model, theta)
+        assert warm == cold_readout(cfg, model, theta)
+        shifted = PhaseSimConfig(n=6, m=3, t=t, V=cfg.V, rho0=cfg.rho0, tau=warm[0],
+                                 energy_shift=energy_shift)
+        cem._point(model, theta).levels(t, cfg.V, cfg.factor)  # kept with cfg's shift rule
+        warm = fisher_phase_readout(shifted, model, theta)
+        drop_memos()
+        assert warm == fisher_phase_readout(shifted, model, theta)
+
+
+@pytest.fixture
+def level_jets(monkeypatch):
+    """One-element list counting cem._level_weights calls, from no kept point."""
+    drop_memos()
+    calls = [0]
+    level_weights = cem._level_weights
+
+    def counted(*args):
+        calls[0] += 1
+        return level_weights(*args)
+
+    monkeypatch.setattr(cem, "_level_weights", counted)
+    return calls
+
+
+def test_a_changed_operand_misses_the_kept_level_jet(level_jets):
+    """The level jet is kept for one (model object, theta, t, V, rho0): the same call hits
+    it, and a change of any one of them builds it again."""
+    model = make_qubit_direction(1.0)
+    cfg = optimum_config(model, 0.8, 1.7).with_tau(0.3)
+    other_v = PhaseSimConfig(n=6, m=3, t=1.7, V=cfg.V[:, ::-1], rho0=cfg.rho0, tau=0.3)
+    other_rho = PhaseSimConfig(n=6, m=3, t=1.7, V=cfg.V, rho0=np.eye(2) / 2.0, tau=0.3)
+    other_t = PhaseSimConfig(n=6, m=3, t=1.1, V=cfg.V, rho0=cfg.rho0, tau=0.3)
+    calls = [(cfg, model, 0.8), (cfg, model, 0.8), (other_t, model, 0.8), (other_v, model, 0.8),
+             (other_rho, model, 0.8), (cfg, model, 0.9), (cfg, make_qubit_direction(1.0), 0.9)]
+    counts = []
+    for args in calls:
+        fisher_phase_readout(*args)
+        counts.append(level_jets[0])
+    assert counts == [1, 1, 2, 3, 4, 5, 6]
+
+
+def test_a_control_changed_in_place_misses_the_kept_level_jet(level_jets):
+    """PhaseSimConfig.V aliases the caller's array, so the kept level jet is keyed on V's
+    contents: after the caller overwrites V, the read-out is the cold one at the new V."""
+    model = make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)
+    sol = g_bound(model, 0.8, 1.7)
+    V = sol.V_opt.copy()
+    cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=V, rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()),
+                         tau=0.2)
+    assert cfg.V is V
+    before = fisher_phase_readout(cfg, model, 0.8)
+    V[...] = np.eye(3)
+    after = fisher_phase_readout(cfg, model, 0.8)
+    assert level_jets[0] == 2 and after != before
+    drop_memos()
+    assert after == fisher_phase_readout(cfg, model, 0.8) and level_jets[0] == 3
+
+
+def test_the_kept_level_jet_is_read_only():
+    """Every array of the kept level jet, and what the read-out keeps beside it, is
+    read-only."""
+    model = make_qubit_direction(1.0)
+    cfg = optimum_config(model, 0.8, 1.7).with_tau(0.3)
+    drop_memos()
+    fisher_phase_readout(cfg, model, 0.8)
+    levels, kept = cem._point(model, 0.8).levels(1.7, cfg.V, cfg.factor)
+    arrays = [*levels, *(a for entry in kept.values() for a in entry)]
+    assert kept and len(arrays) == 9
+    assert not any(np.asarray(a).flags.writeable for a in arrays if np.ndim(a))
+
+
+def test_a_raising_level_jet_keeps_nothing(level_jets, monkeypatch):
+    """A level jet whose construction raises leaves the kept one as it was: the kept
+    operands still hit, and the raising ones build it again."""
+    model = make_qubit_direction(1.0)
+    cfg = optimum_config(model, 0.8, 1.7).with_tau(0.3)
+    other = PhaseSimConfig(n=6, m=3, t=1.7, V=cfg.V[:, ::-1], rho0=cfg.rho0, tau=0.3)
+    fisher_phase_readout(cfg, model, 0.8)
+    counted = cem._level_weights
+
+    def failing(*args):
+        counted(*args)
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(cem, "_level_weights", failing)
+    with pytest.raises(FloatingPointError):
+        fisher_phase_readout(other, model, 0.8)
+    monkeypatch.setattr(cem, "_level_weights", counted)
+    fisher_phase_readout(cfg, model, 0.8)  # still kept
+    assert level_jets[0] == 2
+    fisher_phase_readout(other, model, 0.8)
+    assert level_jets[0] == 3
 
 
 def csv_rows(argv):
