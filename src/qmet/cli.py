@@ -9,8 +9,10 @@ the bound by derivative-free search, 'phase-sim' runs the read-out simulator,
 One parser, built at import, takes the command and ten flags, in any order.  A
 run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
-before.  One settings table declares each INI key with its RunConfig field, its
-parser and, for eight keys, the flag; one probe-model table holds each probe's
+before.  One settings table declares each setting once: its INI section, its key
+(its RunConfig attribute and config-hash entry too), default, parser and, for
+eight keys, flag help; another section or key, bar [model] and [diff] method, is
+a config error.  One model table holds each model's defaults and each probe's
 factory and closed forms.  One sweep table gives each command its row builder,
 which checks its model's parameters, its columns, models and points; one loop runs
 every sweep: a point's numerical failure, a Python float overflow included, or
@@ -64,47 +66,31 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved sweep configuration."""
+    """Fully resolved sweep configuration: these fields, and each _SETTINGS row's key."""
 
     command: str
     model: str = "qubit-direction"
     model_params: dict = field(default_factory=dict)
-    theta_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.3, 2.8, 10))
-    t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.3, 3.0, 10))
     diff_method: Optional[str] = None  # None: analytic where a path exists
-    diff_step: Optional[float] = None
-    diff_levels: int = 2
-    n: int = 6
-    m: int = 3
-    tau: Optional[float] = None
-    restarts: int = 8
-    iterations: int = 400
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "csv"
+
+    def __post_init__(self):
+        for _, key, default, parse, _ in _SETTINGS:
+            setattr(self, key, None if default is None else parse(default))
 
     def diff(self) -> Optional[DiffSpec]:
         """The finite-difference oracle spec, None when no [diff] section was given."""
         if self.diff_method is None:
             return None
-        return DiffSpec(method=self.diff_method, step=self.diff_step, levels=self.diff_levels)
+        return DiffSpec(method=self.diff_method, step=self.step, levels=self.levels)
 
     def canonical(self) -> str:
-        items = {
-            "command": self.command,
-            "model": self.model,
-            "model_params": json.dumps(self.model_params, sort_keys=True),
-            "theta": ",".join(f"{x:.17g}" for x in self.theta_grid),
-            "t": ",".join(f"{x:.17g}" for x in self.t_grid),
-            "diff": f"{self.diff_method}:{self.diff_step}:{self.diff_levels}",
-            "n": self.n,
-            "m": self.m,
-            "tau": self.tau,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
+        items = {"command": self.command, "model": self.model,
+                 "model_params": json.dumps(self.model_params, sort_keys=True),
+                 "diff": f"{self.diff_method}:{self.step}:{self.levels}"}
+        for section, key, _, parse, _ in _SETTINGS:
+            if section != "diff" and key != "out":  # [diff] enters as diff; out is unhashed
+                v = getattr(self, key)
+                items[key] = ",".join(f"{x:.17g}" for x in v) if parse is _parse_grid else v
         return "\n".join(f"{k}={items[k]}" for k in sorted(items))
 
     def config_hash(self) -> str:
@@ -127,53 +113,47 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid
 
 
-_MODEL_DEFAULTS = {
-    "qubit-direction": {"omega": 1.0},
-    "qubit-xcomponent": {"omega": 1.0},
-    "nv-spin1": {"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi},
-    "jaynes-cummings": {"kappa": 0.5, "n_max": 8, "alpha1_sq": 0.5},
-    "oscillator": {"mass": 1.0, "omega": 1.0},
-}
-
-
-# Each probe model's factory of its parameters, and its closed forms as functions
-# of (params, theta, t), NaN where none exists.  The lambdas look the factories
-# and `reference` up at call time, so a patched module attribute takes effect.
-_Probe = namedtuple("_Probe", "build qfi max_qfi g")
-_PROBES = {
-    "qubit-direction": _Probe(
+# Each model's parameter defaults; a probe's factory of them, and its closed forms of
+# (params, theta, t), NaN where none exists.  The lambdas look the factories and
+# `reference` up at call time, so a patched module attribute takes effect.
+_Model = namedtuple("_Model", "params build qfi max_qfi g", defaults=(None,) * 4)
+_MODELS = {
+    "qubit-direction": _Model({"omega": 1.0},
         build=lambda p: make_qubit_direction(p["omega"]),
         qfi=lambda p, q, t: reference("direction_qfi")(theta=q, omega=p["omega"], t=t),
         max_qfi=lambda p, q, t: reference("direction_max_qfi")(omega=p["omega"], t=t),
         g=lambda p, q, t: reference("direction_g")(omega=p["omega"], t=t)),
-    "qubit-xcomponent": _Probe(
+    "qubit-xcomponent": _Model({"omega": 1.0},
         build=lambda p: make_qubit_xcomponent(p["omega"]),
         qfi=lambda p, q, t: math.nan,
         max_qfi=lambda p, q, t: reference("xcomponent_max_qfi")(theta=q, omega=p["omega"], t=t),
         g=lambda p, q, t: reference("xcomponent_g")(theta=q, omega=p["omega"], t=t)),
-    "nv-spin1": _Probe(
+    "nv-spin1": _Model({"mu": 1.0, "D": 1.44 * math.pi, "E": 5e-5 * math.pi},
         build=lambda p: make_nv_spin1(p["mu"], p["D"], p["E"]),
         qfi=lambda p, q, t: math.nan,
         max_qfi=lambda p, q, t: reference("nv_max_qfi")(theta=q, mu=p["mu"], E=p["E"], t=t),
         g=lambda p, q, t: reference("nv_g")(theta=q, mu=p["mu"], E=p["E"], t=t)),
+    "jaynes-cummings": _Model({"kappa": 0.5, "n_max": 8, "alpha1_sq": 0.5}),
+    "oscillator": _Model({"mass": 1.0, "omega": 1.0}),
 }
 
 
-# (INI section, key, RunConfig field, parser, flag help): each setting's one declaration.
+# (INI section, key, default, parser, flag help): each setting's one declaration.  The key
+# is its RunConfig attribute and config-hash entry too; the default is parser text or None.
 # A row with help is also the flag --<key>, read by the same parser; the rest are INI-only.
 _SETTINGS = (
-    ("grid", "theta", "theta_grid", _parse_grid, "theta grid START:STOP:N"),
-    ("grid", "t", "t_grid", _parse_grid, "time grid START:STOP:N"),
-    ("diff", "step", "diff_step", float, None),
-    ("diff", "levels", "diff_levels", int, None),
-    ("phasesim", "n", "n", int, "control-qubit count"),
-    ("phasesim", "m", "m", int, "controllization subdivisions"),
-    ("phasesim", "tau", "tau", float, "read-out base time"),
-    ("optimizer", "restarts", "restarts", int, None),
-    ("optimizer", "iterations", "iterations", int, None),
-    ("run", "seed", "seed", int, "random seed"),
-    ("run", "out", "out", str, "output path (default stdout)"),
-    ("run", "format", "fmt", str, "csv or json (default csv)"),
+    ("grid", "theta", "0.3:2.8:10", _parse_grid, "theta grid START:STOP:N"),
+    ("grid", "t", "0.3:3:10", _parse_grid, "time grid START:STOP:N"),
+    ("diff", "step", None, float, None),
+    ("diff", "levels", "2", int, None),
+    ("phasesim", "n", "6", int, "control-qubit count"),
+    ("phasesim", "m", "3", int, "controllization subdivisions"),
+    ("phasesim", "tau", None, float, "read-out base time"),
+    ("optimizer", "restarts", "8", int, None),
+    ("optimizer", "iterations", "400", int, None),
+    ("run", "seed", "0", int, "random seed"),
+    ("run", "out", None, str, "output path (default stdout)"),
+    ("run", "format", "csv", str, "csv or json (default csv)"),
 )
 
 
@@ -185,37 +165,55 @@ def _parsed(text: str, parse, where: str):
         raise ConfigError(f"{where} must be {parse.__name__}, got {text!r}") from exc
 
 
+def _read_ini(path: Optional[str]) -> dict:
+    """{section: {key: text}} of the INI file at path, {} for none.  An unparsable file, a
+    section other than [model] and those of _SETTINGS, or a key no row declares (nor [diff]
+    method) is a ConfigError; [DEFAULT] keys, copied into every section, are not checked."""
+    ini = configparser.ConfigParser()
+    ini.optionxform = str  # model parameters like D and E are case-sensitive
+    try:
+        if path is not None and not ini.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+        sections = {name: dict(ini[name]) for name in ini.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+    declared = {(section, key) for section, key, *_ in _SETTINGS} | {("diff", "method")}
+    for name, keys in sections.items():
+        if name not in {section for section, _ in declared} | {"model"}:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in keys:
+            if name != "model" and (name, key) not in declared and key not in ini.defaults():
+                raise ConfigError(f"unknown key [{name}] {key}")
+    return sections
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the INI file, then flags, each overriding the one before; then checks."""
     cfg, sweep = RunConfig(command=args.command), _SWEEPS.get(args.command)
     cfg.model = sweep.models[0] if sweep is not None else cfg.model
-    ini = configparser.ConfigParser()
-    ini.optionxform = str  # model parameters like D and E are case-sensitive
-    if args.config is not None and not ini.read(args.config):
-        raise ConfigError(f"cannot read config file {args.config!r}")
-    if ini.has_section("model"):
+    ini = _read_ini(args.config)
+    if "model" in ini:
         cfg.model = ini["model"].get("name", cfg.model)
         cfg.model_params = {key: _parsed(text, float, f"[model] {key}")
                             for key, text in ini["model"].items() if key != "name"}
-    if ini.has_section("diff"):  # any [diff] section selects the oracle path
+    if "diff" in ini:  # any [diff] section selects the oracle path
         cfg.diff_method = ini["diff"].get("method", RICHARDSON)
-    for section, key, name, parse, _ in _SETTINGS:
-        if ini.has_option(section, key):
-            setattr(cfg, name, _parsed(ini[section][key], parse, f"[{section}] {key}"))
+    for section, key, _, parse, _ in _SETTINGS:
+        if key in ini.get(section, {}):
+            setattr(cfg, key, _parsed(ini[section][key], parse, f"[{section}] {key}"))
 
     if args.model is not None:
         cfg.model = args.model
-    for _, key, name, parse, _ in _SETTINGS:
+    for _, key, _, parse, _ in _SETTINGS:
         if (text := getattr(args, key, None)) is not None:
-            setattr(cfg, name, _parsed(text, parse, f"--{key}"))
+            setattr(cfg, key, _parsed(text, parse, f"--{key}"))
 
-    if cfg.model not in _MODEL_DEFAULTS:
-        raise ConfigError(f"unknown model {cfg.model!r}; choose from "
-                          f"{', '.join(sorted(_MODEL_DEFAULTS))}")
+    if cfg.model not in _MODELS:
+        raise ConfigError(f"unknown model {cfg.model!r}; choose from {', '.join(sorted(_MODELS))}")
     if sweep is not None and cfg.model not in sweep.models:
         raise ConfigError(f"command {args.command!r} supports models "
                           f"{', '.join(sweep.models)}, got {cfg.model!r}")
-    params = dict(_MODEL_DEFAULTS[cfg.model])
+    params = dict(_MODELS[cfg.model].params)
     for key in cfg.model_params:
         if key not in params:
             raise ConfigError(f"model {cfg.model!r} does not take parameter {key!r}")
@@ -227,8 +225,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.restarts < 1 or cfg.iterations < 1 or cfg.seed < 0:
         raise ConfigError(f"optimizer restarts and iterations must be >= 1 and its seed >= 0, "
                           f"got {cfg.restarts}, {cfg.iterations} and {cfg.seed}")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
+    if cfg.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.out is not None:  # checked here, as the sweep writes only after its last point
         folder, name = os.path.split(cfg.out)
         if not os.path.isdir(folder or "."):
@@ -252,7 +250,7 @@ def _fmt(value) -> str:
 
 def write_records(cfg: RunConfig, columns, records) -> None:
     """Render records deterministically and write them to cfg.out or stdout."""
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {
             "version": __version__,
             "config_sha256": cfg.config_hash(),
@@ -273,7 +271,7 @@ def write_records(cfg: RunConfig, columns, records) -> None:
 
 
 def _qfi_row(cfg: RunConfig):
-    probe, p = _PROBES[cfg.model], cfg.model_params
+    probe, p = _MODELS[cfg.model], cfg.model_params
     model = probe.build(p)
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[0, 0] = 1.0  # the projector on the first basis state
@@ -293,7 +291,7 @@ def _qfi_row(cfg: RunConfig):
 
 
 def _gbound_row(cfg: RunConfig):
-    probe = _PROBES[cfg.model]
+    probe = _MODELS[cfg.model]
     model = probe.build(cfg.model_params)
 
     def row(point):
@@ -309,7 +307,7 @@ def _gbound_row(cfg: RunConfig):
 
 
 def _optimize_row(cfg: RunConfig):
-    model = _PROBES[cfg.model].build(cfg.model_params)
+    model = _MODELS[cfg.model].build(cfg.model_params)
 
     def row(point):
         theta, t = point
@@ -322,7 +320,7 @@ def _optimize_row(cfg: RunConfig):
 
 
 def _phase_sim_row(cfg: RunConfig):
-    model = _PROBES[cfg.model].build(cfg.model_params)
+    model = _MODELS[cfg.model].build(cfg.model_params)
     diff = cfg.diff()
     try:  # PhaseSimConfig's bounds on n, m and tau
         _check_bounds(cfg.n, cfg.m, cfg.tau)
@@ -354,7 +352,7 @@ def _jc_row(cfg: RunConfig):
     diff = cfg.diff()
     # One read-out model per t; jc_readout_model owns the ranges of kappa and n_max.
     readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-               for t in cfg.t_grid.tolist()}
+               for t in cfg.t.tolist()}
 
     def row(point):
         omega, t = point
@@ -388,7 +386,7 @@ def _oscillator_row(cfg: RunConfig):
 
 
 def _theta_t(cfg: RunConfig):
-    return itertools.product(cfg.theta_grid.tolist(), cfg.t_grid.tolist())
+    return itertools.product(cfg.theta.tolist(), cfg.t.tolist())
 
 
 # One entry per sweep command: its row builder, which does the once-per-run set-up and
@@ -398,7 +396,7 @@ def _theta_t(cfg: RunConfig):
 # needed) once per theta row, at its first t: the library keeps that working point
 # (cem._point).  The oscillator's closed forms take t alone.
 _Sweep = namedtuple("_Sweep", "build columns nonfinite models points",
-                    defaults=(tuple(_PROBES), _theta_t))
+                    defaults=(tuple(name for name, m in _MODELS.items() if m.build), _theta_t))
 _SWEEPS = {
     "qfi": _Sweep(_qfi_row, "theta t qfi qfi_err qfi_ref abs_err max_qfi max_qfi_ref "
                   "max_abs_err", "qfi_ref abs_err"),
@@ -413,7 +411,7 @@ _SWEEPS = {
                  "gamma", ("jaynes-cummings",)),
     "oscillator": _Sweep(_oscillator_row, "omega t fq_ref fc_ref gamma gamma_gt1 "
                          "small_sine_region", "gamma", ("oscillator",),
-                         lambda cfg: cfg.t_grid.tolist()),
+                         lambda cfg: cfg.t.tolist()),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmet.cem import g_bound, generator_pair
-from qmet.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _fmt, main
+from qmet.cli import _PARSER, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _fmt, main, resolve_config
 from qmet.fisher import classical_fisher, qfi
 from qmet.models import (
     jc_readout_model,
@@ -265,6 +265,51 @@ class TestConfigHandling:
         _, rows = parse_csv(text)
         assert len(rows) == 3 * 2
         assert float(rows[0]["theta"]) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("text, reason", [
+        (b"theta = 1:2:3\n", "File contains no section headers."),
+        (b"[grid]\ntheta = 1:2:3\ntheta = 1:2:4\n",
+         "option 'theta' in section 'grid' already exists"),
+        (b"[run]\nout = 50%.csv\n", "'%' must be followed by '%' or '('"),
+        (b"[grid]\ntheta = 1:2:3\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["no-section-header", "duplicate-key", "lone-percent", "not-utf-8"])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, text, reason):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        code, out = run(tmp_path, "gbound", "--config", str(ini))
+        assert (code, out) == (EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config file {str(ini)!r}: ")
+        assert reason in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\nthetta = 0.5:1:2\n", "unknown key [grid] thetta"),
+        ("[grid]\ntheta 0.5:1:2\n", "unknown key [grid] theta 0.5"),  # ':' splits too
+        ("[diff]\nstep = 1e-3\nmethods = central-fd\n", "unknown key [diff] methods"),
+        ("[grid]\nt = 1:1:1\n[grids]\ntheta = 1:1:1\n", "unknown section [grids]"),
+    ], ids=["misspelt-key", "no-equals-sign", "misspelt-diff-key", "unknown-section"])
+    def test_undeclared_config_key_is_config_error(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        code, out = run(tmp_path, "gbound", "--config", str(ini))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_default_section_keys_are_not_unknown_keys(self, tmp_path):
+        """configparser copies [DEFAULT] keys into every section: seed is read in [run]
+        and is not an unknown key of [grid]."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\nseed = 4\n[grid]\ntheta = 1:1:1\nt = 1:1:1\n[run]\n")
+        cfg = resolve_config(_PARSER.parse_args(["gbound", "--config", str(ini)]))
+        assert cfg.seed == 4 and cfg.theta.tolist() == [1.0]
+
+    @pytest.mark.parametrize("command, digest", [
+        ("qfi", "62a785ee2f43"), ("gbound", "43b3947aa216"), ("optimize", "a4d8d07e2f22"),
+        ("phase-sim", "318e6735a254"), ("jc", "81f08503d564"), ("oscillator", "26b47fce3807"),
+    ])
+    def test_default_config_hash_is_pinned(self, command, digest):
+        """Every file carries this hash, so a default run's output stays byte-identical."""
+        assert resolve_config(_PARSER.parse_args([command])).config_hash() == digest
 
 
 class TestDeterminism:

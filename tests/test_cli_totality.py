@@ -32,7 +32,7 @@ def runs(draw):
     command = draw(st.sampled_from(sorted(cli._SWEEPS)))
     model = draw(st.sampled_from(cli._SWEEPS[command].models))
     lines = ["[model]", f"name = {model}"]
-    for key in cli._MODEL_DEFAULTS[model]:
+    for key in cli._MODELS[model].params:
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(wide_floats())!r}")
     lines += ["[optimizer]", "restarts = 1", "iterations = 3"]

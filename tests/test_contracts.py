@@ -205,7 +205,7 @@ def test_the_sweep_loop_names_no_model():
                 if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
     strings = {node.value for node in ast.walk(sweep)
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    assert not strings & set(cli._MODEL_DEFAULTS)
+    assert not strings & set(cli._MODELS)
 
 
 def test_the_cli_keeps_no_cache_of_its_own():
@@ -239,9 +239,66 @@ def test_every_setting_flag_comes_from_the_settings_table():
     """The parser's options are --config, --model and one flag per _SETTINGS row with help,
     so a flag cannot be declared outside the table."""
     options = {option for action in cli._PARSER._actions for option in action.option_strings}
-    flags = {f"--{key}" for _, key, _, _, help_text in cli._SETTINGS if help_text is not None}
+    flags = {f"--{key}" for _, key, *_, help_text in cli._SETTINGS if help_text is not None}
     assert options - {"-h", "--help"} == {"--config", "--model"} | flags
     assert len(flags) == 8
+
+
+def test_a_run_config_holds_each_setting_at_its_row_default():
+    """RunConfig's own fields are command, model, model_params and diff_method; every other
+    attribute is a _SETTINGS row's key, at its row's parsed default."""
+    cfg = cli.RunConfig("qfi")
+    own = {"command", "model", "model_params", "diff_method"}
+    assert set(vars(cfg)) == own | {key for _, key, *_ in cli._SETTINGS}
+    for _, key, default, parse, _ in cli._SETTINGS:
+        value, expected = getattr(cfg, key), None if default is None else parse(default)
+        assert np.array_equal(value, expected) if parse is cli._parse_grid else value == expected
+    assert np.array_equal(cfg.theta, np.linspace(0.3, 2.8, 10))
+    assert np.array_equal(cfg.t, np.linspace(0.3, 3.0, 10))
+
+
+def away_from_default(key, default, parse, folder):
+    """Text the row's parser takes that differs from its default and passes every check."""
+    if parse is cli._parse_grid:
+        return "0.5:1:2"
+    return {"format": "json", "out": str(folder / "x.csv")}.get(key) or \
+        str(parse(default or "0") + 1)
+
+
+def hashed_lines(argv):
+    cfg = cli.resolve_config(cli._PARSER.parse_args(["gbound", *argv]))
+    return cfg.config_hash(), set(cfg.canonical().splitlines())
+
+
+@pytest.mark.parametrize("row", cli._SETTINGS, ids=[row[1] for row in cli._SETTINGS])
+def test_each_setting_has_its_own_hash_entry(row, tmp_path):
+    """Set away from its default, by INI key or by flag, a setting changes config_hash
+    through its own canonical line: [diff] step and levels through the diff line only,
+    and out not at all.  So a new row enters the hash with no other edit."""
+    section, key, default, parse, help_text = row
+    text = away_from_default(key, default, parse, tmp_path)
+    base, ini = tmp_path / "base.ini", tmp_path / "run.ini"
+    base.write_text(f"[{section}]\n")  # an empty [diff] selects the oracle by itself
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    base_digest, base_lines = hashed_lines(["--config", str(base)])
+    flag = [["--config", str(base), f"--{key}", text]] if help_text else []
+    for argv in [["--config", str(ini)], *flag]:
+        digest, lines = hashed_lines(argv)
+        assert {line.split("=")[0] for line in lines ^ base_lines} == \
+            {"diff" if section == "diff" else key} - {"out"}, argv
+        assert (digest != base_digest) == (key != "out"), argv
+
+
+def test_a_new_setting_is_one_row(monkeypatch, tmp_path):
+    """A row appended to _SETTINGS is a RunConfig attribute at its default, an INI key of
+    its section, and a config-hash entry."""
+    monkeypatch.setattr(cli, "_SETTINGS", (*cli._SETTINGS, ("run", "extra", "1", int, None)))
+    assert cli.RunConfig("gbound").extra == 1
+    assert "extra=1" in cli.RunConfig("gbound").canonical().splitlines()
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nextra = 2\n")
+    cfg = cli.resolve_config(cli._PARSER.parse_args(["gbound", "--config", str(ini)]))
+    assert cfg.extra == 2 and cfg.config_hash() != cli.RunConfig("gbound").config_hash()
 
 
 @pytest.mark.parametrize("call, warm", [
