@@ -11,11 +11,11 @@ run is configured by defaults, then an INI file (sections [model], [grid],
 [diff], [phasesim], [optimizer], [run]), then flags: each overrides the one
 before.  One settings table declares each setting once: its INI section, its key
 (its RunConfig attribute and config-hash entry too), default, parser and, for
-eight keys, flag help; another section or key, bar [model] and [diff] method, is
-a config error.  One model table holds each model's defaults and each probe's
-factory and closed forms.  One sweep table gives each command its row builder,
-which checks its model's parameters, its columns, models and points; one loop runs
-every sweep: a point's numerical failure, a Python float overflow included, or
+eight keys, flag help; another section or key, bar [model]'s, is a config error,
+and so is a non-empty [DEFAULT].  One model table holds each model's defaults and
+each probe's factory and closed forms.  One sweep table gives each command its row
+builder, which checks its model's parameters, its columns, models and points; one
+loop runs every sweep: a point's numerical failure, a Python float overflow included, or
 a non-finite value in a column not declared as possibly non-finite, is exit 3
 naming that point.  The 'qfi' column, the 'jc' classical Fisher information and
 the 'phase-sim' read-out Fisher information are analytic by default; a [diff]
@@ -71,7 +71,6 @@ class RunConfig:
     command: str
     model: str = "qubit-direction"
     model_params: dict = field(default_factory=dict)
-    diff_method: Optional[str] = None  # None: analytic where a path exists
 
     def __post_init__(self):
         for _, key, default, parse, _ in _SETTINGS:
@@ -79,14 +78,14 @@ class RunConfig:
 
     def diff(self) -> Optional[DiffSpec]:
         """The finite-difference oracle spec, None when no [diff] section was given."""
-        if self.diff_method is None:
+        if self.method is None:
             return None
-        return DiffSpec(method=self.diff_method, step=self.step, levels=self.levels)
+        return DiffSpec(method=self.method, step=self.step, levels=self.levels)
 
     def canonical(self) -> str:
         items = {"command": self.command, "model": self.model,
                  "model_params": json.dumps(self.model_params, sort_keys=True),
-                 "diff": f"{self.diff_method}:{self.step}:{self.levels}"}
+                 "diff": f"{self.method}:{self.step}:{self.levels}"}
         for section, key, _, parse, _ in _SETTINGS:
             if section != "diff" and key != "out":  # [diff] enters as diff; out is unhashed
                 v = getattr(self, key)
@@ -144,6 +143,7 @@ _MODELS = {
 _SETTINGS = (
     ("grid", "theta", "0.3:2.8:10", _parse_grid, "theta grid START:STOP:N"),
     ("grid", "t", "0.3:3:10", _parse_grid, "time grid START:STOP:N"),
+    ("diff", "method", None, str, None),  # None: analytic where a path exists
     ("diff", "step", None, float, None),
     ("diff", "levels", "2", int, None),
     ("phasesim", "n", "6", int, "control-qubit count"),
@@ -167,8 +167,8 @@ def _parsed(text: str, parse, where: str):
 
 def _read_ini(path: Optional[str]) -> dict:
     """{section: {key: text}} of the INI file at path, {} for none.  An unparsable file, a
-    section other than [model] and those of _SETTINGS, or a key no row declares (nor [diff]
-    method) is a ConfigError; [DEFAULT] keys, copied into every section, are not checked."""
+    section other than [model] and those of _SETTINGS, a non-empty [DEFAULT] included, or
+    a key no row declares is a ConfigError."""
     ini = configparser.ConfigParser()
     ini.optionxform = str  # model parameters like D and E are case-sensitive
     try:
@@ -177,12 +177,14 @@ def _read_ini(path: Optional[str]) -> dict:
         sections = {name: dict(ini[name]) for name in ini.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
-    declared = {(section, key) for section, key, *_ in _SETTINGS} | {("diff", "method")}
+    if ini.defaults():  # configparser would copy these keys into every section
+        raise ConfigError("unknown section [DEFAULT]")
+    declared = {(section, key) for section, key, *_ in _SETTINGS}
     for name, keys in sections.items():
         if name not in {section for section, _ in declared} | {"model"}:
             raise ConfigError(f"unknown section [{name}]")
         for key in keys:
-            if name != "model" and (name, key) not in declared and key not in ini.defaults():
+            if name != "model" and (name, key) not in declared:
                 raise ConfigError(f"unknown key [{name}] {key}")
     return sections
 
@@ -196,8 +198,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.model = ini["model"].get("name", cfg.model)
         cfg.model_params = {key: _parsed(text, float, f"[model] {key}")
                             for key, text in ini["model"].items() if key != "name"}
-    if "diff" in ini:  # any [diff] section selects the oracle path
-        cfg.diff_method = ini["diff"].get("method", RICHARDSON)
+    if "diff" in ini:  # any [diff] section selects the oracle path, richardson-fd unless set
+        cfg.method = RICHARDSON
     for section, key, _, parse, _ in _SETTINGS:
         if key in ini.get(section, {}):
             setattr(cfg, key, _parsed(ini[section][key], parse, f"[{section}] {key}"))

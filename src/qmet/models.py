@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import numdiff
 from .errors import InvalidParameter, UnknownReference
 from .fisher import OutcomeDistribution, ProbabilityModel
 from .linalg import expm_unitary, require_hermitian
@@ -193,8 +194,7 @@ def _jc_output_jet(kappa: float, t: float, alpha0: complex, alpha1: complex, n_m
     exp(-i s K) with s = t kappa sqrt(w) is diagonal in the eigenbasis of K,
     where d/dw multiplies each phase exp(-i s lambda) by -i (s / 2w) lambda.
     """
-    if w <= 0:
-        raise InvalidParameter(f"frequency must be positive, got {w}")
+    numdiff.check_domain(w, 0.0, (0.0, math.inf))
     lam, V = _hopping_eigensystem(n_max)
     psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
     dpsi_f = -1j * t * (np.arange(n_max + 1) + 0.5) * psi_f
@@ -221,8 +221,7 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
 
     def at(w: float) -> OutcomeDistribution:
-        if w <= 0:
-            raise InvalidParameter(f"frequency must be positive, got {w}")
+        numdiff.check_domain(w, 0.0, (0.0, math.inf))
         psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
         joint = np.kron(np.array([1.0, 0.0], dtype=complex), psi_f)  # atom in |g>
         u_int = expm_unitary(kappa * math.sqrt(w) * hopping, t)

@@ -50,10 +50,12 @@ from .numdiff import DiffSpec
 IDEAL = "ideal"
 REALISTIC = "realistic"
 # Bytes of a read-out chunk's largest scratch array, the (kinds, taus, d, 2^n) float64
-# level factors of _level_products; kinds is 2 on the analytic path (values and derivatives).
-# 192 KiB holds 4 taus at n = 10 and d = 3.  768 KiB ran 3-7% slower over 600 mixed
-# read-out points (best of 5, one 2-CPU host): larger chunks fall out of cache.
-SCRATCH_BYTES = 192 * 1024
+# level factors of _level_products' last level; kinds is 2 on the analytic path (values
+# and derivatives).  1 MiB holds 32 taus at n = 10 and d = 2, 21 at d = 3, 5 at n = 12.
+# Measured with perfbench readout on a 2-CPU host, against 192 KiB with the top levels
+# run once for all taus: 1 MiB ran 7.8% more points per ref (10 pairs) at +6.4% peak
+# memory; 512-768 KiB ran up to 5.7% fewer, and 2 MiB raised peak memory 8-10%.
+SCRATCH_BYTES = 1024 * 1024
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
 TAU_REFINE = 16
@@ -214,30 +216,24 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
                     mode: str, jet=None):
     """_readout_probs chunk by chunk: yields (slice of taus, probs, dprobs, kernels).
 
-    The level coefficients of all taus are built once, and so are the top levels of
-    the product: every level whose factors for all taus fit SCRATCH_BYTES, as a level's
-    factors have half the bins of the level below.  A chunk holds as many taus (at
-    least one) as keep the bottom levels' factors within SCRATCH_BYTES and runs only
-    those, from its taus' rows of the top levels.  Each tau's operations are the same
-    however the taus are chunked, so are its values, bit for bit.  kernels are the
-    (T, d, 2^n) level kernels P_j / 2^n, so p_err @ kernels bounds Pr for weight
-    errors p_err.  jet = (dxi, dp), the derivatives of the shifted energies and
-    level weights, also yields the exact dPr = 2^-n sum_j (dp_j P_j + p_j dP_j),
-    with the product rule alongside the product (see _level_coefficients for dc);
-    dprobs is None without it.
+    The level coefficients of all taus are built once.  A chunk holds as many taus (at
+    least one) as keep the last level's factors, the largest scratch array, within
+    SCRATCH_BYTES, and runs the whole level product for them from the top.  Each
+    tau's operations are the same however the taus are chunked, so are its values,
+    bit for bit.  kernels are the (T, d, 2^n) level kernels P_j / 2^n, so
+    p_err @ kernels bounds Pr for weight errors p_err.  jet = (dxi, dp), the
+    derivatives of the shifted energies and level weights, also yields the exact
+    dPr = 2^-n sum_j (dp_j P_j + p_j dP_j), with the product rule alongside the
+    product (see _level_coefficients for dc); dprobs is None without it.
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
     coef = _level_coefficients(cfg, phase, dphase, mode)
     n, kinds, T, d, _ = coef.shape
-    per_bin = kinds * d * coef.itemsize  # bytes of one tau's factors per bin
-    top = min(n, max((SCRATCH_BYTES // (per_bin * T)).bit_length() - 1, 0))  # 2^top bins fit
-    carry = _level_products(coef, n - top) if top else None
-    chunk = max(SCRATCH_BYTES // (per_bin * 2**n), 1)
+    chunk = max(SCRATCH_BYTES // (kinds * d * coef.itemsize * 2**n), 1)
     for start in range(0, T, chunk):
         sl = slice(start, start + chunk)
-        rows = None if carry is None else tuple(None if a is None else a[sl] for a in carry)
-        kernels, dkernels = _level_products(coef[:, :, sl], 0, rows)
+        kernels, dkernels = _level_products(coef[:, :, sl])
         probs = np.clip(np.matmul(p, kernels), 0.0, None)
         if jet is None:
             yield sl, probs, None, kernels
@@ -288,26 +284,20 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     return coef
 
 
-def _level_products(coef: np.ndarray, stop: int = 0, carry=None):
-    """(P / 2^n, dP / 2^n or None), each (T, d, 2^(n - stop)), from _level_coefficients rows.
+def _level_products(coef: np.ndarray):
+    """(P / 2^n, dP / 2^n or None), each (T, d, 2^n), from _level_coefficients rows.
 
-    P is the product of the factors of levels n - 1 down to stop over their bins;
-    scaling by the power of two 2^-n up front is exact.  carry is what this function
-    returned for the same rows at a higher stop, whose levels it continues from
-    (None starts at the top).  A derivative kind runs the product rule
-    (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last level,
-    (kinds, T, d, 2^(n - stop)) float64, are the largest scratch array, which
+    P is the product of the factors of levels n - 1 down to 0 over their bins;
+    scaling by the power of two 2^-n up front is exact.  A derivative kind runs the
+    product rule (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last
+    level, (kinds, T, d, 2^n) float64, are the largest scratch array, which
     _readout_chunks bounds by SCRATCH_BYTES.
     """
     n, kinds, T, d, _ = coef.shape
     tables, rows = _twiddles(n), T * d
     coef = coef.reshape(n, kinds * rows, 3)
-    if carry is None:
-        prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
-    else:
-        prod = carry[0].reshape(rows, -1)
-        dprod = None if carry[1] is None else carry[1].reshape(rows, -1)
-    for level in reversed(range(stop, n + 1 - prod.shape[1].bit_length())):
+    prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
+    for level in reversed(range(n)):
         factor = (coef[level] @ tables[level]).reshape(kinds * rows, 2, -1)
         if kinds == 2:  # the derivative rows follow the factor rows
             factor, dfactor = factor[:rows], factor[rows:]
@@ -316,7 +306,7 @@ def _level_products(coef: np.ndarray, stop: int = 0, carry=None):
             dprod = dfactor.reshape(rows, -1)
         factor *= prod[:, None, :]
         prod = factor.reshape(rows, -1)
-    shape = (T, d, prod.shape[1])
+    shape = (T, d, 2**n)
     return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
 
 
@@ -507,7 +497,8 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     Hadamards on n control qubits, controlled powers U_tau^(2^(l-1)) coupling
     qubit l, inverse Fourier transform, and a computational-basis read-out.
     Limited to n <= 6 and system dimension <= 4.  One decomposition of
-    H(theta) gives U_tau and U_t; theta must lie inside the open domain.
+    H(theta) gives U_tau and U_t; theta must lie inside the open domain.  rho0
+    enters through cfg's validated factor F (F F^dag = rho0), not decomposed again.
     """
     d = model.dim
     if cfg.n > 6 or d > 4:
@@ -519,20 +510,17 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     u_t = spectral_unitary(ev, W, cfg.t)
     n_states = 2**cfg.n
 
-    # Mixed preparations enter as ensembles over eigenvectors.
-    evals, evecs = np.linalg.eigh(cfg.rho0)
+    # A mixed rho0 enters as the ensemble of its factor's columns f, of weight |f|^2.
     probs = np.zeros(n_states)
-    for weight, k in zip(evals, range(d)):
-        if weight < 1e-14:
-            continue
-        psi = v @ (u_t @ evecs[:, k])
+    for f in cfg.factor.T:
+        psi = v @ (u_t @ f)
         amp = np.tile(psi / math.sqrt(n_states), (n_states, 1))
         for level in range(1, cfg.n + 1):
             u_pow = np.linalg.matrix_power(u_tau, 2 ** (level - 1))
             sel = (np.arange(n_states) >> (level - 1)) & 1 == 1
             amp[sel] = amp[sel] @ u_pow.T
         amp = np.fft.fft(amp, axis=0) / math.sqrt(n_states)
-        probs += weight * (np.abs(amp) ** 2).sum(axis=1)
+        probs += (np.abs(amp) ** 2).sum(axis=1)
     return OutcomeDistribution(outcomes=tuple(range(n_states)), probs=probs)
 
 

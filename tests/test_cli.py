@@ -295,13 +295,18 @@ class TestConfigHandling:
         assert (code, out) == (EXIT_CONFIG, "")
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    def test_default_section_keys_are_not_unknown_keys(self, tmp_path):
-        """configparser copies [DEFAULT] keys into every section: seed is read in [run]
-        and is not an unknown key of [grid]."""
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nsede = 4\n[grid]\ntheta = 1:1:1\nt = 1:1:1\n[run]\n",
+        "[DEFAULT]\nseed = 4\n[model]\nname = qubit-direction\n",
+    ], ids=["misspelt-beside-run", "valid-beside-model"])
+    def test_default_section_is_config_error(self, tmp_path, capsys, text):
+        """configparser copies [DEFAULT] keys into every section, so a key there would be
+        read in [run] and in [model] alike; a non-empty [DEFAULT] is refused instead."""
         ini = tmp_path / "run.ini"
-        ini.write_text("[DEFAULT]\nseed = 4\n[grid]\ntheta = 1:1:1\nt = 1:1:1\n[run]\n")
-        cfg = resolve_config(_PARSER.parse_args(["gbound", "--config", str(ini)]))
-        assert cfg.seed == 4 and cfg.theta.tolist() == [1.0]
+        ini.write_text(text)
+        code, out = run(tmp_path, "gbound", "--config", str(ini))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
 
     @pytest.mark.parametrize("command, digest", [
         ("qfi", "62a785ee2f43"), ("gbound", "43b3947aa216"), ("optimize", "a4d8d07e2f22"),

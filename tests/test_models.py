@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmet import models
-from qmet.errors import InvalidParameter, UnknownReference
+from qmet.errors import DomainBoundary, InvalidParameter, UnknownReference
 from qmet.fisher import SUPPORT_THRESHOLD, classical_fisher
 from qmet.linalg import eig_hermitian, expm_unitary, require_hermitian
 from qmet.models import (
@@ -247,13 +247,17 @@ class TestJaynesCummingsJet:
             assert np.max(np.abs(out - out_of(w))) <= 1e-13
             assert np.max(np.abs(dout - central5(out_of, w, 1e-3))) <= 1e-8 * (1.0 + t)
 
-    def test_invalid_frequency(self):
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_frequency(self, w):
+        """One domain rule, the model's open domain (0, inf), for every path and a NaN."""
         pm = jc_readout_model(0.5, 1.0, math.sqrt(0.5), math.sqrt(0.5), 8)
+        for call in (pm.jet, pm.at, lambda x: classical_fisher(pm, x),
+                     lambda x: models._jc_output_jet(0.5, 1.0, 0.6, 0.8, 8, x)):
+            with pytest.raises(DomainBoundary, match=f"parameter value {w} is outside"):
+                call(w)
+
+    def test_unnormalized_field_amplitudes(self):
         with pytest.raises(InvalidParameter):
-            pm.jet(0.0)
-        with pytest.raises(InvalidParameter, match="frequency must be positive"):
-            pm.at(0.0)
-        with pytest.raises(InvalidParameter):  # the field amplitudes must be normalized
             jc_readout_model(0.5, 1.0, 0.5, 0.5, 8).jet(1.0)
 
     def test_one_decomposition_per_truncation(self, decompositions):

@@ -326,6 +326,23 @@ class TestCircuitOracle:
         b = circuit_oracle(cfg2, model, 0.7)
         assert a.total_variation(b) <= 1e-9
 
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_mixed_preparation_matches_kernel_formula(self, model_name, n):
+        """A full-rank rho0 in a random eigenbasis under a random control V: the oracle's
+        ensemble over the factor's columns gives the kernel formula's distribution."""
+        model = make_qubit_direction(1.0) if model_name == "qubit-direction" else \
+            make_nv_spin1(*NV)
+        rng, d = np.random.default_rng(n), model.dim
+        V, B = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                for _ in range(2))
+        weights = rng.uniform(0.1, 1.0, d)
+        cfg = PhaseSimConfig(n=n, m=1, t=1.1, V=V,
+                             rho0=(B * (weights / weights.sum())) @ B.conj().T)
+        assert cfg.factor.shape == (d, d)
+        oracle = circuit_oracle(cfg, model, 0.9)
+        assert oracle.total_variation(ideal_distribution(cfg, model, 0.9)) <= 1e-8
+
     def test_size_guard(self):
         model = make_qubit_direction(1.0)
         cfg = PhaseSimConfig(n=7, m=1, t=1.0, rho0=np.eye(2) / 2)
@@ -738,20 +755,18 @@ class TestBatchMatchesSingleTau:
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_scan_runs_in_full_chunks_within_the_scratch_bound(self, model_name, n, mode,
                                                                monkeypatch):
-        """A tune_tau-sized scan of 48 taus equals each tau scored alone, bit for bit.  Its
-        top levels run once for all taus: as many as keep their level factors within
-        SCRATCH_BYTES, and one level more would cross the bound unless all are on top.
-        Each chunk pass then runs the rest within SCRATCH_BYTES, and every pass but the
-        last is full: one tau more would cross the bound."""
+        """A tune_tau-sized scan of 48 taus equals each tau scored alone, bit for bit.  Each
+        chunk pass runs the whole level product within SCRATCH_BYTES, the passes cover all
+        taus, and every pass but the last is full: one tau more would cross the bound."""
         cfg, model, theta = scan_case(model_name, n, None)
-        passes = []  # (taus, bytes of the last level's factors, stop, from the top) per call
+        passes = []  # (taus, bytes of the last level's factors) per call
         level_products = phasesim._level_products
 
-        def bounded(coef, stop=0, carry=None):
-            kernels, dkernels = level_products(coef, stop, carry)
-            scratch = kernels.nbytes * coef.shape[1]  # one (T, d, 2^(n - stop)) array per kind
-            assert scratch <= phasesim.SCRATCH_BYTES
-            passes.append((coef.shape[2], scratch, stop, carry is None))
+        def bounded(coef):
+            kernels, dkernels = level_products(coef)
+            scratch = kernels.nbytes * coef.shape[1]  # one (T, d, 2^n) array per kind
+            assert kernels.shape[-1] == 2**n and scratch <= phasesim.SCRATCH_BYTES
+            passes.append((coef.shape[2], scratch))
             return kernels, dkernels
 
         monkeypatch.setattr(phasesim, "_level_products", bounded)
@@ -759,15 +774,11 @@ class TestBatchMatchesSingleTau:
         hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)
         taus = np.geomspace(hi / 300.0, hi, phasesim.TAU_COARSE + phasesim.TAU_REFINE)
         values, errs = score(taus, mode)
-        (count, scratch, stop, from_top), *scan = passes
-        assert (count, from_top) == (taus.size, True)
-        assert stop == 0 or 2 * scratch > phasesim.SCRATCH_BYTES
-        assert all((stop, from_top) == (0, False) for _, _, stop, from_top in scan)
-        assert sum(count for count, *_ in scan) == taus.size
-        for count, scratch, *_ in scan[:-1]:
+        assert sum(count for count, _ in passes) == taus.size
+        for count, scratch in passes[:-1]:
             assert scratch // count * (count + 1) > phasesim.SCRATCH_BYTES
         if n == 6:
-            assert stop == 0 and len(scan) == 1
+            assert len(passes) == 1
         for k in range(taus.size):
             value, err = score(taus[k:k + 1], mode)
             assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
@@ -872,9 +883,10 @@ class TestDecompositionCounts:
             cfg.with_tau(-1.0)
 
     def test_circuit_oracle_decomposes_hamiltonian_once(self, decompositions):
-        """One decomposition of H(theta) gives tau, U_tau and U_t; the other is rho0's."""
+        """One decomposition of H(theta) gives tau, U_tau and U_t; rho0 enters through the
+        factor cfg validated it with."""
         model = make_nv_spin1(*NV)
         cfg, _ = optimal_config(model, 0.7, 1.3, 6, 3)
         decompositions[0] = 0
         circuit_oracle(cfg, model, 0.7)
-        assert decompositions[0] <= 2
+        assert decompositions[0] == 1
