@@ -36,11 +36,12 @@ RANK_THRESHOLD = 1e-10
 
 
 def _require_normalized(p: np.ndarray) -> None:
-    """Raise NonNormalized unless every distribution along the last axis sums to 1."""
+    """Raise NonNormalized unless every distribution along the last axis sums to 1 (a NaN
+    sum fails the check)."""
     total = p.sum(axis=-1)
-    bad = np.abs(total - 1.0) > 1e-10
-    if np.any(bad):
-        raise NonNormalized(f"probabilities sum to {total[bad].flat[0]!r}")
+    good = np.abs(total - 1.0) <= 1e-10
+    if not good.all():
+        raise NonNormalized(f"probabilities sum to {total[~good].flat[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,16 @@ def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.nd
     return np.maximum(values, 0.0), errs
 
 
-def _fisher_values(p: np.ndarray, dp) -> Optional[np.ndarray]:
+def _fisher_values(p: np.ndarray, dp: np.ndarray) -> Optional[np.ndarray]:
     """_fisher_sum's values bit for bit, without its bounds, where every p_x exceeds
-    SUPPORT_THRESHOLD; None otherwise, as only then does its support rule read the bounds."""
+    SUPPORT_THRESHOLD; None otherwise, as only then does its support rule read the bounds.
+    The terms dp_x^2 / p_x overwrite dp, so the caller must not read dp again unless None
+    is returned."""
     if not (p > SUPPORT_THRESHOLD).all():
         return None
-    return (dp**2 / p).sum(axis=-1)
+    np.square(dp, out=dp)
+    dp /= p
+    return dp.sum(axis=-1)
 
 
 def fisher_rows(p_of, theta: float,

@@ -167,7 +167,7 @@ def jc_field_state(omega: float, t: float, alpha0: complex, alpha1: complex,
     v[0] = alpha0 * np.exp(-0.5j * omega * t)
     v[1] = alpha1 * np.exp(-1.5j * omega * t)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-12:
+    if not (abs(nrm - 1.0) <= 1e-12):  # NaN amplitudes fail too
         raise InvalidParameter("field amplitudes must be normalized")
     return v
 

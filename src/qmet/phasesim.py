@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,13 +53,16 @@ REALISTIC = "realistic"
 # Bytes of a read-out chunk's largest scratch array, the (kinds, taus, d, 2^n) float64
 # level factors of _level_products' last level; kinds is 2 on the analytic path (values
 # and derivatives).  1 MiB holds 32 taus at n = 10 and d = 2, 21 at d = 3, 5 at n = 12.
-# Measured with perfbench readout on a 2-CPU host, against 192 KiB with the top levels
-# run once for all taus: 1 MiB ran 7.8% more points per ref (10 pairs) at +6.4% peak
-# memory; 512-768 KiB ran up to 5.7% fewer, and 2 MiB raised peak memory 8-10%.
+# The factors live in a per-thread _workspace beside those of the level above and f dP:
+# about 2 x SCRATCH_BYTES, or what one tau needs where one tau exceeds the bound (2.25 MiB
+# at n = 12 and d = 18).  It grows to the largest chunk its thread has run and is never
+# freed.  Measured in process with the workspace, perfbench's readout mix on a 2-CPU
+# host, three alternating runs: 512 KiB took 1106-1280 us per point, 1 MiB 997-1158 us.
 SCRATCH_BYTES = 1024 * 1024
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
 TAU_REFINE = 16
+_scratch = threading.local()  # _workspace's buffer, one per thread
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class PhaseSimConfig:
     0.9 * 2 pi / (spectral range + 1e-6) at the working point), energy_shift added
     to all eigenvalues (None shifts the node's own spectrum to start at zero),
     control V (None = identity), preparation rho0, and encoding time t.  factor,
-    derived and never passed, is require_density's F with F F^dag = rho0.
+    derived and never passed, is require_density's F with F F^dag = rho0.  A tau that is
+    not positive and finite, or a non-finite t or energy_shift, raises ValueError.
     """
 
     n: int
@@ -83,6 +88,9 @@ class PhaseSimConfig:
 
     def __post_init__(self):
         _check_bounds(self.n, self.m, self.tau)
+        for name, value in (("t", self.t), ("energy_shift", self.energy_shift)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, value in zip(("rho0", "factor"), require_density(self.rho0)):
             object.__setattr__(self, name, value)
         if self.V is not None:
@@ -104,13 +112,13 @@ class PhaseSimConfig:
 
 
 def _check_bounds(n: int, m: int = 1, tau: Optional[float] = None) -> None:
-    """ValueError unless 1 <= n <= 12, m >= 1 and tau is None or positive."""
+    """ValueError unless 1 <= n <= 12, m >= 1 and tau is None or positive and finite."""
     if not (1 <= n <= 12):
         raise ValueError(f"control-qubit count n must be in [1, 12], got {n}")
     if m < 1:
         raise ValueError(f"subdivision count m must be >= 1, got {m}")
-    if tau is not None and tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if tau is not None and not (0 < tau < math.inf):
+        raise ValueError(f"tau must be {'finite' if tau > 0 else 'positive'}, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +232,9 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
     p_err @ kernels bounds Pr for weight errors p_err.  jet = (dxi, dp), the
     derivatives of the shifted energies and level weights, also yields the exact
     dPr = 2^-n sum_j (dp_j P_j + p_j dP_j), with the product rule alongside the
-    product (see _level_coefficients for dc); dprobs is None without it.
+    product (see _level_coefficients for dc); dprobs is None without it.  probs and
+    dprobs are the chunk's own arrays, but kernels is a view of the thread's
+    _workspace: it is valid only until the generator advances.
     """
     phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
@@ -234,12 +244,14 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
     for start in range(0, T, chunk):
         sl = slice(start, start + chunk)
         kernels, dkernels = _level_products(coef[:, :, sl])
-        probs = np.clip(np.matmul(p, kernels), 0.0, None)
+        probs = np.matmul(p, kernels)
+        np.maximum(probs, 0.0, out=probs)  # clipped at 0 in place
         if jet is None:
             yield sl, probs, None, kernels
             continue
         dprobs = np.matmul(jet[1], kernels)
-        dprobs += np.matmul(p, dkernels)
+        spare = _scratch.buf[-probs.size:].reshape(probs.shape)  # past the kernels: free
+        dprobs += np.matmul(p, dkernels, out=spare)
         yield sl, probs, dprobs, kernels
 
 
@@ -284,28 +296,50 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     return coef
 
 
+def _workspace(size: int) -> np.ndarray:
+    """This thread's flat float64 scratch of at least size entries.  It grows to the largest
+    chunk the thread has run and is never freed, so its pages stay mapped from one chunk to
+    the next instead of being returned to the OS and faulted in again."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf
+
+
 def _level_products(coef: np.ndarray):
     """(P / 2^n, dP / 2^n or None), each (T, d, 2^n), from _level_coefficients rows.
 
     P is the product of the factors of levels n - 1 down to 0 over their bins;
     scaling by the power of two 2^-n up front is exact.  A derivative kind runs the
-    product rule (P, dP) <- (f P, df P + f dP) alongside.  The factors of the last
-    level, (kinds, T, d, 2^n) float64, are the largest scratch array, which
-    _readout_chunks bounds by SCRATCH_BYTES.
+    product rule (P, dP) <- (f P, df P + f dP) alongside.  Every level writes in place
+    into the thread's _workspace: the factors of even levels into one region, those of
+    odd levels into a second of half its size (so a level reads the one above it while
+    writing its own), and f dP into a third at its end.  The last level's factors,
+    (kinds, T, d, 2^n) float64, fill the first region, and _readout_chunks bounds them by
+    SCRATCH_BYTES.  The results are views of the first region, valid until the thread's
+    next call; the rest of the workspace is free until then.
     """
     n, kinds, T, d, _ = coef.shape
     tables, rows = _twiddles(n), T * d
     coef = coef.reshape(n, kinds * rows, 3)
-    prod, dprod = np.full((rows, 1), 2.0**-n), np.zeros((rows, 1))
+    full = kinds * rows << n
+    work = _workspace(full + full // 2 + (rows << n if kinds == 2 else 0))
+    regions, term = (work[:full], work[full:full + full // 2]), work[full + full // 2:]
+    prod, dprod = np.full((rows, 1, 1), 2.0**-n), np.zeros((rows, 1, 1))
     for level in reversed(range(n)):
-        factor = (coef[level] @ tables[level]).reshape(kinds * rows, 2, -1)
+        half = 1 << (n - 1 - level)  # the period of the level above
+        factor = regions[level & 1][:full >> level].reshape(kinds * rows, 2 * half)
+        np.matmul(coef[level], tables[level], out=factor)
+        factor = factor.reshape(kinds * rows, 2, half)
         if kinds == 2:  # the derivative rows follow the factor rows
             factor, dfactor = factor[:rows], factor[rows:]
-            dfactor *= prod[:, None, :]
-            dfactor += factor * dprod[:, None, :]
-            dprod = dfactor.reshape(rows, -1)
-        factor *= prod[:, None, :]
-        prod = factor.reshape(rows, -1)
+            dfactor *= prod
+            fdprod = term[:rows * 2 * half].reshape(rows, 2, half)
+            np.multiply(factor, dprod, out=fdprod)
+            dfactor += fdprod
+            dprod = dfactor.reshape(rows, 1, 2 * half)
+        factor *= prod
+        prod = factor.reshape(rows, 1, 2 * half)
     shape = (T, d, 2**n)
     return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
 

@@ -238,6 +238,10 @@ class TestOutcomeDistribution:
         with pytest.raises(DimensionMismatch, match="length"):
             OutcomeDistribution(outcomes=(0, 1, 2), probs=np.array([0.5, 0.5]))
 
+    def test_nan_probability_is_not_normalized(self):
+        with pytest.raises(NonNormalized):
+            OutcomeDistribution((0, 1), [math.nan, 1.0])
+
     def test_total_variation_needs_equal_outcome_counts(self):
         a = OutcomeDistribution(outcomes=(0, 1), probs=np.array([0.5, 0.5]))
         b = OutcomeDistribution(outcomes=(0, 1, 2), probs=np.full(3, 1.0 / 3.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmet import models
-from qmet.errors import DomainBoundary, InvalidParameter, UnknownReference
+from qmet.errors import DomainBoundary, InvalidParameter, QmetError, UnknownReference
 from qmet.fisher import SUPPORT_THRESHOLD, classical_fisher
 from qmet.linalg import eig_hermitian, expm_unitary, require_hermitian
 from qmet.models import (
@@ -259,6 +259,13 @@ class TestJaynesCummingsJet:
     def test_unnormalized_field_amplitudes(self):
         with pytest.raises(InvalidParameter):
             jc_readout_model(0.5, 1.0, 0.5, 0.5, 8).jet(1.0)
+
+    def test_nan_field_amplitude_raises(self):
+        """A NaN amplitude fails the normalization check instead of giving F = 0."""
+        with pytest.raises(InvalidParameter):
+            jc_field_state(1.0, 1.0, math.nan, 0.8, 8)
+        with pytest.raises(QmetError):
+            classical_fisher(jc_readout_model(0.5, 1.0, math.nan, 0.8), 1.0)
 
     def test_one_decomposition_per_truncation(self, decompositions):
         models._hopping_eigensystem.cache_clear()

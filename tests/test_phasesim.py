@@ -1,6 +1,9 @@
 """Tests for the phase-estimation read-out simulator and its oracles."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -406,6 +409,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PhaseSimConfig(n=2, m=1, tau=-0.5, t=1.0, rho0=np.eye(2) / 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau(self, value):
+        with pytest.raises(ValueError, match="tau"):
+            PhaseSimConfig(n=2, m=1, tau=value, t=1.0, rho0=np.eye(2) / 2)
+        cfg = PhaseSimConfig(n=2, m=1, t=1.0, rho0=np.eye(2) / 2)
+        with pytest.raises(ValueError, match="tau"):
+            cfg.with_tau(value)
+
+    @pytest.mark.parametrize("name", ["t", "energy_shift"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_and_shift(self, name, value):
+        kwargs = {"n": 2, "m": 1, "t": 1.0, "rho0": np.eye(2) / 2, name: value}
+        with pytest.raises(ValueError, match=name):
+            PhaseSimConfig(**kwargs)
+
     def test_aligned_tau_satisfies_guard(self):
         model = make_qubit_direction(1.0)
         tau = aligned_tau(model, 1.0, 6)
@@ -783,6 +801,93 @@ class TestBatchMatchesSingleTau:
             value, err = score(taus[k:k + 1], mode)
             assert (value.tobytes(), err.tobytes()) == (values[k:k + 1].tobytes(),
                                                          errs[k:k + 1].tobytes())
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc counts while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkspace:
+    """_level_products runs in a per-thread workspace that a chunk's yielded probs and
+    dprobs outlive, that threads do not share, and that a warm call does not reallocate."""
+
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_kept_chunks_equal_single_tau_runs(self, mode):
+        """At n = 12 and d = 3 a chunk holds 5 taus, so 12 taus run in three chunks.  Kept
+        all at once, every chunk's probs and dprobs equal each tau run alone, bit for bit."""
+        cfg, model, theta = scan_case("nv-spin1", 12, None)
+        E, p, jet = jet_inputs(cfg, model, theta)
+        taus = np.geomspace(0.01, 0.9, 12) * default_tau(model, theta)
+        chunks = list(phasesim._readout_chunks(cfg, E, p, taus, mode, jet))
+        assert [probs.shape[0] for _, probs, _, _ in chunks] == [5, 5, 2]
+        for sl, probs, dprobs, _ in chunks:
+            for k, tau in enumerate(taus[sl]):
+                ((_, alone, dalone, _),) = phasesim._readout_chunks(
+                    cfg, E, p, np.array([tau]), mode, jet)
+                assert alone.tobytes() == probs[k:k + 1].tobytes()
+                assert dalone.tobytes() == dprobs[k:k + 1].tobytes()
+
+    def test_threads_get_the_bits_of_serial_runs(self):
+        """Three threads scoring different read-outs at once, with different chunk shapes
+        and a short switch interval, give the values and error estimates of serial runs."""
+        cases = [scan_case("qubit-direction", 10, None), scan_case("nv-spin1", 6, 0.0),
+                 scan_case("nv-spin1", 10, None)]
+
+        def run(case):
+            cfg, model, theta = case
+            E, score, _, _ = phasesim._scorer(cfg, model, theta, None)
+            taus = np.geomspace(0.01, 0.9, 40) * 2.0 * math.pi / float(np.ptp(E))
+            return [b"".join(a.tobytes() for a in score(taus, mode))
+                    for mode in ("ideal", "realistic")]
+
+        serial = [run(case) for case in cases]
+        barrier, results = threading.Barrier(len(cases)), [None] * len(cases)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = [run(cases[i]) for _ in range(3)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, runs in enumerate(results):
+            assert runs == [serial[i]] * 3
+
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_warm_level_products_allocate_little(self, mode):
+        """n = 10, 32 taus, d = 2, values and derivatives: one chunk of 1 MiB factors.  A
+        warm call's traced peak was 66 KiB (NumPy's broadcast buffers), against 2114 KiB
+        with fresh factors per level; the bound is 128 KiB."""
+        cfg, model, theta = scan_case("qubit-direction", 10, None)
+        E, _, (dxi, _) = jet_inputs(cfg, model, theta)
+        taus = np.geomspace(0.01, 0.9, 32) * default_tau(model, theta)
+        coef = phasesim._level_coefficients(cfg, taus[:, None] * (E - E[0])[None, :],
+                                            taus[:, None] * dxi[None, :], mode)
+        assert coef.shape[:4] == (10, 2, 32, 2)
+        phasesim._level_products(coef)  # grows the workspace, if it is not large enough
+        assert traced_peak(lambda: phasesim._level_products(coef)) <= 128 * 1024
+
+    def test_warm_tune_tau_allocates_little(self):
+        """A warm realistic tune_tau at n = 10 keeps a coarse chunk's probs and dprobs,
+        256 KiB each: its traced peak was 579 KiB, against 2147 KiB with fresh factors per
+        level; the bound is 768 KiB."""
+        cfg, model, theta = scan_case("qubit-direction", 10, None)
+        tune_tau(cfg, model, theta, mode="realistic")
+        assert traced_peak(lambda: tune_tau(cfg, model, theta, mode="realistic")) <= 768 * 1024
 
 
 def full_scan_tau(cfg, model, theta, mode):
