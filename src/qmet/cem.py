@@ -164,13 +164,13 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     """Local generator i (dU/dtheta) U^dag of a smooth unitary family.
 
     Raises NonSmoothFamily when the numerical generator fails Hermiticity,
-    which signals a gauge discontinuity or a kink in the family.
+    which signals a gauge discontinuity or a kink in the family, or holds a NaN.
     """
     u0 = np.asarray(u_of(theta), dtype=complex)
     du, _ = numdiff.derivative(lambda x: np.asarray(u_of(x), dtype=complex), theta, diff)
     g = 1j * du @ u0.conj().T
     defect = np.max(np.abs(g - g.conj().T))
-    if defect > GENERATOR_HERMITICITY_TOL * (1.0 + np.max(np.abs(g))):
+    if not (defect <= GENERATOR_HERMITICITY_TOL * (1.0 + np.max(np.abs(g)))):
         raise NonSmoothFamily(f"generator Hermiticity defect {defect:.3e}")
     return (g + g.conj().T) / 2.0
 
@@ -390,10 +390,11 @@ def cem_outcome_model(
     Outcomes are identified across parameter values by their spectral index j
     (ascending energy order), never by the eigenvalue itself.  The outcome
     model also carries the analytic jet of _level_jet, which needs the
-    model's dh_of.  V and rho0 must have the model's dimension (DimensionMismatch).
+    model's dh_of.  V and rho0 must have the model's dimension (DimensionMismatch); the
+    model keeps read-only copies of V and of rho0's factor.
     """
-    v = require_unitary(V)
     rho, factor = require_density(rho0)
+    v, factor = _read_only(require_unitary(V).copy(), factor)
     _require_dim(model.dim, V=v, rho0=rho)
 
     def at(x: float) -> OutcomeDistribution:

@@ -19,8 +19,8 @@ loop runs every sweep: a point's numerical failure, a Python float overflow incl
 a non-finite value in a column not declared as possibly non-finite, is exit 3
 naming that point.  The 'qfi' column, the 'jc' classical Fisher information and
 the 'phase-sim' read-out Fisher information are analytic by default; a [diff]
-section (method defaults to richardson-fd) switches all three to the
-finite-difference oracle.  The generators behind G and max_qfi are always
+section, empty or with its step and levels, switches all three to the
+Richardson finite-difference oracle.  The generators behind G and max_qfi are always
 analytic.  With a fixed seed, repeated runs produce byte-identical output;
 every file carries its config hash.
 """
@@ -71,6 +71,7 @@ class RunConfig:
     command: str
     model: str = "qubit-direction"
     model_params: dict = field(default_factory=dict)
+    method: Optional[str] = None  # RICHARDSON once a [diff] section selects the oracle
 
     def __post_init__(self):
         for _, key, default, parse, _ in _SETTINGS:
@@ -80,7 +81,7 @@ class RunConfig:
         """The finite-difference oracle spec, None when no [diff] section was given."""
         if self.method is None:
             return None
-        return DiffSpec(method=self.method, step=self.step, levels=self.levels)
+        return DiffSpec(step=self.step, levels=self.levels)
 
     def canonical(self) -> str:
         items = {"command": self.command, "model": self.model,
@@ -143,7 +144,6 @@ _MODELS = {
 _SETTINGS = (
     ("grid", "theta", "0.3:2.8:10", _parse_grid, "theta grid START:STOP:N"),
     ("grid", "t", "0.3:3:10", _parse_grid, "time grid START:STOP:N"),
-    ("diff", "method", None, str, None),  # None: analytic where a path exists
     ("diff", "step", None, float, None),
     ("diff", "levels", "2", int, None),
     ("phasesim", "n", "6", int, "control-qubit count"),
@@ -198,7 +198,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.model = ini["model"].get("name", cfg.model)
         cfg.model_params = {key: _parsed(text, float, f"[model] {key}")
                             for key, text in ini["model"].items() if key != "name"}
-    if "diff" in ini:  # any [diff] section selects the oracle path, richardson-fd unless set
+    if "diff" in ini:  # any [diff] section selects the oracle path
         cfg.method = RICHARDSON
     for section, key, _, parse, _ in _SETTINGS:
         if key in ini.get(section, {}):

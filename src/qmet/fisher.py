@@ -109,7 +109,7 @@ class FisherReport:
     error_estimate: float
 
     def __post_init__(self):
-        if self.value < 0:
+        if not (self.value >= 0):
             raise ArithmeticError(f"negative Fisher information {self.value!r}")
 
 
@@ -195,7 +195,7 @@ def classical_fisher(
         numdiff.check_domain(theta, 0.0, model.theta_domain)
         p, dp, *errs = (np.asarray(a, dtype=float) for a in model.jet(theta))
         _require_normalized(p)
-        if abs(dp.sum()) > 1e-10:
+        if not (abs(dp.sum()) <= 1e-10):  # a NaN sum fails
             raise NonNormalized(f"probability derivatives sum to {dp.sum()!r}")
         value, err = _fisher_sum(p, dp, *errs)
         return FisherReport(value=float(value), method=numdiff.ANALYTIC, step=0.0,

@@ -49,10 +49,10 @@ def require_hermitian(M) -> np.ndarray:
 
 
 def require_unitary(U) -> np.ndarray:
-    """Return U as an ndarray, raising if U U^dag deviates from the identity."""
+    """Return U as an ndarray, raising if U U^dag deviates from the identity or is NaN."""
     A = as_matrix(U)
     defect = np.max(np.abs(A @ A.conj().swapaxes(-2, -1) - np.eye(A.shape[-1])))
-    if defect > UNITARITY_TOL:
+    if not (defect <= UNITARITY_TOL):
         raise DimensionMismatch(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}")
     return A
 
@@ -78,10 +78,10 @@ def _require_density_spectrum(ev: np.ndarray, trace: float) -> None:
 
 
 def require_state(psi) -> np.ndarray:
-    """Validate a pure-state amplitude vector (unit Euclidean norm)."""
+    """Validate a pure-state amplitude vector (unit Euclidean norm; a NaN norm fails)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
+    if not (abs(nrm - 1.0) <= STATE_NORM_TOL):
         raise DimensionMismatch(f"state norm {nrm} != 1 within {STATE_NORM_TOL:.1e}")
     return v
 

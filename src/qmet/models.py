@@ -58,10 +58,17 @@ class HamiltonianModel:
         return expm_unitary(self.h_of(theta), t)
 
 
+def _require_finite(name: str, value: float, positive: bool = True) -> None:
+    """InvalidParameter naming the parameter and its value unless 0 < value < inf (0 <=
+    value < inf where not positive); a NaN fails."""
+    low = "positive" if positive else ">= 0"
+    if not ((value > 0.0 if positive else value >= 0.0) and value < math.inf):
+        raise InvalidParameter(f"{name} must be {low} and finite, got {value}")
+
+
 def make_qubit_direction(omega: float) -> HamiltonianModel:
     """H(theta) = omega (cos(theta) sigma_z + sin(theta) sigma_x), theta in (0, pi)."""
-    if omega <= 0:
-        raise InvalidParameter(f"omega must be positive, got {omega}")
+    _require_finite("omega", omega)
     return HamiltonianModel(
         name="qubit-direction",
         dim=2,
@@ -73,8 +80,7 @@ def make_qubit_direction(omega: float) -> HamiltonianModel:
 
 def make_qubit_xcomponent(omega: float) -> HamiltonianModel:
     """H(theta) = -omega sigma_z + theta sigma_x, eigenvalues +-sqrt(omega^2+theta^2)."""
-    if omega <= 0:
-        raise InvalidParameter(f"omega must be positive, got {omega}")
+    _require_finite("omega", omega)
     return HamiltonianModel(
         name="qubit-xcomponent",
         dim=2,
@@ -86,10 +92,9 @@ def make_qubit_xcomponent(omega: float) -> HamiltonianModel:
 
 def make_nv_spin1(mu: float, D: float, E: float) -> HamiltonianModel:
     """H(theta) = mu theta S_z + D S_z^2 + E (S_x^2 - S_y^2) on the spin-1 triplet."""
-    if mu <= 0:
-        raise InvalidParameter(f"mu must be positive, got {mu}")
-    if D < 0 or E < 0:
-        raise InvalidParameter("zero-field splittings D, E must be nonnegative")
+    _require_finite("mu", mu)
+    _require_finite("D", D, positive=False)
+    _require_finite("E", E, positive=False)
     zz = SPIN1_Z @ SPIN1_Z
     xy = SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y
     return HamiltonianModel(
@@ -126,9 +131,9 @@ def _jc_hopping(n_max: int) -> np.ndarray:
 
 
 def _check_jc(kappa: float, n_max: int) -> None:  # both Jaynes-Cummings factories
-    if not (kappa >= 0.0 and 2 <= n_max <= JC_N_MAX):
-        raise InvalidParameter(f"kappa must be >= 0 and n_max >= 2 and <= {JC_N_MAX}, got "
-                               f"{kappa} and {n_max}")
+    _require_finite("kappa", kappa, positive=False)
+    if not 2 <= n_max <= JC_N_MAX:
+        raise InvalidParameter(f"n_max must be >= 2 and <= {JC_N_MAX}, got {n_max}")
 
 
 def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:

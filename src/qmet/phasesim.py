@@ -73,8 +73,9 @@ class PhaseSimConfig:
     0.9 * 2 pi / (spectral range + 1e-6) at the working point), energy_shift added
     to all eigenvalues (None shifts the node's own spectrum to start at zero),
     control V (None = identity), preparation rho0, and encoding time t.  factor,
-    derived and never passed, is require_density's F with F F^dag = rho0.  A tau that is
-    not positive and finite, or a non-finite t or energy_shift, raises ValueError.
+    derived and never passed, is require_density's F with F F^dag = rho0; rho0, V and factor
+    are read-only copies, which no later change to the caller's arrays reaches.  A tau that
+    is not positive and finite, or a non-finite t or energy_shift, raises ValueError.
     """
 
     n: int
@@ -91,10 +92,12 @@ class PhaseSimConfig:
         for name, value in (("t", self.t), ("energy_shift", self.energy_shift)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name, value in zip(("rho0", "factor"), require_density(self.rho0)):
-            object.__setattr__(self, name, value)
+        rho0, factor = require_density(self.rho0)
+        owned = {"rho0": rho0.copy(), "factor": factor}
         if self.V is not None:
-            object.__setattr__(self, "V", require_unitary(self.V))
+            owned["V"] = require_unitary(self.V).copy()
+        for name, value in zip(owned, _read_only(*owned.values())):
+            object.__setattr__(self, name, value)
 
     def control(self, dim: int) -> np.ndarray:
         """V (identity if None) for a model of dimension dim; DimensionMismatch unless V and
@@ -130,7 +133,7 @@ class ControllizationFactors:
     eps_m: complex
 
     def __post_init__(self):
-        if self.a > 1.0 + 1e-12:
+        if not (self.a <= 1.0 + 1e-12):  # a NaN fails
             raise ValueError(f"damping factor a = {self.a} exceeds 1")
 
 
@@ -605,6 +608,6 @@ def controllization_oracle(U, x1: int, y1: int, rho_sys, m: int) -> np.ndarray:
     expected = (factors.a ** (abs(x1 - y1) * m)
                 * np.exp(1j * (y1 - x1) * m * factors.phi)
                 * tensor(branch, left @ rho @ right))
-    if np.max(np.abs(block - expected)) > 1e-10:
+    if not (np.max(np.abs(block - expected)) <= 1e-10):
         raise ArithmeticError("controllization closed form violated beyond 1e-10")
     return block

@@ -140,8 +140,7 @@ class TestConfigHandling:
             assert code == EXIT_CONFIG and text == ""
             assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lines", ["step = 0", "step = -1e-3", "step = nan", "levels = 0",
-                                       "method = bogus", "method = analytic"])
+    @pytest.mark.parametrize("lines", ["step = 0", "step = -1e-3", "step = nan", "levels = 0"])
     def test_bad_diff_setting_is_config_error(self, tmp_path, capsys, lines):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[diff]\n{lines}\n")
@@ -213,15 +212,17 @@ class TestConfigHandling:
         assert (code, text) == (EXIT_CONFIG, "")
         assert "command 'jc' supports models jaynes-cummings" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["kappa = -0.5", "n_max = 1"])
-    def test_jc_range_comes_from_the_read_out_model(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, message", [
+        ("kappa = -0.5", "kappa must be >= 0 and finite, got -0.5"),
+        ("n_max = 1", "n_max must be >= 2 and <= 500, got 1")], ids=["kappa = -0.5", "n_max = 1"])
+    def test_jc_range_comes_from_the_read_out_model(self, tmp_path, capsys, line, message):
         """jc_readout_model owns kappa >= 0 and n_max >= 2; nothing is written."""
         ini = tmp_path / "run.ini"
         ini.write_text(f"[model]\n{line}\n")
         code, text = run(tmp_path, "jc", "--config", str(ini),
                          "--theta", "0.8:1.4:2", "--t", "0.7:1.9:2")
         assert (code, text) == (EXIT_CONFIG, "")
-        assert "config error: [model] kappa must be >= 0 and n_max >= 2" in capsys.readouterr().err
+        assert f"config error: [model] {message}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("n_max", ["1e9", "501"])
     def test_jc_truncation_has_an_upper_bound(self, tmp_path, capsys, n_max):
@@ -230,7 +231,7 @@ class TestConfigHandling:
         ini.write_text(f"[model]\nn_max = {n_max}\n")
         code, text = run(tmp_path, "jc", "--config", str(ini), "--theta", "1:1:1", "--t", "1:1:1")
         assert (code, text) == (EXIT_CONFIG, "")
-        assert "n_max >= 2 and <= 500" in capsys.readouterr().err
+        assert "n_max must be >= 2 and <= 500" in capsys.readouterr().err
 
     def test_flags_may_precede_the_command(self, tmp_path):
         flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
@@ -285,7 +286,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("text, message", [
         ("[grid]\nthetta = 0.5:1:2\n", "unknown key [grid] thetta"),
         ("[grid]\ntheta 0.5:1:2\n", "unknown key [grid] theta 0.5"),  # ':' splits too
-        ("[diff]\nstep = 1e-3\nmethods = central-fd\n", "unknown key [diff] methods"),
+        ("[diff]\nstep = 1e-3\nlevls = 3\n", "unknown key [diff] levls"),
         ("[grid]\nt = 1:1:1\n[grids]\ntheta = 1:1:1\n", "unknown section [grids]"),
     ], ids=["misspelt-key", "no-equals-sign", "misspelt-diff-key", "unknown-section"])
     def test_undeclared_config_key_is_config_error(self, tmp_path, capsys, text, message):
@@ -294,6 +295,17 @@ class TestConfigHandling:
         code, out = run(tmp_path, "gbound", "--config", str(ini))
         assert (code, out) == (EXIT_CONFIG, "")
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["richardson-fd", "central-fd", "analytic", "bogus"])
+    def test_diff_method_is_an_unknown_key(self, tmp_path, capsys, value):
+        """The oracle has one scheme, so [diff] takes no method key; a bare [diff] selects
+        it (TestDiffOracleSwitch)."""
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[diff]\nmethod = {value}\n")
+        code, out = run(tmp_path, "qfi", "--config", str(ini), "--theta", "0.5:1.5:2",
+                        "--t", "1:2:2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == "config error: unknown key [diff] method\n"
 
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nsede = 4\n[grid]\ntheta = 1:1:1\nt = 1:1:1\n[run]\n",
@@ -352,7 +364,7 @@ class TestNumericalFailures:
     def test_domain_boundary_is_exit_three(self, tmp_path, capsys):
         """The Richardson stencil leaves (0, pi) at theta = 1e-6; the analytic path at 0."""
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        ini.write_text("[diff]\n")
         code, _ = run(tmp_path, "qfi", "--config", str(ini), "--model", "qubit-direction",
                       "--theta", "0.000001:1:3", "--t", "1:2:2")
         assert code == EXIT_NUMERICAL
@@ -365,7 +377,7 @@ class TestNumericalFailures:
     def test_domain_message_names_the_point_or_the_real_stencil(self, tmp_path, capsys):
         """An analytic path has no stencil to name; the [diff] oracle names its own."""
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        ini.write_text("[diff]\n")
         grid = ("--theta", "0:1:3", "--t", "1:1:1")
         point = f"parameter value 0.0 is outside the open domain (0.0, {math.pi})"
         for argv in [("gbound",), ("gbound", "--config", str(ini)), ("qfi",), ("optimize",)]:
@@ -644,7 +656,7 @@ class TestDiffOracleSwitch:
     @pytest.mark.parametrize("model_name", list(MODELS))
     def test_qfi_columns_are_the_richardson_values(self, tmp_path, model_name):
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        ini.write_text("[diff]\n")
         grid = ("--theta", "0.4:2.1:3", "--t", "0.5:2.6:2")
         code, text = run(tmp_path, "qfi", "--config", str(ini), "--model", model_name, *grid)
         assert code == EXIT_OK
@@ -669,7 +681,7 @@ class TestDiffOracleSwitch:
 
     def test_jc_columns_are_the_richardson_values(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nlevels = 2\n")  # method defaults to richardson-fd
+        ini.write_text("[diff]\nlevels = 2\n")
         grid = ("--theta", "0.6:1.8:3", "--t", "0.5:2.5:2")
         code, text = run(tmp_path, "jc", "--config", str(ini), *grid)
         assert code == EXIT_OK
@@ -687,7 +699,7 @@ class TestDiffOracleSwitch:
     @pytest.mark.parametrize("model_name", list(MODELS))
     def test_phase_sim_columns_are_the_richardson_values(self, tmp_path, model_name):
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        ini.write_text("[diff]\n")
         grid = ("--model", model_name, "--theta", "0.5:1.5:2", "--t", "0.8:2.0:2",
                 "--n", "6", "--m", "3")
         code, text = run(tmp_path, "phase-sim", "--config", str(ini), *grid)
@@ -710,7 +722,7 @@ class TestDiffOracleSwitch:
 
     def test_diff_section_enters_the_config_hash(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[diff]\nmethod = richardson-fd\n")
+        ini.write_text("[diff]\n")
         grid = ("--theta", "1.0:1.0:1", "--t", "1.0:1.0:1")
         oracle = run(tmp_path, "qfi", "--config", str(ini), *grid)[1].splitlines()[0]
         fast = run(tmp_path, "qfi", *grid)[1].splitlines()[0]

@@ -245,10 +245,12 @@ def test_every_setting_flag_comes_from_the_settings_table():
 
 
 def test_a_run_config_holds_each_setting_at_its_row_default():
-    """RunConfig's own fields are command, model and model_params; every other attribute is
-    a _SETTINGS row's key, at its row's parsed default."""
+    """RunConfig's own fields are command, model, model_params and method, which only a
+    [diff] section sets; every other attribute is a _SETTINGS row's key, at its row's parsed
+    default."""
     cfg = cli.RunConfig("qfi")
-    own = {"command", "model", "model_params"}
+    own = {"command", "model", "model_params", "method"}
+    assert cfg.method is None
     assert set(vars(cfg)) == own | {key for _, key, *_ in cli._SETTINGS}
     for _, key, default, parse, _ in cli._SETTINGS:
         value, expected = getattr(cfg, key), None if default is None else parse(default)
@@ -261,7 +263,7 @@ def away_from_default(key, default, parse, folder):
     """Text the row's parser takes that differs from its default and passes every check."""
     if parse is cli._parse_grid:
         return "0.5:1:2"
-    texts = {"format": "json", "method": "central-fd", "out": str(folder / "x.csv")}
+    texts = {"format": "json", "out": str(folder / "x.csv")}
     return texts.get(key) or str(parse(default or "0") + 1)
 
 

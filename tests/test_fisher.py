@@ -17,6 +17,7 @@ from qmet.errors import (
 )
 from qmet.fisher import (
     POVM,
+    FisherReport,
     OutcomeDistribution,
     ProbabilityModel,
     _fisher_sum,
@@ -128,6 +129,14 @@ class TestClassicalFisherJet:
         with pytest.raises(NonNormalized):
             classical_fisher(jet_model(lambda q: np.array([q, 1.0 - q]),
                                        lambda q: np.array([1.0, -1.0 + 1e-9])), 0.3)
+        with pytest.raises(NonNormalized, match="derivatives sum to .*nan"):
+            classical_fisher(jet_model(lambda q: np.array([q, 1.0 - q]),
+                                       lambda q: np.array([math.nan, math.nan])), 0.3)
+
+    @pytest.mark.parametrize("value", [-1e-300, math.nan])
+    def test_a_report_holds_no_negative_or_nan_value(self, value):
+        with pytest.raises(ArithmeticError):
+            FisherReport(value=value, method="analytic", step=0.0, error_estimate=0.0)
 
     def test_support_exclusion(self):
         model = jet_model(lambda q: np.array([q, 1.0 - q, 0.0]),

@@ -42,6 +42,8 @@ class TestValidators:
         assert np.array_equal(require_unitary(SX), SX)
         with pytest.raises(DimensionMismatch, match="unitarity defect"):
             require_unitary(np.diag([1.0, 1.0 + 1e-9]))
+        with pytest.raises(DimensionMismatch, match="unitarity defect nan"):
+            require_unitary(np.diag([1.0, math.nan]))  # a NaN defect fails the check
 
     def test_require_density_negative_eigenvalue(self):
         with pytest.raises(DimensionMismatch, match="negative eigenvalue"):
@@ -72,6 +74,8 @@ class TestValidators:
         assert np.array_equal(require_state([[0.6], [0.8j]]), np.array([0.6, 0.8j]))
         with pytest.raises(DimensionMismatch, match="state norm"):
             require_state([1.0, 1e-5])  # norm 1 + 5e-11
+        with pytest.raises(DimensionMismatch, match="state norm nan"):
+            require_state([math.nan, 0.0])
 
 
 class TestEigHermitian:

@@ -66,12 +66,14 @@ class TestQubitDirection:
         assert_analytic_derivative(m, np.linspace(0.2, 2.9, 20))
 
     def test_invalid_parameter(self):
-        with pytest.raises(InvalidParameter):
-            make_qubit_direction(0.0)
+        for omega in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameter,
+                               match=f"^omega must be positive and finite, got {omega}$"):
+                make_qubit_direction(omega)
 
 
 class TestQubitXComponent:
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_omega_rejected(self, omega):
         with pytest.raises(InvalidParameter, match="omega must be positive"):
             make_qubit_xcomponent(omega)
@@ -120,10 +122,16 @@ class TestNvSpin1:
         assert_analytic_derivative(m, [0.1, 0.5, 1.5])
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameter):
-            make_nv_spin1(-1.0, 1.0, 0.0)
-        with pytest.raises(InvalidParameter):
-            make_nv_spin1(1.0, -0.1, 0.0)
+        """Each parameter outside its finite range is named with its value."""
+        for params, message in [
+                ((-1.0, 1.0, 0.0), "mu must be positive and finite, got -1.0"),
+                ((math.inf, 1.0, 0.0), "mu must be positive and finite, got inf"),
+                ((1.0, -0.1, 0.0), "D must be >= 0 and finite, got -0.1"),
+                ((1.0, math.nan, 0.0), "D must be >= 0 and finite, got nan"),
+                ((1.0, 1.0, -1e-3), "E must be >= 0 and finite, got -0.001"),
+                ((1.0, 1.0, math.inf), "E must be >= 0 and finite, got inf")]:
+            with pytest.raises(InvalidParameter, match=f"^{message}$"):
+                make_nv_spin1(*params)
 
 
 class TestJaynesCummings:
@@ -156,12 +164,15 @@ class TestJaynesCummings:
         with pytest.raises(InvalidParameter):
             make_jaynes_cummings(0.5, 1)
 
-    @pytest.mark.parametrize("kappa,n_max", [(-0.5, 8), (math.nan, 8), (0.5, 1), (0.5, 0)])
+    @pytest.mark.parametrize("kappa,n_max", [(-0.5, 8), (math.nan, 8), (math.inf, 8), (0.5, 1),
+                                             (0.5, 0)])
     def test_both_factories_reject_the_same_parameters(self, kappa, n_max):
-        """kappa >= 0 and n_max >= 2 hold for the read-out model as for the Hamiltonian."""
-        with pytest.raises(InvalidParameter):
+        """0 <= kappa < inf and n_max >= 2 hold for the read-out model as for the Hamiltonian;
+        an infinite kappa is rejected before any matrix is scaled by it (no warning)."""
+        name = "n_max" if n_max < 2 else "kappa"
+        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
             make_jaynes_cummings(kappa, n_max)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
             jc_readout_model(kappa, 1.0, math.sqrt(0.5), math.sqrt(0.5), n_max)
 
     @pytest.mark.parametrize("n_max", [10**9, models.JC_N_MAX + 1])

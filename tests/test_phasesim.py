@@ -204,8 +204,9 @@ class TestRealisticDistribution:
 
 class TestControllizationFactors:
     def test_damping_above_one_rejected(self):
-        with pytest.raises(ValueError, match="exceeds 1"):
-            phasesim.ControllizationFactors(a=1.1, phi=0.0, eps_m=0.0)
+        for a in (1.1, math.nan):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                phasesim.ControllizationFactors(a=a, phi=0.0, eps_m=0.0)
 
     def test_identity(self):
         f = controllization_factors(np.eye(3), 5)
@@ -390,6 +391,10 @@ class TestControllizationOracle:
         with pytest.raises(OracleTooLarge):
             controllization_oracle(np.eye(7), 0, 1, np.eye(7) / 7, m=1)
 
+    def test_a_nan_state_fails_the_closed_form_check(self):
+        with pytest.raises(ArithmeticError, match="closed form"):
+            controllization_oracle(np.eye(2), 0, 1, np.full((2, 2), math.nan), m=2)
+
     @pytest.mark.parametrize("x1,y1", [(2, 0), (0, 2)])
     def test_control_index_must_be_a_qubit_state(self, x1, y1):
         with pytest.raises(ValueError, match="control indices"):
@@ -553,7 +558,7 @@ def ref_tune_tau(cfg, model, theta, mode, diff, coarse=32, refine=16):
 
 
 NV = (1.0, 1.44 * math.pi, 5e-5 * math.pi)
-CENTRAL = DiffSpec(method="central-fd")
+ONE_LEVEL = DiffSpec(levels=1)
 SCAN_TOL = 1e-7  # relative to max(|F|, 1)
 
 
@@ -601,15 +606,15 @@ class TestBatchedReadoutMatchesSerial:
 
     @pytest.mark.parametrize("model_name, n, mode, diff, shift", [
         ("qubit-direction", 6, "ideal", DEFAULT_DIFF, None),
-        ("qubit-direction", 6, "realistic", CENTRAL, 0.0),
-        ("qubit-direction", 10, "ideal", CENTRAL, None),
+        ("qubit-direction", 6, "realistic", ONE_LEVEL, 0.0),
+        ("qubit-direction", 10, "ideal", ONE_LEVEL, None),
         ("qubit-direction", 10, "realistic", DEFAULT_DIFF, 0.0),
-        ("nv-spin1", 6, "ideal", CENTRAL, 0.0),
+        ("nv-spin1", 6, "ideal", ONE_LEVEL, 0.0),
         ("nv-spin1", 6, "realistic", DEFAULT_DIFF, None),
         ("nv-spin1", 10, "ideal", DEFAULT_DIFF, 0.0),
-        ("nv-spin1", 10, "realistic", CENTRAL, None),
+        ("nv-spin1", 10, "realistic", ONE_LEVEL, None),
         ("steep", 6, "ideal", DEFAULT_DIFF, None),
-        ("steep", 10, "realistic", CENTRAL, 0.0),
+        ("steep", 10, "realistic", ONE_LEVEL, 0.0),
     ])
     def test_tau_scan(self, model_name, n, mode, diff, shift):
         cfg, model, theta = scan_case(model_name, n, shift)
@@ -712,10 +717,10 @@ class TestAnalyticReadout:
         cfg, model, theta = scan_case("nv-spin1", 6, None)
         tau = 0.5 * default_tau(model, theta)
         for mode in ("ideal", "realistic"):
-            report = fisher_phase_readout(cfg.with_tau(tau), model, theta, CENTRAL, mode)
-            values, errs = phasesim._scorer(cfg, model, theta, CENTRAL)[1](np.array([tau]), mode)
+            report = fisher_phase_readout(cfg.with_tau(tau), model, theta, ONE_LEVEL, mode)
+            values, errs = phasesim._scorer(cfg, model, theta, ONE_LEVEL)[1](np.array([tau]), mode)
             assert (report.value, report.error_estimate) == (values[0], errs[0])
-            assert (report.method, report.step) == ("central-fd", CENTRAL.base_step(theta))
+            assert (report.method, report.step) == ("richardson-fd", ONE_LEVEL.base_step(theta))
 
     def test_aliasing_is_judged_at_theta(self):
         """nv-spin1's range grows with theta: a tau that aliases just above theta only."""

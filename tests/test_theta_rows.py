@@ -242,21 +242,33 @@ def test_a_changed_operand_misses_the_kept_level_jet(level_jets):
     assert counts == [1, 1, 2, 3, 4, 5, 6]
 
 
-def test_a_control_changed_in_place_misses_the_kept_level_jet(level_jets):
-    """PhaseSimConfig.V aliases the caller's array, so the kept level jet is keyed on V's
-    contents: after the caller overwrites V, the read-out is the cold one at the new V."""
+def test_a_callers_change_in_place_reaches_neither_the_config_nor_the_read_out(level_jets):
+    """PhaseSimConfig keeps read-only copies of V, rho0 and its factor: after the caller
+    overwrites its own V and rho0, the config and its read-out are as before, warm or cold."""
     model = make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi)
     sol = g_bound(model, 0.8, 1.7)
-    V = sol.V_opt.copy()
-    cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=V, rho0=np.outer(sol.psi_opt, sol.psi_opt.conj()),
-                         tau=0.2)
-    assert cfg.V is V
+    V, rho0 = sol.V_opt.copy(), np.outer(sol.psi_opt, sol.psi_opt.conj())
+    cfg = PhaseSimConfig(n=6, m=3, t=1.7, V=V, rho0=rho0, tau=0.2)
+    kept = cfg.V.copy(), cfg.rho0.copy(), cfg.factor.copy()
+    assert not any(a.flags.writeable for a in (cfg.V, cfg.rho0, cfg.factor))
     before = fisher_phase_readout(cfg, model, 0.8)
-    V[...] = np.eye(3)
-    after = fisher_phase_readout(cfg, model, 0.8)
-    assert level_jets[0] == 2 and after != before
+    V[...], rho0[...] = np.eye(3), np.diag([0.0, 0.0, 1.0])
+    assert all(np.array_equal(a, b) for a, b in zip((cfg.V, cfg.rho0, cfg.factor), kept))
+    assert fisher_phase_readout(cfg, model, 0.8) == before and level_jets[0] == 1
     drop_memos()
-    assert after == fisher_phase_readout(cfg, model, 0.8) and level_jets[0] == 3
+    assert fisher_phase_readout(cfg, model, 0.8) == before and level_jets[0] == 2
+
+
+def test_a_callers_change_in_place_does_not_reach_an_outcome_model():
+    """cem_outcome_model keeps read-only copies of its validated V and rho0's factor."""
+    model = make_qubit_direction(1.0)
+    V, rho0 = np.eye(2, dtype=complex), ground_projector(2)
+    pm = cem.cem_outcome_model(model, 1.7, V, rho0)
+    before = pm.at(0.8).probs, *pm.jet(0.8)
+    V[...], rho0[...] = SIGMA_X, np.diag([0.0, 1.0])
+    drop_memos()
+    after = pm.at(0.8).probs, *pm.jet(0.8)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_the_kept_level_jet_is_read_only():
