@@ -207,9 +207,10 @@ class _Point:
     def jet(self, t: float) -> _Jet:
         if self._jet is None or self._jet.t != t:
             E, W, D, w = self.E, self.W, self.D, self.w
+            U = spectral_unitary(E, W, t)  # first: it rejects a non-finite t
             g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) \
                 @ W.conj().T
-            U, g_dyn = _read_only(spectral_unitary(E, W, t), (g_dyn + g_dyn.conj().T) / 2.0)
+            U, g_dyn = _read_only(U, (g_dyn + g_dyn.conj().T) / 2.0)
             self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t)
         return self._jet
 

@@ -10,6 +10,7 @@ POVM.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +25,7 @@ from .errors import (
     RankDeficient,
     UnknownMetricTag,
 )
-from .linalg import _require_density_spectrum, require_hermitian, require_state
+from .linalg import _eigh, _require_density_spectrum, as_matrix, require_hermitian, require_state
 from .numdiff import DEFAULT_DIFF, DiffSpec
 
 SUPPORT_THRESHOLD = 1e-12
@@ -69,8 +70,9 @@ class ProbabilityModel:
     """theta -> OutcomeDistribution with a fixed, parameter-independent sample space.
 
     jet, when given, maps theta to (p, dp, dp_err[, p_err]): the probabilities,
-    their exact theta-derivative and first-order rounding bounds on each dp and
-    p entry (p_err 0 if left out), all from one evaluation at theta.
+    their exact theta-derivative and first-order rounding bounds, dp_err one number
+    for every dp entry and p_err for each p entry (0 if left out), all from one
+    evaluation at theta.
     """
 
     at: Callable[[float], OutcomeDistribution]
@@ -85,17 +87,17 @@ class POVM:
     elements: tuple
 
     def __post_init__(self):
-        mats = tuple(require_hermitian(E) for E in self.elements)
+        mats = tuple(as_matrix(E) for E in self.elements)
         object.__setattr__(self, "elements", mats)
         d = mats[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for E in mats:
             if E.shape[0] != d:
                 raise DimensionMismatch("POVM elements have mixed dimensions")
-            if np.linalg.eigvalsh(E).min() < -1e-10:
+            if not (_eigh(E)[0][0] >= -1e-10):  # _eigh also checks E's Hermiticity
                 raise DimensionMismatch("POVM element is not positive semi-definite")
             total += E
-        if np.max(np.abs(total - np.eye(d))) > 1e-9:
+        if not (np.max(np.abs(total - np.eye(d))) <= 1e-9):
             raise DimensionMismatch("POVM elements do not sum to the identity")
 
 
@@ -110,7 +112,8 @@ class FisherReport:
 
     def __post_init__(self):
         if not (self.value >= 0):
-            raise ArithmeticError(f"negative Fisher information {self.value!r}")
+            raise ArithmeticError("Fisher information is NaN" if math.isnan(self.value) else
+                                  f"negative Fisher information {self.value!r}")
 
 
 def _term_bound(p: np.ndarray, dp, dp_err, p_err):
@@ -190,13 +193,16 @@ def classical_fisher(
     alone (method "analytic", step 0, theta only has to lie inside the open
     domain); an explicit DiffSpec, or a model without a jet (Richardson
     then), takes the finite-difference stencil instead, which is the oracle.
+    The jet's derivatives must sum to 0 within 1e-10 plus their own rounding bound,
+    len(dp) dp_err (NonNormalized otherwise, and for a NaN sum or bound).
     """
     if diff is None and model.jet is not None:
         numdiff.check_domain(theta, 0.0, model.theta_domain)
         p, dp, *errs = (np.asarray(a, dtype=float) for a in model.jet(theta))
         _require_normalized(p)
-        if not (abs(dp.sum()) <= 1e-10):  # a NaN sum fails
-            raise NonNormalized(f"probability derivatives sum to {dp.sum()!r}")
+        total = float(dp.sum())
+        if not (abs(total) <= 1e-10 + len(dp) * float(errs[0])):
+            raise NonNormalized(f"probability derivatives sum to {total!r}")
         value, err = _fisher_sum(p, dp, *errs)
         return FisherReport(value=float(value), method=numdiff.ANALYTIC, step=0.0,
                             error_estimate=float(err))
@@ -220,15 +226,15 @@ def sld(rho, drho) -> np.ndarray:
 
 def _sld_parts(rho, drho):
     """(p, V, Dv): the ascending eigenvalues p and eigenvectors V of rho, and Dv = drho in
-    that eigenbasis; rho and drho must be Hermitian of one shape and drho traceless."""
-    R = require_hermitian(rho)
+    that eigenbasis; rho and drho must be Hermitian of one shape and drho traceless (a
+    NaN trace fails)."""
+    p, V = _eigh(rho)
     D = require_hermitian(drho)
-    if R.shape != D.shape:
-        raise DimensionMismatch(f"rho {R.shape} vs drho {D.shape}")
+    if V.shape != D.shape:
+        raise DimensionMismatch(f"rho {V.shape} vs drho {D.shape}")
     tr = np.trace(D)
-    if abs(tr) > 1e-9:
+    if not (abs(tr) <= 1e-9):
         raise NotTraceless(f"tr(drho) = {tr}")
-    p, V = np.linalg.eigh(R)
     return p, V, V.conj().T @ D @ V
 
 
@@ -260,7 +266,7 @@ def _state_derivative(rho_of, theta: float, diff: DiffSpec,
     p, V, Dv = _sld_parts(node(theta), (drho + drho.conj().T) / 2.0)
     rank = np.sum(p > RANK_THRESHOLD)
     for x in (theta - radius, theta + radius):
-        if np.sum(np.linalg.eigvalsh(require_hermitian(node(x))) > RANK_THRESHOLD) != rank:
+        if np.sum(_eigh(node(x))[0] > RANK_THRESHOLD) != rank:
             raise RankChange(f"state rank changes between theta and {x}")
     return p, V, Dv, err
 
@@ -366,5 +372,5 @@ def sld_povm(rho_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> POVM:
     Fisher information at the true parameter value.
     """
     p, V, Dv, _ = _state_derivative(rho_of, theta, diff, (-np.inf, np.inf))
-    _, W = np.linalg.eigh(_sld_weights(p) * Dv)  # the SLD's eigenvectors in rho's eigenbasis
+    _, W = _eigh(_sld_weights(p) * Dv)  # the SLD's eigenvectors in rho's eigenbasis
     return POVM(elements=tuple(np.outer(v, v.conj()) for v in (V @ W).T))

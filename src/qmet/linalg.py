@@ -1,6 +1,8 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-eigh_nondegenerate, the one checked decomposition of a model Hamiltonian,
+Every Hermitian matrix in qmet is decomposed by _eigh: one Hermiticity check, then one
+numpy.linalg.eigh.  So a matrix has one spectrum, and a generator one gap, whichever
+caller asks.  eigh_nondegenerate, the one checked decomposition of a model Hamiltonian,
 returns ascending energies (ground state first).  eig_hermitian, for
 generators and other operators, returns a phase-fixed Eigensystem ordered
 non-increasingly (lambda_1 >= ... >= lambda_d).  All functions are pure and
@@ -9,11 +11,12 @@ operate on plain complex ndarrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianInput
+from .errors import DegenerateSpectrum, DimensionMismatch, InvalidParameter, NonHermitianInput
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -48,12 +51,23 @@ def require_hermitian(M) -> np.ndarray:
     return A
 
 
+def _eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, eigenvector columns) of a Hermitian M or (..., d, d) stack.
+
+    require_hermitian, then one numpy.linalg.eigh (one call for a whole stack): the only
+    decomposition in qmet.  Each matrix thus has one spectrum whoever asks; an
+    eigenvalue-only driver would round it differently, so a gap would depend on its caller.
+    """
+    return np.linalg.eigh(require_hermitian(M))
+
+
 def require_unitary(U) -> np.ndarray:
     """Return U as an ndarray, raising if U U^dag deviates from the identity or is NaN."""
     A = as_matrix(U)
     defect = np.max(np.abs(A @ A.conj().swapaxes(-2, -1) - np.eye(A.shape[-1])))
     if not (defect <= UNITARITY_TOL):
-        raise DimensionMismatch(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL:.1e}")
+        why = "is NaN" if math.isnan(defect) else f"{defect:.3e} exceeds {UNITARITY_TOL:.1e}"
+        raise DimensionMismatch(f"unitarity defect {why}")
     return A
 
 
@@ -61,8 +75,8 @@ def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
     """(rho, F): one eigh validates rho (Hermitian, positive, unit trace within
     HERMITICITY_TOL) and gives F = v sqrt(lambda) over the eigenvalues above d eps,
     so F F^dag = rho up to rounding and a pure state keeps one column."""
-    A = require_hermitian(rho)
-    ev, v = np.linalg.eigh(A)
+    A = as_matrix(rho)
+    ev, v = _eigh(A)
     _require_density_spectrum(ev, np.trace(A).real)
     keep = ev > A.shape[0] * np.finfo(float).eps
     return A, v[:, keep] * np.sqrt(ev[keep])
@@ -70,10 +84,12 @@ def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_density_spectrum(ev: np.ndarray, trace: float) -> None:
     """DimensionMismatch unless a Hermitian matrix with ascending eigenvalues ev and this
-    trace is a density matrix: ev[0] >= -HERMITICITY_TOL and trace 1 within it."""
-    if ev[0] < -HERMITICITY_TOL:
-        raise DimensionMismatch(f"density matrix has negative eigenvalue {ev[0]:.3e}")
-    if abs(trace - 1.0) > HERMITICITY_TOL:
+    trace is a density matrix: ev[0] >= -HERMITICITY_TOL and trace 1 within it (a NaN
+    fails)."""
+    if not (ev[0] >= -HERMITICITY_TOL):
+        low = "a NaN" if math.isnan(ev[0]) else f"negative eigenvalue {ev[0]:.3e}"
+        raise DimensionMismatch(f"density matrix has {low}")
+    if not (abs(trace - 1.0) <= HERMITICITY_TOL):
         raise DimensionMismatch(f"density matrix trace {trace} != 1")
 
 
@@ -122,8 +138,7 @@ def eig_hermitian(M) -> Eigensystem:
     (phase-fixed gauge), giving a deterministic output for non-degenerate
     spectra.
     """
-    A = require_hermitian(M)
-    ev, V = np.linalg.eigh(A)
+    ev, V = _eigh(M)
     ev, V = ev[::-1], V[:, ::-1]
     return Eigensystem(eigenvalues=ev, eigenvectors=fix_phases(V))
 
@@ -154,25 +169,31 @@ def eigh_nondegenerate(H) -> tuple[np.ndarray, np.ndarray]:
     stack.  Raises NonHermitianInput, or DegenerateSpectrum when any matrix
     has (near-)equal eigenvalues.  The columns carry NumPy's gauge.
     """
-    ev, W = np.linalg.eigh(require_hermitian(H))
+    ev, W = _eigh(H)
     require_nondegenerate(ev)
     return ev, W
 
 
 def spectral_unitary(ev: np.ndarray, W: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) from H = W diag(ev) W^dag, for one matrix or a (..., d, d) stack."""
+    """exp(-i t H) from H = W diag(ev) W^dag, for one matrix or a (..., d, d) stack.
+
+    InvalidParameter unless t is finite: cem's entry points and model.u_of build every
+    exp(-i t H) here, so they reject a NaN or infinite t before any arithmetic on it.
+    """
+    if not math.isfinite(t):
+        raise InvalidParameter(f"t must be finite, got {t}")
     return (W * np.exp(-1j * t * ev)[..., None, :]) @ W.conj().swapaxes(-2, -1)
 
 
 def expm_unitary(H, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H or a (..., d, d) stack, via one eigendecomposition."""
-    ev, V = np.linalg.eigh(require_hermitian(H))
+    ev, V = _eigh(H)
     return spectral_unitary(ev, V, t)
 
 
 def spectral_gap(M) -> float:
     """lambda_1(M) - lambda_d(M) >= 0 for Hermitian M."""
-    ev = np.linalg.eigvalsh(require_hermitian(M))
+    ev = _eigh(M)[0]
     return float(ev[-1] - ev[0])
 
 
@@ -199,15 +220,21 @@ def partial_trace(M, dims: tuple[int, int], keep: str) -> np.ndarray:
 
 
 def operator_variance(psi, O) -> float:
-    """Variance <psi|O^2|psi> - <psi|O|psi>^2, clamped to be nonnegative."""
+    """Variance <psi|O^2|psi> - <psi|O|psi>^2, clamped to be nonnegative.
+
+    Rounding can take the difference below 0 by about eps <psi|O^2|psi>, so it raises
+    ArithmeticError only below -1e-12 (1 + <psi|O^2|psi>), or where it is NaN.
+    """
     v = require_state(psi)
     A = require_hermitian(O)
     if A.shape[0] != v.shape[0]:
         raise DimensionMismatch(f"state dim {v.shape[0]} != operator dim {A.shape[0]}")
     Av = A @ v
-    mean = np.vdot(v, Av).real
-    second = np.vdot(Av, Av).real
+    mean = float(np.vdot(v, Av).real)  # Python floats overflow to inf without a warning
+    second = float(np.vdot(Av, Av).real)
     var = second - mean * mean
-    if var < -1e-12:
-        raise ArithmeticError(f"variance {var:.3e} below -1e-12")
+    floor = -1e-12 * (1.0 + second)
+    if not (var >= floor):
+        raise ArithmeticError("variance is NaN" if math.isnan(var) else
+                              f"variance {var:.3e} below {floor:.3e}")
     return max(var, 0.0)

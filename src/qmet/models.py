@@ -24,7 +24,7 @@ import numpy as np
 from . import numdiff
 from .errors import InvalidParameter, UnknownReference
 from .fisher import OutcomeDistribution, ProbabilityModel
-from .linalg import expm_unitary, require_hermitian
+from .linalg import _eigh, expm_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -185,7 +185,7 @@ def _hopping_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     truncation serves every read-out point.  Its spectrum is degenerate (the
     zero level), which exp(-i s K) = V diag(exp(-i s lambda)) V^dag does not mind.
     """
-    lam, V = np.linalg.eigh(require_hermitian(_jc_hopping(n_max)))
+    lam, V = _eigh(_jc_hopping(n_max))
     lam.flags.writeable = V.flags.writeable = False
     return lam, V
 
@@ -220,9 +220,12 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     free phases and the coupling carry the frequency dependence; the atomic
     outcome probabilities depend on it only through the coupling.  The jet
     differentiates the output state of _jc_output_jet exactly, with no
-    decomposition per point: dp = 2 Re <out|dout> on each atomic block.
+    decomposition per point: dp = 2 Re <out|dout> on each atomic block.  InvalidParameter
+    unless t is finite.
     """
     _check_jc(kappa, n_max)
+    if not math.isfinite(t):
+        raise InvalidParameter(f"t must be finite, got {t}")
     hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
 
     def at(w: float) -> OutcomeDistribution:

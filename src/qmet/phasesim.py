@@ -134,7 +134,8 @@ class ControllizationFactors:
 
     def __post_init__(self):
         if not (self.a <= 1.0 + 1e-12):  # a NaN fails
-            raise ValueError(f"damping factor a = {self.a} exceeds 1")
+            raise ValueError("damping factor a is NaN" if math.isnan(self.a) else
+                             f"damping factor a = {self.a} exceeds 1")
 
 
 def controllization_factors(U, m: int) -> ControllizationFactors:

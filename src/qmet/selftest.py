@@ -11,7 +11,7 @@ import numpy as np
 
 from .cem import max_gap_lemma_check
 from .fisher import POVM, fisher_of_povm, monotone_metric, qfi, sld_povm
-from .linalg import expm_unitary, operator_variance, spectral_gap
+from .linalg import _eigh, expm_unitary, operator_variance, spectral_gap
 from .numdiff import DiffSpec
 
 
@@ -40,7 +40,7 @@ def _random_povm(rng, d: int, n_elements: int) -> POVM:
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         raw.append(z @ z.conj().T)
     total = sum(raw)
-    ev, V = np.linalg.eigh(total)
+    ev, V = _eigh(total)
     inv_sqrt = (V / np.sqrt(ev)) @ V.conj().T
     return POVM(elements=tuple(inv_sqrt @ E @ inv_sqrt for E in raw))
 

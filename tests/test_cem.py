@@ -623,6 +623,19 @@ class TestFisherCem:
                             np.outer(sol.psi_opt, sol.psi_opt.conj())).value
             assert fi == pytest.approx(sol.G_value, rel=1e-4)
 
+    @pytest.mark.parametrize("mu", [1.0, 1e3, 1e6, 1e9])
+    def test_large_derivatives_pass_the_jet_check(self, mu):
+        """The jet's derivatives sum to 0 within their own rounding bound: at mu = 1e6
+        (G = 1.6e13 at theta = t = 1) they sum to -7e-10, beyond an absolute 1e-10."""
+        model = make_nv_spin1(mu, NV_PARAMS["D"], NV_PARAMS["E"])
+        for theta in np.linspace(0.2, 2.9, 10):
+            for t in np.linspace(0.1, 3.0, 10):
+                sol = g_bound(model, theta, t)
+                fi = fisher_cem(model, theta, t, sol.V_opt,
+                                np.outer(sol.psi_opt, sol.psi_opt.conj())).value
+                if sol.condition_holds:
+                    assert fi == pytest.approx(sol.G_value, rel=1e-13)
+
     def test_commuting_static_case_is_zero(self):
         m = constant_basis_model([0.0, 1.0, 2.5])
         rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)

@@ -531,6 +531,15 @@ class TestSweepOutputs:
             ratio = float(row["max_qfi"]) / float(row["g"])
             assert float(row["gamma"]) == pytest.approx(ratio, abs=1e-12)
 
+    def test_gbound_and_qfi_write_one_max_qfi(self, tmp_path):
+        """Both commands square the one gap of g_dyn, so their max_qfi columns are equal
+        to the last digit on nv-spin1's default grid."""
+        columns = [[row["max_qfi"] for row in parse_csv(run(tmp_path, cmd, "--model",
+                                                             "nv-spin1")[1])[1]]
+                   for cmd in ("gbound", "qfi")]
+        assert len(columns[0]) == 100
+        assert columns[0] == columns[1]
+
     def test_phase_sim_columns(self, tmp_path):
         code, text = run(tmp_path, "phase-sim", "--model", "qubit-direction",
                          "--theta", "1.0:1.0:1", "--t", "1.0:1.0:1",

@@ -1,6 +1,7 @@
-"""Package-wide contracts: one decomposition site for H(theta), one domain rule, one
-dimension rule for the operands that meet a model, imports from the standard library and
-numpy only, and one declaration per CLI setting."""
+"""Package-wide contracts: one decomposition site for H(theta) and one eigensolver for
+every Hermitian matrix, one domain rule, one time rule, one dimension rule for the operands
+that meet a model, imports from the standard library and numpy only, and one declaration
+per CLI setting."""
 
 import ast
 import math
@@ -21,10 +22,15 @@ from qmet.cem import (
     generator_pair,
     optimize_cem,
 )
-from qmet.errors import DimensionMismatch, DomainBoundary
+from qmet.errors import DimensionMismatch, DomainBoundary, InvalidParameter
 from qmet.fisher import monotone_metric, qfi, sld_povm
 from qmet.linalg import expm_unitary
-from qmet.models import make_nv_spin1, make_qubit_direction
+from qmet.models import (
+    jc_readout_model,
+    make_nv_spin1,
+    make_qubit_direction,
+    make_qubit_xcomponent,
+)
 from qmet.numdiff import DiffSpec
 from qmet.phasesim import (
     PhaseSimConfig,
@@ -40,8 +46,9 @@ from qmet.phasesim import (
 NV_PARAMS = (1.0, 1.44 * math.pi, 5e-5 * math.pi)
 
 
-def h_of_callers():
-    """{(module file, enclosing qualname)} of every `.h_of(...)` call in src/qmet."""
+def callers(name):
+    """{(module file, enclosing qualname)} of every `.name(...)` or `name(...)` call in
+    src/qmet."""
     found = set()
 
     class Visitor(ast.NodeVisitor):
@@ -56,7 +63,7 @@ def h_of_callers():
         visit_ClassDef = visit_FunctionDef = visit_scope
 
         def visit_Call(self, node):
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "h_of":
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == name:
                 found.add((self.module, ".".join(self.scope)))
             self.generic_visit(node)
 
@@ -69,7 +76,32 @@ def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():
     """Every decomposition of a model Hamiltonian goes through cem._spectrum, which also
     checks the domain; HamiltonianModel.u_of keeps its own expm route as the
     finite-difference oracle's independent path."""
-    assert h_of_callers() == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
+    assert callers("h_of") == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
+
+
+def test_one_routine_decomposes_every_hermitian_matrix():
+    """linalg._eigh, which checks Hermiticity first, is the one caller of numpy's eigh, and
+    nothing calls the eigenvalue-only driver, which rounds a spectrum differently."""
+    assert callers("eigh") == {("linalg.py", "_eigh")}
+    assert callers("eigvalsh") == set()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_qubit_direction(1.0),
+    lambda: make_qubit_xcomponent(1.0),
+    lambda: make_nv_spin1(*NV_PARAMS),
+], ids=["qubit-direction", "qubit-xcomponent", "nv-spin1"])
+def test_each_generator_has_one_gap(factory):
+    """generator_pair, encoded_qfi's sigma(g_dyn) and g_bound give each generator the same
+    gap bit for bit on a 20 x 20 grid; an eigenvalue-only solver rounds some of nv-spin1's
+    gaps differently."""
+    model = factory()
+    rho0 = ground_projector(model.dim)
+    for theta in np.linspace(0.3, 2.8, 20):
+        for t in np.linspace(0.3, 3.0, 20):
+            gaps = g_bound(model, theta, t).gaps
+            assert generator_pair(model, theta, t).gaps == gaps
+            assert encoded_qfi(model, theta, t, rho0)[1] == gaps[0]
 
 
 def cli_handlers_naming(error):
@@ -421,6 +453,31 @@ def test_every_entry_point_rejects_the_domain_edge(factory, theta, entry):
     with pytest.raises(DomainBoundary):
         entry_points(model, theta)[entry]()
     entry_points(model, 0.8)[entry]()  # the same call runs just inside the domain
+
+
+def time_entry_points(t, diff):
+    """{name: call} of every public entry point that takes the evolution time t."""
+    model, rho0, V = make_qubit_direction(1.0), ground_projector(2), np.eye(2)
+    return {
+        "g_bound": lambda: g_bound(model, 0.8, t, diff),
+        "generator_pair": lambda: generator_pair(model, 0.8, t, diff),
+        "encoded_qfi": lambda: encoded_qfi(model, 0.8, t, rho0, diff),
+        "fisher_cem": lambda: fisher_cem(model, 0.8, t, V, rho0, diff),
+        "optimize_cem": lambda: optimize_cem(model, 0.8, t, budget=(1, 1)),
+        "jc_readout_model": lambda: qmet.classical_fisher(
+            jc_readout_model(0.5, t, 0.6, 0.8), 1.0, diff),
+    }
+
+
+@pytest.mark.parametrize("diff", [None, DiffSpec()], ids=["analytic", "diff"])
+@pytest.mark.parametrize("entry", list(time_entry_points(1.1, None)))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_rejects_a_non_finite_time(t, entry, diff):
+    """t is checked where it enters, before any arithmetic on it: InvalidParameter naming
+    t, with no warning, on the analytic and the finite-difference paths alike."""
+    with pytest.raises(InvalidParameter, match="t must be finite"):
+        time_entry_points(t, diff)[entry]()
+    time_entry_points(1.1, diff)[entry]()  # the same call runs at a finite t
 
 
 class TestDimensionMismatch:

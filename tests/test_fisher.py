@@ -8,6 +8,7 @@ import pytest
 from qmet.cem import local_generator
 from qmet.errors import (
     DimensionMismatch,
+    NonHermitianInput,
     DomainBoundary,
     NonNormalized,
     NotTraceless,
@@ -133,9 +134,24 @@ class TestClassicalFisherJet:
             classical_fisher(jet_model(lambda q: np.array([q, 1.0 - q]),
                                        lambda q: np.array([math.nan, math.nan])), 0.3)
 
-    @pytest.mark.parametrize("value", [-1e-300, math.nan])
-    def test_a_report_holds_no_negative_or_nan_value(self, value):
-        with pytest.raises(ArithmeticError):
+    def test_the_derivative_sum_tolerance_scales_with_the_jet_rounding(self):
+        """1e-10 + len(dp) dp_err: a sum of 3.5e-10 (one ulp of 1e6 is 1.2e-10) passes
+        with dp_err = 2e-10 and fails with dp_err = 1e-10 or NaN."""
+        p, dp = np.array([0.4, 0.6]), np.array([1e6, -1e6 + 4e-10])
+        for dp_err, ok in ((2e-10, True), (1e-10, False), (math.nan, False)):
+            model = ProbabilityModel(at=None, theta_domain=(0.0, 1.0),
+                                     jet=lambda q, e=dp_err: (p, dp, e))
+            if ok:
+                assert classical_fisher(model, 0.5).value > 0.0
+            else:
+                with pytest.raises(NonNormalized):
+                    classical_fisher(model, 0.5)
+
+    @pytest.mark.parametrize("value, words", [(-1e-300, "negative Fisher information -1e-300"),
+                                              (math.nan, "Fisher information is NaN")],
+                             ids=["-1e-300", "nan"])
+    def test_a_report_holds_no_negative_or_nan_value(self, value, words):
+        with pytest.raises(ArithmeticError, match=words):
             FisherReport(value=value, method="analytic", step=0.0, error_estimate=0.0)
 
     def test_support_exclusion(self):
@@ -236,6 +252,14 @@ class TestSld:
     def test_traceless_precondition(self):
         with pytest.raises(NotTraceless):
             sld(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+
+    def test_a_nan_trace_is_not_traceless(self):
+        """Finite entries whose pairwise-summed trace is inf - inf = NaN."""
+        diag = np.zeros(16)
+        diag[[0, 8]], diag[[1, 9]] = 1e308, -1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotTraceless, match="nan"):
+            sld(np.eye(16) / 16, np.diag(diag))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -434,6 +458,10 @@ class TestPovm:
     def test_positivity_enforced(self):
         with pytest.raises(DimensionMismatch):
             POVM(elements=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+
+    def test_a_nan_element_is_rejected(self):
+        with pytest.raises(NonHermitianInput, match="NaN"):
+            POVM(elements=(np.diag([1.0, math.nan]), np.diag([0.0, 1.0])))
 
     def test_trivial_povm_gives_zero_information(self):
         rng = np.random.default_rng(6)

@@ -7,6 +7,7 @@ import pytest
 
 from qmet.errors import DegenerateSpectrum, DimensionMismatch, NonHermitianInput
 from qmet.linalg import (
+    _require_density_spectrum,
     eig_hermitian,
     eigh_nondegenerate,
     expm_unitary,
@@ -22,6 +23,7 @@ from qmet.linalg import (
     spectral_gap,
     tensor,
 )
+from qmet.selftest import popoviciu_suite
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -42,7 +44,7 @@ class TestValidators:
         assert np.array_equal(require_unitary(SX), SX)
         with pytest.raises(DimensionMismatch, match="unitarity defect"):
             require_unitary(np.diag([1.0, 1.0 + 1e-9]))
-        with pytest.raises(DimensionMismatch, match="unitarity defect nan"):
+        with pytest.raises(DimensionMismatch, match="unitarity defect is NaN"):
             require_unitary(np.diag([1.0, math.nan]))  # a NaN defect fails the check
 
     def test_require_density_negative_eigenvalue(self):
@@ -52,6 +54,12 @@ class TestValidators:
     def test_require_density_trace(self):
         with pytest.raises(DimensionMismatch, match="trace"):
             require_density(np.diag([0.5, 0.6]))
+
+    def test_a_nan_density_spectrum_fails(self):
+        with pytest.raises(DimensionMismatch, match="has a NaN"):
+            _require_density_spectrum(np.array([math.nan, 1.0]), 1.0)
+        with pytest.raises(DimensionMismatch, match="trace nan"):
+            _require_density_spectrum(np.array([0.0, 1.0]), math.nan)
 
     @pytest.mark.parametrize("entry", [(0, 0, math.nan), (0, 1, math.inf), (1, 0, -math.inf)])
     def test_require_hermitian_rejects_a_non_finite_entry(self, entry):
@@ -263,6 +271,26 @@ class TestOperatorVariance:
             z = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi = z / np.linalg.norm(z)
             assert operator_variance(psi, O) <= spectral_gap(O) ** 2 / 4 + 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_eigenvectors_have_zero_variance_at_any_scale(self, scale):
+        """The rounding floor scales with <psi|O^2|psi>: an eigenvector of 1e3 (X + Z)
+        rounds to a variance of -2.3e-10, below an absolute -1e-12."""
+        rng = np.random.default_rng(1)
+        operators = [scale * (SX + SZ)] + [scale * random_hermitian(rng, d) for d in (2, 3, 5)]
+        for O in operators:
+            for psi in np.linalg.eigh(O)[1].T:
+                var = operator_variance(psi, O)
+                assert 0.0 <= var <= 16 * np.finfo(float).eps * np.linalg.norm(O @ psi) ** 2
+
+    def test_the_popoviciu_suite_is_unchanged(self):
+        assert popoviciu_suite() == ("popoviciu", True,
+                                     "max Var - gap^2/4 = -7.473e-04 over 200 draws")
+
+    def test_a_nan_variance_raises(self):
+        """<psi|O^2|psi> overflows to inf and the difference is NaN."""
+        with pytest.raises(ArithmeticError, match="variance is NaN"):
+            operator_variance([1.0, 0.0], 1e200 * SZ)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

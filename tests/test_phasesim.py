@@ -204,8 +204,8 @@ class TestRealisticDistribution:
 
 class TestControllizationFactors:
     def test_damping_above_one_rejected(self):
-        for a in (1.1, math.nan):
-            with pytest.raises(ValueError, match="exceeds 1"):
+        for a, words in ((1.1, "a = 1.1 exceeds 1"), (math.nan, "a is NaN")):
+            with pytest.raises(ValueError, match=words):
                 phasesim.ControllizationFactors(a=a, phi=0.0, eps_m=0.0)
 
     def test_identity(self):
