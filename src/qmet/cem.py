@@ -37,6 +37,7 @@ from .fisher import (
     qfi,
 )
 from .linalg import (
+    _eigh,
     eig_hermitian,
     eigh_nondegenerate,
     fix_phases,
@@ -61,7 +62,6 @@ GRID_NODES = 17
 GRID_STAGES = 3
 _GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
 _EPS = np.finfo(float).eps
-_Jet = namedtuple("_Jet", "E W U dH D g_dyn g_diag t")  # what _jet returns
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,28 @@ def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
+class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t")):
+    """_Point.jet(t), read-only: H(theta)'s ascending energies E and phase-fixed eigenvector
+    columns W (the one gauge of every consumer), U = exp(-i t H), dH = dH/dtheta,
+    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j), the local generators
+    and t; and dyn, g_dyn's _eigh (ascending eigenvalues, eigenvector columns), built on
+    first use: the one decomposition of g_dyn, which gives its gap and g_bound's R2."""
+
+    @property
+    def dyn(self):
+        kept = self.__dict__  # not functools.cached_property, which locks per new jet
+        if "dyn" not in kept:
+            kept["dyn"] = _read_only(*_eigh(self.g_dyn))
+        return kept["dyn"]
+
+
 class _Point:
     """Everything cem derives from H at one working point (model, theta), read-only: E, W,
-    dH, D, w and g_diag from one checked _spectrum and one dh_of read, which raise as _jet
-    does; diag, g_diag's _diag_system, on first use; jet(t), the _jet at t, kept for the
-    last t asked; levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F)
-    asked.  dh_of and its Hermiticity check run with NumPy's floating-point warnings
-    off."""
+    dH, D, w and g_diag from one checked _spectrum (DomainBoundary unless theta lies inside
+    the open domain) and one dh_of read (InvalidParameter without it); diag, g_diag's
+    _diag_system, on first use; jet(t), the _Jet at t, kept for the last t asked;
+    levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F) asked.  dh_of
+    and its Hermiticity check run with NumPy's floating-point warnings off."""
 
     def __init__(self, model: HamiltonianModel, theta: float):
         E, W = _spectrum(model, theta)
@@ -194,6 +209,7 @@ class _Point:
         D = W.conj().T @ dH @ W
         D = (D + D.conj().T) / 2.0
         w = E[:, None] - E[None, :]
+        # First-order perturbation theory in the parallel-transport gauge of the columns W.
         g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
         self.E, self.W, self.dH, self.D, self.w, self.g_diag = _read_only(E, W, dH, D, w, g_diag)
         self._jet = self._levels = None
@@ -208,6 +224,7 @@ class _Point:
         if self._jet is None or self._jet.t != t:
             E, W, D, w = self.E, self.W, self.D, self.w
             U = spectral_unitary(E, W, t)  # first: it rejects a non-finite t
+            # W^dag g_dyn W = D * i (exp(-i t w) - 1) / w (Wilcox 1967; Daleckii-Krein).
             g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) \
                 @ W.conj().T
             U, g_dyn = _read_only(U, (g_dyn + g_dyn.conj().T) / 2.0)
@@ -239,40 +256,25 @@ def _point(model: HamiltonianModel, theta: float) -> _Point:
     return point
 
 
-def _jet(model: HamiltonianModel, theta: float, t: float) -> _Jet:
-    """The analytic jet of H(theta): one checked _spectrum, one dh_of read.
-
-    Returns (E, W, U, dH, D, g_dyn, g_diag, t): the ascending energies and
-    eigenvector columns W of H(theta), U = exp(-i t H), dH = dH/dtheta,
-    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j), the
-    local generators and t.  With w_jk = E_j - E_k, first-order perturbation
-    theory in the parallel-transport gauge of the columns W gives the
-    diagonalizer generator g_diag_jk = i D_jk / w_jk with a zero diagonal.  The
-    derivative of exp(-i t H) (Wilcox 1967; Daleckii-Krein) gives
-    W^dag g_dyn W = D * i (exp(-i t w) - 1) / w = D * t exp(-i t w / 2) sinc(t w / 2 pi),
-    whose diagonal is t D_jj.  theta only has to lie inside the open domain, and
-    the model needs dh_of, as every analytic (diff=None) path does.  The jet is
-    read from the kept _point, so every analytic call at one (model, theta),
-    whatever its t, shares one decomposition of H(theta), and calls at one t one U_t
-    and g_dyn; its arrays are read-only.
-
-    W is _spectrum's phase-fixed gauge, the one gauge of every consumer: the
-    gauge-dependent ones (g_bound, generator_pair, optimize_cem's seed) and the
-    gauge-invariant ones (the read-out scorer, fisher_cem, encoded_qfi) alike.
-    """
-    return _point(model, theta).jet(t)
-
-
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
-    """(W, U_t, g_dyn, g_diag, method): W phase-fixed eigenvectors of H, U_t = exp(-i t H)."""
+    """(W, U_t, g_dyn, g_diag, dyn, diag, method): W phase-fixed eigenvectors of H, U_t =
+    exp(-i t H), the local generators, g_dyn's _eigh and g_diag's _diag_system; analytic
+    from the kept _point and its jet(t), or from diff's finite differences (the oracle)."""
     if diff is None:
-        jet = _jet(model, theta, t)
-        return jet.W, jet.U, jet.g_dyn, jet.g_diag, numdiff.ANALYTIC
+        point = _point(model, theta)
+        jet = point.jet(t)
+        return jet.W, jet.U, jet.g_dyn, jet.g_diag, jet.dyn, point.diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     E, W = _spectrum(model, theta)
     g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
     g_diag = local_generator(_transported_family(model, W), theta, diff)
-    return W, spectral_unitary(E, W, t), g_dyn, g_diag, diff.method
+    return (W, spectral_unitary(E, W, t), g_dyn, g_diag, _eigh(g_dyn), _diag_system(g_diag),
+            diff.method)
+
+
+def _gap(ev) -> float:
+    """lambda_max - lambda_min of a spectrum sorted either way: spectral_gap's bits."""
+    return abs(float(ev[-1] - ev[0]))
 
 
 def generator_pair(
@@ -280,18 +282,19 @@ def generator_pair(
 ) -> GeneratorPair:
     """Generators of the encoding unitary exp(-i t H) and of the diagonalizer.
 
-    By default both are analytic in the eigenbasis of H(theta), from the
-    model's dh_of (InvalidParameter without it): one eigendecomposition, and
-    theta only has to lie inside the open domain.  An explicit DiffSpec
-    differentiates both unitary families numerically instead and never reads
-    dh_of; that path is the cross-check oracle, needs its whole stencil
-    inside the domain, and is the only one that can raise NonSmoothFamily.
+    By default both are analytic in the eigenbasis of H(theta), from the model's dh_of
+    (InvalidParameter without it), and theta only has to lie inside the open domain; the
+    gaps read the kept point's decompositions of g_dyn and g_diag, so a call after g_bound
+    at the same (model, theta, t) decomposes nothing.  An explicit DiffSpec differentiates
+    both unitary families numerically instead and never reads dh_of; that path is the
+    cross-check oracle, needs its whole stencil inside the domain, and is the only one
+    that can raise NonSmoothFamily.
     """
-    _, _, g_dyn, g_diag, method = _generators(model, theta, t, diff)
+    _, _, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(
         g_dyn=g_dyn.copy(),  # the analytic pair is the kept point's
         g_diag=g_diag.copy(),
-        gaps=(spectral_gap(g_dyn), spectral_gap(g_diag)),
+        gaps=(_gap(dyn[0]), _gap(diag[0].eigenvalues)),
         method=method,
     )
 
@@ -328,24 +331,19 @@ def g_bound(
     The generators come from generator_pair's paths (diff as there); one
     decomposition of H(theta) gives S and U_t, and one of each generator gives
     its gap, R1 or R2 and the condition, so the analytic path costs three, and calls
-    at one (model, theta) share the first two (_optimum).
+    at one (model, theta) share the first two, at one (model, theta, t) all three.
     """
-    if diff is None:
-        return _optimum(model, theta, t)[1]
-    W, u_t, g_dyn, g_diag, method = _generators(model, theta, t, diff)
-    return _solution(W, u_t, g_dyn, _diag_system(g_diag), method)
+    W, u_t, _, _, dyn, diag, method = _generators(model, theta, t, diff)
+    return _solution(W, u_t, dyn, diag, method)
 
 
-def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
-    """g_bound's CemSolution from _generators' output, with g_diag as its _diag_system;
-    InvalidParameter, from _square, when G overflows."""
-    es_diag, condition = diag
-    es_dyn = eig_hermitian(g_dyn)  # descending, phase-fixed, as es_diag
-    sigma_dyn = float(es_dyn.eigenvalues[0] - es_dyn.eigenvalues[-1])
-    sigma_diag = float(es_diag.eigenvalues[0] - es_diag.eigenvalues[-1])
-    r1 = es_diag.eigenvectors.conj().T
-    r2 = es_dyn.eigenvectors.conj().T
-    v_opt = W @ r1.conj().T @ r2  # S^dag R1^dag R2 with S = W^dag
+def _solution(W, u_t, dyn, diag, method: str) -> CemSolution:
+    """g_bound's CemSolution from _generators' W, U_t and decompositions: g_dyn's _eigh
+    and g_diag's _diag_system; InvalidParameter, from _square, when G overflows."""
+    (es_diag, condition), V_dyn = diag, dyn[1]
+    sigma_dyn, sigma_diag = _gap(dyn[0]), _gap(es_diag.eigenvalues)
+    r2 = fix_phases(V_dyn[:, ::-1]).conj().T  # descending and phase-fixed, as eig_hermitian's
+    v_opt = W @ es_diag.eigenvectors @ r2  # S^dag R1^dag R2 with S = W^dag, R1 = es_diag^dag
 
     u_tilde = W.conj().T @ v_opt @ u_t
     v_top, v_bot = es_diag.eigenvectors[:, 0], es_diag.eigenvectors[:, -1]
@@ -354,7 +352,7 @@ def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
 
     return CemSolution(
         G_value=_square(sigma_dyn + sigma_diag, "G = (sigma(g_dyn) + sigma(g_diag))^2",
-                        f"gaps {sigma_dyn:.6g} and {sigma_diag:.6g}"),
+                        "gaps {:.6g} and {:.6g}", sigma_dyn, sigma_diag),
         condition_holds=condition,
         V_opt=v_opt,
         psi_opt=psi_opt,
@@ -363,24 +361,18 @@ def _solution(W, u_t, g_dyn, diag, method: str) -> CemSolution:
     )
 
 
-def _square(x: float, name: str, detail: str) -> float:
-    """x ** 2; InvalidParameter naming name (and what x is made of) where it is not finite,
-    as where it overflows the float range and Python's ** raises an untyped OverflowError."""
+def _square(x: float, name: str, detail: str, *values: float) -> float:
+    """x ** 2; InvalidParameter naming name (and what x is made of: detail formatted with
+    values, only then) where it is not finite, as where it overflows the float range and
+    Python's ** raises an untyped OverflowError."""
     try:
         square = x**2
     except OverflowError:
         square = math.inf
     if not math.isfinite(square):
-        raise InvalidParameter(f"{name} overflows: {detail}; rescale the model's parameters")
+        raise InvalidParameter(f"{name} overflows: {detail.format(*values)}; rescale the "
+                               "model's parameters")
     return square
-
-
-def _dyn_gap(g_dyn) -> float:
-    """sigma(g_dyn); InvalidParameter where sigma(g_dyn)^2, the best preparation's QFI,
-    overflows."""
-    sigma = spectral_gap(g_dyn)
-    _square(sigma, "sigma(g_dyn)^2", f"sigma(g_dyn) = {sigma:.6g}")
-    return sigma
 
 
 def cem_outcome_model(
@@ -452,7 +444,7 @@ def _phase_bound(jet: _Jet) -> float:
 
 
 def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
-    """(E, dE, dE_err, p, dp, dp_err, p_err) at the point of a _jet of H.
+    """(E, dE, dE_err, p, dp, dp_err, p_err) at the point of a _Jet of H.
 
     E, dE = D_jj: the ascending energies and their derivatives; p, dp: the
     _level_weights and theirs; *_err: first-order rounding bounds on each entry.
@@ -503,15 +495,16 @@ def encoded_qfi(
 ) -> tuple[FisherReport, float]:
     """(SLD quantum Fisher information of rho_theta = U_t rho0 U_t^dag, sigma(g_dyn)).
 
-    sigma(g_dyn)^2 is the quantum Fisher information of the best preparation.
-    By default one decomposition of H(theta) gives U_t and g_dyn, and the
-    state moves as drho = -i [g_dyn, rho] (method "analytic", step 0; theta
-    only has to lie inside the open domain).  An explicit DiffSpec runs
-    fisher.qfi's stencil over model.u_of instead; that path is the oracle and
-    also checks the rank of rho across the stencil.  g_dyn is analytic on
-    both paths, so both need the model's dh_of.  rho0 must be a density matrix
-    of the model's dimension (DimensionMismatch otherwise, with require_density's
-    messages); rho has rho0's spectrum, so the SLD's decomposition of rho checks it.
+    sigma(g_dyn)^2 is the quantum Fisher information of the best preparation (InvalidParameter
+    where it overflows); both paths read sigma(g_dyn) from the kept jet's decomposition of
+    g_dyn.  By default one decomposition of H(theta) gives U_t and g_dyn, and the state
+    moves as drho = -i [g_dyn, rho] (method "analytic", step 0; theta only has to lie
+    inside the open domain).  An explicit DiffSpec runs fisher.qfi's stencil over
+    model.u_of instead; that path is the oracle and also checks the rank of rho across the
+    stencil.  g_dyn is analytic on both paths, so both need the model's dh_of.  rho0 must
+    be a density matrix of the model's dimension (DimensionMismatch otherwise, with
+    require_density's messages); rho has rho0's spectrum, so the SLD's decomposition of
+    rho checks it.
     The analytic estimate: rho rounds by 2 e (e as in _level_jet), moving
     drho = -i [g_dyn, rho] by 4 e |g_dyn|; g_dyn itself rounds by _rounding_bound(4 |t| |dH|)
     however small it is (D's eigenvectors and the sinc and phase factors of its entries,
@@ -524,16 +517,18 @@ def encoded_qfi(
             return u @ rho0 @ u.conj().T
 
         report = qfi(rho_of, theta, diff, model.theta_domain)
-        return report, _dyn_gap(_jet(model, theta, t).g_dyn)
-    jet = _jet(model, theta, t)
-    sigma = _dyn_gap(jet.g_dyn)  # before _sld_parts' trace check, which overflow would fail
-    rho = jet.U @ rho0 @ jet.U.conj().T
-    drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
-    scale = 4.0 * np.linalg.norm(jet.g_dyn)
-    drho_err = (_rounding_bound(jet.E, scale + 8.0 * abs(jet.t) * np.linalg.norm(jet.dH))
-                + _phase_bound(jet) * scale)
-    p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
-    return _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0), sigma
+    jet = _point(model, theta).jet(t)
+    sigma = _gap(jet.dyn[0])  # checked before _sld_parts' trace check, which overflow fails
+    _square(sigma, "sigma(g_dyn)^2", "sigma(g_dyn) = {:.6g}", sigma)
+    if diff is None:
+        rho = jet.U @ rho0 @ jet.U.conj().T
+        drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
+        scale = 4.0 * np.linalg.norm(jet.g_dyn)
+        drho_err = (_rounding_bound(jet.E, scale + 8.0 * abs(jet.t) * np.linalg.norm(jet.dH))
+                    + _phase_bound(jet) * scale)
+        p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
+        report = _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0)
+    return report, sigma
 
 
 # --- independent derivative-free maximization ---------------------------------------
@@ -637,9 +632,9 @@ def optimize_cem(
     rotation between components 0 and j, or a phase on component j >= 1), with
     delta in [-radius, radius], radius 0.6 shrinking by 0.8 per pass down to
     1e-3.  A restart takes its best probe only if that improves on its value.
-    One _optimum feeds the objective and the seed's _solution: three
-    eigendecompositions (the jet, g_diag, g_dyn) whatever the budget, and theta
-    only has to lie inside the open domain.
+    One analytic _generators feeds the objective and the seed's _solution: three
+    eigendecompositions (H(theta), g_diag, g_dyn) whatever the budget, none after g_bound
+    at the same (model, theta, t), and theta only has to lie inside the open domain.
 
     Each restart carries K = [W^dag V; -2i g_diag W^dag V] and y = [U_t psi;
     -2i g_dyn U_t psi], so a = W^dag V U_t psi = K0 y0 and 2 da = K1 y0 + K0 y1;
@@ -655,23 +650,16 @@ def optimize_cem(
     return _optimize(model, theta, t, budget, seed)[1]
 
 
-def _optimum(model: HamiltonianModel, theta: float, t: float):
-    """(_jet, g_bound's analytic CemSolution built from it) at (theta, t); calls at one
-    (model, theta) share the kept _point's decompositions of H(theta) and g_diag."""
-    point = _point(model, theta)
-    jet = point.jet(t)
-    return jet, _solution(jet.W, jet.U, jet.g_dyn, point.diag, numdiff.ANALYTIC)
-
-
 def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
-    """(g_bound's CemSolution, optimize_cem's result) from one _optimum."""
+    """(g_bound's CemSolution, optimize_cem's result) from one analytic _generators."""
     restarts, iterations = budget
     if restarts < 1 or iterations < 1:
         raise ValueError("budget entries must be positive")
     d, rng = model.dim, np.random.default_rng(seed)
-    jet, sol = _optimum(model, theta, t)
-    terms, Wh = _move_terms(d), jet.W.conj().T
-    Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T  # y = (psi @ Yt) as (2, d)
+    W, u_t, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, None)
+    sol = _solution(W, u_t, dyn, diag, method)
+    terms, Wh = _move_terms(d), W.conj().T
+    Yt = np.concatenate((u_t, -2j * g_dyn @ u_t)).T  # y = (psi @ Yt) as (2, d)
 
     V, psi = [sol.V_opt], [sol.psi_opt]
     for _ in range(restarts - 1):
@@ -679,7 +667,7 @@ def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int
         V.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
         z = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi.append(z / np.linalg.norm(z))
-    K, psi = np.concatenate((Wh, -2j * jet.g_diag @ Wh)) @ np.stack(V), np.stack(psi)
+    K, psi = np.concatenate((Wh, -2j * g_diag @ Wh)) @ np.stack(V), np.stack(psi)
     y = (psi @ Yt).reshape(restarts, 2, d)
 
     current = _fisher(_line(K, y, psi, Yt), np.ones((1, 1)))[:, 0]
@@ -713,7 +701,7 @@ def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int
         current = np.where(better, fc, current)
 
     r = int(np.argmax(current))  # first maximum: ties go to the earliest restart
-    return sol, (float(current[r]), require_unitary(jet.W @ K[r, :d]), require_state(psi[r]))
+    return sol, (float(current[r]), require_unitary(W @ K[r, :d]), require_state(psi[r]))
 
 
 def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):
@@ -730,14 +718,12 @@ def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):
         raise ValueError("matrices must have equal dimension")
     if trials < 1:
         raise ValueError("trials must be positive")
-    analytic = spectral_gap(A) + spectral_gap(B)
+    # Aligning pair: conjugate both matrices to descending diagonal form.
+    e1, e2 = eig_hermitian(A).eigenvalues, eig_hermitian(B).eigenvalues
+    analytic = _gap(e1) + _gap(e2)  # one decomposition of each matrix
+    numeric = spectral_gap(np.diag(e1 + e2))
     rng = np.random.default_rng(seed)
     d = A.shape[0]
-
-    # Aligning pair: conjugate both matrices to descending diagonal form.
-    e1 = eig_hermitian(A)
-    e2 = eig_hermitian(B)
-    numeric = spectral_gap(np.diag(e1.eigenvalues + e2.eigenvalues))
 
     for _ in range(trials):
         z1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

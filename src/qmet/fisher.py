@@ -232,7 +232,8 @@ def _sld_parts(rho, drho):
     D = require_hermitian(drho)
     if V.shape != D.shape:
         raise DimensionMismatch(f"rho {V.shape} vs drho {D.shape}")
-    tr = np.trace(D)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries may sum to inf - inf
+        tr = D.trace()
     if not (abs(tr) <= 1e-9):
         raise NotTraceless(f"tr(drho) = {tr}")
     return p, V, V.conj().T @ D @ V

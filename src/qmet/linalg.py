@@ -223,7 +223,7 @@ def operator_variance(psi, O) -> float:
     """Variance <psi|O^2|psi> - <psi|O|psi>^2, clamped to be nonnegative.
 
     Rounding can take the difference below 0 by about eps <psi|O^2|psi>, so it raises
-    ArithmeticError only below -1e-12 (1 + <psi|O^2|psi>), or where it is NaN.
+    ArithmeticError only below -1e-12 (1 + <psi|O^2|psi>), or where it is NaN or infinite.
     """
     v = require_state(psi)
     A = require_hermitian(O)
@@ -237,4 +237,6 @@ def operator_variance(psi, O) -> float:
     if not (var >= floor):
         raise ArithmeticError("variance is NaN" if math.isnan(var) else
                               f"variance {var:.3e} below {floor:.3e}")
+    if var == math.inf:
+        raise ArithmeticError(f"<psi|O^2|psi> = {second} overflows the float range")
     return max(var, 0.0)

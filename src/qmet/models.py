@@ -167,7 +167,12 @@ def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
 
 def jc_field_state(omega: float, t: float, alpha0: complex, alpha1: complex,
                    n_max: int) -> np.ndarray:
-    """Field state alpha0 e^{-i w t/2}|0> + alpha1 e^{-3i w t/2}|1>, zero-padded to n_max."""
+    """Field state alpha0 e^{-i w t/2}|0> + alpha1 e^{-3i w t/2}|1>, zero-padded to n_max;
+    InvalidParameter unless omega, t and the phase 1.5 omega t are finite."""
+    phase = 1.5 * float(omega) * float(t)  # Python floats overflow to inf silently
+    for name, x in ("omega", omega), ("t", t), ("phase 1.5 omega t", phase):
+        if not math.isfinite(x):
+            raise InvalidParameter(f"{name} must be finite, got {x}")
     v = np.zeros(n_max + 1, dtype=complex)
     v[0] = alpha0 * np.exp(-0.5j * omega * t)
     v[1] = alpha1 * np.exp(-1.5j * omega * t)

@@ -133,9 +133,15 @@ class ControllizationFactors:
     eps_m: complex
 
     def __post_init__(self):
-        if not (self.a <= 1.0 + 1e-12):  # a NaN fails
-            raise ValueError("damping factor a is NaN" if math.isnan(self.a) else
-                             f"damping factor a = {self.a} exceeds 1")
+        _require_damping(self.a)
+
+
+def _require_damping(a) -> None:
+    """ValueError unless every damping factor in a is at most 1 + 1e-12 (a NaN fails)."""
+    top = np.max(a)  # NaN if any is
+    if not (top <= 1.0 + 1e-12):
+        raise ValueError("damping factor a is NaN" if math.isnan(top) else
+                         f"damping factor a = {top} exceeds 1")
 
 
 def controllization_factors(U, m: int) -> ControllizationFactors:
@@ -276,8 +282,7 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
         spins = np.exp(-1j * phase / cfg.m)
         z = spins.mean(axis=1)
         a = np.abs(z)
-        if np.any(a > 1.0 + 1e-12):
-            raise ValueError(f"damping factor a = {a.max()} exceeds 1")
+        _require_damping(a)
         live = a >= 1e-14
         phi = np.where(live, np.angle(z), 0.0)
         beta0 = phase + cfg.m * phi[:, None]
@@ -382,7 +387,7 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     """(energies at theta, (taus, mode, errors=True) -> (values, errors), method, step).
 
     diff=None selects the analytic path, which needs dh_of: _level_jet gives the
-    energies, the level weights and their exact derivatives from the _jet at
+    energies, the level weights and their exact derivatives from the _Jet at
     (theta, cfg.t), read from cem's kept _point: its decomposition of H(theta) is
     shared with every analytic call at (model, theta), its U_t and g_dyn with
     g_bound's and every other call at cfg.t there, and its level jet (levels) with

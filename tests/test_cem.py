@@ -393,12 +393,12 @@ class TestAnalyticGenerators:
             return out, [fisher_phase_readout(cfg, model, theta, mode=mode)
                          for mode in ("ideal", "realistic")]
 
-        (base, base_default), W = results(), cem._jet(model, theta, t).W
+        (base, base_default), W = results(), cem._point(model, theta).jet(t).W
         for _ in range(3):
             phases = rng.uniform(0, 2 * math.pi, size=model.dim)
             with monkeypatch.context() as patch:
                 twist_gauge(patch, phases)
-                assert np.array_equal(cem._jet(model, theta, t).W, W * np.exp(1j * phases))
+                assert np.array_equal(cem._point(model, theta).jet(t).W, W * np.exp(1j * phases))
                 values, default = results()
             assert values == pytest.approx(base, rel=1e-12, abs=0.0)
             for report, ref in zip(default, base_default):
@@ -472,7 +472,8 @@ class TestAnalyticGenerators:
 
 
 class TestGeneratorDecompositionCounts:
-    """The analytic generators cost one decomposition of H(theta) plus one per generator."""
+    """The analytic generators cost one decomposition of H(theta) plus one per generator,
+    kept for the next call at the same (model, theta, t)."""
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_g_bound_and_generator_pair(self, decompositions, name):
@@ -481,8 +482,8 @@ class TestGeneratorDecompositionCounts:
         g_bound(model, 0.7, 1.3)
         assert 1 <= decompositions[0] <= 3
         decompositions[0] = 0
-        generator_pair(model, 0.7, 1.3)
-        assert 1 <= decompositions[0] <= 3
+        generator_pair(model, 0.7, 1.3)  # reads g_bound's decompositions
+        assert decompositions[0] == 0
 
     def test_cli_gbound_point(self, decompositions, tmp_path):
         decompositions[0] = 0
@@ -672,7 +673,7 @@ class TestLevelWeights:
         assert factor.shape == (model.dim, 1)  # a pure state keeps one column
         for x, t in [(0.8, 1.1), (1.3, 2.2)]:
             ev, p = cem._node(model, x, t, V, factor)
-            E, _, _, p_jet, _, _, _ = cem._level_jet(cem._jet(model, x, t), V, factor)
+            E, _, _, p_jet, _, _, _ = cem._level_jet(cem._point(model, x).jet(t), V, factor)
             assert np.array_equal(ev, E) and np.array_equal(p, p_jet)
 
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
@@ -815,7 +816,7 @@ class TestOptimizeCem:
         eye = np.eye(d, dtype=complex)
         V, psi = np.stack([eye] * d), eye.copy()
         starts = kernel_values(model, theta, t, V, psi)
-        weights = np.abs(cem._jet(model, theta, t).W.conj().T @ model.u_of(theta, t)) ** 2
+        weights = np.abs(cem._point(model, theta).jet(t).W.conj().T @ model.u_of(theta, t)) ** 2
         assert np.sum(weights <= SUPPORT_THRESHOLD) >= d  # each basis state misses a level
         for j in range(d):
             rho = np.outer(psi[j], psi[j].conj())
@@ -891,7 +892,7 @@ class TestOptimizeCem:
 def carried_rows(model, theta, t, V, psi):
     """(K, y, Yt) of the pairs (V[r], psi[r]): K = [W^dag V; -2i g_diag W^dag V] and
     y = [U_t psi; -2i g_dyn U_t psi] as rows, y = (psi @ Yt) reshaped to (R, 2, d)."""
-    jet = cem._jet(model, theta, t)
+    jet = cem._point(model, theta).jet(t)
     Wh = jet.W.conj().T
     Yt = np.concatenate((jet.U, -2j * jet.g_dyn @ jet.U)).T
     K = np.concatenate((Wh, -2j * jet.g_diag @ Wh)) @ V

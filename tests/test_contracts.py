@@ -104,6 +104,36 @@ def test_each_generator_has_one_gap(factory):
             assert encoded_qfi(model, theta, t, rho0)[1] == gaps[0]
 
 
+def test_cem_decomposes_each_generator_at_one_site():
+    """In cem, spectral_gap and eig_hermitian serve only max_gap_lemma_check and g_diag's
+    _diag_system: g_dyn's gap and g_bound's R2 read the jet's one decomposition of g_dyn."""
+    def in_cem(name):
+        return {scope for module, scope in callers(name) if module == "cem.py"}
+
+    assert in_cem("spectral_gap") == {"max_gap_lemma_check"}
+    assert in_cem("eig_hermitian") == {"_diag_system", "max_gap_lemma_check"}
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_qubit_direction(1.0),
+    lambda: make_nv_spin1(*NV_PARAMS),
+], ids=["qubit-direction", "nv-spin1"])
+@pytest.mark.parametrize("call, count", [
+    (lambda model: generator_pair(model, 0.8, 1.7), 0),
+    (lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(model.dim)), 1),  # rho
+], ids=["generator_pair", "encoded_qfi"])
+def test_calls_after_g_bound_reuse_its_generator_decompositions(factory, call, count,
+                                                                decompositions):
+    """At one (model, theta, t) after g_bound, generator_pair's gaps and encoded_qfi's
+    sigma(g_dyn) read the kept decompositions of g_dyn and g_diag: generator_pair makes
+    none, and encoded_qfi makes only rho's."""
+    model = factory()
+    g_bound(model, 0.8, 1.7)
+    decompositions[0] = 0
+    call(model)
+    assert decompositions[0] == count
+
+
 def cli_handlers_naming(error):
     """{top-level function of cli.py} with an `except` clause that names error."""
     found = set()
@@ -336,14 +366,15 @@ def test_a_new_setting_is_one_row(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("call, warm", [
-    (lambda model: g_bound(model, 0.8, 1.7), 1),
-    (lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(3)), 2),  # H, rho, g_dyn's gap
-    (lambda model: optimize_cem(model, 0.8, 1.7, (2, 20)), 1),
+    (lambda model: g_bound(model, 0.8, 1.7), 0),
+    (lambda model: encoded_qfi(model, 0.8, 1.7, ground_projector(3)), 1),  # rho
+    (lambda model: optimize_cem(model, 0.8, 1.7, (2, 20)), 0),
 ], ids=["g_bound", "encoded_qfi", "optimize_cem"])
 def test_one_point_library_calls_take_three_decompositions(call, warm, decompositions):
     """A one-point call builds its theta half and its t half once each: H(theta), then
     g_diag and g_dyn (or rho and g_dyn for encoded_qfi).  Called again at the same
-    (model, theta), it finds its theta half in cem's kept point and makes only the rest."""
+    (model, theta, t), it finds H(theta), g_diag and g_dyn in cem's kept point and jet and
+    decomposes only what no point keeps: encoded_qfi's rho."""
     model = make_nv_spin1(*NV_PARAMS)
     call(model)
     assert decompositions[0] == 3

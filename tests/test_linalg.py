@@ -292,6 +292,11 @@ class TestOperatorVariance:
         with pytest.raises(ArithmeticError, match="variance is NaN"):
             operator_variance([1.0, 0.0], 1e200 * SZ)
 
+    def test_an_overflowing_second_moment_raises(self):
+        """<psi|O^2|psi> overflows to inf while the mean stays 0: an error, not inf."""
+        with pytest.raises(ArithmeticError, match="overflows the float range"):
+            operator_variance([1.0, 0.0], 1e200 * SX)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             operator_variance([1.0, 0.0, 0.0], SZ)

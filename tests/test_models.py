@@ -278,6 +278,21 @@ class TestJaynesCummingsJet:
         with pytest.raises(QmetError):
             classical_fisher(jc_readout_model(0.5, 1.0, math.nan, 0.8), 1.0)
 
+    @pytest.mark.parametrize("omega, t, words", [
+        (1.0, -math.inf, "t must be finite, got -inf"),
+        (1.0, math.nan, "t must be finite, got nan"),
+        (math.inf, 0.0, "omega must be finite, got inf"),
+        (math.nan, 1.0, "omega must be finite, got nan"),
+        (1e308, 10.0, "phase 1.5 omega t must be finite, got inf"),
+    ], ids=["t-inf", "t-nan", "omega-inf", "omega-nan", "phase-overflow"])
+    def test_field_state_rejects_a_non_finite_phase(self, omega, t, words):
+        """omega, t and the phase 1.5 omega t are checked before any arithmetic on them,
+        so the error names its cause and no NumPy warning comes first."""
+        with pytest.raises(InvalidParameter, match=words):
+            jc_field_state(omega, t, 0.6, 0.8, 4)
+        with pytest.raises(InvalidParameter, match=words):  # NumPy scalars warn on overflow
+            jc_field_state(np.float64(omega), np.float64(t), 0.6, 0.8, 4)
+
     def test_one_decomposition_per_truncation(self, decompositions):
         models._hopping_eigensystem.cache_clear()
         decompositions[0] = 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qmet import phasesim
-from qmet.cem import _jet, _level_jet, _node, cem_outcome_model, fisher_cem, g_bound
+from qmet.cem import _level_jet, _node, _point, cem_outcome_model, fisher_cem, g_bound
 from qmet.errors import AliasingRisk, DegenerateSpectrum, DomainBoundary, OracleTooLarge
 from qmet.fisher import OutcomeDistribution, ProbabilityModel, classical_fisher
 from qmet.linalg import expm_unitary, require_hermitian, require_nondegenerate
@@ -207,6 +207,16 @@ class TestControllizationFactors:
         for a, words in ((1.1, "a = 1.1 exceeds 1"), (math.nan, "a is NaN")):
             with pytest.raises(ValueError, match=words):
                 phasesim.ControllizationFactors(a=a, phi=0.0, eps_m=0.0)
+
+    def test_the_readout_names_a_nan_damping_factor(self):
+        """The realistic read-out checks its damping factors by ControllizationFactors'
+        rule: tau (E + shift) beyond the float range makes the spins, and so a, NaN, and
+        that is the error named, not a NaN distribution."""
+        cfg = PhaseSimConfig(n=4, m=2, t=1.0, tau=2.0, energy_shift=1e308,
+                             rho0=np.diag([1.0, 0.0]).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="damping factor a is NaN"):
+            realistic_distribution(cfg, make_qubit_direction(1.0), 0.8)
 
     def test_identity(self):
         f = controllization_factors(np.eye(3), 5)
@@ -648,8 +658,8 @@ class TestBatchedReadoutMatchesSerial:
 
 def jet_inputs(cfg, model, theta):
     """(energies, level weights, (dxi, dp)) at theta, the shift as the read-out applies it."""
-    E, dE, _, p, dp, _, _ = _level_jet(_jet(model, theta, cfg.t), cfg.control(model.dim),
-                                       cfg.factor)
+    E, dE, _, p, dp, _, _ = _level_jet(_point(model, theta).jet(cfg.t),
+                                       cfg.control(model.dim), cfg.factor)
     return E, p, (dE - dE[0] if cfg.energy_shift is None else dE, dp)
 
 

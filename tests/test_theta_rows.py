@@ -3,10 +3,10 @@
 Every analytic call at one (model, theta) shares one decomposition of H(theta)
 and, where G is needed, one of g_diag (cem._point and its diag); the read-out calls
 at one (t, V, rho0) there share one level jet (its levels).  A warm call must equal
-the cold one bit for bit: g_bound, generator_pair, the analytic encoded_qfi,
-cem._optimum, tune_tau and fisher_phase_readout.  The kept point holds read-only
-arrays, no returned array aliases it, a call that raises keeps nothing new, and
-another model object misses it.  At CLI level, each row of a 3 x 3 run must equal
+the cold one bit for bit: the jet and its decomposition of g_dyn, g_bound,
+generator_pair, the analytic encoded_qfi, tune_tau and fisher_phase_readout.  The kept
+point holds read-only arrays, no returned array aliases it, a call that raises keeps
+nothing new, and another model object misses it.  At CLI level, each row of a 3 x 3 run must equal
 the 1 x 1 run at its point, byte for byte.
 """
 
@@ -71,9 +71,9 @@ def test_a_kept_theta_half_gives_the_one_point_values(row):
     rho0 = ground_projector(model.dim)
 
     def values(t):
-        jet, sol = cem._optimum(model, theta, t)
-        return jet, sol, g_bound(model, theta, t), generator_pair(model, theta, t), \
-            encoded_qfi(model, theta, t, rho0)
+        jet = cem._point(model, theta).jet(t)
+        return jet, g_bound(model, theta, t), g_bound(model, theta, t), \
+            generator_pair(model, theta, t), encoded_qfi(model, theta, t, rho0)
 
     cem._point(model, theta).diag  # warm: H(theta) and g_diag decomposed before the row
     for t in ts:
@@ -81,6 +81,7 @@ def test_a_kept_theta_half_gives_the_one_point_values(row):
         drop_memos()
         cold = values(t)
         assert all(np.array_equal(a, b) for a, b in zip(warm[0], cold[0]))
+        assert all(np.array_equal(a, b) for a, b in zip(warm[0].dyn, cold[0].dyn))
         for sol in (warm[1], warm[2], cold[2]):
             assert_same_solution(sol, cold[1])
         assert warm[3].gaps == cold[3].gaps
@@ -113,7 +114,8 @@ def test_returned_arrays_do_not_alias_the_memo():
     kept = [a.copy() for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag)]
     point = cem._point(model, 0.8)
     (es, _), jet = point.diag, point.jet(1.7)
-    arrays = (point.E, point.W, point.dH, point.D, point.w, point.g_diag, jet.U, jet.g_dyn)
+    arrays = (point.E, point.W, point.dH, point.D, point.w, point.g_diag, jet.U, jet.g_dyn,
+              *jet.dyn)
     assert not any(a.flags.writeable for a in (*arrays, es.eigenvalues, es.eigenvectors))
     for a in (sol.V_opt, sol.psi_opt, pair.g_dyn, pair.g_diag):
         a[...] = 7.0
