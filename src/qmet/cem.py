@@ -140,39 +140,32 @@ def diagonalizer(model: HamiltonianModel, theta: float) -> np.ndarray:
     return _spectrum(model, theta)[1].conj().T
 
 
-def _transported_family(model: HamiltonianModel, anchor: np.ndarray):
-    """theta' -> S(theta') with eigenvectors matched and rephased against the anchor columns."""
-    d = anchor.shape[0]
-
-    def s_of(x: float) -> np.ndarray:
-        _, V = _spectrum(model, x)
-        cols = np.empty_like(anchor)
-        used = np.zeros(d, dtype=bool)
-        for k in range(d):
-            overlaps = np.abs(anchor[:, k].conj() @ V)
-            overlaps[used] = -1.0
-            j = int(np.argmax(overlaps))
-            used[j] = True
-            s = np.vdot(anchor[:, k], V[:, j])
-            cols[:, k] = V[:, j] * (s.conjugate() / abs(s)) if abs(s) > 0 else V[:, j]
-        return cols.conj().T
-
-    return s_of
+def _transported(anchor: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """S whose rows are V's eigenvector columns, matched and rephased against the anchor's."""
+    cols, used = np.empty_like(anchor), np.zeros(anchor.shape[0], dtype=bool)
+    for k in range(len(used)):
+        overlaps = np.abs(anchor[:, k].conj() @ V)
+        overlaps[used] = -1.0
+        j = int(np.argmax(overlaps))
+        used[j] = True
+        s = np.vdot(anchor[:, k], V[:, j])
+        cols[:, k] = V[:, j] * (s.conjugate() / abs(s)) if abs(s) > 0 else V[:, j]
+    return cols.conj().T
 
 
-def local_generator(u_of, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.ndarray:
-    """Local generator i (dU/dtheta) U^dag of a smooth unitary family.
-
-    Raises NonSmoothFamily when the numerical generator fails Hermiticity,
-    which signals a gauge discontinuity or a kink in the family, or holds a NaN.
-    """
-    u0 = np.asarray(u_of(theta), dtype=complex)
-    du, _ = numdiff.derivative(lambda x: np.asarray(u_of(x), dtype=complex), theta, diff)
-    g = 1j * du @ u0.conj().T
-    defect = np.max(np.abs(g - g.conj().T))
-    if not (defect <= GENERATOR_HERMITICITY_TOL * (1.0 + np.max(np.abs(g)))):
-        raise NonSmoothFamily(f"generator Hermiticity defect {defect:.3e}")
-    return (g + g.conj().T) / 2.0
+def local_generator(family, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.ndarray:
+    """Local generator i (dU/dtheta) U^dag of a smooth unitary family theta -> U, or of each
+    family of a (..., d, d) stack, differentiated as one array.  Raises NonSmoothFamily
+    where a numerical generator fails Hermiticity, which signals a gauge discontinuity or a
+    kink in its family, or holds a NaN."""
+    u0 = np.asarray(family(theta), dtype=complex)
+    du, _ = numdiff.derivative(lambda x: np.asarray(family(x), dtype=complex), theta, diff)
+    g = 1j * du @ u0.conj().swapaxes(-2, -1)
+    gh = g.conj().swapaxes(-2, -1)
+    defect = np.max(np.abs(g - gh), axis=(-2, -1))
+    if not np.all(defect <= GENERATOR_HERMITICITY_TOL * (1.0 + np.max(np.abs(g), axis=(-2, -1)))):
+        raise NonSmoothFamily(f"generator Hermiticity defect {np.max(defect):.3e}")
+    return (g + gh) / 2.0
 
 
 class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t")):
@@ -223,7 +216,7 @@ class _Point:
     def jet(self, t: float) -> _Jet:
         if self._jet is None or self._jet.t != t:
             E, W, D, w = self.E, self.W, self.D, self.w
-            U = spectral_unitary(E, W, t)  # first: it rejects a non-finite t
+            U = spectral_unitary(E, W, t)  # first: it rejects a non-finite t or phase t w
             # W^dag g_dyn W = D * i (exp(-i t w) - 1) / w (Wilcox 1967; Daleckii-Krein).
             g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) \
                 @ W.conj().T
@@ -259,15 +252,20 @@ def _point(model: HamiltonianModel, theta: float) -> _Point:
 def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec | None):
     """(W, U_t, g_dyn, g_diag, dyn, diag, method): W phase-fixed eigenvectors of H, U_t =
     exp(-i t H), the local generators, g_dyn's _eigh and g_diag's _diag_system; analytic
-    from the kept _point and its jet(t), or from diff's finite differences (the oracle)."""
+    from the kept _point and its jet(t), or from diff's finite differences (the oracle) of
+    one stack of both families, U_t(x) and S(x) transported against W, per _spectrum."""
     if diff is None:
         point = _point(model, theta)
         jet = point.jet(t)
         return jet.W, jet.U, jet.g_dyn, jet.g_diag, jet.dyn, point.diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     E, W = _spectrum(model, theta)
-    g_dyn = local_generator(lambda x: model.u_of(x, t), theta, diff)
-    g_diag = local_generator(_transported_family(model, W), theta, diff)
+
+    def families(x: float) -> np.ndarray:  # U_t(x) and S(x) from one decomposition of H(x)
+        Ex, Wx = (E, W) if x == theta else _spectrum(model, x)
+        return np.stack((spectral_unitary(Ex, Wx, t), _transported(W, Wx)))
+
+    g_dyn, g_diag = local_generator(families, theta, diff)
     return (W, spectral_unitary(E, W, t), g_dyn, g_diag, _eigh(g_dyn), _diag_system(g_diag),
             diff.method)
 
@@ -286,17 +284,13 @@ def generator_pair(
     (InvalidParameter without it), and theta only has to lie inside the open domain; the
     gaps read the kept point's decompositions of g_dyn and g_diag, so a call after g_bound
     at the same (model, theta, t) decomposes nothing.  An explicit DiffSpec differentiates
-    both unitary families numerically instead and never reads dh_of; that path is the
-    cross-check oracle, needs its whole stencil inside the domain, and is the only one
-    that can raise NonSmoothFamily.
+    both unitary families numerically instead, from one H per node, and never reads dh_of;
+    that path is the cross-check oracle, needs its whole stencil inside the domain, and is
+    the only one that can raise NonSmoothFamily.
     """
     _, _, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, diff)
-    return GeneratorPair(
-        g_dyn=g_dyn.copy(),  # the analytic pair is the kept point's
-        g_diag=g_diag.copy(),
-        gaps=(_gap(dyn[0]), _gap(diag[0].eigenvalues)),
-        method=method,
-    )
+    return GeneratorPair(g_dyn=g_dyn.copy(), g_diag=g_diag.copy(),  # not the kept point's
+                         gaps=(_gap(dyn[0]), _gap(diag[0].eigenvalues)), method=method)
 
 
 def _diag_system(g_diag):
@@ -307,12 +301,9 @@ def _diag_system(g_diag):
 
 
 def check_condition(g_diag) -> bool:
-    """Moduli-matching condition on the extremal eigenvectors of g_diag.
-
-    True iff |<j|v_max>| = |<j|v_min>| within CONDITION_TOL for every
-    component j.  Components where both moduli vanish satisfy the condition
-    trivially.
-    """
+    """Moduli-matching condition on the extremal eigenvectors of g_diag: True iff
+    |<j|v_max>| = |<j|v_min>| within CONDITION_TOL for every component j (two vanishing
+    moduli satisfy it trivially)."""
     return _diag_system(g_diag)[1]
 
 
@@ -450,18 +441,20 @@ def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
     _level_weights and theirs; *_err: first-order rounding bounds on each entry.
     Rounding moves A_jk by at most e |F_k| (column norms, sum_k |F_k|^2 = 1),
     e = 3 eps (d + max|E| / min spacing) + eps t max|E|, as W enters A three times
-    and each phase t E_j carries its eigenvalue's error.  So p_err_j = e (2 sqrt(p_j)
-    + e) by Cauchy-Schwarz, and dp_err = 6 e G, as dA moves by at most 2 e G |F_k|,
-    G = |g_diag| + |g_dyn|.  V and F must already be validated.  Its callers read it
-    through the kept _Point.levels, so the calls at one (model, theta, t, V, F), as
-    tune_tau's and both read-outs' at a working point, build it once.
+    and each phase t E_j carries its eigenvalue's error.  So p_err_j = e (2 sqrt(p_j) + e)
+    by Cauchy-Schwarz, at most 1, and dp_err = 6 e G (inf beyond the float range), as dA
+    moves by at most 2 e G |F_k|, G = |g_diag| + |g_dyn|.  V and F must be validated.  Its
+    callers read it through the kept _Point.levels, so the calls at one (model, theta, t,
+    V, F), as tune_tau's and both read-outs' at a working point, build it once.
     """
     E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
-    e = _rounding_bound(E, 3.0) + _phase_bound(jet)
-    # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error dxi_j.
-    dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(jet.dH))
-    dp_err = 6.0 * e * (np.linalg.norm(jet.g_diag) + np.linalg.norm(jet.g_dyn))
-    return E, jet.D.diagonal().real, dE_err, p, dp, dp_err, e * (2.0 * np.sqrt(p) + e)
+    with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+        e = _rounding_bound(E, 3.0) + _phase_bound(jet)
+        # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error.
+        dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(jet.dH))
+        dp_err = 6.0 * e * (np.linalg.norm(jet.g_diag) + np.linalg.norm(jet.g_dyn))
+        p_err = np.minimum(e * (2.0 * np.sqrt(p) + e), 1.0)  # p and its truth lie in [0, 1]
+    return E, jet.D.diagonal().real, dE_err, p, dp, dp_err, p_err
 
 
 def fisher_cem(
@@ -474,14 +467,13 @@ def fisher_cem(
 ) -> FisherReport:
     """Fisher information of a controlled energy measurement.
 
-    The parameter moves both the state rho_theta and the measured eigenbasis, so
-    this is a non-regular statistical model; the energy measurement V = I yields a
-    t-independent value.  diff is classical_fisher's: by default the model's dh_of
-    differentiates it analytically through the kept _point's level jet (two
-    decompositions: rho0's check, which also factors it, and H(theta), shared with
-    every analytic call at theta), with an error estimate covering
-    the rounding of the weights and of their derivatives; an explicit DiffSpec
-    runs the stencil over the distributions as the oracle.
+    The parameter moves both the state rho_theta and the measured eigenbasis, so this is a
+    non-regular statistical model; the energy measurement V = I yields a t-independent
+    value.  diff is classical_fisher's: by default the model's dh_of differentiates it
+    analytically through the kept _point's level jet (two decompositions: rho0's check,
+    which also factors it, and H(theta), shared with every analytic call at theta), with an
+    error estimate covering the rounding of the weights and of their derivatives; an
+    explicit DiffSpec runs the stencil over the distributions as the oracle.
     """
     return classical_fisher(cem_outcome_model(model, t, V, rho0), theta, diff)
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import numdiff
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     NonNormalized,
     NotTraceless,
     RankChange,
@@ -103,7 +104,8 @@ class POVM:
 
 @dataclass(frozen=True)
 class FisherReport:
-    """A Fisher-information value, how it was differentiated, and its error estimate."""
+    """A finite, nonnegative Fisher-information value (InvalidParameter where it overflowed
+    the float range), how it was differentiated, and its error estimate, which may be inf."""
 
     value: float
     method: str
@@ -114,6 +116,8 @@ class FisherReport:
         if not (self.value >= 0):
             raise ArithmeticError("Fisher information is NaN" if math.isnan(self.value) else
                                   f"negative Fisher information {self.value!r}")
+        if self.value == math.inf:
+            raise InvalidParameter("Fisher information overflows the float range")
 
 
 def _term_bound(p: np.ndarray, dp, dp_err, p_err):
@@ -131,15 +135,15 @@ def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.nd
     but its term can still be large and exact.
     """
     support = p > SUPPORT_THRESHOLD
-    if not support.all():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # A value or bound beyond the float range is inf; a bound is NaN only where dp^2 is inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not support.all():
             low = np.where(p > 0.0, p, np.nan)
             terms = dp**2 / low
             support |= np.isfinite(terms) & (
                 _term_bound(low, dp, dp_err, p_err) <= SUB_THRESHOLD_RATIO * terms)
-    safe = np.where(support, p, 1.0)
-    values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
-    with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+        safe = np.where(support, p, 1.0)
+        values = np.where(support, dp**2 / safe, 0.0).sum(axis=-1)
         errs = np.where(support, _term_bound(safe, dp, dp_err, p_err), 0.0).sum(axis=-1)
     return np.maximum(values, 0.0), errs
 
@@ -151,9 +155,8 @@ def _fisher_values(p: np.ndarray, dp: np.ndarray) -> Optional[np.ndarray]:
     is returned."""
     if not (p > SUPPORT_THRESHOLD).all():
         return None
-    np.square(dp, out=dp)
-    dp /= p
-    return dp.sum(axis=-1)
+    with np.errstate(over="ignore"):  # a value beyond the float range is inf
+        return np.divide(np.square(dp, out=dp), p, out=dp).sum(axis=-1)
 
 
 def fisher_rows(p_of, theta: float,
@@ -250,9 +253,8 @@ def _weighted_sum(c: np.ndarray, Dv, drho_err: float) -> tuple[float, float]:
     and the first-order bound on how far a derivative error eps of each Dv entry moves it,
     inf where the bound leaves the float range."""
     a = np.abs(Dv)
-    value = float(np.sum(c * a * a))
     with np.errstate(over="ignore"):
-        return value, float(np.sum(c * (2.0 * a + drho_err) * drho_err))
+        return float(np.sum(c * a * a)), float(np.sum(c * (2.0 * a + drho_err) * drho_err))
 
 
 def _state_derivative(rho_of, theta: float, diff: DiffSpec,

@@ -177,11 +177,15 @@ def eigh_nondegenerate(H) -> tuple[np.ndarray, np.ndarray]:
 def spectral_unitary(ev: np.ndarray, W: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t H) from H = W diag(ev) W^dag, for one matrix or a (..., d, d) stack.
 
-    InvalidParameter unless t is finite: cem's entry points and model.u_of build every
-    exp(-i t H) here, so they reject a NaN or infinite t before any arithmetic on it.
+    InvalidParameter unless t and t (|E_min| + |E_max|), which bounds every phase t E_j and
+    t (E_j - E_k), are finite: cem's entry points and model.u_of build every exp(-i t H)
+    here, so they reject either before any arithmetic on t (in Python floats).
     """
-    if not math.isfinite(t):
-        raise InvalidParameter(f"t must be finite, got {t}")
+    lo, hi = map(float, (ev[0], ev[-1]) if ev.ndim == 1 else (ev.min(), ev.max()))
+    if not math.isfinite(abs(float(t)) * (abs(lo) + abs(hi))):  # also NaN or inf for such a t
+        raise InvalidParameter(f"t must be finite, got {t}" if not math.isfinite(t) else
+                               f"phase t (|E_min| + |E_max|) = {t} x {abs(lo) + abs(hi):.6g} "
+                               "overflows the float range")
     return (W * np.exp(-1j * t * ev)[..., None, :]) @ W.conj().swapaxes(-2, -1)
 
 

@@ -202,15 +202,22 @@ def _jc_output_jet(kappa: float, t: float, alpha0: complex, alpha1: complex, n_m
     The field amplitudes carry the free phases exp(-i w t (n + 1/2)), whose
     derivative is -i t (n + 1/2) times the amplitude.  The coupling
     exp(-i s K) with s = t kappa sqrt(w) is diagonal in the eigenbasis of K,
-    where d/dw multiplies each phase exp(-i s lambda) by -i (s / 2w) lambda.
+    where d/dw multiplies each phase exp(-i s lambda) by -i (s / 2w) lambda.  Each rate
+    and phase at the top level (lambda_max = max|lambda|: K's spectrum is symmetric) is
+    checked as jc_field_state checks its own.
     """
     numdiff.check_domain(w, 0.0, (0.0, math.inf))
     lam, V = _hopping_eigensystem(n_max)
     psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
+    s, top = float(t) * float(kappa) * math.sqrt(w), float(lam[-1])  # Python floats: no warning
+    for name, x in (("free phase rate t (n_max + 1/2)", float(t) * (n_max + 0.5)),
+                    ("coupling phase s lambda_max", s * top),
+                    ("coupling phase rate s lambda_max / 2 omega", s / (2 * float(w)) * top)):
+        if not math.isfinite(x):
+            raise InvalidParameter(f"{name} must be finite, got {x}")
     dpsi_f = -1j * t * (np.arange(n_max + 1) + 0.5) * psi_f
     to_eigen = V[: n_max + 1].conj().T  # the atom starts in |g>, the first block
     c, dc = to_eigen @ psi_f, to_eigen @ dpsi_f
-    s = t * kappa * math.sqrt(w)
     phase = np.exp(-1j * s * lam)
     return V @ (phase * c), V @ (phase * (dc - 1j * (s / (2.0 * w)) * lam * c))
 
@@ -225,24 +232,13 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
     free phases and the coupling carry the frequency dependence; the atomic
     outcome probabilities depend on it only through the coupling.  The jet
     differentiates the output state of _jc_output_jet exactly, with no
-    decomposition per point: dp = 2 Re <out|dout> on each atomic block.  InvalidParameter
-    unless t is finite.
+    decomposition per point: dp = 2 Re <out|dout> on each atomic block (its rounding bound
+    inf beyond the float range), and at(w) is its p, so the finite-difference oracle
+    decomposes nothing per node either.  InvalidParameter unless t is finite.
     """
     _check_jc(kappa, n_max)
     if not math.isfinite(t):
         raise InvalidParameter(f"t must be finite, got {t}")
-    hopping = _jc_hopping(n_max)  # frequency-independent; scaled per call
-
-    def at(w: float) -> OutcomeDistribution:
-        numdiff.check_domain(w, 0.0, (0.0, math.inf))
-        psi_f = jc_field_state(w, t, alpha0, alpha1, n_max)
-        joint = np.kron(np.array([1.0, 0.0], dtype=complex), psi_f)  # atom in |g>
-        u_int = expm_unitary(kappa * math.sqrt(w) * hopping, t)
-        out = u_int @ joint
-        p_ground = float(np.linalg.norm(out[: n_max + 1]) ** 2)
-        p_excited = float(np.linalg.norm(out[n_max + 1:]) ** 2)
-        return OutcomeDistribution(outcomes=("ground", "excited"),
-                                   probs=np.array([p_ground, p_excited]))
 
     def jet(w: float):
         out, dout = _jc_output_jet(kappa, t, alpha0, alpha1, n_max, w)
@@ -250,8 +246,12 @@ def jc_readout_model(kappa: float, t: float, alpha0: complex, alpha1: complex,
         p = np.einsum("ij,ij->i", atom.conj(), atom).real
         dp = 2.0 * np.einsum("ij,ij->i", atom.conj(), dout.reshape(2, -1)).real
         # Each product of the jet rounds at the relative level d eps.
-        dp_err = 4.0 * out.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(dout))
+        with np.errstate(over="ignore"):
+            dp_err = 4.0 * out.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(dout))
         return p, dp, dp_err
+
+    def at(w: float) -> OutcomeDistribution:
+        return OutcomeDistribution(outcomes=("ground", "excited"), probs=jet(w)[0])
 
     return ProbabilityModel(at=at, theta_domain=(0.0, np.inf), jet=jet)
 

@@ -244,9 +244,16 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
     dPr = 2^-n sum_j (dp_j P_j + p_j dP_j), with the product rule alongside the
     product (see _level_coefficients for dc); dprobs is None without it.  probs and
     dprobs are the chunk's own arrays, but kernels is a view of the thread's
-    _workspace: it is valid only until the generator advances.
+    _workspace: it is valid only until the generator advances.  ValueError where the top
+    level's phase 2^(n-1) tau (E + shift) at the largest tau leaves the float range.
     """
-    phase = taus[:, None] * (ev + _shift(cfg, ev))[None, :]  # tau xi_j, (T, d)
+    shift = _shift(cfg, ev)  # the top level's phase is checked in Python floats first
+    reach = float(taus.max()) * max(abs(float(ev[0]) + shift), abs(float(ev[-1]) + shift))
+    if not math.isfinite(2.0 ** (cfg.n - 1) * reach):
+        nan = ", and the damping factor a is NaN" if mode == REALISTIC and reach == math.inf else ""
+        raise ValueError(f"level phase 2^(n-1) tau (E + shift) = 2^{cfg.n - 1} x {reach:.6g} "
+                         f"overflows the float range{nan}")
+    phase = taus[:, None] * (ev + shift)[None, :]  # tau xi_j, (T, d)
     dphase = None if jet is None else taus[:, None] * jet[0][None, :]
     coef = _level_coefficients(cfg, phase, dphase, mode)
     n, kinds, T, d, _ = coef.shape
@@ -386,17 +393,13 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec]):
     """(energies at theta, (taus, mode, errors=True) -> (values, errors), method, step).
 
-    diff=None selects the analytic path, which needs dh_of: _level_jet gives the
-    energies, the level weights and their exact derivatives from the _Jet at
-    (theta, cfg.t), read from cem's kept _point: its decomposition of H(theta) is
-    shared with every analytic call at (model, theta), its U_t and g_dyn with
-    g_bound's and every other call at cfg.t there, and its level jet (levels) with
-    every analytic read-out at the same cfg.t, V and rho0; _readout_chunks
-    carries them through the kernel, so a scan of taus in either mode costs a few
-    kernel passes and no decomposition once the point has one.  The shifted energies
-    move as dxi_j = dE_j - dE_0 when the shift follows the ground energy, and as
-    dxi_j = dE_j under a fixed shift; dxi and its bound are kept beside the level jet,
-    one pair per shift rule.  The error estimate propagates the rounding
+    diff=None selects the analytic path, which needs dh_of: the level jet of cem's kept
+    _point at (cfg.t, V, rho0) gives the energies, the level weights and their exact
+    derivatives, and _readout_chunks carries them through the kernel, so a scan of taus
+    in either mode costs a few kernel passes and no decomposition once the point has one.
+    The shifted energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
+    energy, and as dxi_j = dE_j under a fixed shift; dxi and its bound are kept beside the
+    level jet, one pair per shift rule.  The error estimate propagates the rounding
     bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
     polynomial of degree 2^n - 1 in unit-disc phase variables its theta-derivative
     is at most (2^n - 1) tau |dxi_j| and its move under an energy error delta xi at
@@ -481,14 +484,13 @@ def fisher_phase_readout(
 
     tau is frozen at the working point (cfg.tau, or default_tau there), while
     the energy shift follows the spectrum (unless fixed), so its parameter
-    dependence is part of the statistical model.  By default the model's
-    dh_of differentiates it exactly at theta alone (method "analytic", step
-    0, from cem's kept point: one decomposition for every analytic call at one
-    (model, theta), one U_t for those at one t too, and one level jet for those at
-    one (t, V, rho0), as after tune_tau on cfg; AliasingRisk when tau aliases at
-    theta).  An
-    explicit DiffSpec runs the finite-difference stencil instead, the
-    oracle, which raises AliasingRisk when tau aliases at any stencil node.
+    dependence is part of the statistical model.  By default the model's dh_of
+    differentiates it exactly at theta alone (method "analytic", step 0, from cem's kept
+    point: one decomposition for every analytic call at one (model, theta), one U_t for
+    those at one t too, and one level jet for those at one (t, V, rho0), as after
+    tune_tau on cfg; AliasingRisk when tau aliases at theta).  An explicit DiffSpec runs
+    the finite-difference stencil instead, the oracle, which raises AliasingRisk when tau
+    aliases at any stencil node.
     """
     return _readouts(cfg, model, theta, diff, (mode,))[1][0]
 
@@ -506,16 +508,12 @@ def tune_tau(
     large tau, so the optimum is model-dependent; a coarse geometric scan of
     TAU_COARSE candidates is refined once, by TAU_REFINE linear ones, around
     the best candidate.  Each scan is scored as one batch over tau, on
-    fisher_phase_readout's path, and reads values only: the analytic one costs
-    one decomposition for the whole call, none after g_bound or another analytic
-    call at (model, theta), whose point cem keeps, and builds one level jet, which
-    the read-outs at its (t, V, rho0) then share; it never chooses a candidate that
-    aliases at theta; the finite-difference oracle costs one per stencil node
-    and never chooses one that aliases at any node.  The fine scan's two ends
-    are coarse candidates; an analytic value does not depend on its batch, so
-    that path scores only the TAU_REFINE - 2 interior taus, while the oracle,
-    whose batch shares one derivative error bound, scores all of them.  Ties go
-    to the earlier candidate.
+    fisher_phase_readout's path and with its decompositions and level jet, and reads
+    values only; it never chooses a candidate that aliases at theta, or for the oracle at
+    any stencil node.  The fine scan's two ends are coarse candidates; an analytic value
+    does not depend on its batch, so that path scores only the TAU_REFINE - 2 interior
+    taus, while the oracle, whose batch shares one derivative error bound, scores all of
+    them.  Ties go to the earlier candidate.
     """
     E, score, _, _ = _scorer(cfg, model, theta, diff)
     hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)

@@ -127,6 +127,25 @@ class TestLocalGenerator:
         with pytest.raises(NonSmoothFamily, match="Hermiticity defect nan"):
             local_generator(lambda q: np.full((2, 2), math.nan, dtype=complex), 0.3)
 
+    def test_a_stack_is_each_family_bit_for_bit(self):
+        """A (2, d, d) stack gives each family's generator bit for bit, and one non-smooth
+        family in the stack fails it."""
+        m, t = make_nv_spin1(1.0, 1.44 * math.pi, 5e-5 * math.pi), 1.7
+        S0 = diagonalizer(m, 0.8)
+
+        def families(q):
+            S = cem._transported(S0.conj().T, diagonalizer(m, q).conj().T)
+            return np.stack((m.u_of(q, t), S))
+
+        stacked = local_generator(families, 0.8)
+        for k in range(2):
+            assert np.array_equal(stacked[k], local_generator(lambda q: families(q)[k], 0.8))
+        qubit = make_qubit_direction(1.0)
+        local_generator(lambda q: qubit.u_of(q, t), 0.3)  # smooth on its own
+        with pytest.raises(NonSmoothFamily, match="Hermiticity defect"):
+            local_generator(lambda q: np.stack((qubit.u_of(q, t),
+                                                np.diag([1.0, 1.0 + q]).astype(complex))), 0.3)
+
     def test_shift_family_recovers_generator(self):
         rng = np.random.default_rng(10)
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

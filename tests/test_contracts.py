@@ -74,9 +74,11 @@ def callers(name):
 
 def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():
     """Every decomposition of a model Hamiltonian goes through cem._spectrum, which also
-    checks the domain; HamiltonianModel.u_of keeps its own expm route as the
-    finite-difference oracle's independent path."""
+    checks the domain, except HamiltonianModel.u_of's expm route, which only encoded_qfi's
+    finite-difference oracle takes: its state family stays smooth through a level crossing
+    inside the stencil, which _spectrum rejects.  The generator oracle reads _spectrum."""
     assert callers("h_of") == {("cem.py", "_spectrum"), ("models.py", "HamiltonianModel.u_of")}
+    assert callers("u_of") == {("cem.py", "encoded_qfi.rho_of")}
 
 
 def test_one_routine_decomposes_every_hermitian_matrix():
@@ -132,6 +134,22 @@ def test_calls_after_g_bound_reuse_its_generator_decompositions(factory, call, c
     decompositions[0] = 0
     call(model)
     assert decompositions[0] == count
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_qubit_direction(1.0),
+    lambda: make_nv_spin1(*NV_PARAMS),
+], ids=["qubit-direction", "nv-spin1"])
+@pytest.mark.parametrize("call", [g_bound, generator_pair])
+def test_the_generator_oracle_decomposes_each_node_once(factory, call, decompositions):
+    """Under DiffSpec() one _spectrum per node gives both U_t and the transported
+    diagonalizer: H at theta and at the 6 Richardson nodes, then g_dyn and g_diag, 9 where
+    an expm route beside the spectrum took 17.  Its U_t at theta is the analytic jet's."""
+    model = factory()
+    call(model, 0.8, 1.7, DiffSpec())
+    assert decompositions[0] == 9
+    _, u_t, *_ = cem._generators(model, 0.8, 1.7, DiffSpec())
+    assert np.array_equal(u_t, cem._point(model, 0.8).jet(1.7).U)
 
 
 def cli_handlers_naming(error):
@@ -486,9 +504,11 @@ def test_every_entry_point_rejects_the_domain_edge(factory, theta, entry):
     entry_points(model, 0.8)[entry]()  # the same call runs just inside the domain
 
 
-def time_entry_points(t, diff):
-    """{name: call} of every public entry point that takes the evolution time t."""
-    model, rho0, V = make_qubit_direction(1.0), ground_projector(2), np.eye(2)
+def time_entry_points(t, diff, model=None):
+    """{name: call} of every public entry point that takes the evolution time t, on
+    qubit-direction unless another model is given."""
+    model = model or make_qubit_direction(1.0)
+    rho0, V = ground_projector(model.dim), np.eye(model.dim)
     return {
         "g_bound": lambda: g_bound(model, 0.8, t, diff),
         "generator_pair": lambda: generator_pair(model, 0.8, t, diff),
@@ -509,6 +529,35 @@ def test_every_entry_point_rejects_a_non_finite_time(t, entry, diff):
     with pytest.raises(InvalidParameter, match="t must be finite"):
         time_entry_points(t, diff)[entry]()
     time_entry_points(1.1, diff)[entry]()  # the same call runs at a finite t
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_qubit_direction(1.0),
+    lambda: make_nv_spin1(*NV_PARAMS),
+], ids=["qubit-direction", "nv-spin1"])
+@pytest.mark.parametrize("entry", [*(name for name in time_entry_points(1.1, None)
+                                     if name != "jc_readout_model"), "fisher_phase_readout"])
+def test_a_phase_beyond_the_float_range_names_t(factory, entry):
+    """At t = 1e308 on qubit-direction t E is finite but g_dyn's t (E_max - E_min) is not,
+    and on nv-spin1 t E is not: spectral_unitary's bound on both, t (|E_min| + |E_max|),
+    raises InvalidParameter naming t before any arithmetic on a phase, with no warning."""
+    model = factory()
+    cfg = PhaseSimConfig(n=4, m=2, t=1e308, rho0=ground_projector(model.dim))
+    calls = {**time_entry_points(1e308, None, model),
+             "fisher_phase_readout": lambda: fisher_phase_readout(cfg, model, 0.8)}
+    with pytest.raises(InvalidParameter, match=r"phase t \(\|E_min\| \+ \|E_max\|\) = 1e\+308 x "):
+        calls[entry]()
+
+
+def test_an_overflowing_fisher_information_raises():
+    """t = 1e200 keeps every phase finite, but g_dyn, of order t, makes dp^2 overflow: the
+    report raises where it would hold inf.  On qubit-xcomponent at theta = 1e200 the
+    rounding bound leaves the float range instead, and the value stays finite."""
+    rho0 = ground_projector(2)
+    with pytest.raises(InvalidParameter, match="Fisher information overflows"):
+        fisher_cem(make_qubit_direction(1.0), 0.8, 1e200, np.eye(2), rho0)
+    report = fisher_cem(make_qubit_xcomponent(1.0), 1e200, 1.1, np.eye(2), rho0)
+    assert math.isfinite(report.value) and report.error_estimate == math.inf
 
 
 class TestDimensionMismatch:

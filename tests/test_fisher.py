@@ -8,6 +8,7 @@ import pytest
 from qmet.cem import local_generator
 from qmet.errors import (
     DimensionMismatch,
+    InvalidParameter,
     NonHermitianInput,
     DomainBoundary,
     NonNormalized,
@@ -81,6 +82,13 @@ class TestClassicalFisher:
     def test_domain_boundary(self):
         with pytest.raises(DomainBoundary):
             classical_fisher(two_outcome_model(), 1e-6)
+
+    def test_a_report_holds_no_infinite_value(self):
+        """A value that overflowed the float range is a typed error; an estimate may be inf."""
+        with pytest.raises(InvalidParameter, match="Fisher information overflows"):
+            FisherReport(value=math.inf, method="analytic", step=0.0, error_estimate=0.0)
+        assert FisherReport(value=1.0, method="analytic", step=0.0,
+                            error_estimate=math.inf).error_estimate == math.inf
 
     def test_support_exclusion(self):
         """An outcome pinned at zero probability is dropped, not divided by."""

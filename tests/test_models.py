@@ -201,16 +201,6 @@ class TestJaynesCummings:
             H = np.kron(np.eye(2), w * number) + jc_coupling(w, kappa, n_max)
             assert np.max(np.abs(m.h_of(w) - H)) <= 1e-14 * (1 + w)
 
-    def test_readout_model_matches_coupling_unitary_bitwise(self):
-        kappa, t, n_max = 0.5, 2.3, 8
-        a0, a1 = math.sqrt(0.3), math.sqrt(0.7)
-        pm = jc_readout_model(kappa, t, a0, a1, n_max)
-        for w in (0.4, 1.1, 1.9):
-            joint = np.kron([1.0, 0.0], jc_field_state(w, t, a0, a1, n_max))
-            out = expm_unitary(jc_coupling(w, kappa, n_max), t) @ joint
-            expected = [np.linalg.norm(out[:n_max + 1]) ** 2, np.linalg.norm(out[n_max + 1:]) ** 2]
-            assert np.array_equal(pm.at(w).probs, expected)
-
 
 class TestJaynesCummingsJet:
     """The read-out jet: one decomposition of the hopping per truncation, none per point."""
@@ -240,10 +230,11 @@ class TestJaynesCummingsJet:
             assert abs(report.value - ref) <= report.error_estimate
 
     def test_probabilities_match_at(self):
+        """at(w) is the jet's p, so the analytic and finite-difference paths read one p."""
         pm = jc_readout_model(0.5, 2.3, math.sqrt(0.3), math.sqrt(0.7), 8)
         for w in (0.4, 1.1, 1.9):
             p, _, _ = pm.jet(w)
-            assert np.max(np.abs(p - pm.at(w).probs)) <= 1e-14
+            assert np.array_equal(p, pm.at(w).probs)
 
     def test_output_state_derivative(self):
         """Both the free phases and the coupling enter d out / d w, checked against central5."""
@@ -293,6 +284,29 @@ class TestJaynesCummingsJet:
         with pytest.raises(InvalidParameter, match=words):  # NumPy scalars warn on overflow
             jc_field_state(np.float64(omega), np.float64(t), 0.6, 0.8, 4)
 
+    @pytest.mark.parametrize("kappa, t, words", [
+        (1e308, 1.0, "coupling phase s lambda_max must be finite, got inf"),
+        (0.5, 1e308, r"free phase rate t \(n_max \+ 1/2\) must be finite, got inf"),
+    ], ids=["coupling", "free"])
+    def test_an_overflowing_phase_is_named(self, kappa, t, words):
+        """The coupling and free phases are checked before any arithmetic on them, on the
+        jet that both paths read."""
+        pm = jc_readout_model(kappa, t, 0.6, 0.8)
+        for diff in (None, DiffSpec()):
+            with pytest.raises(InvalidParameter, match=words):
+                classical_fisher(pm, 1.0, diff)
+
+    def test_a_rounding_bound_beyond_the_float_range_is_inf(self):
+        """kappa = 1e200 makes |dout| overflow: dp_err is inf, and the Fisher information,
+        whose dp is of order 1e200 too, raises; at omega = 5e-324 the coupling rate
+        (s / 2 omega) lambda is 1e161, and the value stays finite with an inf estimate."""
+        p, dp, dp_err = jc_readout_model(1e200, 1.0, 0.6, 0.8).jet(1.0)
+        assert dp_err == math.inf and np.isfinite(dp).all()
+        with pytest.raises(InvalidParameter, match="Fisher information overflows"):
+            classical_fisher(jc_readout_model(1e200, 1.0, 0.6, 0.8), 1.0)
+        report = classical_fisher(jc_readout_model(0.5, 1.0, 0.6, 0.8), 5e-324)
+        assert math.isfinite(report.value) and report.error_estimate == math.inf
+
     def test_one_decomposition_per_truncation(self, decompositions):
         models._hopping_eigensystem.cache_clear()
         decompositions[0] = 0
@@ -303,7 +317,7 @@ class TestJaynesCummingsJet:
         assert decompositions[0] == 2
         decompositions[0] = 0
         classical_fisher(jc_readout_model(0.5, 1.0, 0.0, 1.0, 8), 0.9, DiffSpec())
-        assert decompositions[0] == 7  # the oracle decomposes at every stencil node
+        assert decompositions[0] == 0  # the oracle's nodes read the kept hopping eigensystem
 
 
 class TestHermiticityEverywhere:

@@ -218,6 +218,25 @@ class TestControllizationFactors:
                 pytest.raises(ValueError, match="damping factor a is NaN"):
             realistic_distribution(cfg, make_qubit_direction(1.0), 0.8)
 
+    @pytest.mark.parametrize("shift", [1e308, -1e308])
+    def test_an_overflowing_level_phase_is_named(self, shift):
+        """Where the top level's phase 2^(n-1) tau (E + shift) leaves the float range, every
+        read-out names it before any arithmetic on it: at tau = 0.5, tau (E + shift) is
+        finite and a = 1, so only the level phase overflows; at the default tau, tau
+        (E + shift) overflows too."""
+        words = r"level phase 2\^\(n-1\) tau \(E \+ shift\) = 2\^3 x "
+        model, rho0 = make_qubit_direction(1.0), np.diag([1.0, 0.0]).astype(complex)
+        fixed = PhaseSimConfig(n=4, m=2, t=1.0, tau=0.5, energy_shift=shift, rho0=rho0)
+        for read in (ideal_distribution, realistic_distribution):
+            with pytest.raises(ValueError, match=words + "5e\\+307 overflows"):
+                read(fixed, model, 0.8)
+        default = replace(fixed, tau=None)
+        for call in (lambda: fisher_phase_readout(default, model, 0.8, mode="ideal"),
+                     lambda: fisher_phase_readout(default, model, 0.8, mode="realistic"),
+                     lambda: tune_tau(default, model, 0.8)):
+            with pytest.raises(ValueError, match=words + "inf overflows"):
+                call()
+
     def test_identity(self):
         f = controllization_factors(np.eye(3), 5)
         assert f.a == pytest.approx(1.0)
