@@ -11,7 +11,8 @@ has the closed form
 where g_dyn and g_diag are the local generators i dU U^dag of the encoding
 unitary and of the (gauge-continuous) diagonalizer family, and sigma is the
 spectral gap.  The bound comes with an explicit optimal control and optimal
-preparation; an independent derivative-free optimizer cross-checks it.
+preparation; a derivative-free optimizer searches for the same maximum from that optimum
+and from random starts.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
-# optimize_cem's line search: GRID_STAGES calls on GRID_NODES even nodes per row, each stage
-# over two spacings of the last: the final spacing, at most 2 radius / 1024, is finer than
-# a 14-step golden section's final bracket 2 radius phi^-14 ~ 2 radius / 843.
-GRID_NODES = 17
-GRID_STAGES = 3
-_GRID = np.linspace(0.0, 1.0, GRID_NODES)  # node fractions of a stage's bracket
+# optimize_cem's line search: COARSE_NODES even nodes across [-radius, radius], spacing
+# 2 radius / 64, then FINE_NODES across two coarse spacings: the final spacing, at most
+# 4 radius / (64 * 32) = 2 radius / 1024, is finer than a 14-step golden section's final
+# bracket 2 radius phi^-14 ~ 2 radius / 843.
+COARSE_NODES = 65
+FINE_NODES = 33
+_COARSE = np.linspace(0.0, 1.0, COARSE_NODES)  # node fractions of a stage's bracket
+_FINE = np.linspace(0.0, 1.0, FINE_NODES)
 _EPS = np.finfo(float).eps
 
 
@@ -188,8 +191,9 @@ class _Point:
     dH, D, w and g_diag from one checked _spectrum (DomainBoundary unless theta lies inside
     the open domain) and one dh_of read (InvalidParameter without it); diag, g_diag's
     _diag_system, on first use; jet(t), the _Jet at t, kept for the last t asked;
-    levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F) asked.  dh_of
-    and its Hermiticity check run with NumPy's floating-point warnings off."""
+    levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F) asked.  dh_of,
+    its Hermiticity check and D run with NumPy's floating-point warnings off: a D that
+    overflows is InvalidParameter."""
 
     def __init__(self, model: HamiltonianModel, theta: float):
         E, W = _spectrum(model, theta)
@@ -199,8 +203,11 @@ class _Point:
                                    "finite-difference oracle")
         with np.errstate(all="ignore"):
             dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
-        D = W.conj().T @ dH @ W
-        D = (D + D.conj().T) / 2.0
+            D = W.conj().T @ dH @ W
+            D = (D + D.conj().T) / 2.0
+        if not np.isfinite(D).all():
+            raise InvalidParameter(f"dH/dtheta at theta = {theta} overflows the float range "
+                                   "in the eigenbasis of H; rescale the model's parameters")
         w = E[:, None] - E[None, :]
         # First-order perturbation theory in the parallel-transport gauge of the columns W.
         g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
@@ -263,7 +270,14 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
 
     def families(x: float) -> np.ndarray:  # U_t(x) and S(x) from one decomposition of H(x)
         Ex, Wx = (E, W) if x == theta else _spectrum(model, x)
-        return np.stack((spectral_unitary(Ex, Wx, t), _transported(W, Wx)))
+        u = spectral_unitary(Ex, Wx, t)  # first: it rejects a non-finite t
+        # Beyond pi U_t's differences alias, and its generator would look like a kink.
+        turn = abs(t) * max(abs(a - b) for a, b in zip(Ex.tolist(), E.tolist()))
+        if not turn <= math.pi:
+            raise InvalidParameter(f"t = {t} turns U_t's eigenphases by {turn:.6g} rad from "
+                                   f"theta = {theta} to the stencil node {x}, more than pi; "
+                                   "use a shorter t or a smaller step")
+        return np.stack((u, _transported(W, Wx)))
 
     g_dyn, g_diag = local_generator(families, theta, diff)
     return (W, spectral_unitary(E, W, t), g_dyn, g_diag, _eigh(g_dyn), _diag_system(g_diag),
@@ -285,8 +299,9 @@ def generator_pair(
     gaps read the kept point's decompositions of g_dyn and g_diag, so a call after g_bound
     at the same (model, theta, t) decomposes nothing.  An explicit DiffSpec differentiates
     both unitary families numerically instead, from one H per node, and never reads dh_of;
-    that path is the cross-check oracle, needs its whole stencil inside the domain, and is
-    the only one that can raise NonSmoothFamily.
+    that path is the cross-check oracle, needs its whole stencil inside the domain, is
+    the only one that can raise NonSmoothFamily, and raises InvalidParameter where U_t's
+    eigenphases turn by more than pi between theta and a stencil node.
     """
     _, _, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(g_dyn=g_dyn.copy(), g_diag=g_diag.copy(),  # not the kept point's
@@ -584,28 +599,27 @@ def _move_terms(d: int) -> np.ndarray:
 
 
 def _grid_max_rows(f, lo: float, hi: float):
-    """Staged grid maximization of every row over [lo, hi]; returns (x, f(x)), each (R,).
+    """Two-stage grid maximization of every row over [lo, hi]; returns (x, f(x)), each (R,).
 
-    Each stage calls f once on GRID_NODES even nodes per row for (R, GRID_NODES) values:
-    first the (GRID_NODES,) nodes of [lo, hi] that all rows share, then each row's
-    nodes across one spacing either side of its best node so far, clipped to [lo, hi].
-    The result is the best node evaluated (the first maximum of a stage, strictly better
-    across stages); the midpoint of [lo, hi] is a first-stage node (0 for [-r, r]).
+    The coarse stage calls f once on the (COARSE_NODES,) even nodes of [lo, hi] that all
+    rows share, for (R, COARSE_NODES) values; the fine stage calls it once on each row's
+    FINE_NODES even nodes across one coarse spacing either side of its best coarse node,
+    clipped to [lo, hi], for (R, FINE_NODES).  The result is the best node evaluated (the
+    first maximum of a stage, the fine one only if strictly better); the midpoint of
+    [lo, hi] is a coarse node (0 for [-r, r]).
     """
-    x = lo + (hi - lo) * _GRID
+    x = lo + (hi - lo) * _COARSE
     fx = f(x)
     k, rows = fx.argmax(axis=1), np.arange(len(fx))  # first maximum: ties go to the lowest node
-    best_x, best_f, a, b = x[k], fx[rows, k], lo, hi
-    for _ in range(GRID_STAGES - 1):
-        step = (b - a) / (GRID_NODES - 1)
-        a, b = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
-        x = a[:, None] + (b - a)[:, None] * _GRID
-        fx = f(x)
-        k = fx.argmax(axis=1)
-        xk, fk = x[rows, k], fx[rows, k]
-        up = fk > best_f
-        best_x, best_f = np.where(up, xk, best_x), np.where(up, fk, best_f)
-    return best_x, best_f
+    best_x, best_f = x[k], fx[rows, k]
+    step = (hi - lo) / (COARSE_NODES - 1)
+    a, b = np.maximum(lo, best_x - step), np.minimum(hi, best_x + step)
+    x = a[:, None] + (b - a)[:, None] * _FINE
+    fx = f(x)
+    k = fx.argmax(axis=1)
+    fk = fx[rows, k]
+    up = fk > best_f
+    return np.where(up, x[rows, k], best_x), np.where(up, fk, best_f)
 
 
 def optimize_cem(
@@ -631,9 +645,11 @@ def optimize_cem(
     Each restart carries K = [W^dag V; -2i g_diag W^dag V] and y = [U_t psi;
     -2i g_dyn U_t psi], so a = W^dag V U_t psi = K0 y0 and 2 da = K1 y0 + K0 y1;
     an accepted move updates K, or psi and y.  Along a line a is linear in
-    (1, cos delta, sin delta) (_move_terms, _line), and each _grid_max_rows stage
-    is one _fisher call over all R rows.  Restart 0 starts at the analytic optimum, so the
-    result never falls below its Fisher information; the others start from a
+    (1, cos delta, sin delta) (_move_terms, _line), and each of _grid_max_rows' two
+    stages is one _fisher call over all R rows: COARSE_NODES steps shared by every
+    restart, then FINE_NODES per restart around its best.  Restart 0 starts at the
+    analytic optimum, so the result never falls below its Fisher information, and only
+    the others test the closed form independently; they start from a
     Haar control and a complex normal preparation each, drawn up front from
     default_rng(seed) in restart order.  budget = (restarts, line searches per
     restart).  Returns (best Fisher information, best V, best psi); ties
@@ -663,8 +679,8 @@ def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int
     y = (psi @ Yt).reshape(restarts, 2, d)
 
     current = _fisher(_line(K, y, psi, Yt), np.ones((1, 1)))[:, 0]
-    first = {}  # radius -> [1; cos; sin] of the first stage's nodes, which all rows share
-    radius, table = 0.6, np.ones((restarts, 3, GRID_NODES))  # later stages refill cos, sin
+    coarse = {}  # radius -> [1; cos; sin] of the coarse nodes, which all rows share
+    radius, table = 0.6, np.ones((restarts, 3, FINE_NODES))  # the fine stage refills cos, sin
     for it in range(iterations):
         coord = it % terms.shape[0]
         if coord == 0 and it > 0:
@@ -677,9 +693,9 @@ def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int
                 np.cos(x, out=table[:, 1])
                 np.sin(x, out=table[:, 2])
                 return _fisher(coef, table)
-            if radius not in first:
-                first[radius] = np.stack((np.ones_like(x), np.cos(x), np.sin(x)))
-            return _fisher(coef, first[radius])
+            if radius not in coarse:
+                coarse[radius] = np.stack((np.ones_like(x), np.cos(x), np.sin(x)))
+            return _fisher(coef, coarse[radius])
 
         delta, fc = _grid_max_rows(along, -radius, radius)
         better = fc > current

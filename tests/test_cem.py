@@ -209,6 +209,19 @@ class TestGBound:
         with pytest.raises(InvalidParameter, match="spectral range of H"):
             g_bound(make_qubit_direction(1e308), 1.0, 1.0, diff)
 
+    @pytest.mark.parametrize("entry", [g_bound, generator_pair], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("make, t", [(make_qubit_direction, 1e200),
+                                         (make_qubit_xcomponent, 1e5)],
+                             ids=["rounded-phase", "turning-energy"])
+    def test_oracle_names_a_fast_phase_not_a_kink(self, entry, make, t):
+        """The direction model's energies do not move with theta, but at t = 1e200 their
+        rounding turns t E_j by about 1e184 rad from node to node; the x-component model's
+        move by about 1e-4 per node, 11 rad at t = 1e5.  Either way the oracle names t
+        instead of a Hermiticity defect."""
+        named = "^" + re.escape(f"t = {t} turns U_t's eigenphases")
+        with pytest.raises(InvalidParameter, match=named):
+            entry(make(1.0), 0.8, t, DiffSpec())
+
     @pytest.mark.parametrize("entry", [
         lambda model: g_bound(model, 1.0, 1.0),
         lambda model: optimize_cem(model, 1.0, 1.0, (1, 4)),
@@ -792,7 +805,8 @@ class TestOptimizeCem:
         assert (counts, decompositions[0]) == ([3, 3, 3], 1)
 
     def test_grid_stages_per_line_search(self, monkeypatch):
-        """One kernel call scores the starts, then GRID_STAGES per line search."""
+        """One kernel call scores the starts, then two per line search: the shared coarse
+        nodes, then each restart's fine nodes."""
         m = make_nv_spin1(**NV_PARAMS)
         calls = []
         fisher = cem._fisher
@@ -806,9 +820,10 @@ class TestOptimizeCem:
         for restarts, iterations in [(1, 6), (2, 40), (8, 400)]:
             calls.clear()
             optimize_cem(m, 0.8, 1.7, budget=(restarts, iterations), seed=5)
-            assert len(calls) == 1 + iterations * cem.GRID_STAGES
+            assert len(calls) == 1 + 2 * iterations
             assert calls[0] == (restarts, 1)
-            assert set(calls[1:]) == {(restarts, cem.GRID_NODES)}
+            assert set(calls[1::2]) == {(restarts, cem.COARSE_NODES)}
+            assert set(calls[2::2]) == {(restarts, cem.FINE_NODES)}
 
     @pytest.mark.parametrize("model", [
         make_qubit_direction(1.0), make_qubit_xcomponent(1.0), make_nv_spin1(**NV_PARAMS),
@@ -844,13 +859,13 @@ class TestOptimizeCem:
 
         K, y, Yt = carried_rows(model, theta, t, V, psi)
         terms, moves = cem._move_terms(d), rotation_moves(d)
-        nodes = -radius + (radius + radius) * cem._GRID
+        nodes = -radius + (radius + radius) * cem._COARSE
         table = np.stack([np.ones_like(nodes), np.cos(nodes), np.sin(nodes)])
         checked = 0
         for coord in [d + 1, d * d]:  # the Y-type control move of levels (0, 1); psi's (0, 1)
             coef = cem._line(K, y, psi, Yt, terms[coord], coord < d * d)
             values = cem._fisher(coef, table)
-            assert values.shape == (d, cem.GRID_NODES)
+            assert values.shape == (d, cem.COARSE_NODES)
             for j in range(d):
                 for k, x in enumerate(nodes):
                     R = rotation(d, *moves[coord], x)
@@ -937,34 +952,37 @@ def rotation_moves(d):
 
 
 def rotation(d, kind, i, j, delta):
-    """exp(-i delta B) for |j><j|, |i><j| + |j><i| or i|i><j| - i|j><i|, entry by entry."""
-    R = np.eye(d, dtype=complex)
-    c, s = math.cos(delta), math.sin(delta)
+    """exp(-i delta B) for |j><j|, |i><j| + |j><i| or i|i><j| - i|j><i|, entry by entry: a
+    (d, d) matrix for a scalar delta, a (..., d, d) stack for an array of them."""
+    delta = np.asarray(delta, dtype=float)
+    R = np.zeros(delta.shape + (d, d), dtype=complex)
+    R[..., range(d), range(d)] = 1.0
+    c, s = np.cos(delta), np.sin(delta)
     if kind == "phase":
-        R[j, j] = complex(c, -s)
+        R[..., j, j] = c - 1j * s
     elif kind == "x":
-        R[i, i] = R[j, j] = c
-        R[i, j] = R[j, i] = -1j * s
+        R[..., i, i] = R[..., j, j] = c
+        R[..., i, j] = R[..., j, i] = -1j * s
     else:
-        R[i, i] = R[j, j] = c
-        R[i, j], R[j, i] = s, -s
+        R[..., i, i] = R[..., j, j] = c
+        R[..., i, j], R[..., j, i] = s, -s
     return R
 
 
 def scalar_grid_max(f, lo, hi):
-    """One row of _grid_max_rows, node by node: the first best node of all stages."""
-    nodes = cem.GRID_NODES
+    """One row of _grid_max_rows, node by node: the first best of the coarse nodes across
+    [lo, hi], then of the fine nodes across one coarse spacing either side of it, clipped
+    to [lo, hi], taken only if strictly better.  f scores a stage's nodes in one call."""
+    step = (hi - lo) / (cem.COARSE_NODES - 1)
     a, b = lo, hi
     best_x, best_f = lo, -math.inf
-    for _ in range(cem.GRID_STAGES):
-        for k in range(nodes):
-            x = a + (b - a) * (k / (nodes - 1))
-            fx = f(x)
+    for nodes in (cem.COARSE_NODES, cem.FINE_NODES):
+        xs = [a + (b - a) * (k / (nodes - 1)) for k in range(nodes)]
+        for x, fx in zip(xs, f(np.array(xs))):
             if fx > best_f:
                 best_x, best_f = x, fx
-        step = (b - a) / (nodes - 1)
         a, b = max(lo, best_x - step), min(hi, best_x + step)
-    return best_x, best_f
+    return best_x, float(best_f)
 
 
 def serial_optimize_cem(model, theta, t, budget, seed, sol):
@@ -973,9 +991,9 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
     Each probe builds exp(-i delta B) entry by entry as a phase on one
     component or a cos/sin mix of two, applies it to the control (from the
     right) or the preparation, and scores the pair with fisher_cem's density
-    route, built once from the public diagonalizer, u_of and generator_pair.
-    Returns the direct value at the seed followed by each restart's final
-    value.
+    route, built once from the public diagonalizer, u_of and generator_pair; a
+    grid stage's probes are scored as one stack.  Returns the direct value at the
+    seed followed by each restart's final value.
     """
     restarts, iterations = budget
     d = model.dim
@@ -985,22 +1003,25 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
 
     def objective(V, psi):
         """sum_j dp_j^2 / p_j with p_j = (B sigma B^dag)_jj, B = S V and sigma = U psi psi^dag U^dag;
-        dp_j = 2 Im (g_diag B sigma B^dag)_jj + (B dsigma B^dag)_jj, dsigma = -i [g_dyn, sigma]."""
-        phi = U @ psi
-        sigma = np.outer(phi, phi.conj())
+        dp_j = 2 Im (g_diag B sigma B^dag)_jj + (B dsigma B^dag)_jj, dsigma = -i [g_dyn, sigma].
+        V (..., d, d) and psi (..., d) broadcast against each other."""
+        phi = (U @ psi[..., None])[..., 0]
+        sigma = phi[..., :, None] * phi[..., None, :].conj()
         dsigma = -1j * (pair.g_dyn @ sigma - sigma @ pair.g_dyn)
         B = S @ V
-        A = B @ sigma @ B.conj().T
-        p = A.diagonal().real
-        dp = 2.0 * (pair.g_diag @ A).diagonal().imag + (B @ dsigma @ B.conj().T).diagonal().real
+        Bh = B.conj().swapaxes(-2, -1)
+        A = B @ sigma @ Bh
+        p = np.diagonal(A, axis1=-2, axis2=-1).real
+        dp = (2.0 * np.diagonal(pair.g_diag @ A, axis1=-2, axis2=-1).imag
+              + np.diagonal(B @ dsigma @ Bh, axis1=-2, axis2=-1).real)
         support = p > SUPPORT_THRESHOLD
-        return float(np.sum(dp[support] ** 2 / p[support]))
+        return np.sum(np.where(support, dp**2 / np.where(support, p, 1.0), 0.0), axis=-1)
 
     moves = rotation_moves(d)
     n_v = d * d
 
     rng = np.random.default_rng(seed)
-    values = [objective(sol.V_opt, sol.psi_opt)]
+    values = [float(objective(sol.V_opt, sol.psi_opt))]
     for restart in range(restarts):
         if restart == 0:
             V, psi = sol.V_opt, sol.psi_opt
@@ -1011,7 +1032,7 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
             z = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi = z / np.linalg.norm(z)
 
-        current, radius = objective(V, psi), 0.6
+        current, radius = float(objective(V, psi)), 0.6
         for it in range(iterations):
             coord = it % len(moves)
             if coord == 0 and it > 0:
@@ -1019,7 +1040,7 @@ def serial_optimize_cem(model, theta, t, budget, seed, sol):
 
             def moved(delta, c=coord, V=V, psi=psi):
                 R = rotation(d, *moves[c], delta)
-                return (V @ R, psi) if c < n_v else (V, R @ psi)
+                return (V @ R, psi) if c < n_v else (V, (R @ psi[:, None])[..., 0])
 
             xc, fc = scalar_grid_max(lambda v: objective(*moved(v)), -radius, radius)
             if fc > current:
@@ -1046,13 +1067,13 @@ class TestGridMaxRows:
             xs, fs = _grid_max_rows(f, lo, hi)
             for r in range(rows):
                 x_r, f_r = scalar_grid_max(
-                    lambda v: float(-scale[r] * abs(v - peak[r]) ** power[r]), lo, hi)
+                    lambda v: -scale[r] * np.abs(v - peak[r]) ** power[r], lo, hi)
                 assert xs[r] == pytest.approx(x_r, rel=1e-14, abs=1e-14)
                 assert fs[r] == pytest.approx(f_r, rel=1e-14, abs=1e-14)
 
     def test_bimodal_line_returns_the_global_maximum(self):
         """A golden section on [-1, 1] keeps [-1, 0.236] after its first step and so
-        climbs the broad local hill at -0.6; the first grid stage sees both hills."""
+        climbs the broad local hill at -0.6; the coarse stage sees both hills."""
         centre = np.array([0.7, -0.7, 0.55])[:, None]  # the narrow, higher hill; its mirror
 
         def f(v):
@@ -1065,7 +1086,7 @@ class TestGridMaxRows:
         assert np.array_equal(fs, f(xs[:, None])[:, 0])
 
     def test_returns_the_best_node_it_evaluated(self):
-        """An objective that drifts down from call to call: the first stage holds the best."""
+        """An objective that drifts down from call to call: the coarse stage holds the best."""
         rng = np.random.default_rng(8)
         peak = rng.uniform(-1.0, 1.0, size=12)[:, None]
         seen = []
@@ -1076,17 +1097,35 @@ class TestGridMaxRows:
             return value
 
         xs, fs = _grid_max_rows(f, -1.0, 1.0)
-        assert len(seen) == cem.GRID_STAGES
-        assert seen[0][0].shape == (cem.GRID_NODES,)  # the first stage's nodes are shared
-        assert all(v.shape == (peak.size, cem.GRID_NODES) for v, _ in seen[1:])
-        assert all(value.shape == (peak.size, cem.GRID_NODES) for _, value in seen)
+        assert len(seen) == 2
+        assert seen[0][0].shape == (cem.COARSE_NODES,)  # the coarse nodes are shared
+        assert seen[1][0].shape == (peak.size, cem.FINE_NODES)
+        assert [value.shape for _, value in seen] == [(peak.size, cem.COARSE_NODES),
+                                                     (peak.size, cem.FINE_NODES)]
         nodes = np.concatenate([np.broadcast_to(v, value.shape) for v, value in seen], axis=1)
         values = np.concatenate([value for _, value in seen], axis=1)
         best = np.argmax(values, axis=1)
         rows = np.arange(peak.size)
         assert np.array_equal(xs, nodes[rows, best])
         assert np.array_equal(fs, values[rows, best])
-        assert np.all(best < cem.GRID_NODES)  # every best node is a first-stage node
+        assert np.all(best < cem.COARSE_NODES)  # every best node is a coarse node
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.6, 1.0])
+    def test_coarse_nodes_hold_the_centre_and_the_fine_spacing_is_2r_over_1024(self, radius):
+        """The current point (delta = 0) is a coarse node, and the fine nodes, clipped at
+        the ends of the line or not, are at most 2 radius / 1024 apart."""
+        peak = np.array([-1.0, -0.999, -0.3, 0.0, 0.4, 0.9995, 1.0, 2.0])[:, None] * radius
+        seen = []
+
+        def f(v):
+            seen.append(v)
+            return -np.abs(v - peak)
+
+        _grid_max_rows(f, -radius, radius)
+        coarse, fine = seen
+        assert 0.0 in coarse
+        assert np.all(np.diff(fine, axis=1) <= 2.0 * radius / 1024 * (1.0 + 1e-12))  # rounding
+        assert np.all((-radius <= fine) & (fine <= radius))
 
     def test_stays_in_the_bracket_and_never_below_the_centre(self):
         """Each random radius is its own bracket, so each row is one call."""

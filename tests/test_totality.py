@@ -1,9 +1,9 @@
 """The library is total at the edges of the float range: the generators, encoded_qfi,
 fisher_cem, optimize_cem, the phase read-outs, tune_tau, jc's classical_fisher (analytic
 and DiffSpec) and the model factories, fed nan, +-inf, +-1e308, +-1e200, 5e-324 or 0 in
-one argument while the others keep working values, return finite values (an error
-estimate may be inf) or raise a QmetError or ValueError, and let no NumPy warning
-escape."""
+one argument while the others keep working values, or an extreme pair of them, return
+finite values (an error estimate may be inf) or raise a QmetError or ValueError, and let no
+NumPy warning escape."""
 
 import math
 import warnings
@@ -145,3 +145,12 @@ def test_every_entry_point_is_total_at_the_float_edges(argument):
             elif isinstance(result, dict):  # a model was made: run every entry point on it
                 pending += [(f"{label} {name}", c) for name, c in result.items()]
     assert not failures, "\n".join(failures)
+
+
+def test_two_extreme_arguments_at_once():
+    """A field of 5e307 at theta = 1e-300 keeps H(theta) small while dH/dtheta holds 1e308,
+    so its matrix in the eigenbasis of H overflows: the analytic paths raise a QmetError."""
+    model = FACTORIES["nv-spin1"](5e307)
+    found = {label: outcome(call)[0] for label, call in calls(model, theta=1e-300).items()}
+    assert set(found.values()) <= {"ok", "typed"}, found
+    assert found["fisher_phase_readout-ideal"] == found["g_bound"] == "typed"
