@@ -54,6 +54,7 @@ from .numdiff import DEFAULT_DIFF, DiffSpec
 
 GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
+FAST_TURN = 0.05  # rad of U_t's phase turn above which the oracle names t, not a kink
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
 # optimize_cem's line search: COARSE_NODES even nodes across [-radius, radius], spacing
@@ -64,7 +65,6 @@ COARSE_NODES = 65
 FINE_NODES = 33
 _COARSE = np.linspace(0.0, 1.0, COARSE_NODES)  # node fractions of a stage's bracket
 _FINE = np.linspace(0.0, 1.0, FINE_NODES)
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,10 @@ def local_generator(family, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.n
     return (g + gh) / 2.0
 
 
-class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t")):
-    """_Point.jet(t), read-only: H(theta)'s ascending energies E and phase-fixed eigenvector
-    columns W (the one gauge of every consumer), U = exp(-i t H), dH = dH/dtheta,
-    D = W^dag dH W (whose diagonal holds the energy derivatives dE_j), the local generators
-    and t; and dyn, g_dyn's _eigh (ascending eigenvalues, eigenvector columns), built on
-    first use: the one decomposition of g_dyn, which gives its gap and g_bound's R2."""
+class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t vec_err U_err g_dyn_err")):
+    """_Point.jet(t), read-only: the point's E, W, dH, D, g_diag and vec_err, U = exp(-i t H),
+    g_dyn, t, U_err and g_dyn_err; and dyn, g_dyn's _eigh (ascending eigenvalues, eigenvector
+    columns), built on first use: g_dyn's one decomposition, for its gap and g_bound's R2."""
 
     @property
     def dyn(self):
@@ -187,13 +185,33 @@ class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t")):
 
 
 class _Point:
-    """Everything cem derives from H at one working point (model, theta), read-only: E, W,
-    dH, D, w and g_diag from one checked _spectrum (DomainBoundary unless theta lies inside
-    the open domain) and one dh_of read (InvalidParameter without it); diag, g_diag's
-    _diag_system, on first use; jet(t), the _Jet at t, kept for the last t asked;
-    levels(t, V, F), the _level_jet at that jet, kept for the last (t, V, F) asked.  dh_of,
-    its Hermiticity check and D run with NumPy's floating-point warnings off: a D that
-    overflows is InvalidParameter."""
+    """Everything cem derives from H at one working point (model, theta), read-only: H's
+    ascending energies E and phase-fixed eigenvector columns W (every consumer's one gauge),
+    dH, dH_norm, D = W^dag dH W (its diagonal holds the dE_j), w_jk = E_j - E_k, g_diag and the
+    rounding bounds below, from one checked _spectrum (DomainBoundary outside the open
+    domain) and one dh_of read (InvalidParameter without it); diag, g_diag's _diag_system,
+    on first use; jet(t) and levels(t, V, F), the _level_jet at that jet, each kept for the
+    last arguments asked.  dh_of, its check and D run with NumPy's warnings off: a D that
+    overflows is InvalidParameter.
+
+    The one rounding model of every analytic estimate (Frobenius norms).  The symmetric
+    eigensolver is backward stable: E and W are, to first order, exact for some H + delta H,
+    |delta H| <= E_err = eps max|E|, and a product of d-vectors adds eps_d = eps d (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002).  So E_err bounds each energy's
+    error (Weyl) and vec_err_j = eps_d + E_err / gap_j column W_j's, gap_j being level j's
+    distance to its nearest neighbour (Davis-Kahan; Bhatia, Matrix Analysis, 1997); jet(t)
+    adds U_err = eps_d + |t| E_err on U_t, as |exp(-i t A) - exp(-i t B)| <= |t| |A - B|,
+    and g_dyn_err = |t dH| U_err on g_dyn = int_0^t exp(-i s H) dH exp(i s H) ds.  Then:
+    * dE_j = <W_j| dH |W_j> moves by dE_err_j = 2 vec_err_j |dH|, and the read-out's dxi_j
+      by dE_err_j, plus dE_err_0 where its shift follows the ground energy;
+    * row j of _level_weights' A moves by e_j = vec_err_j + U_err, so p_j = |A_j|^2 by
+      p_err_j = e_j (2 sqrt(p_j) + e_j), at most 1;
+    * a row of dA by dA_err = e G + 2 max_j vec_err_j |g_diag| + g_dyn_err, e = max_j e_j
+      and G = |g_diag| + |g_dyn| >= |dA_j| (g_diag, the eigenvectors' derivative, carries
+      twice their error), so each dp_j by dp_err = 2 (e G + dA_err);
+    * rho = U_t rho0 U_t^dag by 2 U_err, so encoded_qfi's drho = -i [g_dyn, rho] by
+      drho_err = 2 (g_dyn_err + 2 U_err |g_dyn|).  Each bound is finite, or inf (no warning).
+    """
 
     def __init__(self, model: HamiltonianModel, theta: float):
         E, W = _spectrum(model, theta)
@@ -205,13 +223,18 @@ class _Point:
             dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
             D = W.conj().T @ dH @ W
             D = (D + D.conj().T) / 2.0
+            self.dH_norm = float(np.linalg.norm(dH))  # inf beyond the float range
         if not np.isfinite(D).all():
             raise InvalidParameter(f"dH/dtheta at theta = {theta} overflows the float range "
                                    "in the eigenbasis of H; rescale the model's parameters")
         w = E[:, None] - E[None, :]
         # First-order perturbation theory in the parallel-transport gauge of the columns W.
         g_diag = np.divide(1j * D, w, out=np.zeros_like(D), where=w != 0.0)
-        self.E, self.W, self.dH, self.D, self.w, self.g_diag = _read_only(E, W, dH, D, w, g_diag)
+        eps, gap = float(np.finfo(float).eps), np.where(w != 0.0, np.abs(w), np.inf).min(axis=1)
+        # E ascends, so its ends hold max|E|; _spectrum keeps every gap above 1e-8 (1 + range).
+        self.eps_d, self.E_err = eps * len(E), eps * float(max(abs(E[0]), abs(E[-1])))
+        self.E, self.W, self.dH, self.D, self.w, self.g_diag, self.vec_err = _read_only(
+            E, W, dH, D, w, g_diag, self.eps_d + self.E_err / gap)
         self._jet = self._levels = None
 
     @functools.cached_property
@@ -228,7 +251,10 @@ class _Point:
             g_dyn = W @ (D * (t * np.exp(-0.5j * t * w) * np.sinc(t * w / (2.0 * math.pi)))) \
                 @ W.conj().T
             U, g_dyn = _read_only(U, (g_dyn + g_dyn.conj().T) / 2.0)
-            self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t)
+            U_err = self.eps_d + abs(float(t)) * self.E_err  # t E is finite: spectral_unitary
+            g_dyn_err = abs(float(t)) * self.dH_norm * U_err if t else 0.0  # inf, no warning
+            self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t, self.vec_err, U_err,
+                             g_dyn_err)
         return self._jet
 
     def levels(self, t: float, V: np.ndarray, F: np.ndarray):
@@ -268,18 +294,24 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     E, W = _spectrum(model, theta)
 
+    turns = [0.0]  # U_t's eigenphase turn from theta to each stencil node
+
     def families(x: float) -> np.ndarray:  # U_t(x) and S(x) from one decomposition of H(x)
         Ex, Wx = (E, W) if x == theta else _spectrum(model, x)
         u = spectral_unitary(Ex, Wx, t)  # first: it rejects a non-finite t
-        # Beyond pi U_t's differences alias, and its generator would look like a kink.
-        turn = abs(t) * max(abs(a - b) for a, b in zip(Ex.tolist(), E.tolist()))
-        if not turn <= math.pi:
-            raise InvalidParameter(f"t = {t} turns U_t's eigenphases by {turn:.6g} rad from "
-                                   f"theta = {theta} to the stencil node {x}, more than pi; "
-                                   "use a shorter t or a smaller step")
+        turns.append(abs(t) * max(abs(a - b) for a, b in zip(Ex.tolist(), E.tolist())))
+        if not turns[-1] <= math.pi:  # beyond pi U_t's differences alias
+            raise NonSmoothFamily("more than pi")
         return np.stack((u, _transported(W, Wx)))
 
-    g_dyn, g_diag = local_generator(families, theta, diff)
+    try:
+        g_dyn, g_diag = local_generator(families, theta, diff)
+    except NonSmoothFamily as exc:  # a phase the stencil cannot follow looks like a kink
+        if max(turns) <= FAST_TURN:
+            raise
+        raise InvalidParameter(f"t = {t} turns U_t's eigenphases by {max(turns):.6g} rad from "
+                               f"theta = {theta} to a stencil node ({exc}); use a shorter t "
+                               "or a smaller step") from exc
     return (W, spectral_unitary(E, W, t), g_dyn, g_diag, _eigh(g_dyn), _diag_system(g_diag),
             diff.method)
 
@@ -299,9 +331,9 @@ def generator_pair(
     gaps read the kept point's decompositions of g_dyn and g_diag, so a call after g_bound
     at the same (model, theta, t) decomposes nothing.  An explicit DiffSpec differentiates
     both unitary families numerically instead, from one H per node, and never reads dh_of;
-    that path is the cross-check oracle, needs its whole stencil inside the domain, is
-    the only one that can raise NonSmoothFamily, and raises InvalidParameter where U_t's
-    eigenphases turn by more than pi between theta and a stencil node.
+    that path is the cross-check oracle, needs its whole stencil inside the domain, is the
+    only one that can raise NonSmoothFamily, and names t (InvalidParameter) where U_t's phases
+    turn by more than pi to a node, or by more than FAST_TURN and fail that check.
     """
     _, _, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(g_dyn=g_dyn.copy(), g_diag=g_diag.copy(),  # not the kept point's
@@ -434,40 +466,19 @@ def _node(model: HamiltonianModel, x: float, t: float, V: np.ndarray, F: np.ndar
     return ev, _level_weights(W, V, spectral_unitary(ev, W, t), F)[0]
 
 
-def _rounding_bound(E: np.ndarray, scale: float) -> float:
-    """eps (d + max|E| / min spacing) scale: the first-order rounding of a quantity of size
-    scale built from the eigenvectors of H = W diag(E) W^dag, whose relative error is of the
-    order of the condition number max|E| / min spacing (plus d from the matrix products).
-    E ascends, as _spectrum returns it, so its ends hold max|E|."""
-    spacing = float((E[1:] - E[:-1]).min())
-    return _EPS * (E.shape[0] + float(max(abs(E[0]), abs(E[-1]))) / spacing) * scale
-
-
-def _phase_bound(jet: _Jet) -> float:
-    """eps |t| max|E|: the rounding of U_t = W exp(-i t E) W^dag through its phases t E_j,
-    each of which carries its eigenvalue's error; it outgrows _rounding_bound at large t E."""
-    return _EPS * abs(jet.t) * float(max(abs(jet.E[0]), abs(jet.E[-1])))
-
-
 def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
-    """(E, dE, dE_err, p, dp, dp_err, p_err) at the point of a _Jet of H.
-
-    E, dE = D_jj: the ascending energies and their derivatives; p, dp: the
-    _level_weights and theirs; *_err: first-order rounding bounds on each entry.
-    Rounding moves A_jk by at most e |F_k| (column norms, sum_k |F_k|^2 = 1),
-    e = 3 eps (d + max|E| / min spacing) + eps t max|E|, as W enters A three times
-    and each phase t E_j carries its eigenvalue's error.  So p_err_j = e (2 sqrt(p_j) + e)
-    by Cauchy-Schwarz, at most 1, and dp_err = 6 e G (inf beyond the float range), as dA
-    moves by at most 2 e G |F_k|, G = |g_diag| + |g_dyn|.  V and F must be validated.  Its
-    callers read it through the kept _Point.levels, so the calls at one (model, theta, t,
-    V, F), as tune_tau's and both read-outs' at a working point, build it once.
-    """
+    """(E, dE, dE_err, p, dp, dp_err, p_err) at a _Jet's point: the ascending energies and
+    their derivatives D_jj, the _level_weights and theirs, and _Point's bounds on them.  V and
+    F must be validated.  Callers read it through the kept _Point.levels, so the calls at one
+    (model, theta, t, V, F), as tune_tau's and both read-outs' at a point, build it once."""
     E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
+    e = jet.vec_err + jet.U_err
     with np.errstate(over="ignore"):  # a bound beyond the float range is inf
-        e = _rounding_bound(E, 3.0) + _phase_bound(jet)
-        # dE_j = <xi_j|dH|xi_j> moves by at most 2 |dxi_j| |dH| under an eigenvector error.
-        dE_err = _rounding_bound(E, 2.0 * np.linalg.norm(jet.dH))
-        dp_err = 6.0 * e * (np.linalg.norm(jet.g_diag) + np.linalg.norm(jet.g_dyn))
+        norm_dH, norm_diag, norm_dyn = map(np.linalg.norm, (jet.dH, jet.g_diag, jet.g_dyn))
+        dE_err = 2.0 * jet.vec_err * norm_dH
+        eG = e.max() * (norm_diag + norm_dyn)
+        dA_err = eG + 2.0 * jet.vec_err.max() * norm_diag + jet.g_dyn_err
+        dp_err = 2.0 * (eG + dA_err)
         p_err = np.minimum(e * (2.0 * np.sqrt(p) + e), 1.0)  # p and its truth lie in [0, 1]
     return E, jet.D.diagonal().real, dE_err, p, dp, dp_err, p_err
 
@@ -484,11 +495,10 @@ def fisher_cem(
 
     The parameter moves both the state rho_theta and the measured eigenbasis, so this is a
     non-regular statistical model; the energy measurement V = I yields a t-independent
-    value.  diff is classical_fisher's: by default the model's dh_of differentiates it
-    analytically through the kept _point's level jet (two decompositions: rho0's check,
-    which also factors it, and H(theta), shared with every analytic call at theta), with an
-    error estimate covering the rounding of the weights and of their derivatives; an
-    explicit DiffSpec runs the stencil over the distributions as the oracle.
+    value.  diff is classical_fisher's: by default dh_of differentiates it through the
+    kept _point's level jet (two decompositions: rho0's check, which also factors it, and
+    H(theta), shared with every analytic call at theta), its estimate from _Point's bounds
+    on the weights and their derivatives; a DiffSpec runs the oracle's stencil instead.
     """
     return classical_fisher(cem_outcome_model(model, t, V, rho0), theta, diff)
 
@@ -503,19 +513,14 @@ def encoded_qfi(
     """(SLD quantum Fisher information of rho_theta = U_t rho0 U_t^dag, sigma(g_dyn)).
 
     sigma(g_dyn)^2 is the quantum Fisher information of the best preparation (InvalidParameter
-    where it overflows); both paths read sigma(g_dyn) from the kept jet's decomposition of
-    g_dyn.  By default one decomposition of H(theta) gives U_t and g_dyn, and the state
-    moves as drho = -i [g_dyn, rho] (method "analytic", step 0; theta only has to lie
-    inside the open domain).  An explicit DiffSpec runs fisher.qfi's stencil over
-    model.u_of instead; that path is the oracle and also checks the rank of rho across the
-    stencil.  g_dyn is analytic on both paths, so both need the model's dh_of.  rho0 must
-    be a density matrix of the model's dimension (DimensionMismatch otherwise, with
-    require_density's messages); rho has rho0's spectrum, so the SLD's decomposition of
-    rho checks it.
-    The analytic estimate: rho rounds by 2 e (e as in _level_jet), moving
-    drho = -i [g_dyn, rho] by 4 e |g_dyn|; g_dyn itself rounds by _rounding_bound(4 |t| |dH|)
-    however small it is (D's eigenvectors and the sinc and phase factors of its entries,
-    each at most |t| |D_jk|), moving drho by twice that.
+    where it overflows), read on both paths from the kept jet's decomposition of g_dyn.  By
+    default one decomposition of H(theta) gives U_t and g_dyn, and the state moves as
+    drho = -i [g_dyn, rho] (method "analytic", step 0, estimate from _Point's drho_err;
+    theta only has to lie inside the open domain).  An explicit DiffSpec runs fisher.qfi's
+    stencil over model.u_of instead, the oracle, which also checks the rank of rho across
+    the stencil.  g_dyn is analytic on both paths, so both need dh_of.  rho0 must be a
+    density matrix of the model's dimension (DimensionMismatch otherwise, with
+    require_density's messages), which the SLD's decomposition of rho checks.
     """
     _require_dim(model.dim, rho0=rho0)
     if diff is not None:  # the stencil first: its DomainBoundary names the stencil
@@ -530,9 +535,8 @@ def encoded_qfi(
     if diff is None:
         rho = jet.U @ rho0 @ jet.U.conj().T
         drho = -1j * (jet.g_dyn @ rho - rho @ jet.g_dyn)
-        scale = 4.0 * np.linalg.norm(jet.g_dyn)
-        drho_err = (_rounding_bound(jet.E, scale + 8.0 * abs(jet.t) * np.linalg.norm(jet.dH))
-                    + _phase_bound(jet) * scale)
+        with np.errstate(over="ignore"):  # a bound beyond the float range is inf
+            drho_err = 2.0 * (jet.g_dyn_err + 2.0 * jet.U_err * np.linalg.norm(jet.g_dyn))
         p, _, Dv = _sld_parts(rho, (drho + drho.conj().T) / 2.0)
         report = _qfi_report(p, Dv, drho_err, numdiff.ANALYTIC, 0.0)
     return report, sigma
@@ -729,7 +733,7 @@ def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):
     # Aligning pair: conjugate both matrices to descending diagonal form.
     e1, e2 = eig_hermitian(A).eigenvalues, eig_hermitian(B).eigenvalues
     analytic = _gap(e1) + _gap(e2)  # one decomposition of each matrix
-    numeric = spectral_gap(np.diag(e1 + e2))
+    numeric = _gap(e1 + e2)
     rng = np.random.default_rng(seed)
     d = A.shape[0]
 

@@ -54,8 +54,9 @@ class HamiltonianModel:
     theta_domain: tuple[float, float] = (-np.inf, np.inf)
 
     def u_of(self, theta: float, t: float) -> np.ndarray:
-        """Time-evolution unitary exp(-i t H(theta))."""
-        return expm_unitary(self.h_of(theta), t)
+        """Time-evolution unitary exp(-i t H(theta)); NumPy's warnings off, as in _spectrum."""
+        with np.errstate(all="ignore"):
+            return expm_unitary(self.h_of(theta), t)
 
 
 def _require_finite(name: str, value: float, positive: bool = True) -> None:

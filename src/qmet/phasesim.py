@@ -393,21 +393,18 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
             diff: Optional[DiffSpec]):
     """(energies at theta, (taus, mode, errors=True) -> (values, errors), method, step).
 
-    diff=None selects the analytic path, which needs dh_of: the level jet of cem's kept
-    _point at (cfg.t, V, rho0) gives the energies, the level weights and their exact
-    derivatives, and _readout_chunks carries them through the kernel, so a scan of taus
-    in either mode costs a few kernel passes and no decomposition once the point has one.
-    The shifted energies move as dxi_j = dE_j - dE_0 when the shift follows the ground
-    energy, and as dxi_j = dE_j under a fixed shift; dxi and its bound are kept beside the
-    level jet, one pair per shift rule.  The error estimate propagates the rounding
-    bounds on p, dp and dxi: each level's kernel lies in [0, 1], and as a
-    polynomial of degree 2^n - 1 in unit-disc phase variables its theta-derivative
-    is at most (2^n - 1) tau |dxi_j| and its move under an energy error delta xi at
-    most (2^n - 1) tau |delta xi| (Bernstein's inequality), so every dPr(Q) is off
-    by at most d dp_err + (2^n - 1) tau (dxi_err + sum_j p_err_j |dxi_j|).  A scan with
-    errors=False reads values only: a chunk whose bins all exceed SUPPORT_THRESHOLD
-    skips the bounds, which only _fisher_sum's support rule would read, and errors
-    comes back None.
+    diff=None selects the analytic path, which needs dh_of: the level jet of cem's kept _point
+    at (cfg.t, V, rho0) gives the energies, the level weights and their exact derivatives,
+    which _readout_chunks carries through the kernel, so a scan of taus costs a few kernel
+    passes and no decomposition once the point has one.  The shifted energies move as
+    dxi_j = dE_j - dE_0 where the shift follows the ground energy, else as dE_j; dxi and its
+    bound are kept beside the level jet, one pair per shift rule.  Each level's kernel lies
+    in [0, 1] and, a polynomial of degree 2^n - 1 in unit-disc phase variables, moves with
+    theta by at most (2^n - 1) tau |dxi_j| (Bernstein's inequality), so under cem._Point's
+    bounds every dPr(Q) is off by at most d dp_err + (2^n - 1) tau (max_j dxi_err_j +
+    sum_j p_err_j |dxi_j|).  A scan with errors=False reads values only: a chunk whose bins
+    all exceed SUPPORT_THRESHOLD skips the bounds, which only _fisher_sum's support rule
+    reads, and errors comes back None.
 
     An explicit DiffSpec runs the finite-difference oracle, which reads neither dh_of nor
     the jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
@@ -421,9 +418,9 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
         E, dE, dE_err, p, dp, dp_err, p_err = levels
         follows = cfg.energy_shift is None  # the shift follows the ground energy
         if follows not in kept:
-            dxi, dxi_err = (dE - dE[0], 2.0 * dE_err) if follows else (dE, dE_err)
+            dxi, dxi_err = (dE - dE[0], dE_err + dE_err[0]) if follows else (dE, dE_err)
             with np.errstate(over="ignore"):  # a bound beyond the float range is inf
-                kept[follows] = _read_only(dxi, dxi_err + p_err @ np.abs(dxi))
+                kept[follows] = _read_only(dxi, dxi_err.max() + p_err @ np.abs(dxi))
         dxi, dxi_bound = kept[follows]
         method, step = numdiff.ANALYTIC, 0.0
 
@@ -538,16 +535,18 @@ def circuit_oracle(cfg: PhaseSimConfig, model: HamiltonianModel,
     Hadamards on n control qubits, controlled powers U_tau^(2^(l-1)) coupling
     qubit l, inverse Fourier transform, and a computational-basis read-out.
     Limited to n <= 6 and system dimension <= 4.  One decomposition of
-    H(theta) gives U_tau and U_t; theta must lie inside the open domain.  rho0
-    enters through cfg's validated factor F (F F^dag = rho0), not decomposed again.
+    H(theta) gives U_tau and U_t; theta must lie inside the open domain and tau x shift in
+    the float range (ValueError).  rho0 enters through cfg's factor F, not decomposed again.
     """
     d = model.dim
     if cfg.n > 6 or d > 4:
         raise OracleTooLarge(f"oracle limited to n <= 6 and d <= 4, got n={cfg.n}, d={d}")
     v = cfg.control(d)
     ev, W = _spectrum(model, theta)
-    tau = _frozen_tau(cfg, ev)
-    u_tau = spectral_unitary(ev, W, tau) * np.exp(-1j * tau * _shift(cfg, ev))
+    tau, shift = _frozen_tau(cfg, ev), _shift(cfg, ev)
+    if not math.isfinite(tau * shift):  # in Python floats, before np.exp sees it
+        raise ValueError(f"shift phase tau x shift = {tau} x {shift:.6g} overflows")
+    u_tau = spectral_unitary(ev, W, tau) * np.exp(-1j * tau * shift)
     u_t = spectral_unitary(ev, W, cfg.t)
     n_states = 2**cfg.n
 

@@ -211,16 +211,26 @@ class TestGBound:
 
     @pytest.mark.parametrize("entry", [g_bound, generator_pair], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("make, t", [(make_qubit_direction, 1e200),
-                                         (make_qubit_xcomponent, 1e5)],
-                             ids=["rounded-phase", "turning-energy"])
+                                         (make_qubit_xcomponent, 1e5),
+                                         (make_qubit_xcomponent, 1e4)],
+                             ids=["rounded-phase", "turning-energy", "turn-below-pi"])
     def test_oracle_names_a_fast_phase_not_a_kink(self, entry, make, t):
         """The direction model's energies do not move with theta, but at t = 1e200 their
         rounding turns t E_j by about 1e184 rad from node to node; the x-component model's
-        move by about 1e-4 per node, 11 rad at t = 1e5.  Either way the oracle names t
-        instead of a Hermiticity defect."""
+        move by about 1e-4 per node, 11 rad at t = 1e5, beyond pi, and 1.1 rad at t = 1e4,
+        where the stencil no longer resolves the phase and the generator fails its
+        Hermiticity check.  Either way the oracle names t instead of a Hermiticity defect."""
         named = "^" + re.escape(f"t = {t} turns U_t's eigenphases")
         with pytest.raises(InvalidParameter, match=named):
             entry(make(1.0), 0.8, t, DiffSpec())
+
+    def test_oracle_resolves_a_turn_below_the_fast_limit(self):
+        """At t = 1e3 the x-component model's phases turn by 0.11 rad across the stencil,
+        above FAST_TURN, and the default stencil still resolves them: the oracle's G agrees
+        with the analytic one to 1.8e-12."""
+        model = make_qubit_xcomponent(1.0)
+        oracle, analytic = (g_bound(model, 0.8, 1e3, diff).G_value for diff in (DiffSpec(), None))
+        assert abs(oracle - analytic) <= 1e-11 * analytic
 
     @pytest.mark.parametrize("entry", [
         lambda model: g_bound(model, 1.0, 1.0),

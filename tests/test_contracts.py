@@ -46,9 +46,8 @@ from qmet.phasesim import (
 NV_PARAMS = (1.0, 1.44 * math.pi, 5e-5 * math.pi)
 
 
-def callers(name):
-    """{(module file, enclosing qualname)} of every `.name(...)` or `name(...)` call in
-    src/qmet."""
+def scopes(match):
+    """{(module file, enclosing qualname)} of every node of src/qmet that match(node) accepts."""
     found = set()
 
     class Visitor(ast.NodeVisitor):
@@ -62,14 +61,39 @@ def callers(name):
 
         visit_ClassDef = visit_FunctionDef = visit_scope
 
-        def visit_Call(self, node):
-            if getattr(node.func, "attr", getattr(node.func, "id", None)) == name:
+        def generic_visit(self, node):
+            if match(node):
                 found.add((self.module, ".".join(self.scope)))
-            self.generic_visit(node)
+            super().generic_visit(node)
 
     for path in sorted(Path(qmet.__file__).parent.glob("*.py")):
         Visitor(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
+
+
+def named(node) -> str | None:
+    """The name a call or attribute node reaches: `x.name` or `name`."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def callers(name):
+    """{(module file, enclosing qualname)} of every `.name(...)` or `name(...)` call in
+    src/qmet."""
+    return scopes(lambda node: isinstance(node, ast.Call) and named(node.func) == name)
+
+
+def test_only_the_working_point_reads_the_rounding_unit():
+    """cem._Point and its _Jet hold the one rounding model: in cem and phasesim no other
+    code reads the rounding unit, as np.finfo(...).eps or as an _EPS constant, so no
+    estimate assembles a rounding term of its own."""
+    def reads_eps(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "eps"
+                and isinstance(node.value, ast.Call) and named(node.value.func) == "finfo"
+                or named(node) == "_EPS" and isinstance(node.ctx, ast.Load))
+
+    found = {(module, scope.split(".")[0]) for module, scope in scopes(reads_eps)
+             if module in ("cem.py", "phasesim.py")}
+    assert found and found <= {("cem.py", "_Point"), ("cem.py", "_Jet")}, found
 
 
 def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():

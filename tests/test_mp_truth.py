@@ -21,9 +21,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qmet import cem
 from qmet.cem import diagonalizer, encoded_qfi, fisher_cem
 from qmet.fisher import SUPPORT_THRESHOLD
-from qmet.models import make_nv_spin1, make_qubit_direction, reference
+from qmet.linalg import require_density
+from qmet.models import make_jaynes_cummings, make_nv_spin1, make_qubit_direction, reference
 from qmet.phasesim import PhaseSimConfig, default_tau, fisher_phase_readout
 
 DPS = 50
@@ -57,15 +59,15 @@ def mp_matrix(a):
     return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
 
 
-def truth_node(model, V, psi):
+def truth_node(model, V, psi, at=THETA, t=T):
     """theta' -> (ascending energies E_j, level weights p_j = |<xi_j|V U_t psi>|^2) at DPS digits."""
-    H0, dH = mp_matrix(model.h_of(THETA)), mp_matrix(model.dh_of(THETA))
+    H0, dH = mp_matrix(model.h_of(at)), mp_matrix(model.dh_of(at))
     Vm, psim = mp_matrix(V), mp_matrix(psi).T
 
     @functools.cache
     def node(x):
-        E, Q = mp.eighe(H0 + (x - THETA) * dH)
-        U = Q * mp.diag([mp.expj(-T * e) for e in E]) * Q.H
+        E, Q = mp.eighe(H0 + (x - at) * dH)
+        U = Q * mp.diag([mp.expj(-t * e) for e in E]) * Q.H
         amps = Q.H * (Vm * (U * psim))
         return list(E), [abs(amps[j]) ** 2 for j in range(len(E))]
 
@@ -145,6 +147,32 @@ def test_readout_within_its_estimate_of_the_truth(name, p0, mode):
         truth = fisher_truth(probs, 2**cfg.n)
     report = fisher_phase_readout(cfg, model, THETA, mode=mode)
     assert abs(report.value - truth) <= report.error_estimate
+
+
+@pytest.mark.parametrize("make, theta, t", [
+    (lambda: make_jaynes_cummings(0.5, 8), 0.9, 1.4),
+    (lambda: make_jaynes_cummings(1.0, 8), 0.9, 1.4),
+    (MODELS["nv-spin1"], 0.7, 3.0),
+], ids=["jc-kappa-0.5", "jc-kappa-1", "nv-spin1"])
+def test_level_jet_bounds_hold_level_by_level(make, theta, t):
+    """cem's rounding model, level by level: each energy derivative within its dE_err, each
+    level weight within its p_err, and each weight derivative within the one dp_err.  On
+    jc at kappa 0.5 (d = 18) max|E| / gap_j runs from 8.9 to 514 over the levels (9.3 to
+    152 at kappa 1), so each level's bound differs from the global one.  The truth takes
+    the library's control and the factor it keeps of rho0."""
+    model = make()
+    d, rng = model.dim, np.random.default_rng(6)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    V = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    _, F = require_density(np.outer(z, z.conj()) / np.vdot(z, z).real)
+    _, dE, dE_err, p, dp, dp_err, p_err = cem._point(model, theta).levels(t, V, F)[0]
+    with mp.workdps(DPS):
+        node, x = truth_node(model, V, F[:, 0], theta, t), mp.mpf(theta)
+        for j in range(d):
+            assert abs(mp.mpf(dE[j]) - mp.diff(lambda y: node(y)[0][j], x)) <= dE_err[j]
+            assert abs(mp.mpf(p[j]) - node(x)[1][j]) <= p_err[j]
+            assert abs(mp.mpf(dp[j]) - mp.diff(lambda y: node(y)[1][j], x)) <= dp_err
 
 
 def preparation(d: int, kind: str) -> np.ndarray:

@@ -1,9 +1,9 @@
 """The library is total at the edges of the float range: the generators, encoded_qfi,
-fisher_cem, optimize_cem, the phase read-outs, tune_tau, jc's classical_fisher (analytic
-and DiffSpec) and the model factories, fed nan, +-inf, +-1e308, +-1e200, 5e-324 or 0 in
-one argument while the others keep working values, or an extreme pair of them, return
-finite values (an error estimate may be inf) or raise a QmetError or ValueError, and let no
-NumPy warning escape."""
+fisher_cem, the phase read-outs and tune_tau (each analytic and DiffSpec), optimize_cem,
+both distributions, circuit_oracle, jc's classical_fisher (analytic and DiffSpec) and the
+model factories, fed nan, +-inf, +-1e308, +-1e200, 5e-324 or 0 in one argument while the
+others keep working values, or an extreme pair of them, return finite values (an error
+estimate may be inf) or raise a QmetError or ValueError, and let no NumPy warning escape."""
 
 import math
 import warnings
@@ -33,15 +33,21 @@ def readout_calls(model, theta, t, tau=None, shift=None):
         return phasesim.PhaseSimConfig(n=4, m=2, t=t, tau=tau, energy_shift=shift,
                                        rho0=ground(model.dim))
 
-    return {
-        "fisher_phase_readout-ideal": lambda: phasesim.fisher_phase_readout(
-            cfg(), model, theta, mode="ideal"),
-        "fisher_phase_readout-realistic": lambda: phasesim.fisher_phase_readout(
-            cfg(), model, theta, mode="realistic"),
-        "tune_tau": lambda: phasesim.tune_tau(cfg(), model, theta),
-        "ideal_distribution": lambda: phasesim.ideal_distribution(cfg(), model, theta),
-        "realistic_distribution": lambda: phasesim.realistic_distribution(cfg(), model, theta),
-    }
+    found = {"ideal_distribution": lambda: phasesim.ideal_distribution(cfg(), model, theta),
+             "realistic_distribution": lambda: phasesim.realistic_distribution(cfg(), model,
+                                                                              theta),
+             "circuit_oracle": lambda: phasesim.circuit_oracle(cfg(), model, theta)}
+    for diff, suffix in ((None, ""), (DiffSpec(), "-diff")):
+        found.update({
+            f"fisher_phase_readout-ideal{suffix}": lambda diff=diff: phasesim.fisher_phase_readout(
+                cfg(), model, theta, diff, mode="ideal"),
+            f"fisher_phase_readout-realistic{suffix}":
+                lambda diff=diff: phasesim.fisher_phase_readout(cfg(), model, theta, diff,
+                                                                mode="realistic"),
+            f"tune_tau{suffix}": lambda diff=diff: phasesim.tune_tau(cfg(), model, theta,
+                                                                     diff=diff),
+        })
+    return found
 
 
 def calls(model, theta=THETA, t=T):
@@ -53,7 +59,9 @@ def calls(model, theta=THETA, t=T):
         "generator_pair": lambda: cem.generator_pair(model, theta, t),
         "generator_pair-diff": lambda: cem.generator_pair(model, theta, t, diff),
         "encoded_qfi": lambda: cem.encoded_qfi(model, theta, t, ground(d)),
+        "encoded_qfi-diff": lambda: cem.encoded_qfi(model, theta, t, ground(d), diff),
         "fisher_cem": lambda: cem.fisher_cem(model, theta, t, np.eye(d), ground(d)),
+        "fisher_cem-diff": lambda: cem.fisher_cem(model, theta, t, np.eye(d), ground(d), diff),
         "optimize_cem": lambda: cem.optimize_cem(model, theta, t, budget=(2, 10)),
         **readout_calls(model, theta, t),
     }
@@ -154,3 +162,12 @@ def test_two_extreme_arguments_at_once():
     found = {label: outcome(call)[0] for label, call in calls(model, theta=1e-300).items()}
     assert set(found.values()) <= {"ok", "typed"}, found
     assert found["fisher_phase_readout-ideal"] == found["g_bound"] == "typed"
+
+
+def test_a_large_field_at_t_zero():
+    """At mu = 1e200 NumPy's norm of dH/dtheta overflows in its sum of squares, while dH's
+    matrix in the eigenbasis of H stays finite; at t = 0, g_dyn and its rounding bound are
+    0, so no estimate forms 0 x inf."""
+    model = FACTORIES["nv-spin1"](1e200)
+    found = {label: outcome(call)[0] for label, call in calls(model, t=0.0).items()}
+    assert set(found.values()) <= {"ok", "typed"}, found
