@@ -54,7 +54,7 @@ from .numdiff import DEFAULT_DIFF, DiffSpec
 
 GENERATOR_HERMITICITY_TOL = 1e-8
 CONDITION_TOL = 1e-8
-FAST_TURN = 0.05  # rad of U_t's phase turn above which the oracle names t, not a kink
+TURN_TOL = 5e-9  # relative error of G that _turn_limit allows U_t's phase turn to cause
 # Relative phase of the extremal g_diag eigenvectors in the optimal preparation.
 PREPARATION_PHASE = math.pi / 2.0
 # optimize_cem's line search: COARSE_NODES even nodes across [-radius, radius], spacing
@@ -293,27 +293,49 @@ def _generators(model: HamiltonianModel, theta: float, t: float, diff: DiffSpec 
         return jet.W, jet.U, jet.g_dyn, jet.g_diag, jet.dyn, point.diag, numdiff.ANALYTIC
     numdiff.check_domain(theta, diff.base_step(theta), model.theta_domain)
     E, W = _spectrum(model, theta)
-
-    turns = [0.0]  # U_t's eigenphase turn from theta to each stencil node
+    limit = _turn_limit(diff.levels)
 
     def families(x: float) -> np.ndarray:  # U_t(x) and S(x) from one decomposition of H(x)
         Ex, Wx = (E, W) if x == theta else _spectrum(model, x)
         u = spectral_unitary(Ex, Wx, t)  # first: it rejects a non-finite t
-        turns.append(abs(t) * max(abs(a - b) for a, b in zip(Ex.tolist(), E.tolist())))
-        if not turns[-1] <= math.pi:  # beyond pi U_t's differences alias
-            raise NonSmoothFamily("more than pi")
+        turn = abs(t) * max(abs(a - b) for a, b in zip(Ex.tolist(), E.tolist()))
+        if not turn <= limit:  # before the Hermiticity check, which a wrong G can pass
+            raise InvalidParameter(f"t = {t} turns U_t's eigenphases by {turn:.6g} rad from "
+                                   f"theta = {theta} to a stencil node, beyond the {limit:.3g} "
+                                   f"rad that {diff.levels} Richardson level(s) follow; use a "
+                                   "shorter t, a smaller step or more levels")
         return np.stack((u, _transported(W, Wx)))
 
-    try:
-        g_dyn, g_diag = local_generator(families, theta, diff)
-    except NonSmoothFamily as exc:  # a phase the stencil cannot follow looks like a kink
-        if max(turns) <= FAST_TURN:
-            raise
-        raise InvalidParameter(f"t = {t} turns U_t's eigenphases by {max(turns):.6g} rad from "
-                               f"theta = {theta} to a stencil node ({exc}); use a shorter t "
-                               "or a smaller step") from exc
+    g_dyn, g_diag = local_generator(families, theta, diff)
     return (W, spectral_unitary(E, W, t), g_dyn, g_diag, _eigh(g_dyn), _diag_system(g_diag),
             diff.method)
+
+
+def _turn_limit(levels: int) -> float:
+    """The largest turn t max_j |E_j(x) - E_j(theta)| of U_t's eigenphases from theta to a
+    stencil node x that the generator oracle accepts with `levels` Richardson levels.
+
+    A phase e^{-i w x} (w = t dE_j) differentiated by central differences at steps h / 2^k
+    gives w sin(f_k) / f_k at the turns f_k = w h / 2^k, whose series sum_m a_m f_k^(2m),
+    a_m = (-1)^m / (2m + 1)!, the ladder of L levels cancels through m = L: level j maps a
+    term's multiplier 4^-(m k) to (4^(j - m) - 1) / (4^j - 1) times it.  What is left is an
+    error c_L h^(2L + 2) w^(2L + 3), c_L = |a_(L+1)| prod_(j=1..L) (1 - 4^(j - L - 1)) /
+    (4^j - 1) = 1/480, 3.10e-6 and 6.73e-10 for L = 1, 2, 3: relative c_L f^(2L + 2) for one
+    phase at its outer turn f, and, by the mean value theorem on w^(2L + 3), at most
+    (2L + 3) c_L f^(2L + 2) relative on a difference of two phases' rates, as on a gap
+    between levels that move nearly together.  G, a square, doubles it.  The limit is the f
+    at which 2 (2L + 3) c_L f^(2L + 2) = TURN_TOL: 0.0221, 0.221, 0.895 and 2.50 rad for
+    L = 1..4, capped at pi, beyond which U_t's differences alias; from L = 5 it is pi.
+    Measured at theta 0.8: on nv-spin1 and qubit-xcomponent (t log-uniform in 10..1e4)
+    G's error was within 2% of 2 c_L f^(2L + 2) wherever it exceeded rounding (about
+    1e-11), and on two levels moving at rates 1 and 1.01 it reached 0.74-0.99 TURN_TOL
+    within 1% of the limit.
+    """
+    L = min(levels, 5)
+    c = (2 * L + 3) / math.factorial(2 * L + 3)
+    for j in range(1, L + 1):
+        c *= (1.0 - 4.0 ** (j - L - 1)) / (4.0**j - 1.0)
+    return min((TURN_TOL / (2.0 * c)) ** (1.0 / (2 * L + 2)), math.pi)
 
 
 def _gap(ev) -> float:
@@ -333,7 +355,7 @@ def generator_pair(
     both unitary families numerically instead, from one H per node, and never reads dh_of;
     that path is the cross-check oracle, needs its whole stencil inside the domain, is the
     only one that can raise NonSmoothFamily, and names t (InvalidParameter) where U_t's phases
-    turn by more than pi to a node, or by more than FAST_TURN and fail that check.
+    turn to a node by more than _turn_limit allows for diff's levels.
     """
     _, _, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, diff)
     return GeneratorPair(g_dyn=g_dyn.copy(), g_diag=g_diag.copy(),  # not the kept point's

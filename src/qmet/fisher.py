@@ -148,15 +148,15 @@ def _fisher_sum(p: np.ndarray, dp, dp_err, p_err=0.0) -> tuple[np.ndarray, np.nd
     return np.maximum(values, 0.0), errs
 
 
-def _fisher_values(p: np.ndarray, dp: np.ndarray) -> Optional[np.ndarray]:
+def _fisher_values(p: np.ndarray, dp: np.ndarray, out: np.ndarray) -> Optional[np.ndarray]:
     """_fisher_sum's values bit for bit, without its bounds, where every p_x exceeds
     SUPPORT_THRESHOLD; None otherwise, as only then does its support rule read the bounds.
-    The terms dp_x^2 / p_x overwrite dp, so the caller must not read dp again unless None
-    is returned."""
+    The terms dp_x^2 / p_x are written into out, a C-contiguous array of dp's shape, and
+    dp is left as it is."""
     if not (p > SUPPORT_THRESHOLD).all():
         return None
     with np.errstate(over="ignore"):  # a value beyond the float range is inf
-        return np.divide(np.square(dp, out=dp), p, out=dp).sum(axis=-1)
+        return np.divide(np.square(dp, out=out), p, out=out).sum(axis=-1)
 
 
 def fisher_rows(p_of, theta: float,

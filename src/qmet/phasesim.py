@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -115,13 +116,19 @@ class PhaseSimConfig:
 
 
 def _check_bounds(n: int, m: int = 1, tau: Optional[float] = None) -> None:
-    """ValueError unless 1 <= n <= 12, m >= 1 and tau is None or positive and finite."""
-    if not (1 <= n <= 12):
-        raise ValueError(f"control-qubit count n must be in [1, 12], got {n}")
-    if m < 1:
-        raise ValueError(f"subdivision count m must be >= 1, got {m}")
+    """ValueError unless n and m are integers, not bool (NumPy's integers pass), with
+    1 <= n <= 12 and m >= 1, and tau is None or positive and finite."""
+    if not (_integer(n) and 1 <= n <= 12):
+        raise ValueError(f"control-qubit count n must be an integer in [1, 12], got {n!r}")
+    if not (_integer(m) and m >= 1):
+        raise ValueError(f"subdivision count m must be an integer >= 1, got {m!r}")
     if tau is not None and not (0 < tau < math.inf):
         raise ValueError(f"tau must be {'finite' if tau > 0 else 'positive'}, got {tau}")
+
+
+def _integer(x) -> bool:
+    """x is an integer and not a bool, as DiffSpec requires of levels; NumPy's integers pass."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,7 @@ def aligned_tau(model: HamiltonianModel, theta: float, n: int) -> float:
 
     tau * range = 2 pi (2^n - 1)/2^n, so every eigenvalue of a two-level
     spectrum sits exactly on a read-out bin while anti-aliasing still holds.
-    n is checked as PhaseSimConfig checks it (ValueError unless 1 <= n <= 12).
+    n is checked as PhaseSimConfig checks it (ValueError unless an integer in [1, 12]).
     """
     _check_bounds(n)
     ev, _ = _spectrum(model, theta)
@@ -267,8 +274,7 @@ def _readout_chunks(cfg: PhaseSimConfig, ev: np.ndarray, p: np.ndarray, taus: np
             yield sl, probs, None, kernels
             continue
         dprobs = np.matmul(jet[1], kernels)
-        spare = _scratch.buf[-probs.size:].reshape(probs.shape)  # past the kernels: free
-        dprobs += np.matmul(p, dkernels, out=spare)
+        dprobs += np.matmul(p, dkernels, out=_spare(probs.shape))
         yield sl, probs, dprobs, kernels
 
 
@@ -280,36 +286,45 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     dz/z = mean_j (-i tau dxi_j/m) e^{-i tau xi_j/m} / z, da/a = Re(dz/z) and
     dphi = Im(dz/z) (both 0 where a < 1e-14, as phi is), so
     dc = c (w m da/a + i w (tau dxi + m dphi)); in ideal mode dc = c i w tau dxi.
+    c and dc are written through a complex view of their (Re, Im) columns.
     """
-    w = 2 ** np.arange(cfg.n)[:, None, None]
-    if mode == IDEAL:
-        c = np.exp(1j * w * phase)
-        dc = None if dphase is None else c * (1j * w * dphase)
-    elif mode == REALISTIC:
-        spins = np.exp(-1j * phase / cfg.m)
-        z = spins.mean(axis=1)
-        a = np.abs(z)
-        _require_damping(a)
-        live = a >= 1e-14
-        phi = np.where(live, np.angle(z), 0.0)
-        beta0 = phase + cfg.m * phi[:, None]
-        c = a[:, None] ** (w * cfg.m) * np.exp(1j * w * beta0)  # (level, T, d)
-        if dphase is not None:
-            dz = (spins * dphase).mean(axis=1) * (-1j / cfg.m)
-            dlog = np.divide(dz, z, out=np.zeros_like(z), where=live)  # da/a + i dphi
-            dc = c * (w * (cfg.m * dlog.real[:, None]
-                           + 1j * (dphase + cfg.m * dlog.imag[:, None])))
-    else:
+    if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
+    w, wm, iw = _exponents(cfg.n, cfg.m)
     coef = np.empty((cfg.n, 1 if dphase is None else 2, *phase.shape, 3))
-    coef[:, 0, ..., 0] = 1.0
-    coef[:, 0, ..., 1] = c.real
-    coef[:, 0, ..., 2] = c.imag
+    coef[:, 0, ..., 0], coef[:, 1:, ..., 0] = 1.0, 0.0
+    c = coef[..., 1:].view(complex)[..., 0]  # (level, kind, T, d): c, then dc
+    if mode == IDEAL:
+        np.exp(iw * phase, out=c[:, 0])
+        if dphase is not None:
+            np.multiply(c[:, 0], iw * dphase, out=c[:, 1])
+        return coef
+    spins = np.exp(-1j * phase / cfg.m)
+    z = spins.mean(axis=1)
+    a = np.abs(z)
+    _require_damping(a)
+    live = a >= 1e-14
+    phi = np.where(live, np.angle(z), 0.0)
+    np.multiply(a[:, None] ** wm, np.exp(iw * (phase + cfg.m * phi[:, None])), out=c[:, 0])
     if dphase is not None:
-        coef[:, 1, ..., 0] = 0.0
-        coef[:, 1, ..., 1] = dc.real
-        coef[:, 1, ..., 2] = dc.imag
+        dz = (spins * dphase).mean(axis=1) * (-1j / cfg.m)
+        dlog = np.divide(dz, z, out=np.zeros_like(z), where=live)  # da/a + i dphi
+        np.multiply(c[:, 0], w * (cfg.m * dlog.real[:, None]
+                                  + 1j * (dphase + cfg.m * dlog.imag[:, None])), out=c[:, 1])
     return coef
+
+
+@functools.lru_cache(maxsize=64)
+def _exponents(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """_level_coefficients' read-only (n, 1, 1) level exponents w = 2^(l-1), w m and i w."""
+    w = 2 ** np.arange(n)[:, None, None]
+    return _read_only(w, w * m, 1j * w)
+
+
+def _spare(shape) -> np.ndarray:
+    """The last entries of this thread's _workspace as an array of shape: past the regions
+    that hold _level_products' results, so free once it has returned."""
+    return _scratch.buf[-math.prod(shape):].reshape(shape)
 
 
 def _workspace(size: int) -> np.ndarray:
@@ -404,7 +419,12 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
     bounds every dPr(Q) is off by at most d dp_err + (2^n - 1) tau (max_j dxi_err_j +
     sum_j p_err_j |dxi_j|).  A scan with errors=False reads values only: a chunk whose bins
     all exceed SUPPORT_THRESHOLD skips the bounds, which only _fisher_sum's support rule
-    reads, and errors comes back None.
+    reads, and errors comes back None.  Such a scan also keeps beside the level jet, once
+    none of its chunks raised, the read-only rows Pr, dPr and p_err @ K of the first best tau
+    that the values-only scans at its (mode, n, m, energy_shift) have scored, one entry for
+    them all; a single tau scored with errors in that mode at that tau forms its value and
+    bound from them with _fisher_sum instead of a kernel pass, the same bits, as a tau's pass
+    does not depend on its batch.  So the report at tune_tau's tau runs no pass of its own.
 
     An explicit DiffSpec runs the finite-difference oracle, which reads neither dh_of nor
     the jet: fisher_rows differentiates the read-out (weights, shifted energies and, in realistic
@@ -424,18 +444,33 @@ def _scorer(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,
         dxi, dxi_bound = kept[follows]
         method, step = numdiff.ANALYTIC, 0.0
 
+        def bound(taus: np.ndarray) -> np.ndarray:  # on every dPr(Q), (T, 1)
+            with np.errstate(over="ignore"):
+                return (E.shape[0] * dp_err + (2**cfg.n - 1) * taus * dxi_bound)[:, None]
+
         def score(taus: np.ndarray, mode: str, errors: bool = True):
+            key, scan = (mode, cfg.n, cfg.m, cfg.energy_shift), kept.get("scan", (None,) * 4)
+            if errors and taus.shape == (1,) and scan[:2] == (key, taus[0]):
+                probs, dprobs, weight_err = scan[3]  # the pass a values-only scan ran
+                values, errs = _fisher_sum(probs, dprobs, bound(taus), weight_err)
+                return np.where(_aliases(taus, E), -np.inf, values), errs
+            best = scan[2] if not errors and scan[0] == key else -np.inf
+            aliased, found = _aliases(taus, E), None
             values, errs = np.empty(taus.shape), np.empty(taus.shape)
             for sl, probs, dprobs, kernels in _readout_chunks(cfg, E, p, taus, mode, (dxi, dp)):
                 _require_normalized(probs)
-                chunk = None if errors else _fisher_values(probs, dprobs)
+                chunk = None if errors else _fisher_values(probs, dprobs, _spare(probs.shape))
                 if chunk is None:
-                    with np.errstate(over="ignore"):
-                        dprobs_err = E.shape[0] * dp_err + (2**cfg.n - 1) * taus[sl] * dxi_bound
-                    chunk, errs[sl] = _fisher_sum(probs, dprobs, dprobs_err[:, None],
+                    chunk, errs[sl] = _fisher_sum(probs, dprobs, bound(taus[sl]),
                                                   p_err @ kernels)
-                values[sl] = chunk
-            return np.where(_aliases(taus, E), -np.inf, values), errs if errors else None
+                chunk = values[sl] = np.where(aliased[sl], -np.inf, chunk)
+                k = int(np.argmax(chunk))
+                if not errors and chunk[k] > best:  # the first best so far: keep its rows
+                    best, found = chunk[k], (float(taus[sl][k]), chunk[k], _read_only(
+                        probs[k:k + 1].copy(), dprobs[k:k + 1].copy(), p_err @ kernels[k:k + 1]))
+            if found is not None:  # (key, tau, value, (Pr, dPr, p_err @ K)), once nothing raised
+                kept["scan"] = key, *found
+            return values, errs if errors else None
     else:
         method, step = diff.method, diff.base_step(theta)
         numdiff.check_domain(theta, step, model.theta_domain)
@@ -485,7 +520,8 @@ def fisher_phase_readout(
     differentiates it exactly at theta alone (method "analytic", step 0, from cem's kept
     point: one decomposition for every analytic call at one (model, theta), one U_t for
     those at one t too, and one level jet for those at one (t, V, rho0), as after
-    tune_tau on cfg; AliasingRisk when tau aliases at theta).  An explicit DiffSpec runs
+    tune_tau on cfg, whose scan already ran the kernel pass of its mode at its tau;
+    AliasingRisk when tau aliases at theta).  An explicit DiffSpec runs
     the finite-difference stencil instead, the oracle, which raises AliasingRisk when tau
     aliases at any stencil node.
     """
@@ -510,7 +546,9 @@ def tune_tau(
     any stencil node.  The fine scan's two ends are coarse candidates; an analytic value
     does not depend on its batch, so that path scores only the TAU_REFINE - 2 interior
     taus, while the oracle, whose batch shares one derivative error bound, scores all of
-    them.  Ties go to the earlier candidate.
+    them.  Ties go to the earlier candidate.  On the analytic path the scans keep the chosen
+    tau's rows (see _scorer), so fisher_phase_readout in this mode at that tau runs no
+    kernel pass.
     """
     E, score, _, _ = _scorer(cfg, model, theta, diff)
     hi = 0.98 * 2.0 * math.pi / (float(np.ptp(E)) + 1e-6)

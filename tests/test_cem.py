@@ -201,6 +201,13 @@ class TestCheckCondition:
         assert not check_condition(g)
 
 
+def together_model():
+    """Two weakly mixed levels whose energies move at rates 1 and 1.01."""
+    return HamiltonianModel("together", 2,
+                            lambda x: np.array([[x, 1e-3], [1e-3, 1.01 * x + 1.0]], dtype=complex),
+                            dh_of=lambda x: np.diag([1.0, 1.01]).astype(complex))
+
+
 class TestGBound:
     @pytest.mark.parametrize("diff", [None, DiffSpec()], ids=["analytic", "oracle"])
     def test_overflowing_spectral_range_is_invalid(self, diff):
@@ -231,6 +238,32 @@ class TestGBound:
         model = make_qubit_xcomponent(1.0)
         oracle, analytic = (g_bound(model, 0.8, 1e3, diff).G_value for diff in (DiffSpec(), None))
         assert abs(oracle - analytic) <= 1e-11 * analytic
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("make, top", [(lambda: make_nv_spin1(**NV_PARAMS), 3.6),
+                                           (lambda: make_qubit_xcomponent(1.0), 1.12),
+                                           (lambda: together_model(), 1.82)],
+                             ids=["nv-spin1", "qubit-xcomponent", "together"])
+    def test_oracle_returns_an_accurate_g_or_names_t(self, make, top, levels):
+        """t log-uniform in 10..1e4 at theta 0.8: every G the oracle returns is within 1e-8
+        relative of the analytic G, and every other call names t, whatever the Hermiticity
+        check would say: on nv-spin1's nearly diagonal U_t that check passes a G off by 2e-4
+        (levels 2, 1.8 rad).  Two levels moving nearly together take 2L + 3 times a single
+        phase's error on their gap.  The phases turn by top rad at t = 1e4, which ends the draw,
+        so it names t wherever that exceeds the level count's limit."""
+        model, outcomes = make(), set()
+        for t in [*10.0 ** np.random.default_rng(levels).uniform(1.0, 4.0, 15), 1e4]:
+            analytic = g_bound(model, 0.8, t).G_value
+            try:
+                oracle = g_bound(model, 0.8, t, DiffSpec(levels=levels)).G_value
+            except InvalidParameter as exc:
+                assert str(exc).startswith(f"t = {t} turns U_t's eigenphases")
+                outcomes.add("named")
+                continue
+            assert abs(oracle - analytic) <= 1e-8 * analytic
+            outcomes.add("returned")
+        assert outcomes == ({"returned", "named"} if top > cem._turn_limit(levels)
+                            else {"returned"})
 
     @pytest.mark.parametrize("entry", [
         lambda model: g_bound(model, 1.0, 1.0),

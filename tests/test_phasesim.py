@@ -463,7 +463,29 @@ class TestConfigValidation:
         tau = aligned_tau(model, 1.0, 6)
         assert tau * 2.0 < 2 * math.pi  # spectral range is 2
 
-    @pytest.mark.parametrize("n", [0, -1, 13])
+    @pytest.mark.parametrize("n, m, named", [
+        (6, 3.5, "subdivision count m must be an integer"),
+        (6, True, "subdivision count m must be an integer"),
+        (6, np.float64(3.0), "subdivision count m must be an integer"),
+        (6.0, 3, "control-qubit count n must be an integer"),
+        (True, 3, "control-qubit count n must be an integer"),
+    ])
+    def test_non_integer_counts(self, n, m, named):
+        """A float or bool n or m is refused where the counts are checked (the config, and
+        with_tau and the CLI through _check_bounds): unchecked, m = 3.5 scores 3.5
+        controllization rounds, m = True runs as 1, and n = 6.0 or True dies in the kernel
+        with an untyped TypeError."""
+        with pytest.raises(ValueError, match=named):
+            PhaseSimConfig(n=n, m=m, t=1.0, rho0=np.eye(2) / 2)
+        with pytest.raises(ValueError, match=named):
+            phasesim._check_bounds(n, m, 0.5)
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = PhaseSimConfig(n=np.int64(6), m=np.int32(3), t=1.0, rho0=np.eye(2) / 2)
+        assert cfg.with_tau(0.5).tau == 0.5
+        assert aligned_tau(make_qubit_direction(1.0), 0.8, np.int64(6)) > 0.0
+
+    @pytest.mark.parametrize("n", [0, -1, 13, 6.0, True])
     def test_aligned_tau_checks_n_as_the_config_does(self, n):
         with pytest.raises(ValueError, match="control-qubit count"):
             aligned_tau(make_qubit_direction(1.0), 0.8, n)
@@ -974,6 +996,110 @@ class TestValueOnlyScans:
         monkeypatch.setattr(phasesim, "_fisher_sum", counted_sum)
         assert tune_tau(cfg, model, 1.0, "ideal") == expected
         assert sums[0] >= 1
+
+
+def counted_passes(monkeypatch):
+    """One-element list counting _readout_chunks calls: kernel passes, one per scan or report
+    however many chunks its taus take."""
+    count, chunks = [0], phasesim._readout_chunks
+
+    def counted(*args):
+        count[0] += 1
+        return chunks(*args)
+
+    monkeypatch.setattr(phasesim, "_readout_chunks", counted)
+    return count
+
+
+def report_bits(report):
+    return report.value, report.error_estimate
+
+
+class TestKeptScanPass:
+    """The report at tune_tau's tau reads the rows its values-only scan kept beside the level
+    jet: the same bits as a fresh point's report, with one kernel pass fewer."""
+
+    @pytest.mark.parametrize("model_name", ["qubit-direction", "nv-spin1"])
+    @pytest.mark.parametrize("n", [1, 6, 10, 12])
+    @pytest.mark.parametrize("shift", [None, 0.0])
+    def test_tuned_reports_equal_a_fresh_point(self, model_name, n, shift):
+        cfg, model, theta = scan_case(model_name, n, shift)
+        for tuned_mode in ("ideal", "realistic"):
+            drop_memos()
+            tuned = cfg.with_tau(tune_tau(cfg, model, theta, tuned_mode))
+            kept = [report_bits(fisher_phase_readout(tuned, model, theta, mode=mode))
+                    for mode in ("ideal", "realistic")]
+            drop_memos()
+            fresh = [report_bits(fisher_phase_readout(tuned, model, theta, mode=mode))
+                     for mode in ("ideal", "realistic")]
+            assert kept == fresh
+
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_the_tuned_mode_takes_no_pass(self, mode, monkeypatch):
+        """After tune_tau, the report in its mode runs no kernel pass and the other mode
+        one; the kept rows are read-only."""
+        cfg, model, theta = scan_case("nv-spin1", 10, None)
+        tuned = cfg.with_tau(tune_tau(cfg, model, theta, mode))
+        passes = counted_passes(monkeypatch)
+        fisher_phase_readout(tuned, model, theta, mode=mode)
+        assert passes[0] == 0
+        fisher_phase_readout(tuned, model, theta, mode={"ideal": "realistic",
+                                                         "realistic": "ideal"}[mode])
+        assert passes[0] == 1
+        _, kept = _point(model, theta).levels(cfg.t, cfg.control(model.dim), cfg.factor)
+        assert not any(row.flags.writeable for row in kept["scan"][3])
+
+    def test_a_working_point_takes_three_passes(self, monkeypatch):
+        """g_bound, a realistic tune_tau and both reports, as perfbench's readout point: two
+        scans, and one report pass, at n = 12, where a scan's taus span several chunks."""
+        passes = counted_passes(monkeypatch)
+        cfg, model, theta = scan_case("nv-spin1", 12, None)
+        tuned = cfg.with_tau(tune_tau(cfg, model, theta, "realistic"))
+        for mode in ("ideal", "realistic"):
+            fisher_phase_readout(tuned, model, theta, mode=mode)
+        assert passes[0] == 3
+
+    @pytest.mark.parametrize("change", ["n", "m", "energy_shift", "mode", "tau", "V", "rho0"])
+    def test_any_other_read_out_takes_a_pass(self, change, monkeypatch):
+        """A report that differs from the tuned one in any input runs its own pass and gets
+        a fresh point's bits."""
+        cfg, model, theta = scan_case("qubit-direction", 6, None)
+        tuned = cfg.with_tau(tune_tau(cfg, model, theta, "realistic"))
+        mode = "ideal" if change == "mode" else "realistic"
+        rot = expm_unitary(SX, 0.3)
+        other = {
+            "n": lambda: replace(tuned, n=7), "m": lambda: replace(tuned, m=4),
+            "energy_shift": lambda: replace(tuned, energy_shift=0.0),
+            "mode": lambda: tuned, "tau": lambda: tuned.with_tau(tuned.tau * (1 + 1e-12)),
+            "V": lambda: replace(tuned, V=tuned.V @ rot),
+            "rho0": lambda: replace(tuned, rho0=rot @ tuned.rho0 @ rot.conj().T),
+        }[change]()
+        passes = counted_passes(monkeypatch)
+        report = report_bits(fisher_phase_readout(other, model, theta, mode=mode))
+        assert passes[0] == 1
+        drop_memos()
+        assert report == report_bits(fisher_phase_readout(other, model, theta, mode=mode))
+
+    def test_a_raising_scan_keeps_nothing(self, monkeypatch):
+        """A values-only scan whose second chunk raises stores no rows: at n = 12 and d = 3 a
+        chunk holds 5 taus."""
+        cfg, model, theta = scan_case("nv-spin1", 12, None)
+        drop_memos()
+        E, score, _, _ = phasesim._scorer(cfg, model, theta, None)
+        calls, require = [0], phasesim._require_normalized
+
+        def second_fails(probs):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise ValueError("second chunk")
+            require(probs)
+
+        monkeypatch.setattr(phasesim, "_require_normalized", second_fails)
+        with pytest.raises(ValueError, match="second chunk"):
+            score(np.geomspace(0.01, 0.9, 12) * default_tau(model, theta), "ideal",
+                  errors=False)
+        _, kept = _point(model, theta).levels(cfg.t, cfg.control(model.dim), cfg.factor)
+        assert "scan" not in kept
 
 
 class TestDecompositionCounts:
