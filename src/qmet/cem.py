@@ -171,10 +171,10 @@ def local_generator(family, theta: float, diff: DiffSpec = DEFAULT_DIFF) -> np.n
     return (g + gh) / 2.0
 
 
-class _Jet(namedtuple("_Jet", "E W U dH D g_dyn g_diag t vec_err U_err g_dyn_err")):
-    """_Point.jet(t), read-only: the point's E, W, dH, D, g_diag and vec_err, U = exp(-i t H),
-    g_dyn, t, U_err and g_dyn_err; and dyn, g_dyn's _eigh (ascending eigenvalues, eigenvector
-    columns), built on first use: g_dyn's one decomposition, for its gap and g_bound's R2."""
+class _Jet(namedtuple("_Jet", "E W U dH_norm D g_dyn g_diag t vec_err U_err g_dyn_err")):
+    """_Point.jet(t), read-only: the point's E, W, dH_norm, D, g_diag and vec_err, U =
+    exp(-i t H), g_dyn, t, U_err and g_dyn_err; and dyn, g_dyn's _eigh (ascending eigenvalues,
+    eigenvector columns), built on first use: g_dyn's one decomposition, for its gap and R2."""
 
     @property
     def dyn(self):
@@ -253,8 +253,8 @@ class _Point:
             U, g_dyn = _read_only(U, (g_dyn + g_dyn.conj().T) / 2.0)
             U_err = self.eps_d + abs(float(t)) * self.E_err  # t E is finite: spectral_unitary
             g_dyn_err = abs(float(t)) * self.dH_norm * U_err if t else 0.0  # inf, no warning
-            self._jet = _Jet(E, W, U, self.dH, D, g_dyn, self.g_diag, t, self.vec_err, U_err,
-                             g_dyn_err)
+            self._jet = _Jet(E, W, U, self.dH_norm, D, g_dyn, self.g_diag, t, self.vec_err,
+                             U_err, g_dyn_err)
         return self._jet
 
     def levels(self, t: float, V: np.ndarray, F: np.ndarray):
@@ -496,8 +496,8 @@ def _level_jet(jet: _Jet, V: np.ndarray, F: np.ndarray):
     E, (p, dp) = jet.E, _level_weights(jet.W, V, jet.U, F, jet.g_dyn, jet.g_diag)
     e = jet.vec_err + jet.U_err
     with np.errstate(over="ignore"):  # a bound beyond the float range is inf
-        norm_dH, norm_diag, norm_dyn = map(np.linalg.norm, (jet.dH, jet.g_diag, jet.g_dyn))
-        dE_err = 2.0 * jet.vec_err * norm_dH
+        norm_diag, norm_dyn = map(np.linalg.norm, (jet.g_diag, jet.g_dyn))
+        dE_err = 2.0 * jet.vec_err * jet.dH_norm
         eG = e.max() * (norm_diag + norm_dyn)
         dA_err = eG + 2.0 * jet.vec_err.max() * norm_diag + jet.g_dyn_err
         dp_err = 2.0 * (eG + dA_err)
@@ -687,8 +687,8 @@ def optimize_cem(
 def _optimize(model: HamiltonianModel, theta: float, t: float, budget, seed: int):
     """(g_bound's CemSolution, optimize_cem's result) from one analytic _generators."""
     restarts, iterations = budget
-    if restarts < 1 or iterations < 1:
-        raise ValueError("budget entries must be positive")
+    numdiff.require_count("budget restarts", restarts)
+    numdiff.require_count("budget iterations", iterations)
     d, rng = model.dim, np.random.default_rng(seed)
     W, u_t, g_dyn, g_diag, dyn, diag, method = _generators(model, theta, t, None)
     sol = _solution(W, u_t, dyn, diag, method)
@@ -750,8 +750,7 @@ def max_gap_lemma_check(M1, M2, trials: int = 100, seed: int = 0):
     B = require_hermitian(M2)
     if A.shape != B.shape:
         raise ValueError("matrices must have equal dimension")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    numdiff.require_count("trials", trials)
     # Aligning pair: conjugate both matrices to descending diagonal form.
     e1, e2 = eig_hermitian(A).eigenvalues, eig_hermitian(B).eigenvalues
     analytic = _gap(e1) + _gap(e2)  # one decomposition of each matrix

@@ -348,13 +348,11 @@ def _jc_row(cfg: RunConfig):
     alpha1_sq = p["alpha1_sq"]
     if not 0.0 <= alpha1_sq <= 1.0:
         raise InvalidParameter(f"alpha1_sq must be in [0, 1], got {alpha1_sq}")
-    if not float(p["n_max"]).is_integer():  # its range is jc_readout_model's
-        raise InvalidParameter(f"n_max must be an integer, got {p['n_max']}")
+    n_max = int(p["n_max"]) if float(p["n_max"]).is_integer() else p["n_max"]
     alpha0, alpha1 = math.sqrt(1.0 - alpha1_sq), math.sqrt(alpha1_sq)
     diff = cfg.diff()
-    # One read-out model per t; jc_readout_model owns the ranges of kappa and n_max.
-    readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, int(p["n_max"]))
-               for t in cfg.t.tolist()}
+    # One read-out model per t; jc_readout_model owns kappa's range and n_max's count rule.
+    readout = {t: jc_readout_model(p["kappa"], t, alpha0, alpha1, n_max) for t in cfg.t.tolist()}
 
     def row(point):
         omega, t = point

@@ -121,20 +121,16 @@ def _ladder(n_max: int) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=None)
 def _jc_hopping(n_max: int) -> np.ndarray:
-    """Read-only a^dag sigma_- + a sigma_+, atom factor first (|g>, |e>), field factor second."""
+    """a^dag sigma_- + a sigma_+, atom factor first (|g>, |e>), field factor second."""
     a = _ladder(n_max)
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    K = np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
-    K.flags.writeable = False
-    return K
+    return np.kron(sm, a.conj().T) + np.kron(sm.conj().T, a)
 
 
 def _check_jc(kappa: float, n_max: int) -> None:  # both Jaynes-Cummings factories
     _require_finite("kappa", kappa, positive=False)
-    if not 2 <= n_max <= JC_N_MAX:
-        raise InvalidParameter(f"n_max must be >= 2 and <= {JC_N_MAX}, got {n_max}")
+    numdiff.require_count("n_max", n_max, 2, JC_N_MAX, InvalidParameter)
 
 
 def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
@@ -169,7 +165,8 @@ def make_jaynes_cummings(kappa: float, n_max: int = 8) -> HamiltonianModel:
 def jc_field_state(omega: float, t: float, alpha0: complex, alpha1: complex,
                    n_max: int) -> np.ndarray:
     """Field state alpha0 e^{-i w t/2}|0> + alpha1 e^{-3i w t/2}|1>, zero-padded to n_max;
-    InvalidParameter unless omega, t and the phase 1.5 omega t are finite."""
+    InvalidParameter unless n_max is in [2, JC_N_MAX] and omega, t and 1.5 omega t are finite."""
+    numdiff.require_count("n_max", n_max, 2, JC_N_MAX, InvalidParameter)
     phase = 1.5 * float(omega) * float(t)  # Python floats overflow to inf silently
     for name, x in ("omega", omega), ("t", t), ("phase 1.5 omega t", phase):
         if not math.isfinite(x):
@@ -183,13 +180,14 @@ def jc_field_state(omega: float, t: float, alpha0: complex, alpha1: complex,
     return v
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _hopping_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (lambda, V) with _jc_hopping(n_max) = V diag(lambda) V^dag.
 
-    The hopping does not depend on the frequency, so one decomposition per
-    truncation serves every read-out point.  Its spectrum is degenerate (the
-    zero level), which exp(-i s K) = V diag(exp(-i s lambda)) V^dag does not mind.
+    The hopping does not depend on the frequency, so one decomposition per truncation
+    serves every read-out point; the last 4 truncations used are kept, 16 MiB each at
+    JC_N_MAX.  Its spectrum is degenerate (the zero level), which exp(-i s K) =
+    V diag(exp(-i s lambda)) V^dag does not mind.
     """
     lam, V = _eigh(_jc_hopping(n_max))
     lam.flags.writeable = V.flags.writeable = False

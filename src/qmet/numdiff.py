@@ -3,12 +3,14 @@
 The one scheme is a central difference refined by a Richardson ladder, two levels
 by default, with base step h = 1e-4 * (1 + |x|); the error estimate is the size of
 the last extrapolation correction.  Functions may return scalars or ndarrays
-(differentiation is elementwise).
+(differentiation is elementwise).  check_domain and require_count are the package's one
+domain rule and one count rule.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +25,8 @@ RICHARDSON = "richardson-fd"
 class DiffSpec:
     """How to differentiate with respect to the parameter.
 
-    step=None selects the default base step 1e-4 * (1 + |x|); levels >= 1 is the number
-    of Richardson extrapolation levels, one being the cheapest: the plain central
+    step=None selects the default base step 1e-4 * (1 + |x|); the count levels >= 1 is the
+    number of Richardson extrapolation levels, one being the cheapest: the plain central
     difference's nodes x +- h and x +- h/2.  Other settings raise ValueError.
     """
 
@@ -35,12 +37,19 @@ class DiffSpec:
     def __post_init__(self):
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and > 0, got {self.step!r}")
-        if not isinstance(self.levels, int) or isinstance(self.levels, bool) or self.levels < 1:
-            raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
+        require_count("levels", self.levels)
 
     def base_step(self, x: float) -> float:
         """The base step at x, also the largest offset from x that derivative() evaluates."""
         return self.step if self.step is not None else 1e-4 * (1.0 + abs(x))
+
+
+def require_count(name: str, value, lo: int = 1, hi: float = math.inf, error=ValueError):
+    """The one count rule: error naming name unless value is an integer and not a bool
+    (NumPy's integers pass) with lo <= value <= hi."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
 
 
 DEFAULT_DIFF = DiffSpec()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -116,19 +115,12 @@ class PhaseSimConfig:
 
 
 def _check_bounds(n: int, m: int = 1, tau: Optional[float] = None) -> None:
-    """ValueError unless n and m are integers, not bool (NumPy's integers pass), with
-    1 <= n <= 12 and m >= 1, and tau is None or positive and finite."""
-    if not (_integer(n) and 1 <= n <= 12):
-        raise ValueError(f"control-qubit count n must be an integer in [1, 12], got {n!r}")
-    if not (_integer(m) and m >= 1):
-        raise ValueError(f"subdivision count m must be an integer >= 1, got {m!r}")
+    """ValueError unless n and m are counts (numdiff.require_count) with 1 <= n <= 12 and
+    m >= 1, and tau is None or positive and finite."""
+    numdiff.require_count("control-qubit count n", n, 1, 12)
+    numdiff.require_count("subdivision count m", m)
     if tau is not None and not (0 < tau < math.inf):
         raise ValueError(f"tau must be {'finite' if tau > 0 else 'positive'}, got {tau}")
-
-
-def _integer(x) -> bool:
-    """x is an integer and not a bool, as DiffSpec requires of levels; NumPy's integers pass."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,9 @@ def _require_damping(a) -> None:
 
 
 def controllization_factors(U, m: int) -> ControllizationFactors:
-    """a e^{i phi} = tr(U)/d and eps_m = (tr(U)/d)^m - 1 for one subdivision unitary."""
+    """a e^{i phi} = tr(U)/d and eps_m = (tr(U)/d)^m - 1 for one subdivision unitary U and
+    m rounds, a count >= 1."""
+    numdiff.require_count("subdivision count m", m)
     u = require_unitary(U)
     z = np.trace(u) / u.shape[0]
     a = abs(z)
@@ -620,8 +614,9 @@ def controllization_oracle(U, x1: int, y1: int, rho_sys, m: int) -> np.ndarray:
     Each step sandwiches the uncontrolled U between controlled-SWAPs against
     a maximally mixed ancilla, traces the ancilla out, and resets it.  The
     result equals a^(|x1-y1| m) e^{i (y1-x1) m phi} C_{U^m}[|x1><y1| (x) rho],
-    which is verified to 1e-10 before the block is returned.
+    which is verified to 1e-10 before the block is returned.  m is a count >= 1.
     """
+    numdiff.require_count("subdivision count m", m)
     u = require_unitary(U)
     d = u.shape[0]
     if d > 6:

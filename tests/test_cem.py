@@ -233,8 +233,8 @@ class TestGBound:
 
     def test_oracle_resolves_a_turn_below_the_fast_limit(self):
         """At t = 1e3 the x-component model's phases turn by 0.11 rad across the stencil,
-        above FAST_TURN, and the default stencil still resolves them: the oracle's G agrees
-        with the analytic one to 1.8e-12."""
+        below cem._turn_limit's 0.221 rad for the default two Richardson levels, and the
+        stencil resolves them: the oracle's G agrees with the analytic one to 1.8e-12."""
         model = make_qubit_xcomponent(1.0)
         oracle, analytic = (g_bound(model, 0.8, 1e3, diff).G_value for diff in (DiffSpec(), None))
         assert abs(oracle - analytic) <= 1e-11 * analytic
@@ -1196,7 +1196,7 @@ class TestMaxGapLemma:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="equal dimension"):
             max_gap_lemma_check(SZ, np.eye(3))
-        with pytest.raises(ValueError, match="trials must be positive"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             max_gap_lemma_check(SZ, SZ, trials=0)
 
     def test_zero_second_matrix(self):

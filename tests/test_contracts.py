@@ -1,7 +1,7 @@
 """Package-wide contracts: one decomposition site for H(theta) and one eigensolver for
-every Hermitian matrix, one domain rule, one time rule, one dimension rule for the operands
-that meet a model, imports from the standard library and numpy only, and one declaration
-per CLI setting."""
+every Hermitian matrix, one domain rule, one count rule, one time rule, one dimension rule
+for the operands that meet a model, imports from the standard library and numpy only, and
+one declaration per CLI setting."""
 
 import ast
 import math
@@ -94,6 +94,24 @@ def test_only_the_working_point_reads_the_rounding_unit():
     found = {(module, scope.split(".")[0]) for module, scope in scopes(reads_eps)
              if module in ("cem.py", "phasesim.py")}
     assert found and found <= {("cem.py", "_Point"), ("cem.py", "_Jet")}, found
+
+
+def test_one_count_rule():
+    """numdiff.require_count is the one integer check: only numdiff imports numbers, and
+    every entry point that takes a count calls it, phasesim's n and m through _check_bounds."""
+    def imports_numbers(node):
+        return (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers")
+
+    assert {module for module, _ in scopes(imports_numbers)} == {"numdiff.py"}
+    assert callers("require_count") == {
+        ("numdiff.py", "DiffSpec.__post_init__"), ("phasesim.py", "_check_bounds"),
+        ("phasesim.py", "controllization_factors"), ("phasesim.py", "controllization_oracle"),
+        ("models.py", "_check_jc"), ("models.py", "jc_field_state"), ("cem.py", "_optimize"),
+        ("cem.py", "max_gap_lemma_check")}
+    assert callers("_check_bounds") == {
+        ("phasesim.py", "PhaseSimConfig.__post_init__"), ("phasesim.py", "PhaseSimConfig.with_tau"),
+        ("phasesim.py", "aligned_tau"), ("cli.py", "_phase_sim_row")}
 
 
 def test_h_of_is_called_only_by_the_spectrum_and_the_expm_oracle():

@@ -319,6 +319,20 @@ class TestJaynesCummingsJet:
         classical_fisher(jc_readout_model(0.5, 1.0, 0.0, 1.0, 8), 0.9, DiffSpec())
         assert decompositions[0] == 0  # the oracle's nodes read the kept hopping eigensystem
 
+    def test_the_hopping_cache_keeps_a_few_truncations(self):
+        """The hopping eigensystem cache is an LRU of 4 truncations (16 MiB each at
+        JC_N_MAX): after 20 distinct ones it holds at most 4, and a truncation built again
+        after it left the cache gives the same bits."""
+        cached = models._hopping_eigensystem
+        cached.cache_clear()
+        first = [a.tobytes() for a in cached(2)]
+        for n_max in range(3, 22):
+            cached(n_max)
+        assert cached.cache_info().currsize <= cached.cache_info().maxsize == 4
+        misses = cached.cache_info().misses
+        assert [a.tobytes() for a in cached(2)] == first
+        assert cached.cache_info().misses == misses + 1
+
 
 class TestHermiticityEverywhere:
     @pytest.mark.parametrize(

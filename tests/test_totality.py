@@ -3,8 +3,11 @@ fisher_cem, the phase read-outs and tune_tau (each analytic and DiffSpec), optim
 both distributions, circuit_oracle, jc's classical_fisher (analytic and DiffSpec) and the
 model factories, fed nan, +-inf, +-1e308, +-1e200, 5e-324 or 0 in one argument while the
 others keep working values, or an extreme pair of them, return finite values (an error
-estimate may be inf) or raise a QmetError or ValueError, and let no NumPy warning escape."""
+estimate may be inf) or raise a QmetError or ValueError, and let no NumPy warning escape.
+Every count qmet takes refuses those values, floats and bools with its own typed error, and
+runs a NumPy integer as the equal Python int."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from qmet import cem, models, phasesim
-from qmet.errors import QmetError
+from qmet.errors import InvalidParameter, QmetError
 from qmet.fisher import FisherReport, OutcomeDistribution, classical_fisher
 from qmet.numdiff import DiffSpec
 
@@ -171,3 +174,80 @@ def test_a_large_field_at_t_zero():
     model = FACTORIES["nv-spin1"](1e200)
     found = {label: outcome(call)[0] for label, call in calls(model, t=0.0).items()}
     assert set(found.values()) <= {"ok", "typed"}, found
+
+
+def count_calls():
+    """{argument: (call of one count, its entry point's error, the name its message gives,
+    a valid count)} of every count argument qmet takes; the other arguments keep working
+    values."""
+    model = FACTORIES["qubit-direction"]()
+    U, sz, sx = model.u_of(THETA, T), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def readout(n=4, m=2):
+        cfg = phasesim.PhaseSimConfig(n=n, m=m, t=T, rho0=ground(2))
+        return phasesim.realistic_distribution(cfg, model, THETA)
+
+    def jc(n_max):
+        return classical_fisher(models.jc_readout_model(0.5, 1.0, 0.6, 0.8, n_max), 1.0)
+
+    return {
+        "DiffSpec levels": (lambda v: cem.g_bound(model, THETA, T, DiffSpec(levels=v)),
+                            ValueError, "levels", 2),
+        "PhaseSimConfig n": (lambda v: readout(n=v), ValueError, "control-qubit count n", 4),
+        "PhaseSimConfig m": (lambda v: readout(m=v), ValueError, "subdivision count m", 2),
+        "aligned_tau n": (lambda v: phasesim.aligned_tau(model, THETA, v), ValueError,
+                          "control-qubit count n", 4),
+        "controllization_factors m": (lambda v: phasesim.controllization_factors(U, v),
+                                      ValueError, "subdivision count m", 3),
+        "controllization_oracle m": (
+            lambda v: phasesim.controllization_oracle(U, 1, 0, ground(2), v), ValueError,
+            "subdivision count m", 2),
+        "make_jaynes_cummings n_max": (lambda v: models.make_jaynes_cummings(0.5, v).h_of(1.0),
+                                       InvalidParameter, "n_max", 4),
+        "jc_readout_model n_max": (jc, InvalidParameter, "n_max", 4),
+        "jc_field_state n_max": (lambda v: models.jc_field_state(1.0, 1.0, 0.6, 0.8, v),
+                                 InvalidParameter, "n_max", 4),
+        "optimize_cem restarts": (lambda v: cem.optimize_cem(model, THETA, T, budget=(v, 10)),
+                                  ValueError, "budget restarts", 2),
+        "optimize_cem iterations": (lambda v: cem.optimize_cem(model, THETA, T, budget=(2, v)),
+                                    ValueError, "budget iterations", 10),
+        "max_gap_lemma_check trials": (lambda v: cem.max_gap_lemma_check(sz, sx, trials=v),
+                                       ValueError, "trials", 5),
+    }
+
+
+def bits(result) -> bytes:
+    """The bytes of every number, string and array a result holds, error estimates too."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return b"|".join(bits(x) for x in result)
+    if isinstance(result, str):
+        return result.encode()
+    return np.asarray(result, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("argument", list(count_calls()))
+def test_every_count_takes_the_one_count_rule(argument):
+    """Each count, fed the float edges, 0, 2.0, 2.5 or True, raises its entry point's typed
+    error (ValueError for a configuration count, InvalidParameter for a model parameter) from
+    numdiff.require_count, which names it, with no NumPy warning: never a TypeError or
+    IndexError, nor a value computed from a float or bool count.  A NumPy integer returns
+    the equal Python int's bits."""
+    call, error, name, valid = count_calls()[argument]
+    failures = []
+    for v in (*EDGES, 0, 2.0, 2.5, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(v)
+                failures.append(f"{argument} = {v!r} returned a value")
+            except error as exc:
+                if f"{name} must be an integer" not in str(exc):
+                    failures.append(f"{argument} = {v!r}: {exc}")
+            except Exception as exc:  # noqa: BLE001 -- a warning or an untyped error
+                failures.append(f"{argument} = {v!r}: {type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bits(call(np.int64(valid))) == bits(call(valid))
