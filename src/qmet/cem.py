@@ -187,7 +187,7 @@ class _Jet(namedtuple("_Jet", "E W U dH_norm D g_dyn g_diag t vec_err U_err g_dy
 class _Point:
     """Everything cem derives from H at one working point (model, theta), read-only: H's
     ascending energies E and phase-fixed eigenvector columns W (every consumer's one gauge),
-    dH, dH_norm, D = W^dag dH W (its diagonal holds the dE_j), w_jk = E_j - E_k, g_diag and the
+    dH_norm, D = W^dag dH W (its diagonal holds the dE_j), w_jk = E_j - E_k, g_diag and the
     rounding bounds below, from one checked _spectrum (DomainBoundary outside the open
     domain) and one dh_of read (InvalidParameter without it); diag, g_diag's _diag_system,
     on first use; jet(t) and levels(t, V, F), the _level_jet at that jet, each kept for the
@@ -220,7 +220,7 @@ class _Point:
                                    "needs it, and an explicit DiffSpec selects the "
                                    "finite-difference oracle")
         with np.errstate(all="ignore"):
-            dH = require_hermitian(model.dh_of(theta)).view()  # dh_of may return its own array
+            dH = require_hermitian(model.dh_of(theta))  # read, never kept: dh_of may own it
             D = W.conj().T @ dH @ W
             D = (D + D.conj().T) / 2.0
             self.dH_norm = float(np.linalg.norm(dH))  # inf beyond the float range
@@ -233,8 +233,8 @@ class _Point:
         eps, gap = float(np.finfo(float).eps), np.where(w != 0.0, np.abs(w), np.inf).min(axis=1)
         # E ascends, so its ends hold max|E|; _spectrum keeps every gap above 1e-8 (1 + range).
         self.eps_d, self.E_err = eps * len(E), eps * float(max(abs(E[0]), abs(E[-1])))
-        self.E, self.W, self.dH, self.D, self.w, self.g_diag, self.vec_err = _read_only(
-            E, W, dH, D, w, g_diag, self.eps_d + self.E_err / gap)
+        self.E, self.W, self.D, self.w, self.g_diag, self.vec_err = _read_only(
+            E, W, D, w, g_diag, self.eps_d + self.E_err / gap)
         self._jet = self._levels = None
 
     @functools.cached_property

@@ -46,6 +46,7 @@ from .cem import _optimize, encoded_qfi, g_bound
 from .errors import InvalidParameter, QmetError
 from .fisher import classical_fisher
 from .models import (
+    JC_N_MAX,
     jc_readout_model,
     make_nv_spin1,
     make_qubit_direction,
@@ -348,7 +349,9 @@ def _jc_row(cfg: RunConfig):
     alpha1_sq = p["alpha1_sq"]
     if not 0.0 <= alpha1_sq <= 1.0:
         raise InvalidParameter(f"alpha1_sq must be in [0, 1], got {alpha1_sq}")
-    n_max = int(p["n_max"]) if float(p["n_max"]).is_integer() else p["n_max"]
+    n_max = p["n_max"]  # an integral value within the range check's reach enters as an int
+    if abs(n_max) <= JC_N_MAX and float(n_max).is_integer():
+        n_max = int(n_max)
     alpha0, alpha1 = math.sqrt(1.0 - alpha1_sq), math.sqrt(alpha1_sq)
     diff = cfg.diff()
     # One read-out model per t; jc_readout_model owns kappa's range and n_max's count rule.

@@ -62,7 +62,20 @@ SCRATCH_BYTES = 1024 * 1024
 # tune_tau: geometric candidates over (hi/300, hi], then a linear refinement.
 TAU_COARSE = 32
 TAU_REFINE = 16
-_scratch = threading.local()  # _workspace's buffer, one per thread
+# Level-product plans a thread keeps (_plan), the least recently used dropped first.  A
+# plan is about 8 array views per level, some 10 KiB at n = 10; perfbench's readout mix
+# runs 14 shapes.
+KEPT_PLANS = 16
+
+
+class _Scratch(threading.local):
+    """One per thread: _workspace's buffer and the _plan dict, both empty at first."""
+
+    def __init__(self):
+        self.buf, self.plans = np.empty(0), {}
+
+
+_scratch = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -285,27 +298,32 @@ def _level_coefficients(cfg: PhaseSimConfig, phase: np.ndarray, dphase, mode: st
     if mode not in (IDEAL, REALISTIC):
         raise ValueError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     w, wm, iw = _exponents(cfg.n, cfg.m)
-    coef = np.empty((cfg.n, 1 if dphase is None else 2, *phase.shape, 3))
-    coef[:, 0, ..., 0], coef[:, 1:, ..., 0] = 1.0, 0.0
+    kinds = 1 if dphase is None else 2
+    coef = np.empty((cfg.n, kinds, *phase.shape, 3))
+    coef[..., 0] = _CONSTANT_COLUMN[:kinds]
     c = coef[..., 1:].view(complex)[..., 0]  # (level, kind, T, d): c, then dc
     if mode == IDEAL:
         np.exp(iw * phase, out=c[:, 0])
         if dphase is not None:
             np.multiply(c[:, 0], iw * dphase, out=c[:, 1])
         return coef
-    spins = np.exp(-1j * phase / cfg.m)
-    z = spins.mean(axis=1)
+    spins, d = np.exp(-1j * phase / cfg.m), phase.shape[1]
+    z = np.add.reduce(spins, axis=1) / d  # the sum and division mean runs, without its checks
     a = np.abs(z)
     _require_damping(a)
     live = a >= 1e-14
-    phi = np.where(live, np.angle(z), 0.0)
+    phi = np.where(live, np.arctan2(z.imag, z.real), 0.0)  # np.angle's one ufunc
     np.multiply(a[:, None] ** wm, np.exp(iw * (phase + cfg.m * phi[:, None])), out=c[:, 0])
     if dphase is not None:
-        dz = (spins * dphase).mean(axis=1) * (-1j / cfg.m)
+        dz = np.add.reduce(spins * dphase, axis=1) / d * (-1j / cfg.m)
         dlog = np.divide(dz, z, out=np.zeros_like(z), where=live)  # da/a + i dphi
         np.multiply(c[:, 0], w * (cfg.m * dlog.real[:, None]
                                   + 1j * (dphase + cfg.m * dlog.imag[:, None])), out=c[:, 1])
     return coef
+
+
+# _level_coefficients' first column per kind: 1 in every value row, 0 in every derivative row.
+_CONSTANT_COLUMN = _read_only(np.array([1.0, 0.0])[:, None, None])[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -324,11 +342,51 @@ def _spare(shape) -> np.ndarray:
 def _workspace(size: int) -> np.ndarray:
     """This thread's flat float64 scratch of at least size entries.  It grows to the largest
     chunk the thread has run and is never freed, so its pages stay mapped from one chunk to
-    the next instead of being returned to the OS and faulted in again."""
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < size:
+    the next instead of being returned to the OS and faulted in again.  Growing drops every
+    _plan the thread keeps: a plan holds views of the old buffer and would keep it alive."""
+    buf = _scratch.buf
+    if buf.size < size:
+        _scratch.plans = {}
         buf = _scratch.buf = np.empty(size)
     return buf
+
+
+def _plan(n: int, kinds: int, T: int, d: int):
+    """This thread's kept (steps, P, dP) for _level_products at one coefficient shape.
+
+    Built once against the thread's _workspace: per level, top first, a step holds the
+    level, its twiddle table, the (kinds T d, 2^n / w) factor rows matmul writes, the factor
+    and derivative views (T d, 2, 2^n / 2w), the product and its derivative of the level
+    above as (T d, 1, 2^n / 2w) views (2^-n and 0 above the top), and f dP's view at the
+    workspace's end; P and dP are the last level's products as (T, d, 2^n) views.  A thread
+    keeps the KEPT_PLANS most recently used plans, and none past a growth of its workspace.
+    """
+    key = n, kinds, T, d
+    plan = _scratch.plans.pop(key, None)
+    if plan is None:
+        rows = T * d
+        full = kinds * rows << n
+        work = _workspace(full + full // 2 + (rows << n if kinds == 2 else 0))
+        regions, term = (work[:full], work[full:full + full // 2]), work[full + full // 2:]
+        prod, dprod = _read_only(np.full((rows, 1, 1), 2.0**-n), np.zeros((rows, 1, 1)))
+        steps = []
+        for level in reversed(range(n)):
+            half = 1 << (n - 1 - level)  # the period of the level above
+            rows2d = regions[level & 1][:full >> level].reshape(kinds * rows, 2 * half)
+            factor = rows2d.reshape(kinds, rows, 2, half)  # the derivative rows follow
+            step = (level, _twiddles(n)[level], rows2d, factor[0], prod)
+            if kinds == 2:
+                step += (factor[1], dprod, term[:rows * 2 * half].reshape(rows, 2, half))
+                dprod = factor[1].reshape(rows, 1, 2 * half)
+            steps.append(step)
+            prod = factor[0].reshape(rows, 1, 2 * half)
+        shape = (T, d, 2**n)
+        plan = steps, prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
+    plans = _scratch.plans  # a new dict where _workspace grew
+    plans[key] = plan
+    if len(plans) > KEPT_PLANS:
+        del plans[next(iter(plans))]  # the least recently used
+    return plan
 
 
 def _level_products(coef: np.ndarray):
@@ -341,32 +399,26 @@ def _level_products(coef: np.ndarray):
     odd levels into a second of half its size (so a level reads the one above it while
     writing its own), and f dP into a third at its end.  The last level's factors,
     (kinds, T, d, 2^n) float64, fill the first region, and _readout_chunks bounds them by
-    SCRATCH_BYTES.  The results are views of the first region, valid until the thread's
-    next call; the rest of the workspace is free until then.
+    SCRATCH_BYTES.  The views each level reads and writes come from the shape's kept _plan,
+    so a level is one matmul and one in-place multiply, or four ufuncs with a derivative
+    kind.  The results are views of the first region, valid until the thread's next call;
+    the rest of the workspace is free until then.
     """
     n, kinds, T, d, _ = coef.shape
-    tables, rows = _twiddles(n), T * d
-    coef = coef.reshape(n, kinds * rows, 3)
-    full = kinds * rows << n
-    work = _workspace(full + full // 2 + (rows << n if kinds == 2 else 0))
-    regions, term = (work[:full], work[full:full + full // 2]), work[full + full // 2:]
-    prod, dprod = np.full((rows, 1, 1), 2.0**-n), np.zeros((rows, 1, 1))
-    for level in reversed(range(n)):
-        half = 1 << (n - 1 - level)  # the period of the level above
-        factor = regions[level & 1][:full >> level].reshape(kinds * rows, 2 * half)
-        np.matmul(coef[level], tables[level], out=factor)
-        factor = factor.reshape(kinds * rows, 2, half)
-        if kinds == 2:  # the derivative rows follow the factor rows
-            factor, dfactor = factor[:rows], factor[rows:]
-            dfactor *= prod
-            fdprod = term[:rows * 2 * half].reshape(rows, 2, half)
-            np.multiply(factor, dprod, out=fdprod)
-            dfactor += fdprod
-            dprod = dfactor.reshape(rows, 1, 2 * half)
+    steps, P, dP = _plan(n, kinds, T, d)
+    coef = coef.reshape(n, kinds * T * d, 3)
+    if dP is None:
+        for level, table, rows2d, factor, prod in steps:
+            np.matmul(coef[level], table, out=rows2d)
+            factor *= prod
+        return P, None
+    for level, table, rows2d, factor, prod, dfactor, dprod, fdprod in steps:
+        np.matmul(coef[level], table, out=rows2d)
+        dfactor *= prod
+        np.multiply(factor, dprod, out=fdprod)
+        dfactor += fdprod
         factor *= prod
-        prod = factor.reshape(rows, 1, 2 * half)
-    shape = (T, d, 2**n)
-    return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
+    return P, dP
 
 
 def _distribution(cfg: PhaseSimConfig, model: HamiltonianModel, theta: float,

@@ -234,6 +234,16 @@ class TestConfigHandling:
         assert (code, text) == (EXIT_CONFIG, "")
         assert "n_max must be an integer in [2, 500]" in capsys.readouterr().err
 
+    def test_a_huge_jc_truncation_is_named_as_written(self, tmp_path, capsys):
+        """An integral n_max far beyond the range is named as the float it was read as, not
+        converted to a 309-digit integer first."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nn_max = 1e308\n")
+        code, text = run(tmp_path, "jc", "--config", str(ini), "--theta", "1:1:1", "--t", "1:1:1")
+        assert (code, text) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "config error: [model] n_max must be an integer in [2, 500], got 1e+308\n")
+
     def test_flags_may_precede_the_command(self, tmp_path):
         flags = ("--model", "nv-spin1", "--theta", "0.4:1.6:3", "--t", "0.5:2:2")
         code_after, after = run(tmp_path, "gbound", *flags)

@@ -96,6 +96,22 @@ def test_only_the_working_point_reads_the_rounding_unit():
     assert found and found <= {("cem.py", "_Point"), ("cem.py", "_Jet")}, found
 
 
+def test_each_level_of_the_level_product_is_at_most_five_numpy_calls():
+    """phasesim._level_products reads each level's views from its kept plan: in every
+    per-level loop a call, an augmented assignment and a binary operation count one NumPy
+    call each, a derivative-kind level makes at most five, and no level reshapes or slices.
+    So the read-out kernel's per-level cost cannot grow back unnoticed."""
+    tree = ast.parse(Path(phasesim.__file__).read_text(encoding="utf-8"))
+    (kernel,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_level_products"]
+    loops = [node for node in ast.walk(kernel) if isinstance(node, ast.For)]
+    assert loops
+    for loop in loops:
+        body = [node for stmt in loop.body for node in ast.walk(stmt)]
+        assert not any(named(node) == "reshape" or isinstance(node, ast.Slice) for node in body)
+        assert sum(isinstance(node, (ast.Call, ast.AugAssign, ast.BinOp)) for node in body) <= 5
+
+
 def test_one_count_rule():
     """numdiff.require_count is the one integer check: only numdiff imports numbers, and
     every entry point that takes a count calls it, phasesim's n and m through _check_bounds."""

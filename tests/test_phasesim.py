@@ -1,9 +1,12 @@
 """Tests for the phase-estimation read-out simulator and its oracles."""
 
+import hashlib
+import itertools
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -869,9 +872,118 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def in_fresh_thread(call):
+    """call() in a new thread, which starts with no workspace and no plans and frees both as
+    it ends; its result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = call()
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def reference_level_products(coef):
+    """_level_products as a loop that reshapes and slices its own buffer at every level, the
+    kernel before kept plans: the same operands in the same order."""
+    n, kinds, T, d, _ = coef.shape
+    tables, rows = phasesim._twiddles(n), T * d
+    coef = coef.reshape(n, kinds * rows, 3)
+    full = kinds * rows << n
+    work = np.empty(full + full // 2 + (rows << n if kinds == 2 else 0))
+    regions, term = (work[:full], work[full:full + full // 2]), work[full + full // 2:]
+    prod, dprod = np.full((rows, 1, 1), 2.0**-n), np.zeros((rows, 1, 1))
+    for level in reversed(range(n)):
+        half = 1 << (n - 1 - level)
+        factor = regions[level & 1][:full >> level].reshape(kinds * rows, 2 * half)
+        np.matmul(coef[level], tables[level], out=factor)
+        factor = factor.reshape(kinds * rows, 2, half)
+        if kinds == 2:
+            factor, dfactor = factor[:rows], factor[rows:]
+            dfactor *= prod
+            fdprod = term[:rows * 2 * half].reshape(rows, 2, half)
+            np.multiply(factor, dprod, out=fdprod)
+            dfactor += fdprod
+            dprod = dfactor.reshape(rows, 1, 2 * half)
+        factor *= prod
+        prod = factor.reshape(rows, 1, 2 * half)
+    shape = (T, d, 2**n)
+    return prod.reshape(shape), dprod.reshape(shape) if kinds == 2 else None
+
+
+def level_digest(kernels, dkernels):
+    """SHA-256 of a _level_products result's bytes, read in place."""
+    digest = hashlib.sha256(kernels)
+    if dkernels is not None:
+        digest.update(dkernels)
+    return digest.hexdigest()
+
+
 class TestWorkspace:
     """_level_products runs in a per-thread workspace that a chunk's yielded probs and
-    dprobs outlive, that threads do not share, and that a warm call does not reallocate."""
+    dprobs outlive, that threads do not share, and that a warm call does not reallocate,
+    through kept per-thread plans that a growing workspace drops and a cap bounds."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_plan_kernel_equals_the_reference_loop(self, n):
+        """Every kind count, T in {1, 14, 21, 32} and d in {2, 3, 18}, with random
+        coefficients, each shape run twice (the second time from its kept plan): the bytes of
+        the reference loop.  Each shape runs in a fresh thread, which frees its workspace,
+        75 MB at n = 12, T = 32 and d = 18, before the next shape's reference runs."""
+        rng = np.random.default_rng(n)
+        for kinds, T, d in itertools.product((1, 2), (1, 14, 21, 32), (2, 3, 18)):
+            coef = rng.standard_normal((n, kinds, T, d, 3))
+            expected = level_digest(*reference_level_products(coef))
+            digests = in_fresh_thread(lambda: [level_digest(*phasesim._level_products(coef))
+                                               for _ in range(2)])
+            assert digests == [expected] * 2
+
+    def test_a_growing_workspace_drops_the_plans(self):
+        """A call that grows the workspace drops the thread's plans, so the old buffer dies,
+        and the smaller shape's next call, from a new plan, gives the same bytes."""
+        rng = np.random.default_rng(3)
+        small, large = rng.standard_normal((6, 2, 4, 2, 3)), rng.standard_normal((8, 2, 32, 3, 3))
+
+        def grow():
+            before = level_digest(*phasesim._level_products(small))
+            old = weakref.ref(phasesim._scratch.buf)
+            plan = phasesim._scratch.plans[(6, 2, 4, 2)]
+            phasesim._level_products(large)
+            assert list(phasesim._scratch.plans) == [(8, 2, 32, 3)]
+            assert old() is not None  # the dropped plan's views still hold it
+            del plan
+            assert old() is None
+            assert level_digest(*phasesim._level_products(small)) == before
+            assert phasesim._scratch.plans[(6, 2, 4, 2)][1].base is phasesim._scratch.buf
+
+        in_fresh_thread(grow)
+
+    def test_kept_plans_stay_within_the_cap(self):
+        """Over 100 distinct shapes a thread keeps at most KEPT_PLANS plans, the most
+        recently used: a shape used again moves to the end and is kept.  The largest shape
+        runs first, so no later one grows the workspace."""
+        coefs = [np.zeros((3, 1 + shape % 2, 1 + shape // 2, 2, 3)) for shape in range(100)]
+
+        def cycle():
+            phasesim._level_products(coefs[-1])
+            for coef in coefs:
+                phasesim._level_products(coef)
+                phasesim._level_products(coefs[0])
+                assert len(phasesim._scratch.plans) <= phasesim.KEPT_PLANS
+            keys = [(3, *coef.shape[1:4]) for coef in coefs]
+            assert list(phasesim._scratch.plans) == [*keys[100 - phasesim.KEPT_PLANS + 1:],
+                                                     keys[0]]
+
+        in_fresh_thread(cycle)
 
     @pytest.mark.parametrize("mode", ["ideal", "realistic"])
     def test_kept_chunks_equal_single_tau_runs(self, mode):
